@@ -30,11 +30,12 @@ ever reaches log records and the manifest, never a stored payload.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
-import json
 
+from repro.campaign.store import cell_key
 from repro.obs.logging import new_request_id, root_manager
 
 #: Default heartbeat cadence, seconds; 0 disables the heartbeat thread.
@@ -61,8 +62,6 @@ def cell_correlation_id(cell) -> str:
     cell's content hash, so re-running the cell (serial, parallel, or
     from cache) always yields the same id and stored telemetry stays
     bit-identical."""
-    from repro.campaign.store import cell_key
-
     return cell_key(cell)[:16]
 
 

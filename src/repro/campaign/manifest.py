@@ -17,7 +17,7 @@ never perturb the stored reports' bit-identity contract.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.harness.reporting import format_table
 from repro.obs.term import fmt_bytes, hms
@@ -104,11 +104,29 @@ class RunManifest:
         return None
 
 
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+_MANIFEST_FIELDS = _field_names(RunManifest)
+_CELL_FIELDS = _field_names(ManifestCell)
+_WORKER_FIELDS = _field_names(ManifestWorker)
+
+
+def _row(record, names: tuple[str, ...]) -> dict:
+    return {name: getattr(record, name) for name in names}
+
+
 def manifest_to_doc(manifest: RunManifest) -> dict:
-    """Encode a manifest as a JSON-shaped document."""
-    doc = asdict(manifest)
-    doc["cells"] = [asdict(c) for c in manifest.cells]
-    doc["worker_rows"] = [asdict(w) for w in manifest.worker_rows]
+    """Encode a manifest as a JSON-shaped document.
+
+    Rows hold scalars only, so each is read field by field, once;
+    ``dataclasses.asdict`` would deep-copy every row, and twice.
+    """
+    doc = _row(manifest, _MANIFEST_FIELDS)
+    doc["counters"] = dict(manifest.counters)
+    doc["cells"] = [_row(c, _CELL_FIELDS) for c in manifest.cells]
+    doc["worker_rows"] = [_row(w, _WORKER_FIELDS) for w in manifest.worker_rows]
     return doc
 
 

@@ -399,11 +399,8 @@ class CampaignRunner:
         self.monitor.begin(
             total=len(cells), name=self.spec.name, workers=self.max_workers
         )
-        overwrites0 = (
-            self.store.stats().get("overwrites", 0)
-            if self.store is not None
-            else 0
-        )
+        # the counter itself, not stats(): stats() sizes every payload file
+        overwrites0 = self.store.overwrites if self.store is not None else 0
         drainer = None
         if self.max_workers > 1:
             self._queue = multiprocessing.Queue()
@@ -465,9 +462,7 @@ class CampaignRunner:
         wall = time.perf_counter() - t0
         self.monitor.finalize(wall)
         overwrites = (
-            self.store.stats().get("overwrites", 0) - overwrites0
-            if self.store is not None
-            else 0
+            self.store.overwrites - overwrites0 if self.store is not None else 0
         )
         manifest = self.monitor.manifest(store_overwrites=overwrites)
         if self.store is not None:

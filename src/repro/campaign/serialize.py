@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.comm import TrafficCounters
+from repro.cluster.simtime import Phase, PhaseLog
 from repro.core.report import SolveReport
 from repro.faults.events import FaultClass, FaultEvent, FaultScope
 from repro.obs.export import telemetry_from_dict, telemetry_to_dict
@@ -128,9 +129,15 @@ def report_from_dict(data: dict) -> SolveReport:
     account = EnergyAccount()
     for tag, time_s, energy_j in data["account"]:
         account.charges[PhaseTag(tag)] = Charge(time_s=time_s, energy_j=energy_j)
-    rapl = RaplMeter(domain=RaplDomain(data["rapl"]["domain"]))
-    for tag, t_start, t_end, power_w in data["rapl"]["phases"]:
-        rapl.record(tag, t_start, t_end, power_w)
+    rapl = RaplMeter(
+        domain=RaplDomain(data["rapl"]["domain"]),
+        log=PhaseLog(
+            [
+                Phase(tag, t_start, t_end, power_w)
+                for tag, t_start, t_end, power_w in data["rapl"]["phases"]
+            ]
+        ),
+    )
     faults = [
         FaultEvent(
             iteration=ev["iteration"],

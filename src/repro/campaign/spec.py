@@ -29,7 +29,11 @@ BASELINE_SCHEME = "FF"
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One (experiment config, scheme) unit of work."""
+    """One (experiment config, scheme) unit of work.
+
+    Frozen, which is what lets :func:`repro.campaign.store.cell_key`
+    keep the cell's content hash on the object after the first call.
+    """
 
     config: ExperimentConfig
     scheme: str

@@ -29,7 +29,7 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ import repro
 from repro.campaign.serialize import report_from_dict, report_to_dict
 from repro.campaign.spec import CampaignCell
 from repro.core.report import SolveReport
+from repro.harness.experiment import ExperimentConfig
 
 #: Bump when the payload schema or hashed key material changes shape.
 #: 2: telemetry payload field + ExperimentConfig.trace in the key.
@@ -108,9 +109,31 @@ def _hash_material(store_format: int, config: dict, scheme: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+_CONFIG_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
+
+
+def _config_dict(config: ExperimentConfig) -> dict:
+    """The config as the flat ``{field: value}`` record that is hashed
+    and stored.  Every field is a scalar, so this is ``asdict`` without
+    its recursive deep copy."""
+    return {name: getattr(config, name) for name in _CONFIG_FIELD_NAMES}
+
+
 def cell_key(cell: CampaignCell) -> str:
-    """Content hash identifying one cell's result."""
-    return _hash_material(STORE_FORMAT, asdict(cell.config), cell.scheme)
+    """Content hash identifying one cell's result.
+
+    Hashed once per cell *object* and kept on it: a cell is frozen, so
+    the key on it cannot go stale, and every later lookup, write, log
+    line and manifest row for that cell reads it back.  There is no
+    table of keys by value — an equal cell built elsewhere (a fresh
+    ``spec.cells()``, another process) hashes for itself.
+    """
+    key = cell.__dict__.get("_key")
+    if key is None:
+        key = _hash_material(STORE_FORMAT, _config_dict(cell.config), cell.scheme)
+        # the way functools.cached_property writes past a frozen __setattr__
+        cell.__dict__["_key"] = key
+    return key
 
 
 def legacy_cell_keys(cell: CampaignCell) -> list[str]:
@@ -123,7 +146,7 @@ def legacy_cell_keys(cell: CampaignCell) -> list[str]:
     these after a miss on the current key.
     """
     keys: list[str] = []
-    config = asdict(cell.config)
+    config = _config_dict(cell.config)
     for name, default in _V5_CONFIG_FIELDS.items():
         if config.pop(name) != default:
             return keys
@@ -147,9 +170,9 @@ def legacy_cell_key(cell: CampaignCell) -> str | None:
     cell, a node-scope fault load, a loop-backend cell) never existed
     in a v2 store.
     """
-    config = asdict(cell.config)
-    for fields in (_V5_CONFIG_FIELDS, _V4_CONFIG_FIELDS, _V3_CONFIG_FIELDS):
-        for name, default in fields.items():
+    config = _config_dict(cell.config)
+    for dropped in (_V5_CONFIG_FIELDS, _V4_CONFIG_FIELDS, _V3_CONFIG_FIELDS):
+        for name, default in dropped.items():
             if config.pop(name) != default:
                 return None
     return _hash_material(2, config, cell.scheme)
@@ -217,27 +240,19 @@ class ResultStore:
         axes keep serving their banked results.
         """
         key = cell_key(cell)
-        with self._lock:
-            row = self._db.execute(
-                "SELECT elapsed_s, created_at FROM results WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None:
-                for legacy in legacy_cell_keys(cell):
-                    row = self._db.execute(
-                        "SELECT elapsed_s, created_at FROM results WHERE key = ?",
-                        (legacy,),
-                    ).fetchone()
-                    if row is not None:
-                        key = legacy
-                        break
+        row = self._index_row(key)
+        if row is None:
+            for legacy in legacy_cell_keys(cell):
+                row = self._index_row(legacy)
+                if row is not None:
+                    key = legacy
+                    break
         if row is None:
             with self._lock:
                 self.misses += 1
             return None
-        path = self._payload_path(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        payload = self._read_payload(key)
+        if payload is None:
             # stale index row (payload pruned or corrupted): self-heal
             with self._lock:
                 self._db.execute("DELETE FROM results WHERE key = ?", (key,))
@@ -246,12 +261,54 @@ class ResultStore:
             return None
         with self._lock:
             self.hits += 1
+        return self._entry(key, payload, *row, cell=cell)
+
+    def entry_by_key(self, key: str) -> StoreEntry | None:
+        """The entry stored under exactly ``key``: one index probe, then
+        one payload read.  Not a cell lookup — no legacy chain, no
+        hit/miss counting, and a stale row is left for
+        :meth:`get_entry` to heal."""
+        row = self._index_row(key)
+        payload = None if row is None else self._read_payload(key)
+        if payload is None:
+            return None
+        return self._entry(key, payload, *row)
+
+    def _index_row(self, key: str) -> tuple[float, float] | None:
+        with self._lock:
+            return self._db.execute(
+                "SELECT elapsed_s, created_at FROM results WHERE key = ?", (key,)
+            ).fetchone()
+
+    def _read_payload(self, key: str) -> dict | None:
+        """The one place a payload file is read; ``None`` when it is
+        missing or does not parse."""
+        try:
+            return json.loads(self._payload_path(key).read_text())
+        except (OSError, json.JSONDecodeError):
+            return None
+
+    def _entry(
+        self,
+        key: str,
+        payload: dict,
+        elapsed_s: float,
+        created_at: float,
+        cell: CampaignCell | None = None,
+    ) -> StoreEntry:
+        if cell is None:
+            # rebuilt from the payload's own config record, so no spec
+            # is needed to read a store back
+            cell = CampaignCell(
+                config=ExperimentConfig(**payload["cell"]["config"]),
+                scheme=payload["cell"]["scheme"],
+            )
         return StoreEntry(
             key=key,
             cell=cell,
             report=report_from_dict(payload["report"]),
-            elapsed_s=row[0],
-            created_at=row[1],
+            elapsed_s=elapsed_s,
+            created_at=created_at,
         )
 
     def get(self, cell: CampaignCell) -> SolveReport | None:
@@ -267,7 +324,7 @@ class ResultStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "key": key,
-            "cell": {"config": asdict(cell.config), "scheme": cell.scheme},
+            "cell": {"config": _config_dict(cell.config), "scheme": cell.scheme},
             "report": report_to_dict(report),
         }
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
@@ -371,30 +428,16 @@ class ResultStore:
         iterator works on any store without knowing the spec that filled
         it — this is what ``repro trace`` walks.
         """
-        from repro.harness.experiment import ExperimentConfig
-
         with self._lock:
             rows = self._db.execute(
                 "SELECT key, elapsed_s, created_at FROM results "
                 "ORDER BY created_at, key"
             ).fetchall()
         for key, elapsed_s, created_at in rows:
-            path = self._payload_path(key)
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+            payload = self._read_payload(key)
+            if payload is None:
                 continue  # stale row; get_entry() would self-heal it
-            cell = CampaignCell(
-                config=ExperimentConfig(**payload["cell"]["config"]),
-                scheme=payload["cell"]["scheme"],
-            )
-            yield StoreEntry(
-                key=key,
-                cell=cell,
-                report=report_from_dict(payload["report"]),
-                elapsed_s=elapsed_s,
-                created_at=created_at,
-            )
+            yield self._entry(key, payload, elapsed_s, created_at)
 
     def __len__(self) -> int:
         with self._lock:

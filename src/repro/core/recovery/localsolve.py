@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 @dataclass(frozen=True)
@@ -129,10 +128,14 @@ def lu_solve_with_stats(a: sp.spmatrix, rhs: np.ndarray) -> tuple[np.ndarray, Lu
     This is the prior-work LI construction [2]: exact, memory-hungry
     (fill), and priced by the banded-equivalent flop count.
     """
+    # imported on use: ~0.1 s (scipy.linalg with it) that only the exact
+    # baselines need, and every CLI launch would otherwise pay
+    from scipy.sparse.linalg import splu
+
     a = sp.csc_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    lu = spla.splu(a)
+    lu = splu(a)
     x = lu.solve(np.asarray(rhs, dtype=np.float64))
     stats = LuStats(n=a.shape[0], factor_nnz=int(lu.L.nnz + lu.U.nnz))
     return x, stats
@@ -147,7 +150,10 @@ class LsqrStats:
 
 
 def exact_least_squares(
-    a: sp.spmatrix | spla.LinearOperator, rhs: np.ndarray, *, n_cols: int | None = None
+    a: sp.spmatrix | sp.linalg.LinearOperator,
+    rhs: np.ndarray,
+    *,
+    n_cols: int | None = None,
 ) -> tuple[np.ndarray, LsqrStats]:
     """Exact (machine-precision) least-squares minimiser of ``|a x - rhs|``.
 
@@ -155,7 +161,9 @@ def exact_least_squares(
     precision converges to the same minimiser, and its iteration count is
     the communication-round count of the parallel baseline.
     """
-    result = spla.lsqr(a, np.asarray(rhs, dtype=np.float64), atol=1e-14, btol=1e-14,
-                       iter_lim=None)
+    from scipy.sparse.linalg import lsqr  # on use, as in lu_solve_with_stats
+
+    result = lsqr(a, np.asarray(rhs, dtype=np.float64), atol=1e-14, btol=1e-14,
+                  iter_lim=None)
     x, istop, itn, r1norm = result[0], result[1], result[2], result[3]
     return x, LsqrStats(iterations=int(itn), residual_norm=float(r1norm))

@@ -48,6 +48,13 @@ _EVENT_TYPES: dict[str, type] = {
     )
 }
 
+#: Wire kind -> (event class, its field names): ``fields()`` is walked
+#: once per class here, not once per decoded event.
+_EVENT_FIELDS: dict[str, tuple[type, tuple[str, ...]]] = {
+    kind: (cls, tuple(f.name for f in fields(cls)))
+    for kind, cls in _EVENT_TYPES.items()
+}
+
 
 def event_to_row(event: TraceEvent) -> dict:
     """Flatten one typed event into a JSON-shaped dict (kind + fields)."""
@@ -60,9 +67,8 @@ def event_to_row(event: TraceEvent) -> dict:
 def event_from_row(row: dict) -> TraceEvent:
     """Rebuild the typed event a :func:`event_to_row` dict encodes;
     unknown kinds degrade to the base :class:`TraceEvent`."""
-    cls = _EVENT_TYPES.get(row.get("kind", "event"), TraceEvent)
-    kwargs = {f.name: row[f.name] for f in fields(cls) if f.name in row}
-    return cls(**kwargs)
+    cls, names = _EVENT_FIELDS.get(row.get("kind", "event"), _EVENT_FIELDS["event"])
+    return cls(**{name: row[name] for name in names if name in row})
 
 
 def events_from_rows(rows: list[dict]) -> EventLog:

@@ -111,39 +111,47 @@ class MetricsRegistry:
     #: Cap on distinct label sets per metric name within each instrument
     #: family; 0 disables the guard.
     max_label_sets: int = DEFAULT_MAX_LABEL_SETS
+    #: Distinct label sets per ``(instrument family, metric name)``: what
+    #: the cardinality guard compares against the cap, kept as a running
+    #: count so creating a series does not rescan its table.
+    _label_sets: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _get_or_create(self, table: dict, name: str, labels: dict, make):
+    def _get_or_create(
+        self, family: str, table: dict, name: str, labels: dict, make
+    ):
         key = (name, _label_key(labels))
         inst = table.get(key)
         if inst is None:
-            if self.max_label_sets > 0:
-                existing = sum(1 for k in table if k[0] == name)
-                if existing >= self.max_label_sets:
-                    offending = (
-                        "{" + ", ".join(f"{k}={v!r}" for k, v in key[1]) + "}"
-                    )
-                    raise MetricsCardinalityError(
-                        f"metric {name!r} already has {existing} label sets "
-                        f"(cap {self.max_label_sets}); rejected new label set "
-                        f"{offending} — a label is carrying an unbounded "
-                        "value (rank? iteration?)"
-                    )
+            existing = self._label_sets.get((family, name), 0)
+            if 0 < self.max_label_sets <= existing:
+                offending = "{" + ", ".join(f"{k}={v!r}" for k, v in key[1]) + "}"
+                raise MetricsCardinalityError(
+                    f"metric {name!r} already has {existing} label sets "
+                    f"(cap {self.max_label_sets}); rejected new label set "
+                    f"{offending} — a label is carrying an unbounded "
+                    "value (rank? iteration?)"
+                )
             inst = table[key] = make()
+            self._label_sets[family, name] = existing + 1
         return inst
 
     # -- instrument accessors (get-or-create) ---------------------------
     def counter(self, name: str, **labels: str) -> Counter:
-        return self._get_or_create(self._counters, name, labels, Counter)
+        return self._get_or_create("counter", self._counters, name, labels, Counter)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get_or_create(self._gauges, name, labels, Gauge)
+        return self._get_or_create("gauge", self._gauges, name, labels, Gauge)
 
     def histogram(
         self, name: str, *, buckets: tuple[float, ...] = DEFAULT_BUCKETS,
         **labels: str,
     ) -> Histogram:
         return self._get_or_create(
-            self._histograms, name, labels, lambda: Histogram(buckets=buckets)
+            "histogram",
+            self._histograms,
+            name,
+            labels,
+            lambda: Histogram(buckets=buckets),
         )
 
     def __len__(self) -> int:

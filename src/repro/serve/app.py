@@ -389,18 +389,18 @@ class ServeApp:
     async def report_by_key(self, request: HttpRequest) -> HttpResponse:
         store = self._require_store()
         key = request.path.rstrip("/").rsplit("/", 1)[-1]
-        for entry in store.entries():
-            if entry.key == key:
-                return HttpResponse.json(
-                    {
-                        "key": entry.key,
-                        "label": entry.cell.label,
-                        "elapsed_s": entry.elapsed_s,
-                        "created_at": entry.created_at,
-                        "report": report_to_dict(entry.report),
-                    }
-                )
-        return HttpResponse.error(404, f"no stored cell with key {key!r}")
+        entry = store.entry_by_key(key)
+        if entry is None:
+            return HttpResponse.error(404, f"no stored cell with key {key!r}")
+        return HttpResponse.json(
+            {
+                "key": entry.key,
+                "label": entry.cell.label,
+                "elapsed_s": entry.elapsed_s,
+                "created_at": entry.created_at,
+                "report": report_to_dict(entry.report),
+            }
+        )
 
     async def reports_diff(self, request: HttpRequest) -> HttpResponse:
         from repro.obs.analysis.diffing import diff_runs
@@ -411,24 +411,19 @@ class ServeApp:
         want_a, want_b = request.query.get("a"), request.query.get("b")
         if not want_a or not want_b:
             raise RequestError("need query params a=KEY and b=KEY")
-        found = {}
-        for entry in store.entries():
-            if entry.key in (want_a, want_b):
-                found[entry.key] = entry
-        missing = [k for k in (want_a, want_b) if k not in found]
-        if missing:
-            return HttpResponse.error(
-                404, f"no stored cell with key {missing[0]!r}"
+        records = []
+        for key in (want_a, want_b):
+            entry = store.entry_by_key(key)
+            if entry is None:
+                return HttpResponse.error(404, f"no stored cell with key {key!r}")
+            records.append(
+                RunRecord(
+                    label=entry.cell.label,
+                    report=entry.report,
+                    telemetry=entry.report.details.get("telemetry"),
+                    config=entry.cell.config,
+                )
             )
-        records = [
-            RunRecord(
-                label=found[k].cell.label,
-                report=found[k].report,
-                telemetry=found[k].report.details.get("telemetry"),
-                config=found[k].cell.config,
-            )
-            for k in (want_a, want_b)
-        ]
         diff = diff_runs(records[0], records[1])
         return HttpResponse.json(
             {

@@ -1,7 +1,12 @@
 """Runner: execution, resume, retries, crashes, serial/parallel equality."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
+from repro.campaign import store as store_module
+from repro.campaign.manifest import manifest_from_doc, manifest_to_doc
 from repro.campaign.progress import (
     ProgressReporter,
     format_normalized_tables,
@@ -82,6 +87,58 @@ class TestSerialCampaign:
         result = run_campaign(tiny_spec, store=store, max_workers=1)
         assert result.n_cached == 3
         assert result.n_ran == 3
+
+
+class TestResumeIsLinearInCells:
+    """A resume does per-cell work only: it never sizes the store, reads
+    each payload once and hashes each cell once (ISSUE 22)."""
+
+    def test_resume_walks_nothing_and_touches_each_cell_once(
+        self, tiny_spec, store, monkeypatch
+    ):
+        run_campaign(tiny_spec, store=store, max_workers=1)
+
+        def walked(self):
+            raise AssertionError("resume sized every payload in the store")
+
+        monkeypatch.setattr(ResultStore, "payload_bytes", walked)
+        reads, hashes = [], []
+        read, hashed = store._read_payload, store_module._hash_material
+        monkeypatch.setattr(
+            store, "_read_payload", lambda key: reads.append(key) or read(key)
+        )
+        monkeypatch.setattr(
+            store_module,
+            "_hash_material",
+            lambda *args: hashes.append(args[0]) or hashed(*args),
+        )
+        result = run_campaign(tiny_spec, store=store, max_workers=1)
+
+        n = len(tiny_spec)
+        assert [r.status for r in result.results] == ["cached"] * n
+        # the result's cells are the objects the run hashed: their keys
+        # are read back here, not hashed again
+        assert sorted(reads) == sorted(store.key(r.cell) for r in result.results)
+        # one current-format hash per cell; no legacy chain on a hit
+        assert hashes == [store_module.STORE_FORMAT] * n
+
+    def test_persisted_manifest_is_the_parents_document(self, tiny_spec, store):
+        run_campaign(tiny_spec, store=store, max_workers=1)
+        result = run_campaign(tiny_spec, store=store, max_workers=1)
+        manifest = result.manifest
+        assert len(manifest.cells) == len(tiny_spec)
+        assert manifest_from_doc(manifest_to_doc(manifest)) == manifest
+        # the parent commit's encoding: asdict, rows re-listed
+        parent_doc = asdict(manifest)
+        parent_doc["cells"] = [asdict(c) for c in manifest.cells]
+        parent_doc["worker_rows"] = [asdict(w) for w in manifest.worker_rows]
+        (stored,) = store._db.execute(
+            "SELECT doc FROM manifests WHERE run_id = ?", (result.run_id,)
+        ).fetchone()
+        assert stored == json.dumps(
+            parent_doc, sort_keys=True, separators=(",", ":")
+        )
+        assert json.dumps(manifest_to_doc(manifest)) == json.dumps(parent_doc)
 
 
 class TestRetries:

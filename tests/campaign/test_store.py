@@ -1,15 +1,21 @@
 """Result store: hashing, round-trips, hits and misses, self-healing."""
 
+import dataclasses
 import json
+import pickle
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.campaign.serialize import report_from_dict, report_to_dict
 from repro.campaign.spec import CampaignCell
+from repro.campaign import store as store_module
+from repro.campaign.fleet import cell_correlation_id
 from repro.campaign.store import (
+    STORE_FORMAT,
     ResultStore,
     _hash_material,
     cell_key,
@@ -107,6 +113,178 @@ class TestKeying:
     def test_scheme_changes_the_key(self, solved):
         cell, _ = solved
         assert cell_key(CampaignCell(cell.config, "RD")) != cell_key(cell)
+
+
+def literal_cell() -> CampaignCell:
+    """Every field spelled out, so a changed default cannot move it."""
+    return CampaignCell(
+        ExperimentConfig(
+            matrix="wathen100",
+            nranks=8,
+            n_faults=2,
+            tol=1e-8,
+            seed=3,
+            scale=0.25,
+            cr_interval=50,
+            construct_tol=1e-6,
+            max_iters=200_000,
+            trace=True,
+            engine="sim",
+            fault_scope="process",
+            backend="batched",
+            victims_per_fault=1,
+        ),
+        "LI",
+    )
+
+
+@pytest.fixture()
+def pinned_versions(monkeypatch):
+    """The library versions are key material; pin them so a golden key
+    is about the canonicalisation, not about this environment."""
+    monkeypatch.setattr(store_module, "np", SimpleNamespace(__version__="1.26.4"))
+    monkeypatch.setattr(store_module, "scipy", SimpleNamespace(__version__="1.11.4"))
+    monkeypatch.setattr(store_module, "repro", SimpleNamespace(__version__="1.0.0"))
+
+
+@pytest.fixture()
+def hash_calls(monkeypatch):
+    """Every ``_hash_material`` call made while the fixture is live."""
+    calls = []
+    real = store_module._hash_material
+
+    def counting(store_format, config, scheme):
+        calls.append((store_format, scheme))
+        return real(store_format, config, scheme)
+
+    monkeypatch.setattr(store_module, "_hash_material", counting)
+    return calls
+
+
+#: A valid other value for each string-typed config field.
+_OTHER_STRING = {
+    "matrix": "Andrews",
+    "cr_interval": "young",
+    "engine": "analytic",
+    "fault_scope": "node",
+    "backend": "loop",
+}
+
+
+def _changed(name: str, value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 2
+    return _OTHER_STRING[name]  # KeyError: a new string field needs an entry
+
+
+class TestIdentityInvariants:
+    """What the cheaper canonicalisation and the per-object memo must
+    leave exactly as they were (ISSUE 22)."""
+
+    # Computed by the parent commit (asdict-based) for literal_cell()
+    # under pinned_versions.
+    GOLDEN_KEY = "7f155b6a1d6db1d7be1e353c92da9833ac87642a9ba971401bd839a3141dd3eb"
+    GOLDEN_LEGACY = [
+        "f43349a79248442e33721d9516839c9f63b21977d2c00af5306333e71d2deea4",
+        "defb1a1c8c8087b31b09be09527f4d14e264806456e45ebd6ba3b4dd9ee94b6d",
+        "88612773c4c4f5ea9b8a4dbe348e8f8dd4c61a210d7f6c3e44425b18d119292c",
+    ]
+
+    def test_golden_key_at_store_format_5(self, pinned_versions):
+        assert STORE_FORMAT == 5
+        assert cell_key(literal_cell()) == self.GOLDEN_KEY
+
+    def test_golden_legacy_chain(self, pinned_versions):
+        cell = literal_cell()
+        cell_key(cell)  # a memoised current key must not leak into the chain
+        assert legacy_cell_keys(cell) == self.GOLDEN_LEGACY
+        assert legacy_cell_key(cell) == self.GOLDEN_LEGACY[-1]
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ExperimentConfig)]
+    )
+    def test_every_config_field_is_key_material(self, name):
+        cell = literal_cell()
+        value = getattr(cell.config, name)
+        other = CampaignCell(
+            replace(cell.config, **{name: _changed(name, value)}), cell.scheme
+        )
+        assert getattr(other.config, name) != value
+        assert cell_key(other) != cell_key(cell)
+
+    def test_flat_field_read_is_asdict(self):
+        config = literal_cell().config
+        flat = store_module._config_dict(config)
+        assert flat == asdict(config)
+        assert list(flat) == list(asdict(config))
+
+    def test_memoised_key_is_the_from_scratch_key(self, hash_calls):
+        cell = literal_cell()
+        first = cell_key(cell)
+        assert cell_key(cell) == first  # memo hit
+        assert cell_correlation_id(cell) == first[:16]
+        assert len(hash_calls) == 1  # hashed once for this object
+        assert first == _hash_material(
+            STORE_FORMAT, asdict(cell.config), cell.scheme
+        )
+        assert cell_key(literal_cell()) == first  # an equal cell, built apart
+        assert len(hash_calls) == 2  # ... which hashed for itself: no table by value
+
+    def test_key_survives_a_pickle_round_trip(self):
+        cell = literal_cell()
+        fresh = pickle.loads(pickle.dumps(cell))  # before any key was taken
+        key = cell_key(cell)
+        keyed = pickle.loads(pickle.dumps(cell))  # the memo travels along
+        assert fresh == keyed == cell
+        assert cell_key(fresh) == cell_key(keyed) == key
+        assert key == _hash_material(
+            STORE_FORMAT, asdict(keyed.config), keyed.scheme
+        )
+
+    def test_memo_is_not_part_of_the_cells_value(self):
+        plain, keyed = literal_cell(), literal_cell()
+        cell_key(keyed)
+        assert plain == keyed and hash(plain) == hash(keyed)
+        assert repr(plain) == repr(keyed)
+        moved = replace(keyed, scheme="RD")  # a new object: hashes for itself
+        assert cell_key(moved) != cell_key(keyed)
+
+    def test_stored_payload_bytes_are_the_parents(self, store, solved):
+        """The file ``put`` writes, spelled the way the parent commit
+        built it (``asdict`` config record)."""
+        cell, report = solved
+        key = store.put(cell, report)
+        expected = {
+            "key": key,
+            "cell": {"config": asdict(cell.config), "scheme": cell.scheme},
+            "report": report_to_dict(report),
+        }
+        assert store._payload_path(key).read_text() == json.dumps(
+            expected, sort_keys=True
+        )
+
+    def test_entry_by_key_is_one_probe_and_one_read(self, store, solved):
+        cell, report = solved
+        cells = [
+            CampaignCell(replace(cell.config, seed=seed), cell.scheme)
+            for seed in range(5)
+        ]
+        keys = [store.put(c, report, elapsed_s=float(i)) for i, c in enumerate(cells)]
+        reads = []
+        real = store._read_payload
+        store._read_payload = lambda key: reads.append(key) or real(key)
+        entry = store.entry_by_key(keys[3])
+        assert reads == [keys[3]]
+        assert (entry.key, entry.cell, entry.elapsed_s) == (keys[3], cells[3], 3.0)
+        assert_reports_equal(entry.report, report)
+        assert store.entry_by_key("f" * 64) is None
+        assert store.entry_by_key("../../etc/passwd") is None
+        assert reads == [keys[3]]  # an unknown key never reaches the disk
+        assert (store.hits, store.misses) == (0, 0)
 
 
 class TestStore:

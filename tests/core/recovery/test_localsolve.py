@@ -123,3 +123,40 @@ class TestExactLeastSquares:
         x, stats = exact_least_squares(a, b)
         dense, *_ = np.linalg.lstsq(a.toarray(), b, rcond=None)
         assert np.allclose(x, dense, atol=1e-6)
+
+
+class TestLazySparseLinalg:
+    """``scipy.sparse.linalg`` (~0.1 s, ``scipy.linalg`` with it) is
+    loaded by the exact baselines that call it, not by every launch."""
+
+    SCRIPT = """
+import sys
+import repro.cli
+assert "scipy.sparse.linalg" not in sys.modules, "imported at launch"
+from repro.harness.experiment import Experiment, ExperimentConfig
+exp = Experiment(ExperimentConfig(matrix="wathen100", nranks=8, n_faults=2, scale=0.25))
+li = exp.run("LI")  # the optimized local-CG construction needs none of it
+assert li.converged and "scipy.sparse.linalg" not in sys.modules
+for scheme in ("LI-LU", "LSI-QR"):
+    assert exp.run(scheme).converged, scheme
+assert "scipy.sparse.linalg" in sys.modules, "exact baselines did not load it"
+print("ok")
+"""
+
+    def test_cli_import_leaves_it_out_and_exact_solves_load_it(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[3] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"

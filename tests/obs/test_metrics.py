@@ -137,6 +137,22 @@ class TestCardinalityGuard:
         reg.counter("x", k="a").inc()
         reg.gauge("x", k="b").set(1)
 
+    def test_from_snapshot_admits_exactly_the_cap(self):
+        cap = MetricsRegistry().max_label_sets
+        snap = {"counters": {f"m{{k={i}}}": 1.0 for i in range(cap)}}
+        reg = MetricsRegistry.from_snapshot(snap)
+        assert len(reg.snapshot()["counters"]) == cap
+        reg.merge_snapshot(snap)  # touching existing series stays allowed
+        assert reg.snapshot()["counters"]["m{k=0}"] == 2.0
+
+    def test_from_snapshot_rejects_one_series_past_the_cap(self):
+        cap = MetricsRegistry().max_label_sets
+        snap = {"counters": {f"m{{k={i}}}": 1.0 for i in range(cap + 1)}}
+        with pytest.raises(
+            MetricsCardinalityError, match=f"already has {cap} label sets"
+        ):
+            MetricsRegistry.from_snapshot(snap)
+
     def test_zero_cap_disables_the_guard(self):
         reg = MetricsRegistry(max_label_sets=0)
         for i in range(300):

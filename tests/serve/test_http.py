@@ -232,6 +232,51 @@ class TestReports:
         assert diff["n_changes"] > 0
         assert diff["text"]
 
+    def test_a_report_request_reads_only_its_own_payload(self, served, monkeypatch):
+        """By-key lookups go index row -> one payload file, however many
+        cells the store holds (they used to decode every payload)."""
+        from dataclasses import replace
+
+        from repro.campaign.serialize import report_from_dict
+
+        a = served.client.solve(**SOLVE, scheme="RD", seed=18)
+        b = served.client.solve(**SOLVE, scheme="LI", seed=18)
+        cell = make_cell("RD", seed=18)
+        report = report_from_dict(a["report"])
+        for seed in range(1000, 1020):  # pad the store to >= 20 other cells
+            served.store.put(
+                replace(cell, config=replace(cell.config, seed=seed)), report
+            )
+        assert len(served.store) >= 22
+
+        reads = []
+        real = served.store._read_payload
+        monkeypatch.setattr(
+            served.store, "_read_payload", lambda key: reads.append(key) or real(key)
+        )
+        full = served.client.report(a["key"])
+        assert reads == [a["key"]]
+        assert full["key"] == a["key"] and full["report"] == a["report"]
+        assert full["label"] == cell.label
+        assert set(full) == {"key", "label", "elapsed_s", "created_at", "report"}
+
+        del reads[:]
+        diff = served.client.diff(a["key"], b["key"])
+        assert reads == [a["key"], b["key"]]
+        assert diff["a"] == {"key": a["key"], "label": cell.label}
+        assert diff["identical"] is False
+
+        del reads[:]
+        for call in (
+            lambda: served.client.report("f" * 64),
+            lambda: served.client.diff(a["key"], "f" * 64),
+        ):
+            with pytest.raises(ServeError) as exc:
+                call()
+            assert exc.value.status == 404
+            assert "no stored cell with key " + repr("f" * 64) in str(exc.value)
+        assert reads == [a["key"]]  # an unknown key costs no payload read
+
     def test_unknown_report_key_is_404(self, served):
         with pytest.raises(ServeError) as exc:
             served.client.report("f" * 64)
