@@ -41,6 +41,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.campaign.fleet import (
     DEFAULT_HEARTBEAT_S,
@@ -62,45 +63,36 @@ from repro.obs.logging import bound_request_id, get_logger, root_manager
 _log = get_logger("campaign.runner")
 
 
-class CellTimeout(Exception):
-    """A cell exceeded its per-cell wall-clock budget.
+class _CellFailure(Exception):
+    """A cell attempt that did not produce a report.
 
     Both constructor arguments live in ``args`` so the exception —
-    elapsed included — survives pickling back from a pool worker.
+    elapsed included — survives pickling back from a pool worker, and
+    the run manifest can attribute the compute the attempt wasted.
     """
 
     def __init__(self, message: str, elapsed_s: float = 0.0) -> None:
         super().__init__(message, elapsed_s)
         self.message = message
-        #: Compute seconds burned before the abort (wasted work).
+        #: Compute seconds burned before the attempt ended (wasted work).
         self.elapsed_s = elapsed_s
 
     def __str__(self) -> str:
         return self.message
 
 
-class CellExecutionError(Exception):
-    """A cell's solve raised; carries the elapsed seconds it wasted.
+class CellTimeout(_CellFailure):
+    """A cell exceeded its per-cell wall-clock budget."""
 
-    :func:`execute_cell` wraps worker-side failures in this type so the
-    time a failed attempt burned crosses the process boundary with the
-    exception (``args`` carries both fields through pickling) and the
-    run manifest can attribute wasted compute.
-    """
 
-    def __init__(self, message: str, elapsed_s: float = 0.0) -> None:
-        super().__init__(message, elapsed_s)
-        self.message = message
-        #: Compute seconds burned before the failure (wasted work).
-        self.elapsed_s = elapsed_s
-
-    def __str__(self) -> str:
-        return self.message
+class CellExecutionError(_CellFailure):
+    """A cell's solve raised; :func:`execute_cell` wraps worker-side
+    failures in this type."""
 
 
 def _error_string(exc: BaseException) -> str:
     """The campaign-facing error string for a cell failure."""
-    if isinstance(exc, (CellTimeout, CellExecutionError)):
+    if isinstance(exc, _CellFailure):
         return str(exc)
     return f"{type(exc).__name__}: {exc}"
 
@@ -344,6 +336,19 @@ class CampaignResult:
         return run_detectors(self.run_records(), names, manifest=self.manifest)
 
 
+@dataclass
+class _Task:
+    """A cell on its way to a result: what one attempt hands the next."""
+
+    cell: CampaignCell
+    baseline: SolveReport | None
+    attempt: int = 1
+    #: Compute seconds this cell's failed attempts have burned so far.
+    wasted: float = 0.0
+    #: Worker deaths that were provably this cell's (it ran alone).
+    crashes: int = 0
+
+
 class CampaignRunner:
     """Executes a spec against a store with a bounded-retry worker pool."""
 
@@ -423,7 +428,7 @@ class CampaignRunner:
 
             # stage 2: fault-free baselines, one per experiment group
             baseline_tasks = [
-                (cell, None)
+                _Task(cell, None)
                 for cell in cells
                 if cell.is_baseline and cell not in done
             ]
@@ -452,7 +457,7 @@ class CampaignRunner:
                         )
                     )
                     continue
-                scheme_tasks.append((cell, baseline))
+                scheme_tasks.append(_Task(cell, baseline))
             done.update(self._run_batch(scheme_tasks))
         finally:
             if drainer is not None:
@@ -497,14 +502,7 @@ class CampaignRunner:
             self.progress.cell_done(result)
         return result
 
-    def _finish(
-        self,
-        cell: CampaignCell,
-        report,
-        elapsed: float,
-        attempts: int,
-        wasted_s: float = 0.0,
-    ):
+    def _finish(self, task: _Task, report, elapsed: float) -> CellResult:
         """Persist a fresh result and normalize it through the store.
 
         Reading the result back means a cell served from cache tomorrow
@@ -513,6 +511,7 @@ class CampaignRunner:
         telemetry *before* the store write — same code path serial and
         parallel, so the annotation cannot perturb bit-identity.
         """
+        cell = task.cell
         annotate_cell_id(report, cell_correlation_id(cell))
         if self.store is not None:
             self.store.put(cell, report, elapsed_s=elapsed)
@@ -523,15 +522,13 @@ class CampaignRunner:
                 "ran",
                 report=report,
                 elapsed_s=elapsed,
-                attempts=attempts,
-                wasted_s=wasted_s,
+                attempts=task.attempt,
+                wasted_s=task.wasted,
             )
         )
 
     def _pool(self, workers: int) -> ProcessPoolExecutor:
         """A worker pool wired into the telemetry channel."""
-        if self._queue is None:
-            return ProcessPoolExecutor(max_workers=workers)
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=init_worker,
@@ -543,191 +540,112 @@ class CampaignRunner:
             ),
         )
 
-    def _run_batch(self, tasks) -> dict[CampaignCell, CellResult]:
-        if not tasks:
-            return {}
-        if self.max_workers == 1:
-            return self._run_serial(tasks)
-        return self._run_parallel(tasks)
+    def _run_batch(self, queue: list[_Task]) -> dict[CampaignCell, CellResult]:
+        if self.max_workers > 1:
+            return self._run_pooled(queue)
+        inline = partial(run_cell_in_worker, channel=LocalChannel(self.monitor))
+        return {task.cell: self._run_alone(task, inline) for task in queue}
 
-    def _run_serial(self, tasks) -> dict[CampaignCell, CellResult]:
-        out: dict[CampaignCell, CellResult] = {}
-        channel = LocalChannel(self.monitor)
-        for cell, baseline in tasks:
-            cell_id = cell_correlation_id(cell)
-            attempt = 1
-            wasted = 0.0
-            while True:
-                self.monitor.cell_queued(cell, attempt)
-                try:
-                    report, elapsed = run_cell_in_worker(
-                        self.worker,
-                        cell,
-                        baseline,
-                        self.timeout_s,
-                        cell_id,
-                        attempt,
-                        channel=channel,
-                    )
-                    out[cell] = self._finish(
-                        cell, report, elapsed, attempt, wasted_s=wasted
-                    )
-                    break
-                except CellTimeout as exc:  # timeouts are not retried
-                    out[cell] = self._emit(
-                        CellResult(
-                            cell,
-                            "failed",
-                            attempts=attempt,
-                            elapsed_s=wasted + _wasted_s(exc),
-                            error=str(exc),
-                        )
-                    )
-                    break
-                except Exception as exc:
-                    wasted += _wasted_s(exc)
-                    if attempt > self.retries:
-                        out[cell] = self._emit(
-                            CellResult(
-                                cell,
-                                "failed",
-                                attempts=attempt,
-                                elapsed_s=wasted,
-                                error=_error_string(exc),
-                            )
-                        )
-                        break
-                    attempt += 1
-        return out
+    def _call(self, task: _Task) -> tuple:
+        """:func:`run_cell_in_worker`'s arguments for the task's next attempt."""
+        return (
+            self.worker,
+            task.cell,
+            task.baseline,
+            self.timeout_s,
+            cell_correlation_id(task.cell),
+            task.attempt,
+        )
 
-    def _run_parallel(self, tasks) -> dict[CampaignCell, CellResult]:
+    def _settle(self, task: _Task, outcome) -> CellResult | None:
+        """What one attempt's outcome means — decided here and nowhere else.
+
+        ``outcome()`` returns the attempt's ``(report, elapsed)`` or
+        raises what the attempt raised.  Ran: persisted, done.  Timed
+        out: failed, never retried.  Any other error: its wasted seconds
+        are added and the cell runs again while ``attempt <= retries``.
+        A dead worker gets here only from a one-worker pool, where the
+        crash provably belongs to this cell: it is allowed ``retries``
+        more.  Returns ``None`` when the cell is to run again, with
+        ``task.attempt`` already advanced.
+        """
+        try:
+            return self._finish(task, *outcome())
+        except CellTimeout as exc:
+            task.wasted += _wasted_s(exc)
+            error, again = str(exc), False
+        except BrokenProcessPool:
+            task.crashes += 1
+            error, again = "worker process crashed", task.crashes <= self.retries
+        except Exception as exc:
+            task.wasted += _wasted_s(exc)
+            error, again = _error_string(exc), task.attempt <= self.retries
+        if again:
+            task.attempt += 1
+            return None
+        return self._emit(
+            CellResult(
+                task.cell,
+                "failed",
+                attempts=task.attempt,
+                elapsed_s=task.wasted,
+                error=error,
+            )
+        )
+
+    def _run_alone(self, task: _Task, invoke) -> CellResult:
+        """One cell, attempt after attempt, until the policy settles it:
+        the serial path (``invoke`` runs the worker inline) and the
+        crash endgame (``invoke`` is :meth:`_in_own_pool`)."""
+        while True:
+            self.monitor.cell_queued(task.cell, task.attempt)
+            result = self._settle(task, lambda: invoke(*self._call(task)))
+            if result is not None:
+                return result
+
+    def _in_own_pool(self, *call):
+        with self._pool(1) as pool:
+            return pool.submit(run_cell_in_worker, *call).result()
+
+    def _run_pooled(self, queue: list[_Task]) -> dict[CampaignCell, CellResult]:
         """Pooled rounds with crash recovery.
 
         A dead worker breaks the whole pool: every in-flight future
         raises ``BrokenProcessPool`` and the crasher is indistinguishable
-        from its innocent pool-mates.  So crashes never consume a cell's
-        *error* retry budget in pooled mode — the pool is rebuilt and
-        everyone unfinished re-queued.  After ``retries + 1`` broken
-        rounds the survivors move to an exact-attribution endgame: each
-        runs alone in a single-worker pool, where a crash provably
-        belongs to that cell and is bounded by its own retry budget.
+        from its innocent pool-mates.  So a broken round settles nobody:
+        the pool is rebuilt and everyone unfinished re-queued.  After
+        ``retries + 1`` broken rounds the survivors move to an
+        exact-attribution endgame: each runs alone in a single-worker
+        pool, where a crash provably belongs to that cell.
         """
         out: dict[CampaignCell, CellResult] = {}
-        queue = [(cell, baseline, 1, 0.0) for cell, baseline in tasks]
         broken_rounds = 0
         while queue and broken_rounds <= self.retries:
-            requeue: list = []
+            requeue: list[_Task] = []
             round_broke = False
-            workers = min(self.max_workers, len(queue))
-            with self._pool(workers) as pool:
+            with self._pool(min(self.max_workers, len(queue))) as pool:
                 futures = {}
-                for cell, baseline, attempt, wasted in queue:
-                    self.monitor.cell_queued(cell, attempt)
-                    future = pool.submit(
-                        run_cell_in_worker,
-                        self.worker,
-                        cell,
-                        baseline,
-                        self.timeout_s,
-                        cell_correlation_id(cell),
-                        attempt,
-                    )
-                    futures[future] = (cell, baseline, attempt, wasted)
+                for task in queue:
+                    self.monitor.cell_queued(task.cell, task.attempt)
+                    future = pool.submit(run_cell_in_worker, *self._call(task))
+                    futures[future] = task
                 for future in as_completed(futures):
-                    cell, baseline, attempt, wasted = futures[future]
-                    try:
-                        report, elapsed = future.result()
-                        out[cell] = self._finish(
-                            cell, report, elapsed, attempt, wasted_s=wasted
-                        )
-                    except CellTimeout as exc:
-                        out[cell] = self._emit(
-                            CellResult(
-                                cell,
-                                "failed",
-                                attempts=attempt,
-                                elapsed_s=wasted + _wasted_s(exc),
-                                error=str(exc),
-                            )
-                        )
-                    except BrokenProcessPool:
+                    task = futures[future]
+                    if isinstance(future.exception(), BrokenProcessPool):
                         round_broke = True
-                        requeue.append((cell, baseline, attempt + 1, wasted))
-                    except Exception as exc:
-                        wasted += _wasted_s(exc)
-                        if attempt > self.retries:
-                            out[cell] = self._emit(
-                                CellResult(
-                                    cell,
-                                    "failed",
-                                    attempts=attempt,
-                                    elapsed_s=wasted,
-                                    error=_error_string(exc),
-                                )
-                            )
-                        else:
-                            requeue.append((cell, baseline, attempt + 1, wasted))
+                        task.attempt += 1
+                        result = None
+                    else:
+                        result = self._settle(task, future.result)
+                    if result is None:
+                        requeue.append(task)
+                    else:
+                        out[task.cell] = result
             broken_rounds += round_broke
             queue = requeue
-        for cell, baseline, attempt, wasted in queue:
-            out[cell] = self._run_isolated(cell, baseline, attempt, wasted)
+        for task in queue:
+            out[task.cell] = self._run_alone(task, self._in_own_pool)
         return out
-
-    def _run_isolated(self, cell, baseline, attempt, wasted=0.0) -> CellResult:
-        """Run one cell in its own single-worker pool (crash endgame)."""
-        crashes = 0
-        while True:
-            self.monitor.cell_queued(cell, attempt)
-            with self._pool(1) as pool:
-                future = pool.submit(
-                    run_cell_in_worker,
-                    self.worker,
-                    cell,
-                    baseline,
-                    self.timeout_s,
-                    cell_correlation_id(cell),
-                    attempt,
-                )
-                try:
-                    report, elapsed = future.result()
-                    return self._finish(
-                        cell, report, elapsed, attempt, wasted_s=wasted
-                    )
-                except CellTimeout as exc:
-                    return self._emit(
-                        CellResult(
-                            cell,
-                            "failed",
-                            attempts=attempt,
-                            elapsed_s=wasted + _wasted_s(exc),
-                            error=str(exc),
-                        )
-                    )
-                except BrokenProcessPool:
-                    crashes += 1
-                    if crashes > self.retries:
-                        return self._emit(
-                            CellResult(
-                                cell,
-                                "failed",
-                                attempts=attempt,
-                                elapsed_s=wasted,
-                                error="worker process crashed",
-                            )
-                        )
-                except Exception as exc:
-                    wasted += _wasted_s(exc)
-                    if attempt > self.retries:
-                        return self._emit(
-                            CellResult(
-                                cell,
-                                "failed",
-                                attempts=attempt,
-                                elapsed_s=wasted,
-                                error=_error_string(exc),
-                            )
-                        )
-            attempt += 1
 
 
 def run_campaign(

@@ -48,21 +48,6 @@ from repro.harness.experiment import ExperimentConfig
 #: 5: ExperimentConfig.victims_per_fault in the key.
 STORE_FORMAT = 5
 
-#: Config fields format 2 did not know about.  A v2 store can only hold
-#: cells at these fields' defaults, which is what makes the read-side
-#: migration in :meth:`ResultStore.get_entry` safe.
-_V3_CONFIG_FIELDS = {"engine": "sim", "fault_scope": "process"}
-#: Config fields format 3 did not know about (same migration contract:
-#: a v3 store only ever held cells at the default backend, and the
-#: backends are bit-identical, so serving a v3 result for a default
-#: cell is exact).
-_V4_CONFIG_FIELDS = {"backend": "batched"}
-#: Config fields format 4 did not know about: a v4 store only ever held
-#: single-victim cells, and the single-victim fault path is bitwise
-#: unchanged, so serving a v4 result for a ``victims_per_fault=1`` cell
-#: is exact.
-_V5_CONFIG_FIELDS = {"victims_per_fault": 1}
-
 DEFAULT_ROOT = Path(".repro-cache")
 
 _SCHEMA = """
@@ -136,48 +121,6 @@ def cell_key(cell: CampaignCell) -> str:
     return key
 
 
-def legacy_cell_keys(cell: CampaignCell) -> list[str]:
-    """The cell's identities in older store formats, newest first.
-
-    Each step of the chain is only reachable while every config field
-    the older format did not know about sits at its default: a cell on
-    the ``loop`` backend never existed in a v3 store, an analytic cell
-    never existed in a v2 store.  :meth:`ResultStore.get_entry` probes
-    these after a miss on the current key.
-    """
-    keys: list[str] = []
-    config = _config_dict(cell.config)
-    for name, default in _V5_CONFIG_FIELDS.items():
-        if config.pop(name) != default:
-            return keys
-    keys.append(_hash_material(4, config, cell.scheme))
-    for name, default in _V4_CONFIG_FIELDS.items():
-        if config.pop(name) != default:
-            return keys
-    keys.append(_hash_material(3, config, cell.scheme))
-    for name, default in _V3_CONFIG_FIELDS.items():
-        if config.pop(name) != default:
-            return keys
-    keys.append(_hash_material(2, config, cell.scheme))
-    return keys
-
-
-def legacy_cell_key(cell: CampaignCell) -> str | None:
-    """The format-2 key this cell would have had, or ``None``.
-
-    Only cells expressible under format 2 — every post-v2 config field
-    at its default — have a legacy identity; anything else (an analytic
-    cell, a node-scope fault load, a loop-backend cell) never existed
-    in a v2 store.
-    """
-    config = _config_dict(cell.config)
-    for dropped in (_V5_CONFIG_FIELDS, _V4_CONFIG_FIELDS, _V3_CONFIG_FIELDS):
-        for name, default in dropped.items():
-            if config.pop(name) != default:
-                return None
-    return _hash_material(2, config, cell.scheme)
-
-
 @dataclass(frozen=True)
 class StoreEntry:
     """One indexed result plus the bookkeeping the summary reports."""
@@ -234,29 +177,19 @@ class ResultStore:
     def get_entry(self, cell: CampaignCell) -> StoreEntry | None:
         """Full entry for a cell, or ``None`` on a miss.
 
-        A miss under the current key walks the cell's legacy identity
-        chain (formats 4, 3, then 2, where the cell has them), so stores
-        written before the victim-set / backend / engine / fault-scope
-        axes keep serving their banked results.
+        A cell has one key: rows written under older store formats stay
+        listable (:meth:`entries`, :meth:`entry_by_key`) but are never
+        served for a cell.
         """
         key = cell_key(cell)
         row = self._index_row(key)
-        if row is None:
-            for legacy in legacy_cell_keys(cell):
-                row = self._index_row(legacy)
-                if row is not None:
-                    key = legacy
-                    break
-        if row is None:
-            with self._lock:
-                self.misses += 1
-            return None
-        payload = self._read_payload(key)
+        payload = None if row is None else self._read_payload(key)
         if payload is None:
-            # stale index row (payload pruned or corrupted): self-heal
             with self._lock:
-                self._db.execute("DELETE FROM results WHERE key = ?", (key,))
-                self._db.commit()
+                if row is not None:
+                    # stale index row (payload pruned or corrupted): self-heal
+                    self._db.execute("DELETE FROM results WHERE key = ?", (key,))
+                    self._db.commit()
                 self.misses += 1
             return None
         with self._lock:
@@ -265,8 +198,8 @@ class ResultStore:
 
     def entry_by_key(self, key: str) -> StoreEntry | None:
         """The entry stored under exactly ``key``: one index probe, then
-        one payload read.  Not a cell lookup — no legacy chain, no
-        hit/miss counting, and a stale row is left for
+        one payload read.  Not a cell lookup — no hit/miss counting,
+        and a stale row is left for
         :meth:`get_entry` to heal."""
         row = self._index_row(key)
         payload = None if row is None else self._read_payload(key)
@@ -332,12 +265,7 @@ class ResultStore:
         os.replace(tmp, path)
         cfg = cell.config
         with self._lock:
-            if (
-                self._db.execute(
-                    "SELECT 1 FROM results WHERE key = ?", (key,)
-                ).fetchone()
-                is not None
-            ):
+            if self._index_row(key) is not None:
                 self.overwrites += 1
             self._db.execute(
                 "INSERT OR REPLACE INTO results VALUES "

@@ -106,11 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "latency summary",
     )
     run.add_argument(
-        "--fast", action=argparse.BooleanOptionalAction, default=True,
-        help="span-batched solve engine (default; bit-identical to the "
-        "per-iteration --no-fast path, just faster)",
-    )
-    run.add_argument(
         "--backend", choices=backend_names(), default=DEFAULT_BACKEND,
         help="CG kernel backend: vectorized across ranks (batched, the "
         "default) or the rank-by-rank reference (loop); bit-identical",
@@ -139,11 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--victims-per-fault", type=int, default=1, metavar="K",
         help="ranks lost simultaneously per fault event (default 1)",
-    )
-    sweep.add_argument(
-        "--fast", action=argparse.BooleanOptionalAction, default=True,
-        help="span-batched solve engine (default; bit-identical to the "
-        "per-iteration --no-fast path, just faster)",
     )
     sweep.add_argument(
         "--backend", choices=backend_names(), default=DEFAULT_BACKEND,
@@ -562,7 +552,7 @@ def cmd_run(args) -> int:
         backend=args.backend,
         victims_per_fault=args.victims_per_fault,
     )
-    exp = Experiment(cfg, fast=args.fast, preconditioner=args.precond)
+    exp = Experiment(cfg, preconditioner=args.precond)
     if args.fault_scope != "process":
         print(
             f"fault scope {args.fault_scope}: up to "
@@ -602,8 +592,7 @@ def cmd_suite(args) -> int:
                 engine=args.engine,
                 backend=args.backend,
                 victims_per_fault=args.victims_per_fault,
-            ),
-            fast=args.fast,
+            )
         )
         reports = {"FF": exp.fault_free, **exp.run_all(args.schemes)}
         norm = normalize_reports(reports)

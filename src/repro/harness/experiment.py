@@ -124,24 +124,17 @@ class Experiment:
         config: ExperimentConfig,
         *,
         a: sp.spmatrix | None = None,
-        fast: bool = True,
         preconditioner: str | None = None,
         engine: ExecutionEngine | None = None,
     ):
-        """``fast`` selects the span-batched solve engine (the default)
-        and ``preconditioner`` enables PCG (``"jacobi"``).
-
-        Both are execution knobs, not part of :class:`ExperimentConfig`:
-        ``fast`` produces bit-identical reports (see
-        tests/core/test_fast_equivalence.py) so it must not change
-        campaign cache keys, and the preconditioner is a CLI-level
+        """``preconditioner`` enables PCG (``"jacobi"``): an execution
+        knob, not part of :class:`ExperimentConfig` — a CLI-level
         exploration hook campaigns do not sweep.  ``engine`` overrides
         the instance built from ``config.engine`` (e.g. an
         :class:`~repro.engines.analytic.AnalyticEngine` with custom
         parameters); its name must match the config.
         """
         self.config = config
-        self.fast = fast
         self.preconditioner = preconditioner
         if engine is not None and engine.name != config.engine:
             raise ValueError(
@@ -167,13 +160,13 @@ class Experiment:
         self.x_true = rng.standard_normal(n)
         self.b = self.a @ self.x_true
         # Baselines keyed by every execution-relevant knob: mutating
-        # ``fast`` or ``preconditioner`` (or swapping ``engine``) after a
-        # baseline was computed must never silently reuse a stale one.
+        # ``preconditioner`` (or swapping ``engine``) after a baseline
+        # was computed must never silently reuse a stale one.
         self._baselines: dict[tuple, SolveReport] = {}
 
     # ------------------------------------------------------------------
     def _baseline_key(self) -> tuple:
-        return (self.engine.name, self.preconditioner, self.fast)
+        return (self.engine.name, self.preconditioner)
 
     def solver_config(self, baseline: int | None) -> SolverConfig:
         """The :class:`SolverConfig` for one solve under this experiment."""
@@ -186,7 +179,6 @@ class Experiment:
             preconditioner=self.preconditioner,
             trace=c.trace,
             baseline_iters=baseline,
-            fast=self.fast,
             backend=c.backend,
         )
 
@@ -304,7 +296,6 @@ def run_suite(
     scheme_names: list[str] | None = None,
     *,
     base: ExperimentConfig | None = None,
-    fast: bool = True,
 ) -> dict[str, dict[str, SolveReport]]:
     """Run a scheme set over a matrix set; returns
     ``{matrix: {scheme_or_"FF": report}}`` with baselines included."""
@@ -313,7 +304,7 @@ def run_suite(
     scheme_names = scheme_names or ITERATION_STUDY_SCHEMES
     out: dict[str, dict[str, SolveReport]] = {}
     for name in matrices:
-        exp = Experiment(replace(base, matrix=name), fast=fast)
+        exp = Experiment(replace(base, matrix=name))
         reports = {"FF": exp.fault_free}
         reports.update(exp.run_all(scheme_names))
         out[name] = reports

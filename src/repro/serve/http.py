@@ -30,6 +30,10 @@ MAX_BODY = 1 << 20
 
 SERVER_NAME = "repro-serve"
 
+#: How long a stopped :class:`BackgroundServer` lets the connection
+#: handlers it EOF'd unwind before calling one stuck, seconds.
+SHUTDOWN_GRACE_S = 5.0
+
 
 @dataclass(frozen=True)
 class HttpRequest:
@@ -171,7 +175,8 @@ class ServeServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: Open connections, each with the task running its handler.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -201,7 +206,7 @@ class ServeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -231,7 +236,7 @@ class ServeServer:
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away mid-exchange
         finally:
-            self._connections.discard(writer)
+            del self._connections[writer]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -245,7 +250,8 @@ class BackgroundServer:
     What the test suite and the serving benchmark use to stand a real
     server up in-process: ``start()`` blocks until the socket is bound
     (``port=0`` for an ephemeral port) and returns the port; ``stop()``
-    shuts the loop down and joins the thread.
+    shuts the loop down and joins the thread, and raises if a connection
+    handler had to be cancelled to get there.
     """
 
     def __init__(self, app, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -253,6 +259,8 @@ class BackgroundServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
+        #: Connection handlers that outlived the shutdown grace period.
+        self._stuck: set[asyncio.Task] = set()
 
     @property
     def host(self) -> str:
@@ -274,12 +282,14 @@ class BackgroundServer:
             self._loop.run_forever()
             self._loop.run_until_complete(self.server.stop())
             # stop() EOF'd every open connection, so the keep-alive
-            # handlers unwind on their own; give them a moment, then
-            # cancel true stragglers so the loop closes clean
-            pending = asyncio.all_tasks(self._loop)
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.wait(pending, timeout=5.0)
+            # handlers unwind on their own; give them a moment.  They
+            # are all the server owns: whatever else lives on the loop
+            # (the app's metrics sampler never finishes) is cancelled
+            # at once, as asyncio.run would
+            handlers = set(self.server._connections.values())
+            if handlers:
+                _, self._stuck = self._loop.run_until_complete(
+                    asyncio.wait(handlers, timeout=SHUTDOWN_GRACE_S)
                 )
             for task in asyncio.all_tasks(self._loop):
                 task.cancel()
@@ -304,6 +314,11 @@ class BackgroundServer:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=30.0)
         self._thread = None
+        if self._stuck:
+            raise RuntimeError(
+                f"{len(self._stuck)} connection handler(s) still running "
+                f"{SHUTDOWN_GRACE_S:g}s after shutdown"
+            )
 
     def __enter__(self) -> "BackgroundServer":
         self.start()

@@ -2,12 +2,13 @@
 
 The workers live at module level so ``ProcessPoolExecutor`` can import
 them in child processes; their cross-process state (has this cell
-already failed once?) is a marker file under the directory named by
-``REPRO_TEST_FLAKY_DIR``.
+already failed once?  which scripted attempt is this?) is a marker file
+under the directory named by ``REPRO_TEST_FLAKY_DIR``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -74,4 +75,30 @@ def wasteful_worker(cell, baseline=None, timeout_s=None):
 
     if cell.scheme == "RD":
         raise CellExecutionError(f"RuntimeError: wasted {cell.label}", 0.05)
+    return execute_cell(cell, baseline, timeout_s)
+
+
+SCRIPT_FILE = "script.json"
+
+
+def scripted_worker(cell, baseline=None, timeout_s=None):
+    """The RD cell's attempts follow ``script.json`` in the flaky dir: a
+    list of ``"ok" | "raise" | "timeout" | "crash"``, one per attempt in
+    order, ``"ok"`` once the list runs out.  Failures carry 0.05 wasted
+    seconds, the way :func:`execute_cell` would report them."""
+    from repro.campaign.runner import CellExecutionError, CellTimeout
+
+    if cell.scheme == "RD":
+        state = Path(os.environ[FLAKY_DIR_ENV])
+        script = json.loads((state / SCRIPT_FILE).read_text())
+        calls = state / "calls"
+        n = len(calls.read_text()) if calls.exists() else 0
+        calls.write_text("x" * (n + 1))
+        action = script[n] if n < len(script) else "ok"
+        if action == "raise":
+            raise CellExecutionError("RuntimeError: scripted failure", 0.05)
+        if action == "timeout":
+            raise CellTimeout(f"{cell.label} exceeded its budget", 0.05)
+        if action == "crash":
+            os._exit(13)
     return execute_cell(cell, baseline, timeout_s)

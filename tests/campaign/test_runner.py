@@ -24,10 +24,12 @@ from repro.harness.experiment import ExperimentConfig
 
 from tests.campaign.helpers import (
     FLAKY_DIR_ENV,
+    SCRIPT_FILE,
     always_raising_worker,
     assert_reports_equal,
     crashing_worker,
     raising_worker,
+    scripted_worker,
 )
 
 
@@ -180,6 +182,80 @@ class TestRetries:
             tiny_spec, store=store, max_workers=2, worker=raising_worker
         )
         assert result.n_failed == 0
+
+
+RETRIES = 1
+#: Pooled rounds that break before the survivors run alone: each costs
+#: every unfinished cell one attempt, so a cell enters the crash endgame
+#: as attempt ``RETRIES + 2`` with its error budget already spent.
+BROKEN_ROUNDS = ["crash"] * (RETRIES + 1)
+RAISED = "RuntimeError: scripted failure"
+TIMED_OUT = "exceeded its budget"
+CRASHED = "worker process crashed"
+
+#: (driver, the RD cell's scripted attempts, status, attempts, error,
+#: wasted seconds).  One attempt policy, three ways of running it.
+ATTEMPT_POLICY = [
+    ("serial", [], "ran", 1, None, 0.0),
+    ("serial", ["raise"], "ran", 2, None, 0.05),
+    ("serial", ["raise"] * (RETRIES + 1), "failed", 2, RAISED, 0.10),
+    ("serial", ["timeout"], "failed", 1, TIMED_OUT, 0.05),
+    ("pool", [], "ran", 1, None, 0.0),
+    ("pool", ["raise"], "ran", 2, None, 0.05),
+    ("pool", ["raise"] * (RETRIES + 1), "failed", 2, RAISED, 0.10),
+    ("pool", ["timeout"], "failed", 1, TIMED_OUT, 0.05),
+    ("pool", ["crash"], "ran", 2, None, 0.0),
+    ("endgame", BROKEN_ROUNDS, "ran", 3, None, 0.0),
+    ("endgame", BROKEN_ROUNDS + ["raise"], "failed", 3, RAISED, 0.05),
+    ("endgame", BROKEN_ROUNDS + ["timeout"], "failed", 3, TIMED_OUT, 0.05),
+    ("endgame", BROKEN_ROUNDS + ["crash"], "ran", 4, None, 0.0),
+    ("endgame", BROKEN_ROUNDS + ["crash"] * (RETRIES + 1), "failed", 4, CRASHED, 0.0),
+]
+
+
+class TestAttemptPolicy:
+    """What one attempt's outcome means is the same decision whether the
+    cell runs inline, in a shared pool, or alone in the crash endgame:
+    timeouts are never retried, errors are retried ``retries`` times, a
+    crash is charged to a cell only once it provably ran alone."""
+
+    @pytest.mark.parametrize(
+        "driver, script, status, attempts, error, wasted",
+        ATTEMPT_POLICY,
+        ids=[f"{row[0]}:{'-'.join(row[1]) or 'ok'}" for row in ATTEMPT_POLICY],
+    )
+    def test_scripted_failures_settle_the_same_way(
+        self, store, flaky_state, driver, script, status, attempts, error, wasted
+    ):
+        spec = CampaignSpec(
+            name="policy",
+            matrices=("wathen100",),
+            schemes=("RD", "F0"),
+            nranks=(8,),
+            fault_loads=(2,),
+            scale=0.25,
+        )
+        (flaky_state / SCRIPT_FILE).write_text(json.dumps(script))
+        result = run_campaign(
+            spec,
+            store=store,
+            max_workers=1 if driver == "serial" else 2,
+            retries=RETRIES,
+            worker=scripted_worker,
+        )
+        rd = next(r for r in result.results if r.cell.scheme == "RD")
+        assert (rd.status, rd.attempts) == (status, attempts)
+        if status == "ran":
+            assert rd.error is None
+            assert rd.wasted_s == pytest.approx(wasted)
+        else:
+            assert error in rd.error
+            assert rd.elapsed_s == pytest.approx(wasted)
+        # every scripted attempt was made, and no more than the policy allows
+        assert len((flaky_state / "calls").read_text()) == attempts
+        # the pool-mates of a crasher are never failed for it
+        others = [r for r in result.results if r.cell.scheme != "RD"]
+        assert all(r.status == "ran" for r in others)
 
 
 class TestSerialParallelEquality:

@@ -19,8 +19,6 @@ from repro.campaign.store import (
     ResultStore,
     _hash_material,
     cell_key,
-    legacy_cell_key,
-    legacy_cell_keys,
 )
 from repro.harness.experiment import Experiment, ExperimentConfig
 
@@ -188,21 +186,10 @@ class TestIdentityInvariants:
     # Computed by the parent commit (asdict-based) for literal_cell()
     # under pinned_versions.
     GOLDEN_KEY = "7f155b6a1d6db1d7be1e353c92da9833ac87642a9ba971401bd839a3141dd3eb"
-    GOLDEN_LEGACY = [
-        "f43349a79248442e33721d9516839c9f63b21977d2c00af5306333e71d2deea4",
-        "defb1a1c8c8087b31b09be09527f4d14e264806456e45ebd6ba3b4dd9ee94b6d",
-        "88612773c4c4f5ea9b8a4dbe348e8f8dd4c61a210d7f6c3e44425b18d119292c",
-    ]
 
     def test_golden_key_at_store_format_5(self, pinned_versions):
         assert STORE_FORMAT == 5
         assert cell_key(literal_cell()) == self.GOLDEN_KEY
-
-    def test_golden_legacy_chain(self, pinned_versions):
-        cell = literal_cell()
-        cell_key(cell)  # a memoised current key must not leak into the chain
-        assert legacy_cell_keys(cell) == self.GOLDEN_LEGACY
-        assert legacy_cell_key(cell) == self.GOLDEN_LEGACY[-1]
 
     @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -484,13 +471,19 @@ class TestConcurrency:
                 assert mine in a and mine in b
 
 
+#: Stands in for the key a format-2 store gave the cell: nothing can
+#: compute that any more, and nothing needs to — a row under any key
+#: but ``cell_key(cell)`` is listable and never served.
+V2_KEY = "f2" * 32
+
+
 def _write_v2_entry(store, cell, report):
     """Hand-build the entry a format-2 store would hold for this cell:
-    keyed by the legacy hash, payload config without the post-v2 fields."""
+    keyed by another hash, payload config without the post-v2 fields."""
     import time
     from dataclasses import asdict
 
-    key = legacy_cell_key(cell)
+    key = V2_KEY
     config = asdict(cell.config)
     del config["engine"], config["fault_scope"]
     path = store._payload_path(key)
@@ -516,65 +509,28 @@ def _write_v2_entry(store, cell, report):
     return key
 
 
-def _write_v4_entry(store, cell, report):
-    """Hand-build the entry a format-4 store would hold for this cell:
-    keyed by the v4 hash, payload config without ``victims_per_fault``."""
-    import time
-    from dataclasses import asdict
-
-    config = asdict(cell.config)
-    del config["victims_per_fault"]
-    key = _hash_material(4, config, cell.scheme)
-    path = store._payload_path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "key": key,
-        "cell": {"config": config, "scheme": cell.scheme},
-        "report": report_to_dict(report),
-    }
-    path.write_text(json.dumps(payload, sort_keys=True))
-    cfg = cell.config
-    store._db.execute(
-        "INSERT OR REPLACE INTO results VALUES "
-        "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        (
-            key, cfg.matrix, cell.scheme, cfg.nranks, cfg.n_faults, cfg.seed,
-            cfg.scale, str(cfg.cr_interval), cfg.tol, int(report.converged),
-            report.iterations, report.time_s, report.energy_j, 1.0,
-            time.time(), str(path.relative_to(store.root)),
-        ),
-    )
-    store._db.commit()
-    return key
-
-
 class TestMigration:
-    """Format-2 stores keep serving their banked cells under format 3."""
+    """A cell has one key: rows from older store formats are listable,
+    never served."""
 
-    def test_v3_and_legacy_keys_differ(self, solved):
-        cell, _ = solved
-        assert legacy_cell_key(cell) is not None
-        assert legacy_cell_key(cell) != cell_key(cell)
-
-    def test_post_v2_cells_have_no_legacy_identity(self, solved):
-        cell, _ = solved
-        analytic = CampaignCell(
-            replace(cell.config, engine="analytic"), cell.scheme
-        )
-        node = CampaignCell(
-            replace(cell.config, fault_scope="node"), cell.scheme
-        )
-        assert legacy_cell_key(analytic) is None
-        assert legacy_cell_key(node) is None
-
-    def test_v2_store_loads_under_v3(self, store, solved):
+    def test_rows_under_other_keys_are_never_a_cell_hit(
+        self, store, solved, monkeypatch
+    ):
         cell, report = solved
-        legacy = _write_v2_entry(store, cell, report)
-        entry = store.get_entry(cell)
-        assert entry is not None
-        assert entry.key == legacy
-        assert_reports_equal(entry.report, report)
-        assert cell in store
+        _write_v2_entry(store, cell, report)
+        probes = []
+        index_row = store._index_row
+        monkeypatch.setattr(
+            store, "_index_row", lambda key: probes.append(key) or index_row(key)
+        )
+        assert store.get_entry(cell) is None
+        assert store.get(cell) is None
+        assert cell not in store
+        # a miss costs exactly one index probe, under the cell's one key
+        assert probes == [cell_key(cell)] * 3
+        assert store.misses == 3 and store.hits == 0
+        # ...while the old row stays reachable under the key it has
+        assert_reports_equal(store.entry_by_key(V2_KEY).report, report)
 
     def test_v2_payload_config_gains_defaults_in_entries(self, store, solved):
         cell, report = solved
@@ -585,8 +541,8 @@ class TestMigration:
         assert entry.cell.config == cell.config
 
     def test_v3_write_wins_over_legacy_fallback(self, store, solved):
-        """Once a cell is recomputed and stored under its v3 key, the
-        fresh entry is served (the legacy row remains, unreferenced)."""
+        """Once a cell is recomputed and stored under its own key, the
+        fresh entry is served (the old row remains, unreferenced)."""
         cell, report = solved
         _write_v2_entry(store, cell, report)
         store.put(cell, report, elapsed_s=9.0)
@@ -601,51 +557,6 @@ class TestMigration:
             replace(cell.config, engine="analytic"), cell.scheme
         )
         assert store.get(analytic) is None
-
-    def test_legacy_chain_is_newest_first(self, solved):
-        """An all-defaults cell reaches back through v4, v3 and v2."""
-        cell, _ = solved
-        keys = legacy_cell_keys(cell)
-        assert len(keys) == 3
-        assert len(set(keys)) == 3
-        assert keys[-1] == legacy_cell_key(cell)
-        assert cell_key(cell) not in keys
-
-    def test_multivictim_cells_have_no_legacy_identity(self, solved):
-        """A v4 store only ever held single-victim cells, so a
-        victims_per_fault > 1 cell must not chase any legacy key."""
-        cell, _ = solved
-        multi = CampaignCell(
-            replace(cell.config, victims_per_fault=2), cell.scheme
-        )
-        assert legacy_cell_keys(multi) == []
-        assert legacy_cell_key(multi) is None
-
-    def test_v4_store_loads_under_v5(self, store, solved):
-        cell, report = solved
-        v4_key = _write_v4_entry(store, cell, report)
-        entry = store.get_entry(cell)
-        assert entry is not None
-        assert entry.key == v4_key
-        assert_reports_equal(entry.report, report)
-        assert entry.cell.config.victims_per_fault == 1
-        assert entry.cell.config == cell.config
-
-    def test_multivictim_cells_never_hit_v4_rows(self, store, solved):
-        cell, report = solved
-        _write_v4_entry(store, cell, report)
-        multi = CampaignCell(
-            replace(cell.config, victims_per_fault=2), cell.scheme
-        )
-        assert store.get(multi) is None
-
-    def test_v5_write_wins_over_v4_fallback(self, store, solved):
-        cell, report = solved
-        _write_v4_entry(store, cell, report)
-        store.put(cell, report, elapsed_s=9.0)
-        entry = store.get_entry(cell)
-        assert entry.key == cell_key(cell)
-        assert entry.elapsed_s == 9.0
 
 
 class TestMixedEngines:

@@ -242,6 +242,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "--matrix", "not-a-matrix"])
 
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize("flag", ["--fast", "--no-fast"])
+    def test_rejects_the_removed_fast_switch(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            main([command, flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_cr_interval_parsing(self):
         assert _parse_cr_interval("paper") == "paper"
         assert _parse_cr_interval("young") == "young"

@@ -1,7 +1,11 @@
 """Tests for the experiment driver."""
 
+import inspect
+import json
+
 import pytest
 
+from repro.campaign.serialize import report_to_dict
 from repro.harness.experiment import (
     COST_STUDY_SCHEMES,
     ITERATION_STUDY_SCHEMES,
@@ -10,6 +14,7 @@ from repro.harness.experiment import (
     ExperimentConfig,
     run_suite,
 )
+from repro.matrices import cache as problem_cache
 from repro.matrices.generators import banded_spd
 
 
@@ -90,7 +95,7 @@ class TestExperiment:
 
 class TestBaselineCache:
     """The FF baseline is keyed by every execution knob: flipping
-    engine, fast, or preconditioner must never reuse a stale one."""
+    engine or preconditioner must never reuse a stale one."""
 
     @pytest.fixture()
     def exp(self):
@@ -98,19 +103,6 @@ class TestBaselineCache:
         return Experiment(
             ExperimentConfig(matrix="custom", nranks=4, n_faults=2), a=a
         )
-
-    def test_flipping_fast_recomputes_the_baseline(self, exp):
-        ff_fast = exp.fault_free
-        exp.fast = False
-        assert not exp.has_baseline
-        ff_legacy = exp.fault_free
-        assert ff_legacy is not ff_fast
-        # fast/legacy are bit-identical, so the reports must agree...
-        assert ff_legacy.iterations == ff_fast.iterations
-        assert ff_legacy.energy_j == ff_fast.energy_j
-        # ...and each knob set keeps its own slot.
-        exp.fast = True
-        assert exp.fault_free is ff_fast
 
     def test_flipping_preconditioner_recomputes_the_baseline(self, exp):
         ff_plain = exp.fault_free
@@ -162,6 +154,44 @@ class TestBaselineCache:
 
         with pytest.raises(ValueError, match="does not match"):
             Experiment(exp.config, a=exp.a, engine=AnalyticEngine())
+
+
+class TestIdentityTripwire:
+    """Whatever can change a report is in ``ExperimentConfig`` and so in
+    the cell key.  This is the knob half of that rule; the config half
+    is ``test_every_config_field_is_key_material`` in
+    tests/campaign/test_store.py."""
+
+    def test_experiment_takes_no_knob_outside_the_config(self):
+        params = list(inspect.signature(Experiment.__init__).parameters)
+        assert params == ["self", "config", "a", "preconditioner", "engine"], (
+            "Experiment.__init__ grew a parameter: put it in `ExperimentConfig` "
+            "(and the cell key) or show it cannot change a report"
+        )
+
+    @staticmethod
+    def _traced_li_payload() -> str:
+        problem_cache.clear_memory_caches()
+        config = ExperimentConfig(
+            matrix="wathen100", nranks=8, n_faults=2, scale=0.25, trace=True
+        )
+        report = Experiment(config).run("LI")
+        return json.dumps(report_to_dict(report), sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_PROBLEM_CACHE", "0"),
+            ("REPRO_CACHE", "0"),
+            ("REPRO_CACHE_DIR", None),  # relocated to a fresh directory
+        ],
+    )
+    def test_cache_environment_cannot_change_a_report(
+        self, name, value, tmp_path, monkeypatch
+    ):
+        default = self._traced_li_payload()
+        monkeypatch.setenv(name, value or str(tmp_path / "elsewhere"))
+        assert self._traced_li_payload() == default
 
 
 class TestFaultScope:

@@ -7,14 +7,24 @@ report is bit-identical JSON to a direct engine call.
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import threading
+import time
 
 import pytest
 
 from repro.campaign.serialize import report_to_dict
-from repro.campaign.store import cell_key
+from repro.campaign.store import ResultStore, cell_key
 from repro.harness.experiment import Experiment
-from repro.serve import ServeClient, ServeError
+from repro.serve import (
+    BackgroundServer,
+    ServeApp,
+    ServeClient,
+    ServeError,
+    ServingCore,
+    http,
+)
 from repro.serve.http import MAX_BODY
 from tests.serve.conftest import make_cell
 
@@ -327,3 +337,41 @@ class TestClient:
             assert client.health()["status"] == "ok"
             client._conn.close()
             assert client.health()["status"] == "ok"
+
+
+class TestShutdown:
+    """``BackgroundServer.stop()`` waits for the connection handlers it
+    EOF'd and for nothing else."""
+
+    def test_a_running_sampler_does_not_hold_shutdown(self, tmp_path):
+        with ResultStore(tmp_path / "store") as store:
+            core = ServingCore(store, workers=1)
+            app = ServeApp(core)
+            server = BackgroundServer(app.handle)
+            server.start()
+            with ServeClient(server.host, server.port) as client:
+                assert client.health()["status"] == "ok"  # starts the sampler
+                assert not app._sampler_task.done()
+                t0 = time.perf_counter()
+                server.stop()  # the keep-alive connection is still open
+            assert time.perf_counter() - t0 < 1.0
+            assert app._sampler_task.cancelled()
+            core.close()
+
+    def test_a_handler_that_outlives_the_grace_period_is_an_error(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(http, "SHUTDOWN_GRACE_S", 0.05)
+        entered = threading.Event()
+
+        async def never_answers(request):
+            entered.set()
+            await asyncio.Event().wait()
+
+        server = BackgroundServer(never_answers)
+        server.start()
+        with socket.create_connection((server.host, server.port)) as raw:
+            raw.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert entered.wait(timeout=5.0)
+            with pytest.raises(RuntimeError, match="1 connection handler"):
+                server.stop()
