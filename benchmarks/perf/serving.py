@@ -8,8 +8,8 @@ generator::
     solve_hot   one analytic cell requested repeatedly — the LRU-hit
                 path the "many users, same question" workload exercises
     solve_mix   a cycle over distinct cells (different seeds) — first
-                pass computes through the micro-batcher, later passes
-                hit the LRU
+                pass computes on the worker pool, later passes hit the
+                LRU
 
 Results are recorded to ``BENCH_serving.json`` next to
 ``BENCH_perf.json``: raw req/s and millisecond percentiles per phase

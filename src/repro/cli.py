@@ -416,15 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--workers", type=int, default=2,
-        help="worker threads for CPU-bound simulation cells and store I/O",
+        help="worker threads for solves and store I/O",
     )
     srv.add_argument(
         "--cache-size", type=int, default=256,
         help="entries in the in-memory LRU hot-cache over store lookups",
-    )
-    srv.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="micro-batch collection window for analytic-engine cells",
     )
     srv.add_argument(
         "--store", default=None, metavar="DIR",
@@ -1151,7 +1147,6 @@ def cmd_serve(args) -> int:
         store,
         cache_size=args.cache_size,
         workers=args.workers,
-        batch_window_s=args.batch_window_ms / 1e3,
         latency_buckets=(
             tuple(args.latency_buckets) if args.latency_buckets else None
         ),

@@ -118,9 +118,10 @@ class ResilientSolver:
             self._dmat = a
         else:
             # Content-keyed: repeated solves over the same matrix share
-            # one halo analysis (repro.matrices.cache).
+            # one halo analysis (repro.matrices.cache).  A CSR input is
+            # passed as is, so its memoized fingerprint is reused.
             self._dmat = problem_cache.distributed_matrix(
-                sp.csr_matrix(a), cfg.nranks
+                a if sp.isspmatrix_csr(a) else sp.csr_matrix(a), cfg.nranks
             )
         self.scheme = scheme
         self.schedule = schedule or EmptySchedule()

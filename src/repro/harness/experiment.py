@@ -144,7 +144,10 @@ class Experiment:
         self.engine = engine if engine is not None else make_engine(config.engine)
         if a is None:
             a = matrix_suite.build(config.matrix, config.scale)
-        self.a = sp.csr_matrix(a)
+        # Keep a CSR input as is: the problem cache memoizes its content
+        # fingerprint on the instance, and a re-wrap would re-hash the
+        # matrix on every Experiment.
+        self.a = a if sp.isspmatrix_csr(a) else sp.csr_matrix(a)
         n = self.a.shape[0]
         if n < config.nranks:
             # Surface the tiny-n edge at construction with experiment

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import zipfile
 from collections import OrderedDict
 from pathlib import Path
@@ -75,34 +76,43 @@ def matrix_fingerprint(a) -> str:
 
 
 class _LRU:
-    """Tiny LRU with hit/miss counters (single-threaded use)."""
+    """Tiny LRU with hit/miss counters.
+
+    Locked: the module-level instances are shared by every thread of a
+    process (the serving tier solves on a worker pool), and a lookup's
+    reorder must not race another thread's eviction of the same key.
+    """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._d: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key):
-        try:
-            value = self._d[key]
-        except KeyError:
-            self.misses += 1
-            return _MISS
-        self._d.move_to_end(key)
-        self.hits += 1
-        return value
+        with self._lock:
+            try:
+                value = self._d[key]
+            except KeyError:
+                self.misses += 1
+                return _MISS
+            self._d.move_to_end(key)
+            self.hits += 1
+            return value
 
     def put(self, key, value) -> None:
-        self._d[key] = value
-        self._d.move_to_end(key)
-        while len(self._d) > self.capacity:
-            self._d.popitem(last=False)
+        with self._lock:
+            self._d[key] = value
+            self._d.move_to_end(key)
+            while len(self._d) > self.capacity:
+                self._d.popitem(last=False)
 
     def clear(self) -> None:
-        self._d.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._d.clear()
+            self.hits = 0
+            self.misses = 0
 
     def __len__(self) -> int:
         return len(self._d)
@@ -288,7 +298,7 @@ def fault_free_horizon(
     preconditioner: str | None = None,
     seed: int = 0,
 ) -> int:
-    """Memoized fault-free CG iteration count (both layers).
+    """Memoized fault-free CG iteration count (in-process only).
 
     This is the one numeric solve the analytic engine cannot avoid: the
     convergence horizon ``H`` that anchors every closed-form model.  CG
@@ -296,7 +306,9 @@ def fault_free_horizon(
     matrix is partitioned — the key deliberately excludes ``nranks``,
     letting one probe serve a whole weak-scaling column.  ``seed`` tags
     the right-hand side (campaigns derive ``b`` from the config seed);
-    failed probes raise and are never cached.
+    failed probes raise and are never cached.  There is no disk layer:
+    every new seed would cost a file, and the result store already
+    persists each cell the horizon went into.
     """
     from repro.core.cg import DistributedCG
     from repro.core.errors import ConvergenceError
@@ -313,29 +325,16 @@ def fault_free_horizon(
         h = _horizons.get(key)
         if h is not _MISS:
             return h
-    h = None
-    path = problems_dir() / f"horizon-{_digest(key)}.npz" if _disk_enabled() else None
-    if path is not None:
-        z = _try_load(path)
-        if z is not None:
-            with z:
-                try:
-                    h = int(z["iterations"])
-                except _CORRUPT_ENTRY_ERRORS:
-                    h = None
-    if h is None:
-        probe = DistributedCG(
-            dmat, b, tol=tol, max_iters=max_iters, preconditioner=preconditioner
+    probe = DistributedCG(
+        dmat, b, tol=tol, max_iters=max_iters, preconditioner=preconditioner
+    )
+    h = probe.solve_fault_free()
+    if not probe.converged:
+        raise ConvergenceError(
+            tol=tol,
+            final_residual=probe.relative_residual,
+            iterations=h,
         )
-        h = probe.solve_fault_free()
-        if not probe.converged:
-            raise ConvergenceError(
-                tol=tol,
-                final_residual=probe.relative_residual,
-                iterations=h,
-            )
-        if path is not None:
-            _atomic_savez(path, iterations=np.int64(h))
     if _memory_enabled():
         _horizons.put(key, h)
     return h

@@ -8,9 +8,8 @@ instead of via offline sweeps:
 
 * :mod:`~repro.serve.core` — :class:`ServingCore`, the socket-free
   serving brain: LRU hot-cache over store lookups, request coalescing
-  of identical in-flight cells, micro-batching of compatible
-  analytic-engine evaluations and a bounded worker pool for CPU-bound
-  simulation cells;
+  of identical in-flight cells, and group batching of the cells that
+  share a config onto one experiment in a bounded worker pool;
 * :mod:`~repro.serve.app` — the route table mapping HTTP endpoints
   (``/v1/solve``, ``/v1/project``, ``/v1/reports``, ``/v1/store/stats``,
   ``/healthz``, ``/metrics``) onto the core;

@@ -30,7 +30,7 @@ Observability endpoints (tentpole)::
 Every request is stamped with a request id — an inbound
 ``X-Repro-Request-Id`` is honored, otherwise one is minted — which
 flows through the handler task (and therefore through coalescing and
-micro-batching) into structured log lines and, for traced solves, the
+group batching) into structured log lines and, for traced solves, the
 stored telemetry's root span; the response echoes it back in the same
 header.
 """

@@ -15,19 +15,21 @@ A solve request walks four tiers, cheapest first:
    a worker thread so index/payload I/O never blocks the event loop.
    Store semantics are unchanged: a hit is only ever served for a cell
    that would reproduce bit-identically.
-4. **Compute** — a miss everywhere.  Simulation-engine cells are
-   offloaded to a bounded thread pool (CPU-bound numerics must not
-   starve the accept loop); analytic-engine cells are *micro-batched*:
-   requests arriving within ``batch_window_s`` that share an
-   :class:`~repro.harness.experiment.ExperimentConfig` are evaluated on
-   one :class:`~repro.harness.experiment.Experiment`, so the fault-free
-   baseline and problem setup are paid once per group instead of once
-   per request.
+4. **Compute** — a miss everywhere.  Cells of every engine are
+   *group-committed*: the first cell for an
+   :class:`~repro.harness.experiment.ExperimentConfig` opens a group,
+   which ships to a bounded thread pool (CPU-bound numerics must not
+   starve the accept loop) on the next event-loop iteration.  Every
+   cell for that config queued in the same tick joins the group and
+   runs on one :class:`~repro.harness.experiment.Experiment`, so the
+   fault-free baseline and problem setup are paid once per group; a
+   cell arriving after its group shipped opens the next one.  No timer
+   is armed: a lone cell waits for nothing but its solve.
 
 Every path produces numbers bit-identical to a direct
-``Experiment(config).run(scheme)`` call: runs are deterministic, the
-batch path shares the exact same Experiment code, and cache tiers only
-ever replay previously produced reports.
+``Experiment(config).run(scheme)`` call: runs are deterministic, a
+group runs the exact same Experiment code, and cache tiers only ever
+replay previously produced reports.
 
 Consistency vs. the store: the core is read-through and write-through
 (computed cells are persisted unless the core is store-less), and the
@@ -61,29 +63,8 @@ DEFAULT_CACHE_SIZE = 256
 #: Default worker threads for CPU-bound cells and store I/O.
 DEFAULT_WORKERS = 2
 
-#: Default micro-batch collection window, seconds.  Small enough to be
-#: invisible next to a solve, large enough to group a request burst.
-DEFAULT_BATCH_WINDOW_S = 0.002
-
-#: Hard cap on cells per micro-batch; a full group drains immediately.
-DEFAULT_BATCH_MAX = 32
-
-#: Engines whose cells are cheap enough to micro-batch on one
-#: Experiment; everything else goes through the worker pool.
-BATCHED_ENGINES = ("analytic",)
-
-#: Buckets for the batch-size histogram (cells per drained batch).
+#: Buckets for the batch-size histogram (cells per shipped group).
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
-
-def compute_cell(cell: CampaignCell) -> SolveReport:
-    """Run one cell from scratch — the serving tier's unit of compute.
-
-    Identical numbers to :func:`repro.campaign.runner.execute_cell`
-    (both build an :class:`Experiment` from the cell's config and run
-    the scheme); kept separate so the core depends only on the harness.
-    """
-    return Experiment(cell.config).run(cell.scheme)
 
 
 def compute_group(
@@ -91,10 +72,10 @@ def compute_group(
 ) -> dict[str, SolveReport]:
     """Evaluate several schemes of one config on a shared Experiment.
 
-    The micro-batcher's unit of compute: the fault-free baseline (the
-    one numeric solve the analytic engine needs) and the problem setup
-    are computed once for the whole group.  Determinism makes the
-    result per scheme bit-identical to a lone :func:`compute_cell`.
+    The serving tier's one unit of compute: the fault-free baseline
+    and the problem setup are computed once for the whole group.
+    Determinism makes the result per scheme bit-identical to a lone
+    ``Experiment(config).run(scheme)``.
     """
     experiment = Experiment(config)
     return {scheme: experiment.run(scheme) for scheme in schemes}
@@ -149,23 +130,18 @@ class ServingCore:
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
         workers: int = DEFAULT_WORKERS,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
-        batch_max: int = DEFAULT_BATCH_MAX,
         metrics: MetricsRegistry | None = None,
         latency_buckets: tuple[float, ...] | None = None,
-        compute=compute_cell,
-        compute_batch=compute_group,
+        compute=compute_group,
     ) -> None:
+        """``compute(config, schemes) -> {scheme: report}`` evaluates one
+        group on a worker thread; tests substitute a fake."""
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
         self.store = store
         self.cache_size = cache_size
-        self.batch_window_s = batch_window_s
-        self.batch_max = batch_max
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Override for the serve latency histograms' bucket bounds
         #: (``repro serve --latency-buckets``); None keeps the default.
@@ -175,7 +151,6 @@ class ServingCore:
             else None
         )
         self._compute = compute
-        self._compute_batch = compute_batch
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -185,7 +160,8 @@ class ServingCore:
         # coalesced waiter — the computed trace is annotated with all of
         # them, so shared compute still resolves from every id.
         self._inflight_ids: dict[str, list[str]] = {}
-        # pending micro-batches: config -> list of (scheme, future)
+        # groups not yet shipped: config -> list of (scheme, future).
+        # Coalescing merges equal cells, so a group holds each scheme once.
         self._pending: dict[ExperimentConfig, list[tuple[str, asyncio.Future]]] = {}
 
     # -- LRU tier ------------------------------------------------------
@@ -204,35 +180,28 @@ class ServingCore:
             self._lru.popitem(last=False)
         self.metrics.gauge("serve_lru_entries").set(len(self._lru))
 
-    # -- micro-batcher -------------------------------------------------
-    def _enqueue_batch(self, cell: CampaignCell) -> asyncio.Future:
-        """Queue one analytic cell; its group drains after the window."""
+    # -- group commit --------------------------------------------------
+    def _enqueue(self, cell: CampaignCell) -> asyncio.Future:
+        """Queue one cell; its config's group ships on the next tick."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        group = self._pending.setdefault(cell.config, [])
+        group = self._pending.get(cell.config)
+        if group is None:
+            group = self._pending[cell.config] = []
+            loop.call_soon(self._ship_group, cell.config)
         group.append((cell.scheme, future))
-        if len(group) >= self.batch_max:
-            self._drain_group(cell.config)
-        elif len(group) == 1:
-            loop.call_later(
-                self.batch_window_s, self._drain_group, cell.config
-            )
         return future
 
-    def _drain_group(self, config: ExperimentConfig) -> None:
-        """Ship one config's pending cells to the pool as a single job."""
-        group = self._pending.pop(config, None)
-        if not group:
-            return  # already drained by the batch_max trigger
+    def _ship_group(self, config: ExperimentConfig) -> None:
+        """Send one config's queued cells to the pool as a single job."""
+        group = self._pending.pop(config)
         schemes = [scheme for scheme, _ in group]
         self.metrics.counter("serve_batches").inc()
         self.metrics.histogram(
             "serve_batch_size", buckets=_BATCH_SIZE_BUCKETS
         ).observe(len(schemes))
         loop = asyncio.get_running_loop()
-        job = loop.run_in_executor(
-            self._executor, self._compute_batch, config, schemes
-        )
+        job = loop.run_in_executor(self._executor, self._compute, config, schemes)
 
         def _resolve(task: asyncio.Future) -> None:
             exc = task.exception()
@@ -245,13 +214,6 @@ class ServingCore:
                     future.set_result(task.result()[scheme])
 
         job.add_done_callback(_resolve)
-
-    async def _compute_async(self, cell: CampaignCell) -> SolveReport:
-        """Compute one cell off-loop: batched (analytic) or pooled."""
-        if cell.config.engine in BATCHED_ENGINES:
-            return await self._enqueue_batch(cell)
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, self._compute, cell)
 
     # -- the main entry point ------------------------------------------
     async def solve_cell(self, cell: CampaignCell) -> SolveOutcome:
@@ -309,7 +271,7 @@ class ServingCore:
             if report is None:
                 source = "computed"
                 compute_t0 = time.perf_counter()
-                report = await self._compute_async(cell)
+                report = await self._enqueue(cell)
                 # stamp every rider (leader + coalesced waiters so far)
                 # onto the trace before it is persisted or cached
                 annotate_request_ids(report, self._inflight_ids.get(key, []))
@@ -361,15 +323,13 @@ class ServingCore:
         }
 
     async def drain(self) -> None:
-        """Wait out every in-flight request (tests and shutdown)."""
-        while self._inflight or self._pending:
-            futures = list(self._inflight.values())
-            for group in self._pending.values():
-                futures.extend(f for _, f in group)
-            if futures:
-                await asyncio.gather(*futures, return_exceptions=True)
-            else:  # pending group whose timer has not fired yet
-                await asyncio.sleep(self.batch_window_s)
+        """Wait out every in-flight request (tests and shutdown).
+
+        A queued cell always has its leader in ``_inflight``, so waiting
+        on the leaders covers every unshipped group too.
+        """
+        while self._inflight:
+            await asyncio.gather(*self._inflight.values(), return_exceptions=True)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)

@@ -249,6 +249,15 @@ class TestCli:
             main([command, flag])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_serve_rejects_the_removed_batch_window(self, capsys):
+        # --workers 0: were the flag still accepted, serve would exit on
+        # its own validation (a message, not argparse's code 2) instead
+        # of starting a server
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--batch-window-ms", "2", "--workers", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_cr_interval_parsing(self):
         assert _parse_cr_interval("paper") == "paper"
         assert _parse_cr_interval("young") == "young"
@@ -592,7 +601,7 @@ class TestServeCli:
         out = capsys.readouterr().out
         for flag in (
             "--host", "--port", "--workers", "--cache-size",
-            "--batch-window-ms", "--store", "--no-store",
+            "--store", "--no-store",
         ):
             assert flag in out
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.matrices import cache
 from repro.matrices import suite
 from repro.matrices.cache import _LRU, _MISS, matrix_fingerprint
@@ -75,6 +79,30 @@ class TestLRU:
         lru.get("missing")
         lru.clear()
         assert len(lru) == 0 and lru.hits == 0 and lru.misses == 0
+
+    def test_eviction_between_lookup_and_reorder_is_not_an_error(self):
+        """Worker threads share the module LRUs: another thread evicting
+        the key a ``get`` just found must not make it raise KeyError."""
+        lru = _LRU(1)
+        lru.put("a", 1)
+        rivals = []
+
+        class EvictDuringLookup(OrderedDict):
+            def __getitem__(self, key):
+                value = super().__getitem__(key)
+                if not rivals:  # once: popitem reads through here too
+                    rival = threading.Thread(target=lru.put, args=("b", 2))
+                    rivals.append(rival)
+                    rival.start()
+                    rival.join(timeout=0.05)  # the lock holds it off
+                return value
+
+        lru._d = EvictDuringLookup(lru._d)
+        assert lru.get("a") == 1
+        rivals[0].join(timeout=5.0)
+        assert not rivals[0].is_alive()
+        assert lru.get("b") == 2
+        assert lru.get("a") is _MISS
 
 
 class TestSuiteBuildCache:
@@ -203,3 +231,35 @@ class TestSolverIntegration:
         after = cache.cache_stats()["distributed"]["hits"]
         assert after > before
         assert s1.cg.dmat is s2.cg.dmat
+
+
+class TestPerCellCosts:
+    """What a cold cell on an already-seen matrix must not pay again."""
+
+    CONFIG = ExperimentConfig(
+        matrix="wathen100", nranks=8, n_faults=2, scale=0.25, engine="analytic"
+    )
+
+    def test_second_experiment_hashes_nothing(self, monkeypatch):
+        Experiment(self.CONFIG).run("LI")  # warm every cache
+        digests = []
+        blake2b = cache.hashlib.blake2b
+
+        def counting(*args, **kwargs):
+            digests.append(args)
+            return blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(cache.hashlib, "blake2b", counting)
+        exp = Experiment(self.CONFIG)
+        exp.run("LI")
+        assert digests == []
+        assert exp.a is suite.build(self.CONFIG.matrix, self.CONFIG.scale)
+
+    def test_horizons_stay_in_process(self):
+        Experiment(self.CONFIG).run("LI")
+        assert not list(cache.problems_dir().glob("horizon-*"))
+        before = cache.cache_stats()["horizons"]
+        Experiment(self.CONFIG).run("LI")  # same matrix, seed, tol: same key
+        after = cache.cache_stats()["horizons"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]

@@ -1,21 +1,23 @@
-"""ServingCore behaviours: LRU, coalescing, micro-batching, store tiers.
+"""ServingCore behaviours: LRU, coalescing, group batching, store tiers.
 
 The core is socket-free, so everything here runs on a plain event loop
-with injected compute functions; the last class uses real engine runs to
-pin the bit-identical guarantee.
+with an injected ``compute(config, schemes)``; the last classes use real
+engine runs to pin the bit-identical guarantee.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 
 import pytest
 
 from repro.campaign.serialize import report_to_dict
 from repro.campaign.store import ResultStore, cell_key
+from repro.engines.sim import SimEngine
 from repro.harness.experiment import Experiment
-from repro.serve.core import ServingCore, compute_cell
+from repro.serve.core import ServingCore
 from tests.serve.conftest import make_cell, run
 
 
@@ -25,19 +27,19 @@ class Recorder:
     def __init__(self):
         self.calls = []
 
-    def compute(self, cell):
-        self.calls.append(cell)
-        return f"report:{cell.scheme}:{cell.config.seed}"
-
-    def compute_batch(self, config, schemes):
+    def compute(self, config, schemes):
         self.calls.append((config, tuple(schemes)))
         return {s: f"report:{s}:{config.seed}" for s in schemes}
+
+
+def report_bytes(report) -> str:
+    return json.dumps(report_to_dict(report), sort_keys=True)
 
 
 class TestLru:
     def test_computed_then_lru(self):
         rec = Recorder()
-        core = ServingCore(None, compute=rec.compute, compute_batch=rec.compute_batch)
+        core = ServingCore(None, compute=rec.compute)
 
         async def scenario():
             first = await core.solve_cell(make_cell("RD"))
@@ -54,9 +56,7 @@ class TestLru:
 
     def test_eviction_at_capacity(self):
         rec = Recorder()
-        core = ServingCore(
-            None, cache_size=1, compute=rec.compute, compute_batch=rec.compute_batch
-        )
+        core = ServingCore(None, cache_size=1, compute=rec.compute)
 
         async def scenario():
             a = await core.solve_cell(make_cell("RD"))
@@ -71,9 +71,7 @@ class TestLru:
 
     def test_cache_size_zero_disables_the_lru(self):
         rec = Recorder()
-        core = ServingCore(
-            None, cache_size=0, compute=rec.compute, compute_batch=rec.compute_batch
-        )
+        core = ServingCore(None, cache_size=0, compute=rec.compute)
 
         async def scenario():
             return [
@@ -83,10 +81,7 @@ class TestLru:
         assert run(scenario()) == ["computed", "computed"]
         core.close()
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"cache_size": -1}, {"workers": 0}, {"batch_max": 0}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"cache_size": -1}, {"workers": 0}])
     def test_bad_parameters_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServingCore(None, **kwargs)
@@ -94,22 +89,23 @@ class TestLru:
 
 class TestCoalescing:
     def test_identical_inflight_cells_share_one_computation(self):
+        entered = threading.Event()
         release = threading.Event()
         calls = []
 
-        def blocking(cell):
-            calls.append(cell)
+        def blocking(config, schemes):
+            calls.append(schemes)
+            entered.set()
             assert release.wait(timeout=30.0)
-            return "the-report"
+            return {s: "the-report" for s in schemes}
 
-        # sim engine: the pooled path, where compute genuinely blocks
         cell = make_cell("RD", engine="sim")
         core = ServingCore(None, compute=blocking)
 
         async def scenario():
+            loop = asyncio.get_running_loop()
             t1 = asyncio.ensure_future(core.solve_cell(cell))
-            while cell_key(cell) not in core._inflight:
-                await asyncio.sleep(0.001)
+            assert await loop.run_in_executor(None, entered.wait, 10.0)
             t2 = asyncio.ensure_future(core.solve_cell(cell))
             t3 = asyncio.ensure_future(core.solve_cell(cell))
             await asyncio.sleep(0.01)  # let the followers reach the wait
@@ -127,8 +123,8 @@ class TestCoalescing:
         boom = RuntimeError("engine exploded")
         attempts = []
 
-        def failing(cell):
-            attempts.append(cell)
+        def failing(config, schemes):
+            attempts.append(schemes)
             raise boom
 
         cell = make_cell("RD", engine="sim")
@@ -149,11 +145,27 @@ class TestCoalescing:
 
 
 class TestMicroBatching:
+    """Group commit: a config's group ships on the next loop tick."""
+
+    def test_lone_cell_ships_without_a_timer(self):
+        rec = Recorder()
+        core = ServingCore(None, compute=rec.compute)
+
+        def no_timer(*args, **kwargs):
+            raise AssertionError("a cell must not wait on a timer")
+
+        async def scenario():
+            asyncio.get_running_loop().call_later = no_timer
+            return await core.solve_cell(make_cell("RD"))
+
+        outcome = run(scenario())
+        core.close()
+        assert outcome.source == "computed"
+        assert rec.calls == [(make_cell("RD").config, ("RD",))]
+
     def test_one_config_burst_becomes_one_batch(self):
         rec = Recorder()
-        core = ServingCore(
-            None, batch_window_s=0.01, compute_batch=rec.compute_batch
-        )
+        core = ServingCore(None, compute=rec.compute)
         cells = [make_cell(s) for s in ("RD", "F0", "LI")]
 
         async def scenario():
@@ -167,75 +179,100 @@ class TestMicroBatching:
         for cell, outcome in zip(cells, outcomes):
             assert outcome.source == "computed"
             assert outcome.report == f"report:{cell.scheme}:0"
+        snap = core.metrics.snapshot()
+        assert snap["counters"]["serve_batches"] == 1.0
 
-    def test_full_batch_drains_without_waiting_for_the_window(self):
+    def test_cell_queued_after_its_group_shipped_lands_in_the_next_group(self):
+        shipped = threading.Event()
+        release = threading.Event()
         rec = Recorder()
-        # window far beyond the test timeout: only the batch_max trigger
-        # can drain, so completion proves it fired
-        core = ServingCore(
-            None, batch_window_s=60.0, batch_max=2,
-            compute_batch=rec.compute_batch,
-        )
+
+        def gated(config, schemes):
+            shipped.set()
+            assert release.wait(timeout=30.0)
+            return rec.compute(config, schemes)
+
+        core = ServingCore(None, compute=gated)
 
         async def scenario():
-            return await asyncio.wait_for(
-                asyncio.gather(
-                    core.solve_cell(make_cell("RD")),
-                    core.solve_cell(make_cell("F0")),
-                ),
-                timeout=10.0,
-            )
+            loop = asyncio.get_running_loop()
+            first = asyncio.ensure_future(core.solve_cell(make_cell("RD")))
+            assert await loop.run_in_executor(None, shipped.wait, 10.0)
+            second = asyncio.ensure_future(core.solve_cell(make_cell("F0")))
+            release.set()
+            return await asyncio.gather(first, second)
 
         outcomes = run(scenario())
         core.close()
-        assert [o.source for o in outcomes] == ["computed", "computed"]
-        assert len(rec.calls) == 1
+        # two workers may finish the groups in either order
+        assert sorted(schemes for _, schemes in rec.calls) == [("F0",), ("RD",)]
+        assert [o.report for o in outcomes] == ["report:RD:0", "report:F0:0"]
 
     def test_distinct_configs_batch_separately(self):
         rec = Recorder()
-        core = ServingCore(
-            None, batch_window_s=0.01, compute_batch=rec.compute_batch
-        )
+        core = ServingCore(None, compute=rec.compute)
 
         async def scenario():
             return await asyncio.gather(
                 core.solve_cell(make_cell("RD", seed=0)),
                 core.solve_cell(make_cell("RD", seed=1)),
+                core.solve_cell(make_cell("F0", seed=1)),
             )
 
         outcomes = run(scenario())
         core.close()
-        assert len(rec.calls) == 2
-        assert {o.report for o in outcomes} == {"report:RD:0", "report:RD:1"}
-
-    def test_sim_cells_bypass_the_batcher(self):
-        def no_batch(config, schemes):
-            raise AssertionError("sim cells must not be batched")
-
-        rec = Recorder()
-        core = ServingCore(None, compute=rec.compute, compute_batch=no_batch)
-        outcome = run(core.solve_cell(make_cell("RD", engine="sim")))
-        core.close()
-        assert outcome.source == "computed"
-        assert len(rec.calls) == 1
+        assert sorted((c.seed, s) for c, s in rec.calls) == [
+            (0, ("RD",)),
+            (1, ("RD", "F0")),
+        ]
+        assert [o.report for o in outcomes] == [
+            "report:RD:0",
+            "report:RD:1",
+            "report:F0:1",
+        ]
 
     def test_batch_failure_reaches_every_member(self):
+        attempts = []
+
         def failing(config, schemes):
+            attempts.append(schemes)
             raise RuntimeError("batch exploded")
 
-        core = ServingCore(None, batch_window_s=0.01, compute_batch=failing)
+        core = ServingCore(None, compute=failing)
 
         async def scenario():
-            results = await asyncio.gather(
-                core.solve_cell(make_cell("RD")),
-                core.solve_cell(make_cell("F0")),
-                return_exceptions=True,
+            burst = [core.solve_cell(make_cell(s)) for s in ("RD", "F0")]
+            first = await asyncio.gather(*burst, return_exceptions=True)
+            again = await asyncio.gather(
+                core.solve_cell(make_cell("RD")), return_exceptions=True
             )
-            return results
+            return first + again
 
         results = run(scenario())
         core.close()
         assert all(isinstance(r, RuntimeError) for r in results)
+        assert attempts == [["RD", "F0"], ["RD"]]  # the failure was not cached
+        assert not core._lru
+
+    def test_sim_burst_computes_one_baseline(self, monkeypatch):
+        baselines = []
+        solve_fault_free = SimEngine.solve_fault_free
+
+        def counted(self, experiment):
+            baselines.append(experiment.config)
+            return solve_fault_free(self, experiment)
+
+        monkeypatch.setattr(SimEngine, "solve_fault_free", counted)
+        cells = [make_cell(s, engine="sim", seed=5) for s in ("RD", "F0", "LI")]
+        core = ServingCore(None)
+
+        async def scenario():
+            return await asyncio.gather(*(core.solve_cell(c) for c in cells))
+
+        outcomes = run(scenario())
+        core.close()
+        assert [o.source for o in outcomes] == ["computed"] * 3
+        assert baselines == [cells[0].config]
 
 
 class TestStoreTier:
@@ -262,9 +299,7 @@ class TestStoreTier:
 
     def test_storeless_core_always_computes(self):
         rec = Recorder()
-        core = ServingCore(
-            None, cache_size=0, compute_batch=rec.compute_batch
-        )
+        core = ServingCore(None, cache_size=0, compute=rec.compute)
         run(core.solve_cell(make_cell("RD")))
         run(core.solve_cell(make_cell("RD")))
         core.close()
@@ -273,32 +308,37 @@ class TestStoreTier:
 
 class TestBitIdentical:
     def test_served_report_equals_a_direct_engine_run(self):
-        cell = make_cell("LI", seed=3)
-        core = ServingCore(None)  # default compute: the real engines
-        outcome = run(core.solve_cell(cell))
-        core.close()
-        direct = Experiment(cell.config).run(cell.scheme)
-        assert report_to_dict(outcome.report) == report_to_dict(direct)
+        for engine in ("analytic", "sim"):
+            cell = make_cell("LI", engine=engine, seed=3)
+            core = ServingCore(None)  # default compute: the real engines
+            outcome = run(core.solve_cell(cell))
+            core.close()
+            direct = Experiment(cell.config).run(cell.scheme)
+            assert report_bytes(outcome.report) == report_bytes(direct), engine
 
     def test_batched_and_lone_computation_agree(self):
-        cells = [make_cell(s, seed=4) for s in ("RD", "F0", "LI")]
-        core = ServingCore(None, batch_window_s=0.01)
+        for engine in ("analytic", "sim"):
+            cells = [make_cell(s, engine=engine, seed=4) for s in ("RD", "F0", "LI")]
+            core = ServingCore(None)
 
-        async def scenario():
-            return await asyncio.gather(*(core.solve_cell(c) for c in cells))
+            async def scenario():
+                return await asyncio.gather(*(core.solve_cell(c) for c in cells))
 
-        outcomes = run(scenario())
-        core.close()
-        for cell, outcome in zip(cells, outcomes):
-            assert report_to_dict(outcome.report) == report_to_dict(
-                compute_cell(cell)
-            )
+            outcomes = run(scenario())
+            core.close()
+            assert core.metrics.snapshot()["counters"]["serve_batches"] == 1.0
+            for cell, outcome in zip(cells, outcomes):
+                direct = Experiment(cell.config).run(cell.scheme)
+                assert report_bytes(outcome.report) == report_bytes(direct), (
+                    engine,
+                    cell.scheme,
+                )
 
 
 class TestIntrospection:
     def test_cache_stats_counts_sources(self):
         rec = Recorder()
-        core = ServingCore(None, compute_batch=rec.compute_batch)
+        core = ServingCore(None, compute=rec.compute)
 
         async def scenario():
             await core.solve_cell(make_cell("RD"))
@@ -315,7 +355,7 @@ class TestIntrospection:
 
     def test_drain_returns_once_idle(self):
         rec = Recorder()
-        core = ServingCore(None, compute_batch=rec.compute_batch)
+        core = ServingCore(None, compute=rec.compute)
 
         async def scenario():
             task = asyncio.ensure_future(core.solve_cell(make_cell("RD")))

@@ -113,7 +113,7 @@ class TestCoalescedIds:
             return {scheme: report for scheme in schemes}
 
         async def scenario():
-            core = ServingCore(None, compute_batch=slow_batch)
+            core = ServingCore(None, compute=slow_batch)
             with core:
 
                 async def one(rid):
@@ -142,8 +142,9 @@ class TestCoalescedIds:
         assert dict(root.attrs)["request_ids"] == "rid-aaaa,rid-bbbb"
 
     def test_microbatched_cells_each_keep_their_own_id(self, served):
-        """Distinct schemes of one config share a batch (one Experiment)
-        but are distinct cells: each trace gets its own request id."""
+        """Distinct schemes of one config may share a group (one
+        Experiment) but are distinct cells: each trace gets its own
+        request id."""
         from repro.serve.client import ServeClient
 
         answers = {}
