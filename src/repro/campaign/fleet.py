@@ -31,6 +31,7 @@ ever reaches log records and the manifest, never a stored payload.
 from __future__ import annotations
 
 import json
+import multiprocessing.util
 import os
 import threading
 import time
@@ -332,6 +333,28 @@ def worker_channel() -> WorkerChannel | None:
     return _CHANNEL
 
 
+#: How long an exiting worker waits for its queued telemetry to flush.
+EXIT_FLUSH_S = 2.0
+
+
+def _flush_on_exit(queue) -> None:
+    """Flush a worker's queued telemetry at exit, within a deadline.
+
+    A worker killed mid-write (``os._exit``, the OOM killer) dies
+    holding the queue's cross-process write lock.  Every later worker's
+    feeder thread then blocks on it forever, and the queue's exit hook
+    would join that thread forever, hanging the pool's shutdown.  Past
+    the deadline the backlog is dropped instead: the channel is
+    side-band.
+    """
+    queue.close()
+    feeder = getattr(queue, "_thread", None)
+    if feeder is not None:
+        feeder.join(EXIT_FLUSH_S)
+        if feeder.is_alive():
+            queue.cancel_join_thread()
+
+
 def init_worker(
     queue, run_id: str, log_level: str, heartbeat_interval_s: float
 ) -> None:
@@ -344,6 +367,11 @@ def init_worker(
     global _CHANNEL
     _CHANNEL = WorkerChannel(
         queue, run_id, heartbeat_interval_s=heartbeat_interval_s
+    )
+    # Runs before the queue's own exit hook, which joins the feeder
+    # thread with no deadline.
+    multiprocessing.util.Finalize(
+        None, _flush_on_exit, args=(queue,), exitpriority=20
     )
     manager = root_manager()
     manager.level = log_level

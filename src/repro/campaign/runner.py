@@ -16,7 +16,9 @@ Workers are ``ProcessPoolExecutor`` processes executing
 explicit seeds in :class:`~repro.harness.experiment.ExperimentConfig`
 the result is deterministic, so serial (``max_workers=1``, which
 degrades to plain in-process loops — no pool, no pickling) and parallel
-campaigns produce identical reports.
+campaigns produce identical reports.  The serial path also runs a
+config's cells on one shared Experiment, so its scheme solves walk the
+fault-free CG trajectory once (:mod:`repro.core.trajectory`).
 
 Fault tolerance: each cell gets a wall-clock timeout (SIGALRM inside
 the worker, so the pool survives) and bounded retries; a worker crash
@@ -38,8 +40,10 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -105,6 +109,38 @@ def _wasted_s(exc: BaseException) -> float:
         return 0.0
 
 
+class _SharedExperiments:
+    """One :class:`Experiment` per config for a serial batch's cells.
+
+    A config's scheme cells then share its fault-free trajectory memo
+    (:mod:`repro.core.trajectory`).  Each Experiment is dropped as soon
+    as its config's last cell in the batch settles, so only the configs
+    in flight hold one; nothing outlives the batch.
+    """
+
+    def __init__(self, cells) -> None:
+        self._left = Counter(cell.config for cell in cells)
+        self._live: dict = {}
+
+    def get(self, config) -> Experiment:
+        experiment = self._live.get(config)
+        if experiment is None:
+            experiment = self._live[config] = Experiment(config)
+        return experiment
+
+    def settled(self, cell: CampaignCell) -> None:
+        self._left[cell.config] -= 1
+        if not self._left[cell.config]:
+            self._live.pop(cell.config, None)
+
+
+#: The running serial batch's Experiments; unset everywhere else (pool
+#: workers, direct calls), where every cell builds its own.
+_shared_experiments: ContextVar[_SharedExperiments | None] = ContextVar(
+    "repro_shared_experiments", default=None
+)
+
+
 def execute_cell(
     cell: CampaignCell,
     baseline: SolveReport | None = None,
@@ -114,8 +150,11 @@ def execute_cell(
 
     Returns ``(report, elapsed_seconds)``.  ``baseline`` primes the
     experiment's fault-free report so scheme cells skip the baseline
-    solve.  ``timeout_s`` arms a SIGALRM timer (POSIX) that aborts the
-    cell with :class:`CellTimeout` without killing the worker.  Failures
+    solve.  Inside a serial campaign batch the cell runs on its
+    config's shared :class:`Experiment` (:class:`_SharedExperiments`);
+    the report is bit-identical either way.  ``timeout_s`` arms a
+    SIGALRM timer (POSIX) that aborts the cell with
+    :class:`CellTimeout` without killing the worker.  Failures
     re-raise with the attempt's elapsed seconds attached
     (:class:`CellTimeout` / :class:`CellExecutionError`) so wasted
     compute is attributable even across the pool's pickle boundary.
@@ -127,10 +166,13 @@ def execute_cell(
             raise CellTimeout(f"{cell.label} exceeded {timeout_s:g}s")
 
         previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
+        outer, _ = signal.setitimer(signal.ITIMER_REAL, timeout_s)
     t0 = time.perf_counter()
+    shared = _shared_experiments.get()
     try:
-        experiment = Experiment(cell.config)
+        experiment = (
+            shared.get(cell.config) if shared is not None else Experiment(cell.config)
+        )
         if baseline is not None and not cell.is_baseline:
             experiment.prime_baseline(baseline)
         report = experiment.run(cell.scheme)
@@ -144,6 +186,9 @@ def execute_cell(
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+            if outer > 0:  # re-arm the caller's own deadline, if any
+                spent = time.perf_counter() - t0
+                signal.setitimer(signal.ITIMER_REAL, max(outer - spent, 1e-3))
     return report, time.perf_counter() - t0
 
 
@@ -544,7 +589,16 @@ class CampaignRunner:
         if self.max_workers > 1:
             return self._run_pooled(queue)
         inline = partial(run_cell_in_worker, channel=LocalChannel(self.monitor))
-        return {task.cell: self._run_alone(task, inline) for task in queue}
+        shared = _SharedExperiments(task.cell for task in queue)
+        token = _shared_experiments.set(shared)
+        try:
+            out = {}
+            for task in queue:
+                out[task.cell] = self._run_alone(task, inline)
+                shared.settled(task.cell)
+            return out
+        finally:
+            _shared_experiments.reset(token)
 
     def _call(self, task: _Task) -> tuple:
         """:func:`run_cell_in_worker`'s arguments for the task's next attempt."""

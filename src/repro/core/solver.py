@@ -26,6 +26,7 @@ from repro.core.cg import DistributedCG, IterationCosts
 from repro.core.errors import ConvergenceError
 from repro.core.recovery.base import RecoveryScheme
 from repro.core.report import SolveReport
+from repro.core.trajectory import TrajectoryMemo
 from repro.faults.events import FaultEvent
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import EmptySchedule, FaultSchedule
@@ -699,8 +700,13 @@ class ResilientSolver:
     # ==================================================================
     # main loop
     # ==================================================================
-    def solve(self) -> SolveReport:
-        """Run to convergence under the configured faults and scheme."""
+    def solve(self, *, trajectory: TrajectoryMemo | None = None) -> SolveReport:
+        """Run to convergence under the configured faults and scheme.
+
+        ``trajectory`` shares the fault-free walk with the other solves
+        of the same problem (:mod:`repro.core.trajectory`); the report
+        is bit-identical with or without it.
+        """
         cfg = self.config
         baseline = cfg.baseline_iters
         events: list[FaultEvent] = []
@@ -719,7 +725,7 @@ class ResilientSolver:
             "solve", scheme=self.scheme.name if self.scheme else "FF"
         ):
             if cfg.fast:
-                self._run_fast(pending, handled, baseline)
+                self._run_fast(pending, handled, baseline, trajectory)
             else:
                 self._run_legacy(pending, handled, baseline)
 
@@ -751,6 +757,7 @@ class ResilientSolver:
         pending: deque[FaultEvent],
         handled: list[FaultEvent],
         baseline: int | None,
+        trajectory: TrajectoryMemo | None = None,
     ) -> None:
         """Span-batched loop, bit-identical to :meth:`_run_legacy`.
 
@@ -762,6 +769,11 @@ class ResilientSolver:
         (:meth:`~repro.core.recovery.base.RecoveryScheme.next_hook_iteration`),
         the baseline→EXTRA crossover, and the iteration cap; convergence
         and CG breakdown are checked per iteration inside the kernel.
+
+        With a ``trajectory`` memo, a span that starts on the fault-free
+        trajectory is looked up by ``(iteration, length)`` and installed
+        when another solve already walked it; accounting, hooks and
+        events run unchanged either way.
         """
         cfg = self.config
         cg = self.cg
@@ -773,6 +785,9 @@ class ResilientSolver:
             type(scheme).on_iteration_end is not RecoveryScheme.on_iteration_end
         )
         max_iters = cfg.max_iters
+        # The memo's record of the CG state while the solve is provably
+        # on the fault-free trajectory; None once it has left it.
+        on = trajectory.start(cg) if trajectory is not None else None
         while not cg.converged and cg.iteration < max_iters:
             it = cg.iteration
             end = max_iters
@@ -789,7 +804,11 @@ class ResilientSolver:
                 nh = scheme.next_hook_iteration(it)
                 end = min(end, it + 1 if nh is None else nh)
             end = max(int(min(end, max_iters)), it + 1)
-            taken, breakdown = cg.step_span(end - it)
+            if on is not None and on.matches(cg.state):
+                on, taken, breakdown = trajectory.walk(cg, end - it)
+            else:
+                on = None
+                taken, breakdown = cg.step_span(end - it)
             if taken:
                 self._charge_span(
                     taken,

@@ -5,7 +5,9 @@ real distributed CG under injected faults — extracted from
 ``harness.experiment`` so the harness no longer assumes numeric
 execution.  The experiment still owns problem construction and protocol
 policy (CR cadence, fault schedule, solver knobs); this engine only
-assembles them into solver runs.  Reports are bit-identical to the
+assembles them into solver runs, handing every scheme solve the
+experiment's fault-free trajectory memo (:mod:`repro.core.trajectory`).
+Reports are bit-identical to the
 pre-engine code path apart from the ``details["engine"]`` stamp.
 """
 
@@ -56,4 +58,4 @@ class SimEngine(ExecutionEngine):
             schedule=experiment.schedule(),
             config=experiment.solver_config(baseline.iterations),
         )
-        return self._stamp(solver.solve())
+        return self._stamp(solver.solve(trajectory=experiment.trajectory()))

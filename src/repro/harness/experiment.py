@@ -31,6 +31,7 @@ from repro.core.backends import DEFAULT_BACKEND, backend_names
 from repro.core.errors import ConvergenceError
 from repro.core.report import SolveReport
 from repro.core.solver import SolverConfig
+from repro.core.trajectory import TrajectoryMemo
 from repro.engines import DEFAULT_ENGINE, ExecutionEngine, engine_names, make_engine
 from repro.faults.events import FaultScope
 from repro.faults.schedule import EvenlySpacedSchedule, FaultSchedule
@@ -166,6 +167,10 @@ class Experiment:
         # ``preconditioner`` (or swapping ``engine``) after a baseline
         # was computed must never silently reuse a stale one.
         self._baselines: dict[tuple, SolveReport] = {}
+        # The fault-free CG spans this experiment's scheme solves share,
+        # keyed like the baselines.  Owned here, never by a report: it
+        # dies with the Experiment and is never stored or pickled.
+        self._trajectories: dict[tuple, TrajectoryMemo] = {}
 
     # ------------------------------------------------------------------
     def _baseline_key(self) -> tuple:
@@ -201,6 +206,23 @@ class Experiment:
                 )
             self._baselines[key] = ff
         return ff
+
+    def trajectory(self) -> TrajectoryMemo:
+        """The fault-free trajectory memo for the current execution
+        knobs (:mod:`repro.core.trajectory`)."""
+        key = self._baseline_key()
+        memo = self._trajectories.get(key)
+        if memo is None:
+            memo = self._trajectories[key] = TrajectoryMemo()
+        return memo
+
+    @property
+    def trajectory_counts(self) -> tuple[int, int]:
+        """CG iterations this experiment's scheme solves installed from,
+        and walked on, the fault-free trajectory so far, as
+        ``(installed, walked)`` — a test probe, never part of a payload."""
+        memos = self._trajectories.values()
+        return sum(m.hits for m in memos), sum(m.walked for m in memos)
 
     @property
     def has_baseline(self) -> bool:

@@ -11,9 +11,12 @@ its manifest snapshot is checked against what it was fed.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 import queue as queue_mod
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -28,6 +31,7 @@ from repro.campaign.fleet import (
     cell_event,
     cell_event_from_line,
     cell_event_to_line,
+    init_worker,
 )
 from repro.campaign.runner import (
     CellExecutionError,
@@ -399,6 +403,35 @@ class TestWorkerChannel:
         channel.cell_started("cell/FF", "c" * 16, 1)  # must not raise
         channel.cell_finished("cell/FF", "c" * 16, 1, 0.1)
         channel.close()
+
+
+def _die_holding_write_lock(queue) -> None:
+    """A worker killed mid-write: the queue's write lock stays held."""
+    queue._wlock.acquire()
+    os._exit(1)
+
+
+class TestDeadWriter:
+    def test_pool_shutdown_survives_a_writer_killed_holding_the_lock(self):
+        """Every later worker's feeder blocks on the orphaned lock; its
+        exit must drop the backlog after a deadline, not join forever."""
+        from repro.obs.logging import root_manager
+
+        q = multiprocessing.Queue()
+        killed = multiprocessing.Process(target=_die_holding_write_lock, args=(q,))
+        killed.start()
+        killed.join(timeout=30)
+        assert killed.exitcode == 1
+        t0 = time.perf_counter()
+        with ProcessPoolExecutor(
+            1,
+            initializer=init_worker,
+            initargs=(q, "r" * 16, root_manager().level, 0.01),
+        ) as pool:
+            pid = pool.submit(os.getpid).result(timeout=30)
+            time.sleep(0.05)  # heartbeats now wait on the dead lock
+        assert pid != os.getpid()
+        assert time.perf_counter() - t0 < 30
 
 
 class TestChannelDrainer:

@@ -1,10 +1,15 @@
 """Runner: execution, resume, retries, crashes, serial/parallel equality."""
 
+import gc
 import json
+import pickle
+import signal
+import weakref
 from dataclasses import asdict
 
 import pytest
 
+from repro.campaign import runner as runner_module
 from repro.campaign import store as store_module
 from repro.campaign.manifest import manifest_from_doc, manifest_to_doc
 from repro.campaign.progress import (
@@ -20,7 +25,8 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
-from repro.harness.experiment import ExperimentConfig
+from repro.core.trajectory import TrajectoryMemo
+from repro.harness.experiment import Experiment, ExperimentConfig
 
 from tests.campaign.helpers import (
     FLAKY_DIR_ENV,
@@ -48,6 +54,16 @@ class TestExecuteCell:
         primed, _ = execute_cell(CampaignCell(cfg, "RD"), baseline=ff)
         unprimed, _ = execute_cell(CampaignCell(cfg, "RD"))
         assert_reports_equal(primed, unprimed)
+
+    def test_cell_timeout_rearms_an_enclosing_alarm(self):
+        """The suite's hang guard (and any caller's own deadline) keeps
+        running after a timed cell clears its alarm."""
+        cfg = ExperimentConfig(matrix="wathen100", nranks=8, n_faults=2, scale=0.25)
+        remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+        assert remaining > 0  # tests/conftest.py's guard is armed
+        execute_cell(CampaignCell(cfg, "FF"), timeout_s=60.0)
+        after, _ = signal.getitimer(signal.ITIMER_REAL)
+        assert 0 < after <= remaining
 
     def test_timeout_aborts_the_cell(self):
         cfg = ExperimentConfig(matrix="wathen100", nranks=8, n_faults=2)
@@ -256,6 +272,89 @@ class TestAttemptPolicy:
         # the pool-mates of a crasher are never failed for it
         others = [r for r in result.results if r.cell.scheme != "RD"]
         assert all(r.status == "ran" for r in others)
+
+
+class TestSharedExperiments:
+    """The serial path runs a config's cells on one Experiment, so its
+    scheme solves share the fault-free trajectory memo — within one
+    batch, one config at a time, and never beyond the run."""
+
+    @pytest.fixture()
+    def made(self, monkeypatch):
+        """Weak references to every Experiment the runner builds, and
+        the trajectory memos they hand out."""
+        refs: list = []
+        memos: list[TrajectoryMemo] = []
+
+        class Recorded(Experiment):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+            def trajectory(self):
+                memo = super().trajectory()
+                if all(m is not memo for m in memos):
+                    memos.append(memo)
+                return memo
+
+        monkeypatch.setattr(runner_module, "Experiment", Recorded)
+        return refs, memos
+
+    @staticmethod
+    def _live(refs) -> int:
+        gc.collect()
+        return sum(r() is not None for r in refs)
+
+    def test_each_run_walks_the_same_iterations(self, tiny_spec, made):
+        refs, memos = made
+        live = []
+
+        class Hook:
+            def cell_done(self, result):
+                live.append(TestSharedExperiments._live(refs))
+
+        per_run = []
+        for _ in range(2):
+            built, n_memos = len(refs), len(memos)
+            result = run_campaign(tiny_spec, max_workers=1, progress=Hook())
+            assert result.n_failed == 0
+            assert self._live(refs) == 0  # nothing outlives the run
+            run_memos = memos[n_memos:]
+            per_run.append((
+                len(refs) - built,
+                sum(m.hits for m in run_memos),
+                sum(m.walked for m in run_memos),
+            ))
+            for r in result.results:
+                assert b"TrajectoryMemo" not in pickle.dumps(r.report)
+        n_configs = len(tiny_spec.experiment_configs())
+        # one Experiment per config per batch (baselines, then schemes),
+        # and only the config in flight holds one
+        assert per_run[0][0] == 2 * n_configs
+        assert max(live) == 1
+        # the scheme cells share, and the second run finds nothing warm
+        assert per_run[0][1] > 0
+        assert per_run[0] == per_run[1]
+
+    def test_pool_workers_and_direct_calls_share_nothing(self, tiny_spec, made):
+        cfg = tiny_spec.experiment_configs()[0]
+        ff, _ = execute_cell(CampaignCell(cfg, "FF"))
+        for scheme in ("RD", "F0", "RD"):
+            execute_cell(CampaignCell(cfg, scheme), baseline=ff)
+            assert self._live(made[0]) == 0
+        assert len(made[0]) == 4
+
+    def test_ledger_probes_see_no_installed_spans(self):
+        """The benchmark's per-scheme probes time one scheme on a fresh
+        primed Experiment each: the memo must not make them cheaper."""
+        cfg = ExperimentConfig(matrix="wathen100", nranks=8, n_faults=2, scale=0.25)
+        ff = Experiment(cfg).fault_free
+        for scheme in ("LI", "CR-D", "RD", "ESR"):
+            experiment = Experiment(cfg)
+            experiment.prime_baseline(ff)
+            experiment.run(scheme)
+            installed, walked = experiment.trajectory_counts
+            assert installed == 0 and walked > 0
 
 
 class TestSerialParallelEquality:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,39 @@ def _hermetic_cache_dir(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = prior
+
+
+#: Wall-clock seconds one test may take before it fails.
+#: ``faulthandler_timeout`` in pyproject.toml dumps every thread's stack
+#: shortly before.
+TEST_BUDGET_S = 120.0
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard():
+    """Fail a test that overruns its budget instead of hanging the suite.
+
+    A SIGALRM timer whose handler raises ``pytest.fail`` in the main
+    thread, which interrupts a blocked lock or join.  Code under test
+    that arms its own alarm (the campaign runner's cell timeout)
+    re-arms this one when it is done.
+    """
+    if not hasattr(signal, "SIGALRM") or (
+        threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    def _expired(signum, frame):
+        pytest.fail(f"test exceeded its {TEST_BUDGET_S:g}s budget")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, TEST_BUDGET_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")
