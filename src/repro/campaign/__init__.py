@@ -23,7 +23,6 @@ from repro.campaign.fleet import (
     DEFAULT_HEARTBEAT_S,
     FleetMonitor,
     ProgressEventError,
-    annotate_cell_id,
     cell_correlation_id,
     cell_event,
     cell_event_from_line,
@@ -87,7 +86,6 @@ __all__ = [
     "ResultStore",
     "RunManifest",
     "StoreEntry",
-    "annotate_cell_id",
     "cell_correlation_id",
     "cell_event",
     "cell_event_from_line",

@@ -66,29 +66,6 @@ def cell_correlation_id(cell) -> str:
     return cell_key(cell)[:16]
 
 
-def annotate_cell_id(report, cell_id: str) -> None:
-    """Stamp the correlation id onto a traced report's root solve span.
-
-    Mirrors the serving tier's request-id annotation: the id rides as a
-    span attr, persists with the stored telemetry and round-trips
-    through the JSONL trace export.  Untraced reports are left
-    byte-identical.
-    """
-    from dataclasses import replace
-
-    details = getattr(report, "details", None)
-    tel = details.get("telemetry") if isinstance(details, dict) else None
-    if tel is None:
-        return
-    spans = tel.spans.spans
-    for i, s in enumerate(spans):
-        if s.name == "solve" and s.depth == 0:
-            attrs = dict(s.attrs)
-            attrs["cell_id"] = cell_id
-            spans[i] = replace(s, attrs=tuple(sorted(attrs.items())))
-            return
-
-
 # ----------------------------------------------------------------------
 # the cell-event wire format (--json-progress)
 # ----------------------------------------------------------------------

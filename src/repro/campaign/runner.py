@@ -52,7 +52,6 @@ from repro.campaign.fleet import (
     ChannelDrainer,
     FleetMonitor,
     LocalChannel,
-    annotate_cell_id,
     cell_correlation_id,
     init_worker,
     worker_channel,
@@ -63,6 +62,7 @@ from repro.campaign.store import ResultStore
 from repro.core.report import SolveReport
 from repro.harness.experiment import Experiment
 from repro.obs.logging import bound_request_id, get_logger, root_manager
+from repro.obs.telemetry import annotate_root_span
 
 _log = get_logger("campaign.runner")
 
@@ -557,7 +557,7 @@ class CampaignRunner:
         parallel, so the annotation cannot perturb bit-identity.
         """
         cell = task.cell
-        annotate_cell_id(report, cell_correlation_id(cell))
+        annotate_root_span(report, "cell_id", cell_correlation_id(cell))
         if self.store is not None:
             self.store.put(cell, report, elapsed_s=elapsed)
             report = self.store.get(cell)

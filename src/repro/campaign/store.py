@@ -46,7 +46,8 @@ from repro.harness.experiment import ExperimentConfig
 #: 3: ExperimentConfig.engine + fault_scope in the key.
 #: 4: ExperimentConfig.backend in the key.
 #: 5: ExperimentConfig.victims_per_fault in the key.
-STORE_FORMAT = 5
+#: 6: ExperimentConfig.preconditioner in the key.
+STORE_FORMAT = 6
 
 DEFAULT_ROOT = Path(".repro-cache")
 

@@ -39,10 +39,11 @@ from repro.campaign import spec as campaign_presets
 from repro.core.models.projection import FIGURE9_SCHEMES
 from repro.core.recovery import scheme_names
 from repro.core.backends import DEFAULT_BACKEND, backend_names
+from repro.core.cg import PRECONDITIONERS
 from repro.engines import engine_names
 from repro.faults.events import FaultClass
 from repro.faults.mtbf import EXASCALE, PETASCALE, MtbfEstimator
-from repro.harness.experiment import FAULT_SCOPES, Experiment, ExperimentConfig
+from repro.harness.experiment import FAULT_SCOPES, Experiment, ExperimentConfig, run_suite
 from repro.harness.normalize import normalize_reports
 from repro.harness.reporting import format_table
 from repro.matrices import suite
@@ -93,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "paper's protocol; >1 exercises multi-loss recovery)",
     )
     run.add_argument(
-        "--precond", choices=["jacobi"], default=None, help="optional preconditioner"
+        "--precond", choices=list(PRECONDITIONERS), default=None,
+        help="optional preconditioner (part of the cell's config and cache key)",
     )
     run.add_argument(
         "--cr-interval",
@@ -547,8 +549,9 @@ def cmd_run(args) -> int:
         fault_scope=args.fault_scope,
         backend=args.backend,
         victims_per_fault=args.victims_per_fault,
+        preconditioner=args.precond,
     )
-    exp = Experiment(cfg, preconditioner=args.precond)
+    exp = Experiment(cfg)
     if args.fault_scope != "process":
         print(
             f"fault scope {args.fault_scope}: up to "
@@ -575,23 +578,20 @@ def cmd_suite(args) -> int:
     if args.engine == "analytic":
         _check_analytic_schemes(args.schemes)
     matrices = args.matrices or suite.names()
+    base = ExperimentConfig(
+        nranks=args.ranks,
+        n_faults=args.faults,
+        seed=args.seed,
+        scale=args.scale,
+        cr_interval=_parse_cr_interval(args.cr_interval),
+        engine=args.engine,
+        backend=args.backend,
+        victims_per_fault=args.victims_per_fault,
+    )
+    out = run_suite(matrices, args.schemes, base=base)
     rows = []
     for name in matrices:
-        exp = Experiment(
-            ExperimentConfig(
-                matrix=name,
-                nranks=args.ranks,
-                n_faults=args.faults,
-                seed=args.seed,
-                scale=args.scale,
-                cr_interval=_parse_cr_interval(args.cr_interval),
-                engine=args.engine,
-                backend=args.backend,
-                victims_per_fault=args.victims_per_fault,
-            )
-        )
-        reports = {"FF": exp.fault_free, **exp.run_all(args.schemes)}
-        norm = normalize_reports(reports)
+        norm = normalize_reports(out[name])
         rows.append([name, *(norm[s].iterations for s in args.schemes)])
     print(
         format_table(

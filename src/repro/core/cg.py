@@ -34,6 +34,8 @@ DENSE_FLOPS_PER_ROW = 10
 #: Jacobi PCG adds the z = M^-1 r scaling, the r.z dot and the explicit
 #: residual norm: 5 more flops per local row.
 PCG_EXTRA_FLOPS_PER_ROW = 5
+#: Preconditioners :class:`DistributedCG` accepts besides ``None``.
+PRECONDITIONERS = ("jacobi",)
 
 
 @dataclass
@@ -126,6 +128,43 @@ class IterationCosts:
         )
 
 
+@dataclass(frozen=True)
+class IterationPower:
+    """How one CG iteration's energy splits on the simulated cluster.
+
+    The one pricing rule both engines share: the solver charges it once
+    per iteration, the analytic engine multiplies it by the horizon.
+    Each rank computes its local work active, stragglers idle until the
+    busiest rank finishes (SOLVE), then every rank communicates active
+    (OVERHEAD).
+    """
+
+    compute_energy_j: float
+    comm_energy_j: float
+    #: SOLVE-phase power: the compute share over the busiest rank's time.
+    compute_power_w: float
+    #: Iteration-average power over the critical-path wall time.
+    average_power_w: float
+
+    @classmethod
+    def of(
+        cls, costs: IterationCosts, nranks: int, p_active_w: float, p_idle_w: float
+    ) -> "IterationPower":
+        """``p_active_w`` / ``p_idle_w``: one core's draw, active and
+        idle, at the operating frequency."""
+        sum_compute = float(costs.compute_s.sum())
+        t_max = costs.compute_max_s
+        compute = p_active_w * sum_compute + p_idle_w * (nranks * t_max - sum_compute)
+        comm = nranks * p_active_w * costs.comm_s
+        energy = compute + comm
+        return cls(
+            compute_energy_j=compute,
+            comm_energy_j=comm,
+            compute_power_w=compute / t_max if t_max > 0 else 0.0,
+            average_power_w=energy / costs.wall_s if costs.wall_s > 0 else 0.0,
+        )
+
+
 class DistributedCG:
     """Restartable CG over a :class:`DistributedMatrix`.
 
@@ -181,7 +220,7 @@ class DistributedCG:
         )
         if self.x0.shape != (dmat.n,):
             raise ValueError("x0 does not match system size")
-        if preconditioner not in (None, "jacobi"):
+        if preconditioner not in (None, *PRECONDITIONERS):
             raise ValueError("preconditioner must be None or 'jacobi'")
         self.preconditioner = preconditioner
         if preconditioner == "jacobi":

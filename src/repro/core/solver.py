@@ -22,12 +22,12 @@ from repro.cluster.comm import SimComm
 from repro.cluster.machine import MachineSpec, paper_machine
 from repro.cluster.network import NetworkModel
 from repro.core.backends import DEFAULT_BACKEND, backend_names
-from repro.core.cg import DistributedCG, IterationCosts
+from repro.core.cg import DistributedCG, IterationCosts, IterationPower
 from repro.core.errors import ConvergenceError
 from repro.core.recovery.base import RecoveryScheme
 from repro.core.report import SolveReport
 from repro.core.trajectory import TrajectoryMemo
-from repro.faults.events import FaultEvent
+from repro.faults.events import FaultEvent, blast_radius
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import EmptySchedule, FaultSchedule
 from repro.matrices import cache as problem_cache
@@ -303,26 +303,16 @@ class ResilientSolver:
                 )
             )
         self._last_phase_tag = tag
+
     def _precompute_iteration_charges(self) -> None:
         pm = self.config.power
         f_op = self.f_op_ghz
-        fmin = pm.ladder.fmin_ghz
         self._p_core_active = pm.core_power(f_op, CoreState.ACTIVE)
         self._p_core_idle_fmax = pm.core_power(f_op, CoreState.IDLE)
-        self._p_core_idle_fmin = pm.core_power(fmin, CoreState.IDLE)
-        c = self.costs
-        sum_compute = float(c.compute_s.sum())
-        t_max = c.compute_max_s
-        n = self.nranks
-        # Stragglers idle-wait at f_max until the reduction completes.
-        self._iter_compute_energy = (
-            self._p_core_active * sum_compute
-            + self._p_core_idle_fmax * (n * t_max - sum_compute)
-        )
-        self._iter_comm_energy = n * self._p_core_active * c.comm_s
-        self._iter_energy = self._iter_compute_energy + self._iter_comm_energy
-        self._iter_power_avg = (
-            self._iter_energy / c.wall_s if c.wall_s > 0 else 0.0
+        self._p_core_idle_fmin = pm.core_power(pm.ladder.fmin_ghz, CoreState.IDLE)
+        # Stragglers idle-wait at f_op until the reduction completes.
+        self._iter_power = IterationPower.of(
+            self.costs, self.nranks, self._p_core_active, self._p_core_idle_fmax
         )
 
     def _emit(self, tag: PhaseTag, duration_s: float, power_w: float) -> None:
@@ -382,19 +372,15 @@ class ResilientSolver:
         """Book one CG iteration: account charges split solve/overhead,
         a single merged RAPL phase at the iteration-average power."""
         c = self.costs
+        ip = self._iter_power
         mult = self.scheme.energy_multiplier if self.scheme else 1.0
         if is_extra:
             energy = self.account.charge(
-                PhaseTag.EXTRA, time_s=c.wall_s, power_w=self._iter_power_avg
+                PhaseTag.EXTRA, time_s=c.wall_s, power_w=ip.average_power_w
             )
         else:
-            compute_power = (
-                self._iter_compute_energy / c.compute_max_s
-                if c.compute_max_s > 0
-                else 0.0
-            )
             energy = self.account.charge(
-                PhaseTag.SOLVE, time_s=c.compute_max_s, power_w=compute_power
+                PhaseTag.SOLVE, time_s=c.compute_max_s, power_w=ip.compute_power_w
             )
             if c.comm_s > 0:
                 energy += self.account.charge(
@@ -411,7 +397,7 @@ class ResilientSolver:
         t0 = self.comm.now
         self.comm.clocks.synchronize(c.wall_s)
         tag = "extra" if is_extra else "iteration"
-        self._rapl_append(tag, t0, self.comm.now, self._iter_power_avg * mult)
+        self._rapl_append(tag, t0, self.comm.now, ip.average_power_w * mult)
         self.comm.traffic.bytes_p2p += c.bytes_per_iter
         self.comm.traffic.messages += max(0, len(self._dmat.halo_pair_bytes))
         self.comm.traffic.collectives += 2
@@ -430,21 +416,17 @@ class ResilientSolver:
         if n <= 0:
             return
         c = self.costs
+        ip = self._iter_power
         mult = self.scheme.energy_multiplier if self.scheme else 1.0
         account = self.account
         wall = c.wall_s
         if is_extra:
             energy = account.charge_span(
-                PhaseTag.EXTRA, time_s=wall, power_w=self._iter_power_avg, n=n
+                PhaseTag.EXTRA, time_s=wall, power_w=ip.average_power_w, n=n
             )
         else:
-            compute_power = (
-                self._iter_compute_energy / c.compute_max_s
-                if c.compute_max_s > 0
-                else 0.0
-            )
             energy = account.charge_span(
-                PhaseTag.SOLVE, time_s=c.compute_max_s, power_w=compute_power, n=n
+                PhaseTag.SOLVE, time_s=c.compute_max_s, power_w=ip.compute_power_w, n=n
             )
             if c.comm_s > 0:
                 energy += account.charge_span(
@@ -471,7 +453,7 @@ class ResilientSolver:
         # merge into one open RAPL phase; a single span-wide append
         # produces the identical log.
         tag = "extra" if is_extra else "iteration"
-        self._rapl_append(tag, t0, t1, self._iter_power_avg * mult)
+        self._rapl_append(tag, t0, t1, ip.average_power_w * mult)
         traffic = self.comm.traffic
         traffic.bytes_p2p = repeat_add(traffic.bytes_p2p, c.bytes_per_iter, n)
         traffic.messages += n * max(0, len(self._dmat.halo_pair_bytes))
@@ -491,16 +473,11 @@ class ResilientSolver:
         counter = m.counter
         pairs: list[tuple[PhaseTag, float, float]] = []
         if is_extra:
-            e_extra = c.wall_s * self._iter_power_avg
+            e_extra = c.wall_s * self._iter_power.average_power_w
             pairs.append((PhaseTag.EXTRA, c.wall_s, e_extra))
             energy = e_extra
         else:
-            compute_power = (
-                self._iter_compute_energy / c.compute_max_s
-                if c.compute_max_s > 0
-                else 0.0
-            )
-            e_solve = c.compute_max_s * compute_power
+            e_solve = c.compute_max_s * self._iter_power.compute_power_w
             pairs.append((PhaseTag.SOLVE, c.compute_max_s, e_solve))
             energy = e_solve
             if c.comm_s > 0:
@@ -547,34 +524,6 @@ class ResilientSolver:
             if c.comm_s > 0:
                 self._last_phase_tag = PhaseTag.OVERHEAD
 
-    def _expand_victims(self, event: FaultEvent) -> list[int]:
-        """Expand the event's blast radius into concrete victim ranks.
-
-        Every rank in ``event.victims`` is expanded by the event's scope
-        independently; the union preserves first-appearance order, so a
-        single-victim event reproduces the historical expansion exactly.
-        """
-        from repro.faults.events import FaultScope
-
-        for v in event.victims:
-            if v >= self.nranks:
-                raise ValueError(
-                    f"victim rank {v} outside [0, {self.nranks})"
-                )
-        if event.scope is FaultScope.PROCESS:
-            return list(event.victims)
-        if event.scope is FaultScope.SYSTEM:
-            return list(range(self.nranks))
-        out: list[int] = []
-        seen: set[int] = set()
-        for v in event.victims:  # NODE
-            node = self.comm.binding.node_of(v)
-            for r in self.comm.binding.ranks_on_node(node):
-                if r not in seen:
-                    seen.add(r)
-                    out.append(r)
-        return out
-
     def _handle_fault(self, event: FaultEvent) -> None:
         """Damage and recover every rank in the event's blast radius.
 
@@ -585,7 +534,7 @@ class ResilientSolver:
         (checkpoint rollback) restore the entire state in one shot.
         """
         cg = self.cg
-        victims = self._expand_victims(event)
+        victims = blast_radius(event, self.comm.binding)
         self.injector.inject(
             event, cg.state.x, cg.state.r, cg.state.p, victims=victims
         )

@@ -41,6 +41,7 @@ from repro.checkpoint.store import DiskStore, MemoryStore
 from repro.cluster.comm import SimComm, TrafficCounters
 from repro.cluster.machine import paper_machine
 from repro.cluster.network import NetworkModel
+from repro.core.cg import IterationPower
 from repro.core.models.general import GeneralModel, WorkloadParams
 from repro.core.models.validation import DEFAULT_EXTRA_FRACTION_PER_FAULT
 from repro.core.report import SolveReport
@@ -49,7 +50,7 @@ from repro.engines.base import (
     UnsupportedSchemeError,
     register_engine,
 )
-from repro.faults.events import FaultEvent, FaultScope
+from repro.faults.events import FaultEvent, blast_radius
 from repro.matrices import cache as problem_cache
 from repro.power.energy import Charge, EnergyAccount, PhaseTag
 from repro.power.model import CoreState, PowerModel
@@ -102,7 +103,8 @@ class _Substrate:
     """The machine/cost parameters one cell's models are built from.
 
     Mirrors the simulator's setup (same problem cache, same communicator
-    growth, same power model) without constructing a solver.
+    growth, same power model, same :class:`IterationPower` split)
+    without constructing a solver.
     """
 
     def __init__(self, experiment: "Experiment") -> None:
@@ -112,42 +114,17 @@ class _Substrate:
         self.machine = self.comm.machine  # grown if nranks > 192
         self.power = PowerModel()
         self.dmat = problem_cache.distributed_matrix(experiment.a, cfg.nranks)
-        self.preconditioned = experiment.preconditioner is not None
         self.costs = problem_cache.iteration_costs(
-            self.dmat, self.comm, preconditioned=self.preconditioned
+            self.dmat, self.comm, preconditioned=cfg.preconditioner is not None
         )
         pm = self.power
         self.fmax_ghz = pm.ladder.fmax_ghz
         self.p_active = pm.core_power(self.fmax_ghz, CoreState.ACTIVE)
         self.p_idle_fmax = pm.core_power(self.fmax_ghz, CoreState.IDLE)
         self.p_idle_fmin = pm.core_power(pm.ladder.fmin_ghz, CoreState.IDLE)
-        c = self.costs
-        n = cfg.nranks
-        sum_compute = float(c.compute_s.sum())
-        # Same straggler accounting as the solver: laggards idle at f_max
-        # until the busiest rank finishes its local work.
-        self.iter_compute_energy = self.p_active * sum_compute + self.p_idle_fmax * (
-            n * c.compute_max_s - sum_compute
+        self.iteration = IterationPower.of(
+            self.costs, cfg.nranks, self.p_active, self.p_idle_fmax
         )
-        self.iter_comm_energy = n * self.p_active * c.comm_s
-        self.iter_energy = self.iter_compute_energy + self.iter_comm_energy
-        self.iter_power_avg = self.iter_energy / c.wall_s if c.wall_s > 0 else 0.0
-
-    def expand_victims(self, event: FaultEvent) -> list[int]:
-        """The event's blast radius, identically to the solver."""
-        if event.scope is FaultScope.PROCESS:
-            return list(event.victims)
-        if event.scope is FaultScope.SYSTEM:
-            return list(range(self.nranks))
-        out: list[int] = []
-        seen: set[int] = set()
-        for v in event.victims:  # NODE
-            node = self.comm.binding.node_of(v)
-            for r in self.comm.binding.ranks_on_node(node):
-                if r not in seen:
-                    seen.add(r)
-                    out.append(r)
-        return out
 
 
 @dataclass
@@ -173,17 +150,14 @@ class AnalyticEngine(ExecutionEngine):
     def __init__(self, params: AnalyticParams | None = None) -> None:
         self.params = params or AnalyticParams()
         # One substrate per experiment (a cell evaluates many schemes
-        # against the same matrix/partition); rebuilt if the experiment's
-        # preconditioner knob is flipped, dropped when it is collected.
+        # against the same matrix/partition), dropped when it is collected.
         self._substrates: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _substrate(self, experiment: "Experiment") -> _Substrate:
-        preconditioned = experiment.preconditioner is not None
-        cached = self._substrates.get(experiment)
-        if cached is None or cached.preconditioned != preconditioned:
-            cached = _Substrate(experiment)
-            self._substrates[experiment] = cached
-        return cached
+        sub = self._substrates.get(experiment)
+        if sub is None:
+            sub = self._substrates[experiment] = _Substrate(experiment)
+        return sub
 
     # ------------------------------------------------------------------
     def solve_fault_free(self, experiment: "Experiment") -> SolveReport:
@@ -194,7 +168,7 @@ class AnalyticEngine(ExecutionEngine):
             experiment.b,
             tol=cfg.tol,
             max_iters=cfg.max_iters,
-            preconditioner=experiment.preconditioner,
+            preconditioner=cfg.preconditioner,
             seed=cfg.seed,
         )
         return self._assemble(
@@ -222,7 +196,7 @@ class AnalyticEngine(ExecutionEngine):
         events = experiment.schedule().events(
             nranks=cfg.nranks, horizon_iters=horizon
         )
-        victim_lists = [sub.expand_victims(e) for e in events]
+        victim_lists = [blast_radius(e, sub.comm.binding) for e in events]
 
         if scheme_name in ("RD", "TMR"):
             terms = self._redundancy_terms(scheme_name, gm)
@@ -717,11 +691,11 @@ class AnalyticEngine(ExecutionEngine):
         t_overhead = horizon * c.comm_s
         account = EnergyAccount()
         account.charges[PhaseTag.SOLVE] = Charge(
-            t_solve, horizon * sub.iter_compute_energy
+            t_solve, horizon * sub.iteration.compute_energy_j
         )
         if t_overhead > 0:
             account.charges[PhaseTag.OVERHEAD] = Charge(
-                t_overhead, horizon * sub.iter_comm_energy
+                t_overhead, horizon * sub.iteration.comm_energy_j
             )
         for tag, time_s, energy_j in terms.phases:
             ch = account.charges.setdefault(tag, Charge())
@@ -736,7 +710,7 @@ class AnalyticEngine(ExecutionEngine):
                 "iteration",
                 0.0,
                 t_exec,
-                sub.iter_power_avg * terms.energy_multiplier,
+                sub.iteration.average_power_w * terms.energy_multiplier,
             )
         cursor = t_exec
         for tag, phase_t, phase_e in terms.phases:

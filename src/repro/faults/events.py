@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.topology import ProcessBinding
 
 
 class FaultKind(enum.Enum):
@@ -130,3 +134,29 @@ class FaultEvent:
         if not victims:
             raise ValueError("need at least one victim")
         return cls(iteration, victims[0], fault_class, scope, victims=victims)
+
+
+def blast_radius(event: FaultEvent, binding: "ProcessBinding") -> list[int]:
+    """The ranks ``event`` destroys on ``binding``'s rank placement.
+
+    Every rank in ``event.victims`` is expanded by the event's scope
+    independently, and the union keeps first-appearance order.  Both
+    engines call this, so the analytic engine prices the very victim
+    sets the solver damages.
+    """
+    nranks = binding.nranks
+    for v in event.victims:
+        if v >= nranks:
+            raise ValueError(f"victim rank {v} outside [0, {nranks})")
+    if event.scope is FaultScope.PROCESS:
+        return list(event.victims)
+    if event.scope is FaultScope.SYSTEM:
+        return list(range(nranks))
+    out: list[int] = []
+    seen: set[int] = set()
+    for v in event.victims:  # NODE
+        for r in binding.ranks_on_node(binding.node_of(v)):
+            if r not in seen:
+                seen.add(r)
+                out.append(r)
+    return out

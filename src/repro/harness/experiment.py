@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.backends import DEFAULT_BACKEND, backend_names
+from repro.core.cg import PRECONDITIONERS
 from repro.core.errors import ConvergenceError
 from repro.core.report import SolveReport
 from repro.core.solver import SolverConfig
@@ -83,6 +84,10 @@ class ExperimentConfig:
     #: multi-loss tolerance of ESR/LI/LSI (arXiv:1907.13077's concurrent
     #: node failures).  Part of the cell's cache key.
     victims_per_fault: int = 1
+    #: None for the paper's plain CG, "jacobi" for preconditioned CG
+    #: (the PCG extension, arXiv:1907.13077 / arXiv:1912.09230).  Changes
+    #: the iteration count, so it is part of the cell's cache key.
+    preconditioner: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_faults < 0:
@@ -115,6 +120,11 @@ class ExperimentConfig:
                 f"unknown backend {self.backend!r}; known: "
                 f"{', '.join(backend_names())}"
             )
+        if self.preconditioner not in (None, *PRECONDITIONERS):
+            raise ValueError(
+                f"unknown preconditioner {self.preconditioner!r}; known: "
+                f"{', '.join(PRECONDITIONERS)}"
+            )
 
 
 class Experiment:
@@ -125,18 +135,13 @@ class Experiment:
         config: ExperimentConfig,
         *,
         a: sp.spmatrix | None = None,
-        preconditioner: str | None = None,
         engine: ExecutionEngine | None = None,
     ):
-        """``preconditioner`` enables PCG (``"jacobi"``): an execution
-        knob, not part of :class:`ExperimentConfig` — a CLI-level
-        exploration hook campaigns do not sweep.  ``engine`` overrides
-        the instance built from ``config.engine`` (e.g. an
-        :class:`~repro.engines.analytic.AnalyticEngine` with custom
-        parameters); its name must match the config.
+        """``engine`` overrides the instance built from ``config.engine``
+        (e.g. an :class:`~repro.engines.analytic.AnalyticEngine` with
+        custom parameters); its name must match the config.
         """
         self.config = config
-        self.preconditioner = preconditioner
         if engine is not None and engine.name != config.engine:
             raise ValueError(
                 f"engine {engine.name!r} does not match config.engine="
@@ -163,19 +168,16 @@ class Experiment:
         rng = np.random.default_rng(config.seed)
         self.x_true = rng.standard_normal(n)
         self.b = self.a @ self.x_true
-        # Baselines keyed by every execution-relevant knob: mutating
-        # ``preconditioner`` (or swapping ``engine``) after a baseline
-        # was computed must never silently reuse a stale one.
-        self._baselines: dict[tuple, SolveReport] = {}
-        # The fault-free CG spans this experiment's scheme solves share,
-        # keyed like the baselines.  Owned here, never by a report: it
-        # dies with the Experiment and is never stored or pickled.
-        self._trajectories: dict[tuple, TrajectoryMemo] = {}
+        # Nothing that shapes a solve changes after construction (the
+        # config is frozen, the engine fixed), so one baseline and one
+        # trajectory serve the Experiment's whole life.
+        self._baseline: SolveReport | None = None
+        # The fault-free CG spans this experiment's scheme solves share.
+        # Owned here, never by a report: it dies with the Experiment and
+        # is never stored or pickled.
+        self._trajectory = TrajectoryMemo()
 
     # ------------------------------------------------------------------
-    def _baseline_key(self) -> tuple:
-        return (self.engine.name, self.preconditioner)
-
     def solver_config(self, baseline: int | None) -> SolverConfig:
         """The :class:`SolverConfig` for one solve under this experiment."""
         c = self.config
@@ -184,7 +186,7 @@ class Experiment:
             tol=c.tol,
             max_iters=c.max_iters,
             seed=c.seed,
-            preconditioner=self.preconditioner,
+            preconditioner=c.preconditioner,
             trace=c.trace,
             baseline_iters=baseline,
             backend=c.backend,
@@ -192,9 +194,8 @@ class Experiment:
 
     @property
     def fault_free(self) -> SolveReport:
-        """The cached fault-free baseline (per execution-knob set)."""
-        key = self._baseline_key()
-        ff = self._baselines.get(key)
+        """The cached fault-free baseline."""
+        ff = self._baseline
         if ff is None:
             ff = self.engine.solve_fault_free(self)
             if not ff.converged:
@@ -204,31 +205,24 @@ class Experiment:
                     final_residual=ff.final_relative_residual,
                     iterations=ff.iterations,
                 )
-            self._baselines[key] = ff
+            self._baseline = ff
         return ff
 
     def trajectory(self) -> TrajectoryMemo:
-        """The fault-free trajectory memo for the current execution
-        knobs (:mod:`repro.core.trajectory`)."""
-        key = self._baseline_key()
-        memo = self._trajectories.get(key)
-        if memo is None:
-            memo = self._trajectories[key] = TrajectoryMemo()
-        return memo
+        """The fault-free trajectory memo (:mod:`repro.core.trajectory`)."""
+        return self._trajectory
 
     @property
     def trajectory_counts(self) -> tuple[int, int]:
         """CG iterations this experiment's scheme solves installed from,
         and walked on, the fault-free trajectory so far, as
         ``(installed, walked)`` — a test probe, never part of a payload."""
-        memos = self._trajectories.values()
-        return sum(m.hits for m in memos), sum(m.walked for m in memos)
+        return self._trajectory.hits, self._trajectory.walked
 
     @property
     def has_baseline(self) -> bool:
-        """Whether the fault-free baseline has been computed (or primed)
-        for the *current* execution knobs."""
-        return self._baseline_key() in self._baselines
+        """Whether the fault-free baseline has been computed (or primed)."""
+        return self._baseline is not None
 
     def prime_baseline(self, report: SolveReport) -> None:
         """Install a previously computed fault-free baseline.
@@ -256,7 +250,7 @@ class Experiment:
                 f"baseline was produced by the {provenance!r} engine; this "
                 f"experiment runs {self.engine.name!r}"
             )
-        self._baselines[self._baseline_key()] = report
+        self._baseline = report
 
     def schedule(self) -> FaultSchedule:
         return EvenlySpacedSchedule(

@@ -15,7 +15,7 @@ the result store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.harness.tracing import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -52,3 +52,24 @@ class Telemetry:
             "recovery.latency_s", buckets=RECOVERY_LATENCY_BUCKETS,
             scheme=scheme,
         )
+
+
+def annotate_root_span(report, name: str, value: str) -> None:
+    """Stamp ``name=value`` onto a traced report's root ``solve`` span.
+
+    How a correlation id (a campaign cell id, the serving tier's request
+    ids) reaches the solve it names: the attr persists with the stored
+    telemetry and round-trips through the JSONL trace export.  Untraced
+    reports are left byte-identical.
+    """
+    details = getattr(report, "details", None)
+    tel = details.get("telemetry") if isinstance(details, dict) else None
+    if tel is None:
+        return
+    spans = tel.spans.spans
+    for i, s in enumerate(spans):
+        if s.name == "solve" and s.depth == 0:
+            attrs = dict(s.attrs)
+            attrs[name] = value
+            spans[i] = replace(s, attrs=tuple(sorted(attrs.items())))
+            return

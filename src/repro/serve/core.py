@@ -46,7 +46,7 @@ import asyncio
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.campaign.spec import CampaignCell
 from repro.campaign.store import ResultStore, cell_key
@@ -54,6 +54,7 @@ from repro.core.report import SolveReport
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.obs.logging import current_request_id, get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import annotate_root_span
 
 _log = get_logger("serve.core")
 
@@ -93,28 +94,6 @@ class SolveOutcome:
     #: Which tier answered: "lru", "coalesced", "store" or "computed".
     source: str
     elapsed_s: float
-
-
-def annotate_request_ids(report: SolveReport, request_ids: list[str]) -> None:
-    """Stamp request ids onto a traced report's root ``solve`` span.
-
-    The comma-joined id list rides as a span attr, so it persists with
-    the stored telemetry and round-trips through the JSONL trace export
-    — ``GET /v1/reports/<key>`` resolves a request id straight to the
-    span tree that served it.  Untraced reports are left byte-identical
-    to a direct engine run (the serving tier's bit-identity contract).
-    """
-    details = getattr(report, "details", None)
-    tel = details.get("telemetry") if isinstance(details, dict) else None
-    if tel is None or not request_ids:
-        return
-    spans = tel.spans.spans
-    for i, s in enumerate(spans):
-        if s.name == "solve" and s.depth == 0:
-            attrs = dict(s.attrs)
-            attrs["request_ids"] = ",".join(request_ids)
-            spans[i] = replace(s, attrs=tuple(sorted(attrs.items())))
-            return
 
 
 class ServingCore:
@@ -276,8 +255,11 @@ class ServingCore:
                 compute_t0 = time.perf_counter()
                 report = await self._enqueue(cell)
                 # stamp every rider (leader + coalesced waiters so far)
-                # onto the trace before it is persisted or cached
-                annotate_request_ids(report, self._inflight_ids.get(key, []))
+                # onto the trace before it is persisted or cached, so
+                # GET /v1/reports/<key> resolves a request id to its span tree
+                request_ids = self._inflight_ids.get(key)
+                if request_ids:
+                    annotate_root_span(report, "request_ids", ",".join(request_ids))
                 if self.store is not None:
                     await loop.run_in_executor(
                         self._executor,

@@ -131,6 +131,7 @@ def literal_cell() -> CampaignCell:
             fault_scope="process",
             backend="batched",
             victims_per_fault=1,
+            preconditioner=None,
         ),
         "LI",
     )
@@ -166,6 +167,7 @@ _OTHER_STRING = {
     "engine": "analytic",
     "fault_scope": "node",
     "backend": "loop",
+    "preconditioner": "jacobi",
 }
 
 
@@ -183,12 +185,12 @@ class TestIdentityInvariants:
     """What the cheaper canonicalisation and the per-object memo must
     leave exactly as they were (ISSUE 22)."""
 
-    # Computed by the parent commit (asdict-based) for literal_cell()
-    # under pinned_versions.
-    GOLDEN_KEY = "7f155b6a1d6db1d7be1e353c92da9833ac87642a9ba971401bd839a3141dd3eb"
+    # The asdict-based material for literal_cell() under pinned_versions,
+    # at store format 6 (``preconditioner`` joined the config).
+    GOLDEN_KEY = "25cddae6a95bd406f73c6474c96fbbf029032bf26454aadf446f8993334c53bf"
 
-    def test_golden_key_at_store_format_5(self, pinned_versions):
-        assert STORE_FORMAT == 5
+    def test_golden_key_at_store_format_6(self, pinned_versions):
+        assert STORE_FORMAT == 6
         assert cell_key(literal_cell()) == self.GOLDEN_KEY
 
     @pytest.mark.parametrize(

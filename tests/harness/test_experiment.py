@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -94,8 +95,8 @@ class TestExperiment:
 
 
 class TestBaselineCache:
-    """The FF baseline is keyed by every execution knob: flipping
-    engine or preconditioner must never reuse a stale one."""
+    """One baseline per Experiment: every knob that shapes it is in the
+    frozen config, so two configs never share one."""
 
     @pytest.fixture()
     def exp(self):
@@ -104,13 +105,21 @@ class TestBaselineCache:
             ExperimentConfig(matrix="custom", nranks=4, n_faults=2), a=a
         )
 
-    def test_flipping_preconditioner_recomputes_the_baseline(self, exp):
-        ff_plain = exp.fault_free
-        exp.preconditioner = "jacobi"
-        assert not exp.has_baseline
-        ff_pcg = exp.fault_free
-        assert ff_pcg is not ff_plain
-        assert ff_pcg.iterations != ff_plain.iterations
+    def test_unknown_preconditioner_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown preconditioner 'ilu'"):
+            ExperimentConfig(preconditioner="ilu")
+
+    def test_preconditioner_is_part_of_the_cell_key(self, exp):
+        from repro.campaign import CampaignCell, cell_key
+
+        pcg = replace(exp.config, preconditioner="jacobi")
+        assert cell_key(CampaignCell(pcg, "FF")) != cell_key(
+            CampaignCell(exp.config, "FF")
+        )
+
+    def test_preconditioner_changes_the_baseline(self, exp):
+        pcg = Experiment(replace(exp.config, preconditioner="jacobi"), a=exp.a)
+        assert pcg.fault_free.iterations != exp.fault_free.iterations
 
     def test_engines_never_share_baselines(self):
         a = banded_spd(200, 7, dominance=5e-3, seed=0)
@@ -164,7 +173,7 @@ class TestIdentityTripwire:
 
     def test_experiment_takes_no_knob_outside_the_config(self):
         params = list(inspect.signature(Experiment.__init__).parameters)
-        assert params == ["self", "config", "a", "preconditioner", "engine"], (
+        assert params == ["self", "config", "a", "engine"], (
             "Experiment.__init__ grew a parameter: put it in `ExperimentConfig` "
             "(and the cell key) or show it cannot change a report"
         )
