@@ -20,7 +20,7 @@ committed baseline (``BENCH_perf.json``).
 
 The ``smoke`` suite covers the stencil problem class only and is sized
 for CI (seconds, not minutes); ``full`` adds the banded and irregular
-classes plus the legacy engine for a visible fast/legacy ratio.
+classes and a faulty solve on the ``loop`` backend.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _solve_inputs(matrix: str, scale: float, nranks: int):
     return a, b, nranks
 
 
-def _run_solver(state, *, scheme=None, n_faults=0, fast=True, trace=False,
+def _run_solver(state, *, scheme=None, n_faults=0, trace=False,
                 backend=None, victims_per_fault=1):
     from repro.core.backends import DEFAULT_BACKEND
     from repro.core.recovery import make_scheme
@@ -114,7 +114,7 @@ def _run_solver(state, *, scheme=None, n_faults=0, fast=True, trace=False,
             n_faults=n_faults, victims_per_fault=victims_per_fault
         ) if n_faults else None,
         config=SolverConfig(
-            nranks=nranks, tol=1e-8, fast=fast, trace=trace,
+            nranks=nranks, tol=1e-8, trace=trace,
             backend=backend or DEFAULT_BACKEND,
         ),
     )
@@ -217,7 +217,7 @@ BENCHMARKS: list[BenchSpec] = [
         setup=lambda: _solve_inputs("stencil5", 0.36, 32),
         op=lambda s: _run_solver(s, backend="loop"),
     ),
-    # full-suite extras: the other matrix classes + the legacy engine
+    # full-suite extras: the other matrix classes + the loop backend
     BenchSpec(
         "solve_ff.banded", "pyloop",
         setup=lambda: _solve_inputs("Kuu", 0.5, 16),
@@ -228,12 +228,6 @@ BENCHMARKS: list[BenchSpec] = [
         "solve_faulty_lsi.irregular", "pyloop",
         setup=lambda: _solve_inputs("ex15", 0.4, 16),
         op=lambda s: _run_solver(s, scheme="LSI", n_faults=3),
-        suites=("full",),
-    ),
-    BenchSpec(
-        "solve_ff_legacy.stencil", "pyloop",
-        setup=lambda: _solve_inputs("stencil5", 0.36, 16),
-        op=lambda s: _run_solver(s, fast=False),
         suites=("full",),
     ),
     BenchSpec(

@@ -681,7 +681,15 @@ class CampaignRunner:
                 futures = {}
                 for task in queue:
                     self.monitor.cell_queued(task.cell, task.attempt)
-                    future = pool.submit(run_cell_in_worker, *self._call(task))
+                    try:
+                        future = pool.submit(run_cell_in_worker, *self._call(task))
+                    except BrokenProcessPool:
+                        # A worker died before this task was submitted:
+                        # the same broken round its in-flight mates see.
+                        round_broke = True
+                        task.attempt += 1
+                        requeue.append(task)
+                        continue
                     futures[future] = task
                 for future in as_completed(futures):
                     task = futures[future]

@@ -6,10 +6,10 @@ escape codes inside it, repainted in place with one clear-and-home
 sequence in live mode.  ``--once`` prints the final frame un-escaped to
 stdout — the CI-greppable snapshot artifact.
 
-The repaint loop is a daemon thread beside the campaign's main thread
-(which is busy driving the worker pool), reading the monitor's
-thread-safe snapshots; it owns no state of its own, so a campaign
-without ``--watch`` pays nothing.
+The repaint loop (:func:`repro.obs.term.repaint`) runs in a daemon
+thread beside the campaign's main thread (which is busy driving the
+worker pool), reading the monitor's thread-safe snapshots; it owns no
+state of its own, so a campaign without ``--watch`` pays nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 import threading
 
 from repro.campaign.fleet import FleetMonitor
-from repro.obs.term import CLEAR, fmt_age, fmt_bytes, hms
+from repro.obs.term import fmt_age, fmt_bytes, hms, repaint
 
 #: Default repaint interval, seconds.
 DEFAULT_REFRESH_S = 1.0
@@ -104,18 +104,12 @@ class CampaignWatch:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-    def _stream(self):
-        return sys.stderr if self.out is None else self.out
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            frame = render_fleet(self.monitor.snapshot())
-            print(CLEAR + frame, file=self._stream(), flush=True)
-
     def start(self) -> "CampaignWatch":
         if not self.once and self._thread is None:
+            stream = sys.stderr if self.out is None else self.out
             self._thread = threading.Thread(
-                target=self._loop, name="repro-campaign-watch", daemon=True
+                target=repaint, name="repro-campaign-watch", daemon=True,
+                args=(self.final_frame, self.interval_s, self._stop, stream),
             )
             self._thread.start()
         return self
@@ -127,5 +121,5 @@ class CampaignWatch:
             self._thread = None
 
     def final_frame(self) -> str:
-        """The closing snapshot as a plain frame (the ``--once`` output)."""
+        """The current snapshot as a plain frame (also the ``--once`` output)."""
         return render_fleet(self.monitor.snapshot())

@@ -67,10 +67,6 @@ class CheckpointStore(abc.ABC):
     def count(self) -> int:
         return len(self._snapshots)
 
-    @property
-    def bytes_stored(self) -> int:
-        return sum(s.nbytes for s in self._snapshots)
-
     # -- cost model ----------------------------------------------------
     @abc.abstractmethod
     def write_time_s(self, total_bytes: float, nranks: int) -> float:

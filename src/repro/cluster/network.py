@@ -59,9 +59,6 @@ class NetworkModel:
         link = self.intra if same_node else self.inter
         return link.message_time(nbytes)
 
-    def link_for(self, binding: ProcessBinding, src: int, dst: int) -> LinkParams:
-        return self.intra if binding.same_node(src, dst) else self.inter
-
 
 @dataclass(frozen=True)
 class CollectiveCosts:

@@ -123,9 +123,6 @@ class PhaseLog:
         """Total energy, optionally restricted to one tag."""
         return sum(p.energy_j for p in self.phases if tag is None or p.tag == tag)
 
-    def total_time(self, tag: str | None = None) -> float:
-        return sum(p.duration for p in self.phases if tag is None or p.tag == tag)
-
     def tags(self) -> set[str]:
         return {p.tag for p in self.phases}
 

@@ -307,7 +307,7 @@ class DistributedCG:
         It stops early on convergence, or on CG breakdown *before*
         consuming the broken iteration — callers then invoke :meth:`step`
         once, whose restart-and-retry handling covers breakdown exactly
-        as the legacy loop does.
+        as a per-iteration loop does.
 
         Residuals are written into a preallocated scratch array and
         spliced onto ``residual_history`` at span end.  Returns
@@ -328,5 +328,5 @@ class DistributedCG:
                 self.max_iters - self.state.iteration
             )
             if breakdown:
-                self.step()  # legacy restart-and-retry breakdown handling
+                self.step()  # one-iteration restart-and-retry breakdown handling
         return self.state.iteration

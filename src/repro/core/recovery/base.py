@@ -168,9 +168,9 @@ class RecoveryScheme(abc.ABC):
         """Called after every completed CG iteration."""
 
     def next_hook_iteration(self, iteration: int) -> float | None:
-        """Fast-path cadence contract (DESIGN.md §5e).
+        """Span cadence contract (DESIGN.md §5e).
 
-        The fast solve path batches fault-free iterations into spans and
+        The solve loop batches fault-free iterations into spans and
         calls :meth:`on_iteration_end` once per span end instead of once
         per iteration.  This method tells it the earliest iteration
         (> ``iteration``) at which the hook has an effect that is *not*
@@ -178,7 +178,7 @@ class RecoveryScheme(abc.ABC):
         that iteration.  Return ``float("inf")`` when a span-end call
         always suffices (e.g. a pure state snapshot, where only the
         snapshot taken immediately before a fault is ever observable),
-        or ``None`` — the conservative default — to demand the legacy
+        or ``None`` — the conservative default — to demand a
         per-iteration cadence.
         """
         return None

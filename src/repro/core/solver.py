@@ -65,18 +65,10 @@ class SolverConfig:
     #: the EXTRA phase.  Computed internally when a schedule is present
     #: and no value is supplied.
     baseline_iters: int | None = None
-    #: Span-batched fast execution (DESIGN.md §5e): fault-free stretches
-    #: between scheduled events run as one tight numeric kernel with
-    #: span-level bookkeeping replay.  Bit-identical to the legacy
-    #: per-iteration loop (tests/core/test_fast_equivalence.py); the
-    #: legacy path stays selectable for those regression tests.
-    fast: bool = True
     #: Execution backend for the CG kernels (repro.core.backends):
     #: "batched" (default) vectorizes all ranks into one kernel sequence
     #: per iteration; "loop" is the rank-by-rank reference execution.
-    #: Bit-identical by contract (tests/core/test_backend_equivalence.py);
-    #: orthogonal to ``fast`` (which batches *iterations into spans*,
-    #: while ``backend`` batches *ranks within an iteration*).
+    #: Bit-identical by contract (tests/core/test_backend_equivalence.py).
     backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
@@ -368,50 +360,20 @@ class ResilientSolver:
             self.rapl.record(tag, t0, t1, power)
             self._open_phase = None
 
-    def _charge_iteration(self, is_extra: bool) -> None:
-        """Book one CG iteration: account charges split solve/overhead,
-        a single merged RAPL phase at the iteration-average power."""
-        c = self.costs
-        ip = self._iter_power
-        mult = self.scheme.energy_multiplier if self.scheme else 1.0
-        if is_extra:
-            energy = self.account.charge(
-                PhaseTag.EXTRA, time_s=c.wall_s, power_w=ip.average_power_w
-            )
-        else:
-            energy = self.account.charge(
-                PhaseTag.SOLVE, time_s=c.compute_max_s, power_w=ip.compute_power_w
-            )
-            if c.comm_s > 0:
-                energy += self.account.charge(
-                    PhaseTag.OVERHEAD, time_s=c.comm_s, power_w=self.power_compute_w()
-                )
-        if mult > 1.0:
-            self.account.charge_energy(PhaseTag.REDUNDANT, (mult - 1.0) * energy)
-        # Flat overlapped retention cost (ESR's redundant-copy streaming).
-        # Schemes set at most one of energy_multiplier / overlap energy,
-        # so the span replay's per-tag accumulation order stays exact.
-        ov = self.scheme.overlap_energy_per_iteration_j if self.scheme else 0.0
-        if ov > 0.0:
-            self.account.charge_energy(PhaseTag.REDUNDANT, ov)
-        t0 = self.comm.now
-        self.comm.clocks.synchronize(c.wall_s)
-        tag = "extra" if is_extra else "iteration"
-        self._rapl_append(tag, t0, self.comm.now, ip.average_power_w * mult)
-        self.comm.traffic.bytes_p2p += c.bytes_per_iter
-        self.comm.traffic.messages += max(0, len(self._dmat.halo_pair_bytes))
-        self.comm.traffic.collectives += 2
-
     def _charge_span(self, n: int, is_extra: bool) -> None:
         """Book ``n`` identical CG iterations in one go.
 
-        Float-faithfully replays ``n`` calls of :meth:`_charge_iteration`
-        (DESIGN.md §5e): account charges, clocks, traffic, the RAPL log
-        and — when traced — phase metrics and transition events all end
-        up bit-identical to the per-iteration path.  Replay is exact
-        because every per-iteration quantity is constant by construction
-        (:class:`IterationCosts`) and per-iteration accumulation of a
-        constant is a scalar recurrence (:func:`repeat_add`).
+        Float-faithfully replays ``n`` one-iteration bookings (DESIGN.md
+        §5e): account charges, clocks, traffic, the RAPL log and — when
+        traced — phase metrics and transition events all end up
+        bit-identical to charging the iterations one by one, which the
+        per-iteration reference loop in ``tests/differential.py`` does.
+        Replay is exact because every per-iteration quantity is constant
+        by construction (:class:`IterationCosts`) and per-iteration
+        accumulation of a constant is a scalar recurrence
+        (:func:`repeat_add`).  Schemes set at most one of
+        ``energy_multiplier`` / overlap energy, so the per-tag
+        accumulation order of REDUNDANT stays exact.
         """
         if n <= 0:
             return
@@ -449,9 +411,9 @@ class ResilientSolver:
         t0 = clocks.now
         t1 = repeat_add(t0, wall, n)
         clocks.jump_to(t1)
-        # The legacy path's contiguous equal-power iterations already
-        # merge into one open RAPL phase; a single span-wide append
-        # produces the identical log.
+        # Contiguous equal-power iterations merge into one open RAPL
+        # phase, so a single span-wide append is the log that n
+        # one-iteration appends would grow.
         tag = "extra" if is_extra else "iteration"
         self._rapl_append(tag, t0, t1, ip.average_power_w * mult)
         traffic = self.comm.traffic
@@ -466,7 +428,7 @@ class ResilientSolver:
     ) -> None:
         """Replay what ``n`` per-iteration ``on_charge`` taps (plus the
         per-iteration ``solver.iterations`` increment) would have done.
-        ``charge_span`` bypasses the tap, so the fast path owns this."""
+        ``charge_span`` bypasses the tap, so the span loop owns this."""
         c = self.costs
         mult = self.scheme.energy_multiplier if self.scheme else 1.0
         m = self.obs.metrics
@@ -673,48 +635,26 @@ class ResilientSolver:
         with self.span(
             "solve", scheme=self.scheme.name if self.scheme else "FF"
         ):
-            if cfg.fast:
-                self._run_fast(pending, handled, baseline, trajectory)
-            else:
-                self._run_legacy(pending, handled, baseline)
+            self._run(pending, handled, baseline, trajectory)
 
         self._flush_phase()
         details: dict = self._finish_details(baseline)
         return self._build_report(handled, baseline, details)
 
-    def _run_legacy(
+    def _run(
         self,
         pending: deque[FaultEvent],
         handled: list[FaultEvent],
         baseline: int | None,
+        trajectory: TrajectoryMemo | None,
     ) -> None:
-        """The reference per-iteration loop: step, charge, hook, events."""
-        cfg = self.config
-        cg = self.cg
-        while not cg.converged and cg.iteration < cfg.max_iters:
-            cg.step()
-            is_extra = baseline is not None and cg.iteration > baseline
-            self._charge_iteration(is_extra)
-            if self.obs is not None:
-                self.obs.metrics.counter("solver.iterations").inc()
-            if self.scheme is not None:
-                self.scheme.on_iteration_end(self, cg.state)
-            self._process_due_events(pending, handled)
-
-    def _run_fast(
-        self,
-        pending: deque[FaultEvent],
-        handled: list[FaultEvent],
-        baseline: int | None,
-        trajectory: TrajectoryMemo | None = None,
-    ) -> None:
-        """Span-batched loop, bit-identical to :meth:`_run_legacy`.
+        """The span-batched solve loop (DESIGN.md §5e).
 
         Fault-free stretches run as one tight numeric kernel
         (:meth:`~repro.core.cg.DistributedCG.step_span`) plus one
         bookkeeping replay (:meth:`_charge_span`).  Span boundaries are
-        everything the legacy loop can observe between iterations: the
-        next scheduled fault, the scheme's hook cadence
+        everything a per-iteration loop can observe between iterations:
+        the next scheduled fault, the scheme's hook cadence
         (:meth:`~repro.core.recovery.base.RecoveryScheme.next_hook_iteration`),
         the baseline→EXTRA crossover, and the iteration cap; convergence
         and CG breakdown are checked per iteration inside the kernel.
@@ -764,7 +704,7 @@ class ResilientSolver:
                     is_extra=baseline is not None and cg.iteration > baseline,
                 )
             if breakdown:
-                # Fall back to the legacy stepper for the broken
+                # Fall back to the one-iteration stepper for the broken
                 # iteration: its restart-and-retry is the reference.
                 cg.step()
                 self._charge_span(

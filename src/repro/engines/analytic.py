@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -858,8 +858,3 @@ class AnalyticEngine(ExecutionEngine):
         from repro.core.models.projection import ProjectionConfig, project
 
         return project(sorted(sizes), config or ProjectionConfig())
-
-
-def describe_params(params: AnalyticParams) -> dict:
-    """JSON-safe dump of the engine parameterization (for reports/docs)."""
-    return asdict(params)

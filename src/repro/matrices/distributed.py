@@ -183,9 +183,6 @@ class DistributedMatrix:
     def halo_bytes_total(self) -> float:
         return sum(self.halo_pair_bytes.values())
 
-    def rank_of_row(self, row: int) -> int:
-        return self.partition.owner_of(row)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"DistributedMatrix(n={self.n}, nnz={self.nnz}, "

@@ -57,9 +57,6 @@ class BlockRowPartition:
     def slice_of(self, rank: int) -> slice:
         return slice(self.start_of(rank), self.stop_of(rank))
 
-    def range_of(self, rank: int) -> range:
-        return range(self.start_of(rank), self.stop_of(rank))
-
     # ------------------------------------------------------------------
     def owner_of(self, row: int) -> int:
         """The rank owning global row ``row``."""

@@ -46,10 +46,6 @@ class RunRecord:
                     return str(attrs["scheme"])
         return ""
 
-    @property
-    def has_trace(self) -> bool:
-        return self.telemetry is not None
-
 
 def record_from_report(
     label: str, report: "SolveReport", config: "ExperimentConfig | None" = None

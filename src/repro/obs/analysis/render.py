@@ -16,7 +16,7 @@ from typing import Iterable
 from repro.obs.analysis.attribution import PhaseAttribution
 from repro.obs.analysis.detectors import Finding
 from repro.obs.analysis.diffing import RunDiff
-from repro.obs.analysis.spantree import SpanNode, critical_path, tree_summary
+from repro.obs.analysis.spantree import SpanNode, tree_summary
 from repro.obs.metrics import MetricsRegistry
 
 _BAR_WIDTH = 30
@@ -156,13 +156,6 @@ def format_run_diff(diff: RunDiff) -> str:
             lines.append(f"  … truncated at {len(diff.structural)} changes")
     lines.append(f"{diff.n_changes} change(s)")
     return "\n".join(lines)
-
-
-def format_critical_path_of(spans) -> str:
-    """Convenience: tree + critical path from raw spans."""
-    from repro.obs.analysis.spantree import build_span_tree
-
-    return format_critical_path(critical_path(build_span_tree(spans)))
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,21 @@ human watches is the exact text a pipeline asserts on.
 
 from __future__ import annotations
 
+import threading
+from typing import Callable, TextIO
+
 #: Clear the screen and home the cursor — the only ANSI the dashboards
 #: ever emit, and only in live (non ``--once``) mode.
 CLEAR = "\x1b[2J\x1b[H"
+
+
+def repaint(frame: Callable[[], str], interval_s: float,
+            stop: threading.Event, stream: TextIO) -> None:
+    """The live dashboard loop: print ``CLEAR + frame()`` every
+    ``interval_s`` seconds until ``stop`` is set."""
+    while not stop.is_set():
+        print(CLEAR + frame(), file=stream, flush=True)
+        stop.wait(interval_s)
 
 
 def hms(seconds: float) -> str:

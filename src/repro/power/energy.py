@@ -112,7 +112,7 @@ class EnergyAccount:
 
         Unlike :meth:`charge`, this does **not** invoke the ``on_charge``
         tap: span-batching callers replay their observability at span
-        granularity themselves (the solver's fast path stamps phase
+        granularity themselves (the solver's span loop stamps phase
         metrics and transition events explicitly).
         """
         if n < 0:

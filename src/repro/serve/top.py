@@ -6,14 +6,15 @@ screen is *derived from the sampled history* — request and error rates
 from counter deltas, latency percentiles from histogram-bucket deltas,
 batch sizes from the batch histogram — so the dashboard shows the same
 numbers ``repro doctor --history`` would compute from the saved
-artifact.  The live loop repaints with plain ANSI (clear + home);
-``--once`` prints a single un-escaped snapshot, which is what CI
-captures as the dashboard artifact.
+artifact.  The live loop is :func:`repro.obs.term.repaint` in the
+foreground; ``--once`` prints a single un-escaped snapshot, which is
+what CI captures as the dashboard artifact.
 """
 
 from __future__ import annotations
 
-import time
+import sys
+import threading
 
 from repro.obs.history import (
     MetricsHistory,
@@ -21,8 +22,7 @@ from repro.obs.history import (
     histogram_delta,
     percentile_from_buckets,
 )
-from repro.obs.term import CLEAR as _CLEAR
-from repro.obs.term import fmt_ms as _fmt_ms
+from repro.obs.term import fmt_ms, repaint
 from repro.serve.client import ServeClient
 
 #: Default repaint interval, seconds.
@@ -92,8 +92,8 @@ def render(
         p90 = percentile_from_buckets(delta["buckets"], delta["counts"], 0.90)
         p99 = percentile_from_buckets(delta["buckets"], delta["counts"], 0.99)
         lines.append(
-            f"  latency   p50 ≤{_fmt_ms(p50)}ms   p90 ≤{_fmt_ms(p90)}ms "
-            f"  p99 ≤{_fmt_ms(p99)}ms   ({delta['n']} obs)"
+            f"  latency   p50 ≤{fmt_ms(p50)}ms   p90 ≤{fmt_ms(p90)}ms "
+            f"  p99 ≤{fmt_ms(p99)}ms   ({delta['n']} obs)"
         )
     else:
         lines.append("  latency   (no observations in window)")
@@ -144,14 +144,6 @@ def render(
     return "\n".join(lines)
 
 
-def fetch_frame(client: ServeClient, window_s: float) -> tuple[dict, MetricsHistory, dict]:
-    """Pull one frame's inputs from a live server."""
-    health = client.health()
-    history = MetricsHistory.from_doc(client.metrics_history())
-    slo_doc = client.slo()
-    return health, history, slo_doc
-
-
 def run_top(
     host: str,
     port: int,
@@ -159,31 +151,25 @@ def run_top(
     interval_s: float = DEFAULT_REFRESH_S,
     window_s: float = DEFAULT_WINDOW_S,
     once: bool = False,
-    iterations: int | None = None,
     out=None,
 ) -> int:
     """Drive the dashboard; returns a process exit code.
 
-    ``once`` prints a single plain frame (CI snapshot mode);
-    ``iterations`` bounds the live loop (tests); the default live loop
-    runs until interrupted.
+    ``once`` prints a single plain frame (CI snapshot mode); the live
+    loop runs in the foreground until interrupted.
     """
-    import sys
-
     stream = sys.stdout if out is None else out
-    done = 0
     with ServeClient(host, port) as client:
-        while True:
-            health, history, slo_doc = fetch_frame(client, window_s)
-            frame = render(health, history, slo_doc, window_s=window_s)
-            if once:
-                print(frame, file=stream)
-                return 0
-            print(_CLEAR + frame, file=stream, flush=True)
-            done += 1
-            if iterations is not None and done >= iterations:
-                return 0
-            try:
-                time.sleep(interval_s)
-            except KeyboardInterrupt:
-                return 0
+        def frame() -> str:
+            health = client.health()
+            history = MetricsHistory.from_doc(client.metrics_history())
+            return render(health, history, client.slo(), window_s=window_s)
+
+        if once:
+            print(frame(), file=stream)
+            return 0
+        try:
+            repaint(frame, interval_s, threading.Event(), stream)
+        except KeyboardInterrupt:
+            pass
+    return 0

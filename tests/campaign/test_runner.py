@@ -5,6 +5,7 @@ import json
 import pickle
 import signal
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 import pytest
@@ -198,6 +199,34 @@ class TestRetries:
             tiny_spec, store=store, max_workers=2, worker=raising_worker
         )
         assert result.n_failed == 0
+
+    def test_a_pool_broken_mid_submission_is_a_broken_round(
+        self, tiny_spec, store, monkeypatch
+    ):
+        """A worker can die before the rest of its round is submitted:
+        the unsubmitted cells are re-queued like their in-flight mates."""
+        real_pool = runner_module.CampaignRunner._pool
+        submits = []
+
+        def pool(self, workers):
+            executor = real_pool(self, workers)
+            if not submits:
+                submit = executor.submit
+
+                def submit_once(*args):
+                    submits.append(args)
+                    if len(submits) > 1:
+                        raise BrokenProcessPool("worker died mid-submission")
+                    return submit(*args)
+
+                executor.submit = submit_once
+            return executor
+
+        monkeypatch.setattr(runner_module.CampaignRunner, "_pool", pool)
+        result = run_campaign(tiny_spec, store=store, max_workers=2)
+        assert len(submits) == 2
+        assert result.n_failed == 0
+        assert result.n_ran == len(tiny_spec)
 
 
 RETRIES = 1

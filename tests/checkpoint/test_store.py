@@ -44,13 +44,6 @@ class TestStoreDataPath:
         store = MemoryStore()
         assert store.latest() is None
         assert store.count == 0
-        assert store.bytes_stored == 0
-
-    def test_bytes_stored_accumulates(self):
-        store = MemoryStore()
-        store.save(1, np.ones(10))
-        store.save(2, np.ones(20))
-        assert store.bytes_stored == 80 + 160
 
 
 class TestMemoryCosts:

@@ -46,12 +46,6 @@ class TestNetworkModel:
             nbytes, same_node=False
         )
 
-    def test_link_for_uses_binding(self):
-        net = NetworkModel()
-        b = binding(8, cores_per_node=4)
-        assert net.link_for(b, 0, 1) is net.intra
-        assert net.link_for(b, 0, 5) is net.inter
-
 
 class TestCollectiveCosts:
     def test_single_rank_collectives_are_free(self):

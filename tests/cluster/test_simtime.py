@@ -86,7 +86,6 @@ class TestPhaseLog:
         log.add("compute", 2.0, 3.0, 100.0)
         assert log.total_energy() == pytest.approx(250.0)
         assert log.total_energy("compute") == pytest.approx(200.0)
-        assert log.total_time("ckpt") == pytest.approx(1.0)
         assert log.tags() == {"compute", "ckpt"}
         assert len(log) == 3
 

@@ -1,13 +1,17 @@
-"""Differential equivalence: ``loop`` vs ``batched`` backend.
+"""Differential equivalence: one grid, three executions, one oracle.
 
+Every case runs three ways — the production span loop on the
+``batched`` backend, the span loop on the ``loop`` backend, and the
+per-iteration oracle on ``loop`` (``tests.differential.
+PerIterationSolver``) — and both span executions must match the oracle.
 The ``batched`` backend executes each CG iteration with global
-vectorized kernels; the ``loop`` backend walks rank by rank through
-packed per-rank CSR blocks.  Both share the global reduction operators,
-so the contract (DESIGN.md §5j) is **bitwise identity** of every
+vectorized kernels; ``loop`` walks rank by rank through packed per-rank
+CSR blocks.  Both share the global reduction operators, and the span
+loop replays the per-iteration bookkeeping rather than summarising it,
+so the contract (DESIGN.md §5e, §5j) is **bitwise identity** of every
 seed-visible observable — reports, residual histories, energy charges,
-telemetry — across every scheme, matrix class, engine, and the
-``fast``-path cross, under evenly spaced, Poisson, and fuzzed
-adversarial fault schedules.
+telemetry — across every scheme, matrix class and engine, under evenly
+spaced, Poisson, and fuzzed adversarial fault schedules.
 
 Tolerances are pinned by ``tests/core/golden/backend_tolerance.json``
 (all bitwise today); on failure a JSON divergence artifact is written
@@ -29,40 +33,18 @@ from repro.matrices.distributed import DistributedMatrix
 from repro.matrices.partition import BlockRowPartition
 from repro.core.recovery import scheme_names
 from repro.core.solver import SolverConfig
-from repro.faults.schedule import EvenlySpacedSchedule, PoissonSchedule
+from repro.faults.schedule import EvenlySpacedSchedule
 from repro.harness.experiment import Experiment, ExperimentConfig
 from tests.differential import (
     MATRICES,
+    POISSON_CASES,
+    POLICY,
     FaultScheduleFuzzer,
-    assert_reports_identical,
-    assert_telemetry_identical,
     build,
-    dump_divergence,
-    load_tolerance_policy,
-    run_solver,
+    check_case,
+    check_poisson,
     ulp_distance,
 )
-
-POLICY = load_tolerance_policy()
-
-
-def check_pair(matrix, scheme, *, context="", **kw):
-    """Run both backends and compare under the golden policy.
-
-    On divergence, dump a field-level JSON diff for the CI artifact
-    before re-raising, so a red run ships the exact disagreement.
-    """
-    batched = run_solver(matrix, scheme, backend="batched", **kw)
-    loop = run_solver(matrix, scheme, backend="loop", **kw)
-    label = f"{matrix}-{scheme or 'FF'}" + (f"-{context}" if context else "")
-    try:
-        assert_reports_identical(
-            loop, batched, context=context or label, policy=POLICY
-        )
-    except AssertionError:
-        dump_divergence(loop, batched, label=label.replace("/", "_"))
-        raise
-    return batched, loop
 
 
 # ----------------------------------------------------------------------
@@ -84,6 +66,12 @@ def test_unknown_backend_rejected_everywhere():
     cg = DistributedCG(dmat, np.ones(a.shape[0]))
     with pytest.raises(ValueError, match="unknown backend"):
         make_backend("simd", cg)
+
+
+def test_the_span_loop_has_no_switch():
+    # the per-iteration loop is the tests' oracle, not a solver option
+    with pytest.raises(TypeError):
+        SolverConfig(fast=False)
 
 
 def test_tolerance_policy_is_all_bitwise_today():
@@ -110,88 +98,70 @@ def test_ulp_distance():
 @pytest.mark.parametrize("matrix", sorted(MATRICES))
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_backends_identical_all_schemes(scheme, matrix):
-    check_pair(matrix, scheme)
+    report = check_case(matrix, scheme)
+    assert report.faults, "equivalence run must actually exercise recovery"
 
 
 @pytest.mark.parametrize("matrix", sorted(MATRICES))
 def test_backends_identical_fault_free(matrix):
-    check_pair(matrix, None)
+    assert not check_case(matrix, None).faults
 
 
-@pytest.mark.parametrize("scheme", ["RD", "LI", "CR-D"])
+@pytest.mark.parametrize("scheme", scheme_names())
 def test_backends_identical_traced(scheme):
-    batched = run_solver("banded", scheme, backend="batched", trace=True)
-    loop = run_solver("banded", scheme, backend="loop", trace=True)
-    assert_reports_identical(loop, batched, policy=POLICY)
-    assert_telemetry_identical(loop, batched)
+    """Traced: identical metrics snapshots and trace JSONL too — phase
+    transitions, recovery spans, checkpoint events, ..."""
+    check_case("banded", scheme, trace=True)
 
 
 def test_fault_free_traced():
-    batched = run_solver("stencil", None, backend="batched", trace=True)
-    loop = run_solver("stencil", None, backend="loop", trace=True)
-    assert_reports_identical(loop, batched, policy=POLICY)
-    assert_telemetry_identical(loop, batched)
+    for matrix in ("banded", "stencil"):
+        check_case(matrix, None, trace=True)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_backends_identical_poisson(seed):
-    check_pair(
-        "irregular", "FI",
-        schedule=PoissonSchedule(mtbf_iters=60, seed=seed),
-        context=f"poisson-{seed}",
-    )
+    """Random (seeded) fault times land mid-span; spans must split on
+    them exactly where the per-iteration loop observes them."""
+    for case in POISSON_CASES:
+        check_poisson(case, seed)
 
 
 def test_backends_identical_preconditioned():
-    check_pair("banded", "LSI", preconditioner="jacobi")
-    check_pair("irregular", "LI", preconditioner="jacobi")
+    check_case("banded", "LSI", preconditioner="jacobi")
+    check_case("irregular", "LI", preconditioner="jacobi")
 
 
 def test_backends_identical_capped():
-    check_pair("banded", "RD", max_iters=97, baseline_iters=150)
+    """An iteration cap stops every execution at the same iteration
+    with the same books; a power cap's DVFS-derated iteration costs flow
+    through span charging too."""
+    for scheme in ("RD", "F0"):
+        report = check_case("banded", scheme, max_iters=97, baseline_iters=150)
+        assert not report.converged
+        assert report.iterations == 97
+    check_case("banded", "CR-M", power_cap_w=260.0)
 
 
 def test_fast_backend_cross():
-    """The 2x2 (fast x backend) cross is one equivalence class."""
-    reports = {
-        (fast, backend): run_solver(
-            "stencil", "LI", fast=fast, backend=backend
-        )
-        for fast in (False, True)
-        for backend in ("batched", "loop")
-    }
-    ref = reports[(True, "batched")]
-    for key, rep in reports.items():
-        assert_reports_identical(
-            rep, ref, context=f"fast={key[0]} backend={key[1]}",
-            policy=POLICY,
-        )
+    """Span × backend × per-iteration is one equivalence class, traced,
+    on the stencil."""
+    check_case("stencil", "LI", trace=True)
 
 
 # ----------------------------------------------------------------------
 # fuzzed adversarial schedules
 # ----------------------------------------------------------------------
 
-_horizons: dict[str, int] = {}
-
-
-def _horizon(matrix: str) -> int:
-    if matrix not in _horizons:
-        _horizons[matrix] = run_solver(
-            matrix, None, backend="batched"
-        ).iterations
-    return _horizons[matrix]
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_backends_identical_fuzzed(seed):
     matrix = sorted(MATRICES)[seed % len(MATRICES)]
     fuzzer = FaultScheduleFuzzer(
-        nranks=8, horizon_iters=_horizon(matrix), hook_interval=40
+        nranks=8, horizon_iters=check_case(matrix, None).iterations, hook_interval=40
     )
     schedule = fuzzer.generate(seed)
     scheme = scheme_names()[seed % len(scheme_names())]
-    check_pair(
+    check_case(
         matrix, scheme, schedule=schedule, context=fuzzer.repro_hint(seed)
     )
 
@@ -202,13 +172,13 @@ def test_backends_identical_fuzzed(seed):
 def test_backends_identical_fuzzed_multivictim(seed, scheme):
     """Victim-set schedules: simultaneous sets at iteration 0,
     all-ranks-but-one, and span-boundary multi-victim events must stay
-    bitwise identical across backends too."""
+    bitwise identical too."""
     matrix = sorted(MATRICES)[seed % len(MATRICES)]
     fuzzer = FaultScheduleFuzzer(
-        nranks=8, horizon_iters=_horizon(matrix), hook_interval=40
+        nranks=8, horizon_iters=check_case(matrix, None).iterations, hook_interval=40
     )
     schedule = fuzzer.generate_multivictim(seed)
-    check_pair(
+    check_case(
         matrix, scheme, schedule=schedule,
         context=fuzzer.repro_hint(seed, method="generate_multivictim"),
     )
@@ -216,8 +186,8 @@ def test_backends_identical_fuzzed_multivictim(seed, scheme):
 
 @pytest.mark.parametrize("scheme", ["ESR", "ABCR"])
 def test_backends_identical_victims_per_fault(scheme):
-    """The ``victims_per_fault`` schedule axis under both backends."""
-    check_pair(
+    """The ``victims_per_fault`` schedule axis."""
+    check_case(
         "banded", scheme,
         schedule=EvenlySpacedSchedule(n_faults=2, victims_per_fault=2),
         context=f"{scheme}-victims_per_fault=2",

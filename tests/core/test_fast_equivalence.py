@@ -1,18 +1,12 @@
-"""Fast path ≡ legacy path: bit-identical SolveReports and telemetry.
+"""Span loop ≡ per-iteration loop: the oracle cases under their own ids.
 
-The span-batched fast solve engine (``SolverConfig.fast``, the default)
-must be indistinguishable from the legacy per-iteration loop in every
-observable: iteration trajectory, simulated time, phase-tagged energy
-charges, RAPL log, traffic counters, residual history, fault list,
-scheme details — and, when traced, the metrics snapshot and the full
-exported trace JSONL.  Equality here is exact (``==`` on floats, not
-allclose): the fast path *replays* the legacy bookkeeping rather than
-summarising it (DESIGN.md §5e).
-
-The legacy path stays selectable (``fast=False``) precisely so this
-regression matrix keeps meaning something.  The fixtures and comparison
-live in :mod:`tests.differential`, shared with the backend-equivalence
-harness (DESIGN.md §5j).
+The solver runs span-batched only; the per-iteration loop it must match
+bit for bit is the test oracle ``tests.differential.PerIterationSolver``.
+Every case here is a case of the three-way grid in
+``test_backend_equivalence.py`` (span × batched, span × loop, oracle ×
+loop) and goes through the same :func:`tests.differential.check_case`,
+which solves a case once per session — so after that file has run,
+these tests only re-assert the case-specific expectations.
 """
 
 from __future__ import annotations
@@ -20,79 +14,42 @@ from __future__ import annotations
 import pytest
 
 from repro.core.recovery.factory import scheme_names
-from repro.faults.schedule import PoissonSchedule
-from tests.differential import (
-    MATRICES,
-    assert_reports_identical,
-    assert_telemetry_identical,
-    run_solver,
-)
+from tests.differential import MATRICES, check_case, check_poisson
 
 
 @pytest.mark.parametrize("matrix_name", sorted(MATRICES))
 @pytest.mark.parametrize("scheme_name", scheme_names())
 def test_all_schemes_bit_identical(matrix_name, scheme_name):
-    fast = run_solver(matrix_name, scheme_name, fast=True)
-    legacy = run_solver(matrix_name, scheme_name, fast=False)
-    assert fast.faults, "equivalence run must actually exercise recovery"
-    assert_reports_identical(fast, legacy)
+    assert check_case(matrix_name, scheme_name).faults
 
 
 @pytest.mark.parametrize("scheme_name", scheme_names())
 def test_traced_runs_identical_telemetry(scheme_name):
-    fast = run_solver("banded", scheme_name, fast=True, trace=True)
-    legacy = run_solver("banded", scheme_name, fast=False, trace=True)
-    assert_reports_identical(fast, legacy)
-    # metric snapshots and the full exported trace (events + spans +
-    # metrics) are byte-identical: phase transitions, recovery spans,
-    # checkpoint events, ...
-    assert_telemetry_identical(fast, legacy)
+    check_case("banded", scheme_name, trace=True)
 
 
 def test_fault_free_identical():
-    fast = run_solver("banded", None, fast=True)
-    legacy = run_solver("banded", None, fast=False)
-    assert not fast.faults
-    assert_reports_identical(fast, legacy)
+    assert not check_case("banded", None).faults
 
 
 def test_fault_free_traced_identical():
-    fast = run_solver("banded", None, fast=True, trace=True)
-    legacy = run_solver("banded", None, fast=False, trace=True)
-    assert_reports_identical(fast, legacy)
-    assert_telemetry_identical(fast, legacy)
+    check_case("banded", None, trace=True)
 
 
 def test_poisson_schedule_identical():
-    """Random (seeded) fault times land mid-span; spans must split on
-    them exactly like the legacy loop observes them."""
     for seed in (1, 2, 3):
-        sched = PoissonSchedule(mtbf_iters=45.0, seed=seed, horizon_factor=2.0)
-        fast = run_solver("banded", "LI", fast=True, schedule=sched)
-        legacy = run_solver("banded", "LI", fast=False, schedule=sched)
-        assert fast.faults
-        assert_reports_identical(fast, legacy)
+        assert check_poisson("banded-LI", seed).faults
 
 
 def test_preconditioned_identical():
-    fast = run_solver("banded", "LSI", fast=True, preconditioner="jacobi")
-    legacy = run_solver("banded", "LSI", fast=False, preconditioner="jacobi")
-    assert_reports_identical(fast, legacy)
+    check_case("banded", "LSI", preconditioner="jacobi")
 
 
 def test_max_iters_cap_identical():
-    """Truncated runs stop at the same iteration with the same books."""
-    fast = run_solver("banded", "F0", fast=True, max_iters=97,
-                      baseline_iters=150)
-    legacy = run_solver("banded", "F0", fast=False, max_iters=97,
-                        baseline_iters=150)
-    assert not fast.converged
-    assert fast.iterations == 97
-    assert_reports_identical(fast, legacy)
+    report = check_case("banded", "F0", max_iters=97, baseline_iters=150)
+    assert not report.converged
+    assert report.iterations == 97
 
 
 def test_power_capped_identical():
-    """DVFS-derated iteration costs flow through span charging too."""
-    fast = run_solver("banded", "CR-M", fast=True, power_cap_w=260.0)
-    legacy = run_solver("banded", "CR-M", fast=False, power_cap_w=260.0)
-    assert_reports_identical(fast, legacy)
+    check_case("banded", "CR-M", power_cap_w=260.0)

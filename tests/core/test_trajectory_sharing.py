@@ -24,13 +24,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.backends import DEFAULT_BACKEND
-from repro.core.recovery import scheme_names
+from repro.core.recovery import make_scheme, scheme_names
 from repro.core.recovery.redundancy import Redundancy
 from repro.core.solver import ResilientSolver, SolverConfig
 from repro.core.trajectory import TrajectoryMemo
 from repro.faults.schedule import EvenlySpacedSchedule
 from repro.harness.experiment import Experiment, ExperimentConfig
 from tests.differential import (
+    PerIterationSolver,
     assert_reports_identical,
     assert_telemetry_identical,
     build,
@@ -123,6 +124,32 @@ def test_second_exact_scheme_installs_its_whole_solve(trace):
     installed, walked = shared.trajectory_counts
     assert installed == shared.fault_free.iterations
     assert walked == shared.fault_free.iterations
+
+
+def test_memo_installed_reports_are_the_oracles():
+    """Installed spans are checked against the per-iteration oracle, not
+    only against fresh span solves: every report of one Experiment whose
+    schemes share the memo is bitwise the oracle's solve of the same
+    scheme and schedule."""
+    experiment = Experiment(_config(matrix="banded"), a=build("banded"))
+    ff = experiment.fault_free
+    for scheme in ("RD", "ESR", "ABCR", "LI", "CR-D", "F0"):
+        report = experiment.run(scheme)
+        oracle = PerIterationSolver(
+            experiment.a,
+            experiment.b,
+            scheme=make_scheme(
+                scheme,
+                construct_tol=experiment.config.construct_tol,
+                **(experiment.cr_kwargs() if scheme in ("CR-D", "ABCR") else {}),
+            ),
+            schedule=experiment.schedule(),
+            config=experiment.solver_config(ff.iterations),
+        ).solve()
+        assert_reports_identical(
+            report, experiment.engine._stamp(oracle), context=scheme
+        )
+    assert experiment.trajectory_counts[0] > 0
 
 
 def test_every_scheme_reuses_the_prefix_before_its_first_fault():

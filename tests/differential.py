@@ -1,12 +1,22 @@
 """Shared differential-testing helpers (DESIGN.md §5e, §5j).
 
-One module feeds every "two executions must agree" harness in the
-suite:
+The reference every execution is checked against lives here:
+:class:`PerIterationSolver`, the per-iteration solve loop kept as a
+test oracle.  Each iteration is one ``cg.step()``, one account charge
+through the ``on_charge`` tap, one scheme-hook call and one event
+check — no spans, no trajectory memo.  The solver itself only ever
+runs span-batched; :func:`check_case` runs each differential case
+three ways against one oracle solve: span × ``batched`` (production),
+span × ``loop``, and per-iteration × ``loop`` (the oracle).
 
-* ``tests/core/test_fast_equivalence.py`` — span-batched fast path vs
-  the legacy per-iteration loop (``SolverConfig.fast``);
-* ``tests/core/test_backend_equivalence.py`` — the ``batched`` vs
-  ``loop`` CG kernel backends (``SolverConfig.backend``);
+Harnesses fed by this module:
+
+* ``tests/core/test_backend_equivalence.py`` — the three-way grid over
+  every scheme, matrix class and schedule kind;
+* ``tests/core/test_fast_equivalence.py`` — the span-vs-per-iteration
+  cases of that grid under their own test ids;
+* ``tests/core/test_trajectory_sharing.py`` — trajectory-memo solves
+  against the oracle;
 * ``tests/faults`` — the property-based fault-schedule fuzzer.
 
 The helpers compare *every* seed-visible observable of a solve —
@@ -14,8 +24,8 @@ report scalars, residual history, phase-tagged energy charges, the
 RAPL log, traffic counters, fault lists, scheme details, and (traced)
 the metrics snapshot plus the full exported trace JSONL — under a
 per-field tolerance policy pinned by a golden file.  The default (and,
-today, universal) tolerance is **bitwise**: both execution axes share
-their reduction operators, so no accumulation order differs anywhere.
+today, universal) tolerance is **bitwise**: every execution shares the
+reduction operators, so no accumulation order differs anywhere.
 The ulp-bounded mechanism exists for the day a backend legitimately
 reorders a reduction; loosening a field requires editing the golden
 policy file, which is exactly the review speed bump it should be.
@@ -37,8 +47,13 @@ import numpy as np
 from repro.core.backends import DEFAULT_BACKEND
 from repro.core.recovery.factory import make_scheme
 from repro.core.solver import ResilientSolver, SolverConfig
-from repro.faults.schedule import EvenlySpacedSchedule, FixedIterationSchedule
+from repro.faults.schedule import (
+    EvenlySpacedSchedule,
+    FixedIterationSchedule,
+    PoissonSchedule,
+)
 from repro.matrices.generators import banded_spd, irregular_spd, stencil_5pt
+from repro.power.energy import PhaseTag
 
 #: The matrix classes every differential matrix sweep runs over: a
 #: well-conditioned band, an irregular sparsity pattern (uneven per-rank
@@ -59,30 +74,88 @@ def build(name):
     return _built[name]
 
 
+class PerIterationSolver(ResilientSolver):
+    """The per-iteration reference loop: the oracle every span-batched
+    execution must match bit for bit.
+
+    One ``cg.step()``, one booking (whose account charges go through
+    the ``on_charge`` tap), one hook call and one event check per
+    iteration.  A trajectory memo is ignored: the oracle walks every
+    iteration itself.
+    """
+
+    def _run(self, pending, handled, baseline, trajectory) -> None:
+        cg = self.cg
+        while not cg.converged and cg.iteration < self.config.max_iters:
+            cg.step()
+            self._charge_iteration(
+                is_extra=baseline is not None and cg.iteration > baseline
+            )
+            if self.obs is not None:
+                self.obs.metrics.counter("solver.iterations").inc()
+            if self.scheme is not None:
+                self.scheme.on_iteration_end(self, cg.state)
+            self._process_due_events(pending, handled)
+
+    def _charge_iteration(self, is_extra: bool) -> None:
+        """Book one CG iteration: account charges split solve/overhead,
+        a single merged RAPL phase at the iteration-average power."""
+        c = self.costs
+        ip = self._iter_power
+        mult = self.scheme.energy_multiplier if self.scheme else 1.0
+        if is_extra:
+            energy = self.account.charge(
+                PhaseTag.EXTRA, time_s=c.wall_s, power_w=ip.average_power_w
+            )
+        else:
+            energy = self.account.charge(
+                PhaseTag.SOLVE, time_s=c.compute_max_s, power_w=ip.compute_power_w
+            )
+            if c.comm_s > 0:
+                energy += self.account.charge(
+                    PhaseTag.OVERHEAD, time_s=c.comm_s, power_w=self.power_compute_w()
+                )
+        if mult > 1.0:
+            self.account.charge_energy(PhaseTag.REDUNDANT, (mult - 1.0) * energy)
+        # Flat overlapped retention cost (ESR's redundant-copy streaming).
+        ov = self.scheme.overlap_energy_per_iteration_j if self.scheme else 0.0
+        if ov > 0.0:
+            self.account.charge_energy(PhaseTag.REDUNDANT, ov)
+        t0 = self.comm.now
+        self.comm.clocks.synchronize(c.wall_s)
+        tag = "extra" if is_extra else "iteration"
+        self._rapl_append(tag, t0, self.comm.now, ip.average_power_w * mult)
+        self.comm.traffic.bytes_p2p += c.bytes_per_iter
+        self.comm.traffic.messages += max(0, len(self._dmat.halo_pair_bytes))
+        self.comm.traffic.collectives += 2
+
+
 def run_solver(matrix_name: str, scheme_name: str | None, *,
-               fast: bool = True, backend: str = DEFAULT_BACKEND,
+               oracle: bool = False, backend: str = DEFAULT_BACKEND,
                trace: bool = False, schedule=None, nranks: int = 8,
                **cfg_kw):
     """One deterministic resilient solve on a differential fixture.
 
-    ``fast`` and ``backend`` are the two execution axes under test;
-    everything else (matrix, rhs, scheme cadence, fault schedule) is
-    pinned so that two calls differing only in an execution axis are
-    comparable observable for observable.
+    ``oracle`` (the per-iteration loop instead of the solver's span
+    loop) and ``backend`` are the execution axes under test; everything
+    else (matrix, rhs, scheme cadence, fault schedule) is pinned so
+    that two calls differing only in an execution axis are comparable
+    observable for observable.
     """
     a = build(matrix_name)
     rng = np.random.default_rng(42)
     b = a @ rng.standard_normal(a.shape[0])
     cfg = SolverConfig(
-        nranks=nranks, tol=1e-8, seed=5, trace=trace, fast=fast,
-        backend=backend, **cfg_kw
+        nranks=nranks, tol=1e-8, seed=5, trace=trace, backend=backend,
+        **cfg_kw
     )
     scheme = (
         make_scheme(scheme_name, interval_iters=40) if scheme_name else None
     )
     if schedule is None and scheme is not None:
         schedule = EvenlySpacedSchedule(n_faults=3)
-    solver = ResilientSolver(a, b, scheme=scheme, schedule=schedule, config=cfg)
+    solver_cls = PerIterationSolver if oracle else ResilientSolver
+    solver = solver_cls(a, b, scheme=scheme, schedule=schedule, config=cfg)
     return solver.solve()
 
 
@@ -279,6 +352,67 @@ def dump_divergence(a, b, *, label: str,
                    indent=2, default=str)
     )
     return path
+
+
+# ----------------------------------------------------------------------
+# the three-way differential case
+# ----------------------------------------------------------------------
+
+POLICY = load_tolerance_policy()
+
+_checked: dict[tuple, object] = {}
+
+
+def check_case(matrix_name: str, scheme_name: str | None, *,
+               context: str = "", **kw):
+    """Run one case three ways and compare each run to the oracle.
+
+    The executions are span × ``batched`` (production) and span ×
+    ``loop``; the reference is the per-iteration oracle on ``loop``.
+    Every seed-visible field must agree under the golden policy, and a
+    traced case must also have identical telemetry.  On divergence a
+    field-level JSON diff is dumped for the CI artifact before the
+    assertion re-raises.  Returns the production report.
+
+    A case that passed is remembered for the session, so two harness
+    modules naming the same case solve it once.
+    """
+    key = (matrix_name, scheme_name, tuple(sorted(kw.items())))
+    if key in _checked:
+        return _checked[key]
+    oracle = run_solver(matrix_name, scheme_name, oracle=True, backend="loop", **kw)
+    label = f"{matrix_name}-{scheme_name or 'FF'}" + (f"-{context}" if context else "")
+    runs = {b: run_solver(matrix_name, scheme_name, backend=b, **kw)
+            for b in ("batched", "loop")}
+    for backend, report in runs.items():
+        where = f"{context or label}: span×{backend} vs per-iteration×loop"
+        try:
+            assert_reports_identical(report, oracle, context=where, policy=POLICY)
+            if kw.get("trace"):
+                assert_telemetry_identical(report, oracle, context=where)
+        except AssertionError:
+            dump_divergence(
+                report, oracle, label=f"{label}-{backend}".replace("/", "_")
+            )
+            raise
+    _checked[key] = runs["batched"]
+    return runs["batched"]
+
+
+#: The Poisson cases: seeded random fault times that land mid-span.
+POISSON_CASES = {
+    "irregular-FI": ("irregular", "FI", {"mtbf_iters": 60}),
+    "banded-LI": ("banded", "LI", {"mtbf_iters": 45.0, "horizon_factor": 2.0}),
+}
+
+
+def check_poisson(case: str, seed: int):
+    """:func:`check_case` on one Poisson case and seed."""
+    matrix, scheme, kw = POISSON_CASES[case]
+    return check_case(
+        matrix, scheme, schedule=PoissonSchedule(seed=seed, **kw),
+        context=f"poisson-{case}-{seed}",
+    )
 
 
 # ----------------------------------------------------------------------

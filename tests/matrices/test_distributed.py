@@ -72,10 +72,6 @@ class TestCostInputs:
     def test_spmv_flops(self, dmat):
         assert np.array_equal(dmat.spmv_flops, 2 * dmat.local_nnz)
 
-    def test_rank_of_row(self, dmat):
-        assert dmat.rank_of_row(0) == 0
-        assert dmat.rank_of_row(95) == 3
-
 
 class TestValidation:
     def test_rejects_rectangular(self):

@@ -50,7 +50,7 @@ class TestOwnership:
     def test_owner_of_is_inverse_of_ranges(self):
         p = BlockRowPartition(53, 6)
         for r in range(6):
-            for row in p.range_of(r):
+            for row in range(p.start_of(r), p.stop_of(r)):
                 assert p.owner_of(row) == r
 
     def test_owners_of_vectorised_matches_scalar(self):
