@@ -1,10 +1,14 @@
 """JSON codec for :class:`~repro.core.report.SolveReport`.
 
-The result store persists reports as JSON so payloads are greppable,
-diffable and stable across Python versions (unlike pickles).  Floats
+:func:`report_to_dict` is the canonical JSON shape of a report: HTTP
+bodies, run diffs and the result store all use it.  JSON keeps it
+diffable and stable across Python versions (unlike pickles), and floats
 survive the round trip exactly (``json`` emits ``repr``-style shortest
-decimals, which parse back to the identical double), so a report loaded
-from cache is numerically indistinguishable from a fresh run.
+decimals, which parse back to the identical double), so a decoded
+report is numerically indistinguishable from a fresh run.  The store
+writes this dict as a frame's JSON header with ``residual_history``
+lifted out into raw float64 bytes (:mod:`repro.campaign.store`), and
+hands :func:`report_from_dict` the decoded array in its place.
 
 Telemetry (the solver's event stream, spans and metrics, attached at
 ``details["telemetry"]`` with the event log aliased at

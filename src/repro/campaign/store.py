@@ -4,7 +4,23 @@ Layout (default root ``.repro-cache/``)::
 
     .repro-cache/
         index.db            # SQLite: one row per cell, queryable metadata
-        payloads/ab/abcd… .json   # full SolveReport, JSON-encoded
+        payloads/ab/abcd… .frame  # full SolveReport, one binary frame
+
+A payload file is one frame::
+
+    magic (8 bytes) | SHA-256 of everything after it (32 bytes)
+    | JSON header length (uint64 LE)
+    | JSON header: {"key", "cell", "report" minus residual_history}
+    | residual_history as raw little-endian float64
+
+The digest covers every byte after it and is checked before anything is
+parsed, so a truncated or bit-flipped file is a miss (its row is dropped
+and the cell recomputed), never a wrong cached answer.  The history is stored as the exact bytes
+of its doubles; the header is :func:`~repro.campaign.serialize.
+report_to_dict`'s JSON, so the HTTP and diff shapes do not change.
+Payloads written before format 7 are ``.json`` files holding the whole
+record as JSON: they stay listable (:meth:`ResultStore.entries`,
+:meth:`ResultStore.entry_by_key`) and are never served for a cell.
 
 Every cell is keyed by a SHA-256 **content hash** over the complete
 :class:`~repro.harness.experiment.ExperimentConfig`, the scheme name,
@@ -47,9 +63,24 @@ from repro.harness.experiment import ExperimentConfig
 #: 4: ExperimentConfig.backend in the key.
 #: 5: ExperimentConfig.victims_per_fault in the key.
 #: 6: ExperimentConfig.preconditioner in the key.
-STORE_FORMAT = 6
+#: 7: payload files are digest-checked binary frames (module docstring).
+STORE_FORMAT = 7
 
 DEFAULT_ROOT = Path(".repro-cache")
+
+#: First bytes of every frame.  A payload file that starts otherwise is
+#: a pre-7 JSON payload.
+_FRAME_MAGIC = b"REPRO\x00F7"
+
+#: Where a frame's fields start: the SHA-256 of everything from the
+#: header length on, the header length (uint64 LE), the JSON header.
+_DIGEST_AT, _LENGTH_AT, _HEADER_AT = 8, 40, 48
+
+#: Payload file suffixes: frames, then pre-7 JSON payloads.
+_FRAME_SUFFIX, _JSON_SUFFIX = ".frame", ".json"
+
+#: The residual history column's on-disk dtype.
+_COLUMN_DTYPE = np.dtype("<f8")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
@@ -122,6 +153,49 @@ def cell_key(cell: CampaignCell) -> str:
     return key
 
 
+def _frame(payload: dict, history) -> bytes:
+    """A payload file's bytes: ``payload`` as the JSON header, then
+    ``history`` as raw float64 (module docstring)."""
+    header = json.dumps(payload, sort_keys=True).encode()
+    header_len = len(header).to_bytes(_HEADER_AT - _LENGTH_AT, "little")
+    column = np.asarray(history, dtype=_COLUMN_DTYPE).tobytes()
+    digest = hashlib.sha256(header_len)
+    digest.update(header)
+    digest.update(column)
+    return b"".join((_FRAME_MAGIC, digest.digest(), header_len, header, column))
+
+
+def _unframe(blob: bytes) -> dict | None:
+    """The payload a frame holds, its history back under
+    ``report.residual_history`` as an array of its own; ``None`` unless
+    the digest matches and the header parses."""
+    if (
+        len(blob) < _HEADER_AT
+        or blob[:_DIGEST_AT] != _FRAME_MAGIC
+        or hashlib.sha256(memoryview(blob)[_LENGTH_AT:]).digest()
+        != blob[_DIGEST_AT:_LENGTH_AT]
+    ):
+        return None
+    column_at = _HEADER_AT + int.from_bytes(blob[_LENGTH_AT:_HEADER_AT], "little")
+    try:
+        payload = json.loads(blob[_HEADER_AT:column_at])
+        # frombuffer rejects a column that is past the end or not whole
+        # floats; astype copies, so the array owns its memory
+        payload["report"]["residual_history"] = np.frombuffer(
+            blob, dtype=_COLUMN_DTYPE, offset=column_at
+        ).astype(np.float64)
+    except (ValueError, KeyError, TypeError):
+        return None
+    return payload
+
+
+def _read_bytes(path: Path) -> bytes | None:
+    try:
+        return path.read_bytes()
+    except OSError:
+        return None
+
+
 @dataclass(frozen=True)
 class StoreEntry:
     """One indexed result plus the bookkeeping the summary reports."""
@@ -134,7 +208,7 @@ class StoreEntry:
 
 
 class ResultStore:
-    """SQLite-indexed JSON store of solved cells."""
+    """SQLite-indexed store of solved cells, one frame file per cell."""
 
     def __init__(self, root: str | Path = DEFAULT_ROOT) -> None:
         self.root = Path(root)
@@ -170,7 +244,7 @@ class ResultStore:
         return cell_key(cell)
 
     def _payload_path(self, key: str) -> Path:
-        return self.payload_dir / key[:2] / f"{key}.json"
+        return self.payload_dir / key[:2] / f"{key}{_FRAME_SUFFIX}"
 
     def __contains__(self, cell: CampaignCell) -> bool:
         return self.get_entry(cell) is not None
@@ -180,22 +254,23 @@ class ResultStore:
 
         A cell has one key: rows written under older store formats stay
         listable (:meth:`entries`, :meth:`entry_by_key`) but are never
-        served for a cell.
+        served for a cell, and only a frame whose digest checks out is.
         """
         key = cell_key(cell)
         row = self._index_row(key)
-        payload = None if row is None else self._read_payload(key)
-        if payload is None:
+        read = None if row is None else self._read_payload(key)
+        if read is None or not read[1]:
             with self._lock:
                 if row is not None:
-                    # stale index row (payload pruned or corrupted): self-heal
+                    # stale index row (payload pruned, damaged or not a
+                    # frame): self-heal
                     self._db.execute("DELETE FROM results WHERE key = ?", (key,))
                     self._db.commit()
                 self.misses += 1
             return None
         with self._lock:
             self.hits += 1
-        return self._entry(key, payload, *row, cell=cell)
+        return self._entry(key, read[0], *row, cell=cell)
 
     def entry_by_key(self, key: str) -> StoreEntry | None:
         """The entry stored under exactly ``key``: one index probe, then
@@ -203,10 +278,10 @@ class ResultStore:
         and a stale row is left for
         :meth:`get_entry` to heal."""
         row = self._index_row(key)
-        payload = None if row is None else self._read_payload(key)
-        if payload is None:
+        read = None if row is None else self._read_payload(key)
+        if read is None:
             return None
-        return self._entry(key, payload, *row)
+        return self._entry(key, read[0], *row)
 
     def _index_row(self, key: str) -> tuple[float, float] | None:
         with self._lock:
@@ -214,12 +289,27 @@ class ResultStore:
                 "SELECT elapsed_s, created_at FROM results WHERE key = ?", (key,)
             ).fetchone()
 
-    def _read_payload(self, key: str) -> dict | None:
-        """The one place a payload file is read; ``None`` when it is
-        missing or does not parse."""
+    def _read_payload(self, key: str) -> tuple[dict, bool] | None:
+        """The one place a payload file is read: ``(payload, framed)``,
+        or ``None`` when the file is missing or damaged.
+
+        A file that starts with the frame magic is a frame, decoded only
+        once its digest checks out.  Any other file is a pre-7 JSON
+        payload (stores before format 7 named it ``<key>.json``):
+        listable, and never served for a cell.
+        """
+        path = self._payload_path(key)
+        blob = _read_bytes(path)
+        if blob is None:
+            blob = _read_bytes(path.with_suffix(_JSON_SUFFIX))
+        if blob is None:
+            return None
+        if blob.startswith(_FRAME_MAGIC):
+            payload = _unframe(blob)
+            return None if payload is None else (payload, True)
         try:
-            return json.loads(self._payload_path(key).read_text())
-        except (OSError, json.JSONDecodeError):
+            return json.loads(blob), False
+        except ValueError:
             return None
 
     def _entry(
@@ -256,13 +346,15 @@ class ResultStore:
         key = cell_key(cell)
         path = self._payload_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        record = report_to_dict(report)
+        del record["residual_history"]  # the frame's float64 column instead
         payload = {
             "key": key,
             "cell": {"config": _config_dict(cell.config), "scheme": cell.scheme},
-            "report": report_to_dict(report),
+            "report": record,
         }
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
+        tmp.write_bytes(_frame(payload, report.residual_history))
         os.replace(tmp, path)
         cfg = cell.config
         with self._lock:
@@ -363,25 +455,32 @@ class ResultStore:
                 "ORDER BY created_at, key"
             ).fetchall()
         for key, elapsed_s, created_at in rows:
-            payload = self._read_payload(key)
-            if payload is None:
+            read = self._read_payload(key)
+            if read is None:
                 continue  # stale row; get_entry() would self-heal it
-            yield self._entry(key, payload, elapsed_s, created_at)
+            yield self._entry(key, read[0], elapsed_s, created_at)
 
     def __len__(self) -> int:
         with self._lock:
             return self._db.execute("SELECT COUNT(*) FROM results").fetchone()[0]
 
+    def payload_files(self) -> list[Path]:
+        """Every payload file on disk — frames and pre-7 JSON payloads,
+        never a temp file — sorted by path."""
+        return sorted(
+            path
+            for suffix in (_FRAME_SUFFIX, _JSON_SUFFIX)
+            for path in self.payload_dir.glob(f"*/*{suffix}")
+        )
+
     def payload_bytes(self) -> int:
         """Total on-disk size of every payload file, in bytes."""
         total = 0
-        for sub in self.payload_dir.iterdir():
-            if sub.is_dir():
-                for f in sub.glob("*.json"):
-                    try:
-                        total += f.stat().st_size
-                    except OSError:
-                        continue  # pruned between listing and stat
+        for f in self.payload_files():
+            try:
+                total += f.stat().st_size
+            except OSError:
+                continue  # pruned between listing and stat
         return total
 
     def stats(self) -> dict:
@@ -409,10 +508,8 @@ class ResultStore:
             self._db.execute("DELETE FROM results")
             self._db.execute("DELETE FROM manifests")
             self._db.commit()
-        for sub in self.payload_dir.iterdir():
-            if sub.is_dir():
-                for f in sub.glob("*.json"):
-                    f.unlink()
+        for f in self.payload_files():
+            f.unlink(missing_ok=True)
 
     def close(self) -> None:
         with self._lock:

@@ -89,6 +89,7 @@ _CONFIG_FIELDS: dict[str, tuple[type, ...]] = {
     "trace": (bool,),
     "backend": (str,),
     "victims_per_fault": (int,),
+    "preconditioner": (str, type(None)),
 }
 
 

@@ -1,14 +1,20 @@
 """Result store: hashing, round-trips, hits and misses, self-healing."""
 
 import dataclasses
+import hashlib
 import json
 import pickle
+import shutil
+import struct
 import threading
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.campaign.serialize import report_from_dict, report_to_dict
 from repro.campaign.spec import CampaignCell
@@ -186,11 +192,12 @@ class TestIdentityInvariants:
     leave exactly as they were (ISSUE 22)."""
 
     # The asdict-based material for literal_cell() under pinned_versions,
-    # at store format 6 (``preconditioner`` joined the config).
-    GOLDEN_KEY = "25cddae6a95bd406f73c6474c96fbbf029032bf26454aadf446f8993334c53bf"
+    # at store format 7 (payloads became frames; the material's shape is
+    # format 6's).
+    GOLDEN_KEY = "a81ac0fd33a2890d9907ae61cef3e4fb833ae436c633084a0665b76c1705d8f8"
 
-    def test_golden_key_at_store_format_6(self, pinned_versions):
-        assert STORE_FORMAT == 6
+    def test_golden_key_at_store_format_7(self, pinned_versions):
+        assert STORE_FORMAT == 7
         assert cell_key(literal_cell()) == self.GOLDEN_KEY
 
     @pytest.mark.parametrize(
@@ -242,19 +249,31 @@ class TestIdentityInvariants:
         moved = replace(keyed, scheme="RD")  # a new object: hashes for itself
         assert cell_key(moved) != cell_key(keyed)
 
-    def test_stored_payload_bytes_are_the_parents(self, store, solved):
-        """The file ``put`` writes, spelled the way the parent commit
-        built it (``asdict`` config record)."""
+    def test_stored_payload_is_one_frame(self, store, solved):
+        """The file ``put`` writes, spelled out field by field: magic,
+        SHA-256 of the rest, header length, the JSON record without its
+        residual history (``asdict`` config record), then the history's
+        float64 bytes."""
         cell, report = solved
         key = store.put(cell, report)
-        expected = {
-            "key": key,
-            "cell": {"config": asdict(cell.config), "scheme": cell.scheme},
-            "report": report_to_dict(report),
-        }
-        assert store._payload_path(key).read_text() == json.dumps(
-            expected, sort_keys=True
-        )
+        record = report_to_dict(report)
+        del record["residual_history"]
+        header = json.dumps(
+            {
+                "key": key,
+                "cell": {"config": asdict(cell.config), "scheme": cell.scheme},
+                "report": record,
+            },
+            sort_keys=True,
+        ).encode()
+        column = np.asarray(report.residual_history, dtype="<f8").tobytes()
+        assert len(column) == 8 * len(report.residual_history) > 0
+        body = struct.pack("<Q", len(header)) + header + column
+        expected = b"REPRO\x00F7" + hashlib.sha256(body).digest() + body
+        path = store._payload_path(key)
+        assert path.name == f"{key}.frame"
+        assert path.read_bytes() == expected
+        assert store.payload_files() == [path]
 
     def test_entry_by_key_is_one_probe_and_one_read(self, store, solved):
         cell, report = solved
@@ -481,14 +500,14 @@ V2_KEY = "f2" * 32
 
 def _write_v2_entry(store, cell, report):
     """Hand-build the entry a format-2 store would hold for this cell:
-    keyed by another hash, payload config without the post-v2 fields."""
+    keyed by another hash, a ``<key>.json`` payload whose config lacks
+    the post-v2 fields."""
     import time
-    from dataclasses import asdict
 
     key = V2_KEY
     config = asdict(cell.config)
     del config["engine"], config["fault_scope"]
-    path = store._payload_path(key)
+    path = store._payload_path(key).with_suffix(".json")
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "key": key,
@@ -552,6 +571,21 @@ class TestMigration:
         assert entry.key == cell_key(cell)
         assert entry.elapsed_s == 9.0
 
+    def test_legacy_payload_files_are_listed_sized_and_cleared(
+        self, store, solved
+    ):
+        cell, report = solved
+        _write_v2_entry(store, cell, report)
+        frame = store._payload_path(store.put(cell, report))
+        legacy = store._payload_path(V2_KEY).with_suffix(".json")
+        frame.with_suffix(".tmp.1.2").write_bytes(b"half-written")
+        assert store.payload_files() == sorted([frame, legacy])
+        assert store.payload_bytes() == (
+            frame.stat().st_size + legacy.stat().st_size
+        )
+        store.clear()
+        assert store.payload_files() == []
+
     def test_analytic_cells_never_hit_legacy_rows(self, store, solved):
         cell, report = solved
         _write_v2_entry(store, cell, report)
@@ -576,3 +610,152 @@ class TestMixedEngines:
         assert_reports_equal(by_engine["analytic"].report, ana_report)
         assert by_engine["analytic"].report.details["engine"] == "analytic"
         assert by_engine["analytic"].cell.config == ana_config
+
+
+#: Byte offsets inside a frame, after the 8-byte magic: digest, header
+#: length, header.
+_DIGEST_AT, _LENGTH_AT, _HEADER_AT = 8, 40, 48
+
+
+def _flip(path, offset: int) -> None:
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+def _column_at(path) -> int:
+    header_len = struct.unpack_from("<Q", path.read_bytes(), _LENGTH_AT)[0]
+    return _HEADER_AT + header_len
+
+
+def _mid_column(path) -> int:
+    """The offset of the column's middle float."""
+    n_floats = (path.stat().st_size - _column_at(path)) // 8
+    return _column_at(path) + 8 * (n_floats // 2)
+
+
+def _pre7_json_renamed(path) -> None:
+    """The JSON a format-6 store wrote for the same record, renamed onto
+    the frame path."""
+    payload = store_module._unframe(path.read_bytes())
+    report = payload["report"]
+    report["residual_history"] = report["residual_history"].tolist()
+    legacy = path.with_suffix(".json")
+    legacy.write_text(json.dumps(payload, sort_keys=True))
+    legacy.replace(path)
+
+
+#: Each way a stored frame can be damaged on disk.
+DAMAGE = {
+    "header_byte_flipped": lambda p: _flip(p, (_HEADER_AT + _column_at(p)) // 2),
+    "column_byte_flipped": lambda p: _flip(p, _mid_column(p) + 3),
+    "digest_byte_flipped": lambda p: _flip(p, _DIGEST_AT + 5),
+    # cut on a float boundary, so only the digest can tell
+    "truncated_mid_column": lambda p: p.write_bytes(
+        p.read_bytes()[: _mid_column(p)]
+    ),
+    "zero_length": lambda p: p.write_bytes(b""),
+    "pre7_json_renamed_to_frame_path": _pre7_json_renamed,
+}
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A finished one-scheme campaign (FF + LI), its store closed."""
+    from repro.campaign import run_campaign
+    from repro.campaign.spec import CampaignSpec
+
+    spec = CampaignSpec(
+        name="damage",
+        matrices=("wathen100",),
+        schemes=("LI",),
+        nranks=(8,),
+        fault_loads=(2,),
+        scale=0.25,
+    )
+    root = tmp_path_factory.mktemp("pristine")
+    with ResultStore(root) as store:
+        result = run_campaign(spec, store=store)
+        assert result.n_ran == 2
+        (cell,) = [c for c in spec.cells() if c.scheme == "LI"]
+        frame = store._payload_path(cell_key(cell)).read_bytes()
+    return spec, root, cell, result[cell].report, frame
+
+
+class TestDamagedPayloads:
+    """A damaged payload is a miss — its row dropped, the cell recomputed
+    bitwise — never a wrong cached answer."""
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damage_is_a_miss_and_the_rerun_restores_the_frame(
+        self, pristine, tmp_path, damage
+    ):
+        from repro.campaign import run_campaign
+
+        spec, root, cell, original, frame = pristine
+        shutil.copytree(root, tmp_path / "cache")
+        with ResultStore(tmp_path / "cache") as store:
+            key = cell_key(cell)
+            path = store._payload_path(key)
+            DAMAGE[damage](path)
+            assert path.read_bytes() != frame
+            assert store.get_entry(cell) is None
+            assert (store.hits, store.misses) == (0, 1)
+            assert store._index_row(key) is None  # the row is gone
+            result = run_campaign(spec, store=store)
+            assert (result.n_ran, result.n_cached, result.n_failed) == (1, 1, 0)
+            assert result[cell].status == "ran"
+            assert report_to_dict(result[cell].report) == report_to_dict(original)
+            assert path.read_bytes() == frame
+
+    def test_a_flipped_bit_anywhere_in_a_frame_is_refused(self, store, solved):
+        cell, report = solved
+        frame = store._payload_path(store.put(cell, report)).read_bytes()
+        assert store_module._unframe(frame) is not None
+        for offset in range(len(frame)):
+            damaged = bytearray(frame)
+            damaged[offset] ^= 0x80
+            assert store_module._unframe(bytes(damaged)) is None, offset
+
+    def test_a_pre7_payload_under_the_frame_path_stays_listable(
+        self, store, solved
+    ):
+        cell, report = solved
+        path = store._payload_path(store.put(cell, report))
+        _pre7_json_renamed(path)
+        (entry,) = list(store.entries())  # listed ...
+        assert_reports_equal(entry.report, report)
+        assert store.get_entry(cell) is None  # ... never served
+        assert list(store.entries()) == []  # and the lookup dropped its row
+
+
+#: Histories no solve produces, whose bits must survive the frame anyway.
+_EDGE_BITS = [
+    np.array([], dtype=np.uint64),
+    np.array([-0.0, np.inf, -np.inf, 5e-324, 2.2250738585072004e-308]).view(
+        np.uint64
+    ),
+    np.array(
+        [0x7FF8000000000001, 0x7FF0000000000001, 0xFFF80000DEADBEEF],
+        dtype=np.uint64,
+    ),
+]
+
+
+class TestColumnRoundTrip:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(bits=hnp.arrays(np.uint64, st.integers(0, 64)))
+    @example(bits=_EDGE_BITS[0])
+    @example(bits=_EDGE_BITS[1])
+    @example(bits=_EDGE_BITS[2])
+    def test_any_float64_history_round_trips_bitwise(self, store, solved, bits):
+        cell, report = solved
+        store.put(cell, replace(report, residual_history=bits.view(np.float64)))
+        history = store.get(cell).residual_history
+        assert history.dtype == np.float64
+        assert history.flags.writeable and history.flags.owndata
+        np.testing.assert_array_equal(history.view(np.uint64), bits)

@@ -91,11 +91,12 @@ class TestRollup:
 
 
 def payload_bytes(root) -> dict[str, bytes]:
-    """Every stored payload keyed by filename, byte-exact."""
-    return {
-        p.name: p.read_bytes()
-        for p in sorted((root / "payloads").rglob("*.json"))
-    }
+    """Every stored payload keyed by filename, byte-exact — listed the
+    way the store lists them, and never an empty comparison."""
+    with ResultStore(root) as store:
+        files = store.payload_files()
+    assert files, f"no payload files under {root}"
+    return {p.name: p.read_bytes() for p in files}
 
 
 class TestSerialParallelBitIdentity:

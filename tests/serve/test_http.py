@@ -156,6 +156,31 @@ class TestSolve:
         assert exc.value.status == 400
         assert "unknown backend" in exc.value.message
 
+    def test_preconditioner_is_part_of_the_key_and_the_answer(self, served):
+        plain = served.client.solve(**SOLVE, scheme="FF", seed=19)
+        jacobi = served.client.solve(
+            **SOLVE, scheme="FF", seed=19, preconditioner="jacobi"
+        )
+        assert jacobi["key"] != plain["key"]
+        assert jacobi["key"] == cell_key(
+            make_cell("FF", seed=19, preconditioner="jacobi")
+        )
+        assert jacobi["report"]["iterations"] != plain["report"]["iterations"]
+        # an explicit null is the default: the same cell, from the LRU
+        unset = served.client.solve(
+            **SOLVE, scheme="FF", seed=19, preconditioner=None
+        )
+        assert (unset["key"], unset["cache"]) == (plain["key"], "lru")
+
+    @pytest.mark.parametrize(
+        "value, fragment", [("ilu", "unknown preconditioner"), (1, "str or NoneType")]
+    )
+    def test_invalid_preconditioner_is_400(self, served, value, fragment):
+        with pytest.raises(ServeError) as exc:
+            served.client.solve(**SOLVE, scheme="RD", preconditioner=value)
+        assert exc.value.status == 400
+        assert fragment in exc.value.message
+
     def test_model_is_an_alias_for_analytic(self, served):
         fields = dict(SOLVE, engine="model")
         answer = served.client.solve(**fields, scheme="RD", seed=13)
