@@ -14,11 +14,15 @@ The runner turns a :class:`~repro.campaign.spec.CampaignSpec` into a
 Workers are ``ProcessPoolExecutor`` processes executing
 :func:`execute_cell`, a pure function of (cell, baseline): given the
 explicit seeds in :class:`~repro.harness.experiment.ExperimentConfig`
-the result is deterministic, so serial (``max_workers=1``, which
-degrades to plain in-process loops — no pool, no pickling) and parallel
-campaigns produce identical reports.  The serial path also runs a
-config's cells on one shared Experiment, so its scheme solves walk the
-fault-free CG trajectory once (:mod:`repro.core.trajectory`).
+the result is deterministic, so serial and parallel campaigns produce
+identical reports.  A serial run (``max_workers=1``: plain in-process
+calls — no pool, no pickling) does stages 2 and 3 one config at a time:
+the config's baseline, then its scheme cells, all on one shared
+Experiment (:class:`_SharedExperiments`).  The baseline solve records
+the fault-free CG trajectory and every scheme solve installs from it
+(:mod:`repro.core.trajectory`), so it is walked once per config; the
+Experiment is dropped after the config's last cell, so one trajectory
+memo is alive at a time.
 
 Fault tolerance: each cell gets a wall-clock timeout (SIGALRM inside
 the worker, so the pool survives) and bounded retries; a worker crash
@@ -40,7 +44,6 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextvars import ContextVar
@@ -110,16 +113,18 @@ def _wasted_s(exc: BaseException) -> float:
 
 
 class _SharedExperiments:
-    """One :class:`Experiment` per config for a serial batch's cells.
+    """The :class:`Experiment` of the config a serial run has in flight.
 
-    A config's scheme cells then share its fault-free trajectory memo
-    (:mod:`repro.core.trajectory`).  Each Experiment is dropped as soon
-    as its config's last cell in the batch settles, so only the configs
-    in flight hold one; nothing outlives the batch.
+    A serial run takes one config at a time (:meth:`CampaignRunner.
+    _run_config`) and holds one of these for it: the config's baseline
+    and scheme cells all run on the one Experiment built on first use,
+    so they share its fault-free trajectory memo
+    (:mod:`repro.core.trajectory`).  The run drops it after the config's
+    last cell — whether or not the baseline succeeded — and the
+    Experiment and its memo go with it.
     """
 
-    def __init__(self, cells) -> None:
-        self._left = Counter(cell.config for cell in cells)
+    def __init__(self) -> None:
         self._live: dict = {}
 
     def get(self, config) -> Experiment:
@@ -128,14 +133,9 @@ class _SharedExperiments:
             experiment = self._live[config] = Experiment(config)
         return experiment
 
-    def settled(self, cell: CampaignCell) -> None:
-        self._left[cell.config] -= 1
-        if not self._left[cell.config]:
-            self._live.pop(cell.config, None)
 
-
-#: The running serial batch's Experiments; unset everywhere else (pool
-#: workers, direct calls), where every cell builds its own.
+#: The in-flight config's Experiment in a serial run; unset everywhere
+#: else (pool workers, direct calls), where every cell builds its own.
 _shared_experiments: ContextVar[_SharedExperiments | None] = ContextVar(
     "repro_shared_experiments", default=None
 )
@@ -150,8 +150,8 @@ def execute_cell(
 
     Returns ``(report, elapsed_seconds)``.  ``baseline`` primes the
     experiment's fault-free report so scheme cells skip the baseline
-    solve.  Inside a serial campaign batch the cell runs on its
-    config's shared :class:`Experiment` (:class:`_SharedExperiments`);
+    solve.  Inside a serial campaign run the cell runs on its config's
+    shared :class:`Experiment` (:class:`_SharedExperiments`);
     the report is bit-identical either way.  ``timeout_s`` arms a
     SIGALRM timer (POSIX) that aborts the cell with
     :class:`CellTimeout` without killing the worker.  Failures
@@ -471,39 +471,23 @@ class CampaignRunner:
                             )
                         )
 
-            # stage 2: fault-free baselines, one per experiment group
-            baseline_tasks = [
-                _Task(cell, None)
-                for cell in cells
-                if cell.is_baseline and cell not in done
-            ]
-            done.update(self._run_batch(baseline_tasks))
-            baselines = {
-                cell.config: done[cell].report
-                for cell in cells
-                if cell.is_baseline and done[cell].ok
-            }
-
-            # stage 3: scheme cells, primed with their group's baseline
-            scheme_tasks = []
-            for cell in cells:
-                if cell.is_baseline or cell in done:
-                    continue
-                baseline = baselines.get(cell.config)
-                if baseline is None:
-                    ff = next(
-                        c for c in cells if c.is_baseline and c.config == cell.config
-                    )
-                    done[cell] = self._emit(
-                        CellResult(
-                            cell,
-                            "failed",
-                            error=f"baseline failed: {done[ff].error}",
-                        )
-                    )
-                    continue
-                scheme_tasks.append(_Task(cell, baseline))
-            done.update(self._run_batch(scheme_tasks))
+            if self.max_workers > 1:
+                # stage 2: fault-free baselines, one per experiment group
+                baselines = [
+                    _Task(cell, None)
+                    for cell in cells
+                    if cell.is_baseline and cell not in done
+                ]
+                done.update(self._run_pooled(baselines))
+                # stage 3: scheme cells, primed with their group's baseline
+                done.update(self._run_pooled(self._scheme_tasks(cells, done)))
+            else:
+                # stages 2 and 3, one config at a time
+                groups: dict = {}
+                for cell in cells:
+                    groups.setdefault(cell.config, []).append(cell)
+                for group in groups.values():
+                    self._run_config(group, done)
         finally:
             if drainer is not None:
                 drainer.stop()
@@ -585,18 +569,35 @@ class CampaignRunner:
             ),
         )
 
-    def _run_batch(self, queue: list[_Task]) -> dict[CampaignCell, CellResult]:
-        if self.max_workers > 1:
-            return self._run_pooled(queue)
+    def _scheme_tasks(self, cells, done) -> list[_Task]:
+        """Stage 3's tasks: every scheme cell not yet done, primed with
+        its group's baseline report.  A cell whose baseline failed is
+        failed here instead."""
+        baselines = {cell.config: done[cell] for cell in cells if cell.is_baseline}
+        tasks = []
+        for cell in cells:
+            if cell.is_baseline or cell in done:
+                continue
+            ff = baselines[cell.config]
+            if not ff.ok:
+                done[cell] = self._emit(
+                    CellResult(cell, "failed", error=f"baseline failed: {ff.error}")
+                )
+                continue
+            tasks.append(_Task(cell, ff.report))
+        return tasks
+
+    def _run_config(self, cells, done) -> None:
+        """Stages 2 and 3 of a serial run for one config's cells, inline
+        and on one shared Experiment, dropped after the last of them."""
         inline = partial(run_cell_in_worker, channel=LocalChannel(self.monitor))
-        shared = _SharedExperiments(task.cell for task in queue)
-        token = _shared_experiments.set(shared)
+        token = _shared_experiments.set(_SharedExperiments())
         try:
-            out = {}
-            for task in queue:
-                out[task.cell] = self._run_alone(task, inline)
-                shared.settled(task.cell)
-            return out
+            for cell in cells:
+                if cell.is_baseline and cell not in done:
+                    done[cell] = self._run_alone(_Task(cell, None), inline)
+            for task in self._scheme_tasks(cells, done):
+                done[task.cell] = self._run_alone(task, inline)
         finally:
             _shared_experiments.reset(token)
 

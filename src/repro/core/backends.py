@@ -58,6 +58,38 @@ except (ImportError, AttributeError):  # pragma: no cover - older scipy
 #: The backend used when none is configured.
 DEFAULT_BACKEND = "batched"
 
+
+def csr_matvec(a):
+    """``apply(v, out=None)``: the product ``a @ v``, bit for bit.
+
+    For a float64 CSR matrix, ``a @ v`` is exactly ``zeros(m)`` plus
+    scipy's ``csr_matvec`` kernel (scipy's ``_matmul_vector``), so
+    ``apply`` calls the kernel directly and skips the spmatrix dispatch.
+    With ``out`` it writes into that buffer instead of a fresh one.  Any
+    other matrix falls back to ``a @ v``.
+    """
+    if _csr_matvec is None or a.format != "csr" or a.dtype != np.float64:
+
+        def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            if out is None:
+                return a @ v
+            out[:] = a @ v
+            return out
+
+        return apply
+    m, n = a.shape
+    indptr, indices, data = a.indptr, a.indices, a.data
+
+    def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros(m)
+        else:
+            out.fill(0.0)
+        _csr_matvec(m, n, indptr, indices, data, v, out)
+        return out
+
+    return apply
+
 _REGISTRY: dict[str, type["SolverBackend"]] = {}
 
 
@@ -128,17 +160,7 @@ class BatchedBackend(SolverBackend):
         a = cg.dmat.a
         x, r, p, rz = st.x, st.r, st.p, st.rz
         n = a.shape[0]
-        # Bypass the spmatrix dispatch: a @ p on a float64 CSR matrix is
-        # exactly zeros(n) + csr_matvec (see scipy's _matmul_vector), so
-        # calling the kernel directly is bit-identical and much cheaper.
-        use_kernel = (
-            _csr_matvec is not None
-            and getattr(a, "format", None) == "csr"
-            and a.dtype == np.float64
-        )
-        if use_kernel:
-            indptr, indices, data = a.indptr, a.indices, a.data
-        matvec = cg.dmat.matvec
+        spmv = csr_matvec(a)
         hist = np.empty(max_steps, dtype=np.float64)
         isfinite = math.isfinite
         sqrt = math.sqrt
@@ -162,11 +184,7 @@ class BatchedBackend(SolverBackend):
         taken = 0
         breakdown = False
         for _ in range(max_steps):
-            if use_kernel:
-                q.fill(0.0)
-                _csr_matvec(n, n, indptr, indices, data, p, q)
-            else:
-                q = matvec(p)
+            spmv(p, q)
             pq = float(dot(p, q))
             if pq <= 0 or not isfinite(pq):
                 breakdown = True
@@ -204,18 +222,28 @@ class LoopBackend(SolverBackend):
     name = "loop"
 
     def _rank_pieces(self):
-        """``(slice, packed_block)`` per rank, cached on the matrix."""
+        """``(slice, halo columns, local SpMV)`` per rank; the packed
+        blocks are cached on the matrix.
+
+        A rank's local SpMV is a halo gather ``x[cols]`` then its packed
+        CSR block's product, written into the rank's contiguous rows of
+        the global product vector.  Bit-identical to the global kernel
+        restricted to those rows: the packed block preserves each row's
+        nonzero storage order, so the per-row sums accumulate the same
+        values in the same order.
+        """
         dmat = self.cg.dmat
         part = dmat.partition
-        return [
-            (part.slice_of(rank), dmat.packed_block(rank))
-            for rank in range(dmat.nranks)
-        ]
+        out = []
+        for rank in range(dmat.nranks):
+            pb = dmat.packed_block(rank)
+            out.append((part.slice_of(rank), pb.cols, csr_matvec(pb.mat)))
+        return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         q = np.zeros(self.cg.dmat.n)
-        for sl, pb in self._rank_pieces():
-            _rank_spmv(pb, x, q[sl])
+        for sl, cols, spmv in self._rank_pieces():
+            spmv(x[cols], q[sl])
         return q
 
     def step_span(self, max_steps: int) -> tuple[int, bool]:
@@ -247,8 +275,8 @@ class LoopBackend(SolverBackend):
             # Halo exchange + local SpMV, one rank at a time: each rank
             # gathers the x entries its off-diagonal columns need and
             # multiplies its packed block into its own rows of q.
-            for sl, pb in pieces:
-                _rank_spmv(pb, p, q[sl])
+            for sl, cols, spmv in pieces:
+                spmv(p[cols], q[sl])
             # p·q allreduce: the reduced scalar is identical on every
             # rank, so the global dot is the distributed reduction.
             pq = float(dot(p, q))
@@ -256,7 +284,7 @@ class LoopBackend(SolverBackend):
                 breakdown = True
                 break
             alpha = rz / pq
-            for sl, _ in pieces:
+            for sl, _, _ in pieces:
                 ts = tmp[sl]
                 multiply(p[sl], alpha, out=ts)
                 add(x[sl], ts, out=x[sl])
@@ -266,7 +294,7 @@ class LoopBackend(SolverBackend):
                     multiply(r[sl], minv[sl], out=z[sl])
             rz_new = float(dot(r, z))
             beta = rz_new / rz if rz > 0 else 0.0
-            for sl, _ in pieces:
+            for sl, _, _ in pieces:
                 ts = tmp[sl]
                 multiply(p[sl], beta, out=ts)
                 add(z[sl], ts, out=p[sl])
@@ -284,24 +312,3 @@ class LoopBackend(SolverBackend):
         st.iteration += taken
         cg.residual_history.extend(hist[:taken].tolist())
         return taken, breakdown
-
-
-def _rank_spmv(pb, x: np.ndarray, out: np.ndarray) -> None:
-    """One rank's local SpMV: halo-gather then packed-CSR multiply.
-
-    ``out`` is the rank's contiguous rows of the global product vector.
-    Bit-identical to the global kernel restricted to those rows: the
-    packed block preserves each row's nonzero storage order, so the
-    per-row sums accumulate the same values in the same order.
-    """
-    gathered = x[pb.cols]
-    mat = pb.mat
-    if _csr_matvec is not None and mat.dtype == np.float64:
-        out.fill(0.0)
-        _csr_matvec(
-            mat.shape[0], mat.shape[1],
-            mat.indptr, mat.indices, mat.data,
-            gathered, out,
-        )
-    else:  # pragma: no cover - older scipy
-        out[:] = mat @ gathered

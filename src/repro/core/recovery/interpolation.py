@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.backends import csr_matvec
 from repro.core.cg import CGState
 from repro.core.recovery.base import (
     RecoveryOutcome,
@@ -259,7 +260,7 @@ class LinearInterpolation(_InterpolationBase):
             # dominate the local iteration count.
             diag_of_block = np.maximum(diag.diagonal(), 1e-300)
             x_i, stats = local_cg(
-                lambda v: diag @ v,
+                csr_matvec(diag),
                 y,
                 tol=self.construct_tol,
                 max_iters=MAX_LOCAL_ITER_FACTOR * max(n_loc, 1),
@@ -371,13 +372,14 @@ class LeastSquaresInterpolation(_InterpolationBase):
             # Local normal equations (Eq. 21): operator v -> A_U (A_U^T v)
             # built solely from the group's own (recovered static) rows.
             rows_t = rows.T.tocsr()
+            rows_mv, rows_t_mv = csr_matvec(rows), csr_matvec(rows_t)
             rhs = rows @ beta
             # Jacobi diagonal of A_U A_U^T = squared row norms: tames the
             # squared, badly-scaled conditioning of the normal equations.
             row_norms_sq = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
             row_norms_sq = np.maximum(row_norms_sq, 1e-300)
             x_i, stats = local_cg(
-                lambda v: rows @ (rows_t @ v),
+                lambda v: rows_mv(rows_t_mv(v)),
                 rhs,
                 tol=self.construct_tol,
                 max_iters=MAX_LOCAL_ITER_FACTOR * max(n_loc, 1),

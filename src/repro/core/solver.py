@@ -588,8 +588,9 @@ class ResilientSolver:
                 )
                 self.obs.metrics.counter("solver.restarts").inc()
 
-    def _fault_free_horizon(self) -> int:
-        """Iterations of a fault-free run (for schedules and EXTRA split)."""
+    def _fault_free_horizon(self, trajectory: TrajectoryMemo | None) -> int:
+        """Iterations of a fault-free run (for schedules and EXTRA split),
+        walked through ``trajectory`` when given."""
         probe = DistributedCG(
             self._dmat,
             self.cg.b,
@@ -599,6 +600,15 @@ class ResilientSolver:
             preconditioner=self.config.preconditioner,
             backend=self.config.backend,
         )
+        if (
+            trajectory is not None
+            and not probe.converged
+            and trajectory.start(probe) is not None
+        ):
+            _, _, breakdown = trajectory.walk(probe, probe.max_iters)
+            if breakdown:
+                probe.step()
+        # finishes the walk's job off the trajectory (a no-op once converged)
         iters = probe.solve_fault_free()
         if not probe.converged:
             raise ConvergenceError(
@@ -623,7 +633,7 @@ class ResilientSolver:
         events: list[FaultEvent] = []
         if not isinstance(self.schedule, EmptySchedule):
             if baseline is None:
-                baseline = self._fault_free_horizon()
+                baseline = self._fault_free_horizon(trajectory)
             events = self.schedule.events(
                 nranks=cfg.nranks, horizon_iters=baseline
             )
@@ -660,9 +670,9 @@ class ResilientSolver:
         and CG breakdown are checked per iteration inside the kernel.
 
         With a ``trajectory`` memo, a span that starts on the fault-free
-        trajectory is looked up by ``(iteration, length)`` and installed
-        when another solve already walked it; accounting, hooks and
-        events run unchanged either way.
+        trajectory is walked through it: whatever part of the span
+        another solve already walked is installed, only the rest is
+        stepped.  Accounting, hooks and events run unchanged either way.
         """
         cfg = self.config
         cg = self.cg

@@ -5,8 +5,9 @@ real distributed CG under injected faults — extracted from
 ``harness.experiment`` so the harness no longer assumes numeric
 execution.  The experiment still owns problem construction and protocol
 policy (CR cadence, fault schedule, solver knobs); this engine only
-assembles them into solver runs, handing every scheme solve the
-experiment's fault-free trajectory memo (:mod:`repro.core.trajectory`).
+assembles them into solver runs, handing every solve — the fault-free
+baseline first — the experiment's trajectory memo
+(:mod:`repro.core.trajectory`).
 Reports are bit-identical to the
 pre-engine code path apart from the ``details["engine"]`` stamp.
 """
@@ -34,7 +35,7 @@ class SimEngine(ExecutionEngine):
         solver = ResilientSolver(
             experiment.a, experiment.b, config=experiment.solver_config(None)
         )
-        return self._stamp(solver.solve())
+        return self._stamp(solver.solve(trajectory=experiment.trajectory()))
 
     def solve_scheme(
         self,

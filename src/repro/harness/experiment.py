@@ -172,9 +172,10 @@ class Experiment:
         # config is frozen, the engine fixed), so one baseline and one
         # trajectory serve the Experiment's whole life.
         self._baseline: SolveReport | None = None
-        # The fault-free CG spans this experiment's scheme solves share.
-        # Owned here, never by a report: it dies with the Experiment and
-        # is never stored or pickled.
+        # The fault-free CG trajectory this experiment's solves share:
+        # the baseline records it, scheme solves install from it.  Owned
+        # here, never by a report: it dies with the Experiment and is
+        # never stored or pickled.
         self._trajectory = TrajectoryMemo()
 
     # ------------------------------------------------------------------
@@ -214,8 +215,8 @@ class Experiment:
 
     @property
     def trajectory_counts(self) -> tuple[int, int]:
-        """CG iterations this experiment's scheme solves installed from,
-        and walked on, the fault-free trajectory so far, as
+        """CG iterations this experiment's solves installed from, and
+        walked on, the fault-free trajectory so far, as
         ``(installed, walked)`` — a test probe, never part of a payload."""
         return self._trajectory.hits, self._trajectory.walked
 

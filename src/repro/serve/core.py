@@ -75,8 +75,8 @@ def compute_group(
 
     The serving tier's one unit of compute: the fault-free baseline
     and the problem setup are computed once for the whole group, and
-    the group's sim scheme solves share the fault-free CG trajectory
-    (:mod:`repro.core.trajectory`), so each span of it is walked once.
+    the group's sim solves share the fault-free CG trajectory
+    (:mod:`repro.core.trajectory`), so it is walked once.
     The Experiment, and its memo with it, is dropped on return.
     Determinism makes the result per scheme bit-identical to a lone
     ``Experiment(config).run(scheme)``.

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import pickle
 import signal
 import weakref
@@ -26,8 +27,10 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
-from repro.core.trajectory import TrajectoryMemo
+from repro.core.cg import DistributedCG
+from repro.core.trajectory import Point, TrajectoryMemo
 from repro.harness.experiment import Experiment, ExperimentConfig
+from tests.differential import assert_reports_identical
 
 from tests.campaign.helpers import (
     FLAKY_DIR_ENV,
@@ -304,16 +307,17 @@ class TestAttemptPolicy:
 
 
 class TestSharedExperiments:
-    """The serial path runs a config's cells on one Experiment, so its
-    scheme solves share the fault-free trajectory memo — within one
-    batch, one config at a time, and never beyond the run."""
+    """The serial path takes one config at a time and runs all of its
+    cells on one Experiment, so the baseline's walk of the fault-free
+    trajectory is the one its scheme solves install from — one config
+    at a time, and never beyond the run."""
 
     @pytest.fixture()
     def made(self, monkeypatch):
         """Weak references to every Experiment the runner builds, and
-        the trajectory memos they hand out."""
+        ``(config, memo)`` for each trajectory memo they hand out."""
         refs: list = []
-        memos: list[TrajectoryMemo] = []
+        memos: list[tuple[ExperimentConfig, TrajectoryMemo]] = []
 
         class Recorded(Experiment):
             def __init__(self, *args, **kwargs):
@@ -322,8 +326,8 @@ class TestSharedExperiments:
 
             def trajectory(self):
                 memo = super().trajectory()
-                if all(m is not memo for m in memos):
-                    memos.append(memo)
+                if all(m is not memo for _, m in memos):
+                    memos.append((self.config, memo))
                 return memo
 
         monkeypatch.setattr(runner_module, "Experiment", Recorded)
@@ -351,19 +355,119 @@ class TestSharedExperiments:
             run_memos = memos[n_memos:]
             per_run.append((
                 len(refs) - built,
-                sum(m.hits for m in run_memos),
-                sum(m.walked for m in run_memos),
+                [(m.hits, m.walked) for _, m in run_memos],
             ))
             for r in result.results:
                 assert b"TrajectoryMemo" not in pickle.dumps(r.report)
-        n_configs = len(tiny_spec.experiment_configs())
-        # one Experiment per config per batch (baselines, then schemes),
-        # and only the config in flight holds one
-        assert per_run[0][0] == 2 * n_configs
+            # each config walks its trajectory once (the baseline), plus
+            # at most one cadence step per fault to reach a fault's state
+            ff = {
+                r.cell.config: r.report.iterations
+                for r in result.results
+                if r.cell.is_baseline
+            }
+            assert len(run_memos) == len(ff)
+            assert {config for config, _ in run_memos} == set(ff)
+            for config, memo in run_memos:
+                assert memo.hits > 0
+                assert (
+                    ff[config]
+                    <= memo.walked
+                    <= ff[config] + config.n_faults * memo.spacing
+                )
+        # one Experiment per config, and only the config in flight holds one
+        assert per_run[0][0] == len(tiny_spec.experiment_configs())
         assert max(live) == 1
-        # the scheme cells share, and the second run finds nothing warm
-        assert per_run[0][1] > 0
+        # the second run finds nothing warm
         assert per_run[0] == per_run[1]
+
+    def test_a_config_whose_baseline_failed_still_drops_its_experiment(
+        self, tiny_spec, made, monkeypatch
+    ):
+        refs, _ = made
+        failing, healthy = tiny_spec.experiment_configs()
+
+        class FailingBaseline(runner_module.Experiment):
+            @property
+            def fault_free(self):
+                if self.config == failing:
+                    raise RuntimeError("baseline diverged")
+                return super().fault_free
+
+        monkeypatch.setattr(runner_module, "Experiment", FailingBaseline)
+        live = {}
+
+        class Hook:
+            def cell_done(self, result):
+                live.setdefault(result.cell.config, []).append(
+                    TestSharedExperiments._live(refs)
+                )
+
+        result = run_campaign(tiny_spec, max_workers=1, progress=Hook())
+        statuses = {(r.cell.config, r.status) for r in result.results}
+        assert statuses == {(failing, "failed"), (healthy, "ran")}
+        assert refs  # the failing config did build its Experiment
+        # the failed config's Experiment is gone before the next starts
+        assert live[healthy] == [1] * len(live[healthy])
+        assert self._live(refs) == 0
+
+    @pytest.mark.parametrize(
+        "where, fire_at",
+        [("step_span", 1), ("step_span", 2), ("step_span", 6),
+         ("snapshot", 2), ("_put", 3)],
+    )
+    def test_a_timeout_mid_walk_leaves_the_shared_memo_sound(
+        self, where, fire_at, monkeypatch
+    ):
+        """The cell-timeout alarm fires inside the baseline's walk of
+        the trajectory, right after its ``fire_at``-th CG span, state
+        snapshot or state insert.  The retried baseline, and the scheme
+        cells after it, run on the same Experiment and its half-recorded
+        memo: each is the fresh report."""
+        cfg = ExperimentConfig(matrix="wathen100", nranks=8, n_faults=2, scale=0.25)
+        fresh_ff, _ = execute_cell(CampaignCell(cfg, "FF"))
+        calls = []
+
+        def fire():
+            calls.append(where)
+            if len(calls) == fire_at:
+                os.kill(os.getpid(), signal.SIGALRM)
+
+        owner = {"step_span": DistributedCG, "snapshot": Point, "_put": TrajectoryMemo}[
+            where
+        ]
+        real = getattr(owner, where)
+
+        def interrupted(*args):
+            out = real(*args)
+            fire()
+            return out
+
+        if where == "snapshot":  # a classmethod: ``real`` is already bound
+            interrupted = staticmethod(interrupted)
+
+        shared = runner_module._SharedExperiments()
+        token = runner_module._shared_experiments.set(shared)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, where, interrupted)
+                with pytest.raises(CellTimeout):
+                    execute_cell(CampaignCell(cfg, "FF"), timeout_s=60.0)
+            memo = shared.get(cfg).trajectory()
+            assert len(calls) == fire_at
+            assert memo.walked < fresh_ff.iterations
+            ff, _ = execute_cell(CampaignCell(cfg, "FF"), timeout_s=60.0)
+            reports = {
+                scheme: execute_cell(CampaignCell(cfg, scheme), baseline=ff)[0]
+                for scheme in ("ESR", "RD", "F0")
+            }
+            assert memo.hits > 0
+        finally:
+            runner_module._shared_experiments.reset(token)
+        assert_reports_identical(ff, fresh_ff)
+        for scheme, report in reports.items():
+            fresh, _ = execute_cell(CampaignCell(cfg, scheme), baseline=fresh_ff)
+            assert_reports_identical(report, fresh, context=scheme)
 
     def test_pool_workers_and_direct_calls_share_nothing(self, tiny_spec, made):
         cfg = tiny_spec.experiment_configs()[0]

@@ -17,19 +17,24 @@ from __future__ import annotations
 
 import os
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import trajectory
 from repro.core.backends import DEFAULT_BACKEND
+from repro.core.cg import DistributedCG
 from repro.core.recovery import make_scheme, scheme_names
 from repro.core.recovery.redundancy import Redundancy
 from repro.core.solver import ResilientSolver, SolverConfig
-from repro.core.trajectory import TrajectoryMemo
+from repro.core.trajectory import Point, TrajectoryMemo
 from repro.faults.schedule import EvenlySpacedSchedule
 from repro.harness.experiment import Experiment, ExperimentConfig
+from repro.matrices import cache as problem_cache
+from repro.matrices.generators import stencil_5pt
 from tests.differential import (
     PerIterationSolver,
     assert_reports_identical,
@@ -117,13 +122,25 @@ def test_shared_experiment_matches_fresh_ones(
 
 @pytest.mark.parametrize("trace", [False, True])
 def test_second_exact_scheme_installs_its_whole_solve(trace):
-    """RD and TMR repair every fault to the pre-fault state and span
-    identically, so whichever runs second walks nothing."""
+    """The baseline walks the trajectory once.  RD re-walks at most one
+    cadence step per fault to reach each fault's state; TMR repairs and
+    spans identically, so it then walks nothing."""
     config = _config(matrix="banded", n_faults=4, trace=trace)
-    shared = _check_sharing(config, "banded", ["RD", "TMR"])
+    a = build("banded")
+    shared = Experiment(config, a=a)
+    ff = shared.fault_free
+    assert shared.trajectory_counts == (0, ff.iterations)
+    reports = {"RD": shared.run("RD")}
     installed, walked = shared.trajectory_counts
-    assert installed == shared.fault_free.iterations
-    assert walked == shared.fault_free.iterations
+    rewalked = walked - ff.iterations
+    assert installed + rewalked == ff.iterations
+    assert 0 <= rewalked <= config.n_faults * shared.trajectory().spacing
+    reports["TMR"] = shared.run("TMR")
+    assert shared.trajectory_counts == (installed + ff.iterations, walked)
+    for scheme, report in reports.items():
+        fresh = Experiment(config, a=a)
+        fresh.prime_baseline(ff)
+        _assert_same(report, fresh.run(scheme), scheme)
 
 
 def test_memo_installed_reports_are_the_oracles():
@@ -153,12 +170,16 @@ def test_memo_installed_reports_are_the_oracles():
 
 
 def test_every_scheme_reuses_the_prefix_before_its_first_fault():
+    """The first of them re-walks less than one cadence step to reach the
+    first fault's state; the other two install the whole prefix."""
     config = _config(matrix="irregular", n_faults=3)
     shared = _check_sharing(config, "irregular", ["F0", "LI", "LSI"])
-    installed, _ = shared.trajectory_counts
+    installed, walked = shared.trajectory_counts
+    rewalked = walked - shared.fault_free.iterations
     first_fault = shared.run("F0").faults[0].iteration
     assert first_fault > 0
-    assert installed == 2 * first_fault
+    assert installed + rewalked == 3 * first_fault
+    assert rewalked < shared.trajectory().spacing
 
 
 # ----------------------------------------------------------------------
@@ -229,3 +250,135 @@ def test_reports_carry_no_memo(trace):
     assert shared.trajectory_counts[0] > 0
     for scheme in ("RD", "ESR"):
         assert b"TrajectoryMemo" not in pickle.dumps(shared.run(scheme))
+
+
+# ----------------------------------------------------------------------
+# the memo itself: any walk is plain stepping, bit for bit
+# ----------------------------------------------------------------------
+def _stepper(matrix: str, backend: str):
+    """A factory of fresh CG steppers on one problem object."""
+    a = build(matrix)
+    b = a @ np.random.default_rng(1).standard_normal(a.shape[0])
+    dmat = problem_cache.distributed_matrix(a, 4)
+    return lambda: DistributedCG(dmat, b, backend=backend)
+
+
+def _same_run(walked: DistributedCG, stepped: DistributedCG) -> None:
+    assert walked.iteration == stepped.iteration
+    assert Point.snapshot(walked.state).matches(stepped.state)
+    assert np.array_equal(
+        np.asarray(walked.residual_history).view(np.uint64),
+        np.asarray(stepped.residual_history).view(np.uint64),
+    )
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    matrix=st.sampled_from(["banded", "irregular", "stencil"]),
+    backend=st.sampled_from(["batched", "loop"]),
+    first_spacing=st.sampled_from([1, 3, 8]),
+    budget_points=st.integers(1, 6),
+    solves=st.lists(
+        st.lists(st.integers(1, 70), min_size=1, max_size=8),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_any_walk_sequence_is_plain_stepping(
+    matrix, backend, first_spacing, budget_points, solves
+):
+    """Solves of random walk lengths through one memo — starting between
+    cadence points, running past convergence, after the budget thinned
+    the cadence — are bitwise solves that only call ``step_span``."""
+    fresh = _stepper(matrix, backend)
+    point_bytes = 3 * 8 * build(matrix).shape[0]
+    with mock.patch.multiple(
+        trajectory,
+        FIRST_SPACING=first_spacing,
+        CADENCE_BUDGET_BYTES=budget_points * point_bytes,
+    ):
+        memo = TrajectoryMemo()
+        for lengths in solves:
+            walked, stepped = fresh(), fresh()
+            assert memo.start(walked) is not None
+            for length in lengths:
+                point, taken, breakdown = memo.walk(walked, length)
+                assert (taken, breakdown) == stepped.step_span(length)
+                _same_run(walked, stepped)
+                if breakdown:
+                    break
+                assert point.matches(walked.state)
+            assert memo.cadence_bytes <= budget_points * point_bytes
+
+
+def test_the_cadence_stays_inside_its_budget_on_a_large_matrix():
+    """A stencil whose CG state is a third of the budget: the cadence
+    thins to at most three states, still spread over the whole walk."""
+    a = stencil_5pt(120)
+    b = a @ np.ones(a.shape[0])
+    dmat = problem_cache.distributed_matrix(a, 4)
+    cg = DistributedCG(dmat, b, backend=BACKEND)
+    memo = TrajectoryMemo()
+    memo.start(cg)
+    point, taken, _ = memo.walk(cg, cg.max_iters)
+    assert cg.converged and point.iteration == taken
+    assert 3 * 8 * a.shape[0] > trajectory.CADENCE_BUDGET_BYTES // 4
+    assert 0 < memo.cadence_bytes <= trajectory.CADENCE_BUDGET_BYTES
+    assert memo.spacing > trajectory.FIRST_SPACING
+    # the thinned cadence still spans the walk: reaching any iteration,
+    # here the one before convergence, re-walks less than one spacing
+    again = DistributedCG(dmat, b, backend=BACKEND)
+    memo.start(again)
+    walked = memo.walked
+    memo.walk(again, taken - 1)
+    assert memo.walked - walked < memo.spacing
+    assert memo.cadence_bytes <= trajectory.CADENCE_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_a_fault_free_solve_through_the_memo_is_bitwise_one_without(trace):
+    a = build("irregular")
+    b = a @ np.random.default_rng(2).standard_normal(a.shape[0])
+    config = SolverConfig(nranks=8, trace=trace, backend=BACKEND)
+    plain = ResilientSolver(a, b, config=config).solve()
+    memo = TrajectoryMemo()
+    walked = ResilientSolver(a, b, config=config).solve(trajectory=memo)
+    installed = ResilientSolver(a, b, config=config).solve(trajectory=memo)
+    assert (memo.hits, memo.walked) == (plain.iterations, plain.iterations)
+    for report in (walked, installed):
+        assert_reports_identical(report, plain)
+        if trace:
+            assert_telemetry_identical(report, plain)
+
+
+def test_the_horizon_probe_walks_through_the_memo():
+    """A scheme solve with no baseline probes the fault-free horizon
+    first: through the memo, that probe is the walk every later solve
+    installs, and the trajectory is walked once."""
+    a = build("banded")
+    b = a @ np.random.default_rng(3).standard_normal(a.shape[0])
+    schedule = EvenlySpacedSchedule(n_faults=3)
+
+    def rd(memo=None):
+        config = SolverConfig(nranks=8, seed=5, backend=BACKEND)
+        solver = ResilientSolver(
+            a, b, scheme=Redundancy(), schedule=schedule, config=config
+        )
+        return solver.solve(trajectory=memo)
+
+    memo = TrajectoryMemo()
+    first = rd(memo)
+    horizon = first.baseline_iters
+    assert horizon == first.iterations
+    # the probe walked it all; RD re-walked at most a cadence per fault
+    assert horizon <= memo.walked <= horizon + 3 * memo.spacing
+    assert memo.hits + memo.walked == 2 * horizon
+    walked = memo.walked
+    second = rd(memo)  # probe and solve both install everything
+    assert memo.walked == walked
+    for report in (first, second):
+        assert_reports_identical(report, rd())
