@@ -11,6 +11,8 @@ whole section of the evaluation in one command.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.core.backends import DEFAULT_BACKEND, backend_names
@@ -25,6 +27,21 @@ from repro.matrices import suite as matrix_suite
 
 #: Scheme label of the fault-free baseline cell.
 BASELINE_SCHEME = "FF"
+
+#: Each swept axis of a :class:`CampaignSpec`, the ExperimentConfig
+#: field its values set, and what one value is called; expansion order
+#: is this order, outermost first.
+AXES: dict[str, tuple[str, str]] = {
+    "matrices": ("matrix", "matrix"),
+    "nranks": ("nranks", "rank count"),
+    "fault_loads": ("n_faults", "fault load"),
+    "seeds": ("seed", "seed"),
+    "engines": ("engine", "engine"),
+    "backends": ("backend", "backend"),
+    "victims_per_fault": ("victims_per_fault", "victim-set size"),
+}
+
+_DEFAULT_CONFIG = ExperimentConfig()
 
 
 @dataclass(frozen=True)
@@ -44,21 +61,34 @@ class CampaignCell:
 
     @property
     def label(self) -> str:
-        """Human-readable cell id used in progress lines and summaries."""
-        c = self.config
+        """Human-readable cell id used in progress lines and summaries:
+        matrix, rank count and fault load, then a mark for every other
+        config field that changes a result and is off its default.
+        ``trace`` has no mark: it never changes the numbers."""
+        c, d = self.config, _DEFAULT_CONFIG
         bits = [c.matrix, f"r{c.nranks}", f"f{c.n_faults}"]
-        if c.seed != 0:
+        if c.seed != d.seed:
             bits.append(f"s{c.seed}")
-        if c.scale != 1.0:
+        if c.scale != d.scale:
             bits.append(f"x{c.scale:g}")
-        if c.engine != "sim":
+        if c.engine != d.engine:
             bits.append(c.engine)
-        if c.fault_scope != "process":
+        if c.fault_scope != d.fault_scope:
             bits.append(c.fault_scope)
-        if c.backend != DEFAULT_BACKEND:
+        if c.backend != d.backend:
             bits.append(c.backend)
-        if c.victims_per_fault != 1:
+        if c.victims_per_fault != d.victims_per_fault:
             bits.append(f"v{c.victims_per_fault}")
+        if c.preconditioner != d.preconditioner:
+            bits.append(c.preconditioner)
+        if c.tol != d.tol:
+            bits.append(f"tol{c.tol:g}")
+        if c.cr_interval != d.cr_interval:
+            bits.append(f"cr{c.cr_interval}")
+        if c.construct_tol != d.construct_tol:
+            bits.append(f"ctol{c.construct_tol:g}")
+        if c.max_iters != d.max_iters:
+            bits.append(f"maxit{c.max_iters}")
         return f"{'/'.join(bits)}/{self.scheme}"
 
 
@@ -66,11 +96,12 @@ class CampaignCell:
 class CampaignSpec:
     """A full parameter grid over the experiment space.
 
-    ``cells()`` expands to ``matrices × nranks × fault_loads × seeds``
-    experiment groups; each group contributes one ``FF`` baseline cell
-    followed by one cell per scheme.  Expansion order is deterministic
-    (and documented) so serial and parallel campaigns agree on cell
-    identity.
+    ``cells()`` expands to one experiment group per point of the
+    :data:`AXES` product (``matrices × nranks × fault_loads × seeds ×
+    engines × backends × victims_per_fault``); each group contributes
+    one ``FF`` baseline cell followed by one cell per scheme.  Expansion
+    order is deterministic (and documented) so serial and parallel
+    campaigns agree on cell identity.
     """
 
     name: str = "custom"
@@ -99,67 +130,38 @@ class CampaignSpec:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrices", tuple(self.matrices))
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "nranks", tuple(self.nranks))
-        object.__setattr__(self, "fault_loads", tuple(self.fault_loads))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "engines", tuple(self.engines))
-        object.__setattr__(self, "backends", tuple(self.backends))
-        object.__setattr__(
-            self, "victims_per_fault", tuple(self.victims_per_fault)
-        )
-        if not self.matrices:
-            raise ValueError("campaign needs at least one matrix")
         if not self.schemes:
             raise ValueError("campaign needs at least one scheme")
-        if not self.engines:
-            raise ValueError("campaign needs at least one engine")
-        if not self.backends:
-            raise ValueError("campaign needs at least one backend")
-        if not self.victims_per_fault:
-            raise ValueError("campaign needs at least one victim-set size")
+        for axis, (_, noun) in AXES.items():
+            object.__setattr__(self, axis, tuple(getattr(self, axis)))
+            if not getattr(self, axis):
+                raise ValueError(f"campaign needs at least one {noun}")
         if any(k < 1 for k in self.victims_per_fault):
             raise ValueError("victims_per_fault entries must be >= 1")
-        unknown = [e for e in self.engines if e not in engine_names()]
-        if unknown:
-            raise ValueError(f"unknown engines: {', '.join(unknown)}")
-        unknown = [b for b in self.backends if b not in backend_names()]
-        if unknown:
-            raise ValueError(f"unknown backends: {', '.join(unknown)}")
-        known_matrices = set(matrix_suite.names())
-        unknown = [m for m in self.matrices if m not in known_matrices]
-        if unknown:
-            raise ValueError(f"unknown matrices: {', '.join(unknown)}")
-        known_schemes = set(scheme_names()) | {BASELINE_SCHEME}
-        unknown = [s for s in self.schemes if s not in known_schemes]
-        if unknown:
-            raise ValueError(f"unknown schemes: {', '.join(unknown)}")
+        for axis, known in (
+            ("engines", engine_names()),
+            ("backends", backend_names()),
+            ("matrices", matrix_suite.names()),
+            ("schemes", [*scheme_names(), BASELINE_SCHEME]),
+        ):
+            unknown = [v for v in getattr(self, axis) if v not in known]
+            if unknown:
+                raise ValueError(f"unknown {axis}: {', '.join(unknown)}")
 
     # ------------------------------------------------------------------
     def experiment_configs(self) -> list[ExperimentConfig]:
         """One config per experiment group, in expansion order."""
+        scalars = {
+            "scale": self.scale,
+            "tol": self.tol,
+            "cr_interval": self.cr_interval,
+            "trace": self.trace,
+        }
+        names = [name for name, _ in AXES.values()]
         return [
-            ExperimentConfig(
-                matrix=matrix,
-                nranks=nranks,
-                n_faults=n_faults,
-                seed=seed,
-                scale=self.scale,
-                tol=self.tol,
-                cr_interval=self.cr_interval,
-                trace=self.trace,
-                engine=engine,
-                backend=backend,
-                victims_per_fault=victims,
-            )
-            for matrix in self.matrices
-            for nranks in self.nranks
-            for n_faults in self.fault_loads
-            for seed in self.seeds
-            for engine in self.engines
-            for backend in self.backends
-            for victims in self.victims_per_fault
+            ExperimentConfig(**scalars, **dict(zip(names, point)))
+            for point in itertools.product(*(getattr(self, a) for a in AXES))
         ]
 
     def cells(self) -> list[CampaignCell]:
@@ -175,15 +177,7 @@ class CampaignSpec:
         return out
 
     def __len__(self) -> int:
-        n_groups = (
-            len(self.matrices)
-            * len(self.nranks)
-            * len(self.fault_loads)
-            * len(self.seeds)
-            * len(self.engines)
-            * len(self.backends)
-            * len(self.victims_per_fault)
-        )
+        n_groups = math.prod(len(getattr(self, axis)) for axis in AXES)
         n_schemes = len([s for s in self.schemes if s != BASELINE_SCHEME])
         return n_groups * (1 + n_schemes)
 

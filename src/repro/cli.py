@@ -32,13 +32,18 @@ telemetry JSONL) and ``report --html``/``--prometheus``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
+from dataclasses import fields
+from pathlib import Path
 
+from repro.campaign import CampaignRunner, ResultStore
 from repro.campaign import spec as campaign_presets
+from repro.campaign.store import DEFAULT_ROOT
 from repro.core.models.projection import FIGURE9_SCHEMES
 from repro.core.recovery import scheme_names
-from repro.core.backends import DEFAULT_BACKEND, backend_names
+from repro.core.backends import backend_names
 from repro.core.cg import PRECONDITIONERS
 from repro.engines import engine_names
 from repro.faults.events import FaultClass
@@ -47,6 +52,191 @@ from repro.harness.experiment import FAULT_SCOPES, Experiment, ExperimentConfig,
 from repro.harness.normalize import normalize_reports
 from repro.harness.reporting import format_table
 from repro.matrices import suite
+
+
+#: Flags that set a cell's config, each declared once and keyed by the
+#: ExperimentConfig field it sets ("scheme" picks the cell's scheme):
+#: ``(flag, sweep flag, argparse keywords)``.  Where a subcommand sweeps
+#: a field it takes the sweep flag (the same flag when ``None``) with
+#: ``nargs="+"``, stored under the field's CampaignSpec name.
+_CONFIG_FLAGS: dict[str, tuple[str, str | None, dict]] = {
+    "matrix": (
+        "--matrix", "--matrices",
+        {
+            "choices": suite.names(),
+            "help": "test matrix; swept, the grid's matrix set (with "
+            "--preset, a restriction of the preset's)",
+        },
+    ),
+    "scheme": (
+        "--scheme", "--schemes",
+        {
+            "choices": scheme_names(),
+            "help": "resilience scheme; swept, the grid's scheme set "
+            "(with --preset, a restriction of the preset's)",
+        },
+    ),
+    "n_faults": ("--faults", None, {"type": int, "metavar": "FAULTS"}),
+    "nranks": ("--ranks", None, {"type": int, "metavar": "RANKS"}),
+    "tol": ("--tol", None, {"type": float}),
+    "scale": ("--scale", None, {"type": float}),
+    "seed": ("--seed", "--seeds", {"type": int, "help": "experiment RNG seed"}),
+    "engine": (
+        "--engine", None,
+        {
+            "choices": engine_names(),
+            "help": "numeric simulation (sim) or Section-3 closed-form "
+            "models (analytic)",
+        },
+    ),
+    "fault_scope": (
+        "--fault-scope", None,
+        {
+            "choices": list(FAULT_SCOPES),
+            "help": "blast radius per fault: one rank (process, the "
+            "paper's protocol), every rank on the victim's node, or all "
+            "ranks",
+        },
+    ),
+    "victims_per_fault": (
+        "--victims-per-fault", None,
+        {
+            "type": int, "metavar": "K",
+            "help": "ranks lost simultaneously per fault event (default 1, "
+            "the paper's protocol; >1 exercises multi-loss recovery)",
+        },
+    ),
+    "preconditioner": (
+        "--precond", None,
+        {
+            "choices": list(PRECONDITIONERS),
+            "help": "optional preconditioner (part of the cell's config "
+            "and cache key)",
+        },
+    ),
+    "cr_interval": (
+        "--cr-interval", None,
+        {"help": "CR cadence: 'paper' (100 iters), 'young', or an integer"},
+    ),
+    "trace": (
+        "--trace", None,
+        {
+            "action": "store_true",
+            "help": "record telemetry (events, spans, metrics) and print "
+            "its fault→recovery summary; a campaign persists it in the store",
+        },
+    ),
+    "backend": (
+        "--backend", None,
+        {
+            "choices": backend_names(),
+            "help": "CG kernel backend: vectorized across ranks (batched, "
+            "the default) or the rank-by-rank reference (loop); "
+            "bit-identical",
+        },
+    ),
+}
+
+#: Where a swept config flag stores its values: the CampaignSpec name.
+_SWEEP_DEST = {
+    field: axis for axis, (field, _) in campaign_presets.AXES.items()
+} | {"scheme": "schemes"}
+
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+#: The config flags of each cell-running subcommand: ``(fields, the
+#: fields it sweeps, defaults)``.  ``campaign`` sweeps every CampaignSpec
+#: axis; its flags default to None, which keeps the preset's value.
+_COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], tuple[str, ...], dict]] = {
+    "run": (
+        tuple(_CONFIG_FLAGS),
+        (),
+        {**_CONFIG_DEFAULTS, "scheme": "LI-DVFS", "n_faults": 5, "nranks": 64},
+    ),
+    "suite": (
+        ("matrix", "scheme", "n_faults", "nranks", "scale", "seed", "engine",
+         "cr_interval", "victims_per_fault", "backend"),
+        ("matrix", "scheme"),
+        {
+            **_CONFIG_DEFAULTS,
+            "matrix": None,
+            "scheme": ["RD", "F0", "LI", "CR-D"],
+            "nranks": 64,
+        },
+    ),
+    "campaign": (
+        (*_SWEEP_DEST, "scale", "tol", "cr_interval", "trace"),
+        tuple(_SWEEP_DEST),
+        {},
+    ),
+}
+
+
+def _add_config_flags(parser, names, sweep=(), defaults=None) -> None:
+    """Add the named :data:`_CONFIG_FLAGS` rows to ``parser``."""
+    for name in names:
+        flag, sweep_flag, kwargs = _CONFIG_FLAGS[name]
+        kwargs = {**kwargs, "dest": name}
+        if name in sweep:
+            flag = sweep_flag or flag
+            kwargs.update(nargs="+", dest=_SWEEP_DEST[name])
+        if defaults and name in defaults:
+            kwargs["default"] = defaults[name]
+        parser.add_argument(flag, **kwargs)
+
+
+def _config_values(args) -> dict:
+    """``{dest: value}`` for every config flag of ``args.command`` that
+    has a value, ``--cr-interval`` parsed."""
+    names, sweep, _ = _COMMAND_FLAGS[args.command]
+    out = {}
+    for name in names:
+        dest = _SWEEP_DEST[name] if name in sweep else name
+        value = getattr(args, dest)
+        if value is not None:
+            out[dest] = _parse_cr_interval(value) if name == "cr_interval" else value
+    return out
+
+
+def _add_store_flags(parser, *, writes: bool) -> None:
+    parser.add_argument(
+        "--store", default=None, metavar="DIR",
+        help="result store directory (default .repro-cache)",
+    )
+    if writes:
+        parser.add_argument(
+            "--no-store", action="store_true",
+            help="run fully in memory: nothing read from or written to disk",
+        )
+
+
+def _add_record_flags(parser) -> None:
+    """Where ``report``/``doctor`` read cells from, and which cells."""
+    _add_store_flags(parser, writes=False)
+    parser.add_argument(
+        "--jsonl", default=None, metavar="PATH",
+        help="read a 'repro trace --export' JSONL file instead of a store",
+    )
+    parser.add_argument(
+        "--matrix", default=None,
+        help="only cells whose label contains this matrix name",
+    )
+    parser.add_argument(
+        "--scheme", default=None,
+        help="only cells of this scheme (FF for baselines)",
+    )
+
+
+def _add_fleet_flags(parser) -> None:
+    """How ``campaign``/``validate`` run their cells and where they keep them."""
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes; 1 = serial in-process execution",
+    )
+    _add_store_flags(parser, writes=True)
+    parser.add_argument(
+        "--quiet", action="store_true", help="suppress progress lines"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,77 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="one faulty solve vs its fault-free baseline")
-    run.add_argument("--matrix", default="crystm02", choices=suite.names())
-    run.add_argument("--scheme", default="LI-DVFS", choices=scheme_names())
-    run.add_argument("--faults", type=int, default=5)
-    run.add_argument("--ranks", type=int, default=64)
-    run.add_argument("--tol", type=float, default=1e-8)
-    run.add_argument("--scale", type=float, default=1.0)
-    run.add_argument("--seed", type=int, default=0, help="experiment RNG seed")
-    run.add_argument(
-        "--engine", choices=engine_names(), default="sim",
-        help="numeric simulation (sim) or Section-3 closed-form models "
-        "(analytic)",
-    )
-    run.add_argument(
-        "--fault-scope", choices=list(FAULT_SCOPES), default="process",
-        help="blast radius per fault: one rank (process, the paper's "
-        "protocol), every rank on the victim's node, or all ranks",
-    )
-    run.add_argument(
-        "--victims-per-fault", type=int, default=1, metavar="K",
-        help="ranks lost simultaneously per fault event (default 1, the "
-        "paper's protocol; >1 exercises multi-loss recovery)",
-    )
-    run.add_argument(
-        "--precond", choices=list(PRECONDITIONERS), default=None,
-        help="optional preconditioner (part of the cell's config and cache key)",
-    )
-    run.add_argument(
-        "--cr-interval",
-        default="paper",
-        help="CR cadence: 'paper' (100 iters), 'young', or an integer",
-    )
-    run.add_argument(
-        "--trace", action="store_true",
-        help="record per-solve telemetry and print the fault→recovery "
-        "latency summary",
-    )
-    run.add_argument(
-        "--backend", choices=backend_names(), default=DEFAULT_BACKEND,
-        help="CG kernel backend: vectorized across ranks (batched, the "
-        "default) or the rank-by-rank reference (loop); bit-identical",
-    )
+    _add_config_flags(run, *_COMMAND_FLAGS["run"])
 
     sweep = sub.add_parser("suite", help="Figure-5-style sweep over matrices")
-    sweep.add_argument("--matrices", nargs="+", default=None, choices=suite.names())
-    sweep.add_argument(
-        "--schemes", nargs="+", default=["RD", "F0", "LI", "CR-D"],
-        choices=scheme_names(),
-    )
-    sweep.add_argument("--faults", type=int, default=10)
-    sweep.add_argument("--ranks", type=int, default=64)
-    sweep.add_argument("--scale", type=float, default=1.0)
-    sweep.add_argument("--seed", type=int, default=0, help="experiment RNG seed")
-    sweep.add_argument(
-        "--engine", choices=engine_names(), default="sim",
-        help="numeric simulation (sim) or Section-3 closed-form models "
-        "(analytic)",
-    )
-    sweep.add_argument(
-        "--cr-interval",
-        default="paper",
-        help="CR cadence: 'paper' (100 iters), 'young', or an integer",
-    )
-    sweep.add_argument(
-        "--victims-per-fault", type=int, default=1, metavar="K",
-        help="ranks lost simultaneously per fault event (default 1)",
-    )
-    sweep.add_argument(
-        "--backend", choices=backend_names(), default=DEFAULT_BACKEND,
-        help="CG kernel backend: vectorized across ranks (batched, the "
-        "default) or the rank-by-rank reference (loop); bit-identical",
-    )
+    _add_config_flags(sweep, *_COMMAND_FLAGS["suite"])
 
     camp = sub.add_parser(
         "campaign",
@@ -153,54 +276,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="named study grid; omit to build a custom grid from the flags below",
     )
-    camp.add_argument(
-        "--matrices", nargs="+", default=None, choices=suite.names(),
-        help="restrict (or, without --preset, define) the matrix set",
-    )
-    camp.add_argument(
-        "--schemes", nargs="+", default=None, choices=scheme_names(),
-        help="restrict (or, without --preset, define) the scheme set",
-    )
-    camp.add_argument("--ranks", nargs="+", type=int, default=None)
-    camp.add_argument("--faults", nargs="+", type=int, default=None)
-    camp.add_argument("--seeds", nargs="+", type=int, default=None)
-    camp.add_argument(
-        "--engine", nargs="+", choices=engine_names(), default=None,
-        dest="engines", metavar="ENGINE",
-        help="execution engine(s) to sweep; pass both to build a "
-        "model-vs-sim comparison grid",
-    )
-    camp.add_argument(
-        "--backend", nargs="+", choices=backend_names(), default=None,
-        dest="backends", metavar="BACKEND",
-        help="CG kernel backend(s) to sweep; pass both to compare the "
-        "batched and loop executions cell by cell (bit-identical)",
-    )
-    camp.add_argument(
-        "--victims-per-fault", nargs="+", type=int, default=None,
-        dest="victims_per_fault", metavar="K",
-        help="victim-set size(s) to sweep: ranks lost simultaneously "
-        "per fault event (default 1)",
-    )
-    camp.add_argument("--scale", type=float, default=None)
-    camp.add_argument("--tol", type=float, default=None)
-    camp.add_argument("--cr-interval", default=None)
-    camp.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes; 1 = serial in-process execution",
-    )
-    camp.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result store directory (default .repro-cache)",
-    )
+    _add_config_flags(camp, *_COMMAND_FLAGS["campaign"])
+    _add_fleet_flags(camp)
     camp.add_argument(
         "--resume", action=argparse.BooleanOptionalAction, default=True,
         help="serve cells already in the store from cache (default on; "
         "--no-resume recomputes everything and overwrites)",
-    )
-    camp.add_argument(
-        "--no-store", action="store_true",
-        help="run fully in memory: nothing read from or written to disk",
     )
     camp.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -209,12 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     camp.add_argument(
         "--retries", type=int, default=1,
         help="retries per cell on crash or error (default 1)",
-    )
-    camp.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    camp.add_argument(
-        "--trace", action="store_true",
-        help="record per-cell telemetry (events, spans, metrics), persist "
-        "it in the store, and print the campaign rollup",
     )
     camp.add_argument(
         "--watch", action="store_true",
@@ -247,10 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="model-vs-sim drift gate: run the validation grid under "
         "both engines and compare normalized T_res / P / E_res",
     )
-    val.add_argument(
-        "--matrices", nargs="+", default=None, choices=suite.names(),
-        help="restrict the validation grid's matrix set",
-    )
+    _add_config_flags(val, ["matrix"], sweep=["matrix"])
     val.add_argument(
         # "FF" is accepted (the grid then has nothing to pair and the
         # command fails with the no-pairs verdict) so the degenerate
@@ -264,19 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max allowed normalized drift (default: the documented "
         "envelope, repro.engines.validate.DEFAULT_DRIFT_THRESHOLD)",
     )
-    val.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the underlying campaign",
-    )
-    val.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result store directory (default .repro-cache)",
-    )
-    val.add_argument(
-        "--no-store", action="store_true",
-        help="run fully in memory: nothing read from or written to disk",
-    )
-    val.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    _add_fleet_flags(val)
     val.add_argument(
         "--terms", action="store_true",
         help="also print per-term drift (which Section-3 phase term "
@@ -287,10 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="inspect/export the telemetry a traced campaign persisted",
     )
-    trace.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result store directory (default .repro-cache)",
-    )
+    _add_store_flags(trace, writes=False)
     trace.add_argument(
         "--matrix", default=None, choices=suite.names(),
         help="only cells of this matrix",
@@ -322,22 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="phase attribution (+ optional diff, HTML, Prometheus) "
         "from stored or exported telemetry",
     )
-    rep.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result store directory (default .repro-cache)",
-    )
-    rep.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="read a 'repro trace --export' JSONL file instead of a store",
-    )
-    rep.add_argument(
-        "--matrix", default=None,
-        help="only cells whose label contains this matrix name",
-    )
-    rep.add_argument(
-        "--scheme", default=None,
-        help="only cells of this scheme (FF for baselines)",
-    )
+    _add_record_flags(rep)
     rep.add_argument(
         "--diff", nargs=2, default=None, metavar=("LABEL_A", "LABEL_B"),
         help="structural diff of two cells by label",
@@ -363,22 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run anomaly detectors over a trace or a whole result "
         "store; exits non-zero on findings",
     )
-    doc.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result store directory (default .repro-cache)",
-    )
-    doc.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="read a 'repro trace --export' JSONL file instead of a store",
-    )
-    doc.add_argument(
-        "--matrix", default=None,
-        help="only cells whose label contains this matrix name",
-    )
-    doc.add_argument(
-        "--scheme", default=None,
-        help="only cells of this scheme (FF for baselines)",
-    )
+    _add_record_flags(doc)
     doc.add_argument(
         "--detectors", nargs="+", default=None, metavar="NAME",
         help="run only these detectors (default: all registered)",
@@ -424,19 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=256,
         help="entries in the in-memory LRU hot-cache over store lookups",
     )
-    srv.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result store directory (default .repro-cache)",
-    )
-    srv.add_argument(
-        "--no-store", action="store_true",
-        help="serve without a persistent store (LRU + compute only)",
-    )
-    srv.add_argument(
-        "--backend", choices=backend_names(), default=DEFAULT_BACKEND,
-        help="default CG kernel backend for solve requests that do not "
-        "specify one",
-    )
+    _add_store_flags(srv, writes=True)
+    # the backend of solve requests that do not name one
+    _add_config_flags(srv, ["backend"], defaults=_CONFIG_DEFAULTS)
     srv.add_argument(
         "--latency-buckets", nargs="+", type=float, default=None,
         metavar="SECONDS",
@@ -474,6 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true",
         help="print one plain snapshot and exit (CI artifact mode)",
     )
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
@@ -507,6 +526,33 @@ def _check_analytic_schemes(schemes) -> None:
         )
 
 
+@contextlib.contextmanager
+def _usage_errors(args):
+    """Turn a ValueError raised while argument values become objects
+    (configs, specs, runners) into argparse's usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        args.usage_error(str(exc))
+
+
+def _store_root(args) -> Path:
+    return Path(args.store or DEFAULT_ROOT)
+
+
+def _store(args) -> ResultStore | None:
+    """The store ``--store`` names, created if need be; None with ``--no-store``."""
+    return None if args.no_store else ResultStore(_store_root(args))
+
+
+def _open_existing_store(args) -> ResultStore:
+    """The store ``--store`` names, which must already hold results."""
+    root = _store_root(args)
+    if not (root / "index.db").exists():
+        raise SystemExit(f"no result store at {root}")
+    return ResultStore(root)
+
+
 def _print_trace_summary(report) -> None:
     """The ``--trace`` wrap-up: fault→recovery latencies plus top spans."""
     tel = report.details.get("telemetry")
@@ -534,34 +580,23 @@ def _print_trace_summary(report) -> None:
 
 
 def cmd_run(args) -> int:
+    values = _config_values(args)
+    scheme = values.pop("scheme")
     if args.engine == "analytic":
-        _check_analytic_schemes([args.scheme])
-    cfg = ExperimentConfig(
-        matrix=args.matrix,
-        nranks=args.ranks,
-        n_faults=args.faults,
-        tol=args.tol,
-        seed=args.seed,
-        scale=args.scale,
-        cr_interval=_parse_cr_interval(args.cr_interval),
-        trace=args.trace,
-        engine=args.engine,
-        fault_scope=args.fault_scope,
-        backend=args.backend,
-        victims_per_fault=args.victims_per_fault,
-        preconditioner=args.precond,
-    )
+        _check_analytic_schemes([scheme])
+    with _usage_errors(args):
+        cfg = ExperimentConfig(**values)
     exp = Experiment(cfg)
     if args.fault_scope != "process":
         print(
             f"fault scope {args.fault_scope}: up to "
-            f"{exp.fault_scope_victims()} of {args.ranks} ranks lost per fault"
+            f"{exp.fault_scope_victims()} of {args.nranks} ranks lost per fault"
         )
     ff = exp.fault_free
-    report = exp.run(args.scheme)
+    report = exp.run(scheme)
     print("fault-free:")
     print(ff.summary())
-    print(f"\n{args.scheme} with {args.faults} faults:")
+    print(f"\n{scheme} with {args.n_faults} faults:")
     print(report.summary())
     print(
         f"\nnormalized: iters {report.normalized_iterations(ff):.2f}x  "
@@ -575,31 +610,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    values = _config_values(args)
+    matrices = values.pop("matrices", None) or suite.names()
+    schemes = values.pop("schemes")
     if args.engine == "analytic":
-        _check_analytic_schemes(args.schemes)
-    matrices = args.matrices or suite.names()
-    base = ExperimentConfig(
-        nranks=args.ranks,
-        n_faults=args.faults,
-        seed=args.seed,
-        scale=args.scale,
-        cr_interval=_parse_cr_interval(args.cr_interval),
-        engine=args.engine,
-        backend=args.backend,
-        victims_per_fault=args.victims_per_fault,
-    )
-    out = run_suite(matrices, args.schemes, base=base)
+        _check_analytic_schemes(schemes)
+    with _usage_errors(args):
+        base = ExperimentConfig(**values)
+    out = run_suite(matrices, schemes, base=base)
     rows = []
     for name in matrices:
         norm = normalize_reports(out[name])
-        rows.append([name, *(norm[s].iterations for s in args.schemes)])
+        rows.append([name, *(norm[s].iterations for s in schemes)])
     print(
         format_table(
-            ["matrix", *args.schemes],
+            ["matrix", *schemes],
             rows,
             title=(
-                f"normalized iterations ({args.ranks} ranks, "
-                f"{args.faults} faults, FF=1)"
+                f"normalized iterations ({args.nranks} ranks, "
+                f"{args.n_faults} faults, FF=1)"
             ),
         )
     )
@@ -608,36 +637,14 @@ def cmd_suite(args) -> int:
 
 def _campaign_spec(args):
     """Resolve the campaign grid from --preset plus overrides."""
-    overrides = {}
-    if args.matrices:
-        overrides["matrices"] = tuple(args.matrices)
-    if args.schemes:
-        overrides["schemes"] = tuple(args.schemes)
-    if args.ranks:
-        overrides["nranks"] = tuple(args.ranks)
-    if args.faults:
-        overrides["fault_loads"] = tuple(args.faults)
-    if args.seeds:
-        overrides["seeds"] = tuple(args.seeds)
-    if args.engines:
-        overrides["engines"] = tuple(args.engines)
-    if args.backends:
-        overrides["backends"] = tuple(args.backends)
-    if args.victims_per_fault:
-        overrides["victims_per_fault"] = tuple(args.victims_per_fault)
-    if args.scale is not None:
-        overrides["scale"] = args.scale
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.cr_interval is not None:
-        overrides["cr_interval"] = _parse_cr_interval(args.cr_interval)
-    if args.trace:
-        overrides["trace"] = True
-    spec = (
-        campaign_presets.preset(args.preset, **overrides)
-        if args.preset
-        else campaign_presets.CampaignSpec(**overrides)
-    )
+    overrides = _config_values(args)
+    with _usage_errors(args):
+        spec = (
+            campaign_presets.preset(args.preset, **overrides)
+            if args.preset
+            else campaign_presets.CampaignSpec(**overrides)
+        )
+        spec.experiment_configs()  # every grid point is a valid config
     if "analytic" in spec.engines:
         _check_analytic_schemes(spec.schemes)
     return spec
@@ -648,29 +655,22 @@ def cmd_campaign(args) -> int:
         CampaignWatch,
         FleetMonitor,
         ProgressReporter,
-        ResultStore,
         cell_event_to_line,
         format_attribution_summary,
         format_normalized_tables,
         format_summary,
         format_telemetry_summary,
-        run_campaign,
     )
-    from repro.campaign.store import DEFAULT_ROOT
 
     if args.list_presets:
         for name in campaign_presets.preset_names():
             print(campaign_presets.preset(name).describe())
         return 0
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     if args.once and not args.watch:
         raise SystemExit("--once requires --watch")
     if args.heartbeat_interval < 0:
         raise SystemExit("--heartbeat-interval must be >= 0")
     spec = _campaign_spec(args)
-    store = None if args.no_store else ResultStore(args.store or DEFAULT_ROOT)
-    print(spec.describe())
 
     # machine-readable progress: one schema'd JSONL cell event per line
     event_sink = None
@@ -697,9 +697,9 @@ def cmd_campaign(args) -> int:
         workers=args.workers,
         enabled=not args.quiet and not (args.watch and not args.once),
     )
-    watch = CampaignWatch(monitor, once=args.once).start() if args.watch else None
-    try:
-        result = run_campaign(
+    store = _store(args)
+    with _usage_errors(args):
+        runner = CampaignRunner(
             spec,
             store=store,
             max_workers=args.workers,
@@ -709,6 +709,10 @@ def cmd_campaign(args) -> int:
             progress=progress,
             monitor=monitor,
         )
+    print(spec.describe())
+    watch = CampaignWatch(monitor, once=args.once).start() if args.watch else None
+    try:
+        result = runner.run()
     finally:
         if watch is not None:
             watch.stop()
@@ -737,8 +741,7 @@ def cmd_campaign(args) -> int:
 def cmd_validate(args) -> int:
     """Run the model-validation grid under both engines and gate on the
     worst normalized drift (Table 6 as a standing check)."""
-    from repro.campaign import ProgressReporter, ResultStore, run_campaign
-    from repro.campaign.store import DEFAULT_ROOT
+    from repro.campaign import ProgressReporter
     from repro.engines.validate import (
         DEFAULT_DRIFT_THRESHOLD,
         drift_rows,
@@ -760,14 +763,15 @@ def cmd_validate(args) -> int:
     threshold = (
         args.threshold if args.threshold is not None else DEFAULT_DRIFT_THRESHOLD
     )
-    store = None if args.no_store else ResultStore(args.store or DEFAULT_ROOT)
-    print(spec.describe())
     progress = ProgressReporter(
         len(spec), workers=args.workers, enabled=not args.quiet
     )
-    result = run_campaign(
-        spec, store=store, max_workers=args.workers, progress=progress
-    )
+    with _usage_errors(args):
+        runner = CampaignRunner(
+            spec, store=_store(args), max_workers=args.workers, progress=progress
+        )
+    print(spec.describe())
+    result = runner.run()
     print()
     rows = drift_rows(result)
     print(format_drift_table(rows))
@@ -792,19 +796,11 @@ def cmd_validate(args) -> int:
 def cmd_trace(args) -> int:
     """Walk a result store's traced cells: event streams, span
     summaries, per-scheme recovery-latency tables, JSONL export."""
-    from pathlib import Path
-
-    from repro.campaign import ResultStore
-    from repro.campaign.store import DEFAULT_ROOT
     from repro.obs.export import event_to_row, write_trace_jsonl
-
-    root = Path(args.store or DEFAULT_ROOT)
-    if not (root / "index.db").exists():
-        raise SystemExit(f"no result store at {root}")
 
     cells = {}  # label -> telemetry (store order; last writer wins)
     schemes = {}  # label -> scheme
-    with ResultStore(root) as store:
+    with _open_existing_store(args) as store:
         for entry in store.entries():
             if args.matrix and entry.cell.config.matrix != args.matrix:
                 continue
@@ -816,7 +812,7 @@ def cmd_trace(args) -> int:
             cells[entry.cell.label] = tel
             schemes[entry.cell.label] = entry.cell.scheme
     if not cells:
-        print(f"no traced cells in {root} match the filters")
+        print(f"no traced cells in {_store_root(args)} match the filters")
         return 1
 
     if args.export:
@@ -887,8 +883,6 @@ def cmd_trace(args) -> int:
 
 def _load_records(args) -> list:
     """Records for report/doctor: a JSONL trace or a result store."""
-    from pathlib import Path
-
     from repro.obs.analysis import (
         records_from_jsonl,
         records_from_store,
@@ -900,21 +894,13 @@ def _load_records(args) -> list:
     if args.jsonl:
         records = records_from_jsonl(args.jsonl)
     else:
-        from repro.campaign import ResultStore
-        from repro.campaign.store import DEFAULT_ROOT
-
-        root = Path(args.store or DEFAULT_ROOT)
-        if not (root / "index.db").exists():
-            raise SystemExit(f"no result store at {root}")
-        with ResultStore(root) as store:
+        with _open_existing_store(args) as store:
             records = records_from_store(store)
     return select_records(records, matrix=args.matrix, scheme=args.scheme)
 
 
 def cmd_report(args) -> int:
     """Phase attribution waterfalls (+ rollup, diff, HTML, Prometheus)."""
-    from pathlib import Path
-
     from repro.obs.analysis import (
         attribute_record,
         build_span_tree,
@@ -932,15 +918,9 @@ def cmd_report(args) -> int:
 
     manifest = None
     if args.campaign:
-        from repro.campaign import ResultStore
-        from repro.campaign.store import DEFAULT_ROOT
-
         if args.jsonl:
             raise SystemExit("--campaign reads a result store, not --jsonl")
-        root = Path(args.store or DEFAULT_ROOT)
-        if not (root / "index.db").exists():
-            raise SystemExit(f"no result store at {root}")
-        with ResultStore(root) as mstore:
+        with _open_existing_store(args) as mstore:
             manifest = (
                 mstore.latest_manifest()
                 if args.campaign == "latest"
@@ -1028,8 +1008,6 @@ def cmd_report(args) -> int:
 
 def cmd_doctor(args) -> int:
     """Anomaly detectors over a trace or store; non-zero on findings."""
-    from pathlib import Path
-
     from repro.obs.analysis import detectors, format_findings, run_detectors
 
     if args.list_detectors:
@@ -1045,29 +1023,20 @@ def cmd_doctor(args) -> int:
         history = MetricsHistory.load(args.history)
     # with only --history given (no trace/store around), doctor the
     # serving evidence alone instead of demanding a result store
-    from repro.campaign.store import DEFAULT_ROOT
-
-    have_trace_source = bool(
-        args.jsonl or args.store or (Path(DEFAULT_ROOT) / "index.db").exists()
-    )
+    have_store = (_store_root(args) / "index.db").exists()
+    have_trace_source = bool(args.jsonl or args.store or have_store)
     records = _load_records(args) if have_trace_source else []
     # fleet evidence: the campaign run manifest (latest, or --run-id)
     manifest = None
-    if not args.jsonl:
-        root = Path(args.store or DEFAULT_ROOT)
-        if (root / "index.db").exists():
-            from repro.campaign import ResultStore
-
-            with ResultStore(root) as mstore:
-                manifest = (
-                    mstore.get_manifest(args.run_id)
-                    if args.run_id
-                    else mstore.latest_manifest()
-                )
-            if args.run_id and manifest is None:
-                raise SystemExit(
-                    f"no campaign manifest for run id {args.run_id!r}"
-                )
+    if have_store and not args.jsonl:
+        with _open_existing_store(args) as mstore:
+            manifest = (
+                mstore.get_manifest(args.run_id)
+                if args.run_id
+                else mstore.latest_manifest()
+            )
+        if args.run_id and manifest is None:
+            raise SystemExit(f"no campaign manifest for run id {args.run_id!r}")
     # an explicit cell filter that matches nothing is still an error —
     # the implicitly-loaded manifest must not mask a typo'd --matrix
     filtered = bool(args.matrix or args.scheme)
@@ -1122,8 +1091,6 @@ def cmd_serve(args) -> int:
     import contextlib
     import signal as signal_mod
 
-    from repro.campaign import ResultStore
-    from repro.campaign.store import DEFAULT_ROOT
     from repro.obs.history import MetricsHistory
     from repro.obs.logging import get_logger
     from repro.serve import ServeApp, ServeServer, ServingCore
@@ -1142,7 +1109,7 @@ def cmd_serve(args) -> int:
     ):
         raise SystemExit("--latency-buckets must be ascending seconds")
     log = get_logger("cli.serve")
-    store = None if args.no_store else ResultStore(args.store or DEFAULT_ROOT)
+    store = _store(args)
     core = ServingCore(
         store,
         cache_size=args.cache_size,

@@ -215,3 +215,133 @@ class TestVictimsPerFaultAxis:
         assert spec.victims_per_fault == (2,)
         assert spec.engines == ("sim", "analytic")
         assert {"ESR", "ABCR"} <= set(spec.schemes)
+
+
+class TestAxisTable:
+    @pytest.mark.parametrize("axis", ["nranks", "fault_loads", "seeds"])
+    def test_every_empty_axis_is_rejected(self, axis):
+        with pytest.raises(ValueError, match="campaign needs at least one"):
+            CampaignSpec(matrices=("Kuu",), **{axis: ()})
+
+    def test_axes_coerced_to_tuples(self):
+        spec = CampaignSpec(matrices=["Kuu"], nranks=[4], seeds=[0, 1])
+        assert spec.matrices == ("Kuu",)
+        assert spec.nranks == (4,)
+        assert spec.seeds == (0, 1)
+
+
+def _nested_loop_cells(spec):
+    """The documented expansion, written out by hand."""
+    out = []
+    for matrix in spec.matrices:
+        for nranks in spec.nranks:
+            for n_faults in spec.fault_loads:
+                for seed in spec.seeds:
+                    for engine in spec.engines:
+                        for backend in spec.backends:
+                            for victims in spec.victims_per_fault:
+                                config = ExperimentConfig(
+                                    matrix=matrix,
+                                    nranks=nranks,
+                                    n_faults=n_faults,
+                                    seed=seed,
+                                    scale=spec.scale,
+                                    tol=spec.tol,
+                                    cr_interval=spec.cr_interval,
+                                    trace=spec.trace,
+                                    engine=engine,
+                                    backend=backend,
+                                    victims_per_fault=victims,
+                                )
+                                out.append(CampaignCell(config, BASELINE_SCHEME))
+                                out += [
+                                    CampaignCell(config, scheme)
+                                    for scheme in spec.schemes
+                                    if scheme != BASELINE_SCHEME
+                                ]
+    return out
+
+
+TWO_ON_EVERY_AXIS = CampaignSpec(
+    name="two-by-every-axis",
+    matrices=("Kuu", "ex15"),
+    schemes=("RD", "LI"),
+    nranks=(4, 8),
+    fault_loads=(1, 2),
+    seeds=(0, 3),
+    engines=("sim", "analytic"),
+    backends=("batched", "loop"),
+    victims_per_fault=(1, 2),
+    scale=0.5,
+    tol=1e-7,
+    cr_interval="young",
+    trace=True,
+)
+
+
+class TestExpansionIsTheNestedLoop:
+    @pytest.mark.parametrize(
+        "spec",
+        [preset(name) for name in preset_names()] + [TWO_ON_EVERY_AXIS],
+        ids=[*preset_names(), "two-on-every-axis"],
+    )
+    def test_cells_in_order(self, spec):
+        expected = _nested_loop_cells(spec)
+        assert spec.cells() == expected
+        assert len(spec) == len(expected)
+
+    def test_two_on_every_axis_is_the_full_product(self):
+        assert len(TWO_ON_EVERY_AXIS) == 2**7 * 3
+
+
+#: A non-default value for every ExperimentConfig field a label must
+#: mark (everything but the three it always names, and ``trace``, which
+#: never changes the numbers).
+NON_DEFAULT = {
+    "seed": (7, "s7"),
+    "scale": (0.25, "x0.25"),
+    "engine": ("analytic", "analytic"),
+    "fault_scope": ("node", "node"),
+    "backend": ("loop", "loop"),
+    "victims_per_fault": (2, "v2"),
+    "preconditioner": ("jacobi", "jacobi"),
+    "tol": (1e-6, "tol1e-06"),
+    "cr_interval": ("young", "cryoung"),
+    "construct_tol": (1e-5, "ctol1e-05"),
+    "max_iters": (500, "maxit500"),
+}
+
+
+class TestLabelNamesEveryResultChangingField:
+    def test_table_covers_every_config_field(self):
+        from dataclasses import fields
+
+        named = {"matrix", "nranks", "n_faults", "trace", *NON_DEFAULT}
+        assert {f.name for f in fields(ExperimentConfig)} == named
+
+    @pytest.mark.parametrize("field", list(NON_DEFAULT))
+    def test_non_default_field_changes_the_label(self, field):
+        from dataclasses import replace
+
+        value, mark = NON_DEFAULT[field]
+        base = ExperimentConfig(matrix="Kuu", nranks=8, n_faults=2)
+        cell = CampaignCell(replace(base, **{field: value}), "LI")
+        assert cell.label == f"Kuu/r8/f2/{mark}/LI"
+        assert CampaignCell(base, "LI").label == "Kuu/r8/f2/LI"
+
+    def test_trace_leaves_the_label_alone(self):
+        from dataclasses import replace
+
+        base = ExperimentConfig(matrix="Kuu", nranks=8, n_faults=2)
+        traced = replace(base, trace=True)
+        assert CampaignCell(traced, "LI").label == CampaignCell(base, "LI").label
+
+    def test_marks_keep_their_order(self):
+        cfg = ExperimentConfig(
+            matrix="Kuu", nranks=8, n_faults=2, seed=1, scale=0.5,
+            engine="analytic", fault_scope="node", backend="loop",
+            victims_per_fault=2, preconditioner="jacobi", cr_interval=50,
+        )
+        assert CampaignCell(cfg, "RD").label == (
+            "Kuu/r8/f2/s1/x0.5/analytic/node/loop/v2/jacobi/cr50/RD"
+        )

@@ -1,8 +1,17 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import _parse_cr_interval, main
+from repro.cli import _build_parser, _parse_cr_interval, main
+from repro.core.backends import backend_names
+from repro.core.recovery import scheme_names
+from repro.engines import engine_names
+from repro.matrices import suite
 
 
 class TestCli:
@@ -610,3 +619,293 @@ class TestServeCli:
             main(["--help"])
         assert exc.value.code == 0
         assert "serve" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The option surface, pinned: every subcommand's flags with their nargs,
+# default, choices and type.  A refactor of the parser must leave this
+# table untouched; changing it is changing the command line.
+MATRICES = tuple(suite.names())
+SCHEMES = tuple(scheme_names())
+ENGINES = tuple(engine_names())
+BACKENDS = tuple(backend_names())
+
+OPTION_SURFACE = {
+    "": {
+        "--log-level": (None, None, ("debug", "info", "warning", "error"), None),
+        "--log-file": (None, None, None, None),
+    },
+    "run": {
+        "--matrix": (None, "crystm02", MATRICES, None),
+        "--scheme": (None, "LI-DVFS", SCHEMES, None),
+        "--faults": (None, 5, None, "int"),
+        "--ranks": (None, 64, None, "int"),
+        "--tol": (None, 1e-08, None, "float"),
+        "--scale": (None, 1.0, None, "float"),
+        "--seed": (None, 0, None, "int"),
+        "--engine": (None, "sim", ENGINES, None),
+        "--fault-scope": (None, "process", ("process", "node", "system"), None),
+        "--victims-per-fault": (None, 1, None, "int"),
+        "--precond": (None, None, ("jacobi",), None),
+        "--cr-interval": (None, "paper", None, None),
+        "--trace": (0, False, None, None),
+        "--backend": (None, "batched", BACKENDS, None),
+    },
+    "suite": {
+        "--matrices": ("+", None, MATRICES, None),
+        "--schemes": ("+", ["RD", "F0", "LI", "CR-D"], SCHEMES, None),
+        "--faults": (None, 10, None, "int"),
+        "--ranks": (None, 64, None, "int"),
+        "--scale": (None, 1.0, None, "float"),
+        "--seed": (None, 0, None, "int"),
+        "--engine": (None, "sim", ENGINES, None),
+        "--cr-interval": (None, "paper", None, None),
+        "--victims-per-fault": (None, 1, None, "int"),
+        "--backend": (None, "batched", BACKENDS, None),
+    },
+    "campaign": {
+        "--preset": (
+            None, None,
+            ("iteration-study", "cost-study", "dvfs-study", "smoke",
+             "multi-fault", "model-validation"),
+            None,
+        ),
+        "--matrices": ("+", None, MATRICES, None),
+        "--schemes": ("+", None, SCHEMES, None),
+        "--ranks": ("+", None, None, "int"),
+        "--faults": ("+", None, None, "int"),
+        "--seeds": ("+", None, None, "int"),
+        "--engine": ("+", None, ENGINES, None),
+        "--backend": ("+", None, BACKENDS, None),
+        "--victims-per-fault": ("+", None, None, "int"),
+        "--scale": (None, None, None, "float"),
+        "--tol": (None, None, None, "float"),
+        "--cr-interval": (None, None, None, None),
+        "--workers": (None, 1, None, "int"),
+        "--store": (None, None, None, None),
+        "--resume": (0, True, None, None),
+        "--no-resume": (0, True, None, None),
+        "--no-store": (0, False, None, None),
+        "--timeout": (None, None, None, "float"),
+        "--retries": (None, 1, None, "int"),
+        "--quiet": (0, False, None, None),
+        "--trace": (0, False, None, None),
+        "--watch": (0, False, None, None),
+        "--once": (0, False, None, None),
+        "--json-progress": (None, None, None, None),
+        "--heartbeat-interval": (None, 1.0, None, "float"),
+        "--list-presets": (0, False, None, None),
+    },
+    "validate": {
+        "--matrices": ("+", None, MATRICES, None),
+        "--schemes": ("+", None, (*SCHEMES, "FF"), None),
+        "--threshold": (None, None, None, "float"),
+        "--workers": (None, 1, None, "int"),
+        "--store": (None, None, None, None),
+        "--no-store": (0, False, None, None),
+        "--quiet": (0, False, None, None),
+        "--terms": (0, False, None, None),
+    },
+    "trace": {
+        "--store": (None, None, None, None),
+        "--matrix": (None, None, MATRICES, None),
+        "--scheme": (None, None, None, None),
+        "--kind": (
+            None, None,
+            ("fault", "recovery", "checkpoint", "restart", "phase"),
+            None,
+        ),
+        "--events": (0, False, None, None),
+        "--spans": (0, False, None, None),
+        "--export": (None, None, None, None),
+    },
+    "report": {
+        "--store": (None, None, None, None),
+        "--jsonl": (None, None, None, None),
+        "--matrix": (None, None, None, None),
+        "--scheme": (None, None, None, None),
+        "--diff": (2, None, None, None),
+        "--html": (None, None, None, None),
+        "--prometheus": (None, None, None, None),
+        "--campaign": ("?", None, None, None),
+    },
+    "doctor": {
+        "--store": (None, None, None, None),
+        "--jsonl": (None, None, None, None),
+        "--matrix": (None, None, None, None),
+        "--scheme": (None, None, None, None),
+        "--detectors": ("+", None, None, None),
+        "--list-detectors": (0, False, None, None),
+        "--history": (None, None, None, None),
+        "--run-id": (None, None, None, None),
+    },
+    "project": {
+        "--sizes": ("+", [192, 1536, 12288, 49152, 98304], None, "int"),
+    },
+    "mtbf": {},
+    "serve": {
+        "--host": (None, "127.0.0.1", None, None),
+        "--port": (None, 8030, None, "int"),
+        "--workers": (None, 2, None, "int"),
+        "--cache-size": (None, 256, None, "int"),
+        "--store": (None, None, None, None),
+        "--no-store": (0, False, None, None),
+        "--backend": (None, "batched", BACKENDS, None),
+        "--latency-buckets": ("+", None, None, "float"),
+        "--sample-interval": (None, 1.0, None, "float"),
+        "--history-capacity": (None, 600, None, "int"),
+        "--history-out": (None, None, None, None),
+    },
+    "top": {
+        "--host": (None, "127.0.0.1", None, None),
+        "--port": (None, 8030, None, "int"),
+        "--interval": (None, 2.0, None, "float"),
+        "--window": (None, 60.0, None, "float"),
+        "--once": (0, False, None, None),
+    },
+}
+
+
+def _option_surface(parser) -> dict:
+    """``{option string: (nargs, default, choices, type name)}``."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, (argparse._HelpAction, argparse._SubParsersAction)):
+            continue
+        choices = None if action.choices is None else tuple(action.choices)
+        kind = None if action.type is None else action.type.__name__
+        for option in action.option_strings:
+            out[option] = (action.nargs, action.default, choices, kind)
+    return out
+
+
+def _subparsers(parser) -> dict:
+    (sub,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return dict(sub.choices)
+
+
+class TestOptionSurface:
+    def test_subcommands(self):
+        assert set(_subparsers(_build_parser())) == set(OPTION_SURFACE) - {""}
+
+    @pytest.mark.parametrize("command", list(OPTION_SURFACE))
+    def test_options(self, command):
+        parser = _build_parser()
+        if command:
+            parser = _subparsers(parser)[command]
+        assert _option_surface(parser) == OPTION_SURFACE[command]
+
+
+# ----------------------------------------------------------------------
+# Every command line the documentation shows must parse.
+ROOT = Path(__file__).resolve().parents[2]
+DOCUMENTED = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+              ".claude/skills/verify/SKILL.md", "src/repro/cli.py")
+
+
+def _documented_commands() -> list:
+    """``(where, argv)`` for every ``python -m repro.cli ...`` line, with
+    backslash continuations joined; the argv stops at a backtick or a
+    shell comment, and a bare mention of the module (no arguments) is
+    not a command."""
+    out = []
+    for name in DOCUMENTED:
+        path = ROOT / name
+        if not path.exists():
+            continue
+        text = re.sub(r"\\\n\s*", " ", path.read_text())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            _, found, rest = line.partition("python -m repro.cli")
+            if not found:
+                continue
+            argv = shlex.split(rest.split("`")[0], comments=True)
+            if argv:
+                out.append((f"{name}:{lineno}", argv))
+    return out
+
+
+class TestDocumentedCommands:
+    def test_found_them(self):
+        assert len(_documented_commands()) >= 45
+
+    @pytest.mark.parametrize(
+        "argv", [argv for _, argv in _documented_commands()],
+        ids=[where for where, _ in _documented_commands()],
+    )
+    def test_parses(self, argv):
+        _build_parser().parse_args(argv)
+
+
+# ----------------------------------------------------------------------
+class TestBadArgumentValues:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "--workers", "0", "--no-store"], "max_workers must be >= 1"),
+            (
+                ["campaign", "--preset", "smoke", "--no-store", "--retries", "-1"],
+                "retries must be >= 0",
+            ),
+            (["run", "--faults", "-1"], "n_faults must be non-negative"),
+            (["suite", "--faults", "-1"], "n_faults must be non-negative"),
+            (["run", "--victims-per-fault", "0"], "victims_per_fault must be >= 1"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: {message}" in err
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def plain_and_jacobi_store(tmp_path_factory):
+    """Four traced cells that differ only in scheme and preconditioner."""
+    from dataclasses import replace
+
+    from repro.campaign import CampaignCell, ResultStore
+    from repro.harness.experiment import Experiment, ExperimentConfig
+
+    root = tmp_path_factory.mktemp("precond") / "cache"
+    plain = ExperimentConfig(
+        matrix="Kuu", nranks=8, n_faults=2, scale=0.25, trace=True
+    )
+    with ResultStore(root) as store:
+        for config in (plain, replace(plain, preconditioner="jacobi")):
+            exp = Experiment(config)
+            for scheme in ("FF", "LI"):
+                store.put(CampaignCell(config, scheme), exp.run(scheme))
+    return str(root)
+
+
+class TestLabelsDoNotCollide:
+    def test_trace_exports_every_cell(self, capsys, tmp_path, plain_and_jacobi_store):
+        from repro.obs.export import load_trace_jsonl
+
+        out = tmp_path / "trace.jsonl"
+        assert main(
+            ["trace", "--store", plain_and_jacobi_store, "--export", str(out)]
+        ) == 0
+        assert "(4 cells)" in capsys.readouterr().out
+        assert sorted(load_trace_jsonl(out)) == [
+            "Kuu/r8/f2/x0.25/FF",
+            "Kuu/r8/f2/x0.25/LI",
+            "Kuu/r8/f2/x0.25/jacobi/FF",
+            "Kuu/r8/f2/x0.25/jacobi/LI",
+        ]
+
+    def test_report_diffs_plain_against_jacobi(self, capsys, plain_and_jacobi_store):
+        assert main(
+            [
+                "report", "--store", plain_and_jacobi_store,
+                "--diff", "Kuu/r8/f2/x0.25/LI", "Kuu/r8/f2/x0.25/jacobi/LI",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "diff: A=Kuu/r8/f2/x0.25/LI  B=Kuu/r8/f2/x0.25/jacobi/LI" in out
+        assert "runs are identical" not in out
