@@ -15,8 +15,9 @@ A payload file is one frame::
 
 The digest covers every byte after it and is checked before anything is
 parsed, so a truncated or bit-flipped file is a miss (its row is dropped
-and the cell recomputed), never a wrong cached answer.  The history is stored as the exact bytes
-of its doubles; the header is :func:`~repro.campaign.serialize.
+and the cell recomputed), never a wrong cached answer; so is a sound
+frame whose header records another cell's key.  The history is stored
+as the exact bytes of its doubles; the header is :func:`~repro.campaign.serialize.
 report_to_dict`'s JSON, so the HTTP and diff shapes do not change.
 Payloads written before format 7 are ``.json`` files holding the whole
 record as JSON: they stay listable (:meth:`ResultStore.entries`,
@@ -296,7 +297,10 @@ class ResultStore:
         A file that starts with the frame magic is a frame, decoded only
         once its digest checks out.  Any other file is a pre-7 JSON
         payload (stores before format 7 named it ``<key>.json``):
-        listable, and never served for a cell.
+        listable, and never served for a cell.  The digest vouches for
+        a frame's content, not for whose it is, so a payload that
+        records another key (a file copied or renamed onto this path)
+        is damaged too.
         """
         path = self._payload_path(key)
         blob = _read_bytes(path)
@@ -304,13 +308,14 @@ class ResultStore:
             blob = _read_bytes(path.with_suffix(_JSON_SUFFIX))
         if blob is None:
             return None
-        if blob.startswith(_FRAME_MAGIC):
-            payload = _unframe(blob)
-            return None if payload is None else (payload, True)
+        framed = blob.startswith(_FRAME_MAGIC)
         try:
-            return json.loads(blob), False
+            payload = _unframe(blob) if framed else json.loads(blob)
         except ValueError:
             return None
+        if not isinstance(payload, dict) or payload.get("key") != key:
+            return None
+        return payload, framed
 
     def _entry(
         self,

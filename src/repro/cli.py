@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import sqlite3
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -537,7 +538,7 @@ def _usage_errors(args):
 
 
 def _store_root(args) -> Path:
-    return Path(args.store or DEFAULT_ROOT)
+    return Path(getattr(args, "store", None) or DEFAULT_ROOT)
 
 
 def _store(args) -> ResultStore | None:
@@ -1227,7 +1228,7 @@ def main(argv: list[str] | None = None) -> int:
     level = args.log_level or ("info" if args.command == "serve" else None)
     if level is not None or args.log_file is not None:
         configure_logging(level=level, file=args.log_file)
-    return {
+    command = {
         "run": cmd_run,
         "suite": cmd_suite,
         "campaign": cmd_campaign,
@@ -1239,7 +1240,16 @@ def main(argv: list[str] | None = None) -> int:
         "mtbf": cmd_mtbf,
         "serve": cmd_serve,
         "top": cmd_top,
-    }[args.command](args)
+    }[args.command]
+    try:
+        return command(args)
+    except sqlite3.DatabaseError as exc:
+        if isinstance(exc, sqlite3.OperationalError):
+            raise  # locked, busy or unwritable: deleting would not help
+        raise SystemExit(
+            f"unreadable result store index {_store_root(args) / 'index.db'} "
+            f"(sqlite: {exc}); delete it to rebuild the index"
+        ) from None
 
 
 if __name__ == "__main__":

@@ -55,21 +55,27 @@ class ModelValidation:
         )
 
 
-def _experiment_ratios(ff: SolveReport, faulty: SolveReport) -> tuple[float, float, float]:
-    t = faulty.resilience_time_s / ff.time_s
-    p = faulty.average_power_w / ff.average_power_w
-    e = faulty.resilience_energy_j / ff.energy_j
-    return t, p, e
+def table6_ratios(ff: SolveReport, faulty: SolveReport) -> tuple[float, float, float]:
+    """The three Table-6 ratios of one faulty run against its fault-free
+    baseline: ``T_res``, average ``P`` and ``E_res``."""
+    return (
+        faulty.resilience_time_s / ff.time_s,
+        faulty.average_power_w / ff.average_power_w,
+        faulty.resilience_energy_j / ff.energy_j,
+    )
 
 
-def _general_model(ff: SolveReport, nranks: int) -> GeneralModel:
-    solve_t = ff.account.time(PhaseTag.SOLVE)
-    overhead_t = ff.account.time(PhaseTag.OVERHEAD)
-    p1 = ff.average_power_w / nranks
+def table6_model(ff: SolveReport, nranks: int) -> GeneralModel:
+    """Equations 2-8 parameterised exactly as Table 6 does: SOLVE time
+    is T_solve, OVERHEAD time is T_O(N), P_1 is the per-core share of
+    the baseline's average power."""
     return GeneralModel(
-        WorkloadParams(t_solve_s=max(solve_t, 1e-12), p1_w=p1),
+        WorkloadParams(
+            t_solve_s=max(ff.account.time(PhaseTag.SOLVE), 1e-12),
+            p1_w=ff.average_power_w / nranks,
+        ),
         n_cores=nranks,
-        parallel_overhead_s=overhead_t,
+        parallel_overhead_s=ff.account.time(PhaseTag.OVERHEAD),
     )
 
 
@@ -89,8 +95,8 @@ def validate_scheme(
     """
     if nranks < 1:
         raise ValueError("need at least one rank")
-    exp_t, exp_p, exp_e = _experiment_ratios(ff, faulty)
-    gm = _general_model(ff, nranks)
+    exp_t, exp_p, exp_e = table6_ratios(ff, faulty)
+    gm = table6_model(ff, nranks)
     t_ff = gm.time_fault_free_s()
     e_ff = gm.energy_fault_free_j()
     n_faults = max(faulty.n_faults, 1)

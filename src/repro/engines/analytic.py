@@ -42,8 +42,11 @@ from repro.cluster.comm import SimComm, TrafficCounters
 from repro.cluster.machine import paper_machine
 from repro.cluster.network import NetworkModel
 from repro.core.cg import IterationPower
-from repro.core.models.general import GeneralModel, WorkloadParams
-from repro.core.models.validation import DEFAULT_EXTRA_FRACTION_PER_FAULT
+from repro.core.models.general import GeneralModel
+from repro.core.models.validation import (
+    DEFAULT_EXTRA_FRACTION_PER_FAULT,
+    table6_model,
+)
 from repro.core.report import SolveReport
 from repro.engines.base import (
     ExecutionEngine,
@@ -191,7 +194,7 @@ class AnalyticEngine(ExecutionEngine):
         cfg = experiment.config
         sub = self._substrate(experiment)
         horizon = baseline.iterations
-        gm = self._general_model(baseline, cfg.nranks)
+        gm = table6_model(baseline, cfg.nranks)
         rate = cfg.n_faults / baseline.time_s if cfg.n_faults else 0.0
         events = experiment.schedule().events(
             nranks=cfg.nranks, horizon_iters=horizon
@@ -231,20 +234,6 @@ class AnalyticEngine(ExecutionEngine):
     # ------------------------------------------------------------------
     # per-family model terms
     # ------------------------------------------------------------------
-    @staticmethod
-    def _general_model(ff: SolveReport, nranks: int) -> GeneralModel:
-        """Equations 2-8 parameterised exactly as Table 6 does: SOLVE
-        time is T_solve, OVERHEAD time is T_O(N), P_1 is the per-core
-        share of the baseline's average power."""
-        return GeneralModel(
-            WorkloadParams(
-                t_solve_s=max(ff.account.time(PhaseTag.SOLVE), 1e-12),
-                p1_w=ff.average_power_w / nranks,
-            ),
-            n_cores=nranks,
-            parallel_overhead_s=ff.account.time(PhaseTag.OVERHEAD),
-        )
-
     def _redundancy_terms(self, name: str, gm: GeneralModel) -> _SchemeTerms:
         from repro.core.models.schemes import RedundancyModel
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.core.report import SolveReport
+from repro.core.models.validation import table6_ratios
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.runner import CampaignResult
@@ -92,15 +92,6 @@ class TermDrift:
         return abs(self.analytic - self.sim)
 
 
-def _normalized(ff: SolveReport, faulty: SolveReport) -> tuple[float, float, float]:
-    """The three Table-6 ratios for one faulty run vs its baseline."""
-    return (
-        faulty.resilience_time_s / ff.time_s,
-        faulty.average_power_w / ff.average_power_w,
-        faulty.resilience_energy_j / ff.energy_j,
-    )
-
-
 def _paired_points(groups) -> list[tuple[object, dict, dict]]:
     """``(point, sim_reports, analytic_reports)`` for every grid point
     present under both engines with an FF baseline each.
@@ -139,8 +130,8 @@ def drift_rows_from_groups(groups) -> list[DriftRow]:
                     n_faults=point.n_faults,
                     seed=point.seed,
                     scale=point.scale,
-                    sim=_normalized(sim["FF"], sim[scheme]),
-                    analytic=_normalized(analytic["FF"], analytic[scheme]),
+                    sim=table6_ratios(sim["FF"], sim[scheme]),
+                    analytic=table6_ratios(analytic["FF"], analytic[scheme]),
                 )
             )
     return rows

@@ -40,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+import typing
 from dataclasses import replace as _dc_replace
 
 from repro.campaign.serialize import report_to_dict
@@ -64,32 +65,32 @@ from repro.serve.http import HttpRequest, HttpResponse
 _log = get_logger("serve.app")
 
 #: Engine the solve endpoint uses when the request names none: the
-#: closed-form model — the 145x-cheaper path an interactive tier wants.
+#: closed-form model, the path an interactive tier wants: at least 100x
+#: cheaper per cell than the simulator (``benchmarks/speed_gates.py``).
 DEFAULT_SERVE_ENGINE = "analytic"
 
 #: Accepted spelling for the analytic engine in requests ("the model").
 ENGINE_ALIASES = {"model": "analytic"}
 
+
+def _json_types(hint) -> tuple[type, ...]:
+    """JSON types a config field of type ``hint`` accepts: each member
+    of a union, and an int wherever a float is (JSON has one number)."""
+    accepted: list[type] = []
+    for member in typing.get_args(hint) or (hint,):
+        if member is float:
+            accepted.append(int)
+        accepted.append(member)
+    return tuple(accepted)
+
+
 #: ExperimentConfig fields a solve request may set, with the JSON types
-#: each accepts.  Checked before construction: ExperimentConfig itself
-#: validates values, not types, and a str nranks would only explode deep
-#: inside a solve.
+#: each accepts, derived from the dataclass's annotations.  Checked
+#: before construction: ExperimentConfig itself validates values, not
+#: types, and a str nranks would only explode deep inside a solve.
 _CONFIG_FIELDS: dict[str, tuple[type, ...]] = {
-    "matrix": (str,),
-    "nranks": (int,),
-    "n_faults": (int,),
-    "tol": (int, float),
-    "seed": (int,),
-    "scale": (int, float),
-    "cr_interval": (str, int),
-    "construct_tol": (int, float),
-    "max_iters": (int,),
-    "engine": (str,),
-    "fault_scope": (str,),
-    "trace": (bool,),
-    "backend": (str,),
-    "victims_per_fault": (int,),
-    "preconditioner": (str, type(None)),
+    name: _json_types(hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
 }
 
 

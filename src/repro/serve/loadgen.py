@@ -3,9 +3,9 @@
 Drives any request function against a running server from N worker
 threads (each with its own keep-alive :class:`ServeClient`) and folds
 every request's wall latency into a :class:`LoadReport`.  This is what
-the serving benchmark (benchmarks/perf/serving.py) and the CI smoke
-job run; it is deliberately simple — closed-loop workers, no ramp-up —
-because its job is a trajectory, not a capacity plan.
+the CI serving-smoke job's load burst runs against the live server; it
+is deliberately simple — closed-loop workers, no ramp-up — because its
+job is a smoke reading, not a capacity plan.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import argparse
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -529,6 +530,41 @@ class TestReportCli:
                     "--jsonl", str(tmp_path / "t.jsonl"),
                 ]
             )
+
+
+class TestCorruptIndex:
+    """A damaged ``index.db`` ends the command with one line naming the
+    file (exit 1, as a missing store does), not a sqlite traceback."""
+
+    @pytest.mark.parametrize("offset", [0, 100])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            [
+                "campaign", "--matrices", "wathen100", "--schemes", "RD", "F0",
+                "--ranks", "8", "--faults", "2", "--scale", "0.25",
+                "--quiet", "--trace",
+            ],
+            ["report"],
+            ["doctor"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_is_one_line_naming_the_file(
+        self, command, offset, traced_store, tmp_path
+    ):
+        root = tmp_path / "cache"
+        shutil.copytree(traced_store, root)
+        index = root / "index.db"
+        blob = bytearray(index.read_bytes())
+        blob[offset] ^= 0xFF
+        index.write_bytes(bytes(blob))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--store", str(root)])
+        message = exc.value.code  # a str: printed to stderr, exit status 1
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"unreadable result store index {index} (sqlite: ")
+        assert message.endswith("delete it to rebuild the index")
 
 
 class TestDoctorCli:

@@ -8,6 +8,7 @@ report is bit-identical JSON to a direct engine call.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import socket
 import threading
 import time
@@ -16,7 +17,7 @@ import pytest
 
 from repro.campaign.serialize import report_to_dict
 from repro.campaign.store import ResultStore, cell_key
-from repro.harness.experiment import Experiment
+from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.serve import (
     BackgroundServer,
     ServeApp,
@@ -25,6 +26,7 @@ from repro.serve import (
     ServingCore,
     http,
 )
+from repro.serve.app import parse_solve_request
 from repro.serve.http import MAX_BODY
 from tests.serve.conftest import make_cell
 
@@ -118,6 +120,51 @@ class TestHealthAndRouting:
         assert answer.startswith(b"HTTP/1.1 400 ")
         assert b"body too large" not in answer
         assert b"unknown fields" in answer
+
+
+#: For every ExperimentConfig field, a JSON value of a type it must
+#: refuse; a new field fails TestConfigFieldTypes until it has a row.
+WRONG_JSON_TYPE = {
+    "matrix": 7,
+    "nranks": "16",
+    "n_faults": 1.5,
+    "tol": "1e-8",
+    "seed": True,
+    "scale": None,
+    "cr_interval": 0.5,
+    "construct_tol": "1e-6",
+    "max_iters": 2.0,
+    "trace": 1,
+    "engine": 1,
+    "fault_scope": None,
+    "backend": False,
+    "victims_per_fault": "1",
+    "preconditioner": 1,
+}
+
+CONFIG_FIELDS = [
+    pytest.param(field, id=field.name)
+    for field in dataclasses.fields(ExperimentConfig)
+]
+
+
+class TestConfigFieldTypes:
+    """/v1/solve accepts exactly ExperimentConfig's fields, each with
+    the JSON types its annotation names."""
+
+    @pytest.mark.parametrize("field", CONFIG_FIELDS)
+    def test_default_is_accepted(self, field):
+        cell = parse_solve_request({field.name: field.default})
+        assert getattr(cell.config, field.name) == field.default
+
+    @pytest.mark.parametrize("field", CONFIG_FIELDS)
+    def test_wrong_json_type_is_400(self, served, field):
+        body = dict(SOLVE, scheme="RD")
+        body[field.name] = WRONG_JSON_TYPE[field.name]
+        with pytest.raises(ServeError) as exc:
+            served.client.solve(**body)
+        assert exc.value.status == 400
+        assert f"field {field.name!r} must be" in exc.value.message
 
 
 class TestSolve:
