@@ -2,8 +2,8 @@
 
 The campaign runner's worker pool is instrumented the way the serving
 tier is (DESIGN.md §5i), but across process boundaries: every pool
-worker is initialized with the parent's log configuration and a shared
-``multiprocessing`` queue, over which it forwards
+worker is initialized with the parent's log configuration and the
+write end of one non-blocking pipe, over which it forwards
 
 * **structured log records** — worker-side :mod:`repro.obs.logging`
   lines, re-emitted through the parent's own sinks (stderr, rotating
@@ -14,6 +14,12 @@ worker is initialized with the parent's log configuration and a shared
 * **heartbeats** — pid, RSS, current cell and its elapsed age, from a
   daemon thread per worker, so a hung or killed worker is visible as a
   widening heartbeat gap.
+
+Each message is one pickled frame of at most ``PIPE_BUF`` bytes, written
+with one ``write``: the kernel makes such a write atomic, so concurrent
+writers need no lock, and a worker killed mid-write leaves neither a
+torn frame nor a held lock behind.  A frame that would not fit, or that
+meets a full pipe, is dropped whole.
 
 The parent-side :class:`FleetMonitor` folds all three into one
 thread-safe state (per-cell queue-wait vs compute split, per-worker
@@ -31,10 +37,11 @@ ever reaches log records and the manifest, never a stored payload.
 from __future__ import annotations
 
 import json
-import multiprocessing.util
 import os
+import pickle
 import threading
 import time
+from select import PIPE_BUF
 
 from repro.campaign.store import cell_key
 from repro.obs.logging import new_request_id, root_manager
@@ -156,20 +163,21 @@ def _rss_bytes() -> int:
 
 
 class WorkerChannel:
-    """Worker-side handle on the telemetry queue.
+    """Worker-side handle on the telemetry pipe's write end.
 
     Every ``put`` is best-effort: the channel is side-band, so a full
-    or torn-down queue (parent already gone) must never fail a cell.
+    pipe, a closed reader or an oversized message must never fail a
+    cell.
     """
 
     def __init__(
         self,
-        queue,
+        conn,
         run_id: str,
         *,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_S,
     ) -> None:
-        self.queue = queue
+        self.conn = conn
         self.run_id = run_id
         self.pid = os.getpid()
         self._lock = threading.Lock()
@@ -185,10 +193,13 @@ class WorkerChannel:
             thread.start()
 
     def _put(self, kind: str, payload) -> None:
+        frame = pickle.dumps((kind, payload), pickle.HIGHEST_PROTOCOL)
+        if len(frame) + 4 > PIPE_BUF:  # 4: send_bytes' length header
+            return  # a write past PIPE_BUF could interleave: drop it whole
         try:
-            self.queue.put((kind, payload))
-        except Exception:
-            pass  # side-band only: never let telemetry fail a cell
+            self.conn.send_bytes(frame)
+        except OSError:
+            pass  # full pipe or closed reader: never let telemetry fail a cell
 
     def emit_log(self, line: str) -> None:
         self._put("log", line)
@@ -253,7 +264,7 @@ class WorkerChannel:
 class LocalChannel:
     """In-process stand-in for :class:`WorkerChannel` in serial runs.
 
-    Serial campaigns (``max_workers=1``) have no pool and no queue, so
+    Serial campaigns (``max_workers=1``) have no pool and no pipe, so
     lifecycle events feed the monitor directly; there are no heartbeats
     (the "worker" is the parent itself) and log records already reach
     the parent's sinks.
@@ -310,45 +321,20 @@ def worker_channel() -> WorkerChannel | None:
     return _CHANNEL
 
 
-#: How long an exiting worker waits for its queued telemetry to flush.
-EXIT_FLUSH_S = 2.0
-
-
-def _flush_on_exit(queue) -> None:
-    """Flush a worker's queued telemetry at exit, within a deadline.
-
-    A worker killed mid-write (``os._exit``, the OOM killer) dies
-    holding the queue's cross-process write lock.  Every later worker's
-    feeder thread then blocks on it forever, and the queue's exit hook
-    would join that thread forever, hanging the pool's shutdown.  Past
-    the deadline the backlog is dropped instead: the channel is
-    side-band.
-    """
-    queue.close()
-    feeder = getattr(queue, "_thread", None)
-    if feeder is not None:
-        feeder.join(EXIT_FLUSH_S)
-        if feeder.is_alive():
-            queue.cancel_join_thread()
-
-
 def init_worker(
-    queue, run_id: str, log_level: str, heartbeat_interval_s: float
+    conn, run_id: str, log_level: str, heartbeat_interval_s: float
 ) -> None:
     """Pool initializer: wire this worker into the telemetry channel.
 
-    Re-applies the parent's log threshold with a single queue-forwarding
-    sink (worker records surface through the parent's sinks instead of
-    racing it for stderr/file handles) and starts the heartbeat thread.
+    ``conn`` is the write end of the run's telemetry pipe, already
+    non-blocking.  Re-applies the parent's log threshold with a single
+    pipe-forwarding sink (worker records surface through the parent's
+    sinks instead of racing it for stderr/file handles) and starts the
+    heartbeat thread.
     """
     global _CHANNEL
     _CHANNEL = WorkerChannel(
-        queue, run_id, heartbeat_interval_s=heartbeat_interval_s
-    )
-    # Runs before the queue's own exit hook, which joins the feeder
-    # thread with no deadline.
-    multiprocessing.util.Finalize(
-        None, _flush_on_exit, args=(queue,), exitpriority=20
+        conn, run_id, heartbeat_interval_s=heartbeat_interval_s
     )
     manager = root_manager()
     manager.level = log_level
@@ -399,7 +385,7 @@ def _new_worker(pid: int) -> dict:
 class FleetMonitor:
     """Thread-safe parent-side fold of the fleet telemetry stream.
 
-    Fed from three directions — the queue drainer thread (worker
+    Fed from three directions — the pipe drainer thread (worker
     events, heartbeats, forwarded logs), the runner's main thread
     (queued cells, authoritative cell outcomes) and the ``--watch``
     repaint thread (snapshots) — so every method takes the one lock.
@@ -782,34 +768,34 @@ class FleetMonitor:
 
 
 class ChannelDrainer(threading.Thread):
-    """Parent-side daemon thread pumping the queue into the monitor.
+    """Parent-side daemon thread pumping the pipe into the monitor.
 
-    Runs until :meth:`stop` *and* the queue has gone quiet, so events a
-    worker managed to enqueue before exiting are never dropped.
+    Runs until :meth:`stop` *and* the pipe has gone quiet, so frames a
+    worker wrote before exiting are never dropped; closes the read end
+    when it returns.
     """
 
-    def __init__(self, queue, monitor: FleetMonitor) -> None:
+    def __init__(self, conn, monitor: FleetMonitor) -> None:
         super().__init__(name="repro-fleet-drain", daemon=True)
-        self.queue = queue
+        self.conn = conn
         self.monitor = monitor
         self._stop_event = threading.Event()
 
     def run(self) -> None:
-        import queue as queue_mod
-
-        while True:
-            try:
-                message = self.queue.get(timeout=0.2)
-            except queue_mod.Empty:
-                if self._stop_event.is_set():
+        with self.conn:
+            while True:
+                try:
+                    if not self.conn.poll(0.2):
+                        if self._stop_event.is_set():
+                            return
+                        continue
+                    frame = self.conn.recv_bytes()
+                except (EOFError, OSError):
                     return
-                continue
-            except (EOFError, OSError):
-                return
-            try:
-                self.monitor.handle(message)
-            except Exception:
-                continue  # a torn message must not kill the drain loop
+                try:
+                    self.monitor.handle(pickle.loads(frame))
+                except Exception:
+                    continue  # a bad message must not kill the drain loop
 
     def stop(self, timeout_s: float = 10.0) -> None:
         """Signal shutdown and wait for the backlog to drain."""

@@ -30,10 +30,11 @@ the worker, so the pool survives) and bounded retries; a worker crash
 cells with their retry budgets decremented.
 
 Observability rides side-band (:mod:`repro.campaign.fleet`): every pool
-is built with an initializer that wires its workers into a shared
-telemetry queue — forwarded structured logs, per-cell lifecycle events
-and heartbeats — which a :class:`~repro.campaign.fleet.FleetMonitor`
-folds into the live ``--watch`` view and the persisted
+is built with an initializer that hands its workers the write end of
+the run's telemetry pipe — forwarded structured logs, per-cell
+lifecycle events and heartbeats, one atomic frame each — which a
+:class:`~repro.campaign.fleet.FleetMonitor` folds into the live
+``--watch`` view and the persisted
 :class:`~repro.campaign.manifest.RunManifest`.  None of it touches the
 reports, so serial and parallel campaigns stay bit-identical with the
 channel active.
@@ -42,6 +43,7 @@ channel active.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -439,7 +441,8 @@ class CampaignRunner:
                 event_sink=event_sink,
             )
         )
-        self._queue = None
+        #: The telemetry pipe's write end while a pooled run is live.
+        self._channel = None
 
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
@@ -453,8 +456,10 @@ class CampaignRunner:
         overwrites0 = self.store.overwrites if self.store is not None else 0
         drainer = None
         if self.max_workers > 1:
-            self._queue = multiprocessing.Queue()
-            drainer = ChannelDrainer(self._queue, self.monitor)
+            reader, self._channel = multiprocessing.Pipe(duplex=False)
+            # a stalled parent drops telemetry instead of blocking a cell
+            os.set_blocking(self._channel.fileno(), False)
+            drainer = ChannelDrainer(reader, self.monitor)
             drainer.start()
         try:
             # stage 1: cache probe
@@ -491,7 +496,8 @@ class CampaignRunner:
         finally:
             if drainer is not None:
                 drainer.stop()
-                self._queue = None
+                self._channel.close()
+                self._channel = None
 
         wall = time.perf_counter() - t0
         self.monitor.finalize(wall)
@@ -562,7 +568,7 @@ class CampaignRunner:
             max_workers=workers,
             initializer=init_worker,
             initargs=(
-                self._queue,
+                self._channel,
                 self.monitor.run_id,
                 root_manager().level,
                 self.monitor.heartbeat_interval_s,
@@ -711,33 +717,6 @@ class CampaignRunner:
         return out
 
 
-def run_campaign(
-    spec: CampaignSpec,
-    *,
-    store: ResultStore | None = None,
-    max_workers: int = 1,
-    timeout_s: float | None = None,
-    retries: int = 1,
-    resume: bool = True,
-    progress=None,
-    worker=execute_cell,
-    run_id: str | None = None,
-    monitor: FleetMonitor | None = None,
-    heartbeat_interval_s: float = DEFAULT_HEARTBEAT_S,
-    event_sink=None,
-) -> CampaignResult:
+def run_campaign(spec: CampaignSpec, **options) -> CampaignResult:
     """One-call façade over :class:`CampaignRunner`."""
-    return CampaignRunner(
-        spec,
-        store=store,
-        max_workers=max_workers,
-        timeout_s=timeout_s,
-        retries=retries,
-        resume=resume,
-        progress=progress,
-        worker=worker,
-        run_id=run_id,
-        monitor=monitor,
-        heartbeat_interval_s=heartbeat_interval_s,
-        event_sink=event_sink,
-    ).run()
+    return CampaignRunner(spec, **options).run()

@@ -42,7 +42,7 @@ from pathlib import Path
 from repro.campaign import CampaignRunner, ResultStore
 from repro.campaign import spec as campaign_presets
 from repro.campaign.store import DEFAULT_ROOT
-from repro.core.models.projection import FIGURE9_SCHEMES
+from repro.core.models.projection import FIGURE9_SCHEMES, project
 from repro.core.recovery import scheme_names
 from repro.core.backends import backend_names
 from repro.core.cg import PRECONDITIONERS
@@ -1065,9 +1065,7 @@ def cmd_doctor(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from repro.engines import AnalyticEngine
-
-    data = AnalyticEngine.project(args.sizes)
+    data = project(sorted(args.sizes))
 
     def fmt(x):
         return "HALT" if (math.isinf(x) or math.isnan(x)) else round(x, 3)

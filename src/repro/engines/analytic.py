@@ -837,13 +837,3 @@ class AnalyticEngine(ExecutionEngine):
         m.gauge("solver.converged").set(1.0)
         report.details["telemetry"] = tel
         report.details["trace"] = tel.events
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def project(sizes, config=None):
-        """Section-6 weak-scaling projection (Figure 9/10), the pure-model
-        sweep this engine generalises.  Thin wrapper so the CLI's
-        ``project`` subcommand runs through the engine layer."""
-        from repro.core.models.projection import ProjectionConfig, project
-
-        return project(sorted(sizes), config or ProjectionConfig())

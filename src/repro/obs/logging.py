@@ -358,7 +358,7 @@ def root_manager() -> LogManager:
     Exposed so process boundaries can replicate the configuration: the
     campaign pool initializer reads the parent's threshold here and
     re-applies it inside each worker, swapping the sinks for the
-    queue-forwarding channel (worker records then surface through the
+    pipe-forwarding channel (worker records then surface through the
     parent's own stderr/file sinks instead of vanishing).
     """
     return _ROOT

@@ -222,3 +222,16 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> None:
         self.merge_snapshot(other.snapshot())
+
+
+def counter_by_label(snap: dict, name: str, label: str) -> dict[str, int]:
+    """Counter ``name`` in a :meth:`MetricsRegistry.snapshot`, summed
+    over its series by the value of one ``label`` (``""`` where a series
+    lacks it) — every other label is added up, not overwritten."""
+    out: dict[str, int] = {}
+    for series, value in snap.get("counters", {}).items():
+        series_name, labels = MetricsRegistry._parse_series(series)
+        if series_name == name:
+            key = labels.get(label, "")
+            out[key] = out.get(key, 0) + int(value)
+    return out

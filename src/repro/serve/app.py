@@ -440,25 +440,17 @@ class ServeApp:
     # -- lifecycle -----------------------------------------------------
     def lifetime_summary(self) -> dict:
         """Lifetime counters for the final shutdown log line."""
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import counter_by_label
 
         snap = self.core.metrics.snapshot()
-        requests_total = 0.0
-        errors_5xx = 0.0
-        solves: dict[str, int] = {}
-        for series, value in snap.get("counters", {}).items():
-            name, labels = MetricsRegistry._parse_series(series)
-            if name == "serve_requests":
-                requests_total += value
-                if labels.get("status", "").startswith("5"):
-                    errors_5xx += value
-            elif name == "serve_solve":
-                source = labels.get("source", "")
-                solves[source] = solves.get(source, 0) + int(value)
+        by_status = counter_by_label(snap, "serve_requests", "status")
+        solves = counter_by_label(snap, "serve_solve", "source")
         return {
             "uptime_s": round(time.time() - self.started_at, 3),
-            "requests": int(requests_total),
-            "errors_5xx": int(errors_5xx),
+            "requests": sum(by_status.values()),
+            "errors_5xx": sum(
+                n for status, n in by_status.items() if status.startswith("5")
+            ),
             "solves_by_source": dict(sorted(solves.items())),
             "history_samples": len(self.history),
         }

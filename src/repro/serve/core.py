@@ -53,7 +53,7 @@ from repro.campaign.store import ResultStore, cell_key
 from repro.core.report import SolveReport
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.obs.logging import current_request_id, get_logger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, counter_by_label
 from repro.obs.telemetry import annotate_root_span
 
 _log = get_logger("serve.core")
@@ -292,13 +292,9 @@ class ServingCore:
     # -- introspection / lifecycle -------------------------------------
     def cache_stats(self) -> dict:
         """Serving-side cache/batch counters (JSON-shaped)."""
-        snap = self.metrics.snapshot()
-        sources = {
-            label: int(value)
-            for series, value in snap["counters"].items()
-            for name, label in [_source_of(series)]
-            if name == "serve_solve"
-        }
+        sources = counter_by_label(
+            self.metrics.snapshot(), "serve_solve", "source"
+        )
         return {
             "lru_entries": len(self._lru),
             "lru_capacity": self.cache_size,
@@ -324,9 +320,3 @@ class ServingCore:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _source_of(series: str) -> tuple[str, str]:
-    """(metric name, source label) of a serve_solve series."""
-    name, labels = MetricsRegistry._parse_series(series)
-    return name, labels.get("source", "")

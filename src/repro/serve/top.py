@@ -22,6 +22,7 @@ from repro.obs.history import (
     histogram_delta,
     percentile_from_buckets,
 )
+from repro.obs.metrics import counter_by_label
 from repro.obs.term import fmt_ms, repaint
 from repro.serve.client import ServeClient
 
@@ -34,19 +35,6 @@ DEFAULT_WINDOW_S = 60.0
 
 def _series_name(series: str) -> str:
     return series.partition("{")[0]
-
-
-def _source_counts(snapshot: dict) -> dict[str, int]:
-    """serve_solve totals by cache tier, from one metrics snapshot."""
-    from repro.obs.metrics import MetricsRegistry
-
-    out: dict[str, int] = {}
-    for series, value in snapshot.get("counters", {}).items():
-        name, labels = MetricsRegistry._parse_series(series)
-        if name == "serve_solve":
-            source = labels.get("source", "")
-            out[source] = out.get(source, 0) + int(value)
-    return out
 
 
 def render(
@@ -101,7 +89,7 @@ def render(
     # cache tiers: lifetime solve totals by source + live gauges
     latest = history.latest()
     snapshot = latest.metrics if latest is not None else {}
-    sources = _source_counts(snapshot)
+    sources = counter_by_label(snapshot, "serve_solve", "source")
     total = sum(sources.values())
     served_cached = sum(
         sources.get(s, 0) for s in ("lru", "coalesced", "store")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,15 @@ def crashing_worker(cell, baseline=None, timeout_s=None):
     """Every RD cell hard-kills its worker process on the first attempt."""
     if cell.scheme == "RD" and _first_time_for(cell):
         os._exit(13)
+    return execute_cell(cell, baseline, timeout_s)
+
+
+def killing_worker(cell, baseline=None, timeout_s=None):
+    """The FF cell SIGKILLs its own worker mid-cell on the first attempt,
+    once the worker's heartbeats have been flowing for a while."""
+    if cell.is_baseline and _first_time_for(cell):
+        time.sleep(0.05)
+        os.kill(os.getpid(), signal.SIGKILL)
     return execute_cell(cell, baseline, timeout_s)
 
 

@@ -6,7 +6,10 @@ round-trips exactly (schema-checked both ways), and the deterministic
 cell correlation ids never perturb stored payloads.  The
 :class:`FleetMonitor` state machine is driven directly with a fake
 clock — queued/started/finished races, retries, heartbeat gaps — and
-its manifest snapshot is checked against what it was fed.
+its manifest snapshot is checked against what it was fed.  The pipe
+itself is held to its own contract: frames arrive whole around a killed
+writer, and a full pipe or an oversized frame costs dropped telemetry,
+never a blocked writer or a failed cell.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue as queue_mod
+import signal
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from select import PIPE_BUF
 
 import pytest
 
+from repro.campaign import runner as runner_module
 from repro.campaign.fleet import (
     CELL_EVENTS,
     ChannelDrainer,
@@ -31,7 +36,6 @@ from repro.campaign.fleet import (
     cell_event,
     cell_event_from_line,
     cell_event_to_line,
-    init_worker,
 )
 from repro.campaign.runner import (
     CellExecutionError,
@@ -39,7 +43,9 @@ from repro.campaign.runner import (
     CellTimeout,
     run_campaign,
 )
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import cell_key
+from tests.campaign.helpers import FLAKY_DIR_ENV, killing_worker
 
 EVENT_DOC = {
     "ts": 1700000000.25,
@@ -373,18 +379,24 @@ class TestLocalChannel:
         assert mon.snapshot()["worker_rows"][0]["done"] == 1
 
 
+def _recv(reader, timeout_s: float = 5.0):
+    """The next message on a telemetry pipe's read end."""
+    assert reader.poll(timeout_s), "no frame within the timeout"
+    return pickle.loads(reader.recv_bytes())
+
+
 class TestWorkerChannel:
     def test_events_and_heartbeats_reach_the_queue(self):
-        q: queue_mod.Queue = queue_mod.Queue()
+        reader, writer = multiprocessing.Pipe(duplex=False)
         channel = WorkerChannel(
-            q, "feedbeeffeedbeef", heartbeat_interval_s=0.01
+            writer, "feedbeeffeedbeef", heartbeat_interval_s=0.01
         )
         try:
             channel.cell_started("cell/FF", "c" * 16, 1)
             deadline = time.time() + 5.0
             kinds = set()
             while time.time() < deadline and "hb" not in kinds:
-                kind, payload = q.get(timeout=5.0)
+                kind, payload = _recv(reader)
                 kinds.add(kind)
                 if kind == "hb":
                     assert payload["cell"] == "cell/FF"
@@ -393,45 +405,196 @@ class TestWorkerChannel:
             assert "hb" in kinds
         finally:
             channel.close()
+            reader.close()
+            writer.close()
 
     def test_puts_are_best_effort(self):
-        class TornQueue:
-            def put(self, item):
-                raise OSError("parent is gone")
-
-        channel = WorkerChannel(TornQueue(), "r" * 16, heartbeat_interval_s=0)
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        reader.close()  # the parent is gone: every write is EPIPE
+        channel = WorkerChannel(writer, "r" * 16, heartbeat_interval_s=0)
         channel.cell_started("cell/FF", "c" * 16, 1)  # must not raise
         channel.cell_finished("cell/FF", "c" * 16, 1, 0.1)
         channel.close()
+        writer.close()
 
 
-def _die_holding_write_lock(queue) -> None:
-    """A worker killed mid-write: the queue's write lock stays held."""
-    queue._wlock.acquire()
-    os._exit(1)
+#: A line this long makes a frame just under ``PIPE_BUF``: two writers'
+#: frames would interleave if one write were not atomic.
+_NEAR_PIPE_BUF = PIPE_BUF - 200
+
+
+def _body(seq: int) -> str:
+    return chr(ord("a") + seq % 26) * _NEAR_PIPE_BUF
+
+
+def _write_frames(conn, tag: str, n: int) -> None:
+    """Two threads of one process put ``n`` near-``PIPE_BUF`` frames
+    each through one channel; ``n=0`` writes until the process dies."""
+    channel = WorkerChannel(conn, "r" * 16, heartbeat_interval_s=0)
+
+    def send(thread: int) -> None:
+        seq = 0
+        while n == 0 or seq < n:
+            channel.emit_log(f"{tag}:{thread}:{seq}:{_body(seq)}")
+            seq += 1
+
+    threads = [threading.Thread(target=send, args=(t,)) for t in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
+class TestAtomicFrames:
+    """The pipe's contract: every frame a writer manages to send arrives
+    whole, with no lock between writers, and a reader that stalls costs
+    a writer dropped frames, never time."""
+
+    def test_survivor_frames_arrive_whole_around_a_killed_writer(self):
+        reader, writer = multiprocessing.Pipe(duplex=False)  # blocking
+        killed = multiprocessing.Process(
+            target=_write_frames, args=(writer, "killed", 0)
+        )
+        killed.start()
+        survivors = [
+            multiprocessing.Process(
+                target=_write_frames, args=(writer, f"s{i}", 500)
+            )
+            for i in range(3)
+        ]
+        for proc in survivors:
+            proc.start()
+        seen: dict = {}
+        received = 0
+        try:
+            while received < 3000:
+                kind, line = _recv(reader, 30.0)
+                tag, thread, seq, body = line.split(":")
+                assert (kind, body) == ("log", _body(int(seq)))
+                if tag == "killed":
+                    continue
+                seen.setdefault((tag, int(thread)), []).append(int(seq))
+                received += 1
+                if received == 300:  # the survivors are mid-stream
+                    os.kill(killed.pid, signal.SIGKILL)
+            for proc in [killed, *survivors]:
+                proc.join(30)
+        finally:
+            for proc in [killed, *survivors]:
+                if proc.is_alive():
+                    proc.kill()
+            reader.close()
+            writer.close()
+        assert killed.exitcode == -signal.SIGKILL
+        assert [proc.exitcode for proc in survivors] == [0, 0, 0]
+        assert seen == {
+            (f"s{i}", t): list(range(500)) for i in range(3) for t in range(2)
+        }
+
+    def test_a_stalled_reader_costs_dropped_frames_not_time(self):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        os.set_blocking(writer.fileno(), False)
+        channel = WorkerChannel(writer, "r" * 16, heartbeat_interval_s=0)
+        t0 = time.perf_counter()
+        for i in range(10_000):
+            channel.emit_log(f"line {i}")
+        elapsed = time.perf_counter() - t0
+        delivered = []
+        while reader.poll(0):
+            kind, line = pickle.loads(reader.recv_bytes())
+            delivered.append(int(line.removeprefix("line ")))
+        reader.close()
+        writer.close()
+        assert elapsed < 1.0
+        assert 0 < len(delivered) < 10_000
+        assert delivered == sorted(set(delivered))
+
+    def test_an_oversized_frame_is_dropped_whole(self):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        channel = WorkerChannel(writer, "r" * 16, heartbeat_interval_s=0)
+        try:
+            channel.emit_log("x" * 1000)
+            # wire bytes besides the line: pickle framing + 4-byte header
+            overhead = len(reader.recv_bytes()) + 4 - 1000
+            fits = "y" * (PIPE_BUF - overhead)
+            channel.emit_log(fits + "y")  # PIPE_BUF + 1 bytes: dropped
+            channel.emit_log(fits)  # exactly PIPE_BUF bytes: sent
+            channel.emit_log("small")
+            assert _recv(reader) == ("log", fits)
+            assert _recv(reader) == ("log", "small")
+            assert not reader.poll(0.1)
+        finally:
+            reader.close()
+            writer.close()
+
+
+#: With the fault-free baseline, a 12-cell campaign of one config.
+TWELVE_CELLS = CampaignSpec(
+    name="dead-writer",
+    matrices=("wathen100",),
+    schemes=("RD", "TMR", "CR-M", "CR-D", "CR-ML", "F0", "FI", "LI",
+             "LI-LU", "LI-DVFS", "LSI"),
+    nranks=(8,),
+    fault_loads=(2,),
+    scale=0.25,
+)
 
 
 class TestDeadWriter:
-    def test_pool_shutdown_survives_a_writer_killed_holding_the_lock(self):
-        """Every later worker's feeder blocks on the orphaned lock; its
-        exit must drop the backlog after a deadline, not join forever."""
-        from repro.obs.logging import root_manager
+    def test_campaign_survives_a_worker_killed_mid_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker SIGKILLed mid-cell, heartbeats flowing, leaves
+        nothing held that the rest of the fleet needs: every cell runs,
+        and every later worker's telemetry reaches the manifest.
 
-        q = multiprocessing.Queue()
-        killed = multiprocessing.Process(target=_die_holding_write_lock, args=(q,))
-        killed.start()
-        killed.join(timeout=30)
-        assert killed.exitcode == 1
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(
-            1,
-            initializer=init_worker,
-            initargs=(q, "r" * 16, root_manager().level, 0.01),
-        ) as pool:
-            pid = pool.submit(os.getpid).result(timeout=30)
-            time.sleep(0.05)  # heartbeats now wait on the dead lock
-        assert pid != os.getpid()
-        assert time.perf_counter() - t0 < 30
+        The victim is the baseline, which runs in a pool of its own: a
+        pool-mate finishing in the instant of the kill would report a
+        cell that then re-runs, and be counted twice.
+        """
+        monkeypatch.setenv(FLAKY_DIR_ENV, str(tmp_path))
+        events: list[dict] = []
+        result = run_campaign(
+            TWELVE_CELLS,
+            max_workers=2,
+            heartbeat_interval_s=0.01,
+            worker=killing_worker,
+            event_sink=events.append,
+        )
+        assert len(result.results) == 12
+        assert all(r.ok for r in result.results)
+        assert [r.attempts for r in result.results if r.cell.is_baseline] == [2]
+        workers = result.manifest.worker_rows
+        assert sum(w.cells_done for w in workers) == result.n_ran == 12
+        assert sum(w.heartbeats for w in workers) > 0
+        started = {e["cell"] for e in events if e["event"] == "started"}
+        assert started == {cell.label for cell in TWELVE_CELLS.cells()}
+
+
+class _StalledDrainer(ChannelDrainer):
+    """A parent that never reads: it only counts, at stop, the frame
+    bytes the workers managed to write."""
+
+    backlog: list[int] = []
+
+    def run(self) -> None:
+        self._stop_event.wait()
+        with self.conn:
+            while self.conn.poll(0):
+                self.backlog.append(len(self.conn.recv_bytes()) + 4)
+
+
+class TestStalledParent:
+    def test_a_full_pipe_costs_telemetry_never_a_cell(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "ChannelDrainer", _StalledDrainer)
+        monkeypatch.setattr(_StalledDrainer, "backlog", [])
+        result = run_campaign(
+            TWELVE_CELLS, max_workers=2, heartbeat_interval_s=0.001
+        )
+        assert all(r.ok for r in result.results)
+        # the workers wrote until the pipe was full, then dropped the rest
+        assert sum(_StalledDrainer.backlog) > 32 * 1024
+        assert result.manifest.worker_rows == ()
 
 
 class TestChannelDrainer:
@@ -439,21 +602,22 @@ class TestChannelDrainer:
         mon, _ = _monitor()
         cell = tiny_spec.cells()[0]
         cid = cell_correlation_id(cell)
-        q: queue_mod.Queue = queue_mod.Queue()
+        reader, writer = multiprocessing.Pipe(duplex=False)
         for attempt in (1, 2, 3):
-            q.put(
+            writer.send(
                 ("event",
                  cell_event(mon.run_id, "started", cell.label, cid, 7, attempt))
             )
-        q.put(("bogus",))  # a torn message must not kill the loop
-        q.put(
+        writer.send(("bogus",))  # a bad message must not kill the loop
+        writer.send(
             ("event",
              cell_event(mon.run_id, "finished", cell.label, cid, 7, 3,
                         elapsed_s=0.2))
         )
-        drainer = ChannelDrainer(q, mon)
+        drainer = ChannelDrainer(reader, mon)
         drainer.start()
         drainer.stop()
+        writer.close()
         assert not drainer.is_alive()
         assert mon.snapshot()["worker_rows"][0]["done"] == 1
 
@@ -465,11 +629,12 @@ class TestChannelDrainer:
         saved = manager.sinks
         manager.sinks = []
         try:
-            q: queue_mod.Queue = queue_mod.Queue()
-            q.put(("log", '{"msg":"hello"}'))
-            drainer = ChannelDrainer(q, mon)
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            writer.send(("log", '{"msg":"hello"}'))
+            drainer = ChannelDrainer(reader, mon)
             drainer.start()
             drainer.stop()
+            writer.close()
         finally:
             manager.sinks = saved
         assert mon.snapshot()["log_lines"] == 1

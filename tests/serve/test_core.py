@@ -353,6 +353,21 @@ class TestIntrospection:
         assert stats["inflight"] == 0
         assert stats["pending_batches"] == 0
 
+    def test_cache_stats_sums_sources_across_engines(self):
+        rec = Recorder()
+        core = ServingCore(None, compute=rec.compute)
+
+        async def scenario():
+            for scheme in ("RD", "F0", "LI"):
+                await core.solve_cell(make_cell(scheme))
+            for scheme in ("RD", "F0"):
+                await core.solve_cell(make_cell(scheme, engine="sim"))
+
+        run(scenario())
+        stats = core.cache_stats()
+        core.close()
+        assert stats["solved_by_source"] == {"computed": 5}
+
     def test_drain_returns_once_idle(self):
         rec = Recorder()
         core = ServingCore(None, compute=rec.compute)
