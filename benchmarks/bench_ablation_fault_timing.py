@@ -14,7 +14,7 @@ from repro.core.solver import ResilientSolver, SolverConfig
 from repro.faults.schedule import PoissonSchedule
 from repro.harness.reporting import format_table
 
-from benchmarks.common import emit, experiment, run
+from benchmarks.common import emit, experiment, sweep
 
 MATRIX = "cvxbqp1"
 NRANKS = 64
@@ -23,9 +23,10 @@ SEEDS = [1, 2, 3]
 
 
 def ablation_data():
-    exp = experiment(MATRIX, nranks=NRANKS, n_faults=10)
-    ff = exp.fault_free
-    even = {s: run(exp, s).normalized_iterations(ff) for s in SCHEMES}
+    reports = sweep([MATRIX], SCHEMES, nranks=NRANKS)[MATRIX]
+    ff = reports["FF"]
+    even = {s: reports[s].normalized_iterations(ff) for s in SCHEMES}
+    exp = experiment(MATRIX, nranks=NRANKS)
     poisson: dict[str, list[float]] = {s: [] for s in SCHEMES}
     mtbf_iters = ff.iterations / 10  # same expected fault count
     for seed in SEEDS:

@@ -14,17 +14,15 @@ observations to reproduce in shape:
 from repro.harness.normalize import normalize_reports
 from repro.harness.reporting import format_table
 
-from benchmarks.common import COST_STUDY_RANKS, emit, experiment, run
+from benchmarks.common import COST_STUDY_RANKS, emit, sweep
 
 SCHEMES = ["RD", "CR-D", "LI-DVFS"]
 
 
 def figure3_data():
-    exp = experiment("Andrews", nranks=COST_STUDY_RANKS, cr_interval="young")
-    reports = {"FF": exp.fault_free}
-    for s in SCHEMES:
-        reports[s] = run(exp, s)
-    return reports
+    return sweep(
+        ["Andrews"], SCHEMES, nranks=COST_STUDY_RANKS, cr_interval="young"
+    )["Andrews"]
 
 
 def test_figure3_overhead(benchmark):

@@ -12,20 +12,14 @@ from repro.harness.normalize import normalize_reports, suite_average
 from repro.harness.reporting import format_table
 from repro.matrices import suite
 
-from benchmarks.common import ITERATION_STUDY_RANKS, emit, experiment, run
+from benchmarks.common import ITERATION_STUDY_RANKS, emit, sweep
 
 SCHEMES = ITERATION_STUDY_SCHEMES  # RD F0 FI LI LSI CR-D
 
 
 def figure5_data():
-    per_matrix = {}
-    for name in suite.names():
-        exp = experiment(name, nranks=ITERATION_STUDY_RANKS, n_faults=10)
-        reports = {"FF": exp.fault_free}
-        for s in SCHEMES:
-            reports[s] = run(exp, s)
-        per_matrix[name] = normalize_reports(reports)
-    return per_matrix
+    grid = sweep(suite.names(), SCHEMES, nranks=ITERATION_STUDY_RANKS)
+    return {name: normalize_reports(reports) for name, reports in grid.items()}
 
 
 def test_figure5_iterations(benchmark):

@@ -15,7 +15,7 @@ from repro.core.solver import ResilientSolver, SolverConfig
 from repro.faults.schedule import FixedIterationSchedule
 from repro.harness.reporting import format_series, format_table
 
-from benchmarks.common import emit, experiment, run
+from benchmarks.common import emit, experiment, sweep
 
 SCHEMES_A = ["RD", "F0", "FI", "LI", "LSI", "CR-D"]
 NRANKS = 64
@@ -47,11 +47,9 @@ def figure6_data():
     # (b) 10 faults on the 5-point stencil.  The paper's stencil runs
     # 3162 iterations with a 100-iteration CR cadence (~3%); our scaled
     # stencil converges in ~260, so the faithful cadence is ~8.
-    exp_b = experiment("stencil5", nranks=NRANKS, n_faults=10,
-                       cr_interval=8)
-    reports_b = {"FF": exp_b.fault_free}
-    for s in ("F0", "LI", "CR-D"):
-        reports_b[s] = run(exp_b, s)
+    reports_b = sweep(
+        ["stencil5"], ["F0", "LI", "CR-D"], nranks=NRANKS, cr_interval=8
+    )["stencil5"]
     return fault_at, histories, reports_a, reports_b
 
 

@@ -18,7 +18,7 @@ from repro.harness.normalize import normalize_reports, suite_average
 from repro.harness.reporting import format_table
 from repro.matrices import suite
 
-from benchmarks.common import COST_STUDY_RANKS, emit, experiment, run
+from benchmarks.common import COST_STUDY_RANKS, emit, experiment, sweep
 
 NODE_RANKS = 24  # one dual-socket node
 
@@ -54,17 +54,17 @@ def power_profile_data():
 
 def suite_dvfs_data():
     """(b): suite averages with and without DVFS."""
+    schemes = ("LI", "LSI", "LI-DVFS", "LSI-DVFS")
+    grid = sweep(
+        suite.names(), schemes, nranks=COST_STUDY_RANKS, cr_interval="young"
+    )
     per_matrix = {}
     ratios = {}
-    for name in suite.names():
-        exp = experiment(name, nranks=COST_STUDY_RANKS, cr_interval="young")
-        reports = {"FF": exp.fault_free}
-        for s in ("LI", "LSI", "LI-DVFS", "LSI-DVFS"):
-            reports[s] = run(exp, s)
+    for name, reports in grid.items():
         per_matrix[name] = normalize_reports(reports)
         ratios[name] = {
             s: reports[s].account.resilience_ratio()
-            for s in ("LI", "LSI", "LI-DVFS", "LSI-DVFS")
+            for s in schemes
         }
     return per_matrix, ratios
 

@@ -12,20 +12,16 @@ from repro.harness.experiment import COST_STUDY_SCHEMES
 from repro.harness.normalize import normalize_reports
 from repro.harness.reporting import format_table
 
-from benchmarks.common import COST_STUDY_RANKS, emit, experiment, run
+from benchmarks.common import COST_STUDY_RANKS, emit, sweep
 
 MATRICES = ["x104", "nd24k", "cvxbqp1"]
 
 
 def figure8_data():
-    out = {}
-    for name in MATRICES:
-        exp = experiment(name, nranks=COST_STUDY_RANKS, cr_interval="young")
-        reports = {"FF": exp.fault_free}
-        for s in COST_STUDY_SCHEMES:
-            reports[s] = run(exp, s)
-        out[name] = normalize_reports(reports)
-    return out
+    grid = sweep(
+        MATRICES, COST_STUDY_SCHEMES, nranks=COST_STUDY_RANKS, cr_interval="young"
+    )
+    return {name: normalize_reports(reports) for name, reports in grid.items()}
 
 
 def test_figure8_per_matrix_costs(benchmark):

@@ -13,21 +13,15 @@ from repro.harness.experiment import ITERATION_STUDY_SCHEMES
 from repro.harness.normalize import normalize_reports
 from repro.harness.reporting import format_table
 
-from benchmarks.common import emit, experiment, run
+from benchmarks.common import emit, sweep
 
 PROCESS_COUNTS = [4, 16, 64, 256]
 SCHEMES = ITERATION_STUDY_SCHEMES
 
 
 def table4_data():
-    out = {}
-    for p in PROCESS_COUNTS:
-        exp = experiment("crystm02", nranks=p, n_faults=10)
-        reports = {"FF": exp.fault_free}
-        for s in SCHEMES:
-            reports[s] = run(exp, s)
-        out[p] = normalize_reports(reports)
-    return out
+    grid = sweep(["crystm02"], SCHEMES, nranks=PROCESS_COUNTS)
+    return {p: normalize_reports(reports) for p, reports in grid.items()}
 
 
 def test_table4_parallel_invariance(benchmark):

@@ -12,7 +12,7 @@ from repro.harness.normalize import normalize_reports, suite_average
 from repro.harness.reporting import format_table
 from repro.matrices import suite
 
-from benchmarks.common import COST_STUDY_RANKS, emit, experiment, run
+from benchmarks.common import COST_STUDY_RANKS, emit, sweep
 
 ROW_ORDER = ["FF", "RD", "LI-DVFS", "LSI-DVFS", "CR-M", "CR-D"]
 
@@ -28,14 +28,11 @@ PAPER_TABLE5 = {
 
 
 def table5_data():
-    per_matrix = {}
-    for name in suite.names():
-        exp = experiment(name, nranks=COST_STUDY_RANKS, cr_interval="young")
-        reports = {"FF": exp.fault_free}
-        for s in COST_STUDY_SCHEMES:
-            reports[s] = run(exp, s)
-        per_matrix[name] = normalize_reports(reports)
-    return per_matrix
+    grid = sweep(
+        suite.names(), COST_STUDY_SCHEMES, nranks=COST_STUDY_RANKS,
+        cr_interval="young",
+    )
+    return {name: normalize_reports(reports) for name, reports in grid.items()}
 
 
 def test_table5_resilience_costs(benchmark):

@@ -12,20 +12,20 @@ between schemes is preserved.
 from repro.core.models.validation import validate_scheme
 from repro.harness.reporting import format_table
 
-from benchmarks.common import COST_STUDY_RANKS, emit, experiment, run
+from benchmarks.common import COST_STUDY_RANKS, emit, sweep
 
 SCHEMES = ["RD", "LI-DVFS", "LSI-DVFS", "CR-M", "CR-D"]
 
 
 def table6_data():
-    exp = experiment("x104", nranks=COST_STUDY_RANKS, cr_interval="young")
-    ff = exp.fault_free
-    rows = [validate_scheme(ff, ff, nranks=COST_STUDY_RANKS)]
-    for s in SCHEMES:
-        rows.append(
-            validate_scheme(ff, run(exp, s), nranks=COST_STUDY_RANKS)
-        )
-    return rows
+    reports = sweep(
+        ["x104"], SCHEMES, nranks=COST_STUDY_RANKS, cr_interval="young"
+    )["x104"]
+    ff = reports["FF"]
+    return [
+        validate_scheme(ff, report, nranks=COST_STUDY_RANKS)
+        for report in reports.values()
+    ]
 
 
 def test_table6_model_validation(benchmark):

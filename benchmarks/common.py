@@ -1,13 +1,14 @@
 """Shared machinery for the reproduction benchmarks.
 
 Every ``bench_*`` module regenerates one table or figure of the paper.
-Experiment runs are memoized at two levels: a per-process dict (several
-benchmarks consume the same sweeps within one pytest session) backed by
-the persistent campaign :class:`~repro.campaign.store.ResultStore`, so
-re-running any benchmark is incremental across processes and sessions.
-Set ``REPRO_CACHE=0`` to disable the persistent layer, or
-``REPRO_CACHE_DIR=/path`` to relocate it (default: ``.repro-cache/`` at
-the repo root, shared with ``python -m repro.cli campaign``).
+A (matrix × scheme) grid is a campaign: :func:`sweep` runs it through
+:func:`~repro.campaign.run_campaign` against the persistent campaign
+:class:`~repro.campaign.store.ResultStore`, and the store is the memo,
+so re-running any benchmark is incremental across processes and
+sessions.  Set ``REPRO_CACHE=0`` to run without it — then a grid
+repeated within one session is recomputed — or ``REPRO_CACHE_DIR=/path``
+to relocate it (default: ``.repro-cache/`` at the repo root, shared with
+``python -m repro.cli campaign``).
 
 Below the report store, problem *setup* (suite matrix builds, halo
 analyses, measured iteration costs) is served by the content-keyed cache
@@ -23,12 +24,11 @@ Each benchmark both prints its reproduced rows (visible with
 
 from __future__ import annotations
 
+import functools
 import os
-import time
 from pathlib import Path
 
-from repro.campaign.spec import BASELINE_SCHEME, CampaignCell
-from repro.core.report import SolveReport
+from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.harness.experiment import Experiment, ExperimentConfig
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -42,87 +42,59 @@ RESULTS_DIR = Path(__file__).parent / "results"
 COST_STUDY_RANKS = 24
 ITERATION_STUDY_RANKS = 256
 
-_experiments: dict[tuple, Experiment] = {}
-_reports: dict[tuple, SolveReport] = {}
 
-_store = None
-_store_unavailable = False
-
-
-def result_store():
-    """The shared persistent store, or ``None`` when disabled/broken."""
-    global _store, _store_unavailable
-    if _store_unavailable or os.environ.get("REPRO_CACHE", "1") == "0":
+def result_store() -> ResultStore | None:
+    """The persistent store, or ``None`` when disabled or unopenable."""
+    if os.environ.get("REPRO_CACHE", "1") == "0":
         return None
-    if _store is None:
-        from repro.campaign.store import ResultStore
-
-        root = os.environ.get("REPRO_CACHE_DIR") or (
-            Path(__file__).parent.parent / ".repro-cache"
-        )
-        try:
-            _store = ResultStore(root)
-        except OSError:
-            _store_unavailable = True
-            return None
-    return _store
+    root = os.environ.get("REPRO_CACHE_DIR") or (
+        Path(__file__).parent.parent / ".repro-cache"
+    )
+    return _open_store(str(root))
 
 
-def experiment(
-    matrix: str,
-    *,
-    nranks: int,
-    n_faults: int = 10,
-    cr_interval="paper",
-    seed: int = 0,
-    scale: float = 1.0,
-) -> Experiment:
-    """Memoized Experiment for (matrix, protocol) cells."""
-    key = (matrix, nranks, n_faults, str(cr_interval), seed, scale)
-    if key not in _experiments:
-        exp = Experiment(
-            ExperimentConfig(
-                matrix=matrix,
-                nranks=nranks,
-                n_faults=n_faults,
-                cr_interval=cr_interval,
-                seed=seed,
-                scale=scale,
-            )
-        )
-        store = result_store()
-        if store is not None:
-            ff = store.get(CampaignCell(exp.config, BASELINE_SCHEME))
-            if ff is not None and ff.converged:
-                exp.prime_baseline(ff)
-        _experiments[key] = exp
-    return _experiments[key]
+@functools.cache
+def _open_store(root: str) -> ResultStore | None:
+    try:
+        return ResultStore(root)
+    except OSError:
+        return None
 
 
-def run(exp: Experiment, scheme: str) -> SolveReport:
-    """Memoized scheme run, read/written through the persistent store."""
-    c = exp.config
-    key = (c.matrix, c.nranks, c.n_faults, str(c.cr_interval), c.seed, c.scale, scheme)
-    if key not in _reports:
-        store = result_store()
-        cell = CampaignCell(exp.config, scheme)
-        report = store.get(cell) if store is not None else None
-        if report is None:
-            had_baseline = exp.has_baseline
-            t0 = time.perf_counter()
-            report = exp.run(scheme)
-            elapsed = time.perf_counter() - t0
-            if store is not None:
-                store.put(cell, report, elapsed_s=elapsed)
-                # persist the baseline the run computed on the way
-                if not had_baseline and scheme != BASELINE_SCHEME:
-                    ff_cell = CampaignCell(exp.config, BASELINE_SCHEME)
-                    if ff_cell not in store:
-                        store.put(ff_cell, exp.fault_free)
-        elif scheme == BASELINE_SCHEME and not exp.has_baseline and report.converged:
-            exp.prime_baseline(report)
-        _reports[key] = report
-    return _reports[key]
+def sweep(
+    matrices, schemes, *, nranks, n_faults: int = 10, cr_interval="paper"
+) -> dict:
+    """Run a (matrix × rank count) grid of ``schemes`` as one campaign.
+
+    ``nranks`` is one rank count or several.  Returns ``{matrix or, when
+    several rank counts are swept, rank count: {scheme: report}}`` with
+    each group's ``"FF"`` baseline first; raises if any cell failed.
+    """
+    spec = CampaignSpec(
+        name="benchmark",
+        matrices=tuple(matrices),
+        schemes=tuple(schemes),
+        nranks=(nranks,) if isinstance(nranks, int) else tuple(nranks),
+        fault_loads=(n_faults,),
+        cr_interval=cr_interval,
+    )
+    result = run_campaign(spec, store=result_store())
+    failed = [f"{r.cell.label}: {r.error}" for r in result.results if not r.ok]
+    if failed:
+        raise RuntimeError("sweep cells failed:\n" + "\n".join(failed))
+    key = "nranks" if len(spec.nranks) > 1 else "matrix"
+    return {getattr(config, key): reports for config, reports in result.groups()}
+
+
+@functools.cache
+def experiment(matrix: str, *, nranks: int, n_faults: int = 10) -> Experiment:
+    """An Experiment for the solves no campaign spec expresses (custom
+    schedules, power caps, direct ``exp.a``/``exp.b`` solves), its
+    fault-free baseline served through :func:`sweep`."""
+    exp = Experiment(ExperimentConfig(matrix=matrix, nranks=nranks, n_faults=n_faults))
+    baseline = sweep([matrix], ["FF"], nranks=nranks, n_faults=n_faults)
+    exp.prime_baseline(baseline[matrix]["FF"])
+    return exp
 
 
 def emit(name: str, text: str) -> str:

@@ -13,7 +13,8 @@ Run:  python examples/compare_recovery_schemes.py [matrix-name]
 import sys
 
 from repro import scheme_names
-from repro.harness import Experiment, ExperimentConfig, normalize_reports
+from repro.campaign import CampaignSpec, run_campaign
+from repro.harness import normalize_reports
 from repro.harness.reporting import format_table
 from repro.matrices import suite
 
@@ -25,13 +26,14 @@ def main(matrix: str = "cvxbqp1") -> None:
         )
     print(f"matrix: {matrix}  (suite stand-in, {suite.build(matrix).shape[0]} rows)")
 
-    exp = Experiment(
-        ExperimentConfig(
-            matrix=matrix, nranks=64, n_faults=10, cr_interval="young"
-        )
+    spec = CampaignSpec(
+        matrices=(matrix,),
+        schemes=[s for s in scheme_names() if s not in ("LI-LU", "LSI-QR")],
+        nranks=(64,),
+        fault_loads=(10,),
+        cr_interval="young",
     )
-    schemes = [s for s in scheme_names() if s not in ("LI-LU", "LSI-QR")]
-    reports = {"FF": exp.fault_free, **exp.run_all(schemes)}
+    [(_, reports)] = run_campaign(spec).groups()  # FF first, then each scheme
     norm = normalize_reports(reports)
 
     rows = [

@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 
 from repro.campaign.runner import CampaignResult, CellResult
+from repro.campaign.spec import AXES, axis_mark
 from repro.harness.normalize import normalize_reports
 from repro.harness.reporting import format_table
 from repro.obs.term import hms as _hms
@@ -85,8 +86,21 @@ def summary_counters(result: CampaignResult) -> dict:
     }
 
 
+def _swept_axes(spec) -> list[str]:
+    """The :data:`~repro.campaign.spec.AXES` that tell the spec's grid
+    points apart: every axis with more than one value."""
+    return [axis for axis in AXES if len(getattr(spec, axis)) > 1]
+
+
+#: The axes the per-cell summary always shows, swept or not.
+_SUMMARY_AXES = ("matrices", "nranks", "fault_loads", "seeds")
+
+
 def format_summary(result: CampaignResult) -> str:
-    """Per-cell status table plus aggregate counters."""
+    """Per-cell status table plus aggregate counters.  Besides the
+    matrix, rank count, fault load and seed, each swept axis gets a
+    column, so no two grid points share a row's identity."""
+    swept = [a for a in _swept_axes(result.spec) if a not in _SUMMARY_AXES]
     rows = []
     for r in result.results:
         c = r.cell.config
@@ -97,6 +111,7 @@ def format_summary(result: CampaignResult) -> str:
                 c.nranks,
                 c.n_faults,
                 c.seed,
+                *(getattr(c, AXES[axis][0]) for axis in swept),
                 r.cell.scheme,
                 r.status,
                 r.attempts,
@@ -113,6 +128,7 @@ def format_summary(result: CampaignResult) -> str:
             "ranks",
             "faults",
             "seed",
+            *(AXES[axis][0] for axis in swept),
             "scheme",
             "status",
             "tries",
@@ -191,7 +207,8 @@ def format_attribution_summary(result: CampaignResult) -> str:
 def format_normalized_tables(result: CampaignResult) -> str:
     """The paper-style normalized tables for every finished group.
 
-    One table per metric (iterations / time / energy), matrices as rows
+    One table per metric (iterations / time / energy), grid points as
+    rows (the matrix, marked with the value of every other swept axis)
     and schemes as columns, each cell normalized to its group's
     fault-free baseline — the acceptance surface for serial-vs-parallel
     equality.
@@ -204,18 +221,15 @@ def format_normalized_tables(result: CampaignResult) -> str:
     if not groups:
         return "(no complete experiment groups to normalize)"
     schemes = [s for s in result.spec.schemes if s != "FF"]
+    marked = [a for a in _swept_axes(result.spec) if a != "matrices"]
     blocks = []
     for metric in ("iterations", "time", "energy"):
         rows = []
         for config, reports in groups:
             norm = normalize_reports(reports)
-            label = config.matrix
-            if len(result.spec.nranks) > 1:
-                label += f" r{config.nranks}"
-            if len(result.spec.fault_loads) > 1:
-                label += f" f{config.n_faults}"
-            if len(result.spec.seeds) > 1:
-                label += f" s{config.seed}"
+            label = " ".join(
+                [config.matrix, *(axis_mark(axis, config) for axis in marked)]
+            )
             rows.append(
                 [
                     label,

@@ -29,17 +29,26 @@ from repro.matrices import suite as matrix_suite
 BASELINE_SCHEME = "FF"
 
 #: Each swept axis of a :class:`CampaignSpec`, the ExperimentConfig
-#: field its values set, and what one value is called; expansion order
-#: is this order, outermost first.
-AXES: dict[str, tuple[str, str]] = {
-    "matrices": ("matrix", "matrix"),
-    "nranks": ("nranks", "rank count"),
-    "fault_loads": ("n_faults", "fault load"),
-    "seeds": ("seed", "seed"),
-    "engines": ("engine", "engine"),
-    "backends": ("backend", "backend"),
-    "victims_per_fault": ("victims_per_fault", "victim-set size"),
+#: field its values set, what one value is called, and the prefix that
+#: marks a value in a table row (:func:`axis_mark`); expansion order is
+#: this order, outermost first.
+AXES: dict[str, tuple[str, str, str]] = {
+    "matrices": ("matrix", "matrix", ""),
+    "nranks": ("nranks", "rank count", "r"),
+    "fault_loads": ("n_faults", "fault load", "f"),
+    "seeds": ("seed", "seed", "s"),
+    "engines": ("engine", "engine", ""),
+    "backends": ("backend", "backend", ""),
+    "victims_per_fault": ("victims_per_fault", "victim-set size", "v"),
 }
+
+
+def axis_mark(axis: str, config: ExperimentConfig) -> str:
+    """How ``config``'s value on ``axis`` is marked in a table row
+    (``r8``, ``f2``, ``analytic``, ...)."""
+    field, _, prefix = AXES[axis]
+    return f"{prefix}{getattr(config, field)}"
+
 
 _DEFAULT_CONFIG = ExperimentConfig()
 
@@ -133,7 +142,7 @@ class CampaignSpec:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if not self.schemes:
             raise ValueError("campaign needs at least one scheme")
-        for axis, (_, noun) in AXES.items():
+        for axis, (_, noun, _) in AXES.items():
             object.__setattr__(self, axis, tuple(getattr(self, axis)))
             if not getattr(self, axis):
                 raise ValueError(f"campaign needs at least one {noun}")
@@ -158,7 +167,7 @@ class CampaignSpec:
             "cr_interval": self.cr_interval,
             "trace": self.trace,
         }
-        names = [name for name, _ in AXES.values()]
+        names = [name for name, _, _ in AXES.values()]
         return [
             ExperimentConfig(**scalars, **dict(zip(names, point)))
             for point in itertools.product(*(getattr(self, a) for a in AXES))

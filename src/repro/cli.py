@@ -39,7 +39,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from repro.campaign import CampaignRunner, ResultStore
+from repro.campaign import CampaignRunner, ResultStore, run_campaign
 from repro.campaign import spec as campaign_presets
 from repro.campaign.store import DEFAULT_ROOT
 from repro.core.models.projection import FIGURE9_SCHEMES, project
@@ -49,7 +49,7 @@ from repro.core.cg import PRECONDITIONERS
 from repro.engines import engine_names
 from repro.faults.events import FaultClass
 from repro.faults.mtbf import EXASCALE, PETASCALE, MtbfEstimator
-from repro.harness.experiment import FAULT_SCOPES, Experiment, ExperimentConfig, run_suite
+from repro.harness.experiment import FAULT_SCOPES, Experiment, ExperimentConfig
 from repro.harness.normalize import normalize_reports
 from repro.harness.reporting import format_table
 from repro.matrices import suite
@@ -140,7 +140,7 @@ _CONFIG_FLAGS: dict[str, tuple[str, str | None, dict]] = {
 
 #: Where a swept config flag stores its values: the CampaignSpec name.
 _SWEEP_DEST = {
-    field: axis for axis, (field, _) in campaign_presets.AXES.items()
+    field: axis for axis, (field, _, _) in campaign_presets.AXES.items()
 } | {"scheme": "schemes"}
 
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -186,16 +186,23 @@ def _add_config_flags(parser, names, sweep=(), defaults=None) -> None:
         parser.add_argument(flag, **kwargs)
 
 
-def _config_values(args) -> dict:
+def _config_values(args, *, spec: bool = False) -> dict:
     """``{dest: value}`` for every config flag of ``args.command`` that
-    has a value, ``--cr-interval`` parsed."""
+    has a value, ``--cr-interval`` parsed.  With ``spec``, keyed by
+    CampaignSpec field: a flag of an axis the command does not sweep
+    becomes that axis with one value."""
     names, sweep, _ = _COMMAND_FLAGS[args.command]
     out = {}
     for name in names:
         dest = _SWEEP_DEST[name] if name in sweep else name
         value = getattr(args, dest)
-        if value is not None:
-            out[dest] = _parse_cr_interval(value) if name == "cr_interval" else value
+        if value is None:
+            continue
+        if name == "cr_interval":
+            value = _parse_cr_interval(value)
+        if spec and name in _SWEEP_DEST and name not in sweep:
+            dest, value = _SWEEP_DEST[name], (value,)
+        out[dest] = value
     return out
 
 
@@ -611,21 +618,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    values = _config_values(args)
-    matrices = values.pop("matrices", None) or suite.names()
-    schemes = values.pop("schemes")
-    if args.engine == "analytic":
-        _check_analytic_schemes(schemes)
-    with _usage_errors(args):
-        base = ExperimentConfig(**values)
-    out = run_suite(matrices, schemes, base=base)
+    spec = _campaign_spec(args)
+    result = run_campaign(spec, store=None)
+    failed = [r for r in result.results if not r.ok]
+    for r in failed:
+        print(f"{r.cell.label}: {r.error}", file=sys.stderr)
+    if failed:
+        return 1
+    by_matrix = {config.matrix: reports for config, reports in result.groups()}
     rows = []
-    for name in matrices:
-        norm = normalize_reports(out[name])
-        rows.append([name, *(norm[s].iterations for s in schemes)])
+    for name in spec.matrices:
+        norm = normalize_reports(by_matrix[name])
+        rows.append([name, *(norm[s].iterations for s in spec.schemes)])
     print(
         format_table(
-            ["matrix", *schemes],
+            ["matrix", *spec.schemes],
             rows,
             title=(
                 f"normalized iterations ({args.nranks} ranks, "
@@ -637,12 +644,15 @@ def cmd_suite(args) -> int:
 
 
 def _campaign_spec(args):
-    """Resolve the campaign grid from --preset plus overrides."""
-    overrides = _config_values(args)
+    """The grid a ``campaign`` (``--preset`` plus overrides) or a
+    ``suite`` (its flags: one value per axis, a matrix and a scheme
+    set) runs."""
+    overrides = _config_values(args, spec=True)
+    preset = getattr(args, "preset", None)
     with _usage_errors(args):
         spec = (
-            campaign_presets.preset(args.preset, **overrides)
-            if args.preset
+            campaign_presets.preset(preset, **overrides)
+            if preset
             else campaign_presets.CampaignSpec(**overrides)
         )
         spec.experiment_configs()  # every grid point is a valid config

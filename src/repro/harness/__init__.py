@@ -8,7 +8,7 @@ intervals — Section 5.3).  :mod:`repro.harness.reporting` renders the
 rows exactly as the paper's tables print them.
 """
 
-from repro.harness.experiment import Experiment, ExperimentConfig, run_suite
+from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.harness.normalize import normalize_reports
 from repro.harness.reporting import format_table, format_series
 from repro.harness.tracing import (
@@ -22,7 +22,6 @@ from repro.harness.tracing import (
 __all__ = [
     "Experiment",
     "ExperimentConfig",
-    "run_suite",
     "normalize_reports",
     "format_table",
     "format_series",

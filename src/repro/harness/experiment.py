@@ -22,7 +22,7 @@ own how a cell's report gets produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -301,31 +301,9 @@ class Experiment:
             return self.fault_free
         return self.engine.solve_scheme(self, scheme_name, self.fault_free)
 
-    def run_all(self, scheme_names: list[str]) -> dict[str, SolveReport]:
-        return {name: self.run(name) for name in scheme_names}
-
 
 #: The scheme set of Figure 5 / Table 4.
 ITERATION_STUDY_SCHEMES = ["RD", "F0", "FI", "LI", "LSI", "CR-D"]
 #: The scheme set of Table 5 / Figure 8.
 COST_STUDY_SCHEMES = ["RD", "LI-DVFS", "LSI-DVFS", "CR-M", "CR-D"]
 
-
-def run_suite(
-    matrices: list[str] | None = None,
-    scheme_names: list[str] | None = None,
-    *,
-    base: ExperimentConfig | None = None,
-) -> dict[str, dict[str, SolveReport]]:
-    """Run a scheme set over a matrix set; returns
-    ``{matrix: {scheme_or_"FF": report}}`` with baselines included."""
-    base = base or ExperimentConfig()
-    matrices = matrices if matrices is not None else matrix_suite.names()
-    scheme_names = scheme_names or ITERATION_STUDY_SCHEMES
-    out: dict[str, dict[str, SolveReport]] = {}
-    for name in matrices:
-        exp = Experiment(replace(base, matrix=name))
-        reports = {"FF": exp.fault_free}
-        reports.update(exp.run_all(scheme_names))
-        out[name] = reports
-    return out

@@ -490,6 +490,40 @@ class TestSharedExperiments:
             assert installed == 0 and walked > 0
 
 
+class TestSweptAxesMarkTheirRows:
+    """A grid swept over engines must not print two rows per matrix
+    that look alike: every axis with more than one value marks the
+    normalized tables' rows and gets a column in the summary."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        spec = CampaignSpec(
+            name="two-engines",
+            matrices=("wathen100",),
+            schemes=("RD",),
+            nranks=(8,),
+            fault_loads=(2,),
+            engines=("sim", "analytic"),
+            scale=0.25,
+        )
+        return run_campaign(spec)
+
+    def test_normalized_tables(self, result):
+        for block in format_normalized_tables(result).split("\n\n"):
+            rows = block.splitlines()[3:]
+            assert [row.split()[:2] for row in rows] == [
+                ["wathen100", "sim"],
+                ["wathen100", "analytic"],
+            ]
+
+    def test_summary(self, result):
+        table = format_summary(result).split("\n\n")[0].splitlines()
+        header = table[1].split()
+        assert header[:6] == ["matrix", "ranks", "faults", "seed", "engine", "scheme"]
+        ids = [tuple(row.split()[:6]) for row in table[3:]]
+        assert len(ids) == len(set(ids)) == 4
+
+
 class TestSerialParallelEquality:
     def test_identical_reports_and_tables(self, tiny_spec, tmp_path):
         serial = run_campaign(

@@ -115,6 +115,46 @@ class TestCli:
         out = capsys.readouterr().out
         assert "wathen100" in out
 
+    def test_suite_is_one_campaign_without_a_store(self, capsys, monkeypatch):
+        from repro import cli
+        from repro.campaign import run_campaign
+
+        calls = []
+
+        def spy(spec, **options):
+            result = run_campaign(spec, **options)
+            calls.append((options, result))
+            return result
+
+        monkeypatch.setattr(cli, "run_campaign", spy)
+        code = main(
+            [
+                "suite", "--matrices", "Kuu", "--schemes", "RD", "F0",
+                "--ranks", "4", "--faults", "2", "--scale", "0.3",
+            ]
+        )
+        assert code == 0
+        [(options, result)] = calls
+        assert options == {"store": None}
+        [(config, reports)] = result.groups()
+        assert config.matrix == "Kuu" and config.nranks == 4
+        assert list(reports) == ["FF", "RD", "F0"]
+        assert reports["FF"].converged
+        assert "Kuu" in capsys.readouterr().out
+
+    def test_suite_failed_cell_prints_its_error_and_exits_1(self, capsys):
+        code = main(
+            [
+                "suite", "--matrices", "wathen100", "--schemes", "RD",
+                "--ranks", "64", "--faults", "2", "--scale", "0.01",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "wathen100/r64/f2/x0.01/FF: ValueError" in captured.err
+        assert "Traceback" not in captured.err
+        assert "normalized iterations" not in captured.out
+
     def test_run_with_seed(self, capsys):
         code = main(
             [

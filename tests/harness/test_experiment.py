@@ -13,7 +13,6 @@ from repro.harness.experiment import (
     PAPER_CR_INTERVAL,
     Experiment,
     ExperimentConfig,
-    run_suite,
 )
 from repro.matrices import cache as problem_cache
 from repro.matrices.generators import banded_spd
@@ -40,10 +39,6 @@ class TestExperiment:
         assert report.converged
         assert report.n_faults == 3
         assert report.baseline_iters == small_exp.fault_free.iterations
-
-    def test_run_all(self, small_exp):
-        reports = small_exp.run_all(["RD", "F0"])
-        assert set(reports) == {"RD", "F0"}
 
     def test_implied_mtbf(self, small_exp):
         assert small_exp.implied_mtbf_s() == pytest.approx(
@@ -329,15 +324,3 @@ class TestSchemeSets:
 
     def test_cost_study_matches_table5(self):
         assert COST_STUDY_SCHEMES == ["RD", "LI-DVFS", "LSI-DVFS", "CR-M", "CR-D"]
-
-
-class TestRunSuite:
-    def test_small_sweep(self):
-        out = run_suite(
-            matrices=["Kuu"],
-            scheme_names=["RD", "F0"],
-            base=ExperimentConfig(nranks=4, n_faults=2, scale=0.3),
-        )
-        assert set(out) == {"Kuu"}
-        assert set(out["Kuu"]) == {"FF", "RD", "F0"}
-        assert out["Kuu"]["FF"].converged
