@@ -1,11 +1,12 @@
 """JSON codec for :class:`~repro.core.report.SolveReport`.
 
 :func:`report_to_dict` is the canonical JSON shape of a report: HTTP
-bodies, run diffs and the result store all use it.  JSON keeps it
-diffable and stable across Python versions (unlike pickles), and floats
-survive the round trip exactly (``json`` emits ``repr``-style shortest
-decimals, which parse back to the identical double), so a decoded
-report is numerically indistinguishable from a fresh run.  The store
+bodies (as :func:`report_json` text), run diffs and the result store
+all use it.  JSON keeps it diffable and stable across Python versions
+(unlike pickles), and floats survive the round trip exactly (``json``
+emits ``repr``-style shortest decimals, which parse back to the
+identical double), so a decoded report is numerically
+indistinguishable from a fresh run.  The store
 writes this dict as a frame's JSON header with ``residual_history``
 lifted out into raw float64 bytes (:mod:`repro.campaign.store`), and
 hands :func:`report_from_dict` the decoded array in its place.
@@ -20,6 +21,8 @@ recorded under ``details["_dropped"]``, and tuples come back as lists.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -126,6 +129,12 @@ def report_to_dict(report: SolveReport) -> dict:
         "details": _details_to_json(details),
         "telemetry": None if telemetry is None else telemetry_to_dict(telemetry),
     }
+
+
+def report_json(report: SolveReport) -> str:
+    """A report's wire text: :func:`report_to_dict` as strict JSON, the
+    ``"report"`` value of every HTTP reply that carries one."""
+    return json.dumps(report_to_dict(report), allow_nan=False)
 
 
 def report_from_dict(data: dict) -> SolveReport:

@@ -359,8 +359,12 @@ class ResultStore:
             "report": record,
         }
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_bytes(_frame(payload, report.residual_history))
-        os.replace(tmp, path)
+        try:
+            tmp.write_bytes(_frame(payload, report.residual_history))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)  # e.g. ENOSPC mid-write
+            raise
         cfg = cell.config
         with self._lock:
             if self._index_row(key) is not None:

@@ -38,12 +38,13 @@ header.
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 import time
 import typing
 from dataclasses import replace as _dc_replace
 
-from repro.campaign.serialize import report_to_dict
+from repro.campaign.serialize import report_json
 from repro.campaign.spec import BASELINE_SCHEME, CampaignCell
 from repro.core.backends import DEFAULT_BACKEND
 from repro.core.recovery import scheme_names
@@ -146,6 +147,14 @@ def parse_solve_request(
     return CampaignCell(config=config, scheme=scheme)
 
 
+def _with_report(envelope: dict, report_text: str) -> HttpResponse:
+    """``HttpResponse.json({**envelope, "report": report})`` with the
+    report's wire text spliced in rather than encoded again; the bytes
+    are the same, since ``json.dumps`` writes keys in insertion order."""
+    head = json.dumps(envelope, allow_nan=False)
+    return HttpResponse(body=f'{head[:-1]}, "report": {report_text}}}'.encode())
+
+
 def _finite(x: float) -> float | None:
     """Strict-JSON stand-in: the projection's halt state (inf) -> None."""
     return None if (math.isinf(x) or math.isnan(x)) else x
@@ -171,6 +180,19 @@ class ServeApp:
         self.history = history if history is not None else MetricsHistory()
         self.slos = slos
         self._sampler_task: asyncio.Task | None = None
+        #: (method, path) -> (endpoint label, handler); the label is the
+        #: metrics axis, so path parameters collapse onto one series.
+        self._routes = {
+            ("GET", "/healthz"): ("/healthz", self.healthz),
+            ("GET", "/metrics"): ("/metrics", self.metrics),
+            ("GET", "/metrics/history"): ("/metrics/history", self.metrics_history),
+            ("GET", "/slo"): ("/slo", self.slo_status),
+            ("GET", "/v1/store/stats"): ("/v1/store/stats", self.store_stats),
+            ("POST", "/v1/solve"): ("/v1/solve", self.solve),
+            ("POST", "/v1/project"): ("/v1/project", self.project),
+            ("GET", "/v1/reports"): ("/v1/reports", self.reports_index),
+            ("GET", "/v1/reports/diff"): ("/v1/reports/diff", self.reports_diff),
+        }
 
     # -- metrics sampling ----------------------------------------------
     def _ensure_sampler(self) -> None:
@@ -247,22 +269,11 @@ class ServeApp:
     __call__ = handle
 
     def _route(self, request: HttpRequest):
-        """(endpoint label, handler) for one request; label is the
-        metrics axis, so path parameters collapse onto one series."""
+        """(endpoint label, handler) for one request."""
         path, method = request.path.rstrip("/") or "/", request.method
-        table = {
-            ("GET", "/healthz"): ("/healthz", self.healthz),
-            ("GET", "/metrics"): ("/metrics", self.metrics),
-            ("GET", "/metrics/history"): ("/metrics/history", self.metrics_history),
-            ("GET", "/slo"): ("/slo", self.slo_status),
-            ("GET", "/v1/store/stats"): ("/v1/store/stats", self.store_stats),
-            ("POST", "/v1/solve"): ("/v1/solve", self.solve),
-            ("POST", "/v1/project"): ("/v1/project", self.project),
-            ("GET", "/v1/reports"): ("/v1/reports", self.reports_index),
-            ("GET", "/v1/reports/diff"): ("/v1/reports/diff", self.reports_diff),
-        }
-        if (method, path) in table:
-            return table[(method, path)]
+        route = self._routes.get((method, path))
+        if route is not None:
+            return route
         if method == "GET" and path.startswith("/v1/reports/"):
             return "/v1/reports/{key}", self.report_by_key
         return request.path, None
@@ -313,14 +324,14 @@ class ServeApp:
             request.json(), default_backend=self.default_backend
         )
         outcome = await self.core.solve_cell(cell)
-        return HttpResponse.json(
+        return _with_report(
             {
                 "key": outcome.key,
                 "label": cell.label,
                 "cache": outcome.source,
                 "elapsed_s": outcome.elapsed_s,
-                "report": report_to_dict(outcome.report),
-            }
+            },
+            outcome.cached.text,
         )
 
     async def project(self, request: HttpRequest) -> HttpResponse:
@@ -394,14 +405,14 @@ class ServeApp:
         entry = store.entry_by_key(key)
         if entry is None:
             return HttpResponse.error(404, f"no stored cell with key {key!r}")
-        return HttpResponse.json(
+        return _with_report(
             {
                 "key": entry.key,
                 "label": entry.cell.label,
                 "elapsed_s": entry.elapsed_s,
                 "created_at": entry.created_at,
-                "report": report_to_dict(entry.report),
-            }
+            },
+            report_json(entry.report),
         )
 
     async def reports_diff(self, request: HttpRequest) -> HttpResponse:

@@ -5,9 +5,11 @@ engines and is deliberately socket-free so every behaviour is
 unit-testable with plain ``asyncio`` (see tests/serve/test_core.py).
 A solve request walks four tiers, cheapest first:
 
-1. **LRU hot-cache** — an in-memory ``{cell key: SolveReport}`` map
-   bounded at ``cache_size`` entries.  Hits cost a dict lookup; no
-   store I/O, no deserialization.
+1. **LRU hot-cache** — an in-memory ``{cell key: CachedReport}`` map
+   bounded at ``cache_size`` entries: each entry is a report and its
+   reply JSON text, encoded once for the answer that brought it in.
+   Hits cost a dict lookup; no store I/O, no deserialization, and no
+   serialization either.
 2. **Coalescer** — identical cells already being resolved share one
    in-flight future, so a burst of equal requests costs one
    computation (and one store lookup) total.
@@ -47,7 +49,9 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
+from repro.campaign.serialize import report_json
 from repro.campaign.spec import CampaignCell
 from repro.campaign.store import ResultStore, cell_key
 from repro.core.report import SolveReport
@@ -85,15 +89,39 @@ def compute_group(
     return {scheme: experiment.run(scheme) for scheme in schemes}
 
 
+class CachedReport:
+    """A report and its reply text.
+
+    The text is encoded on first use — by the reply to the answer that
+    brought the report in, after the request ids are stamped on its
+    trace — and every later answer sharing this object (LRU hits,
+    coalesced waiters) reuses it.  Lazily, so a caller of
+    :meth:`ServingCore.solve_cell` that never replies over HTTP never
+    pays for the encode.
+    """
+
+    def __init__(self, report: SolveReport) -> None:
+        self.report = report
+
+    @cached_property
+    def text(self) -> str:
+        """:func:`~repro.campaign.serialize.report_json` of the report."""
+        return report_json(self.report)
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """One answered solve request, with cache provenance."""
 
-    report: SolveReport
+    cached: CachedReport
     key: str
     #: Which tier answered: "lru", "coalesced", "store" or "computed".
     source: str
     elapsed_s: float
+
+    @property
+    def report(self) -> SolveReport:
+        return self.cached.report
 
 
 class ServingCore:
@@ -136,7 +164,7 @@ class ServingCore:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
-        self._lru: OrderedDict[str, SolveReport] = OrderedDict()
+        self._lru: OrderedDict[str, CachedReport] = OrderedDict()
         self._inflight: dict[str, asyncio.Future] = {}
         # request ids riding each in-flight key: leader first, then every
         # coalesced waiter — the computed trace is annotated with all of
@@ -147,16 +175,16 @@ class ServingCore:
         self._pending: dict[ExperimentConfig, list[tuple[str, asyncio.Future]]] = {}
 
     # -- LRU tier ------------------------------------------------------
-    def _lru_get(self, key: str) -> SolveReport | None:
-        report = self._lru.get(key)
-        if report is not None:
+    def _lru_get(self, key: str) -> CachedReport | None:
+        cached = self._lru.get(key)
+        if cached is not None:
             self._lru.move_to_end(key)
-        return report
+        return cached
 
-    def _lru_put(self, key: str, report: SolveReport) -> None:
+    def _lru_put(self, key: str, cached: CachedReport) -> None:
         if self.cache_size == 0:
             return
-        self._lru[key] = report
+        self._lru[key] = cached
         self._lru.move_to_end(key)
         while len(self._lru) > self.cache_size:
             self._lru.popitem(last=False)
@@ -205,7 +233,7 @@ class ServingCore:
         engine = cell.config.engine
         request_id = current_request_id()
 
-        def _done(report: SolveReport, source: str) -> SolveOutcome:
+        def _done(cached: CachedReport, source: str) -> SolveOutcome:
             elapsed = time.perf_counter() - t0
             self.metrics.counter(
                 "serve_solve", source=source, engine=engine
@@ -225,12 +253,12 @@ class ServingCore:
                 elapsed_ms=round(elapsed * 1e3, 3),
             )
             return SolveOutcome(
-                report=report, key=key, source=source, elapsed_s=elapsed
+                cached=cached, key=key, source=source, elapsed_s=elapsed
             )
 
-        report = self._lru_get(key)
-        if report is not None:
-            return _done(report, "lru")
+        cached = self._lru_get(key)
+        if cached is not None:
+            return _done(cached, "lru")
 
         inflight = self._inflight.get(key)
         if inflight is not None:
@@ -269,8 +297,9 @@ class ServingCore:
                             elapsed_s=time.perf_counter() - compute_t0,
                         ),
                     )
-            self._lru_put(key, report)
-            future.set_result(report)
+            cached = CachedReport(report)
+            self._lru_put(key, cached)
+            future.set_result(cached)
         except Exception as exc:
             self.metrics.counter("serve_errors", stage="solve").inc()
             _log.warning(
@@ -287,7 +316,7 @@ class ServingCore:
             self._inflight.pop(key, None)
             self._inflight_ids.pop(key, None)
             self.metrics.gauge("serve_inflight").set(len(self._inflight))
-        return _done(report, source)
+        return _done(cached, source)
 
     # -- introspection / lifecycle -------------------------------------
     def cache_stats(self) -> dict:

@@ -1,6 +1,7 @@
 """Result store: hashing, round-trips, hits and misses, self-healing."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import pickle
@@ -8,6 +9,7 @@ import shutil
 import struct
 import threading
 from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,6 +360,30 @@ class TestStore:
         store.clear()
         assert len(store) == 0
         assert store.get(cell) is None
+
+    def test_a_failed_write_leaves_no_temp_file_and_no_row(
+        self, store, solved, monkeypatch
+    ):
+        """Disk full mid-put: the half-written temp frame is removed,
+        the error surfaces, and the next put of the cell is served."""
+        cell, report = solved
+        write_bytes = Path.write_bytes
+
+        def half_then_enospc(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_enospc)
+        with pytest.raises(OSError) as exc:
+            store.put(cell, report)
+        assert exc.value.errno == errno.ENOSPC
+        monkeypatch.undo()
+        assert [p for p in store.payload_dir.rglob("*") if p.is_file()] == []
+        assert store._index_row(cell_key(cell)) is None
+        assert store.get(cell) is None
+        store.put(cell, report)
+        assert_reports_equal(store.get(cell), report)
+        assert store.payload_files() == [store._payload_path(cell_key(cell))]
 
     def test_overwrites_are_counted(self, store, solved):
         cell, report = solved

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import socket
+import struct
 import threading
 import time
 
@@ -409,6 +411,105 @@ class TestClient:
             assert client.health()["status"] == "ok"
             client._conn.close()
             assert client.health()["status"] == "ok"
+
+
+def _split_responses(data: bytes) -> list[tuple[str, dict[str, str], bytes]]:
+    """(status line, lower-cased headers, body) of each response in a
+    byte stream, framed by Content-Length."""
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        status, *lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            name.strip().lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in lines)
+        }
+        length = int(headers["content-length"])
+        responses.append((status, headers, rest[:length]))
+        data = rest[length:]
+    return responses
+
+
+def _request(
+    method: str, path: str, request_id: str, body: bytes = b"", *, close: bool = False
+) -> bytes:
+    return (
+        f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+        f"X-Repro-Request-Id: {request_id}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
+    ).encode() + body
+
+
+def _count_5xx(served) -> int:
+    from repro.obs.metrics import counter_by_label
+
+    by_status = counter_by_label(
+        served.core.metrics.snapshot(), "serve_requests", "status"
+    )
+    return sum(n for status, n in by_status.items() if status.startswith("5"))
+
+
+class TestMisbehavingClients:
+    """Chaos at the socket: the server answers what it was asked, in
+    order, and one rude client costs nobody else anything."""
+
+    def test_pipelined_requests_are_answered_in_order(self, served):
+        solve = json.dumps({**SOLVE, "scheme": "F0", "seed": 1700}).encode()
+        segment = (
+            _request("GET", "/healthz", "pipe-1")
+            + _request("POST", "/v1/solve", "pipe-2", solve)
+            + _request("GET", "/nope", "pipe-3")
+            + _request("POST", "/v1/solve", "pipe-4", solve, close=True)
+        )
+        with socket.create_connection(
+            (served.server.host, served.server.port), timeout=30.0
+        ) as raw:
+            raw.sendall(segment)  # all four in one write
+            answers = _split_responses(_recv_response(raw))
+        assert [h["x-repro-request-id"] for _, h, _ in answers] == [
+            "pipe-1",
+            "pipe-2",
+            "pipe-3",
+            "pipe-4",
+        ]
+        assert [status.split(" ")[1] for status, _, _ in answers] == [
+            "200",
+            "200",
+            "404",
+            "200",
+        ]
+        assert json.loads(answers[0][2])["status"] == "ok"
+        first, again = json.loads(answers[1][2]), json.loads(answers[3][2])
+        assert first["cache"] in ("computed", "store")
+        assert again["cache"] == "lru"
+        assert first["report"] == again["report"]
+        assert [h["connection"] for _, h, _ in answers] == ["keep-alive"] * 3 + [
+            "close"
+        ]
+
+    def test_a_client_gone_mid_response_does_not_stop_the_server(self, served):
+        errors_before = _count_5xx(served)
+        traced = json.dumps(
+            {**SOLVE, "engine": "sim", "trace": True, "scheme": "RD", "seed": 1800}
+        ).encode()
+        raw = socket.create_connection(
+            (served.server.host, served.server.port), timeout=30.0
+        )
+        # two big replies queued, a few bytes read, then a reset
+        raw.sendall(
+            _request("POST", "/v1/solve", "rude-1", traced)
+            + _request("POST", "/v1/solve", "rude-2", traced)
+        )
+        assert raw.recv(64).startswith(b"HTTP/1.1 200 ")
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        raw.close()
+        with ServeClient(served.server.host, served.server.port) as client:
+            assert client.health()["status"] == "ok"
+            answer = client.solve(**SOLVE, scheme="F0", seed=1900)
+        assert answer["cache"] in ("computed", "store")
+        assert _count_5xx(served) == errors_before
 
 
 class TestShutdown:
