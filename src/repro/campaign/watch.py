@@ -1,10 +1,9 @@
 """``repro campaign --watch``: a live terminal dashboard over the fleet.
 
-Renders :meth:`~repro.campaign.fleet.FleetMonitor.snapshot` the same
-way ``repro top`` renders the serving tier: a plain-text frame with no
-escape codes inside it, repainted in place with one clear-and-home
-sequence in live mode.  ``--once`` prints the final frame un-escaped to
-stdout — the CI-greppable snapshot artifact.
+Renders :meth:`~repro.campaign.fleet.FleetMonitor.snapshot` as a
+plain-text frame with no escape codes inside it, repainted in place
+with one clear-and-home sequence in live mode.  ``--once`` prints the
+final frame un-escaped to stdout — the CI-greppable snapshot artifact.
 
 The repaint loop (:func:`repro.obs.term.repaint`) runs in a daemon
 thread beside the campaign's main thread (which is busy driving the

@@ -12,7 +12,6 @@ The subcommands mirror the library's main entry points::
     python -m repro.cli project --sizes 192 1536 12288 98304
     python -m repro.cli mtbf
     python -m repro.cli serve --port 8030 --workers 2
-    python -m repro.cli top --port 8030 --once
 
 ``run``, ``suite`` and ``campaign`` accept ``--engine`` to evaluate
 cells with the numeric simulator (default) or the Section-3 closed-form
@@ -423,11 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the registered detectors and exit",
     )
     doc.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="metrics-history JSON (repro serve --history-out) to run "
-        "the serving SLO burn detectors over",
-    )
-    doc.add_argument(
         "--run-id", default=None, metavar="RUN_ID",
         help="run the fleet detectors over this campaign manifest "
         "(default: the store's most recent run, when one exists)",
@@ -462,43 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_store_flags(srv, writes=True)
     # the backend of solve requests that do not name one
     _add_config_flags(srv, ["backend"], defaults=_CONFIG_DEFAULTS)
-    srv.add_argument(
-        "--latency-buckets", nargs="+", type=float, default=None,
-        metavar="SECONDS",
-        help="override the serve latency histograms' bucket upper "
-        "bounds (ascending seconds)",
-    )
-    srv.add_argument(
-        "--sample-interval", type=float, default=1.0, metavar="SECONDS",
-        help="metrics-history sampling interval",
-    )
-    srv.add_argument(
-        "--history-capacity", type=int, default=600,
-        help="metrics-history ring-buffer capacity (samples)",
-    )
-    srv.add_argument(
-        "--history-out", default=None, metavar="PATH",
-        help="flush the metrics history to this JSON file on shutdown",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a running 'repro serve' "
-        "(req/s, cache hits, latency percentiles, SLO burn)",
-    )
-    top.add_argument("--host", default="127.0.0.1", help="server address")
-    top.add_argument("--port", type=int, default=8030, help="server port")
-    top.add_argument(
-        "--interval", type=float, default=2.0, help="refresh seconds"
-    )
-    top.add_argument(
-        "--window", type=float, default=60.0,
-        help="trailing window (s) for rates and percentiles",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print one plain snapshot and exit (CI artifact mode)",
-    )
     for command in sub.choices.values():
         command.set_defaults(usage_error=command.error)
     return parser
@@ -1025,21 +982,10 @@ def cmd_doctor(args) -> int:
         for det in detectors():
             print(f"{det.name:<22} [{det.scope}] {det.description}")
         return 0
-    history = None
-    if args.history:
-        from repro.obs.history import MetricsHistory
-
-        if not Path(args.history).exists():
-            raise SystemExit(f"no metrics history at {args.history}")
-        history = MetricsHistory.load(args.history)
-    # with only --history given (no trace/store around), doctor the
-    # serving evidence alone instead of demanding a result store
-    have_store = (_store_root(args) / "index.db").exists()
-    have_trace_source = bool(args.jsonl or args.store or have_store)
-    records = _load_records(args) if have_trace_source else []
+    records = _load_records(args)
     # fleet evidence: the campaign run manifest (latest, or --run-id)
     manifest = None
-    if have_store and not args.jsonl:
+    if not args.jsonl:
         with _open_existing_store(args) as mstore:
             manifest = (
                 mstore.get_manifest(args.run_id)
@@ -1051,22 +997,15 @@ def cmd_doctor(args) -> int:
     # an explicit cell filter that matches nothing is still an error —
     # the implicitly-loaded manifest must not mask a typo'd --matrix
     filtered = bool(args.matrix or args.scheme)
-    if not records and (
-        (filtered and have_trace_source)
-        or (history is None and manifest is None)
-    ):
+    if not records and (filtered or manifest is None):
         print("no cells match the filters")
         return 1
     try:
-        findings = run_detectors(
-            records, args.detectors, history=history, manifest=manifest
-        )
+        findings = run_detectors(records, args.detectors, manifest=manifest)
     except ValueError as exc:
         raise SystemExit(str(exc))
     n_det = len(args.detectors) if args.detectors else len(detectors())
-    extra = f", history {len(history)} sample(s)" if history is not None else ""
-    if manifest is not None:
-        extra += f", manifest {manifest.run_id}"
+    extra = f", manifest {manifest.run_id}" if manifest is not None else ""
     print(
         f"doctor: {len(records)} cell(s), {n_det} detector(s){extra}"
     )
@@ -1100,7 +1039,6 @@ def cmd_serve(args) -> int:
     import contextlib
     import signal as signal_mod
 
-    from repro.obs.history import MetricsHistory
     from repro.obs.logging import get_logger
     from repro.serve import ServeApp, ServeServer, ServingCore
 
@@ -1108,29 +1046,10 @@ def cmd_serve(args) -> int:
         raise SystemExit("--workers must be >= 1")
     if args.cache_size < 0:
         raise SystemExit("--cache-size must be >= 0")
-    if args.sample_interval <= 0:
-        raise SystemExit("--sample-interval must be > 0")
-    if args.history_capacity < 1:
-        raise SystemExit("--history-capacity must be >= 1")
-    if args.latency_buckets is not None and (
-        not args.latency_buckets
-        or sorted(args.latency_buckets) != args.latency_buckets
-    ):
-        raise SystemExit("--latency-buckets must be ascending seconds")
     log = get_logger("cli.serve")
     store = _store(args)
-    core = ServingCore(
-        store,
-        cache_size=args.cache_size,
-        workers=args.workers,
-        latency_buckets=(
-            tuple(args.latency_buckets) if args.latency_buckets else None
-        ),
-    )
-    history = MetricsHistory(
-        capacity=args.history_capacity, interval_s=args.sample_interval
-    )
-    app = ServeApp(core, history=history, default_backend=args.backend)
+    core = ServingCore(store, cache_size=args.cache_size, workers=args.workers)
+    app = ServeApp(core, default_backend=args.backend)
     server = ServeServer(app.handle, host=args.host, port=args.port)
 
     async def _main() -> None:
@@ -1142,8 +1061,8 @@ def cmd_serve(args) -> int:
             flush=True,
         )
         print(
-            "endpoints: GET /healthz /metrics /metrics/history /slo "
-            "/v1/store/stats /v1/reports  POST /v1/solve /v1/project",
+            "endpoints: GET /healthz /metrics /v1/store/stats /v1/reports  "
+            "POST /v1/solve /v1/project",
             flush=True,
         )
         stop = asyncio.Event()
@@ -1168,42 +1087,15 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:  # platforms without add_signal_handler
         exit_via_interrupt = True
     finally:
-        # graceful-shutdown flush: one last sample, one final structured
-        # log line with lifetime counters, and the history artifact
-        history.sample(core.metrics)
+        # graceful shutdown: one final structured log line with
+        # lifetime counters
         log.info("shutdown", **app.lifetime_summary())
-        if args.history_out:
-            history.save(args.history_out)
-            print(f"metrics history -> {args.history_out}", flush=True)
         core.close()
         if store is not None:
             store.close()
     if exit_via_interrupt:
         print("\nshutting down")
     return 0
-
-
-def cmd_top(args) -> int:
-    """Live dashboard against a running serve instance."""
-    from repro.serve.top import run_top
-
-    if args.interval <= 0:
-        raise SystemExit("--interval must be > 0")
-    if args.window <= 0:
-        raise SystemExit("--window must be > 0")
-    try:
-        return run_top(
-            args.host,
-            args.port,
-            interval_s=args.interval,
-            window_s=args.window,
-            once=args.once,
-        )
-    except ConnectionRefusedError:
-        raise SystemExit(
-            f"no server at {args.host}:{args.port} — start one with "
-            "'repro serve'"
-        )
 
 
 def cmd_mtbf(args) -> int:
@@ -1247,7 +1139,6 @@ def main(argv: list[str] | None = None) -> int:
         "project": cmd_project,
         "mtbf": cmd_mtbf,
         "serve": cmd_serve,
-        "top": cmd_top,
     }[args.command]
     try:
         return command(args)

@@ -220,11 +220,6 @@ class Experiment:
         ``(installed, walked)`` — a test probe, never part of a payload."""
         return self._trajectory.hits, self._trajectory.walked
 
-    @property
-    def has_baseline(self) -> bool:
-        """Whether the fault-free baseline has been computed (or primed)."""
-        return self._baseline is not None
-
     def prime_baseline(self, report: SolveReport) -> None:
         """Install a previously computed fault-free baseline.
 

@@ -15,10 +15,8 @@ Two timebases coexist and are never mixed (see DESIGN.md §5d):
   real elapsed time and is environment-dependent by nature.
 
 The *live* half (DESIGN.md §5i) narrates running processes instead of
-finished runs: :mod:`~repro.obs.logging` (structured JSONL logs with a
-request-id context), :mod:`~repro.obs.history` (a bounded ring buffer
-of metrics snapshots) and :mod:`~repro.obs.slo` (SLO burn-rate math
-shared by the serving tier and ``repro doctor``).
+finished runs: :mod:`~repro.obs.logging` writes structured JSONL logs
+with a request-id context.
 """
 
 from repro.obs.export import (
@@ -32,7 +30,6 @@ from repro.obs.export import (
     trace_jsonl_lines,
     write_trace_jsonl,
 )
-from repro.obs.history import MetricsHistory, Sample
 from repro.obs.logging import (
     REQUEST_ID_HEADER,
     LogRecord,
@@ -51,24 +48,18 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.slo import DEFAULT_SLOS, Slo, SloStatus, evaluate_slos
 from repro.obs.spans import Span, SpanRecorder
 from repro.obs.telemetry import RECOVERY_LATENCY_BUCKETS, Telemetry
 
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "DEFAULT_SLOS",
     "Gauge",
     "Histogram",
     "LogRecord",
-    "MetricsHistory",
     "MetricsRegistry",
     "RECOVERY_LATENCY_BUCKETS",
     "REQUEST_ID_HEADER",
-    "Sample",
-    "Slo",
-    "SloStatus",
     "Span",
     "SpanRecorder",
     "StructuredLogger",
@@ -76,7 +67,6 @@ __all__ = [
     "bound_request_id",
     "configure_logging",
     "current_request_id",
-    "evaluate_slos",
     "get_logger",
     "record_from_line",
     "record_to_line",

@@ -20,11 +20,7 @@ Registering a detector::
 ``scope="run"`` detectors see one record at a time; ``scope="campaign"``
 detectors see the whole record list and can cross-reference cells (the
 model-divergence detector pairs sim/analytic cells this way);
-``scope="history"`` detectors see a :class:`~repro.obs.history.
-MetricsHistory` (the serving tier's sampled metrics) and only run when
-one is supplied — they back the live ``/slo`` endpoint and ``repro
-doctor --history`` with the same registration; ``scope="fleet"``
-detectors see a campaign :class:`~repro.campaign.manifest.RunManifest`
+``scope="fleet"`` detectors see a campaign :class:`~repro.campaign.manifest.RunManifest`
 (duck-typed — this module never imports the campaign package) and judge
 the *execution* rather than the numerics: stragglers, heartbeat gaps,
 retry storms, cache stampedes.
@@ -107,7 +103,7 @@ class Finding:
 @dataclass(frozen=True)
 class Detector:
     name: str
-    scope: str  # "run" | "campaign" | "history" | "fleet"
+    scope: str  # "run" | "campaign" | "fleet"
     description: str
     fn: Callable
 
@@ -117,7 +113,7 @@ _REGISTRY: dict[str, Detector] = {}
 
 def register_detector(name: str, *, scope: str = "run", description: str = ""):
     """Class-of-one decorator: add a detector to the registry."""
-    if scope not in ("run", "campaign", "history", "fleet"):
+    if scope not in ("run", "campaign", "fleet"):
         raise ValueError(f"unknown detector scope {scope!r}")
 
     def deco(fn):
@@ -135,17 +131,14 @@ def detectors() -> list[Detector]:
 def run_detectors(
     records: Iterable[RunRecord],
     names: Iterable[str] | None = None,
-    history=None,
     manifest=None,
 ) -> list[Finding]:
     """Run detectors (all, or the named subset) over the records.
 
-    ``history`` is an optional :class:`~repro.obs.history.MetricsHistory`;
-    history-scoped detectors are skipped when it is absent (there is no
-    serving evidence to judge), so trace-only doctoring stays unchanged.
     ``manifest`` is an optional campaign :class:`~repro.campaign.
-    manifest.RunManifest`; fleet-scoped detectors are likewise skipped
-    without one.
+    manifest.RunManifest`; fleet-scoped detectors are skipped without
+    one (there is no execution evidence to judge), so trace-only
+    doctoring stays unchanged.
     """
     records = list(records)
     if names is None:
@@ -163,9 +156,6 @@ def run_detectors(
     for det in selected:
         if det.scope == "campaign":
             findings.extend(det.fn(records))
-        elif det.scope == "history":
-            if history is not None:
-                findings.extend(det.fn(history))
         elif det.scope == "fleet":
             if manifest is not None:
                 findings.extend(det.fn(manifest))
@@ -568,28 +558,3 @@ def cache_stampede(manifest) -> Iterator[Finding]:
             threshold=max(float(CACHE_STAMPEDE_MIN), threshold),
         )
 
-
-@register_detector(
-    "slo_burn",
-    scope="history",
-    description="serving SLO burn rates (availability 5xx, latency "
-    "threshold) must stay under their fast/slow-window alert thresholds",
-)
-def slo_burn(history) -> Iterator[Finding]:
-    from repro.obs.slo import evaluate_slos
-
-    for status in evaluate_slos(history):
-        for speed, window in (("fast", status.fast), ("slow", status.slow)):
-            if not window.firing:
-                continue
-            yield Finding(
-                "slo_burn",
-                "error",
-                f"slo/{status.slo.name}",
-                f"{speed}-burn alert over {window.window_s:g}s: "
-                f"error rate {window.error_rate:.3%} of "
-                f"{window.requests} requests burns the "
-                f"{status.slo.budget:.3%} budget at {window.burn_rate:.1f}x",
-                value=window.burn_rate,
-                threshold=window.threshold,
-            )

@@ -27,7 +27,7 @@ Design rules, in the same spirit as the trace export:
   emitted underneath it (coalesced solves, batch drains, errors).
 
 Sinks are deliberately dumb ``emit(line)`` objects: stderr, a rotating
-file, or an in-memory ring for tests and the ``repro top`` snapshot.
+file, or an in-memory ring for tests.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ class StderrSink:
 
 
 class MemorySink:
-    """Bounded in-memory ring of lines; tests and in-process dashboards."""
+    """Bounded in-memory ring of lines, for tests."""
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:

@@ -1,9 +1,8 @@
 """Shared plain-terminal rendering helpers.
 
-The live dashboards (``repro top`` over the serving tier, ``repro
-campaign --watch`` over the worker fleet) and the progress reporter all
-render the same way: a plain-text frame with **no escape codes inside
-it**, optionally preceded by one clear-and-home sequence when
+The live fleet dashboard (``repro campaign --watch``) and the progress
+reporter render the same way: a plain-text frame with **no escape codes
+inside it**, optionally preceded by one clear-and-home sequence when
 repainting in place.  Keeping the frame itself escape-free is what
 makes ``--once`` snapshots CI-greppable artifacts — the exact frame a
 human watches is the exact text a pipeline asserts on.
@@ -14,8 +13,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, TextIO
 
-#: Clear the screen and home the cursor — the only ANSI the dashboards
-#: ever emit, and only in live (non ``--once``) mode.
+#: Clear the screen and home the cursor — the only ANSI the dashboard
+#: ever emits, and only in live (non ``--once``) mode.
 CLEAR = "\x1b[2J\x1b[H"
 
 
@@ -34,11 +33,6 @@ def hms(seconds: float) -> str:
     h, rem = divmod(seconds, 3600)
     m, s = divmod(rem, 60)
     return f"{h}:{m:02d}:{s:02d}" if h else f"{m}:{s:02d}"
-
-
-def fmt_ms(seconds: float | None) -> str:
-    """Milliseconds with one decimal, right-aligned; ``--`` for None."""
-    return "    --" if seconds is None else f"{seconds * 1e3:6.1f}"
 
 
 def fmt_bytes(n: int | float | None) -> str:

@@ -18,15 +18,11 @@ instead of via offline sweeps:
 * :mod:`~repro.serve.client` — a small blocking client used by tests,
   CI and the load generator;
 * :mod:`~repro.serve.loadgen` — a threaded load generator measuring
-  req/s and p50/p99 latency for the serving benchmark;
-* :mod:`~repro.serve.top` — the ``repro top`` terminal dashboard over
-  a live server (rates, cache hits, percentiles, SLO burn).
+  req/s and p50/p99 latency for the serving benchmark.
 
 Live observability (DESIGN.md §5i): every request carries an
 ``X-Repro-Request-Id`` through coalescing/batching into logs and the
-stored telemetry; the app samples its metrics into a bounded history
-(``/metrics/history``) and evaluates SLO burn (``/slo``) with the same
-detector ``repro doctor --history`` runs offline.
+stored telemetry.
 """
 
 from repro.serve.app import ServeApp
@@ -39,7 +35,6 @@ from repro.serve.http import (
     ServeServer,
 )
 from repro.serve.loadgen import LoadReport, run_load
-from repro.serve.top import run_top
 
 __all__ = [
     "BackgroundServer",
@@ -53,5 +48,4 @@ __all__ = [
     "ServingCore",
     "SolveOutcome",
     "run_load",
-    "run_top",
 ]

@@ -22,11 +22,6 @@ smoke job — can assert reuse.  Report JSON is the store's own payload
 schema (:func:`repro.campaign.serialize.report_to_dict`), so numbers
 are bit-identical to a direct engine call.
 
-Observability endpoints (tentpole)::
-
-    GET  /metrics/history?window=S   sampled metrics ring buffer (JSON)
-    GET  /slo                        SLO burn-rate status
-
 Every request is stamped with a request id — an inbound
 ``X-Repro-Request-Id`` is honored, otherwise one is minted — which
 flows through the handler task (and therefore through coalescing and
@@ -37,7 +32,6 @@ header.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import time
@@ -51,7 +45,6 @@ from repro.core.recovery import scheme_names
 from repro.engines import engine_names
 from repro.harness.experiment import ExperimentConfig
 from repro.obs.analysis.render import prometheus_text
-from repro.obs.history import MetricsHistory
 from repro.obs.logging import (
     REQUEST_ID_HEADER,
     bound_request_id,
@@ -59,7 +52,6 @@ from repro.obs.logging import (
     new_request_id,
     valid_request_id,
 )
-from repro.obs.slo import DEFAULT_SLOS, Slo, evaluate_slos
 from repro.serve.core import ServingCore
 from repro.serve.http import HttpRequest, HttpResponse
 
@@ -167,26 +159,16 @@ class ServeApp:
         self,
         core: ServingCore,
         *,
-        history: MetricsHistory | None = None,
-        slos: tuple[Slo, ...] = DEFAULT_SLOS,
         default_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.core = core
         self.default_backend = default_backend
         self.started_at = time.time()
-        #: Sampled metrics ring buffer behind /metrics/history; the
-        #: sampler task starts lazily on the first served request so the
-        #: app binds to whichever event loop actually runs it.
-        self.history = history if history is not None else MetricsHistory()
-        self.slos = slos
-        self._sampler_task: asyncio.Task | None = None
         #: (method, path) -> (endpoint label, handler); the label is the
         #: metrics axis, so path parameters collapse onto one series.
         self._routes = {
             ("GET", "/healthz"): ("/healthz", self.healthz),
             ("GET", "/metrics"): ("/metrics", self.metrics),
-            ("GET", "/metrics/history"): ("/metrics/history", self.metrics_history),
-            ("GET", "/slo"): ("/slo", self.slo_status),
             ("GET", "/v1/store/stats"): ("/v1/store/stats", self.store_stats),
             ("POST", "/v1/solve"): ("/v1/solve", self.solve),
             ("POST", "/v1/project"): ("/v1/project", self.project),
@@ -194,25 +176,10 @@ class ServeApp:
             ("GET", "/v1/reports/diff"): ("/v1/reports/diff", self.reports_diff),
         }
 
-    # -- metrics sampling ----------------------------------------------
-    def _ensure_sampler(self) -> None:
-        if self._sampler_task is not None and not self._sampler_task.done():
-            return
-        self.history.sample(self.core.metrics)
-        self._sampler_task = asyncio.get_running_loop().create_task(
-            self._sampler_loop(), name="repro-serve-sampler"
-        )
-
-    async def _sampler_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.history.interval_s)
-            self.history.sample(self.core.metrics)
-
     # -- dispatch ------------------------------------------------------
     async def handle(self, request: HttpRequest) -> HttpResponse:
         """The ``ServeServer`` app callback."""
         t0 = time.perf_counter()
-        self._ensure_sampler()
         request_id = (
             valid_request_id(request.headers.get(REQUEST_ID_HEADER.lower()))
             or new_request_id()
@@ -253,13 +220,8 @@ class ServeApp:
             endpoint=endpoint,
             status=str(response.status),
         ).inc()
-        hist_kwargs = (
-            {"buckets": self.core.latency_buckets}
-            if self.core.latency_buckets
-            else {}
-        )
         metrics.histogram(
-            "serve_request_latency_s", endpoint=endpoint, **hist_kwargs
+            "serve_request_latency_s", endpoint=endpoint
         ).observe(elapsed)
         return _dc_replace(
             response,
@@ -291,27 +253,6 @@ class ServeApp:
 
     async def metrics(self, request: HttpRequest) -> HttpResponse:
         return HttpResponse.text(prometheus_text(self.core.metrics))
-
-    async def metrics_history(self, request: HttpRequest) -> HttpResponse:
-        window_s = None
-        raw = request.query.get("window")
-        if raw is not None:
-            try:
-                window_s = float(raw)
-            except ValueError:
-                raise RequestError(f"bad window {raw!r}") from None
-            if window_s <= 0:
-                raise RequestError("window must be > 0 seconds")
-        return HttpResponse.json(self.history.to_doc(window_s))
-
-    async def slo_status(self, request: HttpRequest) -> HttpResponse:
-        statuses = evaluate_slos(self.history, self.slos)
-        return HttpResponse.json(
-            {
-                "firing": any(s.firing for s in statuses),
-                "slos": [s.to_dict() for s in statuses],
-            }
-        )
 
     async def store_stats(self, request: HttpRequest) -> HttpResponse:
         store = self.core.store
@@ -463,5 +404,4 @@ class ServeApp:
                 n for status, n in by_status.items() if status.startswith("5")
             ),
             "solves_by_source": dict(sorted(solves.items())),
-            "history_samples": len(self.history),
         }

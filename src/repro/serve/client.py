@@ -90,15 +90,6 @@ class ServeClient:
     def metrics_text(self) -> str:
         return self._request("GET", "/metrics")
 
-    def metrics_history(self, window_s: float | None = None) -> dict:
-        path = "/metrics/history"
-        if window_s is not None:
-            path += f"?window={window_s:g}"
-        return self._request("GET", path)
-
-    def slo(self) -> dict:
-        return self._request("GET", "/slo")
-
     def store_stats(self) -> dict:
         return self._request("GET", "/v1/store/stats")
 

@@ -141,7 +141,6 @@ class ServingCore:
         cache_size: int = DEFAULT_CACHE_SIZE,
         workers: int = DEFAULT_WORKERS,
         metrics: MetricsRegistry | None = None,
-        latency_buckets: tuple[float, ...] | None = None,
         compute=compute_group,
     ) -> None:
         """``compute(config, schemes) -> {scheme: report}`` evaluates one
@@ -153,13 +152,6 @@ class ServingCore:
         self.store = store
         self.cache_size = cache_size
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Override for the serve latency histograms' bucket bounds
-        #: (``repro serve --latency-buckets``); None keeps the default.
-        self.latency_buckets = (
-            tuple(sorted(float(b) for b in latency_buckets))
-            if latency_buckets
-            else None
-        )
         self._compute = compute
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
@@ -238,11 +230,8 @@ class ServingCore:
             self.metrics.counter(
                 "serve_solve", source=source, engine=engine
             ).inc()
-            hist_kwargs = (
-                {"buckets": self.latency_buckets} if self.latency_buckets else {}
-            )
             self.metrics.histogram(
-                "serve_solve_latency_s", source=source, **hist_kwargs
+                "serve_solve_latency_s", source=source
             ).observe(elapsed)
             _log.debug(
                 "solve answered",

@@ -11,7 +11,9 @@ and body sizes so a misbehaving client cannot balloon memory.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import sys
 import threading
 from dataclasses import dataclass, field
 from http import HTTPStatus
@@ -27,6 +29,11 @@ MAX_LINE = 8192
 MAX_HEADERS = 64
 #: Request-body size cap, bytes (solve/project payloads are tiny).
 MAX_BODY = 1 << 20
+#: Time a client has to send one whole request — line, headers and
+#: body — seconds.  One that has not sent a full request line by then
+#: (an idle keep-alive connection, say) is closed without an answer;
+#: one that has is answered 408 and closed.
+REQUEST_DEADLINE_S = 30.0
 
 SERVER_NAME = "repro-serve"
 
@@ -83,19 +90,67 @@ class HttpResponse:
 
 
 class BadRequest(Exception):
-    """Malformed HTTP that still deserves a 400 answer."""
+    """Malformed HTTP that still deserves an answer, then a hang-up."""
+
+    status = 400
+
+
+class RequestTimeout(BadRequest):
+    """A request line arrived, the rest not within the deadline."""
+
+    status = 408
+
+
+if sys.version_info >= (3, 11):
+    _deadline = asyncio.timeout
+else:  # asyncio.timeout is new in 3.11; this is its core on 3.10
+
+    @contextlib.asynccontextmanager
+    async def _deadline(delay: float):
+        task, expired = asyncio.current_task(), []
+
+        def expire() -> None:
+            expired.append(True)
+            task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(delay, expire)
+        try:
+            yield
+        except asyncio.CancelledError:
+            if expired:
+                raise TimeoutError from None
+            raise
+        finally:
+            timer.cancel()
 
 
 async def _read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
-    """Parse one request off the stream; ``None`` on clean EOF."""
+    """Parse one request off the stream; ``None`` on clean EOF, and on
+    a connection that sent no full request line within
+    :data:`REQUEST_DEADLINE_S`.  A request that began but did not end
+    by then raises :class:`RequestTimeout`."""
+    line = None
     try:
-        line = await reader.readuntil(b"\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # connection closed between requests
-        raise BadRequest("truncated request line") from None
-    except asyncio.LimitOverrunError:
-        raise BadRequest("request line too long") from None
+        async with _deadline(REQUEST_DEADLINE_S):
+            try:
+                line = await reader.readuntil(b"\r\n")
+            except asyncio.IncompleteReadError as exc:
+                if not exc.partial:
+                    return None  # connection closed between requests
+                raise BadRequest("truncated request line") from None
+            except asyncio.LimitOverrunError:
+                raise BadRequest("request line too long") from None
+            return await _read_rest(reader, line)
+    except TimeoutError:
+        if line is None:
+            return None
+        raise RequestTimeout(
+            f"request not complete within {REQUEST_DEADLINE_S:g}s"
+        ) from None
+
+
+async def _read_rest(reader: asyncio.StreamReader, line: bytes) -> HttpRequest:
+    """The headers and body behind request line ``line``."""
     if len(line) > MAX_LINE:
         raise BadRequest("request line too long")
     parts = line.decode("latin-1").rstrip("\r\n").split(" ")
@@ -215,7 +270,8 @@ class ServeServer:
                     _log.warning("bad request", error=str(exc))
                     writer.write(
                         _render(
-                            HttpResponse.error(400, str(exc)), keep_alive=False
+                            HttpResponse.error(exc.status, str(exc)),
+                            keep_alive=False,
                         )
                     )
                     await writer.drain()
@@ -283,9 +339,8 @@ class BackgroundServer:
             self._loop.run_until_complete(self.server.stop())
             # stop() EOF'd every open connection, so the keep-alive
             # handlers unwind on their own; give them a moment.  They
-            # are all the server owns: whatever else lives on the loop
-            # (the app's metrics sampler never finishes) is cancelled
-            # at once, as asyncio.run would
+            # are all the server owns: whatever else is still on the
+            # loop is cancelled at once, as asyncio.run would
             handlers = set(self.server._connections.values())
             if handlers:
                 _, self._stuck = self._loop.run_until_complete(

@@ -308,6 +308,28 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["top", "--port", "8030", "--once"], "invalid choice: 'top'"),
+            (["serve", "--history-out", "h.json"], "unrecognized arguments"),
+            (["serve", "--sample-interval", "1"], "unrecognized arguments"),
+            (["serve", "--history-capacity", "3"], "unrecognized arguments"),
+            (["serve", "--latency-buckets", "0.1"], "unrecognized arguments"),
+            (["doctor", "--history", "h.json"], "unrecognized arguments"),
+        ],
+        ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else "",
+    )
+    def test_rejects_the_removed_live_ops_surface(self, argv, message, capsys):
+        # --workers 0 makes a serve that still took the flag exit on its
+        # own validation instead of starting a server
+        if argv[0] == "serve":
+            argv = [*argv, "--workers", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_cr_interval_parsing(self):
         assert _parse_cr_interval("paper") == "paper"
         assert _parse_cr_interval("young") == "young"
@@ -620,6 +642,7 @@ class TestDoctorCli:
         assert "energy_balance" in out
         assert "span_integrity" in out
         assert "[campaign]" in out  # model_divergence scope
+        assert "slo_burn" not in out and "[history]" not in out
 
     def test_doctor_rejects_unknown_detector(self, traced_store):
         with pytest.raises(SystemExit, match="unknown detectors"):
@@ -812,7 +835,6 @@ OPTION_SURFACE = {
         "--scheme": (None, None, None, None),
         "--detectors": ("+", None, None, None),
         "--list-detectors": (0, False, None, None),
-        "--history": (None, None, None, None),
         "--run-id": (None, None, None, None),
     },
     "project": {
@@ -827,17 +849,6 @@ OPTION_SURFACE = {
         "--store": (None, None, None, None),
         "--no-store": (0, False, None, None),
         "--backend": (None, "batched", BACKENDS, None),
-        "--latency-buckets": ("+", None, None, "float"),
-        "--sample-interval": (None, 1.0, None, "float"),
-        "--history-capacity": (None, 600, None, "int"),
-        "--history-out": (None, None, None, None),
-    },
-    "top": {
-        "--host": (None, "127.0.0.1", None, None),
-        "--port": (None, 8030, None, "int"),
-        "--interval": (None, 2.0, None, "float"),
-        "--window": (None, 60.0, None, "float"),
-        "--once": (0, False, None, None),
     },
 }
 

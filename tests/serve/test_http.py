@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import select
 import socket
 import struct
 import threading
@@ -65,9 +66,11 @@ class TestHealthAndRouting:
         assert served.server.port != 0
 
     def test_unknown_route_is_404(self, served):
-        with pytest.raises(ServeError) as exc:
-            served.client._request("GET", "/nope")
-        assert exc.value.status == 404
+        # /slo and /metrics/history were routes once; they must stay gone
+        for path in ("/nope", "/slo", "/metrics/history"):
+            with pytest.raises(ServeError) as exc:
+                served.client._request("GET", path)
+            assert exc.value.status == 404, path
 
     def test_malformed_request_line_is_400(self, served):
         with socket.create_connection(
@@ -512,23 +515,66 @@ class TestMisbehavingClients:
         assert _count_5xx(served) == errors_before
 
 
+class TestSlowClients:
+    """``REQUEST_DEADLINE_S`` bounds how long one request may take to
+    arrive, however steadily its bytes trickle in."""
+
+    DEADLINE_S = 0.3
+
+    @pytest.fixture
+    def quick(self, monkeypatch):
+        monkeypatch.setattr(http, "REQUEST_DEADLINE_S", self.DEADLINE_S)
+        core = ServingCore(None)
+        server = BackgroundServer(ServeApp(core).handle)
+        server.start()
+        yield server
+        server.stop()
+        core.close()
+
+    def test_a_trickled_request_gets_a_408_then_eof(self, quick):
+        with socket.create_connection((quick.host, quick.port), timeout=10.0) as raw:
+            raw.sendall(b"GET /healthz HTTP/1.1\r\nX-Slow: ")
+            t0 = time.perf_counter()
+            # one header byte every 50 ms, until the server speaks
+            while not select.select([raw], [], [], 0.05)[0]:
+                assert time.perf_counter() - t0 < 10.0
+                raw.sendall(b"a")
+            answer = _recv_response(raw)  # returns at EOF
+        assert time.perf_counter() - t0 >= self.DEADLINE_S * 0.9
+        ((status, headers, body),) = _split_responses(answer)
+        assert status.startswith("HTTP/1.1 408 ")
+        assert headers["connection"] == "close"
+        assert "within" in json.loads(body)["error"]
+
+    def test_an_idle_keep_alive_connection_is_closed_without_a_byte(self, quick):
+        with ServeClient(quick.host, quick.port) as client:
+            assert client.health()["status"] == "ok"
+            idle = client._conn.sock
+            idle.settimeout(10.0)
+            t0 = time.perf_counter()
+            assert idle.recv(4096) == b""  # EOF, nothing written first
+            assert time.perf_counter() - t0 >= self.DEADLINE_S * 0.9
+            # the client retries once on a dropped keep-alive
+            assert client.health()["status"] == "ok"
+
+
 class TestShutdown:
     """``BackgroundServer.stop()`` waits for the connection handlers it
     EOF'd and for nothing else."""
 
-    def test_a_running_sampler_does_not_hold_shutdown(self, tmp_path):
+    def test_an_open_keep_alive_connection_does_not_hold_shutdown(
+        self, tmp_path
+    ):
         with ResultStore(tmp_path / "store") as store:
             core = ServingCore(store, workers=1)
             app = ServeApp(core)
             server = BackgroundServer(app.handle)
             server.start()
             with ServeClient(server.host, server.port) as client:
-                assert client.health()["status"] == "ok"  # starts the sampler
-                assert not app._sampler_task.done()
+                assert client.health()["status"] == "ok"
                 t0 = time.perf_counter()
                 server.stop()  # the keep-alive connection is still open
             assert time.perf_counter() - t0 < 1.0
-            assert app._sampler_task.cancelled()
             core.close()
 
     def test_a_handler_that_outlives_the_grace_period_is_an_error(

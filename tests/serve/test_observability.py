@@ -1,15 +1,13 @@
-"""Live observability: request ids end to end, history, SLO, top."""
+"""Live observability: request ids end to end, lifetime summary."""
 
 from __future__ import annotations
 
 import asyncio
-import io
 import re
 import threading
 
 import pytest
 
-from repro.obs.history import MetricsHistory
 from repro.obs.logging import (
     MemorySink,
     bound_request_id,
@@ -17,9 +15,7 @@ from repro.obs.logging import (
     reset_logging,
 )
 from repro.obs.telemetry import Telemetry
-from repro.serve import ServeApp, ServeError, ServingCore
-from repro.serve.http import HttpRequest
-from repro.serve.top import render, run_top
+from repro.serve import ServeError, ServingCore
 
 from tests.serve.conftest import make_cell, run
 
@@ -169,131 +165,12 @@ class TestCoalescedIds:
         assert root_span_ids(answers["F0"]["report"]) == "rid-batch-f0"
 
 
-class TestMetricsHistoryEndpoint:
-    def test_history_is_sampled_and_served(self, served):
-        for _ in range(3):
-            served.client.health()
-        # don't wait out the 1 Hz sampler: take one sample directly
-        served.app.history.sample(served.core.metrics)
-        doc = served.client.metrics_history()
-        assert doc["schema"] == 1
-        assert len(doc["samples"]) >= 1
-        newest = doc["samples"][-1]["metrics"]
-        assert any(
-            series.startswith("serve_requests")
-            for series in newest["counters"]
-        )
-
-    def test_window_parameter_filters(self, served):
-        served.client.health()
-        doc = served.client.metrics_history(window_s=0.001)
-        assert len(doc["samples"]) >= 1  # at least the newest survives
-
-    def test_bad_window_is_a_400(self, served):
-        with pytest.raises(ServeError) as err:
-            served.client._request("GET", "/metrics/history?window=banana")
-        assert err.value.status == 400
-        with pytest.raises(ServeError) as err:
-            served.client._request("GET", "/metrics/history?window=-5")
-        assert err.value.status == 400
-
-    def test_history_capacity_bounds_the_payload(self):
-        async def scenario():
-            core = ServingCore(None)
-            with core:
-                app = ServeApp(core, history=MetricsHistory(capacity=3))
-                req = HttpRequest(
-                    method="GET", path="/healthz", query={}, headers={},
-                    body=b"",
-                )
-                for _ in range(10):
-                    await app.handle(req)
-                    app.history.sample(core.metrics)
-                assert len(app.history) == 3
-                app._sampler_task.cancel()
-
-        run(scenario())
-
-
-class TestSloEndpoint:
-    def test_slo_doc_shape(self, served):
-        doc = served.client.slo()
-        assert set(doc) == {"firing", "slos"}
-        names = [s["name"] for s in doc["slos"]]
-        assert names == ["availability", "latency"]
-        for status in doc["slos"]:
-            assert {"fast", "slow"} <= set(status)
-
-
-class TestLatencyBuckets:
-    def test_override_reshapes_the_serve_histograms(self):
-        async def scenario():
-            core = ServingCore(None, latency_buckets=(0.5, 0.05))
-            with core:
-                assert core.latency_buckets == (0.05, 0.5)  # sorted
-                app = ServeApp(core)
-                req = HttpRequest(
-                    method="GET", path="/healthz", query={}, headers={},
-                    body=b"",
-                )
-                await app.handle(req)
-                snap = core.metrics.snapshot()
-                series = [
-                    s for s in snap["histograms"]
-                    if s.startswith("serve_request_latency_s")
-                ]
-                assert series
-                assert snap["histograms"][series[0]]["buckets"] == [0.05, 0.5]
-                app._sampler_task.cancel()
-
-        run(scenario())
-
-
-class TestTopDashboard:
-    def test_run_top_once_against_the_live_server(self, served):
-        served.client.health()  # ensure at least one sample exists
-        out = io.StringIO()
-        code = run_top(
-            served.server.host, served.server.port, once=True, out=out
-        )
-        assert code == 0
-        frame = out.getvalue()
-        assert "repro top" in frame
-        assert "SLO burn" in frame
-        assert "traffic" in frame
-        assert "\x1b" not in frame  # --once emits no escape codes
-
-    def test_render_flags_a_firing_slo(self):
-        health = {"uptime_s": 10.0, "engines": ["analytic"], "store": False}
-        history = MetricsHistory()
-        history.append(0.0, {"counters": {}, "gauges": {}, "histograms": {}})
-        slo_doc = {
-            "firing": True,
-            "slos": [{
-                "name": "availability",
-                "fast": {
-                    "window_s": 60.0, "burn_rate": 833.3, "threshold": 14.0,
-                    "requests": 60, "firing": True,
-                },
-                "slow": {
-                    "window_s": 600.0, "burn_rate": 2.0, "threshold": 6.0,
-                    "requests": 60, "firing": False,
-                },
-            }],
-        }
-        frame = render(health, history, slo_doc)
-        assert "FIRING" in frame
-        assert "!!" in frame
-
-
 class TestLifetimeSummary:
     def test_summary_counts_requests_and_solves(self, served):
         served.client.health()
         summary = served.app.lifetime_summary()
         assert set(summary) == {
             "uptime_s", "requests", "errors_5xx", "solves_by_source",
-            "history_samples",
         }
         assert summary["requests"] > 0
-        assert summary["history_samples"] == len(served.app.history)
         assert summary["solves_by_source"].get("computed", 0) > 0
