@@ -63,7 +63,7 @@ from repro.campaign.spec import (
     preset,
     preset_names,
 )
-from repro.campaign.store import ResultStore, StoreEntry, cell_key
+from repro.campaign.store import ResultStore, StoreEntry, StoreLockedError, cell_key
 from repro.campaign.watch import CampaignWatch, render_fleet
 
 __all__ = [
@@ -86,6 +86,7 @@ __all__ = [
     "ResultStore",
     "RunManifest",
     "StoreEntry",
+    "StoreLockedError",
     "cell_correlation_id",
     "cell_event",
     "cell_event_from_line",

@@ -35,11 +35,14 @@ Writes are atomic (payload to a temp file + ``os.replace``, then the
 index row), so a killed campaign never leaves a row pointing at a
 half-written payload; a payload missing its row (or vice versa) is
 treated as a miss and repaired on the next ``put``.  SQLite runs in WAL
-mode with a busy timeout so several processes may share one store.
+mode with a busy timeout so several processes may share one store; a
+write that waits on another connection's lock for longer than
+:data:`BUSY_TIMEOUT_S` raises :class:`StoreLockedError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -68,6 +71,10 @@ from repro.harness.experiment import ExperimentConfig
 STORE_FORMAT = 7
 
 DEFAULT_ROOT = Path(".repro-cache")
+
+#: How long a write waits for another connection's write lock on
+#: ``index.db`` before it raises :class:`StoreLockedError`, seconds.
+BUSY_TIMEOUT_S = 30.0
 
 #: First bytes of every frame.  A payload file that starts otherwise is
 #: a pre-7 JSON payload.
@@ -197,6 +204,11 @@ def _read_bytes(path: Path) -> bytes | None:
         return None
 
 
+class StoreLockedError(sqlite3.OperationalError):
+    """Another connection held the index's write lock for longer than
+    :data:`BUSY_TIMEOUT_S`.  Nothing of the write was committed."""
+
+
 @dataclass(frozen=True)
 class StoreEntry:
     """One indexed result plus the bookkeeping the summary reports."""
@@ -223,11 +235,11 @@ class ResultStore:
         # store; the lock handles concurrent threads on this handle.
         self._lock = threading.RLock()
         self._db = sqlite3.connect(
-            self.root / "index.db", timeout=30.0, check_same_thread=False
+            self.root / "index.db", timeout=BUSY_TIMEOUT_S, check_same_thread=False
         )
         self._db.executescript(_SCHEMA)
         self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute("PRAGMA busy_timeout=30000")
+        self._db.execute(f"PRAGMA busy_timeout={round(BUSY_TIMEOUT_S * 1000)}")
         self._db.commit()
         #: Lookup counters since open: ``hits`` counts get_entry() calls
         #: served a report, ``misses`` the rest.  Surfaced by stats()
@@ -243,6 +255,25 @@ class ResultStore:
     # ------------------------------------------------------------------
     def key(self, cell: CampaignCell) -> str:
         return cell_key(cell)
+
+    @contextlib.contextmanager
+    def _writing(self):
+        """Run one write on the index under ``_lock`` and commit it.  A
+        write lock held elsewhere past :data:`BUSY_TIMEOUT_S` rolls the
+        write back and raises :class:`StoreLockedError`."""
+        with self._lock:
+            try:
+                yield self._db
+                self._db.commit()
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc):
+                    raise
+                self._db.rollback()
+                raise StoreLockedError(
+                    f"result store index {self.root / 'index.db'} is locked: "
+                    f"another connection held its write lock for over "
+                    f"{BUSY_TIMEOUT_S:g}s"
+                ) from exc
 
     def _payload_path(self, key: str) -> Path:
         return self.payload_dir / key[:2] / f"{key}{_FRAME_SUFFIX}"
@@ -261,12 +292,12 @@ class ResultStore:
         row = self._index_row(key)
         read = None if row is None else self._read_payload(key)
         if read is None or not read[1]:
+            if row is not None:
+                # stale index row (payload pruned, damaged or not a
+                # frame): self-heal
+                with self._writing() as db:
+                    db.execute("DELETE FROM results WHERE key = ?", (key,))
             with self._lock:
-                if row is not None:
-                    # stale index row (payload pruned, damaged or not a
-                    # frame): self-heal
-                    self._db.execute("DELETE FROM results WHERE key = ?", (key,))
-                    self._db.commit()
                 self.misses += 1
             return None
         with self._lock:
@@ -366,10 +397,9 @@ class ResultStore:
             tmp.unlink(missing_ok=True)  # e.g. ENOSPC mid-write
             raise
         cfg = cell.config
-        with self._lock:
-            if self._index_row(key) is not None:
-                self.overwrites += 1
-            self._db.execute(
+        with self._writing() as db:
+            replaced = self._index_row(key) is not None
+            db.execute(
                 "INSERT OR REPLACE INTO results VALUES "
                 "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
@@ -391,7 +421,8 @@ class ResultStore:
                     str(path.relative_to(self.root)),
                 ),
             )
-            self._db.commit()
+            if replaced:
+                self.overwrites += 1
         return key
 
     # ------------------------------------------------------------------
@@ -409,12 +440,11 @@ class ResultStore:
         doc = json.dumps(
             manifest_to_doc(manifest), sort_keys=True, separators=(",", ":")
         )
-        with self._lock:
-            self._db.execute(
+        with self._writing() as db:
+            db.execute(
                 "INSERT OR REPLACE INTO manifests VALUES (?, ?, ?, ?)",
                 (manifest.run_id, manifest.name, manifest.finished_at, doc),
             )
-            self._db.commit()
         return manifest.run_id
 
     def get_manifest(self, run_id: str):
@@ -513,10 +543,9 @@ class ResultStore:
 
     def clear(self) -> None:
         """Drop every entry (index, payloads and manifests)."""
-        with self._lock:
-            self._db.execute("DELETE FROM results")
-            self._db.execute("DELETE FROM manifests")
-            self._db.commit()
+        with self._writing() as db:
+            db.execute("DELETE FROM results")
+            db.execute("DELETE FROM manifests")
         for f in self.payload_files():
             f.unlink(missing_ok=True)
 

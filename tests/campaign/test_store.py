@@ -6,8 +6,10 @@ import hashlib
 import json
 import pickle
 import shutil
+import sqlite3
 import struct
 import threading
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,6 +27,7 @@ from repro.campaign.fleet import cell_correlation_id
 from repro.campaign.store import (
     STORE_FORMAT,
     ResultStore,
+    StoreLockedError,
     _hash_material,
     cell_key,
 )
@@ -522,6 +525,51 @@ class TestConcurrency:
 #: compute that any more, and nothing needs to — a row under any key
 #: but ``cell_key(cell)`` is listable and never served.
 V2_KEY = "f2" * 32
+
+
+class TestLockedStore:
+    """A write lock another connection holds past ``BUSY_TIMEOUT_S`` is
+    a typed error, not a stall, and leaves no row behind."""
+
+    BUSY_S = 0.2
+
+    @pytest.fixture
+    def locked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT_S", self.BUSY_S)
+        with ResultStore(tmp_path / "c") as store:
+            holder = sqlite3.connect(tmp_path / "c" / "index.db", isolation_level=None)
+            holder.execute("BEGIN IMMEDIATE")  # the write lock
+            yield store, holder
+            holder.close()
+
+    def test_put_raises_store_locked_and_the_cell_stays_a_miss(
+        self, locked, solved
+    ):
+        store, holder = locked
+        cell, report = solved
+        t0 = time.perf_counter()
+        with pytest.raises(StoreLockedError, match="locked") as exc:
+            store.put(cell, report)
+        assert self.BUSY_S * 0.9 <= time.perf_counter() - t0 < 2.0
+        assert isinstance(exc.value, sqlite3.OperationalError)
+        assert store.get(cell) is None  # a miss, with the lock still held
+        holder.execute("ROLLBACK")
+        assert store.get(cell) is None  # and after it is let go
+        assert store.stats()["overwrites"] == 0
+        # the store is usable once the lock is free
+        store.put(cell, report)
+        assert_reports_equal(store.get(cell), report)
+
+    def test_every_write_is_typed(self, locked, solved):
+        store, holder = locked
+        with pytest.raises(StoreLockedError):
+            store.put_manifest(make_manifest("b" * 16))
+        with pytest.raises(StoreLockedError):
+            store.clear()
+        holder.execute("ROLLBACK")
+        assert store.get_manifest("b" * 16) is None
+        store.put_manifest(make_manifest("b" * 16))
+        assert store.get_manifest("b" * 16) is not None
 
 
 def _write_v2_entry(store, cell, report):

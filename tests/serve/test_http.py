@@ -30,7 +30,7 @@ from repro.serve import (
     http,
 )
 from repro.serve.app import parse_solve_request
-from repro.serve.http import MAX_BODY
+from repro.serve.http import MAX_BODY, MAX_HEADERS, MAX_LINE
 from tests.serve.conftest import make_cell
 
 
@@ -405,6 +405,121 @@ class TestProject:
         assert exc.value.status == 400
 
 
+def _head(*, length: int) -> str:
+    return (
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}"
+    )
+
+
+def _answer(
+    body: bytes = b'{"status": "ok"}', *, head: str | None = None, close=False
+) -> bytes:
+    """One well-formed answer, or ``head`` (without its blank line) in
+    front of ``body`` instead of the usual status line and headers."""
+    if head is None:
+        head = (
+            f"{_head(length=len(body))}\r\nX-Repro-Request-Id: fake-1\r\n"
+            f"Connection: {'close' if close else 'keep-alive'}"
+        )
+    return head.encode("latin-1") + b"\r\n\r\n" + body
+
+
+class _FakeServer:
+    """A raw-socket server that reads one request at a time and answers
+    it with the next action of ``script``: ``("send", bytes)`` writes
+    the bytes, ``("trickle", bytes)`` writes them a byte at a time,
+    ``("hang_up", None)`` closes the connection unanswered.  ``"send"``
+    and ``"trickle"`` also hang up when the answer says
+    ``Connection: close``."""
+
+    def __init__(self, *script: tuple[str, bytes | None]) -> None:
+        self.script = script
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.connections = 0
+        self.requests: list[bytes] = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    @staticmethod
+    def _read_request(conn: socket.socket) -> bytes:
+        data = b""
+
+        def more() -> bytes:
+            chunk = conn.recv(65536)
+            if not chunk:
+                raise ConnectionError("the client hung up mid-request")
+            return chunk
+
+        while b"\r\n\r\n" not in data:
+            data += more()
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+        while len(body) < length:
+            body += more()
+        return head + b"\r\n\r\n" + body
+
+    def _serve(self) -> None:
+        conn = None
+        for action, data in self.script:
+            if conn is None:
+                conn, _ = self.listener.accept()
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self.connections += 1
+            self.requests.append(self._read_request(conn))
+            if action == "send":
+                conn.sendall(data)
+            elif action == "trickle":
+                for i in range(len(data)):
+                    conn.sendall(data[i : i + 1])
+                    time.sleep(0.001)
+            if action == "hang_up" or b"Connection: close" in data:
+                conn.close()
+                conn = None
+        if conn is not None:
+            conn.close()
+
+    def client(self) -> ServeClient:
+        return ServeClient("127.0.0.1", self.port, timeout=10.0)
+
+    def close(self) -> None:
+        """Wait for the script to run out; every action in it must have
+        been asked for."""
+        self._thread.join(timeout=10.0)
+        self.listener.close()
+        assert not self._thread.is_alive(), "the client left the script unfinished"
+
+
+@pytest.fixture
+def fake():
+    servers: list[_FakeServer] = []
+
+    def make(*script) -> _FakeServer:
+        servers.append(_FakeServer(*script))
+        return servers[-1]
+
+    yield make
+    for server in servers:
+        server.close()
+
+
+def _spy(monkeypatch, name: str, sock_of) -> list[bytes]:
+    """Record what ``socket.socket.<name>`` moves for the socket
+    ``sock_of()`` (the client's), calling through for every socket."""
+    calls: list[bytes] = []
+    real = getattr(socket.socket, name)
+
+    def spy(sock, *args):
+        out = real(sock, *args)
+        if sock is sock_of():
+            calls.append(args[0] if name == "sendall" else out)
+        return out
+
+    monkeypatch.setattr(socket.socket, name, spy)
+    return calls
+
+
 class TestClient:
     def test_client_survives_a_dropped_keepalive(self, served):
         # a second client whose connection the server has never seen:
@@ -412,8 +527,130 @@ class TestClient:
         # closing our side forces the retry path on the next call
         with ServeClient(served.server.host, served.server.port) as client:
             assert client.health()["status"] == "ok"
-            client._conn.close()
+            client._sock.close()
             assert client.health()["status"] == "ok"
+
+    def test_each_solve_is_one_sendall(self, served, monkeypatch):
+        with ServeClient(served.server.host, served.server.port) as client:
+            client.health()
+            sent = _spy(monkeypatch, "sendall", lambda: client._sock)
+            for seed in (2000, 2001, 2000):
+                answer = client.solve(
+                    **SOLVE, scheme="F0", seed=seed, request_id=f"one-{seed}"
+                )
+                assert answer["report"]["scheme"] == "F0"
+        assert len(sent) == 3
+        for request, seed in zip(sent, (2000, 2001, 2000)):
+            head, _, body = request.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0] == "POST /v1/solve HTTP/1.1"
+            assert f"Content-Length: {len(body)}" in lines
+            assert "Content-Type: application/json" in lines
+            assert f"X-Repro-Request-Id: one-{seed}" in lines
+            assert json.loads(body)["seed"] == seed
+
+    def test_an_answer_split_across_many_recvs_parses(self, fake, monkeypatch):
+        body = json.dumps({"status": "ok", "pad": "x" * 40}).encode()
+        server = fake(("trickle", _answer(body)))
+        with server.client() as client:
+            received = _spy(monkeypatch, "recv", lambda: client._sock)
+            assert client.health() == json.loads(body)
+            assert client.last_request_id == "fake-1"
+        assert len(received) > 10
+        assert server.connections == 1
+
+    def test_a_connection_close_answer_makes_the_next_call_reconnect(self, fake):
+        server = fake(("send", _answer(close=True)), ("send", _answer()))
+        with server.client() as client:
+            assert client.health()["status"] == "ok"
+            assert client._sock is None
+            assert client.health()["status"] == "ok"
+            assert client._sock is not None
+        assert server.connections == 2
+        assert len(server.requests) == 2
+
+    def test_eof_before_the_status_line_is_retried_once(self, fake):
+        server = fake(("hang_up", None), ("send", _answer()))
+        with server.client() as client:
+            assert client.health()["status"] == "ok"
+        assert server.connections == 2
+        assert server.requests[0] == server.requests[1]
+
+        # a third request would wait on a server with nothing left to
+        # say, and time out rather than raise this
+        server = fake(("hang_up", None), ("hang_up", None))
+        with server.client() as client:
+            with pytest.raises(ConnectionError, match="unanswered"):
+                client.health()
+        assert len(server.requests) == 2
+
+    def test_eof_mid_body_raises_without_a_retry(self, fake):
+        cut = _head(length=40) + "\r\nConnection: close"
+        server = fake(("send", _answer(b'{"status"', head=cut)))
+        with server.client() as client:
+            with pytest.raises(ConnectionError, match="9 of 40 body bytes"):
+                client.health()
+            assert client._sock is None
+        assert server.connections == 1
+        assert len(server.requests) == 1
+
+    @pytest.mark.parametrize(
+        "answer, error",
+        [
+            pytest.param(
+                _answer(head="HTTP/1.1 200 OK\r\nContent-Type: application/json"),
+                "no valid Content-Length",
+                id="no-content-length",
+            ),
+            pytest.param(
+                _answer(head=_head(length=2) + "\r\nTransfer-Encoding: chunked"),
+                "Transfer-Encoding",
+                id="transfer-encoding",
+            ),
+            pytest.param(
+                _answer(head=_head(length=-1)),
+                "negative Content-Length",
+                id="negative-length",
+            ),
+            pytest.param(
+                _answer(head="HTTP/1.1 OK\r\nContent-Length: 2"),
+                "status line",
+                id="no-status-code",
+            ),
+            pytest.param(
+                _answer(head="ICY 200 OK\r\nContent-Length: 2"),
+                "status line",
+                id="not-http",
+            ),
+            pytest.param(
+                _answer(head=_head(length=2) + "\r\nno colon here"),
+                "answer header",
+                id="malformed-header",
+            ),
+            pytest.param(
+                _answer(head=_head(length=2) + "\r\nX-Big: " + "a" * MAX_LINE),
+                "line over the size limit",
+                id="long-header-line",
+            ),
+            pytest.param(
+                _answer(head=_head(length=2) + "\r\nX-A: 1" * (MAX_HEADERS + 1)),
+                "too many answer headers",
+                id="too-many-headers",
+            ),
+            pytest.param(
+                _answer() + b"HTTP/1.1 200 OK",
+                "bytes after the answer body",
+                id="bytes-after-body",
+            ),
+        ],
+    )
+    def test_a_malformed_answer_raises_and_closes(self, fake, answer, error):
+        server = fake(("send", answer))
+        with server.client() as client:
+            with pytest.raises(ConnectionError, match=error):
+                client.health()
+            assert client._sock is None
+        assert len(server.requests) == 1
 
 
 def _split_responses(data: bytes) -> list[tuple[str, dict[str, str], bytes]]:
@@ -515,6 +752,69 @@ class TestMisbehavingClients:
         assert _count_5xx(served) == errors_before
 
 
+class TestHeadLimits:
+    """A request head past ``MAX_LINE`` or ``MAX_HEADERS``, or cut off
+    by EOF, is answered 400 with ``Connection: close``, then EOF."""
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            pytest.param(
+                f"GET /{'a' * (MAX_LINE + 1 - 16)} HTTP/1.1\r\n\r\n",
+                id="request-line-one-over",
+            ),
+            pytest.param(
+                f"GET /{'a' * (MAX_LINE + 500)} HTTP/1.1\r\n\r\n",
+                id="request-line-far-over",
+            ),
+            pytest.param(
+                f"GET /healthz HTTP/1.1\r\nX-Big: {'a' * (MAX_LINE + 1 - 9)}\r\n\r\n",
+                id="header-line-one-over",
+            ),
+            pytest.param(
+                f"GET /healthz HTTP/1.1\r\nX-Big: {'a' * (MAX_LINE + 500)}\r\n\r\n",
+                id="header-line-far-over",
+            ),
+            pytest.param(
+                "GET /healthz HTTP/1.1\r\n"
+                + "".join(f"X-H{i}: 1\r\n" for i in range(MAX_HEADERS + 1))
+                + "\r\n",
+                id="too-many-headers",
+            ),
+            pytest.param(
+                "GET /healthz HTTP/1.1\r\nHost: x\r\nX-Cut", id="headers-cut-by-eof"
+            ),
+        ],
+    )
+    def test_is_a_400_then_eof(self, served, head):
+        with socket.create_connection(
+            (served.server.host, served.server.port), timeout=30.0
+        ) as raw:
+            raw.sendall(head.encode("latin-1"))
+            raw.shutdown(socket.SHUT_WR)  # EOF, for the cut-off head
+            answer = _recv_response(raw)  # returns at EOF
+        ((status, headers, body),) = _split_responses(answer)
+        assert status.startswith("HTTP/1.1 400 ")
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]
+
+    def test_the_limits_hold_at_the_edge(self, served):
+        # a request line and a header line of exactly MAX_LINE bytes,
+        # CRLF included, and exactly MAX_HEADERS headers are served
+        path = "/healthz?" + "a" * (MAX_LINE - len("GET /healthz? HTTP/1.1\r\n"))
+        headers = [f"X-H{i:02d}: 1" for i in range(MAX_HEADERS - 2)]
+        headers.append("X-Big: " + "a" * (MAX_LINE - len("X-Big: \r\n")))
+        head = "\r\n".join([f"GET {path} HTTP/1.1", *headers, "Connection: close"])
+        assert len(f"GET {path} HTTP/1.1\r\n") == MAX_LINE
+        with socket.create_connection(
+            (served.server.host, served.server.port), timeout=30.0
+        ) as raw:
+            raw.sendall(head.encode("latin-1") + b"\r\n\r\n")
+            ((status, _, body),) = _split_responses(_recv_response(raw))
+        assert status.startswith("HTTP/1.1 200 ")
+        assert json.loads(body)["status"] == "ok"
+
+
 class TestSlowClients:
     """``REQUEST_DEADLINE_S`` bounds how long one request may take to
     arrive, however steadily its bytes trickle in."""
@@ -549,7 +849,7 @@ class TestSlowClients:
     def test_an_idle_keep_alive_connection_is_closed_without_a_byte(self, quick):
         with ServeClient(quick.host, quick.port) as client:
             assert client.health()["status"] == "ok"
-            idle = client._conn.sock
+            idle = client._sock
             idle.settimeout(10.0)
             t0 = time.perf_counter()
             assert idle.recv(4096) == b""  # EOF, nothing written first
