@@ -361,10 +361,12 @@ class CampaignResult:
 
     def run_records(self):
         """Successful cells as analysis :class:`~repro.obs.analysis.
-        records.RunRecord` objects (label + report + telemetry + config)."""
-        from repro.obs.analysis.records import records_from_campaign
+        records.RunRecord` objects (label + report + config)."""
+        from repro.obs.analysis.records import records_from_cells
 
-        return records_from_campaign(self)
+        return records_from_cells(
+            r for r in self.results if r.ok and r.report is not None
+        )
 
     def attribution_summary(self):
         """``{scheme: PhaseAttribution}`` rollup: per-phase time/energy

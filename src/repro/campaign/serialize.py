@@ -12,8 +12,7 @@ lifted out into raw float64 bytes (:mod:`repro.campaign.store`), and
 hands :func:`report_from_dict` the decoded array in its place.
 
 Telemetry (the solver's event stream, spans and metrics, attached at
-``details["telemetry"]`` with the event log aliased at
-``details["trace"]``) is encoded as a first-class ``telemetry`` field
+``details["telemetry"]``) is encoded as a first-class ``telemetry`` field
 and reconstructed on load, so a traced cell round-trips its full
 observability bundle through the store.  The only lossy corner is the
 rest of ``details``: values that are not JSON-shaped are dropped and
@@ -73,9 +72,7 @@ def _details_to_json(details: dict) -> dict:
 def report_to_dict(report: SolveReport) -> dict:
     """Encode a report as a JSON-shaped dict."""
     telemetry = report.details.get("telemetry")
-    details = {
-        k: v for k, v in report.details.items() if k not in ("telemetry", "trace")
-    }
+    details = {k: v for k, v in report.details.items() if k != "telemetry"}
     return {
         "scheme": report.scheme,
         "converged": report.converged,
@@ -170,9 +167,7 @@ def report_from_dict(data: dict) -> SolveReport:
     )
     details = dict(data["details"])
     if data.get("telemetry") is not None:
-        telemetry = telemetry_from_dict(data["telemetry"])
-        details["telemetry"] = telemetry
-        details["trace"] = telemetry.events
+        details["telemetry"] = telemetry_from_dict(data["telemetry"])
     return SolveReport(
         scheme=data["scheme"],
         converged=data["converged"],

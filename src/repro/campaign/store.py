@@ -220,6 +220,68 @@ class StoreEntry:
     created_at: float
 
 
+def payload_dict(cell: CampaignCell, report: SolveReport) -> dict:
+    """The one record of a stored cell: ``{"key", "cell": {"config",
+    "scheme"}, "report"}``, the report as :func:`~repro.campaign.
+    serialize.report_to_dict` encodes it.  A frame's JSON header is this
+    dict with ``residual_history`` lifted into the column; a line of a
+    ``repro trace --export`` file is this dict whole (:func:`payload_line`)."""
+    return {
+        "key": cell_key(cell),
+        "cell": {"config": _config_dict(cell.config), "scheme": cell.scheme},
+        "report": report_to_dict(report),
+    }
+
+
+def entry_from_payload(
+    payload: dict,
+    elapsed_s: float = 0.0,
+    created_at: float = 0.0,
+    cell: CampaignCell | None = None,
+) -> StoreEntry:
+    """Invert :func:`payload_dict`.  Without ``cell`` the cell is rebuilt
+    from the payload's own config record, so no spec is needed to read a
+    store or an export back."""
+    if cell is None:
+        cell = CampaignCell(
+            config=ExperimentConfig(**payload["cell"]["config"]),
+            scheme=payload["cell"]["scheme"],
+        )
+    return StoreEntry(
+        key=payload["key"],
+        cell=cell,
+        report=report_from_dict(payload["report"]),
+        elapsed_s=elapsed_s,
+        created_at=created_at,
+    )
+
+
+def payload_line(cell: CampaignCell, report: SolveReport) -> str:
+    """One cell as a line of a trace export: :func:`payload_dict` as
+    JSON, keys sorted as in a frame's header."""
+    return json.dumps(payload_dict(cell, report), sort_keys=True)
+
+
+def load_payload_lines(path: str | Path) -> list[StoreEntry]:
+    """The entries a trace export holds, one per non-blank line, in file
+    order.  A line that is not a payload (a pre-payload export's
+    ``"stream"`` records included) raises :class:`ValueError` naming
+    the line and the shape it should have."""
+    entries = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
+            entries.append(entry_from_payload(json.loads(raw)))
+        except (ValueError, KeyError, TypeError):
+            raise ValueError(
+                f"{path} line {lineno} is not a result-store payload: expected "
+                '{"key", "cell": {"config", "scheme"}, "report"}, one cell '
+                "per line as 'repro trace --export' writes it"
+            ) from None
+    return entries
+
+
 class ResultStore:
     """SQLite-indexed store of solved cells, one frame file per cell."""
 
@@ -302,7 +364,7 @@ class ResultStore:
             return None
         with self._lock:
             self.hits += 1
-        return self._entry(key, read[0], *row, cell=cell)
+        return entry_from_payload(read[0], *row, cell=cell)
 
     def entry_by_key(self, key: str) -> StoreEntry | None:
         """The entry stored under exactly ``key``: one index probe, then
@@ -313,7 +375,7 @@ class ResultStore:
         read = None if row is None else self._read_payload(key)
         if read is None:
             return None
-        return self._entry(key, read[0], *row)
+        return entry_from_payload(read[0], *row)
 
     def _index_row(self, key: str) -> tuple[float, float] | None:
         with self._lock:
@@ -348,29 +410,6 @@ class ResultStore:
             return None
         return payload, framed
 
-    def _entry(
-        self,
-        key: str,
-        payload: dict,
-        elapsed_s: float,
-        created_at: float,
-        cell: CampaignCell | None = None,
-    ) -> StoreEntry:
-        if cell is None:
-            # rebuilt from the payload's own config record, so no spec
-            # is needed to read a store back
-            cell = CampaignCell(
-                config=ExperimentConfig(**payload["cell"]["config"]),
-                scheme=payload["cell"]["scheme"],
-            )
-        return StoreEntry(
-            key=key,
-            cell=cell,
-            report=report_from_dict(payload["report"]),
-            elapsed_s=elapsed_s,
-            created_at=created_at,
-        )
-
     def get(self, cell: CampaignCell) -> SolveReport | None:
         entry = self.get_entry(cell)
         return entry.report if entry else None
@@ -382,13 +421,8 @@ class ResultStore:
         key = cell_key(cell)
         path = self._payload_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record = report_to_dict(report)
-        del record["residual_history"]  # the frame's float64 column instead
-        payload = {
-            "key": key,
-            "cell": {"config": _config_dict(cell.config), "scheme": cell.scheme},
-            "report": record,
-        }
+        payload = payload_dict(cell, report)
+        del payload["report"]["residual_history"]  # the frame's float64 column
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
             tmp.write_bytes(_frame(payload, report.residual_history))
@@ -486,7 +520,7 @@ class ResultStore:
 
         Cells are rebuilt from the payload's own config record, so the
         iterator works on any store without knowing the spec that filled
-        it — this is what ``repro trace`` walks.
+        it — this is what ``repro trace``, ``report`` and ``doctor`` read.
         """
         with self._lock:
             rows = self._db.execute(
@@ -497,7 +531,7 @@ class ResultStore:
             read = self._read_payload(key)
             if read is None:
                 continue  # stale row; get_entry() would self-heal it
-            yield self._entry(key, read[0], elapsed_s, created_at)
+            yield entry_from_payload(read[0], elapsed_s, created_at)
 
     def __len__(self) -> int:
         with self._lock:

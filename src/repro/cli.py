@@ -16,16 +16,18 @@ The subcommands mirror the library's main entry points::
 ``run``, ``suite`` and ``campaign`` accept ``--engine`` to evaluate
 cells with the numeric simulator (default) or the Section-3 closed-form
 models; ``validate`` runs the same grid under both and gates on their
-drift.  ``report`` renders phase-attribution waterfalls (plus run
-diffs, Prometheus text and static HTML) from stored or exported
-telemetry, and ``doctor`` runs the anomaly detectors over the same
-inputs, exiting non-zero on findings.  ``serve`` stands up the async
-HTTP tier (`repro.serve`) over the store and the engines — solve and
-projection queries, stored-report retrieval and Prometheus
-``/metrics``.  Everything prints plain text;
-only ``campaign``/``validate`` write files (their result store,
-``.repro-cache/`` by default), ``trace --export`` (the combined
-telemetry JSONL) and ``report --html``/``--prometheus``.
+drift.  ``trace``, ``report`` and ``doctor`` read the same records —
+each cell's config, scheme and full report — from a result store or
+from a ``trace --export`` file, which holds the store's own payloads,
+one cell per line.  ``report`` renders phase-attribution waterfalls
+(plus run diffs, Prometheus text, and an HTML page of the printed
+text), and ``doctor`` runs the anomaly detectors, exiting non-zero on
+findings.  ``serve`` stands up the async HTTP tier (`repro.serve`) over
+the store and the engines — solve and projection queries,
+stored-report retrieval and Prometheus ``/metrics``.  Everything prints
+plain text; only ``campaign``/``validate`` write files (their result
+store, ``.repro-cache/`` by default), ``trace --export`` and
+``report --html``/``--prometheus``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sqlite3
 import sys
 from dataclasses import fields
@@ -226,7 +229,7 @@ def _add_record_flags(parser) -> None:
     )
     parser.add_argument(
         "--matrix", default=None,
-        help="only cells whose label contains this matrix name",
+        help="only cells of this matrix",
     )
     parser.add_argument(
         "--scheme", default=None,
@@ -378,7 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--export", default=None, metavar="PATH",
-        help="write the selected cells' telemetry as combined JSONL",
+        help="write the selected traced cells as JSONL, one store payload "
+        "(config, scheme, report with its telemetry) per line",
     )
 
     rep = sub.add_parser(
@@ -393,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument(
         "--html", default=None, metavar="PATH",
-        help="also write a self-contained static HTML report",
+        help="also write the printed report as a self-contained HTML page",
     )
     rep.add_argument(
         "--prometheus", default=None, metavar="PATH",
@@ -415,11 +419,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_record_flags(doc)
     doc.add_argument(
         "--detectors", nargs="+", default=None, metavar="NAME",
-        help="run only these detectors (default: all registered)",
+        help="run only these detectors (default: all)",
     )
     doc.add_argument(
         "--list-detectors", action="store_true",
-        help="print the registered detectors and exit",
+        help="print the detectors and exit",
     )
     doc.add_argument(
         "--run-id", default=None, metavar="RUN_ID",
@@ -763,35 +767,29 @@ def cmd_validate(args) -> int:
 
 def cmd_trace(args) -> int:
     """Walk a result store's traced cells: event streams, span
-    summaries, per-scheme recovery-latency tables, JSONL export."""
-    from repro.obs.export import event_to_row, write_trace_jsonl
+    summaries, per-scheme recovery-latency tables, payload export."""
+    from repro.campaign import CampaignCell
+    from repro.campaign.store import payload_line
+    from repro.obs.export import event_to_row
 
-    cells = {}  # label -> telemetry (store order; last writer wins)
-    schemes = {}  # label -> scheme
-    with _open_existing_store(args) as store:
-        for entry in store.entries():
-            if args.matrix and entry.cell.config.matrix != args.matrix:
-                continue
-            if args.scheme and entry.cell.scheme != args.scheme:
-                continue
-            tel = entry.report.details.get("telemetry")
-            if tel is None:
-                continue
-            cells[entry.cell.label] = tel
-            schemes[entry.cell.label] = entry.cell.scheme
-    if not cells:
+    records = [r for r in _load_records(args) if r.telemetry is not None]
+    if not records:
         print(f"no traced cells in {_store_root(args)} match the filters")
         return 1
 
     if args.export:
-        n = write_trace_jsonl(args.export, cells)
-        print(f"wrote {n} JSONL lines ({len(cells)} cells) to {args.export}")
+        Path(args.export).write_text(
+            "".join(
+                payload_line(CampaignCell(r.config, r.scheme), r.report) + "\n"
+                for r in records
+            )
+        )
+        print(f"wrote {len(records)} cells to {args.export}, one payload per line")
 
     if args.events:
-        for label, tel in cells.items():
-            events = (
-                tel.events.of_kind(args.kind) if args.kind else tel.events.events
-            )
+        for r in records:
+            events = r.telemetry.events
+            events = events.of_kind(args.kind) if args.kind else events.events
             rows = []
             for e in events:
                 row = event_to_row(e)
@@ -807,7 +805,7 @@ def cmd_trace(args) -> int:
                 format_table(
                     ["kind", "iter", "sim_time_s", "detail"],
                     rows or [["-", "-", "-", "(no events)"]],
-                    title=f"{label}: event stream",
+                    title=f"{r.label}: event stream",
                 )
             )
             print()
@@ -815,18 +813,18 @@ def cmd_trace(args) -> int:
     if args.spans:
         from repro.obs.analysis import format_span_tree
 
-        for label, tel in cells.items():
-            print(f"{label}: span summary ({tel.timebase} seconds)")
-            print(format_span_tree(tel.spans.spans))
+        for r in records:
+            print(f"{r.label}: span summary ({r.telemetry.timebase} seconds)")
+            print(format_span_tree(r.telemetry.spans.spans))
             print()
 
     # per-scheme fault→recovery latency rollup (always printed)
     by_scheme: dict[str, list[float]] = {}
     fault_counts: dict[str, int] = {}
-    for label, tel in cells.items():
-        scheme = schemes[label]
-        by_scheme.setdefault(scheme, []).extend(tel.events.recovery_latency_s())
-        fault_counts[scheme] = fault_counts.get(scheme, 0) + len(tel.events.faults)
+    for r in records:
+        events = r.telemetry.events
+        by_scheme.setdefault(r.scheme, []).extend(events.recovery_latency_s())
+        fault_counts[r.scheme] = fault_counts.get(r.scheme, 0) + len(events.faults)
     rows = []
     for scheme in sorted(by_scheme):
         lat = by_scheme[scheme]
@@ -843,32 +841,40 @@ def cmd_trace(args) -> int:
         format_table(
             ["scheme", "faults", "recovered", "mean_latency_s", "max_latency_s"],
             rows,
-            title=f"fault→recovery latency by scheme ({len(cells)} traced cells)",
+            title=f"fault→recovery latency by scheme ({len(records)} traced cells)",
         )
     )
     return 0
 
 
 def _load_records(args) -> list:
-    """Records for report/doctor: a JSONL trace or a result store."""
-    from repro.obs.analysis import (
-        records_from_jsonl,
-        records_from_store,
-        select_records,
-    )
+    """The selected cells of a result store, or of a ``trace --export``
+    file (``--jsonl``), as analysis records."""
+    from repro.campaign.store import load_payload_lines
+    from repro.obs.analysis import records_from_cells, select_records
 
-    if args.jsonl and args.store:
+    jsonl = getattr(args, "jsonl", None)  # trace reads only a store
+    if jsonl and args.store:
         raise SystemExit("--jsonl and --store are mutually exclusive")
-    if args.jsonl:
-        records = records_from_jsonl(args.jsonl)
+    if jsonl:
+        try:
+            entries = load_payload_lines(jsonl)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(str(exc)) from None
     else:
         with _open_existing_store(args) as store:
-            records = records_from_store(store)
-    return select_records(records, matrix=args.matrix, scheme=args.scheme)
+            entries = list(store.entries())
+    return select_records(
+        records_from_cells(entries), matrix=args.matrix, scheme=args.scheme
+    )
 
 
 def cmd_report(args) -> int:
-    """Phase attribution waterfalls (+ rollup, diff, HTML, Prometheus)."""
+    """Phase attribution waterfalls (+ rollup, diff, HTML, Prometheus).
+
+    The report goes to stdout; ``--html`` writes that same text as a
+    page, and the lines naming written files go to stderr.
+    """
     from repro.obs.analysis import (
         attribute_record,
         build_span_tree,
@@ -906,30 +912,25 @@ def cmd_report(args) -> int:
         print("no cells match the filters")
         return 1
 
+    lines: list[str] = []  # the report, one printed line (or block) each
     attributions = [attribute_record(r) for r in records]
     for attr in attributions:
-        print(format_attribution(attr))
-        print()
-    rollup = {}
+        lines += [format_attribution(attr), ""]
     if len(records) > 1:
-        rollup = scheme_rollup(attributions)
-        print("per-scheme rollup:")
-        print(format_attribution_rollup(rollup))
-        print()
+        rollup = format_attribution_rollup(scheme_rollup(attributions))
+        lines += ["per-scheme rollup:", rollup, ""]
     traced = [r for r in records if r.telemetry is not None]
     if traced:
         longest = max(
             traced,
             key=lambda r: sum(s.duration_s for s in r.telemetry.spans.spans),
         )
-        print(f"{longest.label}:")
-        print(
-            format_critical_path(
-                critical_path(build_span_tree(longest.telemetry.spans.spans))
-            )
-        )
+        spans = longest.telemetry.spans.spans
+        lines += [
+            f"{longest.label}:",
+            format_critical_path(critical_path(build_span_tree(spans))),
+        ]
 
-    diff_text = None
     if args.diff:
         by_label = {r.label: r for r in records}
         missing = [label for label in args.diff if label not in by_label]
@@ -938,49 +939,36 @@ def cmd_report(args) -> int:
             raise SystemExit(
                 f"no cell labelled {missing[0]!r}; have:\n  {known}"
             )
-        diff_text = format_run_diff(
-            diff_runs(by_label[args.diff[0]], by_label[args.diff[1]])
-        )
-        print()
-        print(diff_text)
+        diff = diff_runs(by_label[args.diff[0]], by_label[args.diff[1]])
+        lines += ["", format_run_diff(diff)]
 
     if manifest is not None:
         from repro.campaign.manifest import format_manifest
 
-        print()
-        print(format_manifest(manifest))
+        lines += ["", format_manifest(manifest)]
 
+    text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
     if args.prometheus:
         merged = MetricsRegistry()
         for r in traced:
             merged.merge(r.telemetry.metrics)
         Path(args.prometheus).write_text(prometheus_text(merged))
-        print(f"\nwrote Prometheus exposition to {args.prometheus}")
-
+        print(f"wrote Prometheus exposition to {args.prometheus}", file=sys.stderr)
     if args.html:
-        from repro.campaign.manifest import manifest_to_doc
-
-        html = html_report(
-            title="repro report",
-            attributions=attributions + list(rollup.values()),
-            span_trees={
-                r.label: r.telemetry.spans.spans for r in traced
-            },
-            diff_text=diff_text,
-            manifest=manifest_to_doc(manifest) if manifest is not None else None,
-        )
-        Path(args.html).write_text(html)
-        print(f"wrote HTML report to {args.html}")
+        Path(args.html).write_text(html_report(text))
+        print(f"wrote HTML report to {args.html}", file=sys.stderr)
     return 0
 
 
 def cmd_doctor(args) -> int:
     """Anomaly detectors over a trace or store; non-zero on findings."""
-    from repro.obs.analysis import detectors, format_findings, run_detectors
+    from repro.obs.analysis import DETECTORS, format_findings, run_detectors
+    from repro.obs.analysis.detectors import describe
 
     if args.list_detectors:
-        for det in detectors():
-            print(f"{det.name:<22} [{det.scope}] {det.description}")
+        for name, (scope, check) in DETECTORS.items():
+            print(f"{name:<22} [{scope}] {describe(check)}")
         return 0
     records = _load_records(args)
     # fleet evidence: the campaign run manifest (latest, or --run-id)
@@ -1004,7 +992,7 @@ def cmd_doctor(args) -> int:
         findings = run_detectors(records, args.detectors, manifest=manifest)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    n_det = len(args.detectors) if args.detectors else len(detectors())
+    n_det = len(args.detectors or DETECTORS)
     extra = f", manifest {manifest.run_id}" if manifest is not None else ""
     print(
         f"doctor: {len(records)} cell(s), {n_det} detector(s){extra}"
@@ -1141,7 +1129,14 @@ def main(argv: list[str] | None = None) -> int:
         "serve": cmd_serve,
     }[args.command]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a reader that went away shows up here
+        return code
+    except BrokenPipeError:
+        # ``repro report | head``: stop quietly, and leave nothing for
+        # the interpreter's exit-time flush to trip on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except sqlite3.DatabaseError as exc:
         if isinstance(exc, sqlite3.OperationalError):
             raise  # locked, busy or unwritable: deleting would not help

@@ -58,8 +58,9 @@ class SolverConfig:
     #: derates every core to the highest ladder frequency whose
     #: all-active power fits the cap; None = uncapped (f_max).
     power_cap_w: float | None = None
-    #: Record a structured event stream (faults, recoveries,
-    #: checkpoints, restarts) in the report's ``details["trace"]``.
+    #: Record telemetry — a structured event stream (faults,
+    #: recoveries, checkpoints, restarts), spans and metrics — in the
+    #: report's ``details["telemetry"]``.
     trace: bool = False
     #: Fault-free iteration count; iterations beyond it are charged to
     #: the EXTRA phase.  Computed internally when a schedule is present
@@ -752,7 +753,6 @@ class ResilientSolver:
             m.gauge("solver.energy_j").set(self.account.total_energy_j)
             m.gauge("solver.relative_residual").set(cg.relative_residual)
             m.gauge("solver.converged").set(1.0 if cg.converged else 0.0)
-            details["trace"] = self.trace
             details["telemetry"] = self.obs
         if self.scheme is not None:
             details["scheme_details"] = _scheme_details(self.scheme)

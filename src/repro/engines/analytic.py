@@ -836,4 +836,3 @@ class AnalyticEngine(ExecutionEngine):
         m.gauge("solver.relative_residual").set(report.final_relative_residual)
         m.gauge("solver.converged").set(1.0)
         report.details["telemetry"] = tel
-        report.details["trace"] = tel.events

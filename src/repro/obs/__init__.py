@@ -1,10 +1,12 @@
-"""Observability: metrics, span timing, and telemetry export.
+"""Observability: metrics, span timing, and telemetry codecs.
 
 ``repro.obs`` is the cross-cutting telemetry layer the paper's phase
 decomposition (Eqs. 1–16) needs operationally: every solve can record a
-typed event stream, span timings and a metrics registry, the campaign
-engine persists the bundle per cell in the result store, and
-``python -m repro.cli trace`` reads it back.
+typed event stream, span timings and a metrics registry, and the
+campaign engine persists the bundle per cell inside the report's store
+payload.  ``python -m repro.cli trace|report|doctor`` read those
+payloads back, from the store or from a ``trace --export`` file of
+payload lines.
 
 Two timebases coexist and are never mixed (see DESIGN.md §5d):
 
@@ -22,13 +24,9 @@ with a request-id context.
 from repro.obs.export import (
     event_from_row,
     event_to_row,
-    events_from_rows,
-    load_trace_jsonl,
     residual_power_csv,
     telemetry_from_dict,
     telemetry_to_dict,
-    trace_jsonl_lines,
-    write_trace_jsonl,
 )
 from repro.obs.logging import (
     REQUEST_ID_HEADER,
@@ -72,11 +70,7 @@ __all__ = [
     "record_to_line",
     "event_from_row",
     "event_to_row",
-    "events_from_rows",
-    "load_trace_jsonl",
     "residual_power_csv",
     "telemetry_from_dict",
     "telemetry_to_dict",
-    "trace_jsonl_lines",
-    "write_trace_jsonl",
 ]

@@ -5,43 +5,36 @@ emit (``repro.obs``) into the *figures and sanity checks* the paper's
 claims live on (see DESIGN.md §5g):
 
 * :mod:`~repro.obs.analysis.records` — :class:`RunRecord`, the common
-  unit every analysis consumes (report + telemetry + config, any subset);
+  unit every analysis consumes (a cell's label, report and config);
 * :mod:`~repro.obs.analysis.spantree` — exact span-nesting
   reconstruction, flamegraph summaries, critical-path extraction;
 * :mod:`~repro.obs.analysis.attribution` — per-phase time/energy
   waterfalls reconciled against the EnergyAccount with an explicit
   residual;
-* :mod:`~repro.obs.analysis.detectors` — the pluggable anomaly-detector
-  registry behind ``repro doctor``;
+* :mod:`~repro.obs.analysis.detectors` — the anomaly-detector table
+  behind ``repro doctor``;
 * :mod:`~repro.obs.analysis.diffing` — structural run-vs-run comparison
   over the store's own payload schema;
-* :mod:`~repro.obs.analysis.render` / :mod:`~repro.obs.analysis.html` —
-  terminal tables, Prometheus text exposition, static HTML reports.
+* :mod:`~repro.obs.analysis.render` — terminal tables, the HTML page
+  that holds them, Prometheus text exposition.
 """
 
 from repro.obs.analysis.attribution import (
     PhaseAttribution,
     PhaseRow,
     attribute_record,
-    attribute_telemetry,
     phase_counters,
     scheme_rollup,
 )
 from repro.obs.analysis.detectors import (
-    Detector,
+    DETECTORS,
     Finding,
-    detectors,
-    register_detector,
     run_detectors,
 )
 from repro.obs.analysis.diffing import MetricDelta, RunDiff, SpanDelta, diff_runs
-from repro.obs.analysis.html import html_report
 from repro.obs.analysis.records import (
     RunRecord,
-    record_from_report,
-    records_from_campaign,
-    records_from_jsonl,
-    records_from_store,
+    records_from_cells,
     select_records,
 )
 from repro.obs.analysis.render import (
@@ -51,6 +44,7 @@ from repro.obs.analysis.render import (
     format_findings,
     format_run_diff,
     format_span_tree,
+    html_report,
     prometheus_text,
 )
 from repro.obs.analysis.spantree import (
@@ -62,7 +56,7 @@ from repro.obs.analysis.spantree import (
 )
 
 __all__ = [
-    "Detector",
+    "DETECTORS",
     "Finding",
     "MetricDelta",
     "PhaseAttribution",
@@ -72,10 +66,8 @@ __all__ = [
     "SpanDelta",
     "SpanNode",
     "attribute_record",
-    "attribute_telemetry",
     "build_span_tree",
     "critical_path",
-    "detectors",
     "diff_runs",
     "format_attribution",
     "format_attribution_rollup",
@@ -86,11 +78,7 @@ __all__ = [
     "html_report",
     "phase_counters",
     "prometheus_text",
-    "record_from_report",
-    "records_from_campaign",
-    "records_from_jsonl",
-    "records_from_store",
-    "register_detector",
+    "records_from_cells",
     "run_detectors",
     "scheme_rollup",
     "select_records",

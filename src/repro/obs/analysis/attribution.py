@@ -7,8 +7,7 @@ and energy went* — and whether the per-phase story actually adds up to
 the totals the EnergyAccount charged.
 
 Attribution therefore always carries an explicit **residual**: the
-reference totals (the account's, or the ``solver.*`` gauges for a
-telemetry-only trace) minus the per-phase sums.  On a healthy traced
+account's totals minus the per-phase sums.  On a healthy traced
 run the residual is ulp-level (the tap mirrors every charge); a residual
 above ~1e-9 relative means the books don't balance and the
 ``energy_balance`` detector will say so.  The residual is *reported*,
@@ -22,7 +21,6 @@ from typing import Iterable
 
 from repro.obs.analysis.records import RunRecord
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import Telemetry
 from repro.power.energy import PhaseTag
 
 #: PhaseTag declaration order: solve first, resilience phases after —
@@ -130,50 +128,31 @@ def _rows(pairs: dict[str, tuple[float, float]], total_t: float, total_e: float)
 
 
 def attribute_record(record: RunRecord) -> PhaseAttribution:
-    """Waterfall for one run, against the best available reference.
+    """Waterfall for one run, reconciled against its account's totals.
 
     Traced runs attribute from the ``phase.*`` metric counters (the
-    independently accumulated mirror of the account) and reconcile
-    against the account totals, so the residual *measures* tap drift.
-    Untraced reports fall back to the account's own charges (residual
-    identically zero by construction — stated, not hidden, via
-    ``source="account"``).  Telemetry-only records reconcile the
-    counters against the ``solver.sim_time_s``/``solver.energy_j``
-    gauges.
+    independently accumulated mirror of the account), so the residual
+    *measures* tap drift.  Untraced reports fall back to the account's
+    own charges (residual identically zero by construction — stated,
+    not hidden, via ``source="account"``).
     """
     tel = record.telemetry
+    account = record.report.account
     pairs = phase_counters(tel.metrics) if tel is not None else {}
-    if record.report is not None:
-        total_t = record.report.account.total_time_s
-        total_e = record.report.account.total_energy_j
-        if pairs:
-            source = "metrics"
-        else:
-            source = "account"
-            pairs = {
-                tag.value: (c.time_s, c.energy_j)
-                for tag, c in record.report.account.charges.items()
-            }
-    elif tel is not None:
-        gauges = tel.metrics.snapshot().get("gauges", {})
-        total_t = float(gauges.get("solver.sim_time_s", 0.0))
-        total_e = float(gauges.get("solver.energy_j", 0.0))
-        source = "metrics"
-    else:
-        raise ValueError(f"record {record.label!r} has no report and no telemetry")
+    source = "metrics"
+    if not pairs:
+        source = "account"
+        pairs = {
+            tag.value: (c.time_s, c.energy_j) for tag, c in account.charges.items()
+        }
     return PhaseAttribution(
         label=record.label,
         scheme=record.scheme,
         source=source,
-        rows=_rows(pairs, total_t, total_e),
-        total_time_s=total_t,
-        total_energy_j=total_e,
+        rows=_rows(pairs, account.total_time_s, account.total_energy_j),
+        total_time_s=account.total_time_s,
+        total_energy_j=account.total_energy_j,
     )
-
-
-def attribute_telemetry(label: str, tel: Telemetry) -> PhaseAttribution:
-    """Waterfall for a bare telemetry bundle (no report)."""
-    return attribute_record(RunRecord(label=label, telemetry=tel))
 
 
 def scheme_rollup(

@@ -1,8 +1,10 @@
-"""Anomaly detectors: a pluggable registry of trace sanity checks.
+"""Anomaly detectors: one table of run, campaign and fleet sanity checks.
 
 A detector is a named function over :class:`~repro.obs.analysis.records.
-RunRecord` evidence that yields :class:`Finding` objects.  ``repro
-doctor`` runs every registered detector (or a named subset) and exits
+RunRecord` evidence that yields :class:`Finding` objects; the
+:data:`DETECTORS` table at the end of this module lists every one with
+its scope, and each function's docstring is its one-line description.
+``repro doctor`` runs every detector (or a named subset) and exits
 non-zero when anything is found, so the contract is strict: **a healthy
 run must produce zero findings**.  Detectors therefore only fire on
 conditions that are inconsistent by construction (books that don't
@@ -10,17 +12,10 @@ balance, spans escaping their parent, a trace disagreeing with its own
 report) or extreme by a wide margin (a 50× residual jump nowhere near a
 fault), never on ordinary run-to-run variation.
 
-Registering a detector::
-
-    @register_detector("my_check", scope="run", description="…")
-    def my_check(record):
-        if something_wrong:
-            yield Finding("my_check", "error", record.label, "…")
-
-``scope="run"`` detectors see one record at a time; ``scope="campaign"``
-detectors see the whole record list and can cross-reference cells (the
+``run`` detectors see one record at a time; ``campaign`` detectors see
+the whole record list and can cross-reference cells (the
 model-divergence detector pairs sim/analytic cells this way);
-``scope="fleet"`` detectors see a campaign :class:`~repro.campaign.manifest.RunManifest`
+``fleet`` detectors see a campaign :class:`~repro.campaign.manifest.RunManifest`
 (duck-typed — this module never imports the campaign package) and judge
 the *execution* rather than the numerics: stragglers, heartbeat gaps,
 retry storms, cache stampedes.
@@ -29,9 +24,9 @@ retry storms, cache stampedes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from repro.obs.analysis.attribution import attribute_record, phase_counters
+from repro.obs.analysis.attribution import attribute_record
 from repro.obs.analysis.records import RunRecord
 from repro.obs.analysis.spantree import build_span_tree, walk
 
@@ -100,32 +95,9 @@ class Finding:
         return f"[{self.severity}] {self.cell}: {self.detector}: {self.message}{extra}"
 
 
-@dataclass(frozen=True)
-class Detector:
-    name: str
-    scope: str  # "run" | "campaign" | "fleet"
-    description: str
-    fn: Callable
-
-
-_REGISTRY: dict[str, Detector] = {}
-
-
-def register_detector(name: str, *, scope: str = "run", description: str = ""):
-    """Class-of-one decorator: add a detector to the registry."""
-    if scope not in ("run", "campaign", "fleet"):
-        raise ValueError(f"unknown detector scope {scope!r}")
-
-    def deco(fn):
-        _REGISTRY[name] = Detector(name, scope, description, fn)
-        return fn
-
-    return deco
-
-
-def detectors() -> list[Detector]:
-    """Registered detectors, sorted by name."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+def describe(check) -> str:
+    """A detector's one-line description: its docstring, reflowed."""
+    return " ".join(check.__doc__.split())
 
 
 def run_detectors(
@@ -137,31 +109,27 @@ def run_detectors(
 
     ``manifest`` is an optional campaign :class:`~repro.campaign.
     manifest.RunManifest`; fleet-scoped detectors are skipped without
-    one (there is no execution evidence to judge), so trace-only
-    doctoring stays unchanged.
+    one (there is no execution evidence to judge).
     """
     records = list(records)
-    if names is None:
-        selected = detectors()
-    else:
-        names = list(names)
-        unknown = sorted(set(names) - set(_REGISTRY))
-        if unknown:
-            raise ValueError(
-                f"unknown detectors: {', '.join(unknown)} "
-                f"(have: {', '.join(sorted(_REGISTRY))})"
-            )
-        selected = [_REGISTRY[n] for n in names]
+    names = list(DETECTORS) if names is None else list(names)
+    unknown = sorted(set(names) - set(DETECTORS))
+    if unknown:
+        raise ValueError(
+            f"unknown detectors: {', '.join(unknown)} "
+            f"(have: {', '.join(DETECTORS)})"
+        )
     findings: list[Finding] = []
-    for det in selected:
-        if det.scope == "campaign":
-            findings.extend(det.fn(records))
-        elif det.scope == "fleet":
+    for name in names:
+        scope, check = DETECTORS[name]
+        if scope == "campaign":
+            findings.extend(check(records))
+        elif scope == "fleet":
             if manifest is not None:
-                findings.extend(det.fn(manifest))
+                findings.extend(check(manifest))
         else:
             for record in records:
-                findings.extend(det.fn(record))
+                findings.extend(check(record))
     return findings
 
 
@@ -173,71 +141,56 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-@register_detector(
-    "energy_balance",
-    description="per-phase time/energy counters must reconcile with the "
-    "account totals (and the solver.energy_j gauge with the report)",
-)
 def energy_balance(record: RunRecord) -> Iterator[Finding]:
+    """per-phase time/energy counters must reconcile with the account
+    totals (and the solver.energy_j gauge with the report)"""
+    attr = attribute_record(record)
+    for kind, rel in (
+        ("time", attr.residual_time_rel),
+        ("energy", attr.residual_energy_rel),
+    ):
+        if rel > ENERGY_BALANCE_REL_TOL:
+            yield Finding(
+                "energy_balance",
+                "error",
+                record.label,
+                f"per-phase {kind} does not reconcile with the account "
+                f"total (residual {rel:.3e} relative)",
+                value=rel,
+                threshold=ENERGY_BALANCE_REL_TOL,
+            )
     tel = record.telemetry
-    if tel is not None and phase_counters(tel.metrics):
-        attr = attribute_record(record)
-        for kind, rel in (
-            ("time", attr.residual_time_rel),
-            ("energy", attr.residual_energy_rel),
-        ):
-            if rel > ENERGY_BALANCE_REL_TOL:
-                yield Finding(
-                    "energy_balance",
-                    "error",
-                    record.label,
-                    f"per-phase {kind} does not reconcile with the "
-                    f"{'account' if record.report else 'gauge'} total "
-                    f"(residual {rel:.3e} relative)",
-                    value=rel,
-                    threshold=ENERGY_BALANCE_REL_TOL,
-                )
-    if record.report is not None and tel is not None:
-        gauges = tel.metrics.snapshot().get("gauges", {})
-        if "solver.energy_j" in gauges:
-            rel = _rel_gap(float(gauges["solver.energy_j"]), record.report.energy_j)
-            if rel > ENERGY_BALANCE_REL_TOL:
-                yield Finding(
-                    "energy_balance",
-                    "error",
-                    record.label,
-                    f"solver.energy_j gauge disagrees with the report "
-                    f"({rel:.3e} relative)",
-                    value=rel,
-                    threshold=ENERGY_BALANCE_REL_TOL,
-                )
+    gauges = {} if tel is None else tel.metrics.snapshot().get("gauges", {})
+    if "solver.energy_j" in gauges:
+        rel = _rel_gap(float(gauges["solver.energy_j"]), record.report.energy_j)
+        if rel > ENERGY_BALANCE_REL_TOL:
+            yield Finding(
+                "energy_balance",
+                "error",
+                record.label,
+                f"solver.energy_j gauge disagrees with the report "
+                f"({rel:.3e} relative)",
+                value=rel,
+                threshold=ENERGY_BALANCE_REL_TOL,
+            )
 
 
 def _excused_iterations(record: RunRecord) -> set[int]:
     """Iterations where a residual excursion is expected: faults and
     restarts, padded by ±RESIDUAL_EVENT_SLACK."""
-    centers: set[int] = set()
-    if record.report is not None:
-        centers.update(ev.iteration for ev in record.report.faults)
+    centers = {ev.iteration for ev in record.report.faults}
     if record.telemetry is not None:
-        for e in record.telemetry.events.faults:
-            centers.add(e.iteration)
-        for e in record.telemetry.events.restarts:
-            centers.add(e.iteration)
+        centers.update(e.iteration for e in record.telemetry.events.faults)
+        centers.update(e.iteration for e in record.telemetry.events.restarts)
     excused: set[int] = set()
     for c in centers:
         excused.update(range(c - RESIDUAL_EVENT_SLACK, c + RESIDUAL_EVENT_SLACK + 1))
     return excused
 
 
-@register_detector(
-    "residual_convergence",
-    description="no unexplained residual jumps (>50x in one iteration "
-    "away from any fault/restart) and no 1000-iteration stalls",
-)
 def residual_convergence(record: RunRecord) -> Iterator[Finding]:
-    if record.report is None:
-        return
+    """no unexplained residual jumps (>50x in one iteration away from
+    any fault/restart) and no 1000-iteration stalls"""
     history = [float(v) for v in record.report.residual_history]
     excused = _excused_iterations(record)
     for i in range(1, len(history)):
@@ -276,14 +229,11 @@ def residual_convergence(record: RunRecord) -> Iterator[Finding]:
             )
 
 
-@register_detector(
-    "schedule_drift",
-    description="realized fault events must match the report's fault "
-    "list and the schedule the config implies",
-)
 def schedule_drift(record: RunRecord) -> Iterator[Finding]:
+    """realized fault events must match the report's fault list and the
+    schedule the config implies"""
     report, tel = record.report, record.telemetry
-    if report is not None and tel is not None and tel.events.faults:
+    if tel is not None and tel.events.faults:
         traced = sorted(
             (e.iteration, e.victim_rank) for e in tel.events.faults
         )
@@ -298,7 +248,7 @@ def schedule_drift(record: RunRecord) -> Iterator[Finding]:
                 f"trace records faults {traced} but the report says "
                 f"{reported}",
             )
-    if report is not None and record.config is not None and report.baseline_iters:
+    if report.baseline_iters:
         from repro.faults.events import FaultScope
         from repro.faults.schedule import EvenlySpacedSchedule
 
@@ -324,13 +274,10 @@ def _tol(t: float) -> float:
     return SPAN_TIME_REL_TOL * max(1.0, abs(t))
 
 
-@register_detector(
-    "span_integrity",
-    description="spans must have non-negative duration, stay inside "
-    "their parent, not overlap siblings, and the solve span must match "
-    "the run's total time",
-)
 def span_integrity(record: RunRecord) -> Iterator[Finding]:
+    """spans must have non-negative duration, stay inside their parent,
+    not overlap siblings, and the solve span must match the run's total
+    time"""
     tel = record.telemetry
     if tel is None or not tel.spans.spans:
         return
@@ -373,37 +320,26 @@ def span_integrity(record: RunRecord) -> Iterator[Finding]:
                 )
             prev_end = max(prev_end, child.t_end) if prev_end is not None else child.t_end
     # the root solve span must cover the run
-    reference = None
-    if record.report is not None:
-        reference = record.report.time_s
-    else:
-        gauges = tel.metrics.snapshot().get("gauges", {})
-        if "solver.sim_time_s" in gauges:
-            reference = float(gauges["solver.sim_time_s"])
-    if reference is not None:
-        for node in roots:
-            if node.name != "solve":
-                continue
-            rel = _rel_gap(node.duration_s, reference)
-            if rel > SOLVE_SPAN_REL_TOL:
-                yield Finding(
-                    "span_integrity",
-                    "error",
-                    record.label,
-                    f"solve span covers {node.duration_s!r}s but the run "
-                    f"took {reference!r}s ({rel:.3e} relative gap)",
-                    value=rel,
-                    threshold=SOLVE_SPAN_REL_TOL,
-                )
+    reference = record.report.time_s
+    for node in roots:
+        if node.name != "solve":
+            continue
+        rel = _rel_gap(node.duration_s, reference)
+        if rel > SOLVE_SPAN_REL_TOL:
+            yield Finding(
+                "span_integrity",
+                "error",
+                record.label,
+                f"solve span covers {node.duration_s!r}s but the run "
+                f"took {reference!r}s ({rel:.3e} relative gap)",
+                value=rel,
+                threshold=SOLVE_SPAN_REL_TOL,
+            )
 
 
-@register_detector(
-    "model_divergence",
-    scope="campaign",
-    description="paired sim/analytic cells must agree per Section-3 "
-    "term within the validation drift threshold",
-)
 def model_divergence(records: list[RunRecord]) -> Iterator[Finding]:
+    """paired sim/analytic cells must agree per Section-3 term within
+    the validation drift threshold"""
     from repro.engines.validate import (
         DEFAULT_DRIFT_THRESHOLD,
         term_drift_rows_from_groups,
@@ -411,8 +347,7 @@ def model_divergence(records: list[RunRecord]) -> Iterator[Finding]:
 
     groups: dict = {}
     for r in records:
-        if r.config is not None and r.report is not None:
-            groups.setdefault(r.config, {})[r.scheme] = r.report
+        groups.setdefault(r.config, {})[r.scheme] = r.report
     for row in term_drift_rows_from_groups(list(groups.items())):
         if row.drift > DEFAULT_DRIFT_THRESHOLD:
             yield Finding(
@@ -435,14 +370,10 @@ def _median(values: list[float]) -> float:
     return values[mid] if n % 2 else (values[mid - 1] + values[mid]) / 2.0
 
 
-@register_detector(
-    "worker_straggler",
-    scope="fleet",
-    description="no cell may be left running at campaign end far past "
-    "the median cell cost, and no worker's mean cell cost may sit far "
-    "above its peers'",
-)
 def worker_straggler(manifest) -> Iterator[Finding]:
+    """no cell may be left running at campaign end far past the median
+    cell cost, and no worker's mean cell cost may sit far above its
+    peers'"""
     ran = [c.compute_s for c in manifest.cells if c.status == "ran"]
     median = _median(ran)
     # clause 1: a cell still "running" when the campaign closed — its
@@ -487,13 +418,9 @@ def worker_straggler(manifest) -> Iterator[Finding]:
             )
 
 
-@register_detector(
-    "heartbeat_gap",
-    scope="fleet",
-    description="no worker may go silent for several heartbeat "
-    "intervals while holding a cell",
-)
 def heartbeat_gap(manifest) -> Iterator[Finding]:
+    """no worker may go silent for several heartbeat intervals while
+    holding a cell"""
     interval = manifest.heartbeat_interval_s
     if interval <= 0:
         return  # heartbeats disabled (serial runs): nothing to judge
@@ -512,13 +439,9 @@ def heartbeat_gap(manifest) -> Iterator[Finding]:
             )
 
 
-@register_detector(
-    "retry_storm",
-    scope="fleet",
-    description="retry attempts must stay a small fraction of the "
-    "campaign's computed cells",
-)
 def retry_storm(manifest) -> Iterator[Finding]:
+    """retry attempts must stay a small fraction of the campaign's
+    computed cells"""
     c = manifest.counters
     retries = int(c.get("retries", 0))
     computed = int(c.get("ran", 0)) + int(c.get("failed", 0))
@@ -535,13 +458,9 @@ def retry_storm(manifest) -> Iterator[Finding]:
         )
 
 
-@register_detector(
-    "cache_stampede",
-    scope="fleet",
-    description="a campaign must not keep overwriting results the "
-    "store already holds (repeated compute for banked cells)",
-)
 def cache_stampede(manifest) -> Iterator[Finding]:
+    """a campaign must not keep overwriting results the store already
+    holds (repeated compute for banked cells)"""
     c = manifest.counters
     overwrites = int(c.get("store_overwrites", 0))
     ran = int(c.get("ran", 0))
@@ -558,3 +477,16 @@ def cache_stampede(manifest) -> Iterator[Finding]:
             threshold=max(float(CACHE_STAMPEDE_MIN), threshold),
         )
 
+
+#: Every detector by name, in name order: ``name -> (scope, check)``.
+DETECTORS = {
+    "cache_stampede": ("fleet", cache_stampede),
+    "energy_balance": ("run", energy_balance),
+    "heartbeat_gap": ("fleet", heartbeat_gap),
+    "model_divergence": ("campaign", model_divergence),
+    "residual_convergence": ("run", residual_convergence),
+    "retry_storm": ("fleet", retry_storm),
+    "schedule_drift": ("run", schedule_drift),
+    "span_integrity": ("run", span_integrity),
+    "worker_straggler": ("fleet", worker_straggler),
+}

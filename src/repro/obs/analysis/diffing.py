@@ -140,38 +140,24 @@ def _walk(a, b, path: str, out: list[str]) -> None:
 
 def _scalar_deltas(a: RunRecord, b: RunRecord) -> tuple[MetricDelta, ...]:
     ra, rb = a.report, b.report
-    if ra is not None and rb is not None:
-        pairs = [
-            ("iterations", float(ra.iterations), float(rb.iterations)),
-            ("converged", float(ra.converged), float(rb.converged)),
-            ("final_relative_residual",
-             ra.final_relative_residual, rb.final_relative_residual),
-            ("time_s", ra.time_s, rb.time_s),
-            ("energy_j", ra.energy_j, rb.energy_j),
-            ("average_power_w", ra.average_power_w, rb.average_power_w),
-            ("resilience_time_s", ra.resilience_time_s, rb.resilience_time_s),
-            ("resilience_energy_j",
-             ra.resilience_energy_j, rb.resilience_energy_j),
-            ("n_faults", float(ra.n_faults), float(rb.n_faults)),
-        ]
-        return tuple(MetricDelta(n, x, y) for n, x, y in pairs)
-    # telemetry-only: diff the shared gauges
-    if a.telemetry is None or b.telemetry is None:
-        return ()
-    ga = a.telemetry.metrics.snapshot().get("gauges", {})
-    gb = b.telemetry.metrics.snapshot().get("gauges", {})
-    return tuple(
-        MetricDelta(name, float(ga[name]), float(gb[name]))
-        for name in sorted(set(ga) & set(gb))
-    )
+    pairs = [
+        ("iterations", float(ra.iterations), float(rb.iterations)),
+        ("converged", float(ra.converged), float(rb.converged)),
+        ("final_relative_residual",
+         ra.final_relative_residual, rb.final_relative_residual),
+        ("time_s", ra.time_s, rb.time_s),
+        ("energy_j", ra.energy_j, rb.energy_j),
+        ("average_power_w", ra.average_power_w, rb.average_power_w),
+        ("resilience_time_s", ra.resilience_time_s, rb.resilience_time_s),
+        ("resilience_energy_j", ra.resilience_energy_j, rb.resilience_energy_j),
+        ("n_faults", float(ra.n_faults), float(rb.n_faults)),
+    ]
+    return tuple(MetricDelta(n, x, y) for n, x, y in pairs)
 
 
 def _phase_deltas(a: RunRecord, b: RunRecord) -> tuple[MetricDelta, ...]:
-    try:
-        pa = {r.phase: r for r in attribute_record(a).rows}
-        pb = {r.phase: r for r in attribute_record(b).rows}
-    except ValueError:
-        return ()
+    pa = {r.phase: r for r in attribute_record(a).rows}
+    pb = {r.phase: r for r in attribute_record(b).rows}
     out = []
     for phase in sorted(set(pa) | set(pb)):
         ta = pa[phase].time_s if phase in pa else 0.0
@@ -225,11 +211,10 @@ def _event_deltas(a: RunRecord, b: RunRecord) -> tuple[MetricDelta, ...]:
 
 def diff_runs(a: RunRecord, b: RunRecord) -> RunDiff:
     """Structural + metric diff of two runs (A is the baseline side)."""
-    structural: list[str] = []
-    if a.report is not None and b.report is not None:
-        from repro.campaign.serialize import report_to_dict
+    from repro.campaign.serialize import report_to_dict
 
-        _walk(report_to_dict(a.report), report_to_dict(b.report), "", structural)
+    structural: list[str] = []
+    _walk(report_to_dict(a.report), report_to_dict(b.report), "", structural)
     truncated = len(structural) > MAX_STRUCTURAL_CHANGES
     return RunDiff(
         label_a=a.label,

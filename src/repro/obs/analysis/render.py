@@ -1,6 +1,7 @@
-"""Terminal and Prometheus rendering of analysis results.
+"""Terminal, HTML and Prometheus rendering of analysis results.
 
 Everything here returns plain strings; the CLI decides where they go.
+The HTML page is the terminal text itself, so the two cannot drift.
 The Prometheus exposition follows the text format conventions (counter
 series get a ``_total`` suffix, histograms expand to cumulative
 ``_bucket{le=…}``/``_sum``/``_count`` series) with fully deterministic
@@ -11,6 +12,7 @@ property the JSON snapshot has.
 from __future__ import annotations
 
 import re
+from html import escape
 from typing import Iterable
 
 from repro.obs.analysis.attribution import PhaseAttribution
@@ -162,6 +164,16 @@ def format_run_diff(diff: RunDiff) -> str:
 # Prometheus text exposition
 # ----------------------------------------------------------------------
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def html_report(text: str) -> str:
+    """A self-contained HTML page holding ``text`` verbatim: escaped in
+    one ``<pre>``, so unescaping its content gives ``text`` back."""
+    return (
+        "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
+        "<title>repro report</title></head>\n"
+        f"<body><pre>{escape(text)}</pre></body></html>\n"
+    )
 
 
 def _prom_name(name: str) -> str:

@@ -1,28 +1,17 @@
-"""Telemetry exporters and loaders: JSONL streams and CSV timeseries.
+"""Telemetry codecs: typed events and whole bundles as JSON, and a CSV
+timeseries.
 
-The JSONL format is line-oriented and greppable; every line is one JSON
-object with a ``stream`` discriminator:
-
-* ``{"stream": "cell", "cell": <label>, "scheme": …, "timebase": …}`` —
-  opens one cell's telemetry;
-* ``{"stream": "event", "cell": …, "kind": "fault", …}`` — one typed
-  :class:`~repro.harness.tracing.TraceEvent`, flattened;
-* ``{"stream": "span", "cell": …, "name": …, "t_start": …}`` — one span;
-* ``{"stream": "metrics", "cell": …, "snapshot": {…}}`` — the cell's
-  metrics registry snapshot.
-
-:func:`load_trace_jsonl` inverts :func:`write_trace_jsonl` exactly:
-floats survive (shortest-repr decimals parse back to identical doubles)
-and ordering is preserved, so ``export → load → export`` is
-byte-identical — the CI round-trip assertion and the serial-vs-parallel
-acceptance check both lean on this.
+:func:`telemetry_to_dict` is a traced report's ``telemetry`` field in the
+store's payload (and so in every line of a ``repro trace --export``
+file, which holds store payloads); :func:`telemetry_from_dict` inverts
+it exactly: floats survive (shortest-repr decimals parse back to
+identical doubles) and ordering is preserved, so a decoded bundle
+re-encodes byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
-from pathlib import Path
 
 from repro.harness.tracing import (
     CheckpointWritten,
@@ -71,11 +60,6 @@ def event_from_row(row: dict) -> TraceEvent:
     return cls(**{name: row[name] for name in names if name in row})
 
 
-def events_from_rows(rows: list[dict]) -> EventLog:
-    """An :class:`EventLog` rebuilt from flattened event rows."""
-    return EventLog(events=[event_from_row(r) for r in rows])
-
-
 # ----------------------------------------------------------------------
 # telemetry <-> JSON dict (also used by the campaign serializer)
 # ----------------------------------------------------------------------
@@ -95,77 +79,11 @@ def telemetry_from_dict(data: dict) -> Telemetry:
 
     timebase = data.get("timebase", "wall")
     return Telemetry(
-        events=events_from_rows(data.get("events", [])),
+        events=EventLog(events=[event_from_row(r) for r in data.get("events", [])]),
         spans=SpanRecorder.from_rows(data.get("spans", []), timebase=timebase),
         metrics=MetricsRegistry.from_snapshot(data.get("metrics", {})),
         timebase=timebase,
     )
-
-
-# ----------------------------------------------------------------------
-# JSONL streams
-# ----------------------------------------------------------------------
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def trace_jsonl_lines(cells: dict[str, Telemetry]) -> list[str]:
-    """Flatten ``{cell label: telemetry}`` into JSONL lines."""
-    lines: list[str] = []
-    for label, tel in cells.items():
-        lines.append(
-            _dumps({"stream": "cell", "cell": label, "timebase": tel.timebase})
-        )
-        for e in tel.events.events:
-            lines.append(_dumps({"stream": "event", "cell": label, **event_to_row(e)}))
-        for row in tel.spans.to_rows():
-            lines.append(_dumps({"stream": "span", "cell": label, **row}))
-        lines.append(
-            _dumps(
-                {"stream": "metrics", "cell": label, "snapshot": tel.metrics.snapshot()}
-            )
-        )
-    return lines
-
-
-def write_trace_jsonl(path: str | Path, cells: dict[str, Telemetry]) -> int:
-    """Write the JSONL stream; returns the number of lines written."""
-    lines = trace_jsonl_lines(cells)
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
-
-
-def load_trace_jsonl(path: str | Path) -> dict[str, Telemetry]:
-    """Invert :func:`write_trace_jsonl`: ``{cell label: telemetry}``."""
-    from repro.obs.metrics import MetricsRegistry
-
-    cells: dict[str, Telemetry] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        if not raw.strip():
-            continue
-        obj = json.loads(raw)
-        stream = obj.pop("stream", None)
-        label = obj.pop("cell", None)
-        if stream == "cell":
-            cells[label] = Telemetry(timebase=obj.get("timebase", "wall"))
-            cells[label].spans.timebase = cells[label].timebase
-            continue
-        if label not in cells:
-            raise ValueError(
-                f"line {lineno}: {stream!r} record before its 'cell' header"
-            )
-        tel = cells[label]
-        if stream == "event":
-            tel.events.record(event_from_row(obj))
-        elif stream == "span":
-            tel.spans.spans.append(
-                SpanRecorder.from_rows([obj], timebase=tel.timebase).spans[0]
-            )
-        elif stream == "metrics":
-            tel.metrics = MetricsRegistry.from_snapshot(obj.get("snapshot", {}))
-        else:
-            raise ValueError(f"line {lineno}: unknown stream {stream!r}")
-    return cells
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,9 @@ a typed :class:`~repro.harness.tracing.EventLog`, a
 consumer always knows whether timestamps are simulated seconds (solver)
 or wall-clock seconds (harness/campaign).
 
-The solver attaches its telemetry to ``SolveReport.details["telemetry"]``
-(with the event log still aliased at ``details["trace"]`` for existing
-tooling); the campaign serializer round-trips the whole bundle through
-the result store.
+The solver attaches its telemetry to ``SolveReport.details["telemetry"]``;
+the campaign serializer round-trips the whole bundle through the result
+store.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def annotate_root_span(report, name: str, value: str) -> None:
 
     How a correlation id (a campaign cell id, the serving tier's request
     ids) reaches the solve it names: the attr persists with the stored
-    telemetry and round-trips through the JSONL trace export.  Untraced
+    telemetry and round-trips through a ``trace --export`` line.  Untraced
     reports are left byte-identical.
     """
     details = getattr(report, "details", None)

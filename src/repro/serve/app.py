@@ -358,26 +358,20 @@ class ServeApp:
 
     async def reports_diff(self, request: HttpRequest) -> HttpResponse:
         from repro.obs.analysis.diffing import diff_runs
-        from repro.obs.analysis.records import RunRecord
+        from repro.obs.analysis.records import records_from_cells
         from repro.obs.analysis.render import format_run_diff
 
         store = self._require_store()
         want_a, want_b = request.query.get("a"), request.query.get("b")
         if not want_a or not want_b:
             raise RequestError("need query params a=KEY and b=KEY")
-        records = []
+        entries = []
         for key in (want_a, want_b):
             entry = store.entry_by_key(key)
             if entry is None:
                 return HttpResponse.error(404, f"no stored cell with key {key!r}")
-            records.append(
-                RunRecord(
-                    label=entry.cell.label,
-                    report=entry.report,
-                    telemetry=entry.report.details.get("telemetry"),
-                    config=entry.cell.config,
-                )
-            )
+            entries.append(entry)
+        records = records_from_cells(entries)
         diff = diff_runs(records[0], records[1])
         return HttpResponse.json(
             {

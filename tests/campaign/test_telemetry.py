@@ -3,18 +3,20 @@
 The acceptance surface of the observability layer: a traced campaign
 persists every cell's telemetry in the store, the rollup merges the
 worker-side registries, and — because solver telemetry rides the
-simulated clock — a serial run and a 2-worker run export byte-identical
-JSONL.
+simulated clock — a serial run and a 2-worker run serialize every
+cell's events, spans and metrics byte for byte alike.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.campaign import ResultStore, run_campaign
 from repro.campaign.progress import format_telemetry_summary
 from repro.campaign.spec import CampaignSpec
-from repro.obs.export import trace_jsonl_lines
+from repro.obs.export import telemetry_to_dict
 from repro.obs.telemetry import Telemetry
 
 
@@ -33,7 +35,12 @@ def traced_spec() -> CampaignSpec:
 
 
 def cell_lines(result) -> list[str]:
-    return trace_jsonl_lines(result.cell_telemetry())
+    """Each cell's label and serialized telemetry (events, spans and
+    metrics), one line per cell."""
+    return [
+        f"{label} {json.dumps(telemetry_to_dict(tel), sort_keys=True)}"
+        for label, tel in result.cell_telemetry().items()
+    ]
 
 
 class TestTelemetryPersistence:
@@ -44,8 +51,6 @@ class TestTelemetryPersistence:
             tel = entry.report.details.get("telemetry")
             assert isinstance(tel, Telemetry)
             assert tel.timebase == "sim"
-            # the trace alias still points at the same event log
-            assert entry.report.details["trace"] is tel.events
             if entry.cell.scheme == "F0":
                 assert len(tel.events.faults) == 2
                 assert len(tel.events.recoveries) == 2
@@ -181,8 +186,7 @@ class TestAnalysisEdgeCases:
         assert result.anomalies() == []
 
     def test_zero_fault_trace_analyzes_clean(self, store):
-        from repro.obs.analysis import attribute_record, records_from_campaign
-        from repro.obs.analysis import run_detectors
+        from repro.obs.analysis import attribute_record, run_detectors
 
         spec = CampaignSpec(
             name="zero-fault",
@@ -195,7 +199,7 @@ class TestAnalysisEdgeCases:
         )
         result = run_campaign(spec, store=store)
         assert result.n_failed == 0
-        records = records_from_campaign(result)
+        records = result.run_records()
         for record in records:
             assert not record.telemetry.events.faults
             attr = attribute_record(record)
@@ -210,7 +214,7 @@ class TestAnalysisEdgeCases:
         from repro.harness.experiment import Experiment, ExperimentConfig
         from repro.obs.analysis import (
             attribute_record,
-            records_from_store,
+            records_from_cells,
             run_detectors,
         )
 
@@ -220,7 +224,7 @@ class TestAnalysisEdgeCases:
         report = Experiment(config).run("LI")
         _write_v2_entry(store, CampaignCell(config, "LI"), report)
 
-        records = records_from_store(store)
+        records = records_from_cells(store.entries())
         assert len(records) == 1
         record = records[0]
         # legacy payload config regains the post-v2 defaults, so the

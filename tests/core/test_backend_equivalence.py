@@ -109,7 +109,7 @@ def test_backends_identical_fault_free(matrix):
 
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_backends_identical_traced(scheme):
-    """Traced: identical metrics snapshots and trace JSONL too — phase
+    """Traced: identical metrics snapshots and serialized telemetry — phase
     transitions, recovery spans, checkpoint events, ..."""
     check_case("banded", scheme, trace=True)
 

@@ -22,7 +22,7 @@ Harnesses fed by this module:
 The helpers compare *every* seed-visible observable of a solve —
 report scalars, residual history, phase-tagged energy charges, the
 RAPL log, traffic counters, fault lists, scheme details, and (traced)
-the metrics snapshot plus the full exported trace JSONL — under a
+the metrics snapshot plus the full serialized telemetry — under a
 per-field tolerance policy pinned by a golden file.  The default (and,
 today, universal) tolerance is **bitwise**: every execution shares the
 reduction operators, so no accumulation order differs anywhere.
@@ -277,24 +277,23 @@ def assert_reports_identical(fast, legacy, *, context: str = "",
     assert fast.rapl.log.phases == legacy.rapl.log.phases, context
     assert fast.traffic == legacy.traffic, context
     assert fast.faults == legacy.faults, context
-    d_fast = {k: v for k, v in fast.details.items()
-              if k not in ("trace", "telemetry")}
-    d_legacy = {k: v for k, v in legacy.details.items()
-                if k not in ("trace", "telemetry")}
+    d_fast = {k: v for k, v in fast.details.items() if k != "telemetry"}
+    d_legacy = {k: v for k, v in legacy.details.items() if k != "telemetry"}
     assert d_fast == d_legacy, context
 
 
 def assert_telemetry_identical(a, b, *, context: str = ""):
-    """Traced runs: byte-identical metrics snapshot and trace JSONL."""
-    from repro.obs.export import trace_jsonl_lines
+    """Traced runs: byte-identical metrics snapshot, and events, spans
+    and metrics serialized byte for byte alike."""
+    from repro.obs.export import telemetry_to_dict
 
     if context:
         context = f"  [{context}]"
     t_a = a.details["telemetry"]
     t_b = b.details["telemetry"]
     assert t_a.metrics.snapshot() == t_b.metrics.snapshot(), context
-    assert (
-        trace_jsonl_lines({"c": t_a}) == trace_jsonl_lines({"c": t_b})
+    assert json.dumps(telemetry_to_dict(t_a), sort_keys=True) == json.dumps(
+        telemetry_to_dict(t_b), sort_keys=True
     ), context
 
 

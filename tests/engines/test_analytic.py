@@ -139,7 +139,6 @@ class TestTelemetry:
     def test_trace_attached(self, traced):
         _, li = traced
         assert "telemetry" in li.details
-        assert li.details["trace"] is li.details["telemetry"].events
 
     def test_one_fault_and_recovery_event_per_fault(self, traced):
         exp, li = traced

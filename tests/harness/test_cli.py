@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import argparse
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
+from html import unescape
 from pathlib import Path
 
 import pytest
@@ -238,10 +242,10 @@ class TestCli:
         assert "fault→recovery latency by scheme" in out
         assert export.exists()
 
-        from repro.obs.export import load_trace_jsonl
+        from repro.campaign.store import load_payload_lines
 
-        cells = load_trace_jsonl(export)
-        assert "wathen100/r8/f2/x0.25/F0" in cells
+        labels = [e.cell.label for e in load_payload_lines(export)]
+        assert "wathen100/r8/f2/x0.25/F0" in labels
 
     def test_trace_filters_by_scheme_and_kind(self, capsys, tmp_path):
         store = str(tmp_path / "cache")
@@ -541,6 +545,9 @@ class TestReportCli:
     def test_report_no_matching_cells_fails(self, capsys, traced_store):
         assert main(["report", "--store", traced_store, "--matrix", "nope"]) == 1
         assert "no cells match" in capsys.readouterr().out
+        # "r8" is in every label of the store, but it names no matrix
+        assert main(["report", "--store", traced_store, "--matrix", "r8"]) == 1
+        assert "no cells match" in capsys.readouterr().out
 
     def test_report_missing_store_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="no result store"):
@@ -580,9 +587,37 @@ class TestReportCli:
                 "--html", str(html), "--prometheus", str(prom),
             ]
         ) == 0
-        assert html.read_text().startswith("<!DOCTYPE html>")
-        assert "Phase attribution" in html.read_text()
+        printed = capsys.readouterr().out
+        page = html.read_text()
+        assert page.startswith("<!DOCTYPE html>")
+        # the page is the printed report, verbatim, in one <pre>
+        body = page[page.index("<pre>") + 5 : page.index("</pre>")]
+        assert unescape(body) == printed
+        assert "critical path:" in printed
         assert "# TYPE" in prom.read_text()
+
+    def test_report_rejects_a_line_that_is_not_a_payload(self, tmp_path):
+        old = tmp_path / "old.jsonl"
+        old.write_text('{"stream":"cell","cell":"x","timebase":"sim"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--jsonl", str(old)])
+        message = exc.value.code  # a str: printed to stderr, exit status 1
+        assert isinstance(message, str) and "\n" not in message
+        assert "line 1 is not a result-store payload" in message
+        assert '{"key", "cell": {"config", "scheme"}, "report"}' in message
+
+    def test_report_into_a_closed_pipe_exits_quietly(self, traced_store):
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "report", "--store", traced_store],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        proc.stdout.close()  # the reader goes away before the first write
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""  # no BrokenPipeError traceback
 
     def test_report_rejects_jsonl_plus_store(self, traced_store, tmp_path):
         with pytest.raises(SystemExit, match="mutually exclusive"):
@@ -673,16 +708,18 @@ class TestDoctorCli:
         """The acceptance case: span gap + energy imbalance -> exit 1."""
         from dataclasses import replace
 
-        from repro.obs.export import load_trace_jsonl, write_trace_jsonl
+        from repro.campaign.store import load_payload_lines, payload_line
 
         export = tmp_path / "trace.jsonl"
         assert main(
             ["trace", "--store", traced_store, "--export", str(export)]
         ) == 0
         capsys.readouterr()
-        cells = load_trace_jsonl(export)
+        entries = load_payload_lines(export)
         label, tel = next(
-            (lbl, t) for lbl, t in cells.items() if lbl.endswith("/RD")
+            (e.cell.label, e.report.details["telemetry"])
+            for e in entries
+            if e.cell.label.endswith("/RD")
         )
         spans = tel.spans.spans
         root = max(spans, key=lambda s: s.duration_s)
@@ -692,7 +729,9 @@ class TestDoctorCli:
         )
         tel.metrics.counter("phase.energy_j", phase="solve").inc(1e9)
         corrupted = tmp_path / "corrupted.jsonl"
-        write_trace_jsonl(corrupted, cells)
+        corrupted.write_text(
+            "".join(payload_line(e.cell, e.report) + "\n" for e in entries)
+        )
 
         assert main(["doctor", "--jsonl", str(corrupted)]) == 1
         out = capsys.readouterr().out
@@ -972,14 +1011,14 @@ def plain_and_jacobi_store(tmp_path_factory):
 
 class TestLabelsDoNotCollide:
     def test_trace_exports_every_cell(self, capsys, tmp_path, plain_and_jacobi_store):
-        from repro.obs.export import load_trace_jsonl
+        from repro.campaign.store import load_payload_lines
 
         out = tmp_path / "trace.jsonl"
         assert main(
             ["trace", "--store", plain_and_jacobi_store, "--export", str(out)]
         ) == 0
-        assert "(4 cells)" in capsys.readouterr().out
-        assert sorted(load_trace_jsonl(out)) == [
+        assert "wrote 4 cells" in capsys.readouterr().out
+        assert sorted(e.cell.label for e in load_payload_lines(out)) == [
             "Kuu/r8/f2/x0.25/FF",
             "Kuu/r8/f2/x0.25/LI",
             "Kuu/r8/f2/x0.25/jacobi/FF",

@@ -126,39 +126,39 @@ def traced_run():
 
 class TestSolverIntegration:
     def test_trace_present_when_enabled(self, traced_run):
-        assert "trace" in traced_run.details
+        assert "telemetry" in traced_run.details
 
     def test_trace_absent_by_default(self):
         a = banded_spd(100, 5, dominance=0.05, seed=0)
         rep = ResilientSolver(
             a, a @ np.ones(100), config=quick_config(nranks=4)
         ).solve()
-        assert "trace" not in rep.details
+        assert "telemetry" not in rep.details
 
     def test_fault_events_match_report(self, traced_run):
-        trace = traced_run.details["trace"]
+        trace = traced_run.details["telemetry"].events
         assert len(trace.faults) == traced_run.n_faults == 3
         assert [f.iteration for f in trace.faults] == [
             e.iteration for e in traced_run.faults
         ]
 
     def test_every_fault_has_a_recovery_and_restart(self, traced_run):
-        trace = traced_run.details["trace"]
+        trace = traced_run.details["telemetry"].events
         assert len(trace.recoveries) == 3
         assert len(trace.restarts) == 3
         assert all(r.scheme == "CR-M" for r in trace.recoveries)
 
     def test_checkpoints_recorded_with_durations(self, traced_run):
-        trace = traced_run.details["trace"]
+        trace = traced_run.details["telemetry"].events
         assert len(trace.checkpoints) > 0
         assert all(c.duration_s > 0 for c in trace.checkpoints)
 
     def test_event_times_monotone(self, traced_run):
-        times = [e.sim_time_s for e in traced_run.details["trace"].events]
+        times = [e.sim_time_s for e in traced_run.details["telemetry"].events.events]
         assert times == sorted(times)
 
     def test_latencies_small_and_positive(self, traced_run):
-        lat = traced_run.details["trace"].recovery_latency_s()
+        lat = traced_run.details["telemetry"].events.recovery_latency_s()
         assert len(lat) == 3
         assert all(v >= 0 for v in lat)
 
@@ -185,6 +185,6 @@ class TestSolverIntegration:
                 trace=True,
             ),
         ).solve()
-        trace = rep.details["trace"]
+        trace = rep.details["telemetry"].events
         assert trace.faults[0].n_blocks_lost == 4
         assert len(trace.recoveries) == 4  # block-local scheme: one per block

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiment import Experiment, ExperimentConfig
-from repro.obs.analysis import record_from_report
+from repro.obs.analysis import RunRecord
 
 
 @pytest.fixture(scope="session")
@@ -21,4 +21,4 @@ def traced_li():
 def traced_record(traced_li):
     """The traced run wrapped as the analysis-layer RunRecord."""
     config, report = traced_li
-    return record_from_report("wathen100/r8/f2/x0.25/LI", report, config)
+    return RunRecord("wathen100/r8/f2/x0.25/LI", report, config)

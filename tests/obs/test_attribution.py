@@ -6,12 +6,9 @@ from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.obs.analysis import (
     RunRecord,
     attribute_record,
-    attribute_telemetry,
     phase_counters,
-    record_from_report,
     scheme_rollup,
 )
-from repro.obs.telemetry import Telemetry
 from repro.power.energy import PhaseTag
 
 
@@ -57,30 +54,16 @@ class TestFallbackSources:
             matrix="wathen100", nranks=8, n_faults=0, scale=0.25
         )
         report = Experiment(config).run("F0")
-        attr = attribute_record(record_from_report("ff", report, config))
+        attr = attribute_record(RunRecord("ff", report, config))
         assert attr.source == "account"
         assert attr.residual_energy_rel == 0.0
         assert attr.residual_time_rel == 0.0
 
-    def test_telemetry_only_reconciles_against_the_gauges(self, traced_li):
-        _, report = traced_li
-        tel = report.details["telemetry"]
-        attr = attribute_telemetry("bare", tel)
-        assert attr.source == "metrics"
-        # the solver.* gauges mirror the account totals, so a healthy
-        # JSONL-only trace reconciles just as tightly
-        assert attr.residual_energy_rel <= 1e-9
-        assert attr.total_energy_j == pytest.approx(report.energy_j)
-
     def test_no_evidence_raises(self):
-        with pytest.raises(ValueError, match="no report and no telemetry"):
-            attribute_record(RunRecord(label="empty"))
-
-    def test_empty_telemetry_has_zero_totals_and_zero_residual(self):
-        attr = attribute_telemetry("idle", Telemetry(timebase="sim"))
-        assert attr.rows == ()
-        assert attr.total_energy_j == 0.0
-        assert attr.residual_energy_rel == 0.0
+        # a record is a cell's report and config: there is no record
+        # without them to attribute
+        with pytest.raises(TypeError):
+            RunRecord(label="empty")
 
 
 class TestPhaseCounters:

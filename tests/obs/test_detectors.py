@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.obs.analysis import RunRecord, detectors, run_detectors
+from repro.obs.analysis import DETECTORS, RunRecord, run_detectors
 from repro.obs.analysis.detectors import (
     ENERGY_BALANCE_REL_TOL,
     RESIDUAL_JUMP_FACTOR,
@@ -16,17 +16,14 @@ from repro.obs.export import telemetry_from_dict, telemetry_to_dict
 
 def _copy_record(record: RunRecord) -> RunRecord:
     """An independent copy whose telemetry can be corrupted freely."""
-    return RunRecord(
-        label=record.label,
-        report=record.report,
-        telemetry=telemetry_from_dict(telemetry_to_dict(record.telemetry)),
-        config=record.config,
-    )
+    telemetry = telemetry_from_dict(telemetry_to_dict(record.telemetry))
+    details = {**record.report.details, "telemetry": telemetry}
+    return replace(record, report=replace(record.report, details=details))
 
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        names = {d.name for d in detectors()}
+        names = set(DETECTORS)
         assert {
             "energy_balance",
             "residual_convergence",
@@ -36,7 +33,7 @@ class TestRegistry:
         } <= names
 
     def test_detectors_sorted_by_name(self):
-        names = [d.name for d in detectors()]
+        names = list(DETECTORS)
         assert names == sorted(names)
 
     def test_unknown_name_raises_with_the_known_list(self, traced_record):
@@ -56,11 +53,14 @@ class TestCleanRun:
     def test_all_detectors_pass_on_a_healthy_traced_run(self, traced_record):
         assert run_detectors([traced_record]) == []
 
-    def test_detectors_tolerate_a_bare_record(self):
-        # no report, no telemetry: every run-scope detector degrades to
-        # "nothing to check" instead of crashing
-        bare = RunRecord(label="bare")
-        assert run_detectors([bare], [d.name for d in detectors()]) == []
+    def test_detectors_tolerate_a_bare_record(self, traced_record):
+        # the barest record there is — an untraced report: every
+        # telemetry check degrades to "nothing to check", not a crash
+        report = traced_record.report
+        details = {k: v for k, v in report.details.items() if k != "telemetry"}
+        bare = replace(traced_record, report=replace(report, details=details))
+        assert bare.telemetry is None
+        assert run_detectors([bare], list(DETECTORS)) == []
 
 
 class TestEnergyBalance:
@@ -94,8 +94,8 @@ class TestResidualConvergence:
             for ev in traced_record.report.faults
         )
         history[i] = history[i - 1] * (2 * RESIDUAL_JUMP_FACTOR)
-        bad = RunRecord(
-            label=traced_record.label,
+        bad = replace(
+            traced_record,
             report=replace(traced_record.report, residual_history=history),
         )
         findings = run_detectors([bad], ["residual_convergence"])
@@ -115,7 +115,8 @@ class TestResidualConvergence:
                 np.full(1500, 1.0),  # flat tail, no faults in the gap
             ]
         )
-        bad = RunRecord(
+        bad = replace(
+            traced_record,
             label="stalled",
             report=replace(
                 traced_record.report, residual_history=history, faults=[]
@@ -128,8 +129,8 @@ class TestResidualConvergence:
 
 class TestScheduleDrift:
     def test_trace_and_report_must_agree_on_faults(self, traced_record):
-        bad = RunRecord(
-            label=traced_record.label,
+        bad = replace(
+            traced_record,
             report=replace(
                 traced_record.report,
                 faults=[
@@ -137,16 +138,13 @@ class TestScheduleDrift:
                     for ev in traced_record.report.faults
                 ],
             ),
-            telemetry=traced_record.telemetry,
         )
         findings = run_detectors([bad], ["schedule_drift"])
         assert any("trace records faults" in f.message for f in findings)
 
     def test_config_implied_schedule_must_be_realized(self, traced_record):
-        bad = RunRecord(
-            label=traced_record.label,
-            report=replace(traced_record.report, faults=[]),
-            config=traced_record.config,
+        bad = replace(
+            traced_record, report=replace(traced_record.report, faults=[])
         )
         findings = run_detectors([bad], ["schedule_drift"])
         assert any("config implies faults" in f.message for f in findings)
@@ -236,7 +234,7 @@ class TestFleetDetectors:
     FLEET = ("worker_straggler", "heartbeat_gap", "retry_storm", "cache_stampede")
 
     def test_fleet_scope_is_registered(self):
-        scopes = {d.name: d.scope for d in detectors()}
+        scopes = {name: scope for name, (scope, _) in DETECTORS.items()}
         for name in self.FLEET:
             assert scopes[name] == "fleet"
 

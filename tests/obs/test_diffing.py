@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.harness.experiment import Experiment
-from repro.obs.analysis import RunRecord, diff_runs, record_from_report
+from repro.obs.analysis import RunRecord, diff_runs
 from repro.obs.analysis.diffing import MAX_STRUCTURAL_CHANGES, MetricDelta
 
 
@@ -16,8 +16,8 @@ class TestIdentity:
         assert diff.n_changes == 0
 
     def test_labels_are_carried(self, traced_record):
-        a = RunRecord(label="A", report=traced_record.report)
-        b = RunRecord(label="B", report=traced_record.report)
+        a = replace(traced_record, label="A")
+        b = replace(traced_record, label="B")
         diff = diff_runs(a, b)
         assert (diff.label_a, diff.label_b) == ("A", "B")
 
@@ -27,8 +27,8 @@ class TestScalarAndPhaseDeltas:
         config, li = traced_li
         rd = Experiment(config).run("RD")
         diff = diff_runs(
-            record_from_report("LI", li, config),
-            record_from_report("RD", rd, config),
+            RunRecord("LI", li, config),
+            RunRecord("RD", rd, config),
         )
         assert not diff.identical
         changed = {d.name for d in diff.scalars if d.changed}
@@ -48,8 +48,8 @@ class TestScalarAndPhaseDeltas:
         untraced_cfg = replace(config, n_faults=0)
         ff = Experiment(untraced_cfg).run("F0")
         diff = diff_runs(
-            record_from_report("LI", li, config),
-            record_from_report("FF", ff, untraced_cfg),
+            RunRecord("LI", li, config),
+            RunRecord("FF", ff, untraced_cfg),
         )
         by_name = {d.name: d for d in diff.spans}
         # the faulty traced run has recovery spans; the untraced one none
@@ -72,8 +72,9 @@ class TestStructuralWalk:
         history = np.array(traced_record.report.residual_history, dtype=float)
         mutated = history.copy()
         mutated[3] *= 2.0
-        a = RunRecord(label="A", report=traced_record.report)
-        b = RunRecord(
+        a = replace(traced_record, label="A")
+        b = replace(
+            traced_record,
             label="B",
             report=replace(traced_record.report, residual_history=mutated),
         )
@@ -93,17 +94,3 @@ class TestStructuralWalk:
         assert "a.b: 1 -> 2" in out
         assert "c: only in B" in out
 
-
-class TestTelemetryOnly:
-    def test_gauge_deltas_without_reports(self, traced_record):
-        a = RunRecord(label="A", telemetry=traced_record.telemetry)
-        b = RunRecord(label="B", telemetry=traced_record.telemetry)
-        diff = diff_runs(a, b)
-        assert diff.identical
-        names = {d.name for d in diff.scalars}
-        assert "solver.energy_j" in names
-
-    def test_no_evidence_on_either_side_diffs_empty(self):
-        diff = diff_runs(RunRecord(label="A"), RunRecord(label="B"))
-        assert diff.scalars == ()
-        assert diff.identical

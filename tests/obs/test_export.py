@@ -1,27 +1,41 @@
-"""Tests for the telemetry exporters: JSONL round trips and CSV."""
+"""Tests for the telemetry codecs, trace-export payload lines and CSV."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignCell
+from repro.campaign.store import cell_key, load_payload_lines, payload_line
 from repro.core.recovery import make_scheme
 from repro.core.solver import ResilientSolver
 from repro.faults.schedule import EvenlySpacedSchedule
+from repro.harness.experiment import ExperimentConfig
 from repro.harness.tracing import FaultInjected, PhaseEntered, RecoveryApplied
 from repro.matrices.generators import banded_spd
 from repro.obs.export import (
     event_from_row,
     event_to_row,
-    load_trace_jsonl,
     residual_power_csv,
     telemetry_from_dict,
     telemetry_to_dict,
-    trace_jsonl_lines,
-    write_trace_jsonl,
 )
 from repro.obs.telemetry import Telemetry
 from tests.conftest import quick_config
+
+
+@pytest.fixture(scope="module")
+def traced_report():
+    """A traced two-fault F0 solve on a small banded system."""
+    a = banded_spd(300, 7, dominance=5e-3, seed=1)
+    b = a @ np.random.default_rng(1).standard_normal(300)
+    return ResilientSolver(
+        a,
+        b,
+        scheme=make_scheme("F0"),
+        schedule=EvenlySpacedSchedule(n_faults=2),
+        config=quick_config(nranks=8, trace=True),
+    ).solve()
 
 
 def make_telemetry() -> Telemetry:
@@ -71,49 +85,70 @@ class TestTelemetryDict:
 
 
 class TestJsonl:
-    def test_write_load_export_is_byte_identical(self, tmp_path):
-        cells = {"m/r8/f2/LI": make_telemetry(), "m/r8/f2/FF": Telemetry()}
-        path = tmp_path / "trace.jsonl"
-        n = write_trace_jsonl(path, cells)
-        assert n == len(path.read_text().splitlines())
-        loaded = load_trace_jsonl(path)
-        assert list(loaded) == list(cells)
-        assert trace_jsonl_lines(loaded) == trace_jsonl_lines(cells)
+    """A trace export holds store payloads, one cell per line."""
 
-    def test_every_line_is_json_with_stream(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(path, {"cell": make_telemetry()})
-        for line in path.read_text().splitlines():
-            assert json.loads(line)["stream"] in ("cell", "event", "span", "metrics")
+    CELLS = (
+        CampaignCell(ExperimentConfig(matrix="m", trace=True), "F0"),
+        CampaignCell(ExperimentConfig(matrix="m", n_faults=0, trace=True), "F0"),
+    )
 
-    def test_record_before_header_rejected(self, tmp_path):
+    def write(self, path, report) -> str:
+        text = "".join(payload_line(cell, report) + "\n" for cell in self.CELLS)
+        path.write_text(text)
+        return text
+
+    def test_write_load_export_is_byte_identical(self, tmp_path, traced_report):
+        path = tmp_path / "trace.jsonl"
+        text = self.write(path, traced_report)
+        loaded = load_payload_lines(path)
+        assert [e.cell for e in loaded] == list(self.CELLS)
+        again = "".join(payload_line(e.cell, e.report) + "\n" for e in loaded)
+        assert again == text
+        tel = loaded[0].report.details["telemetry"]
+        assert telemetry_to_dict(tel) == telemetry_to_dict(
+            traced_report.details["telemetry"]
+        )
+
+    def test_every_line_is_one_store_payload(self, tmp_path, traced_report):
+        path = tmp_path / "trace.jsonl"
+        self.write(path, traced_report)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(self.CELLS)
+        for line, cell in zip(lines, self.CELLS):
+            payload = json.loads(line)
+            assert set(payload) == {"key", "cell", "report"}
+            assert payload["key"] == cell_key(cell)
+            assert payload["cell"]["scheme"] == cell.scheme
+            assert payload["report"]["telemetry"] is not None
+
+    def test_line_missing_a_payload_field_is_rejected(self, tmp_path, traced_report):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"stream":"event","cell":"x","kind":"fault","iteration":1,"sim_time_s":0.0}\n')
-        with pytest.raises(ValueError, match="before its 'cell' header"):
-            load_trace_jsonl(path)
+        good = payload_line(self.CELLS[0], traced_report)
+        payload = json.loads(good)
+        del payload["report"]
+        path.write_text(good + "\n" + json.dumps(payload) + "\n")
+        with pytest.raises(ValueError, match="line 2 is not a result-store payload"):
+            load_payload_lines(path)
 
     def test_unknown_stream_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
+        # every line of a pre-payload export is a "stream" record
+        path = tmp_path / "old.jsonl"
         path.write_text(
             '{"stream":"cell","cell":"x","timebase":"sim"}\n'
-            '{"stream":"wat","cell":"x"}\n'
+            '{"stream":"metrics","cell":"x","snapshot":{}}\n'
         )
-        with pytest.raises(ValueError, match="unknown stream"):
-            load_trace_jsonl(path)
+        with pytest.raises(ValueError) as exc:
+            load_payload_lines(path)
+        message = str(exc.value)
+        assert "\n" not in message
+        assert "line 1 is not a result-store payload" in message
+        assert '{"key", "cell": {"config", "scheme"}, "report"}' in message
 
 
 class TestResidualPowerCsv:
-    @pytest.fixture(scope="class")
-    def report(self):
-        a = banded_spd(300, 7, dominance=5e-3, seed=1)
-        b = a @ np.random.default_rng(1).standard_normal(300)
-        return ResilientSolver(
-            a,
-            b,
-            scheme=make_scheme("F0"),
-            schedule=EvenlySpacedSchedule(n_faults=2),
-            config=quick_config(nranks=8, trace=True),
-        ).solve()
+    @pytest.fixture()
+    def report(self, traced_report):
+        return traced_report
 
     def test_csv_covers_every_iteration(self, report):
         lines = residual_power_csv(report).strip().splitlines()

@@ -1,5 +1,7 @@
 """Rendering: terminal tables, Prometheus exposition, HTML report."""
 
+from html import unescape
+
 from repro.obs.analysis import (
     attribute_record,
     build_span_tree,
@@ -105,30 +107,28 @@ class TestPrometheus:
 
 class TestHtml:
     def test_report_is_self_contained(self, traced_record):
-        attr = attribute_record(traced_record)
-        doc = html_report(
-            title="smoke",
-            attributions=[attr],
-            findings=[],
-            span_trees={"cell": traced_record.telemetry.spans.spans},
-            diff_text="diff: A=x  B=y",
-        )
+        text = format_attribution(attribute_record(traced_record)) + "\n"
+        doc = html_report(text)
         assert doc.startswith("<!DOCTYPE html>")
-        assert "<style>" in doc  # no external assets
-        assert "Phase attribution" in doc
-        assert "no findings" in doc
-        assert "Span trees" in doc
-        assert "Run diff" in doc
+        assert "<link" not in doc and "<script" not in doc  # no external assets
+        # the page is the terminal text, verbatim, in one <pre>
+        assert doc.count("<pre>") == 1
+        body = doc[doc.index("<pre>") + 5 : doc.index("</pre>")]
+        assert unescape(body) == text
 
     def test_dynamic_text_is_escaped(self):
-        doc = html_report(
-            title="<script>alert(1)</script>",
-            findings=[Finding("d", "error", "<cell>", "a < b")],
+        text = "<script>alert(1)</script>\n" + str(
+            Finding("d", "error", "<cell>", "a < b")
         )
+        doc = html_report(text)
         assert "<script>" not in doc
         assert "&lt;script&gt;" in doc
         assert "&lt;cell&gt;" in doc
 
     def test_resilience_bars_are_marked(self, traced_record):
-        doc = html_report(attributions=[attribute_record(traced_record)])
-        assert "class='bar res'" in doc
+        attr = attribute_record(traced_record)
+        doc = html_report(format_attribution(attr))
+        resilience = [r.phase for r in attr.rows if r.is_resilience]
+        assert resilience
+        for phase in resilience:
+            assert f"{phase:<11}*" in doc  # the terminal's resilience marker
