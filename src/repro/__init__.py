@@ -25,12 +25,16 @@ schemes, Section-3 analytical models), :mod:`repro.harness` (experiment
 drivers behind every table and figure).
 """
 
-from repro.core.advisor import Objective, SchemeAdvisor, Situation
-from repro.core.cg import DistributedCG
-from repro.core.errors import ConvergenceError
-from repro.core.recovery import make_scheme, scheme_names
-from repro.core.report import SolveReport
-from repro.core.solver import ResilientSolver, SolverConfig
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "core.advisor": ("Objective", "SchemeAdvisor", "Situation"),
+    "core.cg": ("DistributedCG",),
+    "core.errors": ("ConvergenceError",),
+    "core.recovery.factory": ("make_scheme", "scheme_names"),
+    "core.report": ("SolveReport",),
+    "core.solver": ("ResilientSolver", "SolverConfig"),
+}
 
 __version__ = "1.0.0"
 
@@ -47,3 +51,5 @@ __all__ = [
     "Situation",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,52 +19,56 @@ resumable.
 ... )                                           # doctest: +SKIP
 """
 
-from repro.campaign.fleet import (
-    DEFAULT_HEARTBEAT_S,
-    FleetMonitor,
-    ProgressEventError,
-    cell_correlation_id,
-    cell_event,
-    cell_event_from_line,
-    cell_event_to_line,
-)
-from repro.campaign.manifest import (
-    ManifestCell,
-    ManifestError,
-    ManifestWorker,
-    RunManifest,
-    format_manifest,
-    manifest_from_doc,
-    manifest_to_doc,
-)
-from repro.campaign.progress import (
-    ProgressReporter,
-    format_attribution_summary,
-    format_normalized_tables,
-    format_summary,
-    format_telemetry_summary,
-    summary_counters,
-)
-from repro.campaign.runner import (
-    CampaignResult,
-    CampaignRunner,
-    CellExecutionError,
-    CellResult,
-    CellTimeout,
-    execute_cell,
-    run_campaign,
-    run_cell_in_worker,
-)
-from repro.campaign.serialize import report_from_dict, report_to_dict
-from repro.campaign.spec import (
-    BASELINE_SCHEME,
-    CampaignCell,
-    CampaignSpec,
-    preset,
-    preset_names,
-)
-from repro.campaign.store import ResultStore, StoreEntry, StoreLockedError, cell_key
-from repro.campaign.watch import CampaignWatch, render_fleet
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "fleet": (
+        "DEFAULT_HEARTBEAT_S",
+        "FleetMonitor",
+        "ProgressEventError",
+        "cell_correlation_id",
+        "cell_event",
+        "cell_event_from_line",
+        "cell_event_to_line",
+    ),
+    "manifest": (
+        "ManifestCell",
+        "ManifestError",
+        "ManifestWorker",
+        "RunManifest",
+        "format_manifest",
+        "manifest_from_doc",
+        "manifest_to_doc",
+    ),
+    "progress": (
+        "ProgressReporter",
+        "format_attribution_summary",
+        "format_normalized_tables",
+        "format_summary",
+        "format_telemetry_summary",
+        "summary_counters",
+    ),
+    "runner": (
+        "CampaignResult",
+        "CampaignRunner",
+        "CellExecutionError",
+        "CellResult",
+        "CellTimeout",
+        "execute_cell",
+        "run_campaign",
+        "run_cell_in_worker",
+    ),
+    "serialize": ("report_from_dict", "report_to_dict"),
+    "spec": (
+        "BASELINE_SCHEME",
+        "CampaignCell",
+        "CampaignSpec",
+        "preset",
+        "preset_names",
+    ),
+    "store": ("ResultStore", "StoreEntry", "StoreLockedError", "cell_key"),
+    "watch": ("CampaignWatch", "render_fleet"),
+}
 
 __all__ = [
     "BASELINE_SCHEME",
@@ -109,3 +113,5 @@ __all__ = [
     "run_cell_in_worker",
     "summary_counters",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -419,6 +419,8 @@ class CampaignRunner:
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
+        if timeout_s is not None and timeout_s <= 0:
+            raise ValueError("timeout_s must be > 0")
         if retries < 0:
             raise ValueError("retries must be >= 0")
         #: The cell-executing callable; injectable for tests and

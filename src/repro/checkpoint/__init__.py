@@ -7,14 +7,14 @@ linearly with system size — Section 6), plus Young's [41] and Daly's [16]
 optimal checkpoint interval formulas.
 """
 
-from repro.checkpoint.store import CheckpointStore, DiskStore, MemoryStore, Snapshot
-from repro.checkpoint.interval import (
-    daly_interval,
-    young_interval,
-    interval_in_iterations,
-)
-from repro.checkpoint.manager import CheckpointManager
-from repro.checkpoint.multilevel import MultiLevelManager, MultiLevelRestore
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "store": ("CheckpointStore", "DiskStore", "MemoryStore", "Snapshot"),
+    "interval": ("daly_interval", "young_interval", "interval_in_iterations"),
+    "manager": ("CheckpointManager",),
+    "multilevel": ("MultiLevelManager", "MultiLevelRestore"),
+}
 
 __all__ = [
     "CheckpointStore",
@@ -28,3 +28,5 @@ __all__ = [
     "MultiLevelManager",
     "MultiLevelRestore",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -41,18 +41,15 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from repro.campaign import CampaignRunner, ResultStore, run_campaign
+# The read side only: a subcommand that solves or models imports what it
+# runs, so ``report``, ``trace`` and a cached resume never load the solver.
 from repro.campaign import spec as campaign_presets
-from repro.campaign.store import DEFAULT_ROOT
-from repro.core.models.projection import FIGURE9_SCHEMES, project
-from repro.core.recovery import scheme_names
-from repro.core.backends import backend_names
-from repro.core.cg import PRECONDITIONERS
-from repro.engines import engine_names
-from repro.faults.events import FaultClass
-from repro.faults.mtbf import EXASCALE, PETASCALE, MtbfEstimator
-from repro.harness.experiment import FAULT_SCOPES, Experiment, ExperimentConfig
-from repro.harness.normalize import normalize_reports
+from repro.campaign.runner import CampaignRunner, run_campaign
+from repro.campaign.store import DEFAULT_ROOT, ResultStore
+from repro.core.backends import PRECONDITIONERS, backend_names
+from repro.core.recovery.factory import scheme_names
+from repro.engines.base import engine_names
+from repro.harness.experiment import FAULT_SCOPES, ExperimentConfig
 from repro.harness.reporting import format_table
 from repro.matrices import suite
 
@@ -478,12 +475,12 @@ def _check_analytic_schemes(schemes) -> None:
     """Fail fast (at argument-parse time) on schemes the analytic engine
     cannot model.
 
-    Argparse ``choices`` accepts every registered scheme, but the
+    Argparse ``choices`` accepts every scheme name, but the
     closed-form engine only models a subset — without this gate a
     ``campaign --engine analytic --schemes CR-ML`` would burn through
     the grid before dying mid-run on ``UnsupportedSchemeError``.
     """
-    from repro.engines.analytic import analytic_scheme_names
+    from repro.engines.base import analytic_scheme_names
 
     supported = analytic_scheme_names()
     bad = [s for s in schemes if s != "FF" and s not in supported]
@@ -549,6 +546,8 @@ def _print_trace_summary(report) -> None:
 
 
 def cmd_run(args) -> int:
+    from repro.harness.experiment import Experiment
+
     values = _config_values(args)
     scheme = values.pop("scheme")
     if args.engine == "analytic":
@@ -579,6 +578,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from repro.harness.normalize import normalize_reports
+
     spec = _campaign_spec(args)
     result = run_campaign(spec, store=None)
     failed = [r for r in result.results if not r.ok]
@@ -1002,7 +1003,10 @@ def cmd_doctor(args) -> int:
 
 
 def cmd_project(args) -> int:
-    data = project(sorted(args.sizes))
+    from repro.core.models.projection import FIGURE9_SCHEMES, project
+
+    with _usage_errors(args):
+        data = project(sorted(args.sizes))
 
     def fmt(x):
         return "HALT" if (math.isinf(x) or math.isnan(x)) else round(x, 3)
@@ -1021,6 +1025,19 @@ def cmd_project(args) -> int:
     return 0
 
 
+def _load_compute_stack() -> None:
+    """Import every engine, scheme and matrix generator now: ``serve``
+    does so before it prints its address, so no request pays an import."""
+    import repro.matrices.generators  # noqa: F401  (a cold matrix build)
+    from repro.core.recovery.factory import make_scheme
+    from repro.engines.base import make_engine
+
+    for name in engine_names():
+        make_engine(name)
+    for name in scheme_names():
+        make_scheme(name)
+
+
 def cmd_serve(args) -> int:
     """Stand up the async serving tier (DESIGN.md §5h, §5i)."""
     import asyncio
@@ -1030,13 +1047,11 @@ def cmd_serve(args) -> int:
     from repro.obs.logging import get_logger
     from repro.serve import ServeApp, ServeServer, ServingCore
 
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    if args.cache_size < 0:
-        raise SystemExit("--cache-size must be >= 0")
     log = get_logger("cli.serve")
     store = _store(args)
-    core = ServingCore(store, cache_size=args.cache_size, workers=args.workers)
+    with _usage_errors(args):
+        core = ServingCore(store, cache_size=args.cache_size, workers=args.workers)
+    _load_compute_stack()
     app = ServeApp(core, default_backend=args.backend)
     server = ServeServer(app.handle, host=args.host, port=args.port)
 
@@ -1087,6 +1102,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_mtbf(args) -> int:
+    from repro.faults.events import FaultClass
+    from repro.faults.mtbf import EXASCALE, PETASCALE, MtbfEstimator
+
     est = MtbfEstimator()
     rows = [
         [

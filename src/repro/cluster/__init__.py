@@ -12,11 +12,15 @@ documented cost formula so the "experimental" measurements that feed the
 paper's analytical models are themselves reproducible and testable.
 """
 
-from repro.cluster.machine import CoreSpec, FrequencyLadder, MachineSpec, NodeSpec
-from repro.cluster.network import NetworkModel, CollectiveCosts
-from repro.cluster.simtime import ClockArray, Phase, PhaseLog
-from repro.cluster.topology import ProcessBinding
-from repro.cluster.comm import SimComm
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "machine": ("CoreSpec", "FrequencyLadder", "MachineSpec", "NodeSpec"),
+    "network": ("NetworkModel", "CollectiveCosts"),
+    "simtime": ("ClockArray", "Phase", "PhaseLog"),
+    "topology": ("ProcessBinding",),
+    "comm": ("SimComm",),
+}
 
 __all__ = [
     "CoreSpec",
@@ -31,3 +35,5 @@ __all__ = [
     "ProcessBinding",
     "SimComm",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

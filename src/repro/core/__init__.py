@@ -7,11 +7,15 @@ power, fault and checkpoint substrates together
 (:mod:`repro.core.models`).
 """
 
-from repro.core.advisor import Objective, SchemeAdvisor, SchemeEstimate, Situation
-from repro.core.cg import CGState, DistributedCG, IterationCosts
-from repro.core.errors import ConvergenceError
-from repro.core.report import SolveReport
-from repro.core.solver import ResilientSolver, SolverConfig
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "advisor": ("Objective", "SchemeAdvisor", "SchemeEstimate", "Situation"),
+    "cg": ("CGState", "DistributedCG", "IterationCosts"),
+    "errors": ("ConvergenceError",),
+    "report": ("SolveReport",),
+    "solver": ("ResilientSolver", "SolverConfig"),
+}
 
 __all__ = [
     "CGState",
@@ -26,3 +30,5 @@ __all__ = [
     "SchemeEstimate",
     "Situation",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -48,15 +48,11 @@ import math
 
 import numpy as np
 
-try:  # scipy's raw CSR mat-vec kernel; bypasses the spmatrix dispatch
-    from scipy.sparse import _sparsetools as _spt
-
-    _csr_matvec = _spt.csr_matvec
-except (ImportError, AttributeError):  # pragma: no cover - older scipy
-    _csr_matvec = None
-
 #: The backend used when none is configured.
 DEFAULT_BACKEND = "batched"
+
+#: Preconditioners the CG kernels accept besides ``None`` (plain CG).
+PRECONDITIONERS = ("jacobi",)
 
 
 def csr_matvec(a):
@@ -68,7 +64,11 @@ def csr_matvec(a):
     With ``out`` it writes into that buffer instead of a fresh one.  Any
     other matrix falls back to ``a @ v``.
     """
-    if _csr_matvec is None or a.format != "csr" or a.dtype != np.float64:
+    try:  # scipy's raw CSR mat-vec kernel; bypasses the spmatrix dispatch
+        from scipy.sparse._sparsetools import csr_matvec as kernel
+    except ImportError:  # pragma: no cover - older scipy
+        kernel = None
+    if kernel is None or a.format != "csr" or a.dtype != np.float64:
 
         def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             if out is None:
@@ -85,33 +85,23 @@ def csr_matvec(a):
             out = np.zeros(m)
         else:
             out.fill(0.0)
-        _csr_matvec(m, n, indptr, indices, data, v, out)
+        kernel(m, n, indptr, indices, data, v, out)
         return out
 
     return apply
 
-_REGISTRY: dict[str, type["SolverBackend"]] = {}
-
-
-def register_backend(cls: type["SolverBackend"]) -> type["SolverBackend"]:
-    """Class decorator: add a backend to the registry under ``cls.name``."""
-    if not cls.name:
-        raise ValueError("backend class needs a non-empty name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
 
 def backend_names() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
+    """The backend names :func:`make_backend` accepts, sorted."""
+    return sorted(_BACKENDS)
 
 
 def make_backend(name: str, cg) -> "SolverBackend":
     """Instantiate the named backend bound to a ``DistributedCG``."""
     try:
-        cls = _REGISTRY[name]
+        cls = _BACKENDS[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(backend_names())
         raise ValueError(f"unknown backend {name!r}; known: {known}") from None
     return cls(cg)
 
@@ -140,7 +130,6 @@ class SolverBackend:
         raise NotImplementedError
 
 
-@register_backend
 class BatchedBackend(SolverBackend):
     """All ranks at once: one vectorized kernel sequence per iteration."""
 
@@ -215,7 +204,6 @@ class BatchedBackend(SolverBackend):
         return taken, breakdown
 
 
-@register_backend
 class LoopBackend(SolverBackend):
     """Rank-by-rank reference execution over halo-packed blocks."""
 
@@ -312,3 +300,9 @@ class LoopBackend(SolverBackend):
         st.iteration += taken
         cg.residual_history.extend(hist[:taken].tolist())
         return taken, breakdown
+
+
+#: Every backend by its name.
+_BACKENDS: dict[str, type[SolverBackend]] = {
+    cls.name: cls for cls in (BatchedBackend, LoopBackend)
+}

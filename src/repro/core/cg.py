@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.cluster.comm import SimComm
-from repro.core.backends import DEFAULT_BACKEND, make_backend
+from repro.core.backends import DEFAULT_BACKEND, PRECONDITIONERS, make_backend
 from repro.matrices.distributed import BYTES_PER_ENTRY, DistributedMatrix
 
 #: CG performs two global reductions per iteration (p.q and r.r).
@@ -34,8 +34,6 @@ DENSE_FLOPS_PER_ROW = 10
 #: Jacobi PCG adds the z = M^-1 r scaling, the r.z dot and the explicit
 #: residual norm: 5 more flops per local row.
 PCG_EXTRA_FLOPS_PER_ROW = 5
-#: Preconditioners :class:`DistributedCG` accepts besides ``None``.
-PRECONDITIONERS = ("jacobi",)
 
 
 @dataclass

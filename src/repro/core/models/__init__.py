@@ -10,14 +10,14 @@
   (Table 6).
 """
 
-from repro.core.models.general import GeneralModel, WorkloadParams
-from repro.core.models.schemes import (
-    CheckpointModel,
-    ForwardRecoveryModel,
-    RedundancyModel,
-)
-from repro.core.models.projection import ProjectionConfig, ProjectionPoint, project
-from repro.core.models.validation import ModelValidation, validate_scheme
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "general": ("GeneralModel", "WorkloadParams"),
+    "schemes": ("CheckpointModel", "ForwardRecoveryModel", "RedundancyModel"),
+    "projection": ("ProjectionConfig", "ProjectionPoint", "project"),
+    "validation": ("ModelValidation", "validate_scheme"),
+}
 
 __all__ = [
     "GeneralModel",
@@ -31,3 +31,5 @@ __all__ = [
     "ModelValidation",
     "validate_scheme",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,16 +17,17 @@ or the paper's optimized local ``"cg"``) and a ``dvfs`` flag enabling the
 Section-4.2 power schedule.
 """
 
-from repro.core.recovery.base import RecoveryScheme, RecoveryServices
-from repro.core.recovery.redundancy import Redundancy
-from repro.core.recovery.checkpoint import CheckpointRestart
-from repro.core.recovery.multilevel import MultiLevelCheckpointRestart
-from repro.core.recovery.fill import InitialGuessFill, ZeroFill
-from repro.core.recovery.interpolation import (
-    LeastSquaresInterpolation,
-    LinearInterpolation,
-)
-from repro.core.recovery.factory import make_scheme, scheme_names
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "base": ("RecoveryScheme", "RecoveryServices"),
+    "redundancy": ("Redundancy",),
+    "checkpoint": ("CheckpointRestart",),
+    "multilevel": ("MultiLevelCheckpointRestart",),
+    "fill": ("InitialGuessFill", "ZeroFill"),
+    "interpolation": ("LeastSquaresInterpolation", "LinearInterpolation"),
+    "factory": ("make_scheme", "scheme_names"),
+}
 
 __all__ = [
     "RecoveryScheme",
@@ -41,3 +42,5 @@ __all__ = [
     "make_scheme",
     "scheme_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

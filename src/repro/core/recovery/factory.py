@@ -6,65 +6,70 @@ re-spelling constructor arguments in every benchmark.
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from typing import TYPE_CHECKING, Callable
 
 from repro.checkpoint.store import DiskStore, MemoryStore
-from repro.core.recovery.abcr import AlgorithmBasedCheckpointRecovery
-from repro.core.recovery.base import RecoveryScheme
-from repro.core.recovery.checkpoint import CheckpointRestart
-from repro.core.recovery.esr import ExactStateReconstruction
-from repro.core.recovery.fill import InitialGuessFill, ZeroFill
-from repro.core.recovery.multilevel import MultiLevelCheckpointRestart
-from repro.core.recovery.interpolation import (
-    LeastSquaresInterpolation,
-    LinearInterpolation,
-)
-from repro.core.recovery.redundancy import Redundancy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.recovery.base import RecoveryScheme
 
 #: Default CR cadence when no MTBF is supplied: the resilience study's
 #: fixed "every 100 iterations" (Section 5.2).
 DEFAULT_CR_INTERVAL_ITERS = 100
 
 
+def _cls(module: str, name: str) -> type:
+    """Scheme class ``name`` of ``repro.core.recovery.<module>``; a
+    builder imports its scheme's module only when it runs."""
+    return getattr(importlib.import_module(f"repro.core.recovery.{module}"), name)
+
+
 def _cr(store_cls, name: str):
     def build(*, interval_iters=None, mtbf_s=None, **_):
         if interval_iters is None and mtbf_s is None:
             interval_iters = DEFAULT_CR_INTERVAL_ITERS
-        return CheckpointRestart(
+        return _cls("checkpoint", "CheckpointRestart")(
             store_cls(), interval_iters=interval_iters, mtbf_s=mtbf_s, name=name
         )
 
     return build
 
 
+def _interpolation(cls: str, **fixed):
+    def build(*, construct_tol=1e-6, **_):
+        return _cls("interpolation", cls)(
+            method="cg", construct_tol=construct_tol, **fixed
+        )
+
+    return build
+
+
+#: Every scheme by its paper name.  Listing the names imports no scheme:
+#: LI/LSI pull in ``scipy.sparse``, and a process that only reads
+#: stored results must never load it.
 _BUILDERS: dict[str, Callable[..., RecoveryScheme]] = {
-    "RD": lambda **_: Redundancy(),
-    "TMR": lambda **_: Redundancy(replicas=3),
+    "RD": lambda **_: _cls("redundancy", "Redundancy")(),
+    "TMR": lambda **_: _cls("redundancy", "Redundancy")(replicas=3),
     "CR-M": _cr(MemoryStore, "CR-M"),
     "CR-D": _cr(DiskStore, "CR-D"),
-    "CR-ML": lambda *, interval_iters=None, **_: MultiLevelCheckpointRestart(
-        memory_interval=interval_iters or 25
+    "CR-ML": lambda *, interval_iters=None, **_: _cls(
+        "multilevel", "MultiLevelCheckpointRestart"
+    )(memory_interval=interval_iters or 25),
+    "F0": lambda **_: _cls("fill", "ZeroFill")(),
+    "FI": lambda **_: _cls("fill", "InitialGuessFill")(),
+    "LI": _interpolation("LinearInterpolation"),
+    "LI-LU": lambda **_: _cls("interpolation", "LinearInterpolation")(method="lu"),
+    "LI-DVFS": _interpolation("LinearInterpolation", dvfs=True),
+    "LSI": _interpolation("LeastSquaresInterpolation"),
+    "LSI-QR": lambda **_: _cls("interpolation", "LeastSquaresInterpolation")(
+        method="qr"
     ),
-    "F0": lambda **_: ZeroFill(),
-    "FI": lambda **_: InitialGuessFill(),
-    "LI": lambda *, construct_tol=1e-6, **_: LinearInterpolation(
-        method="cg", construct_tol=construct_tol
-    ),
-    "LI-LU": lambda **_: LinearInterpolation(method="lu"),
-    "LI-DVFS": lambda *, construct_tol=1e-6, **_: LinearInterpolation(
-        method="cg", construct_tol=construct_tol, dvfs=True
-    ),
-    "LSI": lambda *, construct_tol=1e-6, **_: LeastSquaresInterpolation(
-        method="cg", construct_tol=construct_tol
-    ),
-    "LSI-QR": lambda **_: LeastSquaresInterpolation(method="qr"),
-    "LSI-DVFS": lambda *, construct_tol=1e-6, **_: LeastSquaresInterpolation(
-        method="cg", construct_tol=construct_tol, dvfs=True
-    ),
-    "ESR": lambda **_: ExactStateReconstruction(),
-    "ABCR": lambda *, interval_iters=None, **_: AlgorithmBasedCheckpointRecovery(
-        interval_iters=interval_iters or DEFAULT_CR_INTERVAL_ITERS
-    ),
+    "LSI-DVFS": _interpolation("LeastSquaresInterpolation", dvfs=True),
+    "ESR": lambda **_: _cls("esr", "ExactStateReconstruction")(),
+    "ABCR": lambda *, interval_iters=None, **_: _cls(
+        "abcr", "AlgorithmBasedCheckpointRecovery"
+    )(interval_iters=interval_iters or DEFAULT_CR_INTERVAL_ITERS),
 }
 
 

@@ -1,21 +1,24 @@
 """Pluggable execution engines (numeric simulation vs closed form).
 
-Importing this package registers both built-in engines; everything else
-resolves them by name through :func:`make_engine`.
+Both built-in engines are named in one table
+(:data:`repro.engines.base.ENGINES`); everything else resolves them by
+name through :func:`make_engine`, which imports an engine's module the
+first time it builds one.
 """
 
-from repro.engines.base import (
-    DEFAULT_ENGINE,
-    ExecutionEngine,
-    UnsupportedSchemeError,
-    engine_names,
-    make_engine,
-    register_engine,
-)
+from repro._exports import lazy_exports
 
-# Import order is registration order: the default engine lists first.
-from repro.engines.sim import SimEngine
-from repro.engines.analytic import AnalyticEngine, AnalyticParams
+_EXPORTS = {
+    "base": (
+        "DEFAULT_ENGINE",
+        "ExecutionEngine",
+        "UnsupportedSchemeError",
+        "engine_names",
+        "make_engine",
+    ),
+    "sim": ("SimEngine",),
+    "analytic": ("AnalyticEngine", "AnalyticParams"),
+}
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -26,5 +29,6 @@ __all__ = [
     "UnsupportedSchemeError",
     "engine_names",
     "make_engine",
-    "register_engine",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -47,12 +47,10 @@ from repro.core.models.validation import (
     DEFAULT_EXTRA_FRACTION_PER_FAULT,
     table6_model,
 )
+from repro.core.recovery.abcr import RETAINED_VECTORS
+from repro.core.recovery.esr import rebuild_flops, retention_bytes
 from repro.core.report import SolveReport
-from repro.engines.base import (
-    ExecutionEngine,
-    UnsupportedSchemeError,
-    register_engine,
-)
+from repro.engines.base import FW_SCHEMES, ExecutionEngine, UnsupportedSchemeError
 from repro.faults.events import FaultEvent, blast_radius
 from repro.matrices import cache as problem_cache
 from repro.power.energy import Charge, EnergyAccount, PhaseTag
@@ -61,25 +59,6 @@ from repro.power.rapl import RaplMeter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.experiment import Experiment
-
-#: Forward-recovery schemes the engine can model (Table 2's FW family).
-FW_SCHEMES = frozenset(
-    {"F0", "FI", "LI", "LI-LU", "LI-DVFS", "LSI", "LSI-QR", "LSI-DVFS"}
-)
-
-
-def analytic_scheme_names() -> list[str]:
-    """Every scheme :meth:`AnalyticEngine.solve_scheme` can evaluate, in
-    factory order.  Anything else raises :class:`UnsupportedSchemeError`
-    at solve time; CLI entry points that know the analytic engine will
-    run use this list to reject such schemes at argument-parse time
-    instead of mid-campaign.
-    """
-    from repro.core.recovery import scheme_names
-
-    supported = set(FW_SCHEMES) | {"RD", "TMR", "CR-M", "CR-D", "ESR", "ABCR"}
-    return [s for s in scheme_names() if s in supported]
-
 
 @dataclass(frozen=True)
 class AnalyticParams:
@@ -144,7 +123,6 @@ class _SchemeTerms:
     model_params: dict | None = None
 
 
-@register_engine
 class AnalyticEngine(ExecutionEngine):
     """Evaluate cells with the Section-3 closed-form models."""
 
@@ -268,7 +246,6 @@ class AnalyticEngine(ExecutionEngine):
         fault-free trajectory.
         """
         from repro.core.models.schemes import ExactReconstructionModel
-        from repro.core.recovery.esr import rebuild_flops, retention_bytes
 
         core = sub.machine.node.core
         sizes = sub.dmat.partition.sizes
@@ -347,7 +324,6 @@ class AnalyticEngine(ExecutionEngine):
         each fault adds one restart-equivalent recurrence rebuild.
         """
         from repro.core.models.schemes import ABCRModel, CheckpointModel
-        from repro.core.recovery.abcr import RETAINED_VECTORS
         from repro.matrices.distributed import BYTES_PER_ENTRY
 
         sizes = sub.dmat.partition.sizes

@@ -14,7 +14,7 @@ whether a cell was simulated numerically or evaluated in closed form.
 Engines are stateless with respect to the experiment: all problem
 parameters live in :class:`~repro.harness.experiment.ExperimentConfig`
 (plus the experiment's execution knobs), so an engine is fully described
-by its registry name and campaign workers rebuild one from
+by its name and campaign workers rebuild one from
 ``config.engine`` without pickling anything.
 
 Every report an engine returns carries provenance in
@@ -25,6 +25,7 @@ engines and stored cells can be audited.
 from __future__ import annotations
 
 import abc
+import importlib
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.report import SolveReport
@@ -36,32 +37,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: which is what every pre-engine config implicitly meant.
 DEFAULT_ENGINE = "sim"
 
-_REGISTRY: dict[str, type["ExecutionEngine"]] = {}
-
-
-def register_engine(cls: type["ExecutionEngine"]) -> type["ExecutionEngine"]:
-    """Class decorator: make ``cls`` constructible via :func:`make_engine`."""
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name:
-        raise TypeError("engines must define a non-empty string `name`")
-    _REGISTRY[name] = cls
-    return cls
+#: Every engine :func:`make_engine` builds, as ``name -> (module, class)``
+#: with the default first.  Listing names imports no engine: the
+#: simulator's module pulls in the solver, so a process that only reads
+#: stored results must never load it.
+ENGINES: dict[str, tuple[str, str]] = {
+    "sim": ("repro.engines.sim", "SimEngine"),
+    "analytic": ("repro.engines.analytic", "AnalyticEngine"),
+}
 
 
 def engine_names() -> list[str]:
-    """All engine names :func:`make_engine` accepts (registration order)."""
-    return list(_REGISTRY)
+    """All engine names :func:`make_engine` accepts (default first)."""
+    return list(ENGINES)
 
 
 def make_engine(name: str, **kwargs) -> "ExecutionEngine":
-    """Build an engine by its registry name (``"sim"``, ``"analytic"``)."""
+    """Build an engine by its name (``"sim"``, ``"analytic"``), importing
+    its module on first use."""
     try:
-        cls = _REGISTRY[name]
+        module, cls = ENGINES[name]
     except KeyError:
         raise KeyError(
-            f"unknown engine {name!r}; known: {', '.join(_REGISTRY)}"
+            f"unknown engine {name!r}; known: {', '.join(ENGINES)}"
         ) from None
-    return cls(**kwargs)
+    return getattr(importlib.import_module(module), cls)(**kwargs)
+
+
+#: Forward-recovery schemes the analytic engine models (Table 2's FW
+#: family).
+FW_SCHEMES = frozenset(
+    {"F0", "FI", "LI", "LI-LU", "LI-DVFS", "LSI", "LSI-QR", "LSI-DVFS"}
+)
+
+
+def analytic_scheme_names() -> list[str]:
+    """Every scheme the analytic engine's ``solve_scheme`` can evaluate,
+    in factory order.  Anything else raises :class:`UnsupportedSchemeError`
+    at solve time; CLI entry points that know the analytic engine will
+    run use this list to reject such schemes at argument-parse time
+    instead of mid-campaign.  Kept here, not beside the engine, so the
+    check imports no engine.
+    """
+    from repro.core.recovery.factory import scheme_names
+
+    supported = FW_SCHEMES | {"RD", "TMR", "CR-M", "CR-D", "ESR", "ABCR"}
+    return [s for s in scheme_names() if s in supported]
 
 
 class UnsupportedSchemeError(ValueError):
@@ -71,8 +92,9 @@ class UnsupportedSchemeError(ValueError):
 class ExecutionEngine(abc.ABC):
     """Produces :class:`SolveReport` objects for an experiment's cells."""
 
-    #: Registry name; also the provenance stamp in ``details["engine"]``
-    #: and the value of :class:`ExperimentConfig.engine` that selects it.
+    #: Its :data:`ENGINES` name; also the provenance stamp in
+    #: ``details["engine"]`` and the value of
+    #: :class:`ExperimentConfig.engine` that selects it.
     name: ClassVar[str]
 
     @abc.abstractmethod

@@ -19,13 +19,12 @@ from typing import TYPE_CHECKING
 from repro.core.recovery import make_scheme
 from repro.core.report import SolveReport
 from repro.core.solver import ResilientSolver
-from repro.engines.base import ExecutionEngine, register_engine
+from repro.engines.base import ExecutionEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.experiment import Experiment
 
 
-@register_engine
 class SimEngine(ExecutionEngine):
     """Execute cells by numerically simulating the faulty solve."""
 

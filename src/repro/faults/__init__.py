@@ -7,15 +7,19 @@ recoverable from persistent storage, and the MTBF projection behind
 Figure 1.
 """
 
-from repro.faults.events import FaultClass, FaultEvent, FaultKind, FaultScope
-from repro.faults.schedule import (
-    EvenlySpacedSchedule,
-    FixedIterationSchedule,
-    PoissonSchedule,
-    FaultSchedule,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.mtbf import MtbfEstimator, SystemClass, PETASCALE, EXASCALE
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "events": ("FaultClass", "FaultEvent", "FaultKind", "FaultScope"),
+    "schedule": (
+        "EvenlySpacedSchedule",
+        "FixedIterationSchedule",
+        "PoissonSchedule",
+        "FaultSchedule",
+    ),
+    "injector": ("FaultInjector",),
+    "mtbf": ("MtbfEstimator", "SystemClass", "PETASCALE", "EXASCALE"),
+}
 
 __all__ = [
     "FaultClass",
@@ -32,3 +36,5 @@ __all__ = [
     "PETASCALE",
     "EXASCALE",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

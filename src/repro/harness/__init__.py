@@ -8,16 +8,20 @@ intervals — Section 5.3).  :mod:`repro.harness.reporting` renders the
 rows exactly as the paper's tables print them.
 """
 
-from repro.harness.experiment import Experiment, ExperimentConfig
-from repro.harness.normalize import normalize_reports
-from repro.harness.reporting import format_table, format_series
-from repro.harness.tracing import (
-    CheckpointWritten,
-    EventLog,
-    FaultInjected,
-    RecoveryApplied,
-    SolverRestarted,
-)
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "experiment": ("Experiment", "ExperimentConfig"),
+    "normalize": ("normalize_reports",),
+    "reporting": ("format_table", "format_series"),
+    "tracing": (
+        "CheckpointWritten",
+        "EventLog",
+        "FaultInjected",
+        "RecoveryApplied",
+        "SolverRestarted",
+    ),
+}
 
 __all__ = [
     "Experiment",
@@ -31,3 +35,5 @@ __all__ = [
     "CheckpointWritten",
     "SolverRestarted",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -18,25 +18,33 @@ ExecutionEngine` (``config.engine``): ``"sim"`` numerically steps the
 faulty solve, ``"analytic"`` evaluates the Section-3 closed-form models.
 The experiment owns problem construction and protocol policy; engines
 own how a cell's report gets produced.
+
+This module is on the read side: the result store keys cells by
+:class:`ExperimentConfig`, so importing it must not load
+``scipy.sparse`` or the solver.  What only a solve needs — the matrix,
+the solver's config, the trajectory memo, the fault schedule — imports
+on use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.core.backends import DEFAULT_BACKEND, backend_names
-from repro.core.cg import PRECONDITIONERS
+from repro.core.backends import DEFAULT_BACKEND, PRECONDITIONERS, backend_names
 from repro.core.errors import ConvergenceError
 from repro.core.report import SolveReport
-from repro.core.solver import SolverConfig
-from repro.core.trajectory import TrajectoryMemo
-from repro.engines import DEFAULT_ENGINE, ExecutionEngine, engine_names, make_engine
+from repro.engines.base import DEFAULT_ENGINE, ExecutionEngine, engine_names, make_engine
 from repro.faults.events import FaultScope
-from repro.faults.schedule import EvenlySpacedSchedule, FaultSchedule
-from repro.matrices import suite as matrix_suite
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import scipy.sparse as sp
+
+    from repro.core.solver import SolverConfig
+    from repro.core.trajectory import TrajectoryMemo
+    from repro.faults.schedule import FaultSchedule
 
 #: The paper's fixed CR cadence in the resilience study (Section 5.2).
 PAPER_CR_INTERVAL = 100
@@ -148,6 +156,11 @@ class Experiment:
                 f"{config.engine!r}"
             )
         self.engine = engine if engine is not None else make_engine(config.engine)
+        import scipy.sparse as sp
+
+        from repro.core.trajectory import TrajectoryMemo
+        from repro.matrices import suite as matrix_suite
+
         if a is None:
             a = matrix_suite.build(config.matrix, config.scale)
         # Keep a CSR input as is: the problem cache memoizes its content
@@ -181,6 +194,8 @@ class Experiment:
     # ------------------------------------------------------------------
     def solver_config(self, baseline: int | None) -> SolverConfig:
         """The :class:`SolverConfig` for one solve under this experiment."""
+        from repro.core.solver import SolverConfig
+
         c = self.config
         return SolverConfig(
             nranks=c.nranks,
@@ -249,6 +264,8 @@ class Experiment:
         self._baseline = report
 
     def schedule(self) -> FaultSchedule:
+        from repro.faults.schedule import EvenlySpacedSchedule
+
         return EvenlySpacedSchedule(
             n_faults=self.config.n_faults,
             seed=self.config.seed,

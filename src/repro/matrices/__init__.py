@@ -6,15 +6,19 @@ distributed-matrix view exposing exactly the per-rank blocks the recovery
 schemes need (``A_{p_i,p_i}``, ``A_{p_i,:}``, halo structure).
 """
 
-from repro.matrices.partition import BlockRowPartition
-from repro.matrices.generators import (
-    stencil_5pt,
-    banded_spd,
-    irregular_spd,
-    tridiagonal_spd,
-)
-from repro.matrices.distributed import DistributedMatrix
-from repro.matrices.suite import MatrixSpec, SUITE, build, names
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "partition": ("BlockRowPartition",),
+    "generators": (
+        "stencil_5pt",
+        "banded_spd",
+        "irregular_spd",
+        "tridiagonal_spd",
+    ),
+    "distributed": ("DistributedMatrix",),
+    "suite": ("MatrixSpec", "SUITE", "build", "names"),
+}
 
 __all__ = [
     "BlockRowPartition",
@@ -28,3 +32,5 @@ __all__ = [
     "build",
     "names",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

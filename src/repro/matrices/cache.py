@@ -38,12 +38,17 @@ import threading
 import zipfile
 from collections import OrderedDict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.matrices.distributed import DistributedMatrix
-from repro.matrices.partition import BlockRowPartition
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import scipy.sparse as sp
+
+    from repro.matrices.distributed import DistributedMatrix
+
+# ``scipy.sparse`` and the distributed view import on use: a reader of
+# stored results asks this module for :func:`cache_stats` only.
 
 _FP_ATTR = "_repro_fingerprint"
 _MISS = object()
@@ -61,6 +66,8 @@ def matrix_fingerprint(a) -> str:
     cached = getattr(a, _FP_ATTR, None)
     if cached is not None:
         return cached
+    import scipy.sparse as sp
+
     m = a if (sp.issparse(a) and getattr(a, "format", None) == "csr") else sp.csr_matrix(a)
     h = hashlib.blake2b(digest_size=16)
     h.update(repr(m.shape).encode())
@@ -185,6 +192,8 @@ def cached_suite_build(name: str, scale: float, spec) -> sp.csr_matrix:
     if path is not None:
         z = _try_load(path)
         if z is not None:
+            import scipy.sparse as sp
+
             with z:
                 try:
                     m = sp.csr_matrix(
@@ -219,15 +228,21 @@ def distributed_matrix(a, nranks: int) -> DistributedMatrix:
     to rebuild once per process but expensive once per cell.
     """
     if not _memory_enabled():
-        dmat = DistributedMatrix(a, BlockRowPartition(a.shape[0], nranks))
-        dmat.warm()
-        return dmat
+        return _distribute(a, nranks)
     key = ("dmat", matrix_fingerprint(a), int(nranks))
     dmat = _dmats.get(key)
     if dmat is _MISS:
-        dmat = DistributedMatrix(a, BlockRowPartition(a.shape[0], nranks))
-        dmat.warm()
+        dmat = _distribute(a, nranks)
         _dmats.put(key, dmat)
+    return dmat
+
+
+def _distribute(a, nranks: int) -> DistributedMatrix:
+    from repro.matrices.distributed import DistributedMatrix
+    from repro.matrices.partition import BlockRowPartition
+
+    dmat = DistributedMatrix(a, BlockRowPartition(a.shape[0], nranks))
+    dmat.warm()
     return dmat
 
 
@@ -261,6 +276,8 @@ def iteration_costs(dmat: DistributedMatrix, comm, *, preconditioned: bool):
     if path is not None:
         z = _try_load(path)
         if z is not None:
+            import scipy.sparse as sp
+
             with z:
                 try:
                     costs = IterationCosts(

@@ -23,11 +23,10 @@ counts; normalized-to-fault-free results are insensitive to this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
-import scipy.sparse as sp
-
-from repro.matrices.generators import banded_spd, irregular_spd, stencil_5pt
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,9 @@ class MatrixSpec:
         """
         if scale <= 0:
             raise ValueError("scale must be positive")
+        # on use: listing the suite's names must not load scipy.sparse
+        from repro.matrices.generators import banded_spd, irregular_spd, stencil_5pt
+
         n = max(16, int(round(self.rows * scale)))
         if self.generator == "banded":
             return banded_spd(

@@ -21,33 +21,37 @@ finished runs: :mod:`~repro.obs.logging` writes structured JSONL logs
 with a request-id context.
 """
 
-from repro.obs.export import (
-    event_from_row,
-    event_to_row,
-    residual_power_csv,
-    telemetry_from_dict,
-    telemetry_to_dict,
-)
-from repro.obs.logging import (
-    REQUEST_ID_HEADER,
-    LogRecord,
-    StructuredLogger,
-    bound_request_id,
-    configure_logging,
-    current_request_id,
-    get_logger,
-    record_from_line,
-    record_to_line,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.spans import Span, SpanRecorder
-from repro.obs.telemetry import RECOVERY_LATENCY_BUCKETS, Telemetry
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "export": (
+        "event_from_row",
+        "event_to_row",
+        "residual_power_csv",
+        "telemetry_from_dict",
+        "telemetry_to_dict",
+    ),
+    "logging": (
+        "REQUEST_ID_HEADER",
+        "LogRecord",
+        "StructuredLogger",
+        "bound_request_id",
+        "configure_logging",
+        "current_request_id",
+        "get_logger",
+        "record_from_line",
+        "record_to_line",
+    ),
+    "metrics": (
+        "DEFAULT_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+    ),
+    "spans": ("Span", "SpanRecorder"),
+    "telemetry": ("RECOVERY_LATENCY_BUCKETS", "Telemetry"),
+}
 
 __all__ = [
     "Counter",
@@ -74,3 +78,5 @@ __all__ = [
     "telemetry_from_dict",
     "telemetry_to_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

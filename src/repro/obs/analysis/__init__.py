@@ -19,41 +19,37 @@ claims live on (see DESIGN.md §5g):
   that holds them, Prometheus text exposition.
 """
 
-from repro.obs.analysis.attribution import (
-    PhaseAttribution,
-    PhaseRow,
-    attribute_record,
-    phase_counters,
-    scheme_rollup,
-)
-from repro.obs.analysis.detectors import (
-    DETECTORS,
-    Finding,
-    run_detectors,
-)
-from repro.obs.analysis.diffing import MetricDelta, RunDiff, SpanDelta, diff_runs
-from repro.obs.analysis.records import (
-    RunRecord,
-    records_from_cells,
-    select_records,
-)
-from repro.obs.analysis.render import (
-    format_attribution,
-    format_attribution_rollup,
-    format_critical_path,
-    format_findings,
-    format_run_diff,
-    format_span_tree,
-    html_report,
-    prometheus_text,
-)
-from repro.obs.analysis.spantree import (
-    SpanNode,
-    build_span_tree,
-    critical_path,
-    tree_summary,
-    walk,
-)
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "attribution": (
+        "PhaseAttribution",
+        "PhaseRow",
+        "attribute_record",
+        "phase_counters",
+        "scheme_rollup",
+    ),
+    "detectors": ("DETECTORS", "Finding", "run_detectors"),
+    "diffing": ("MetricDelta", "RunDiff", "SpanDelta", "diff_runs"),
+    "records": ("RunRecord", "records_from_cells", "select_records"),
+    "render": (
+        "format_attribution",
+        "format_attribution_rollup",
+        "format_critical_path",
+        "format_findings",
+        "format_run_diff",
+        "format_span_tree",
+        "html_report",
+        "prometheus_text",
+    ),
+    "spantree": (
+        "SpanNode",
+        "build_span_tree",
+        "critical_path",
+        "tree_summary",
+        "walk",
+    ),
+}
 
 __all__ = [
     "DETECTORS",
@@ -85,3 +81,5 @@ __all__ = [
     "tree_summary",
     "walk",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,10 +16,14 @@ provides the simulated equivalents:
   (solve / overhead / checkpoint / reconstruct / extra iterations).
 """
 
-from repro.power.model import CoreState, PowerModel
-from repro.power.dvfs import DvfsController, Governor
-from repro.power.rapl import RaplDomain, RaplMeter
-from repro.power.energy import EnergyAccount, PhaseTag
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "model": ("CoreState", "PowerModel"),
+    "dvfs": ("DvfsController", "Governor"),
+    "rapl": ("RaplDomain", "RaplMeter"),
+    "energy": ("EnergyAccount", "PhaseTag"),
+}
 
 __all__ = [
     "CoreState",
@@ -31,3 +35,5 @@ __all__ = [
     "EnergyAccount",
     "PhaseTag",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,7 +1,7 @@
 """Campaign-as-a-service: the async serving tier (DESIGN.md §5h).
 
 ``repro.serve`` puts an HTTP query surface in front of the machinery the
-batch CLI drives — the engine registry, the content-addressed
+batch CLI drives — the engine table, the content-addressed
 :class:`~repro.campaign.store.ResultStore` and the Section-6 projection
 models — so scheme/interval/scale questions are answered interactively
 instead of via offline sweeps:
@@ -25,16 +25,15 @@ Live observability (DESIGN.md §5i): every request carries an
 stored telemetry.
 """
 
-from repro.serve.app import ServeApp
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.core import ServingCore, SolveOutcome
-from repro.serve.http import (
-    BackgroundServer,
-    HttpRequest,
-    HttpResponse,
-    ServeServer,
-)
-from repro.serve.loadgen import LoadReport, run_load
+from repro._exports import lazy_exports
+
+_EXPORTS = {
+    "app": ("ServeApp",),
+    "client": ("ServeClient", "ServeError"),
+    "core": ("ServingCore", "SolveOutcome"),
+    "http": ("BackgroundServer", "HttpRequest", "HttpResponse", "ServeServer"),
+    "loadgen": ("LoadReport", "run_load"),
+}
 
 __all__ = [
     "BackgroundServer",
@@ -49,3 +48,5 @@ __all__ = [
     "SolveOutcome",
     "run_load",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

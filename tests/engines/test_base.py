@@ -9,7 +9,6 @@ from repro.engines import (
     SimEngine,
     engine_names,
     make_engine,
-    register_engine,
 )
 
 
@@ -29,19 +28,6 @@ class TestRegistry:
     def test_unknown_engine_names_the_known_ones(self):
         with pytest.raises(KeyError, match="sim"):
             make_engine("fortran")
-
-    def test_registering_without_a_name_is_rejected(self):
-        with pytest.raises(TypeError):
-
-            @register_engine
-            class Nameless(ExecutionEngine):
-                name = ""
-
-                def solve_fault_free(self, experiment):
-                    raise NotImplementedError
-
-                def solve_scheme(self, experiment, scheme_name, baseline):
-                    raise NotImplementedError
 
 
 class TestInterface:

@@ -977,6 +977,15 @@ class TestBadArgumentValues:
             (["run", "--faults", "-1"], "n_faults must be non-negative"),
             (["suite", "--faults", "-1"], "n_faults must be non-negative"),
             (["run", "--victims-per-fault", "0"], "victims_per_fault must be >= 1"),
+            (
+                ["campaign", "--preset", "smoke", "--no-store", "--timeout", "-1"],
+                "timeout_s must be > 0",
+            ),
+            (
+                ["campaign", "--preset", "smoke", "--no-store", "--timeout", "0"],
+                "timeout_s must be > 0",
+            ),
+            (["project", "--sizes", "0"], "system sizes must be positive"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -987,6 +996,28 @@ class TestBadArgumentValues:
         err = capsys.readouterr().err
         assert f"repro {argv[0]}: error: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--cache-size", "-1"], "cache_size must be >= 0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_serve_is_a_usage_error(self, flags, message):
+        # in a child: serve configures the process's logging
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--no-store", *flags],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert f"repro serve: error: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture(scope="module")
