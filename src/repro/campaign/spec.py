@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.core.backends import DEFAULT_BACKEND, backend_names
 from repro.core.recovery import scheme_names
@@ -58,7 +59,8 @@ class CampaignCell:
     """One (experiment config, scheme) unit of work.
 
     Frozen, which is what lets :func:`repro.campaign.store.cell_key`
-    keep the cell's content hash on the object after the first call.
+    keep the cell's content hash on the object after the first call,
+    and :attr:`label` its label the same way.
     """
 
     config: ExperimentConfig
@@ -68,12 +70,14 @@ class CampaignCell:
     def is_baseline(self) -> bool:
         return self.scheme == BASELINE_SCHEME
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Human-readable cell id used in progress lines and summaries:
         matrix, rank count and fault load, then a mark for every other
         config field that changes a result and is off its default.
-        ``trace`` has no mark: it never changes the numbers."""
+        ``trace`` has no mark: it never changes the numbers.  Built once
+        per cell object and kept in its ``__dict__``, outside the
+        fields, so eq, hash and repr never see it."""
         c, d = self.config, _DEFAULT_CONFIG
         bits = [c.matrix, f"r{c.nranks}", f"f{c.n_faults}"]
         if c.seed != d.seed:

@@ -36,6 +36,7 @@ import json
 import math
 import time
 import typing
+from collections import OrderedDict
 from dataclasses import replace as _dc_replace
 
 from repro.campaign.serialize import report_json
@@ -44,6 +45,7 @@ from repro.core.backends import DEFAULT_BACKEND
 from repro.core.recovery import scheme_names
 from repro.engines import engine_names
 from repro.harness.experiment import ExperimentConfig
+from repro.matrices import suite as matrix_suite
 from repro.obs.analysis.render import prometheus_text
 from repro.obs.logging import (
     REQUEST_ID_HEADER,
@@ -53,7 +55,7 @@ from repro.obs.logging import (
     valid_request_id,
 )
 from repro.serve.core import ServingCore
-from repro.serve.http import HttpRequest, HttpResponse
+from repro.serve.http import MAX_LINE, HttpRequest, HttpResponse
 
 _log = get_logger("serve.app")
 
@@ -100,6 +102,10 @@ def parse_solve_request(
     payload = dict(payload)
     payload.setdefault("backend", default_backend)
     scheme = payload.pop("scheme", BASELINE_SCHEME)
+    if not isinstance(scheme, str):
+        raise RequestError(
+            f"field 'scheme' must be str, got {type(scheme).__name__}"
+        )
     known = set(scheme_names()) | {BASELINE_SCHEME}
     if scheme not in known:
         raise RequestError(
@@ -125,6 +131,13 @@ def parse_solve_request(
                 f"{' or '.join(t.__name__ for t in accepted)}, "
                 f"got {type(value).__name__}"
             )
+    # here, not in ExperimentConfig: a library caller may pass its own
+    # matrix under any name (Experiment(config, a=...)); a request cannot
+    matrix = payload.get("matrix")
+    if matrix is not None and matrix not in matrix_suite.SUITE:
+        raise RequestError(
+            f"unknown matrix {matrix!r}; known: {', '.join(matrix_suite.names())}"
+        )
     engine = payload.get("engine", DEFAULT_SERVE_ENGINE)
     payload["engine"] = ENGINE_ALIASES.get(engine, engine)
     if payload["engine"] not in engine_names():
@@ -164,6 +177,9 @@ class ServeApp:
         self.core = core
         self.default_backend = default_backend
         self.started_at = time.time()
+        #: /v1/solve body bytes -> the cell they parsed to, most recently
+        #: used last; bounded like the core's LRU (DESIGN §5h).
+        self._cells: OrderedDict[bytes, CampaignCell] = OrderedDict()
         #: (method, path) -> (endpoint label, handler); the label is the
         #: metrics axis, so path parameters collapse onto one series.
         self._routes = {
@@ -260,10 +276,26 @@ class ServeApp:
         stats["serving"] = self.core.cache_stats()
         return HttpResponse.json(stats)
 
-    async def solve(self, request: HttpRequest) -> HttpResponse:
+    def _cell_for(self, request: HttpRequest) -> CampaignCell:
+        """The cell a /v1/solve body parses to.  A body seen before is
+        looked up rather than decoded, validated and hashed again; only
+        bodies that parsed are kept, and none longer than ``MAX_LINE``."""
+        body, cells = request.body, self._cells
+        cell = cells.get(body)
+        if cell is not None:
+            cells.move_to_end(body)
+            return cell
         cell = parse_solve_request(
             request.json(), default_backend=self.default_backend
         )
+        if len(body) <= MAX_LINE and self.core.cache_size:
+            cells[body] = cell
+            if len(cells) > self.core.cache_size:
+                cells.popitem(last=False)
+        return cell
+
+    async def solve(self, request: HttpRequest) -> HttpResponse:
+        cell = self._cell_for(request)
         outcome = await self.core.solve_cell(cell)
         return _with_report(
             {
@@ -286,10 +318,15 @@ class ServeApp:
             raise RequestError(f"unknown fields: {', '.join(sorted(unknown))}")
         sizes = payload.get("sizes")
         if not isinstance(sizes, list) or not sizes or not all(
-            isinstance(n, int) and n >= 1 for n in sizes
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1
+            for n in sizes
         ):
             raise RequestError("'sizes' must be a non-empty list of ints >= 1")
         schemes = payload.get("schemes", list(FIGURE9_SCHEMES))
+        if not isinstance(schemes, list) or not all(
+            isinstance(s, str) for s in schemes
+        ):
+            raise RequestError("'schemes' must be a list of strings")
         unknown = set(schemes) - set(FIGURE9_SCHEMES)
         if unknown:
             raise RequestError(

@@ -249,10 +249,24 @@ class TestIdentityInvariants:
     def test_memo_is_not_part_of_the_cells_value(self):
         plain, keyed = literal_cell(), literal_cell()
         cell_key(keyed)
+        keyed.label  # the label memo too
+        assert set(keyed.__dict__) - set(plain.__dict__) == {"_key", "label"}
         assert plain == keyed and hash(plain) == hash(keyed)
         assert repr(plain) == repr(keyed)
         moved = replace(keyed, scheme="RD")  # a new object: hashes for itself
         assert cell_key(moved) != cell_key(keyed)
+
+    def test_memoised_label_is_the_from_scratch_label(self):
+        from_scratch = CampaignCell.label.func  # the undecorated function
+        cell = literal_cell()
+        label = cell.label
+        assert cell.__dict__["label"] == label == from_scratch(literal_cell())
+        assert cell.label is label  # built once for this object
+        assert pickle.loads(pickle.dumps(cell)).__dict__["label"] == label
+        moved = replace(cell, scheme="RD")  # a new object: labels for itself
+        assert "label" not in moved.__dict__
+        assert moved.label == from_scratch(moved) != label
+        assert moved.label.endswith("/RD")
 
     def test_stored_payload_is_one_frame(self, store, solved):
         """The file ``put`` writes, spelled out field by field: magic,

@@ -247,6 +247,9 @@ class TestSolve:
             ({"scheme": "RD", "frobnicate": 1}, "unknown fields"),
             ({"scheme": "RD", "engine": "quantum"}, "unknown engine"),
             ({"scheme": "RD", "nranks": "eight"}, ""),
+            ({"scheme": ["LI"]}, "field 'scheme' must be str"),
+            ({"scheme": {"a": 1}}, "field 'scheme' must be str"),
+            ({"scheme": "RD", "matrix": "nope"}, "unknown matrix 'nope'"),
         ],
     )
     def test_invalid_solve_bodies_are_400(self, served, fields, fragment):
@@ -397,6 +400,9 @@ class TestProject:
             {"sizes": ["eight"]},
             {"sizes": [8], "schemes": ["BOGUS"]},
             {"sizes": [8], "frobnicate": 1},
+            {"sizes": [8], "schemes": 5},
+            {"sizes": [8], "schemes": [["x"]]},
+            {"sizes": [True]},
         ],
     )
     def test_invalid_projection_bodies_are_400(self, served, payload):
