@@ -488,9 +488,11 @@ class FleetMonitor:
                     st["status"] = "running"
                     st["started_ts"] = doc["ts"]
                     st["worker"] = pid
-                    st["attempts"] = max(st["attempts"], doc["attempt"])
-                    if st["queued_ts"] is not None:
+                    # an attempt its worker retried in place was never
+                    # queued: it waited for nothing
+                    if st["queued_ts"] is not None and doc["attempt"] <= st["attempts"]:
                         st["queue_wait_s"] += max(0.0, doc["ts"] - st["queued_ts"])
+                    st["attempts"] = max(st["attempts"], doc["attempt"])
                 w["cell"] = label
                 w["cell_id"] = doc["cell_id"]
                 w["cell_started_ts"] = doc["ts"]

@@ -1,33 +1,30 @@
-"""Campaign execution: a fault-tolerant worker pool over cells.
+"""Campaign execution: a fault-tolerant worker pool over config groups.
 
 The runner turns a :class:`~repro.campaign.spec.CampaignSpec` into a
-:class:`CampaignResult` in three stages:
+:class:`CampaignResult`.  With ``resume`` on, every cell already in the
+:class:`~repro.campaign.store.ResultStore` is served from disk first.
+The rest run as **config groups**: one config's fault-free (FF) cell and
+its scheme cells, the unit the paper normalizes within.  One function,
+:func:`_run_group`, runs a group's cells in order, FF first, on one
+Experiment: the FF solve records the fault-free CG trajectory and every
+scheme solve installs from it (:mod:`repro.core.trajectory`), or, when
+FF came from the store, its report primes the Experiment.  The
+Experiment is dropped with the group, so a process holds one trajectory
+memo at a time.
 
-1. **cache probe** — with ``resume`` on, every cell already in the
-   :class:`~repro.campaign.store.ResultStore` is served from disk;
-2. **baselines** — each experiment group's fault-free cell runs (in
-   parallel across groups), because every scheme cell of the group
-   normalizes against it and needs its iteration horizon;
-3. **scheme cells** — run in parallel with the group's baseline report
-   shipped along, so no worker ever repeats a baseline solve.
-
-Workers are ``ProcessPoolExecutor`` processes executing
+``max_workers`` chooses only where that function runs: called inline
+(``max_workers=1``: no pool, no pickling) or submitted to a
+``ProcessPoolExecutor``, largest group first.  Each cell runs through
 :func:`execute_cell`, a pure function of (cell, baseline): given the
 explicit seeds in :class:`~repro.harness.experiment.ExperimentConfig`
-the result is deterministic, so serial and parallel campaigns produce
-identical reports.  A serial run (``max_workers=1``: plain in-process
-calls — no pool, no pickling) does stages 2 and 3 one config at a time:
-the config's baseline, then its scheme cells, all on one shared
-Experiment (:class:`_SharedExperiments`).  The baseline solve records
-the fault-free CG trajectory and every scheme solve installs from it
-(:mod:`repro.core.trajectory`), so it is walked once per config; the
-Experiment is dropped after the config's last cell, so one trajectory
-memo is alive at a time.
+the result is deterministic, so serial and pooled campaigns produce
+identical reports.
 
 Fault tolerance: each cell gets a wall-clock timeout (SIGALRM inside
-the worker, so the pool survives) and bounded retries; a worker crash
+the worker, so the pool survives) and bounded retries, decided per
+cell by one policy (:func:`_charge`); a worker crash
 (``BrokenProcessPool``) rebuilds the pool and re-queues the affected
-cells with their retry budgets decremented.
+groups whole.
 
 Observability rides side-band (:mod:`repro.campaign.fleet`): every pool
 is built with an initializer that hands its workers the write end of
@@ -66,6 +63,7 @@ from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.core.report import SolveReport
 from repro.harness.experiment import Experiment
+from repro.matrices import suite as matrix_suite
 from repro.obs.logging import bound_request_id, get_logger, root_manager
 from repro.obs.telemetry import annotate_root_span
 
@@ -114,32 +112,15 @@ def _wasted_s(exc: BaseException) -> float:
         return 0.0
 
 
-class _SharedExperiments:
-    """The :class:`Experiment` of the config a serial run has in flight.
+#: The value of :data:`_group_experiment` outside any config group.
+_NO_GROUP = object()
 
-    A serial run takes one config at a time (:meth:`CampaignRunner.
-    _run_config`) and holds one of these for it: the config's baseline
-    and scheme cells all run on the one Experiment built on first use,
-    so they share its fault-free trajectory memo
-    (:mod:`repro.core.trajectory`).  The run drops it after the config's
-    last cell — whether or not the baseline succeeded — and the
-    Experiment and its memo go with it.
-    """
-
-    def __init__(self) -> None:
-        self._live: dict = {}
-
-    def get(self, config) -> Experiment:
-        experiment = self._live.get(config)
-        if experiment is None:
-            experiment = self._live[config] = Experiment(config)
-        return experiment
-
-
-#: The in-flight config's Experiment in a serial run; unset everywhere
-#: else (pool workers, direct calls), where every cell builds its own.
-_shared_experiments: ContextVar[_SharedExperiments | None] = ContextVar(
-    "repro_shared_experiments", default=None
+#: The Experiment the running config group's cells share (bound by
+#: :func:`_run_group`): ``None`` until the group's first cell builds it,
+#: :data:`_NO_GROUP` outside a group (direct calls), where every cell
+#: builds its own.  It is dropped with the group, memo and all.
+_group_experiment: ContextVar = ContextVar(
+    "repro_group_experiment", default=_NO_GROUP
 )
 
 
@@ -152,9 +133,9 @@ def execute_cell(
 
     Returns ``(report, elapsed_seconds)``.  ``baseline`` primes the
     experiment's fault-free report so scheme cells skip the baseline
-    solve.  Inside a serial campaign run the cell runs on its config's
-    shared :class:`Experiment` (:class:`_SharedExperiments`);
-    the report is bit-identical either way.  ``timeout_s`` arms a
+    solve.  Inside a config group (:func:`_run_group`) the cell runs on
+    the group's one :class:`Experiment`, built by its first cell; the
+    report is bit-identical either way.  ``timeout_s`` arms a
     SIGALRM timer (POSIX) that aborts the cell with
     :class:`CellTimeout` without killing the worker.  Failures
     re-raise with the attempt's elapsed seconds attached
@@ -170,11 +151,13 @@ def execute_cell(
         previous = signal.signal(signal.SIGALRM, _on_alarm)
         outer, _ = signal.setitimer(signal.ITIMER_REAL, timeout_s)
     t0 = time.perf_counter()
-    shared = _shared_experiments.get()
     try:
-        experiment = (
-            shared.get(cell.config) if shared is not None else Experiment(cell.config)
-        )
+        experiment = _group_experiment.get()
+        if experiment is None or experiment is _NO_GROUP:
+            built = Experiment(cell.config)
+            if experiment is None:  # the group's first cell: it shares this one
+                _group_experiment.set(built)
+            experiment = built
         if baseline is not None and not cell.is_baseline:
             experiment.prime_baseline(baseline)
         report = experiment.run(cell.scheme)
@@ -390,12 +373,102 @@ class _Task:
     """A cell on its way to a result: what one attempt hands the next."""
 
     cell: CampaignCell
-    baseline: SolveReport | None
     attempt: int = 1
     #: Compute seconds this cell's failed attempts have burned so far.
     wasted: float = 0.0
     #: Worker deaths that were provably this cell's (it ran alone).
     crashes: int = 0
+
+
+def _charge(task: _Task, exc: Exception, retries: int) -> str | None:
+    """What one failed attempt means — decided here and nowhere else.
+
+    Timed out: failed, never retried.  A dead worker, which only the
+    crash endgame's one-worker pools charge to a cell (there the crash
+    provably is this cell's): allowed ``retries`` more.  Any other
+    error: its wasted seconds are added and the cell runs again while
+    ``attempt <= retries``.  Returns the error when the cell has failed
+    for good, else ``None`` with ``task.attempt`` already advanced.
+    """
+    if isinstance(exc, CellTimeout):
+        task.wasted += _wasted_s(exc)
+        return str(exc)
+    if isinstance(exc, BrokenProcessPool):
+        task.crashes += 1
+        error, again = "worker process crashed", task.crashes <= retries
+    else:
+        task.wasted += _wasted_s(exc)
+        error, again = _error_string(exc), task.attempt <= retries
+    if again:
+        task.attempt += 1
+        return None
+    return error
+
+
+@dataclass
+class _Group:
+    """A config's cells still to run, FF first — the runner's one unit
+    of work — and the config's cached FF report when FF is not among
+    them."""
+
+    tasks: list[_Task]
+    baseline: SolveReport | None = None
+
+    def cost(self) -> float:
+        """Relative compute, from the matrix's suite metadata alone (no
+        matrix is built): rows × nonzeros per row × scale × cells."""
+        config = self.tasks[0].cell.config
+        matrix = matrix_suite.spec(config.matrix)
+        return matrix.rows * matrix.nnz_per_row * config.scale * len(self.tasks)
+
+
+def _run_group(
+    group: _Group,
+    worker,
+    timeout_s: float | None,
+    retries: int,
+    invoke=run_cell_in_worker,
+    queued=None,
+    record=None,
+) -> list[tuple]:
+    """Run a config group's cells in order, FF first, on one Experiment.
+
+    A serial run calls this inline, a pooled run submits it whole to a
+    worker, and the crash endgame calls it inline with an ``invoke``
+    that runs each attempt in its own one-worker pool.  The first cell
+    to run builds the Experiment the rest share (:func:`execute_cell`);
+    a cached FF report reaches the scheme cells as their baseline.
+    Each cell's attempts follow :func:`_charge`; a scheme cell whose
+    group's FF failed fails unattempted.  ``queued(cell, attempt)`` is
+    called before every attempt, ``record(*outcome)`` once per cell.
+    Returns every cell's ``(task, report, elapsed, error)``, in order.
+    """
+    baseline, ff_error = group.baseline, None
+    outcomes = []
+    token = _group_experiment.set(None)
+    try:
+        for task in group.tasks:
+            cell, outcome = task.cell, None
+            if baseline is None and not cell.is_baseline:
+                outcome = (task, None, 0.0, f"baseline failed: {ff_error}")
+            call = (worker, cell, baseline, timeout_s, cell_correlation_id(cell))
+            while outcome is None:
+                if queued is not None:
+                    queued(cell, task.attempt)
+                try:
+                    outcome = (task, *invoke(*call, task.attempt), None)
+                except Exception as exc:
+                    error = _charge(task, exc, retries)
+                    if error is not None:
+                        outcome = (task, None, 0.0, error)
+            if cell.is_baseline:
+                baseline, ff_error = outcome[1], outcome[3]
+            if record is not None:
+                record(*outcome)
+            outcomes.append(outcome)
+    finally:
+        _group_experiment.reset(token)
+    return outcomes
 
 
 class CampaignRunner:
@@ -452,7 +525,7 @@ class CampaignRunner:
     def run(self) -> CampaignResult:
         t0 = time.perf_counter()
         cells = self.spec.cells()
-        done: dict[CampaignCell, CellResult] = {}
+        self._done = done = {}
         self.monitor.begin(
             total=len(cells), name=self.spec.name, workers=self.max_workers
         )
@@ -466,37 +539,13 @@ class CampaignRunner:
             drainer = ChannelDrainer(reader, self.monitor)
             drainer.start()
         try:
-            # stage 1: cache probe
-            if self.resume and self.store is not None:
-                for cell in cells:
-                    entry = self.store.get_entry(cell)
-                    if entry is not None:
-                        done[cell] = self._emit(
-                            CellResult(
-                                cell,
-                                "cached",
-                                report=entry.report,
-                                elapsed_s=entry.elapsed_s,
-                            )
-                        )
-
+            groups = self._groups(cells)
             if self.max_workers > 1:
-                # stage 2: fault-free baselines, one per experiment group
-                baselines = [
-                    _Task(cell, None)
-                    for cell in cells
-                    if cell.is_baseline and cell not in done
-                ]
-                done.update(self._run_pooled(baselines))
-                # stage 3: scheme cells, primed with their group's baseline
-                done.update(self._run_pooled(self._scheme_tasks(cells, done)))
+                self._run_pooled(groups)
             else:
-                # stages 2 and 3, one config at a time
-                groups: dict = {}
-                for cell in cells:
-                    groups.setdefault(cell.config, []).append(cell)
-                for group in groups.values():
-                    self._run_config(group, done)
+                inline = partial(run_cell_in_worker, channel=LocalChannel(self.monitor))
+                for group in groups:
+                    self._run_inline(group, inline)
         finally:
             if drainer is not None:
                 drainer.stop()
@@ -521,6 +570,30 @@ class CampaignRunner:
         )
 
     # ------------------------------------------------------------------
+    def _groups(self, cells) -> list[_Group]:
+        """The cache probe (with ``resume`` on and a store, every stored
+        cell is served from disk), then each config's remaining cells
+        as one group, in spec order."""
+        probe = self.resume and self.store is not None
+        todo: dict = {}
+        baselines: dict = {}
+        for cell in cells:
+            entry = self.store.get_entry(cell) if probe else None
+            if entry is None:
+                todo.setdefault(cell.config, {})[cell] = None
+                continue
+            self._done[cell] = self._emit(
+                CellResult(
+                    cell, "cached", report=entry.report, elapsed_s=entry.elapsed_s
+                )
+            )
+            if cell.is_baseline:
+                baselines[cell.config] = entry.report
+        return [
+            _Group([_Task(cell) for cell in group], baselines.get(config))
+            for config, group in todo.items()
+        ]
+
     def _emit(self, result: CellResult) -> CellResult:
         if result.status == "failed":
             _log.warning(
@@ -541,8 +614,9 @@ class CampaignRunner:
             self.progress.cell_done(result)
         return result
 
-    def _finish(self, task: _Task, report, elapsed: float) -> CellResult:
-        """Persist a fresh result and normalize it through the store.
+    def _record(self, task: _Task, report, elapsed: float, error) -> None:
+        """Settle one cell of a group: persist a fresh report and
+        normalize it through the store, or fail the cell.
 
         Reading the result back means a cell served from cache tomorrow
         is byte-for-byte the object this campaign returned today.  The
@@ -551,19 +625,26 @@ class CampaignRunner:
         parallel, so the annotation cannot perturb bit-identity.
         """
         cell = task.cell
-        annotate_root_span(report, "cell_id", cell_correlation_id(cell))
-        if self.store is not None:
-            self.store.put(cell, report, elapsed_s=elapsed)
-            report = self.store.get(cell)
-        return self._emit(
-            CellResult(
-                cell,
-                "ran",
-                report=report,
-                elapsed_s=elapsed,
-                attempts=task.attempt,
-                wasted_s=task.wasted,
+        if error is not None:
+            result = CellResult(
+                cell, "failed", attempts=task.attempt, elapsed_s=task.wasted, error=error
             )
+        else:
+            annotate_root_span(report, "cell_id", cell_correlation_id(cell))
+            if self.store is not None:
+                self.store.put(cell, report, elapsed_s=elapsed)
+                report = self.store.get(cell)
+            result = CellResult(
+                cell, "ran", report, elapsed, task.attempt, wasted_s=task.wasted
+            )
+        self._done[cell] = self._emit(result)
+
+    def _run_inline(self, group: _Group, invoke) -> None:
+        """One group in this process, each cell settled as it ends:
+        ``queued`` → attempt → store → ``cell_done``, cell after cell."""
+        _run_group(
+            group, self.worker, self.timeout_s, self.retries,
+            invoke, self.monitor.cell_queued, self._record,
         )
 
     def _pool(self, workers: int) -> ProcessPoolExecutor:
@@ -579,146 +660,57 @@ class CampaignRunner:
             ),
         )
 
-    def _scheme_tasks(self, cells, done) -> list[_Task]:
-        """Stage 3's tasks: every scheme cell not yet done, primed with
-        its group's baseline report.  A cell whose baseline failed is
-        failed here instead."""
-        baselines = {cell.config: done[cell] for cell in cells if cell.is_baseline}
-        tasks = []
-        for cell in cells:
-            if cell.is_baseline or cell in done:
-                continue
-            ff = baselines[cell.config]
-            if not ff.ok:
-                done[cell] = self._emit(
-                    CellResult(cell, "failed", error=f"baseline failed: {ff.error}")
-                )
-                continue
-            tasks.append(_Task(cell, ff.report))
-        return tasks
-
-    def _run_config(self, cells, done) -> None:
-        """Stages 2 and 3 of a serial run for one config's cells, inline
-        and on one shared Experiment, dropped after the last of them."""
-        inline = partial(run_cell_in_worker, channel=LocalChannel(self.monitor))
-        token = _shared_experiments.set(_SharedExperiments())
-        try:
-            for cell in cells:
-                if cell.is_baseline and cell not in done:
-                    done[cell] = self._run_alone(_Task(cell, None), inline)
-            for task in self._scheme_tasks(cells, done):
-                done[task.cell] = self._run_alone(task, inline)
-        finally:
-            _shared_experiments.reset(token)
-
-    def _call(self, task: _Task) -> tuple:
-        """:func:`run_cell_in_worker`'s arguments for the task's next attempt."""
-        return (
-            self.worker,
-            task.cell,
-            task.baseline,
-            self.timeout_s,
-            cell_correlation_id(task.cell),
-            task.attempt,
-        )
-
-    def _settle(self, task: _Task, outcome) -> CellResult | None:
-        """What one attempt's outcome means — decided here and nowhere else.
-
-        ``outcome()`` returns the attempt's ``(report, elapsed)`` or
-        raises what the attempt raised.  Ran: persisted, done.  Timed
-        out: failed, never retried.  Any other error: its wasted seconds
-        are added and the cell runs again while ``attempt <= retries``.
-        A dead worker gets here only from a one-worker pool, where the
-        crash provably belongs to this cell: it is allowed ``retries``
-        more.  Returns ``None`` when the cell is to run again, with
-        ``task.attempt`` already advanced.
-        """
-        try:
-            return self._finish(task, *outcome())
-        except CellTimeout as exc:
-            task.wasted += _wasted_s(exc)
-            error, again = str(exc), False
-        except BrokenProcessPool:
-            task.crashes += 1
-            error, again = "worker process crashed", task.crashes <= self.retries
-        except Exception as exc:
-            task.wasted += _wasted_s(exc)
-            error, again = _error_string(exc), task.attempt <= self.retries
-        if again:
-            task.attempt += 1
-            return None
-        return self._emit(
-            CellResult(
-                task.cell,
-                "failed",
-                attempts=task.attempt,
-                elapsed_s=task.wasted,
-                error=error,
-            )
-        )
-
-    def _run_alone(self, task: _Task, invoke) -> CellResult:
-        """One cell, attempt after attempt, until the policy settles it:
-        the serial path (``invoke`` runs the worker inline) and the
-        crash endgame (``invoke`` is :meth:`_in_own_pool`)."""
-        while True:
-            self.monitor.cell_queued(task.cell, task.attempt)
-            result = self._settle(task, lambda: invoke(*self._call(task)))
-            if result is not None:
-                return result
-
     def _in_own_pool(self, *call):
         with self._pool(1) as pool:
             return pool.submit(run_cell_in_worker, *call).result()
 
-    def _run_pooled(self, queue: list[_Task]) -> dict[CampaignCell, CellResult]:
-        """Pooled rounds with crash recovery.
+    def _run_pooled(self, groups: list[_Group]) -> None:
+        """Groups on a worker pool, largest first, with crash recovery.
 
-        A dead worker breaks the whole pool: every in-flight future
+        A dead worker breaks the whole pool: every in-flight group
         raises ``BrokenProcessPool`` and the crasher is indistinguishable
         from its innocent pool-mates.  So a broken round settles nobody:
-        the pool is rebuilt and everyone unfinished re-queued.  After
-        ``retries + 1`` broken rounds the survivors move to an
-        exact-attribution endgame: each runs alone in a single-worker
-        pool, where a crash provably belongs to that cell.
+        the pool is rebuilt and every unfinished group re-queued whole,
+        each of its cells one attempt on.  After ``retries + 1`` broken
+        rounds the survivors move to an exact-attribution endgame: each
+        cell runs alone in a one-worker pool, FF before its schemes,
+        where a crash provably belongs to that cell.
         """
-        out: dict[CampaignCell, CellResult] = {}
+        queue = sorted(groups, key=_Group.cost, reverse=True)
         broken_rounds = 0
         while queue and broken_rounds <= self.retries:
-            requeue: list[_Task] = []
-            round_broke = False
+            broken: list[_Group] = []
             with self._pool(min(self.max_workers, len(queue))) as pool:
                 futures = {}
-                for task in queue:
-                    self.monitor.cell_queued(task.cell, task.attempt)
+                for group in queue:
+                    for task in group.tasks:
+                        self.monitor.cell_queued(task.cell, task.attempt)
                     try:
-                        future = pool.submit(run_cell_in_worker, *self._call(task))
+                        future = pool.submit(
+                            _run_group, group, self.worker, self.timeout_s, self.retries
+                        )
                     except BrokenProcessPool:
-                        # A worker died before this task was submitted:
+                        # A worker died before this group was submitted:
                         # the same broken round its in-flight mates see.
-                        round_broke = True
-                        task.attempt += 1
-                        requeue.append(task)
+                        broken.append(group)
                         continue
-                    futures[future] = task
+                    futures[future] = group
                 for future in as_completed(futures):
-                    task = futures[future]
-                    if isinstance(future.exception(), BrokenProcessPool):
-                        round_broke = True
-                        task.attempt += 1
-                        result = None
-                    else:
-                        result = self._settle(task, future.result)
-                    if result is None:
-                        requeue.append(task)
-                    else:
-                        out[task.cell] = result
-            broken_rounds += round_broke
-            queue = requeue
-        for task in queue:
-            out[task.cell] = self._run_alone(task, self._in_own_pool)
-        return out
+                    group = futures[future]
+                    try:
+                        outcomes = future.result()
+                    except BrokenProcessPool:
+                        broken.append(group)
+                        continue
+                    for outcome in outcomes:
+                        self._record(*outcome)
+            for group in broken:
+                for task in group.tasks:
+                    task.attempt += 1
+            broken_rounds += bool(broken)
+            queue = broken
+        for group in queue:
+            self._run_inline(group, self._in_own_pool)
 
 
 def run_campaign(spec: CampaignSpec, **options) -> CampaignResult:

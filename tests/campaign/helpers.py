@@ -12,6 +12,7 @@ import json
 import os
 import signal
 import time
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,14 @@ def wasteful_worker(cell, baseline=None, timeout_s=None):
     return execute_cell(cell, baseline, timeout_s)
 
 
+def lingering_worker(cell, baseline=None, timeout_s=None):
+    """Holds every cell 50 ms before running it, so a campaign lasts long
+    enough for fast heartbeats to fill the telemetry pipe however warm
+    the problem caches are."""
+    time.sleep(0.05)
+    return execute_cell(cell, baseline, timeout_s)
+
+
 SCRIPT_FILE = "script.json"
 
 
@@ -113,3 +122,29 @@ def scripted_worker(cell, baseline=None, timeout_s=None):
         if action == "crash":
             os._exit(13)
     return execute_cell(cell, baseline, timeout_s)
+
+
+EXPERIMENTS_FILE = "experiments.jsonl"
+
+
+def experiment_recording_worker(cell, baseline=None, timeout_s=None):
+    """Runs the cell, then appends one line to ``experiments.jsonl`` in
+    the flaky dir: the cell, a tag naming the Experiment its config
+    group bound (tagged on first sight, so the tag survives a pool
+    worker's address reuse) and that Experiment's
+    ``trajectory_counts`` after the cell."""
+    from repro.campaign import runner
+
+    out = execute_cell(cell, baseline, timeout_s)
+    experiment = runner._group_experiment.get()
+    tag = experiment.__dict__.setdefault("_test_tag", uuid.uuid4().hex)
+    line = json.dumps(
+        {
+            "cell": cell.label,
+            "experiment": tag,
+            "counts": list(experiment.trajectory_counts),
+        }
+    )
+    with open(Path(os.environ[FLAKY_DIR_ENV]) / EXPERIMENTS_FILE, "a") as f:
+        f.write(line + "\n")
+    return out

@@ -45,7 +45,7 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import cell_key
-from tests.campaign.helpers import FLAKY_DIR_ENV, killing_worker
+from tests.campaign.helpers import FLAKY_DIR_ENV, killing_worker, lingering_worker
 
 EVENT_DOC = {
     "ts": 1700000000.25,
@@ -284,6 +284,23 @@ class TestFleetMonitor:
         assert snap["last_error"]["cell"] == cell.label
         assert snap["worker_rows"][0]["failed_attempts"] == 2
         assert [e["event"] for e in events].count("failed") == 1
+
+    def test_an_attempt_retried_in_place_adds_no_queue_wait(self, tiny_spec):
+        """A pooled group's worker retries a failed cell at once: only
+        the queued attempt waited."""
+        mon, clk = _monitor()
+        cell = tiny_spec.cells()[0]
+        cid = cell_correlation_id(cell)
+        mon.cell_queued(cell, 1)
+        for attempt in (1, 2):
+            clk.t += 1.0
+            mon.on_event(
+                cell_event(
+                    mon.run_id, "started", cell.label, cid, 77, attempt, ts=clk.t
+                )
+            )
+        assert mon.snapshot()["queue_wait_s"] == pytest.approx(1.0)
+        assert mon.manifest().cells[0].attempts == 2
 
     def test_eta_extrapolates_from_ran_cells(self, tiny_spec):
         mon, _ = _monitor(total=4, workers=2)
@@ -589,7 +606,10 @@ class TestStalledParent:
         monkeypatch.setattr(runner_module, "ChannelDrainer", _StalledDrainer)
         monkeypatch.setattr(_StalledDrainer, "backlog", [])
         result = run_campaign(
-            TWELVE_CELLS, max_workers=2, heartbeat_interval_s=0.001
+            TWELVE_CELLS,
+            max_workers=2,
+            heartbeat_interval_s=0.001,
+            worker=lingering_worker,
         )
         assert all(r.ok for r in result.results)
         # the workers wrote until the pipe was full, then dropped the rest

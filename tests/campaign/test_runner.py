@@ -25,6 +25,7 @@ from repro.campaign.runner import (
     execute_cell,
     run_campaign,
 )
+from repro.campaign.serialize import report_json
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.core.cg import DistributedCG
@@ -33,11 +34,13 @@ from repro.harness.experiment import Experiment, ExperimentConfig
 from tests.differential import assert_reports_identical
 
 from tests.campaign.helpers import (
+    EXPERIMENTS_FILE,
     FLAKY_DIR_ENV,
     SCRIPT_FILE,
     always_raising_worker,
     assert_reports_equal,
     crashing_worker,
+    experiment_recording_worker,
     raising_worker,
     scripted_worker,
 )
@@ -232,6 +235,49 @@ class TestRetries:
         assert result.n_ran == len(tiny_spec)
 
 
+class TestGroupDispatch:
+    def test_the_largest_group_is_submitted_first(
+        self, tiny_spec, tmp_path, monkeypatch
+    ):
+        """A pool gets the config groups by estimated cost, from suite
+        metadata alone: rows x nonzeros per row x scale x cells to run."""
+        real_pool = runner_module.CampaignRunner._pool
+        submitted = []
+
+        def pool(self, workers):
+            executor = real_pool(self, workers)
+            submit = executor.submit
+
+            def recording(fn, group, *args):
+                submitted.append(group.tasks[0].cell.config.matrix)
+                return submit(fn, group, *args)
+
+            executor.submit = recording
+            return executor
+
+        monkeypatch.setattr(runner_module.CampaignRunner, "_pool", pool)
+        # Andrews (6000 rows x 13) outweighs wathen100 (4000 x 16),
+        # though the spec lists it second...
+        cold = run_campaign(tiny_spec, store=ResultStore(tmp_path / "a"), max_workers=2)
+        assert cold.n_ran == len(tiny_spec)
+        assert submitted == ["Andrews", "wathen100"]
+        # ...until only one of its cells is left to run
+        warm = ResultStore(tmp_path / "b")
+        andrews_rd = CampaignSpec(
+            name="andrews-rd",
+            matrices=("Andrews",),
+            schemes=("RD",),
+            nranks=tiny_spec.nranks,
+            fault_loads=tiny_spec.fault_loads,
+            scale=tiny_spec.scale,
+        )
+        run_campaign(andrews_rd, store=warm, max_workers=1)
+        submitted.clear()
+        result = run_campaign(tiny_spec, store=warm, max_workers=2)
+        assert (result.n_ran, result.n_cached) == (4, 2)
+        assert submitted == ["wathen100", "Andrews"]
+
+
 RETRIES = 1
 #: Pooled rounds that break before the survivors run alone: each costs
 #: every unfinished cell one attempt, so a cell enters the crash endgame
@@ -307,10 +353,38 @@ class TestAttemptPolicy:
 
 
 class TestSharedExperiments:
-    """The serial path takes one config at a time and runs all of its
-    cells on one Experiment, so the baseline's walk of the fault-free
+    """A config group runs all of its cells on one Experiment, inline or
+    in a pool worker, so the baseline's walk of the fault-free
     trajectory is the one its scheme solves install from — one config
     at a time, and never beyond the run."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool2"])
+    def test_one_experiment_per_config_and_memo_hits(
+        self, tiny_spec, flaky_state, workers
+    ):
+        result = run_campaign(
+            tiny_spec, max_workers=workers, worker=experiment_recording_worker
+        )
+        assert result.n_failed == 0
+        rows = [
+            json.loads(line)
+            for line in (flaky_state / EXPERIMENTS_FILE).read_text().splitlines()
+        ]
+        assert sorted(r["cell"] for r in rows) == sorted(
+            c.label for c in tiny_spec.cells()
+        )
+        tags: dict = {}
+        for cell in tiny_spec.cells():
+            (row,) = [r for r in rows if r["cell"] == cell.label]
+            tags.setdefault(cell.config, set()).add(row["experiment"])
+            installed, walked = row["counts"]
+            assert walked > 0
+            if cell.is_baseline:
+                assert installed == 0, cell.label
+            else:
+                assert installed > 0, cell.label  # a memo hit
+        assert all(len(t) == 1 for t in tags.values())  # one per config
+        assert len(set.union(*tags.values())) == len(tiny_spec.experiment_configs())
 
     @pytest.fixture()
     def made(self, monkeypatch):
@@ -446,14 +520,14 @@ class TestSharedExperiments:
         if where == "snapshot":  # a classmethod: ``real`` is already bound
             interrupted = staticmethod(interrupted)
 
-        shared = runner_module._SharedExperiments()
-        token = runner_module._shared_experiments.set(shared)
+        # inside a config group, as :func:`runner._run_group` binds one
+        token = runner_module._group_experiment.set(None)
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(owner, where, interrupted)
                 with pytest.raises(CellTimeout):
                     execute_cell(CampaignCell(cfg, "FF"), timeout_s=60.0)
-            memo = shared.get(cfg).trajectory()
+            memo = runner_module._group_experiment.get().trajectory()
             assert len(calls) == fire_at
             assert memo.walked < fresh_ff.iterations
             ff, _ = execute_cell(CampaignCell(cfg, "FF"), timeout_s=60.0)
@@ -463,13 +537,13 @@ class TestSharedExperiments:
             }
             assert memo.hits > 0
         finally:
-            runner_module._shared_experiments.reset(token)
+            runner_module._group_experiment.reset(token)
         assert_reports_identical(ff, fresh_ff)
         for scheme, report in reports.items():
             fresh, _ = execute_cell(CampaignCell(cfg, scheme), baseline=fresh_ff)
             assert_reports_identical(report, fresh, context=scheme)
 
-    def test_pool_workers_and_direct_calls_share_nothing(self, tiny_spec, made):
+    def test_direct_calls_share_nothing(self, tiny_spec, made):
         cfg = tiny_spec.experiment_configs()[0]
         ff, _ = execute_cell(CampaignCell(cfg, "FF"))
         for scheme in ("RD", "F0", "RD"):
@@ -524,18 +598,31 @@ class TestSweptAxesMarkTheirRows:
         assert len(ids) == len(set(ids)) == 4
 
 
+#: The recovery schemes that read the most of the fault-free trajectory
+#: a group shares, on two matrix classes, at tier-1 size.
+RECOVERY_SPEC = CampaignSpec(
+    name="recovery",
+    matrices=("wathen100", "ex15"),
+    schemes=("ESR", "ABCR", "LI", "CR-D"),
+    nranks=(8,),
+    fault_loads=(2,),
+    scale=0.25,
+)
+
+
 class TestSerialParallelEquality:
-    def test_identical_reports_and_tables(self, tiny_spec, tmp_path):
-        serial = run_campaign(
-            tiny_spec, store=ResultStore(tmp_path / "s"), max_workers=1
-        )
+    @pytest.mark.parametrize("grid", ["tiny", "recovery"])
+    def test_identical_reports_and_tables(self, tiny_spec, grid, tmp_path):
+        spec = tiny_spec if grid == "tiny" else RECOVERY_SPEC
+        serial = run_campaign(spec, store=ResultStore(tmp_path / "s"), max_workers=1)
         parallel = run_campaign(
-            tiny_spec, store=ResultStore(tmp_path / "p"), max_workers=2
+            spec, store=ResultStore(tmp_path / "p"), max_workers=2
         )
-        assert serial.n_failed == parallel.n_failed == 0
+        assert serial.n_ran == parallel.n_ran == len(spec)
         for a, b in zip(serial.results, parallel.results):
             assert a.cell == b.cell
             assert_reports_equal(a.report, b.report)
+            assert report_json(a.report) == report_json(b.report), a.cell.label
         assert format_normalized_tables(serial) == format_normalized_tables(parallel)
 
     def test_cached_equals_fresh(self, tiny_spec, store):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import signal
 import threading
 
@@ -14,6 +15,23 @@ from repro.cluster.machine import MachineSpec, NodeSpec
 from repro.core.solver import ResilientSolver, SolverConfig
 from repro.matrices import cache as problem_cache
 from repro.matrices.generators import banded_spd, irregular_spd, stencil_5pt
+
+
+#: Names a seed to run the suite in that seeded random order, so a test
+#: that leans on what an earlier test left behind fails; unset, the
+#: collection order stands.
+SHUFFLE_SEED_ENV = "REPRO_TEST_SHUFFLE_SEED"
+
+
+def pytest_report_header(config):
+    seed = os.environ.get(SHUFFLE_SEED_ENV)
+    return f"test order shuffled with {SHUFFLE_SEED_ENV}={seed}" if seed else None
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = os.environ.get(SHUFFLE_SEED_ENV)
+    if seed:
+        random.Random(int(seed)).shuffle(items)
 
 
 @pytest.fixture(scope="session", autouse=True)

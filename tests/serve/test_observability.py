@@ -167,6 +167,8 @@ class TestCoalescedIds:
 
 class TestLifetimeSummary:
     def test_summary_counts_requests_and_solves(self, served):
+        # its own solve: the module's server may be fresh when this runs
+        served.client.solve(scheme="RD", seed=1120)
         served.client.health()
         summary = served.app.lifetime_summary()
         assert set(summary) == {
