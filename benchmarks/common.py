@@ -65,7 +65,8 @@ def sweep(
     matrices, schemes, *, nranks, n_faults: int = 10, cr_interval="paper"
 ) -> dict:
     """Run a (matrix × rank count) grid of ``schemes`` as one campaign,
-    one worker per CPU this process may run on.
+    one worker per CPU this process may run on, up to one per config
+    group (a one-config grid runs inline, without a pool).
 
     ``nranks`` is one rank count or several.  Returns ``{matrix or, when
     several rank counts are swept, rank count: {scheme: report}}`` with
@@ -79,9 +80,8 @@ def sweep(
         fault_loads=(n_faults,),
         cr_interval=cr_interval,
     )
-    result = run_campaign(
-        spec, store=result_store(), max_workers=len(os.sched_getaffinity(0))
-    )
+    workers = min(len(os.sched_getaffinity(0)), len(spec.experiment_configs()))
+    result = run_campaign(spec, store=result_store(), max_workers=workers)
     failed = [f"{r.cell.label}: {r.error}" for r in result.results if not r.ok]
     if failed:
         raise RuntimeError("sweep cells failed:\n" + "\n".join(failed))

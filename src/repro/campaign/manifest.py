@@ -49,7 +49,9 @@ class ManifestCell:
     started_ts: float | None = None
     finished_ts: float | None = None
     #: Seconds spent waiting between submission and a worker picking
-    #: the cell up, summed over attempts.
+    #: the cell up, summed over attempts.  A pool is handed whole config
+    #: groups, so a pooled cell's wait includes the compute of the
+    #: group-mates that ran before it in the same worker.
     queue_wait_s: float = 0.0
     #: Compute seconds of the successful attempt (banked cost for
     #: cached cells).

@@ -23,8 +23,10 @@ identical reports.
 Fault tolerance: each cell gets a wall-clock timeout (SIGALRM inside
 the worker, so the pool survives) and bounded retries, decided per
 cell by one policy (:func:`_charge`); a worker crash
-(``BrokenProcessPool``) rebuilds the pool and re-queues the affected
-groups whole.
+(``BrokenProcessPool``) rebuilds the pool and re-queues the unfinished
+cells of the affected groups.  A pool worker banks each cell's outcome
+on disk as it settles, so a crash later in its group takes none of the
+group's finished cells with it.
 
 Observability rides side-band (:mod:`repro.campaign.fleet`): every pool
 is built with an initializer that hands its workers the write end of
@@ -41,10 +43,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
@@ -408,18 +413,31 @@ def _charge(task: _Task, exc: Exception, retries: int) -> str | None:
 @dataclass
 class _Group:
     """A config's cells still to run, FF first — the runner's one unit
-    of work — and the config's cached FF report when FF is not among
-    them."""
+    of work — and, when FF is not among them, how FF settled: its
+    report, or the error it failed with."""
 
     tasks: list[_Task]
     baseline: SolveReport | None = None
+    ff_error: str | None = None
 
     def cost(self) -> float:
         """Relative compute, from the matrix's suite metadata alone (no
-        matrix is built): rows × nonzeros per row × scale × cells."""
+        matrix is built): rows × nonzeros per row × scale × calibrated
+        fault-free iterations × cells."""
         config = self.tasks[0].cell.config
         matrix = matrix_suite.spec(config.matrix)
-        return matrix.rows * matrix.nnz_per_row * config.scale * len(self.tasks)
+        per_cell = matrix.rows * matrix.nnz_per_row * config.scale * matrix.iters
+        return per_cell * len(self.tasks)
+
+
+def _bank(directory: str, task: _Task, report, elapsed: float, error) -> None:
+    """Keep one settled cell's outcome under ``directory``, written whole
+    (by rename), so a pool worker that dies later in its group takes
+    none of the group's finished cells with it."""
+    path = os.path.join(directory, cell_correlation_id(task.cell))
+    with open(f"{path}.tmp", "wb") as f:
+        pickle.dump((task, report, elapsed, error), f, pickle.HIGHEST_PROTOCOL)
+    os.replace(f"{path}.tmp", path)
 
 
 def _run_group(
@@ -427,10 +445,10 @@ def _run_group(
     worker,
     timeout_s: float | None,
     retries: int,
+    record,
     invoke=run_cell_in_worker,
     queued=None,
-    record=None,
-) -> list[tuple]:
+) -> None:
     """Run a config group's cells in order, FF first, on one Experiment.
 
     A serial run calls this inline, a pooled run submits it whole to a
@@ -439,12 +457,11 @@ def _run_group(
     to run builds the Experiment the rest share (:func:`execute_cell`);
     a cached FF report reaches the scheme cells as their baseline.
     Each cell's attempts follow :func:`_charge`; a scheme cell whose
-    group's FF failed fails unattempted.  ``queued(cell, attempt)`` is
-    called before every attempt, ``record(*outcome)`` once per cell.
-    Returns every cell's ``(task, report, elapsed, error)``, in order.
+    group's FF failed fails unattempted.  ``record(task, report,
+    elapsed, error)`` is called once per cell as it settles,
+    ``queued(cell, attempt)`` before every attempt.
     """
-    baseline, ff_error = group.baseline, None
-    outcomes = []
+    baseline, ff_error = group.baseline, group.ff_error
     token = _group_experiment.set(None)
     try:
         for task in group.tasks:
@@ -463,12 +480,9 @@ def _run_group(
                         outcome = (task, None, 0.0, error)
             if cell.is_baseline:
                 baseline, ff_error = outcome[1], outcome[3]
-            if record is not None:
-                record(*outcome)
-            outcomes.append(outcome)
+            record(*outcome)
     finally:
         _group_experiment.reset(token)
-    return outcomes
 
 
 class CampaignRunner:
@@ -531,27 +545,13 @@ class CampaignRunner:
         )
         # the counter itself, not stats(): stats() sizes every payload file
         overwrites0 = self.store.overwrites if self.store is not None else 0
-        drainer = None
-        if self.max_workers > 1:
-            reader, self._channel = multiprocessing.Pipe(duplex=False)
-            # a stalled parent drops telemetry instead of blocking a cell
-            os.set_blocking(self._channel.fileno(), False)
-            drainer = ChannelDrainer(reader, self.monitor)
-            drainer.start()
-        try:
-            groups = self._groups(cells)
-            if self.max_workers > 1:
-                self._run_pooled(groups)
-            else:
-                inline = partial(run_cell_in_worker, channel=LocalChannel(self.monitor))
-                for group in groups:
-                    self._run_inline(group, inline)
-        finally:
-            if drainer is not None:
-                drainer.stop()
-                self._channel.close()
-                self._channel = None
-
+        groups = self._groups(cells)
+        if self.max_workers > 1 and groups:
+            self._run_pooled(groups)
+        else:
+            inline = partial(run_cell_in_worker, channel=LocalChannel(self.monitor))
+            for group in groups:
+                self._run_inline(group, inline)
         wall = time.perf_counter() - t0
         self.monitor.finalize(wall)
         overwrites = (
@@ -627,7 +627,8 @@ class CampaignRunner:
         cell = task.cell
         if error is not None:
             result = CellResult(
-                cell, "failed", attempts=task.attempt, elapsed_s=task.wasted, error=error
+                cell, "failed", attempts=task.attempt, elapsed_s=task.wasted,
+                error=error,
             )
         else:
             annotate_root_span(report, "cell_id", cell_correlation_id(cell))
@@ -644,7 +645,7 @@ class CampaignRunner:
         ``queued`` → attempt → store → ``cell_done``, cell after cell."""
         _run_group(
             group, self.worker, self.timeout_s, self.retries,
-            invoke, self.monitor.cell_queued, self._record,
+            self._record, invoke, self.monitor.cell_queued,
         )
 
     def _pool(self, workers: int) -> ProcessPoolExecutor:
@@ -667,50 +668,72 @@ class CampaignRunner:
     def _run_pooled(self, groups: list[_Group]) -> None:
         """Groups on a worker pool, largest first, with crash recovery.
 
-        A dead worker breaks the whole pool: every in-flight group
-        raises ``BrokenProcessPool`` and the crasher is indistinguishable
-        from its innocent pool-mates.  So a broken round settles nobody:
-        the pool is rebuilt and every unfinished group re-queued whole,
-        each of its cells one attempt on.  After ``retries + 1`` broken
-        rounds the survivors move to an exact-attribution endgame: each
-        cell runs alone in a one-worker pool, FF before its schemes,
-        where a crash provably belongs to that cell.
+        Each worker banks its cells' outcomes (:func:`_bank`), and the
+        parent settles a group from the bank once its future is done.  A
+        dead worker breaks the whole pool: every in-flight group raises
+        ``BrokenProcessPool`` and the crasher is indistinguishable from
+        its innocent pool-mates.  So a broken round fails nobody: the
+        cells its groups banked settle as they ran, and each group's
+        unfinished cells, one attempt on, are re-queued on a rebuilt
+        pool.  After ``retries + 1`` broken rounds the survivors move to
+        an exact-attribution endgame: each cell runs alone in a
+        one-worker pool, FF before its schemes, where a crash provably
+        belongs to that cell.
         """
+        reader, self._channel = multiprocessing.Pipe(duplex=False)
+        # a stalled parent drops telemetry instead of blocking a cell
+        os.set_blocking(self._channel.fileno(), False)
+        drainer = ChannelDrainer(reader, self.monitor)
+        drainer.start()
         queue = sorted(groups, key=_Group.cost, reverse=True)
         broken_rounds = 0
-        while queue and broken_rounds <= self.retries:
-            broken: list[_Group] = []
-            with self._pool(min(self.max_workers, len(queue))) as pool:
-                futures = {}
-                for group in queue:
-                    for task in group.tasks:
-                        self.monitor.cell_queued(task.cell, task.attempt)
-                    try:
-                        future = pool.submit(
-                            _run_group, group, self.worker, self.timeout_s, self.retries
-                        )
-                    except BrokenProcessPool:
-                        # A worker died before this group was submitted:
-                        # the same broken round its in-flight mates see.
-                        broken.append(group)
-                        continue
-                    futures[future] = group
-                for future in as_completed(futures):
-                    group = futures[future]
-                    try:
-                        outcomes = future.result()
-                    except BrokenProcessPool:
-                        broken.append(group)
-                        continue
-                    for outcome in outcomes:
-                        self._record(*outcome)
-            for group in broken:
-                for task in group.tasks:
-                    task.attempt += 1
-            broken_rounds += bool(broken)
-            queue = broken
-        for group in queue:
-            self._run_inline(group, self._in_own_pool)
+        try:
+            with tempfile.TemporaryDirectory(prefix="repro-bank-") as bank:
+                args = (self.worker, self.timeout_s, self.retries, partial(_bank, bank))
+                while queue and broken_rounds <= self.retries:
+                    rest: list[_Group] = []
+                    with self._pool(min(self.max_workers, len(queue))) as pool:
+                        futures = {}
+                        for group in queue:
+                            for task in group.tasks:
+                                self.monitor.cell_queued(task.cell, task.attempt)
+                            try:
+                                futures[pool.submit(_run_group, group, *args)] = group
+                            except BrokenProcessPool:
+                                # A worker died before this group was
+                                # submitted: the same broken round its
+                                # in-flight mates see.
+                                rest.append(self._settle(group, bank))
+                        for future in as_completed(futures):
+                            with suppress(BrokenProcessPool):
+                                future.result()
+                            rest.append(self._settle(futures[future], bank))
+                    queue = [group for group in rest if group.tasks]
+                    broken_rounds += bool(queue)
+            for group in queue:
+                self._run_inline(group, self._in_own_pool)
+        finally:
+            drainer.stop()
+            self._channel.close()
+            self._channel = None
+
+    def _settle(self, group: _Group, bank: str) -> _Group:
+        """Settle each cell of a group that its worker banked; the rest,
+        each one attempt on, is what remains of the group to run."""
+        rest = _Group([], group.baseline, group.ff_error)
+        for task in group.tasks:
+            path = os.path.join(bank, cell_correlation_id(task.cell))
+            try:
+                with open(path, "rb") as f:
+                    outcome = pickle.load(f)
+            except FileNotFoundError:
+                task.attempt += 1
+                rest.tasks.append(task)
+                continue
+            self._record(*outcome)
+            if task.cell.is_baseline:
+                rest.baseline, rest.ff_error = outcome[1], outcome[3]
+        return rest
 
 
 def run_campaign(spec: CampaignSpec, **options) -> CampaignResult:

@@ -236,11 +236,10 @@ class TestRetries:
 
 
 class TestGroupDispatch:
-    def test_the_largest_group_is_submitted_first(
-        self, tiny_spec, tmp_path, monkeypatch
-    ):
+    def test_the_largest_group_is_submitted_first(self, tmp_path, monkeypatch):
         """A pool gets the config groups by estimated cost, from suite
-        metadata alone: rows x nonzeros per row x scale x cells to run."""
+        metadata alone: rows x nonzeros per row x scale x calibrated
+        iterations x cells to run."""
         real_pool = runner_module.CampaignRunner._pool
         submitted = []
 
@@ -256,26 +255,34 @@ class TestGroupDispatch:
             return executor
 
         monkeypatch.setattr(runner_module.CampaignRunner, "_pool", pool)
-        # Andrews (6000 rows x 13) outweighs wathen100 (4000 x 16),
-        # though the spec lists it second...
-        cold = run_campaign(tiny_spec, store=ResultStore(tmp_path / "a"), max_workers=2)
-        assert cold.n_ran == len(tiny_spec)
-        assert submitted == ["Andrews", "wathen100"]
+        spec = CampaignSpec(
+            name="dispatch",
+            matrices=("Andrews", "wathen100"),
+            schemes=("RD", "F0"),
+            nranks=(8,),
+            fault_loads=(2,),
+            scale=0.25,
+        )
+        # wathen100 (4000 rows x 16 x ~384 iterations) outweighs Andrews
+        # (6000 x 13 x ~222), though the spec lists it second...
+        cold = run_campaign(spec, store=ResultStore(tmp_path / "a"), max_workers=2)
+        assert cold.n_ran == len(spec)
+        assert submitted == ["wathen100", "Andrews"]
         # ...until only one of its cells is left to run
         warm = ResultStore(tmp_path / "b")
-        andrews_rd = CampaignSpec(
-            name="andrews-rd",
-            matrices=("Andrews",),
+        wathen_part = CampaignSpec(
+            name="wathen-rd",
+            matrices=("wathen100",),
             schemes=("RD",),
-            nranks=tiny_spec.nranks,
-            fault_loads=tiny_spec.fault_loads,
-            scale=tiny_spec.scale,
+            nranks=spec.nranks,
+            fault_loads=spec.fault_loads,
+            scale=spec.scale,
         )
-        run_campaign(andrews_rd, store=warm, max_workers=1)
+        run_campaign(wathen_part, store=warm, max_workers=1)
         submitted.clear()
-        result = run_campaign(tiny_spec, store=warm, max_workers=2)
+        result = run_campaign(spec, store=warm, max_workers=2)
         assert (result.n_ran, result.n_cached) == (4, 2)
-        assert submitted == ["wathen100", "Andrews"]
+        assert submitted == ["Andrews", "wathen100"]
 
 
 RETRIES = 1
@@ -350,6 +357,30 @@ class TestAttemptPolicy:
         # the pool-mates of a crasher are never failed for it
         others = [r for r in result.results if r.cell.scheme != "RD"]
         assert all(r.status == "ran" for r in others)
+
+    def test_a_crash_mid_group_keeps_the_cells_it_finished(
+        self, store, flaky_state
+    ):
+        """The RD cell kills its worker after FF and F0 have finished in
+        the same group: those two settle from the worker's bank on their
+        first attempt, and only RD runs again."""
+        spec = CampaignSpec(
+            name="mid-group",
+            matrices=("wathen100",),
+            schemes=("F0", "RD"),
+            nranks=(8,),
+            fault_loads=(2,),
+            scale=0.25,
+        )
+        (flaky_state / SCRIPT_FILE).write_text(json.dumps(["crash"]))
+        result = run_campaign(
+            spec, store=store, max_workers=2, retries=RETRIES, worker=scripted_worker
+        )
+        attempts = {r.cell.scheme: (r.status, r.attempts) for r in result.results}
+        assert attempts == {"FF": ("ran", 1), "F0": ("ran", 1), "RD": ("ran", 2)}
+        assert len((flaky_state / "calls").read_text()) == 2
+        # each cell was computed once: no finished cell ran again
+        assert sum(w.cells_done for w in result.manifest.worker_rows) == len(spec)
 
 
 class TestSharedExperiments:
