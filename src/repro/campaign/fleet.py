@@ -6,8 +6,10 @@ worker is initialized with the parent's log configuration and the
 write end of one non-blocking pipe, over which it forwards
 
 * **structured log records** — worker-side :mod:`repro.obs.logging`
-  lines, re-emitted through the parent's own sinks (stderr, rotating
-  file), stamped with ``<run_id>.<cell_id>`` request correlation ids;
+  lines, stamped with ``<run_id>.<cell_id>`` request correlation ids
+  and re-emitted through the parent's own handlers (stderr, rotating
+  file), the stdlib ``QueueHandler``/``QueueListener`` pattern over the
+  pipe;
 * **cell lifecycle events** — queued / started / finished / failed /
   cached, with attempt counts, the schema'd JSONL stream behind
   ``repro campaign --json-progress``;
@@ -19,7 +21,9 @@ Each message is one pickled frame of at most ``PIPE_BUF`` bytes, written
 with one ``write``: the kernel makes such a write atomic, so concurrent
 writers need no lock, and a worker killed mid-write leaves neither a
 torn frame nor a held lock behind.  A frame that would not fit, or that
-meets a full pipe, is dropped whole.
+meets a full pipe, is dropped whole and counted: the worker's next
+heartbeat or lifecycle event that gets through carries its running
+count into the manifest's ``dropped_frames`` counter.
 
 The parent-side :class:`FleetMonitor` folds all three into one
 thread-safe state (per-cell queue-wait vs compute split, per-worker
@@ -37,14 +41,16 @@ ever reaches log records and the manifest, never a stored payload.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import pickle
 import threading
 import time
+from logging.handlers import QueueHandler
 from select import PIPE_BUF
 
 from repro.campaign.store import cell_key
-from repro.obs.logging import new_request_id, root_manager
+from repro.obs.logging import LOGGER_NAME, handle_line, json_handler, new_request_id
 
 #: Default heartbeat cadence, seconds; 0 disables the heartbeat thread.
 DEFAULT_HEARTBEAT_S = 1.0
@@ -167,7 +173,8 @@ class WorkerChannel:
 
     Every ``put`` is best-effort: the channel is side-band, so a full
     pipe, a closed reader or an oversized message must never fail a
-    cell.
+    cell.  It is also the queue the worker's stdlib ``QueueHandler``
+    puts log records to (:meth:`put_nowait`).
     """
 
     def __init__(
@@ -182,6 +189,10 @@ class WorkerChannel:
         self.pid = os.getpid()
         self._lock = threading.Lock()
         self._cell: tuple[str, str, float] | None = None
+        #: Frames dropped so far, oversized or meeting a full pipe or a
+        #: closed reader; every heartbeat and lifecycle event sent
+        #: carries it.
+        self.dropped_frames = 0
         self._stop = threading.Event()
         if heartbeat_interval_s > 0:
             thread = threading.Thread(
@@ -194,21 +205,34 @@ class WorkerChannel:
 
     def _put(self, kind: str, payload) -> None:
         frame = pickle.dumps((kind, payload), pickle.HIGHEST_PROTOCOL)
-        if len(frame) + 4 > PIPE_BUF:  # 4: send_bytes' length header
-            return  # a write past PIPE_BUF could interleave: drop it whole
-        try:
-            self.conn.send_bytes(frame)
-        except OSError:
-            pass  # full pipe or closed reader: never let telemetry fail a cell
+        # a write past PIPE_BUF could interleave: drop it whole.  4 is
+        # send_bytes' length header
+        if len(frame) + 4 <= PIPE_BUF:
+            try:
+                self.conn.send_bytes(frame)
+                return
+            except OSError:
+                pass  # full pipe or closed reader: never fail a cell
+        with self._lock:
+            self.dropped_frames += 1
+
+    def _put_doc(self, kind: str, doc: dict) -> None:
+        doc["dropped_frames"] = self.dropped_frames
+        self._put(kind, doc)
 
     def emit_log(self, line: str) -> None:
         self._put("log", line)
+
+    def put_nowait(self, record: logging.LogRecord) -> None:
+        """Forward a record ``QueueHandler`` prepared: its ``msg`` is
+        the formatted line."""
+        self.emit_log(record.msg)
 
     def cell_started(self, label: str, cell_id: str, attempt: int) -> None:
         now = time.time()
         with self._lock:
             self._cell = (label, cell_id, now)
-        self._put(
+        self._put_doc(
             "event",
             cell_event(
                 self.run_id, "started", label, cell_id, self.pid, attempt, ts=now
@@ -225,7 +249,7 @@ class WorkerChannel:
     ) -> None:
         with self._lock:
             self._cell = None
-        self._put(
+        self._put_doc(
             "event",
             cell_event(
                 self.run_id,
@@ -244,7 +268,7 @@ class WorkerChannel:
             with self._lock:
                 cell = self._cell
             now = time.time()
-            self._put(
+            self._put_doc(
                 "hb",
                 {
                     "ts": now,
@@ -267,7 +291,7 @@ class LocalChannel:
     Serial campaigns (``max_workers=1``) have no pool and no pipe, so
     lifecycle events feed the monitor directly; there are no heartbeats
     (the "worker" is the parent itself) and log records already reach
-    the parent's sinks.
+    the parent's handlers.
     """
 
     def __init__(self, monitor: "FleetMonitor") -> None:
@@ -302,16 +326,6 @@ class LocalChannel:
         )
 
 
-class _ChannelLogSink:
-    """A log sink that forwards each line over the worker channel."""
-
-    def __init__(self, channel: WorkerChannel) -> None:
-        self.channel = channel
-
-    def emit(self, line: str) -> None:
-        self.channel.emit_log(line)
-
-
 #: The worker process's channel, installed by :func:`init_worker`.
 _CHANNEL: WorkerChannel | None = None
 
@@ -322,23 +336,26 @@ def worker_channel() -> WorkerChannel | None:
 
 
 def init_worker(
-    conn, run_id: str, log_level: str, heartbeat_interval_s: float
+    conn, run_id: str, log_level: int, heartbeat_interval_s: float
 ) -> None:
     """Pool initializer: wire this worker into the telemetry channel.
 
     ``conn`` is the write end of the run's telemetry pipe, already
-    non-blocking.  Re-applies the parent's log threshold with a single
-    pipe-forwarding sink (worker records surface through the parent's
-    sinks instead of racing it for stderr/file handles) and starts the
-    heartbeat thread.
+    non-blocking.  Re-applies the parent's log threshold and replaces
+    the handlers a forked worker inherits with one ``QueueHandler`` on
+    the channel: worker records surface through the parent's handlers
+    instead of racing it for its stderr and file.  Starts the heartbeat
+    thread.
     """
     global _CHANNEL
     _CHANNEL = WorkerChannel(
         conn, run_id, heartbeat_interval_s=heartbeat_interval_s
     )
-    manager = root_manager()
-    manager.level = log_level
-    manager.sinks = [_ChannelLogSink(_CHANNEL)]
+    logger = logging.getLogger(LOGGER_NAME)
+    logger.setLevel(log_level)
+    for inherited in list(logger.handlers):
+        logger.removeHandler(inherited)
+    logger.addHandler(json_handler(QueueHandler(_CHANNEL)))
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +396,7 @@ def _new_worker(pid: int) -> dict:
         "busy_s": 0.0,
         "max_gap_s": 0.0,
         "last_cell": None,
+        "dropped_frames": 0,
     }
 
 
@@ -447,11 +465,10 @@ class FleetMonitor:
 
     def on_log(self, line: str) -> None:
         """Re-emit one forwarded worker log line through the parent's
-        sinks (level filtering already happened worker-side)."""
+        handlers (level filtering already happened worker-side)."""
         with self._lock:
             self.log_lines += 1
-        for sink in root_manager().sinks:
-            sink.emit(line)
+        handle_line(line)
 
     def _emit_event(self, doc: dict) -> None:
         # caller holds the lock: sink writes are serialized
@@ -480,9 +497,11 @@ class FleetMonitor:
     def on_event(self, doc: dict) -> None:
         """One worker-side lifecycle event (started / finished / failed)."""
         label, pid, kind = doc["cell"], doc["worker"], doc["event"]
+        dropped = doc.pop("dropped_frames", 0)  # not part of the event schema
         with self._lock:
             st = self._cells.setdefault(label, _new_cell(label, doc["cell_id"]))
             w = self._workers.setdefault(pid, _new_worker(pid))
+            w["dropped_frames"] = max(w["dropped_frames"], dropped)
             if kind == "started":
                 if not st["final"]:
                     st["status"] = "running"
@@ -539,6 +558,9 @@ class FleetMonitor:
             rss = int(doc.get("rss_bytes") or 0)
             w["rss_bytes"] = rss
             w["max_rss_bytes"] = max(w["max_rss_bytes"], rss)
+            w["dropped_frames"] = max(
+                w["dropped_frames"], int(doc.get("dropped_frames") or 0)
+            )
 
     def cell_done(self, result) -> None:
         """Parent-side authoritative outcome for one cell.
@@ -629,6 +651,9 @@ class FleetMonitor:
             "wasted_s": wasted,
             "banked_s": banked,
             "log_lines": self.log_lines,
+            "dropped_frames": sum(
+                w["dropped_frames"] for w in self._workers.values()
+            ),
         }
 
     def snapshot(self) -> dict:

@@ -88,6 +88,11 @@ class RunManifest:
     started_at: float
     finished_at: float
     wall_s: float
+    #: Run totals (cells by status, retries, the seconds split, log
+    #: lines).  ``dropped_frames`` counts the telemetry frames workers
+    #: dropped, oversized or meeting a full pipe.  It is a lower bound:
+    #: a worker reports its count only on a later heartbeat or event
+    #: that gets through.
     counters: dict = field(default_factory=dict)
     cells: tuple[ManifestCell, ...] = ()
     worker_rows: tuple[ManifestWorker, ...] = ()
@@ -191,6 +196,7 @@ def format_manifest(manifest: RunManifest) -> str:
         f"compute {c.get('compute_s', 0.0):.2f}s, "
         f"wasted {c.get('wasted_s', 0.0):.2f}s, "
         f"banked {c.get('banked_s', 0.0):.2f}s",
+        f"  telemetry: at least {c.get('dropped_frames', 0)} dropped frames",
     ]
     blocks = ["\n".join(header)]
     if manifest.worker_rows:

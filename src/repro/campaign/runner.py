@@ -41,6 +41,7 @@ channel active.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import pickle
@@ -69,7 +70,7 @@ from repro.campaign.store import ResultStore
 from repro.core.report import SolveReport
 from repro.harness.experiment import Experiment
 from repro.matrices import suite as matrix_suite
-from repro.obs.logging import bound_request_id, get_logger, root_manager
+from repro.obs.logging import LOGGER_NAME, bound_request_id, get_logger
 from repro.obs.telemetry import annotate_root_span
 
 _log = get_logger("campaign.runner")
@@ -656,7 +657,7 @@ class CampaignRunner:
             initargs=(
                 self._channel,
                 self.monitor.run_id,
-                root_manager().level,
+                logging.getLogger(LOGGER_NAME).getEffectiveLevel(),
                 self.monitor.heartbeat_interval_s,
             ),
         )

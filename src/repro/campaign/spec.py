@@ -53,6 +53,9 @@ def axis_mark(axis: str, config: ExperimentConfig) -> str:
 
 _DEFAULT_CONFIG = ExperimentConfig()
 
+#: The axes :meth:`CampaignSpec.describe` always counts, default or not.
+_COUNTED_AXES = ("matrices", "nranks", "fault_loads", "seeds")
+
 
 @dataclass(frozen=True)
 class CampaignCell:
@@ -195,26 +198,19 @@ class CampaignSpec:
         return n_groups * (1 + n_schemes)
 
     def describe(self) -> str:
-        engines = (
-            f" x {len(self.engines)} engines [{', '.join(self.engines)}]"
-            if self.engines != ("sim",)
-            else ""
-        )
-        backends = (
-            f" x {len(self.backends)} backends [{', '.join(self.backends)}]"
-            if self.backends != (DEFAULT_BACKEND,)
-            else ""
-        )
-        victims = (
-            f" x {len(self.victims_per_fault)} victim-set sizes "
-            f"[{', '.join(map(str, self.victims_per_fault))}]"
-            if self.victims_per_fault != (1,)
-            else ""
-        )
+        """One line naming the grid: how many matrices, rank counts,
+        fault loads and seeds it sweeps, then every other axis whose
+        values leave the :class:`ExperimentConfig` default, with them."""
+        sizes = []
+        for axis, (name, noun, _) in AXES.items():
+            values = getattr(self, axis)
+            size = f"{len(values)} {'matrices' if noun == 'matrix' else noun + 's'}"
+            if axis in _COUNTED_AXES:
+                sizes.append(size)
+            elif values != (getattr(_DEFAULT_CONFIG, name),):
+                sizes.append(f"{size} [{', '.join(map(str, values))}]")
         return (
-            f"campaign {self.name!r}: {len(self.matrices)} matrices x "
-            f"{len(self.nranks)} rank counts x {len(self.fault_loads)} fault "
-            f"loads x {len(self.seeds)} seeds{engines}{backends}{victims}, "
+            f"campaign {self.name!r}: {' x '.join(sizes)}, "
             f"schemes [{', '.join(self.schemes)}] (+FF) = {len(self)} cells"
         )
 

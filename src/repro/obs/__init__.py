@@ -18,7 +18,8 @@ Two timebases coexist and are never mixed (see DESIGN.md §5d):
 
 The *live* half (DESIGN.md §5i) narrates running processes instead of
 finished runs: :mod:`~repro.obs.logging` writes structured JSONL logs
-with a request-id context.
+through stdlib ``logging`` (one ``repro`` logger, one JSON formatter),
+each record stamped with the request id bound when it was made.
 """
 
 from repro._exports import lazy_exports
@@ -34,7 +35,6 @@ _EXPORTS = {
     "logging": (
         "REQUEST_ID_HEADER",
         "LogRecord",
-        "StructuredLogger",
         "bound_request_id",
         "configure_logging",
         "current_request_id",
@@ -64,7 +64,6 @@ __all__ = [
     "REQUEST_ID_HEADER",
     "Span",
     "SpanRecorder",
-    "StructuredLogger",
     "Telemetry",
     "bound_request_id",
     "configure_logging",

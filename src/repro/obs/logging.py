@@ -1,4 +1,4 @@
-"""Structured JSONL logging: schema'd records, pluggable sinks and clock.
+"""Structured JSONL logging on stdlib :mod:`logging`.
 
 This is the operational half of ``repro.obs``: where the telemetry
 bundle (:mod:`repro.obs.telemetry`) captures one *run* for later
@@ -11,44 +11,46 @@ Every line is one JSON object with a fixed schema::
      "request_id": "9f2c4ab0d1e88c3a",
      "fields": {"endpoint": "/v1/solve", "status": 200, ...}}
 
-Design rules, in the same spirit as the trace export:
+Records travel through stdlib ``logging`` under one ``repro`` logger
+(``repro.<component>`` per component) that does not propagate to the
+root logger, so another library's records never become repro lines and
+repro lines never reach another library's handlers.  What is ours:
 
-* **exact round-trip** — :func:`record_to_line` and
-  :func:`record_from_line` invert each other byte-for-byte (sorted
-  keys, shortest-repr floats), so logs are machine-checkable: CI parses
-  every emitted line back through the schema;
-* **sim-or-wall timestamps** — the manager's clock is pluggable like
-  :class:`~repro.obs.spans.SpanRecorder`'s, and ``timebase`` records
-  which convention a stream used;
-* **cheap when silent** — a suppressed level costs one dict lookup and
-  one comparison, so instrumentation can stay on hot paths;
-* **request correlation** — a :mod:`contextvars` request id, bound by
-  the serving tier per HTTP request, is stamped onto every record
-  emitted underneath it (coalesced solves, batch drains, errors).
-
-Sinks are deliberately dumb ``emit(line)`` objects: stderr, a rotating
-file, or an in-memory ring for tests.
+* **one formatter** — :class:`JsonFormatter` writes the canonical line;
+  :func:`record_to_line` and :func:`record_from_line` invert each other
+  byte-for-byte (sorted keys, shortest-repr floats), so logs are
+  machine-checkable: CI parses every emitted line back through the
+  schema.  Live records are wall-clocked; ``timebase`` stays in the
+  schema so a reader can tell;
+* **one filter** — :func:`stamp_request_id` stamps the :mod:`contextvars`
+  request id, bound by the serving tier per HTTP request and by a pool
+  worker per cell, onto each record as it is made, unless the record
+  already carries one (a forwarded worker record keeps its own);
+* **keyword fields** — :func:`get_logger` returns an adapter whose
+  ``info("msg", key=value, ...)`` puts the keywords under ``fields``.
 """
 
 from __future__ import annotations
 
 import contextvars
 import json
-import os
+import logging
 import re
 import sys
-import threading
-import time
 import uuid
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from logging.handlers import RotatingFileHandler
 from pathlib import Path
 
 #: Severity order, least to most severe.
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
-_LEVEL_RANK = {name: i for i, name in enumerate(LOG_LEVELS)}
+_LEVELNO = {name: getattr(logging, name.upper()) for name in LOG_LEVELS}
+
+#: The stdlib logger every repro record goes through; components are
+#: its children (``repro.serve.app``).
+LOGGER_NAME = "repro"
 
 #: The HTTP header carrying a request id in and out of the serving tier.
 REQUEST_ID_HEADER = "X-Repro-Request-Id"
@@ -57,9 +59,9 @@ REQUEST_ID_HEADER = "X-Repro-Request-Id"
 #: hostile client cannot inject log-breaking bytes into every line.
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
-#: Rotating-file defaults: 4 MiB per file, 3 rotated backups.
-DEFAULT_MAX_BYTES = 4 << 20
-DEFAULT_BACKUPS = 3
+#: ``--log-file`` rotation: 4 MiB per file, 3 rotated backups.
+MAX_BYTES = 4 << 20
+BACKUPS = 3
 
 
 class LogSchemaError(ValueError):
@@ -107,7 +109,7 @@ def bound_request_id(request_id: str | None):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LogRecord:
-    """One structured log line.
+    """One structured log line, as :func:`record_from_line` reads it.
 
     ``fields`` is kept as a sorted tuple of pairs so records are
     hashable and serialize deterministically regardless of the keyword
@@ -126,19 +128,26 @@ class LogRecord:
         return dict(self.fields)
 
 
+def _dumps(ts, level, component, msg, timebase, request_id, fields) -> str:
+    doc: dict = {
+        "ts": ts,
+        "level": level,
+        "component": component,
+        "msg": msg,
+        "timebase": timebase,
+        "fields": fields,
+    }
+    if request_id is not None:
+        doc["request_id"] = request_id
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def record_to_line(record: LogRecord) -> str:
     """Serialize one record as its canonical JSON line (no newline)."""
-    doc: dict = {
-        "ts": record.ts,
-        "level": record.level,
-        "component": record.component,
-        "msg": record.msg,
-        "timebase": record.timebase,
-        "fields": record.field_dict(),
-    }
-    if record.request_id is not None:
-        doc["request_id"] = record.request_id
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _dumps(
+        record.ts, record.level, record.component, record.msg,
+        record.timebase, record.request_id, record.field_dict(),
+    )
 
 
 def record_from_line(line: str) -> LogRecord:
@@ -181,235 +190,123 @@ def record_from_line(line: str) -> LogRecord:
 
 
 # ----------------------------------------------------------------------
-# sinks
+# the stdlib side: formatter, filter, handlers
 # ----------------------------------------------------------------------
-class StderrSink:
-    """Writes each line to the *current* ``sys.stderr`` (not a frozen
-    handle, so pytest's capture and redirections behave)."""
+class JsonFormatter(logging.Formatter):
+    """Formats a ``repro.<component>`` record as its canonical line."""
 
-    def emit(self, line: str) -> None:
-        print(line, file=sys.stderr)
-
-
-class MemorySink:
-    """Bounded in-memory ring of lines, for tests."""
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._lines: deque[str] = deque(maxlen=capacity)
-
-    def emit(self, line: str) -> None:
-        self._lines.append(line)
-
-    def lines(self) -> list[str]:
-        return list(self._lines)
-
-    def records(self) -> list[LogRecord]:
-        return [record_from_line(line) for line in self._lines]
-
-    def clear(self) -> None:
-        self._lines.clear()
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-
-class RotatingFileSink:
-    """Appends lines to a file, rotating at ``max_bytes``.
-
-    Rotation renames ``app.log`` → ``app.log.1`` → … → ``app.log.N``
-    (oldest dropped), the classic size-based scheme: bounded disk under
-    sustained load, and the live file is always the newest lines.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        backups: int = DEFAULT_BACKUPS,
-    ) -> None:
-        if max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
-        if backups < 0:
-            raise ValueError("backups must be >= 0")
-        self.path = Path(path)
-        self.max_bytes = max_bytes
-        self.backups = backups
-        self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._size = self.path.stat().st_size if self.path.exists() else 0
-
-    def _rotate(self) -> None:
-        if self.backups == 0:
-            self.path.unlink(missing_ok=True)
-        else:
-            oldest = self.path.with_name(f"{self.path.name}.{self.backups}")
-            oldest.unlink(missing_ok=True)
-            for i in range(self.backups - 1, 0, -1):
-                src = self.path.with_name(f"{self.path.name}.{i}")
-                if src.exists():
-                    os.replace(src, self.path.with_name(f"{self.path.name}.{i + 1}"))
-            if self.path.exists():
-                os.replace(self.path, self.path.with_name(f"{self.path.name}.1"))
-        self._size = 0
-
-    def emit(self, line: str) -> None:
-        data = line + "\n"
-        with self._lock:
-            if self._size + len(data) > self.max_bytes and self._size > 0:
-                self._rotate()
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(data)
-            self._size += len(data)
-
-
-# ----------------------------------------------------------------------
-# manager + logger
-# ----------------------------------------------------------------------
-@dataclass
-class LogManager:
-    """Shared logging state: threshold, sinks, clock.
-
-    One process normally has one manager (the module-level root); tests
-    build private ones.  ``clock=None`` means wall time
-    (``time.time()``); solver-side code can plug the simulated clock and
-    set ``timebase="sim"``, mirroring the span recorder.
-    """
-
-    level: str = "warning"
-    sinks: list = field(default_factory=lambda: [StderrSink()])
-    clock: object = None
-    timebase: str = "wall"
-
-    def __post_init__(self) -> None:
-        if self.level not in _LEVEL_RANK:
-            raise ValueError(f"unknown log level {self.level!r}")
-
-    def enabled_for(self, level: str) -> bool:
-        return _LEVEL_RANK[level] >= _LEVEL_RANK[self.level]
-
-    def now(self) -> float:
-        return self.clock() if self.clock is not None else time.time()
-
-    def emit(self, record: LogRecord) -> None:
-        line = record_to_line(record)
-        for sink in self.sinks:
-            sink.emit(line)
-
-
-class StructuredLogger:
-    """A component-bound façade over one :class:`LogManager`."""
-
-    def __init__(self, component: str, manager: LogManager | None = None) -> None:
-        self.component = component
-        self._manager = manager
-
-    @property
-    def manager(self) -> LogManager:
-        return self._manager if self._manager is not None else _root_manager()
-
-    def enabled_for(self, level: str) -> bool:
-        return self.manager.enabled_for(level)
-
-    def log(self, level: str, msg: str, **fields: object) -> LogRecord | None:
-        if level not in _LEVEL_RANK:
-            raise ValueError(f"unknown log level {level!r}")
-        manager = self.manager
-        if not manager.enabled_for(level):
-            return None
-        record = LogRecord(
-            ts=manager.now(),
-            level=level,
-            component=self.component,
-            msg=msg,
-            timebase=manager.timebase,
-            request_id=current_request_id(),
-            fields=tuple(sorted(fields.items())),
+    def format(self, record: logging.LogRecord) -> str:
+        return _dumps(
+            record.created,
+            record.levelname.lower(),
+            record.name.removeprefix(f"{LOGGER_NAME}."),
+            record.getMessage(),
+            "wall",
+            getattr(record, "request_id", None),
+            getattr(record, "fields", {}),
         )
-        manager.emit(record)
-        return record
-
-    def debug(self, msg: str, **fields: object):
-        return self.log("debug", msg, **fields)
-
-    def info(self, msg: str, **fields: object):
-        return self.log("info", msg, **fields)
-
-    def warning(self, msg: str, **fields: object):
-        return self.log("warning", msg, **fields)
-
-    def error(self, msg: str, **fields: object):
-        return self.log("error", msg, **fields)
 
 
-# -- the process-wide root ---------------------------------------------
-_ROOT = LogManager()
+def stamp_request_id(record: logging.LogRecord) -> bool:
+    """Handler filter: stamp the bound request id onto a record that
+    carries none.  Handlers run in the emitting task or thread, so this
+    is the context the record was made in."""
+    if not hasattr(record, "request_id"):
+        record.request_id = _request_id_var.get()
+    return True
 
 
-def _root_manager() -> LogManager:
-    return _ROOT
+def json_handler(handler: logging.Handler) -> logging.Handler:
+    """``handler`` with the repro formatter and request-id filter."""
+    handler.setFormatter(JsonFormatter())
+    handler.addFilter(stamp_request_id)
+    return handler
 
 
-def root_manager() -> LogManager:
-    """The process-wide root manager.
+class _StderrHandler(logging.Handler):
+    """Writes to the *current* ``sys.stderr`` (not a handle frozen at
+    construction), so redirections and pytest's capture see the lines."""
 
-    Exposed so process boundaries can replicate the configuration: the
-    campaign pool initializer reads the parent's threshold here and
-    re-applies it inside each worker, swapping the sinks for the
-    pipe-forwarding channel (worker records then surface through the
-    parent's own stderr/file sinks instead of vanishing).
-    """
-    return _ROOT
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            sys.stderr.write(self.format(record) + "\n")
+        except Exception:
+            self.handleError(record)
 
 
-def get_logger(component: str) -> StructuredLogger:
-    """A logger bound to the process-wide root manager (late-bound, so
-    :func:`configure_logging` affects loggers created before it ran)."""
-    return StructuredLogger(component)
+def _levelno(level: str) -> int:
+    try:
+        return _LEVELNO[level]
+    except KeyError:
+        raise ValueError(f"unknown log level {level!r}") from None
+
+
+class _FieldsAdapter(logging.LoggerAdapter):
+    """``log(level, msg, **fields)``: keywords become the record's
+    ``fields``; ``level`` is a stdlib number or a :data:`LOG_LEVELS` name."""
+
+    def log(self, level: int | str, msg: str, **fields: object) -> None:
+        if isinstance(level, str):
+            level = _levelno(level)
+        logger = self.logger
+        if logger.isEnabledFor(level):
+            # built here, not by Logger._log: the line has no source
+            # file or line, so its caller lookup would be wasted work
+            record = logger.makeRecord(logger.name, level, "", 0, msg, (), None)
+            record.fields = fields
+            logger.handle(record)
+
+
+def get_logger(component: str) -> logging.LoggerAdapter:
+    """The ``repro.<component>`` logger, taking ``**fields``; it follows
+    :func:`configure_logging` whenever that runs."""
+    return _FieldsAdapter(logging.getLogger(f"{LOGGER_NAME}.{component}"))
 
 
 def configure_logging(
-    *,
-    level: str | None = None,
-    stderr: bool = True,
-    file: str | Path | None = None,
-    max_bytes: int = DEFAULT_MAX_BYTES,
-    backups: int = DEFAULT_BACKUPS,
-    memory: MemorySink | None = None,
-    clock=None,
-    timebase: str | None = None,
-) -> LogManager:
-    """(Re)configure the root manager; returns it.
-
-    ``level=None`` keeps the current threshold.  Sinks are rebuilt from
-    the arguments: stderr (on by default), an optional rotating file and
-    an optional caller-owned memory ring.
-    """
+    *, level: str | None = None, file: str | Path | None = None
+) -> None:
+    """Route repro records to stderr and, given ``file``, to that file
+    rotated at :data:`MAX_BYTES` into :data:`BACKUPS` backups.
+    ``level=None`` keeps the current threshold."""
+    logger = logging.getLogger(LOGGER_NAME)
     if level is not None:
-        if level not in _LEVEL_RANK:
-            raise ValueError(f"unknown log level {level!r}")
-        _ROOT.level = level
-    sinks: list = []
-    if stderr:
-        sinks.append(StderrSink())
+        logger.setLevel(_levelno(level))
+    for old in list(logger.handlers):
+        logger.removeHandler(old)
+        old.close()
+    logger.addHandler(json_handler(_StderrHandler()))
     if file is not None:
-        sinks.append(RotatingFileSink(file, max_bytes=max_bytes, backups=backups))
-    if memory is not None:
-        sinks.append(memory)
-    _ROOT.sinks = sinks
-    _ROOT.clock = clock
-    if timebase is not None:
-        _ROOT.timebase = timebase
-    return _ROOT
+        Path(file).parent.mkdir(parents=True, exist_ok=True)
+        rotating = RotatingFileHandler(
+            file, maxBytes=MAX_BYTES, backupCount=BACKUPS, encoding="utf-8"
+        )
+        logger.addHandler(json_handler(rotating))
 
 
-def reset_logging() -> LogManager:
-    """Restore the root manager to its defaults (tests)."""
-    defaults = LogManager()
-    _ROOT.level = defaults.level
-    _ROOT.sinks = defaults.sinks
-    _ROOT.clock = None
-    _ROOT.timebase = defaults.timebase
-    return _ROOT
+def handle_line(line: str) -> None:
+    """Re-emit one canonical line, a record a pool worker formatted and
+    forwarded, through the repro logger's handlers, as
+    ``logging.handlers.QueueListener`` does: the worker already applied
+    the level, and the record keeps the request id it was made with.
+    Raises :class:`LogSchemaError` on a non-conformant line."""
+    parsed = record_from_line(line)
+    record = logging.makeLogRecord(
+        {
+            "name": f"{LOGGER_NAME}.{parsed.component}",
+            "levelno": _LEVELNO[parsed.level],
+            "levelname": parsed.level.upper(),
+            "msg": parsed.msg,
+            "created": parsed.ts,
+            "request_id": parsed.request_id,
+            "fields": parsed.field_dict(),
+        }
+    )
+    for handler in logging.getLogger(LOGGER_NAME).handlers:
+        handler.handle(record)
+
+
+_repro = logging.getLogger(LOGGER_NAME)
+_repro.propagate = False
+_repro.setLevel(logging.WARNING)
+configure_logging()

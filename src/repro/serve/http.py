@@ -41,6 +41,10 @@ SERVER_NAME = "repro-serve"
 #: handlers it EOF'd unwind before calling one stuck, seconds.
 SHUTDOWN_GRACE_S = 5.0
 
+#: How long the server keeps reading, and dropping, what a client still
+#: sends after an error answer before it closes, seconds.
+LINGER_S = 1.0
+
 
 @dataclass(frozen=True)
 class HttpRequest:
@@ -203,6 +207,20 @@ async def _read_rest(reader: asyncio.StreamReader, line: bytes) -> HttpRequest:
     )
 
 
+async def _linger(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Close the write side, then drop what the client still sends until
+    it closes or :data:`LINGER_S` passes.  A socket closed with unread
+    bytes resets the connection, and the reset can reach the client
+    before it has read the answer (RFC 9112 §9.6)."""
+    writer.write_eof()
+    with contextlib.suppress(TimeoutError, ConnectionError):
+        async with _deadline(LINGER_S):
+            while await reader.read(MAX_LINE):
+                pass
+
+
 def _render(response: HttpResponse, *, keep_alive: bool) -> bytes:
     reason = HTTPStatus(response.status).phrase
     head = [
@@ -235,7 +253,7 @@ class ServeServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE
+            self._on_connect, self.host, self.port, limit=MAX_LINE
         )
         self.port = self._server.sockets[0].getsockname()[1]
         _log.info("listening", host=self.host, port=self.port)
@@ -258,10 +276,20 @@ class ServeServer:
         for writer in list(self._connections):
             writer.close()
 
+    def _on_connect(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        # a plain callback that starts a task the server owns, not a
+        # coroutine asyncio wraps in its own: on 3.11 asyncio's
+        # done-callback on that task calls task.exception(), which
+        # raises and logs an error once a stuck handler is cancelled
+        self._connections[writer] = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -275,6 +303,7 @@ class ServeServer:
                         )
                     )
                     await writer.drain()
+                    await _linger(reader, writer)
                     return
                 if request is None:
                     return

@@ -45,7 +45,9 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import cell_key
+from repro.obs.logging import configure_logging, record_from_line
 from tests.campaign.helpers import FLAKY_DIR_ENV, killing_worker, lingering_worker
+from tests.logcapture import captured_logs
 
 EVENT_DOC = {
     "ts": 1700000000.25,
@@ -383,6 +385,26 @@ class TestFleetMonitor:
         )
 
 
+    def test_dropped_frames_sum_each_workers_latest_count(self, tiny_spec):
+        """Each worker's count is cumulative, so the counter keeps its
+        highest report per worker; the key never reaches the event
+        stream, whose schema has no room for it."""
+        events: list[dict] = []
+        mon, clk = _monitor(events)
+        cell = tiny_spec.cells()[0]
+        cid = cell_correlation_id(cell)
+        started = cell_event(mon.run_id, "started", cell.label, cid, 7, 1)
+        mon.handle(("event", {**started, "dropped_frames": 3}))
+        for worker, dropped in ((7, 5), (7, 4), (8, 2)):
+            mon.handle(
+                ("hb", {"ts": clk.t, "run_id": mon.run_id, "worker": worker,
+                        "rss_bytes": 0, "cell": None, "cell_id": None,
+                        "cell_elapsed_s": None, "dropped_frames": dropped})
+            )
+        assert mon.manifest().counters["dropped_frames"] == 5 + 2
+        assert events == [started]
+        assert cell_event_from_line(cell_event_to_line(events[0])) == started
+
 class TestLocalChannel:
     def test_serial_events_feed_the_monitor_directly(self, tiny_spec):
         events: list[dict] = []
@@ -520,11 +542,16 @@ class TestAtomicFrames:
         while reader.poll(0):
             kind, line = pickle.loads(reader.recv_bytes())
             delivered.append(int(line.removeprefix("line ")))
+        # the reader caught up: the next event carries the drop count
+        channel.cell_started("cell/FF", "c" * 16, 1)
+        kind, doc = _recv(reader)
         reader.close()
         writer.close()
         assert elapsed < 1.0
         assert 0 < len(delivered) < 10_000
         assert delivered == sorted(set(delivered))
+        assert channel.dropped_frames == 10_000 - len(delivered) > 0
+        assert (kind, doc["dropped_frames"]) == ("event", channel.dropped_frames)
 
     def test_an_oversized_frame_is_dropped_whole(self):
         reader, writer = multiprocessing.Pipe(duplex=False)
@@ -540,6 +567,7 @@ class TestAtomicFrames:
             assert _recv(reader) == ("log", fits)
             assert _recv(reader) == ("log", "small")
             assert not reader.poll(0.1)
+            assert channel.dropped_frames == 1
         finally:
             reader.close()
             writer.close()
@@ -587,6 +615,32 @@ class TestDeadWriter:
         started = {e["cell"] for e in events if e["event"] == "started"}
         assert started == {cell.label for cell in TWELVE_CELLS.cells()}
 
+
+class TestForwardedWorkerLogs:
+    def test_worker_records_reach_the_log_file_with_their_cell_ids(
+        self, tiny_spec, tmp_path
+    ):
+        """What CI's campaign smoke checks, in tier-1: a pooled run at
+        debug level writes every worker record into the parent's
+        ``--log-file``, each stamped ``<run_id>.<cell_id>``."""
+        path = tmp_path / "campaign.jsonl"
+        configure_logging(level="debug", file=path)
+        try:
+            result = run_campaign(
+                tiny_spec, max_workers=2, heartbeat_interval_s=0
+            )
+        finally:
+            configure_logging(level="warning")
+        assert all(r.ok for r in result.results)
+        records = [record_from_line(line) for line in path.read_text().splitlines()]
+        workers = [r for r in records if r.component == "campaign.worker"]
+        # one "cell computed" record per cell, each from its worker
+        assert len(workers) == len(tiny_spec)
+        cell_ids = {cell_correlation_id(cell) for cell in tiny_spec.cells()}
+        for record in workers:
+            run_id, cell_id = record.request_id.split(".")
+            assert run_id == result.run_id
+            assert cell_id in cell_ids
 
 class _StalledDrainer(ChannelDrainer):
     """A parent that never reads: it only counts, at stop, the frame
@@ -642,19 +696,21 @@ class TestChannelDrainer:
         assert mon.snapshot()["worker_rows"][0]["done"] == 1
 
     def test_forwarded_log_lines_are_counted(self):
-        from repro.obs.logging import root_manager
-
+        """Forwarded lines are counted and re-emitted byte for byte
+        through the parent's handlers; one that breaks the schema is
+        counted but reaches no handler."""
+        line = (
+            '{"component":"campaign.worker","fields":{},"level":"warning",'
+            '"msg":"hello","request_id":"r.c","timebase":"wall","ts":1.5}'
+        )
         mon, _ = _monitor()
-        manager = root_manager()
-        saved = manager.sinks
-        manager.sinks = []
-        try:
+        with captured_logs() as logs:
             reader, writer = multiprocessing.Pipe(duplex=False)
+            writer.send(("log", line))
             writer.send(("log", '{"msg":"hello"}'))
             drainer = ChannelDrainer(reader, mon)
             drainer.start()
             drainer.stop()
             writer.close()
-        finally:
-            manager.sinks = saved
-        assert mon.snapshot()["log_lines"] == 1
+        assert mon.snapshot()["log_lines"] == 2
+        assert logs.lines == [line]

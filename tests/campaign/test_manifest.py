@@ -31,6 +31,7 @@ def sample_manifest(**overrides) -> RunManifest:
             "cells": 2, "ran": 1, "cached": 0, "failed": 1, "retries": 2,
             "queue_wait_s": 0.5, "compute_s": 3.0, "wasted_s": 1.5,
             "banked_s": 0.0, "log_lines": 7, "store_overwrites": 0,
+            "dropped_frames": 4,
         },
         cells=(
             ManifestCell(
@@ -128,6 +129,7 @@ class TestRendering:
         assert "campaign 'sample', 2 worker(s)" in text
         assert "1 ran, 0 cached, 1 failed, 2 retries" in text
         assert "wasted 1.50s" in text
+        assert "at least 4 dropped frames" in text
 
     def test_tables_render_workers_and_cells(self):
         text = format_manifest(sample_manifest())

@@ -174,6 +174,54 @@ class TestEngineAxis:
         assert "model-validation" in preset_names()
 
 
+#: One two-scheme spec of one grid point, and the lines ``describe()``
+#: prints when each axis in turn is swept: the first four axes are
+#: always counted, the rest named with their values off the default.
+_DESCRIBED = CampaignSpec(
+    name="sweep", matrices=("wathen100",), schemes=("RD", "F0"),
+    nranks=(8,), fault_loads=(2,), scale=0.25,
+)
+_HEAD = "campaign 'sweep': "
+_TAIL = ", schemes [RD, F0] (+FF) = "
+
+
+class TestDescribe:
+    @pytest.mark.parametrize(
+        "axis, values, line",
+        [
+            ("matrices", ("wathen100", "Kuu"),
+             "2 matrices x 1 rank counts x 1 fault loads x 1 seeds"
+             f"{_TAIL}6 cells"),
+            ("nranks", (8, 16),
+             "1 matrices x 2 rank counts x 1 fault loads x 1 seeds"
+             f"{_TAIL}6 cells"),
+            ("fault_loads", (2, 4),
+             "1 matrices x 1 rank counts x 2 fault loads x 1 seeds"
+             f"{_TAIL}6 cells"),
+            ("seeds", (0, 1),
+             "1 matrices x 1 rank counts x 1 fault loads x 2 seeds"
+             f"{_TAIL}6 cells"),
+            ("engines", ("analytic",),
+             "1 matrices x 1 rank counts x 1 fault loads x 1 seeds"
+             f" x 1 engines [analytic]{_TAIL}3 cells"),
+            ("backends", ("loop", "batched"),
+             "1 matrices x 1 rank counts x 1 fault loads x 1 seeds"
+             f" x 2 backends [loop, batched]{_TAIL}6 cells"),
+            ("victims_per_fault", (1, 2),
+             "1 matrices x 1 rank counts x 1 fault loads x 1 seeds"
+             f" x 2 victim-set sizes [1, 2]{_TAIL}6 cells"),
+            ("seeds", (0,),
+             "1 matrices x 1 rank counts x 1 fault loads x 1 seeds"
+             f"{_TAIL}3 cells"),
+        ],
+    )
+    def test_pins_the_line_for_each_swept_axis(self, axis, values, line):
+        from dataclasses import replace
+
+        spec = replace(_DESCRIBED, **{axis: values})
+        assert spec.describe() == _HEAD + line
+
+
 class TestVictimsPerFaultAxis:
     def test_default_axis_is_single_victim(self, tiny_spec):
         assert tiny_spec.victims_per_fault == (1,)

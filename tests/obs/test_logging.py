@@ -1,28 +1,32 @@
-"""Structured logging: schema round-trip, sinks, levels, request ids."""
+"""Structured logging: schema round-trip, handlers, levels, request ids."""
 
 from __future__ import annotations
 
+import json
+import logging
+import re
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.obs import logging as repro_logging
 from repro.obs.logging import (
     LOG_LEVELS,
+    LOGGER_NAME,
     LogRecord,
     LogSchemaError,
-    MemorySink,
-    RotatingFileSink,
-    StructuredLogger,
     bound_request_id,
     configure_logging,
     current_request_id,
     get_logger,
+    handle_line,
     new_request_id,
     record_from_line,
     record_to_line,
-    reset_logging,
     valid_request_id,
 )
+from tests.logcapture import captured_logs
 
 GOLDEN = Path(__file__).parent / "golden" / "log_records.jsonl"
 
@@ -78,9 +82,9 @@ GOLDEN_RECORDS = [
 
 
 @pytest.fixture(autouse=True)
-def _clean_root_manager():
+def _default_logging():
     yield
-    reset_logging()
+    configure_logging(level="warning")
 
 
 class TestWireFormat:
@@ -154,29 +158,54 @@ class TestRequestIds:
         assert valid_request_id(raw) is None
 
     def test_bound_id_is_stamped_and_restored(self):
-        sink = MemorySink()
-        configure_logging(level="debug", stderr=False, memory=sink)
         log = get_logger("test")
         assert current_request_id() is None
-        with bound_request_id("rid-one"):
-            assert current_request_id() == "rid-one"
-            log.info("inside")
-        log.info("outside")
-        records = sink.records()
+        with captured_logs() as logs:
+            with bound_request_id("rid-one"):
+                assert current_request_id() == "rid-one"
+                log.info("inside")
+            log.info("outside")
+        records = logs.records()
         assert records[0].request_id == "rid-one"
         assert records[1].request_id is None
 
+    def test_a_forwarded_line_keeps_its_own_id(self):
+        """A worker's line re-emitted in another context: the filter
+        leaves the id the record was made with, absent or not."""
+        with_id = (
+            '{"component":"campaign.worker","fields":{"attempt":1},'
+            '"level":"debug","msg":"cell computed",'
+            '"request_id":"runrunrunrunrunr.cellcellcellcell",'
+            '"timebase":"wall","ts":1700000000.125}'
+        )
+        without_id = with_id.replace(
+            '"request_id":"runrunrunrunrunr.cellcellcellcell",', ""
+        )
+        with captured_logs() as logs, bound_request_id("parent-rid"):
+            handle_line(with_id)
+            handle_line(without_id)
+        assert logs.lines == [with_id, without_id]
+
+    def test_a_non_conformant_forwarded_line_is_refused(self):
+        with captured_logs() as logs:
+            with pytest.raises(LogSchemaError):
+                handle_line('{"msg":"hello"}')
+        assert logs.lines == []
+
 
 class TestLevelsAndSinks:
+    """Thresholds, and the handlers lines go to."""
+
     def test_suppressed_levels_emit_nothing(self):
-        sink = MemorySink()
-        configure_logging(level="warning", stderr=False, memory=sink)
         log = get_logger("test")
-        assert log.debug("quiet") is None
-        assert log.info("quiet") is None
-        assert log.warning("loud") is not None
-        assert log.error("loud") is not None
-        assert [r.level for r in sink.records()] == ["warning", "error"]
+        with captured_logs("warning") as logs:
+            log.debug("quiet")
+            log.info("quiet")
+            log.warning("loud")
+            log.error("loud")
+            log.log("info", "quiet")
+            log.log("error", "loud")
+        assert [r.level for r in logs.records()] == ["warning", "error", "error"]
 
     def test_level_order_matches_severity(self):
         assert LOG_LEVELS == ("debug", "info", "warning", "error")
@@ -187,53 +216,61 @@ class TestLevelsAndSinks:
         with pytest.raises(ValueError):
             configure_logging(level="loud")
 
-    def test_sim_clock_and_timebase(self):
-        sink = MemorySink()
-        ticks = iter([1.5, 2.5])
-        configure_logging(
-            level="debug", stderr=False, memory=sink,
-            clock=lambda: next(ticks), timebase="sim",
-        )
-        log = get_logger("solver")
-        log.info("a")
-        log.info("b")
-        records = sink.records()
-        assert [r.ts for r in records] == [1.5, 2.5]
-        assert all(r.timebase == "sim" for r in records)
+    def test_the_real_logger_writes_the_golden_line(self):
+        """Golden line 2 made by the logger the serving tier uses: the
+        same bytes but for ``ts``, which is the wall clock."""
+        golden = GOLDEN.read_text().splitlines()[1]
+        with captured_logs("info") as logs:
+            with bound_request_id("9f2c4ab0d1e88c3a"):
+                t0 = time.time()
+                get_logger("serve.app").log(
+                    "info", "request", method="POST", path="/v1/solve",
+                    endpoint="/v1/solve", status=200, elapsed_ms=1.25,
+                )
+                t1 = time.time()
+        (line,) = logs.lines
+        assert t0 <= json.loads(line)["ts"] <= t1
+        assert re.sub(r'"ts":[^,}]+', '"ts":17.25', line) == golden
 
-    def test_memory_sink_is_bounded(self):
-        sink = MemorySink(capacity=3)
-        configure_logging(level="debug", stderr=False, memory=sink)
+    def test_default_is_warning_and_up_on_the_current_stderr(self, capsys):
         log = get_logger("test")
-        for i in range(10):
-            log.info("m", i=i)
-        assert len(sink) == 3
-        assert [dict(r.fields)["i"] for r in sink.records()] == [7, 8, 9]
+        log.info("quiet")
+        log.warning("loud", n=1)
+        err = capsys.readouterr().err.splitlines()
+        assert [record_from_line(line).msg for line in err] == ["loud"]
 
-    def test_private_manager_does_not_touch_the_root(self):
-        from repro.obs.logging import LogManager
+    def test_other_libraries_records_never_become_repro_lines(self):
+        caught = []
+        root_handler = logging.Handler()
+        root_handler.emit = caught.append
+        logging.getLogger().addHandler(root_handler)
+        try:
+            with captured_logs() as logs:
+                logging.getLogger("asyncio").error("not ours")
+                get_logger("test").error("ours")
+        finally:
+            logging.getLogger().removeHandler(root_handler)
+        assert [r.msg for r in logs.records()] == ["ours"]
+        # and repro records stay off the root logger's handlers
+        assert [r.getMessage() for r in caught] == ["not ours"]
+        assert logging.getLogger(LOGGER_NAME).propagate is False
 
-        sink = MemorySink()
-        private = LogManager(level="debug", sinks=[sink])
-        log = StructuredLogger("private", manager=private)
-        log.debug("only here")
-        assert len(sink) == 1
-
-    def test_rotating_file_sink_rotates_and_every_line_parses(self, tmp_path):
-        path = tmp_path / "app.log"
-        sink = RotatingFileSink(path, max_bytes=400, backups=2)
-        manager = configure_logging(level="debug", stderr=False)
-        manager.sinks = [sink]
+    def test_rotating_file_sink_rotates_and_every_line_parses(
+        self, tmp_path, monkeypatch
+    ):
+        assert (repro_logging.MAX_BYTES, repro_logging.BACKUPS) == (4 << 20, 3)
+        monkeypatch.setattr(repro_logging, "MAX_BYTES", 400)
+        monkeypatch.setattr(repro_logging, "BACKUPS", 2)
+        path = tmp_path / "logs" / "app.log"
+        configure_logging(level="debug", file=path)
         log = get_logger("test")
         for i in range(40):
             log.info("fill", i=i, pad="x" * 40)
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert "app.log" in files
-        assert "app.log.1" in files
-        assert "app.log.2" in files
-        assert "app.log.3" not in files  # backups cap honored
+        configure_logging(level="warning")  # closes the file
+        files = sorted(p.name for p in path.parent.iterdir())
+        assert files == ["app.log", "app.log.1", "app.log.2"]  # backups cap
         total = 0
-        for p in tmp_path.iterdir():
+        for p in path.parent.iterdir():
             for line in p.read_text().splitlines():
                 record_from_line(line)  # every surviving line conformant
                 total += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import logging
 import select
 import socket
 import struct
@@ -804,6 +805,22 @@ class TestHeadLimits:
         assert headers["connection"] == "close"
         assert json.loads(body)["error"]
 
+    def test_late_bytes_after_the_400_meet_no_reset(self, served):
+        """After an error answer the server half-closes and reads on for
+        ``LINGER_S``: a client still sending is not reset, and a reset
+        could reach a client before it has read the answer."""
+        with socket.create_connection(
+            (served.server.host, served.server.port), timeout=30.0
+        ) as raw:
+            raw.sendall(b"NOT HTTP\r\n")
+            answer = _recv_response(raw)  # the server's half-close
+            for _ in range(2):  # after a reset the second send fails
+                raw.sendall(b"late")
+                time.sleep(0.1)
+        ((status, headers, _),) = _split_responses(answer)
+        assert status.startswith("HTTP/1.1 400 ")
+        assert headers["connection"] == "close"
+
     def test_the_limits_hold_at_the_edge(self, served):
         # a request line and a header line of exactly MAX_LINE bytes,
         # CRLF included, and exactly MAX_HEADERS headers are served
@@ -884,9 +901,10 @@ class TestShutdown:
             core.close()
 
     def test_a_handler_that_outlives_the_grace_period_is_an_error(
-        self, monkeypatch
+        self, monkeypatch, caplog
     ):
         monkeypatch.setattr(http, "SHUTDOWN_GRACE_S", 0.05)
+        caplog.set_level(logging.DEBUG, logger="asyncio")
         entered = threading.Event()
 
         async def never_answers(request):
@@ -900,3 +918,9 @@ class TestShutdown:
             assert entered.wait(timeout=5.0)
             with pytest.raises(RuntimeError, match="1 connection handler"):
                 server.stop()
+        # cancelling the stuck handler is the server's doing, not an
+        # error asyncio should report
+        assert not [
+            r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]

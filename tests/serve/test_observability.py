@@ -8,15 +8,11 @@ import threading
 
 import pytest
 
-from repro.obs.logging import (
-    MemorySink,
-    bound_request_id,
-    configure_logging,
-    reset_logging,
-)
+from repro.obs.logging import bound_request_id
 from repro.obs.telemetry import Telemetry
 from repro.serve import ServeError, ServingCore
 
+from tests.logcapture import captured_logs
 from tests.serve.conftest import make_cell, run
 
 HEX_ID = re.compile(r"^[0-9a-f]{16}$")
@@ -67,19 +63,13 @@ class TestRequestIdsOverHttp:
         assert root_span_ids(answer["report"]) == "corr-demo-1"
 
     def test_request_id_lands_in_the_structured_logs(self, served):
-        sink = MemorySink()
-        configure_logging(level="debug", stderr=False, memory=sink)
-        try:
+        with captured_logs() as logs:
             served.client.solve(
                 request_id="log-corr-1", scheme="RD", seed=1104
             )
-            records = [
-                r for r in sink.records() if r.request_id == "log-corr-1"
-            ]
-            assert any(r.msg == "request" for r in records)
-            assert any(r.msg == "solve answered" for r in records)
-        finally:
-            reset_logging()
+        records = [r for r in logs.records() if r.request_id == "log-corr-1"]
+        assert any(r.msg == "request" for r in records)
+        assert any(r.msg == "solve answered" for r in records)
 
     def test_untraced_solves_have_no_id_annotation(self, served):
         answer = served.client.solve(
