@@ -46,7 +46,6 @@ import os
 import pickle
 import threading
 import time
-from logging.handlers import QueueHandler
 from select import PIPE_BUF
 
 from repro.campaign.store import cell_key
@@ -351,6 +350,8 @@ def init_worker(
     _CHANNEL = WorkerChannel(
         conn, run_id, heartbeat_interval_s=heartbeat_interval_s
     )
+    from logging.handlers import QueueHandler  # loaded by pool workers only
+
     logger = logging.getLogger(LOGGER_NAME)
     logger.setLevel(log_level)
     for inherited in list(logger.handlers):

@@ -42,14 +42,12 @@ channel active.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -386,6 +384,14 @@ class _Task:
     crashes: int = 0
 
 
+def _is_worker_death(exc: Exception) -> bool:
+    """Whether ``exc`` is a pool's ``BrokenProcessPool``.  The pool
+    modules load only where a pool is built (:meth:`CampaignRunner.
+    _pool`), so a process that never built one has none to match."""
+    process = sys.modules.get("concurrent.futures.process")
+    return process is not None and isinstance(exc, process.BrokenProcessPool)
+
+
 def _charge(task: _Task, exc: Exception, retries: int) -> str | None:
     """What one failed attempt means — decided here and nowhere else.
 
@@ -399,7 +405,7 @@ def _charge(task: _Task, exc: Exception, retries: int) -> str | None:
     if isinstance(exc, CellTimeout):
         task.wasted += _wasted_s(exc)
         return str(exc)
-    if isinstance(exc, BrokenProcessPool):
+    if _is_worker_death(exc):
         task.crashes += 1
         error, again = "worker process crashed", task.crashes <= retries
     else:
@@ -649,8 +655,10 @@ class CampaignRunner:
             self._record, invoke, self.monitor.cell_queued,
         )
 
-    def _pool(self, workers: int) -> ProcessPoolExecutor:
+    def _pool(self, workers: int):
         """A worker pool wired into the telemetry channel."""
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=init_worker,
@@ -681,6 +689,12 @@ class CampaignRunner:
         one-worker pool, FF before its schemes, where a crash provably
         belongs to that cell.
         """
+        # Pool machinery loads here, so a serial or fully cached campaign
+        # never imports it.
+        import multiprocessing
+        from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         reader, self._channel = multiprocessing.Pipe(duplex=False)
         # a stalled parent drops telemetry instead of blocking a cell
         os.set_blocking(self._channel.fileno(), False)

@@ -8,12 +8,16 @@ emits ``repr``-style shortest decimals, which parse back to the
 identical double), so a decoded report is numerically
 indistinguishable from a fresh run.  The store
 writes this dict as a frame's JSON header with ``residual_history``
-lifted out into raw float64 bytes (:mod:`repro.campaign.store`), and
-hands :func:`report_from_dict` the decoded array in its place.
+lifted out into raw float64 bytes and ``telemetry`` into a JSON section
+of its own (:mod:`repro.campaign.store`), and hands
+:func:`report_from_dict` the decoded array and the unbuilt bundle in
+their places.
 
 Telemetry (the solver's event stream, spans and metrics, attached at
 ``details["telemetry"]``) is encoded as a first-class ``telemetry`` field
-and reconstructed on load, so a traced cell round-trips its full
+and reconstructed on load — from a dict at once, from a store section
+on its first read (:meth:`~repro.obs.telemetry.Telemetry.from_json`) —
+so a traced cell round-trips its full
 observability bundle through the store.  The only lossy corner is the
 rest of ``details``: values that are not JSON-shaped are dropped and
 recorded under ``details["_dropped"]``, and tuples come back as lists.
@@ -30,6 +34,7 @@ from repro.cluster.simtime import Phase, PhaseLog
 from repro.core.report import SolveReport
 from repro.faults.events import FaultClass, FaultEvent, FaultScope
 from repro.obs.export import telemetry_from_dict, telemetry_to_dict
+from repro.obs.telemetry import Telemetry
 from repro.power.energy import Charge, EnergyAccount, PhaseTag
 from repro.power.rapl import RaplDomain, RaplMeter
 
@@ -135,7 +140,8 @@ def report_json(report: SolveReport) -> str:
 
 
 def report_from_dict(data: dict) -> SolveReport:
-    """Decode :func:`report_to_dict` output."""
+    """Decode :func:`report_to_dict` output; its ``telemetry`` may also
+    be a bundle already (the store's unbuilt one), kept as it is."""
     account = EnergyAccount()
     for tag, time_s, energy_j in data["account"]:
         account.charges[PhaseTag(tag)] = Charge(time_s=time_s, energy_j=energy_j)
@@ -166,8 +172,13 @@ def report_from_dict(data: dict) -> SolveReport:
         else TrafficCounters(**data["traffic"])
     )
     details = dict(data["details"])
-    if data.get("telemetry") is not None:
-        details["telemetry"] = telemetry_from_dict(data["telemetry"])
+    telemetry = data.get("telemetry")
+    if telemetry is not None:
+        details["telemetry"] = (
+            telemetry
+            if isinstance(telemetry, Telemetry)
+            else telemetry_from_dict(telemetry)
+        )
     return SolveReport(
         scheme=data["scheme"],
         converged=data["converged"],

@@ -8,20 +8,36 @@ Layout (default root ``.repro-cache/``)::
 
 A payload file is one frame::
 
-    magic (8 bytes) | SHA-256 of everything after it (32 bytes)
+    magic "REPRO\0F8" (8 bytes) | SHA-256 of everything after it (32 bytes)
     | JSON header length (uint64 LE)
-    | JSON header: {"key", "cell", "report" minus residual_history}
+    | JSON header: {"key", "cell", "report" minus residual_history
+                    and telemetry}, keys sorted
+    | telemetry section length (uint64 LE; 0 for an untraced report)
+    | telemetry section: the report's telemetry as JSON, in
+      telemetry_to_dict's key order
     | residual_history as raw little-endian float64
 
 The digest covers every byte after it and is checked before anything is
 parsed, so a truncated or bit-flipped file is a miss (its row is dropped
 and the cell recomputed), never a wrong cached answer; so is a sound
 frame whose header records another cell's key.  The history is stored
-as the exact bytes of its doubles; the header is :func:`~repro.campaign.serialize.
-report_to_dict`'s JSON, so the HTTP and diff shapes do not change.
+as the exact bytes of its doubles; the header and the section are
+:func:`~repro.campaign.serialize.report_to_dict`'s JSON, so the HTTP and
+diff shapes do not change.  The section is handed back unparsed: a
+read report's telemetry builds itself on first use
+(:meth:`~repro.obs.telemetry.Telemetry.from_json`), and until then
+re-encodes to the same dict, unsorted, as the report it was computed as.
+Frames that format 7 wrote first (magic ``REPRO\0F7``) have no section
+and keep the telemetry in the header; they decode, built at once.
 Payloads written before format 7 are ``.json`` files holding the whole
 record as JSON: they stay listable (:meth:`ResultStore.entries`,
 :meth:`ResultStore.entry_by_key`) and are never served for a cell.
+
+A store that opens a new ``index.db`` over payload frames already on
+disk (the old index deleted, say, because it was damaged) rebuilds it
+from them: each frame whose digest checks out and whose header records
+the key its file is named for gets its row back, with no compute time
+and the file's modification time as its creation time.
 
 Every cell is keyed by a SHA-256 **content hash** over the complete
 :class:`~repro.harness.experiment.ExperimentConfig`, the scheme name,
@@ -60,6 +76,7 @@ from repro.campaign.serialize import report_from_dict, report_to_dict
 from repro.campaign.spec import CampaignCell
 from repro.core.report import SolveReport
 from repro.harness.experiment import ExperimentConfig
+from repro.obs.telemetry import Telemetry
 
 #: Bump when the payload schema or hashed key material changes shape.
 #: 2: telemetry payload field + ExperimentConfig.trace in the key.
@@ -76,13 +93,17 @@ DEFAULT_ROOT = Path(".repro-cache")
 #: ``index.db`` before it raises :class:`StoreLockedError`, seconds.
 BUSY_TIMEOUT_S = 30.0
 
-#: First bytes of every frame.  A payload file that starts otherwise is
-#: a pre-7 JSON payload.
-_FRAME_MAGIC = b"REPRO\x00F7"
+#: First bytes of every frame written now, and of a frame without a
+#: telemetry section (written before it had one).  A payload file that
+#: starts otherwise is a pre-7 JSON payload.
+_FRAME_MAGIC, _F7_MAGIC = b"REPRO\x00F8", b"REPRO\x00F7"
 
 #: Where a frame's fields start: the SHA-256 of everything from the
 #: header length on, the header length (uint64 LE), the JSON header.
 _DIGEST_AT, _LENGTH_AT, _HEADER_AT = 8, 40, 48
+
+#: Bytes of a section length field (uint64 LE).
+_LENGTH_SIZE = _HEADER_AT - _LENGTH_AT
 
 #: Payload file suffixes: frames, then pre-7 JSON payloads.
 _FRAME_SUFFIX, _JSON_SUFFIX = ".frame", ".json"
@@ -161,25 +182,35 @@ def cell_key(cell: CampaignCell) -> str:
     return key
 
 
-def _frame(payload: dict, history) -> bytes:
+def _frame(payload: dict, telemetry: dict | None, history) -> bytes:
     """A payload file's bytes: ``payload`` as the JSON header, then
-    ``history`` as raw float64 (module docstring)."""
+    ``telemetry`` as the section, then ``history`` as raw float64
+    (module docstring)."""
     header = json.dumps(payload, sort_keys=True).encode()
-    header_len = len(header).to_bytes(_HEADER_AT - _LENGTH_AT, "little")
+    section = b"" if telemetry is None else json.dumps(telemetry).encode()
     column = np.asarray(history, dtype=_COLUMN_DTYPE).tobytes()
-    digest = hashlib.sha256(header_len)
-    digest.update(header)
-    digest.update(column)
-    return b"".join((_FRAME_MAGIC, digest.digest(), header_len, header, column))
+    body = (
+        len(header).to_bytes(_LENGTH_SIZE, "little"),
+        header,
+        len(section).to_bytes(_LENGTH_SIZE, "little"),
+        section,
+        column,
+    )
+    digest = hashlib.sha256()
+    for part in body:
+        digest.update(part)
+    return b"".join((_FRAME_MAGIC, digest.digest(), *body))
 
 
 def _unframe(blob: bytes) -> dict | None:
     """The payload a frame holds, its history back under
-    ``report.residual_history`` as an array of its own; ``None`` unless
-    the digest matches and the header parses."""
+    ``report.residual_history`` as an array of its own and its telemetry
+    section under ``report.telemetry`` as an unbuilt bundle; ``None``
+    unless the digest matches and the header parses."""
+    magic = blob[:_DIGEST_AT]
     if (
         len(blob) < _HEADER_AT
-        or blob[:_DIGEST_AT] != _FRAME_MAGIC
+        or magic not in (_FRAME_MAGIC, _F7_MAGIC)
         or hashlib.sha256(memoryview(blob)[_LENGTH_AT:]).digest()
         != blob[_DIGEST_AT:_LENGTH_AT]
     ):
@@ -187,9 +218,17 @@ def _unframe(blob: bytes) -> dict | None:
     column_at = _HEADER_AT + int.from_bytes(blob[_LENGTH_AT:_HEADER_AT], "little")
     try:
         payload = json.loads(blob[_HEADER_AT:column_at])
+        report = payload["report"]
+        if magic == _FRAME_MAGIC:
+            section_at = column_at + _LENGTH_SIZE
+            column_at = section_at + int.from_bytes(
+                blob[column_at:section_at], "little"
+            )
+            if column_at > section_at:
+                report["telemetry"] = Telemetry.from_json(blob[section_at:column_at])
         # frombuffer rejects a column that is past the end or not whole
         # floats; astype copies, so the array owns its memory
-        payload["report"]["residual_history"] = np.frombuffer(
+        report["residual_history"] = np.frombuffer(
             blob, dtype=_COLUMN_DTYPE, offset=column_at
         ).astype(np.float64)
     except (ValueError, KeyError, TypeError):
@@ -197,9 +236,10 @@ def _unframe(blob: bytes) -> dict | None:
     return payload
 
 
-def _read_bytes(path: Path) -> bytes | None:
+def _read_bytes(path: str) -> bytes | None:
     try:
-        return path.read_bytes()
+        with open(path, "rb") as f:
+            return f.read()
     except OSError:
         return None
 
@@ -289,6 +329,7 @@ class ResultStore:
         self.root = Path(root)
         self.payload_dir = self.root / "payloads"
         self.payload_dir.mkdir(parents=True, exist_ok=True)
+        self._payload_root = str(self.payload_dir)
         # One connection shared across threads: the serving tier reads
         # and writes from worker-pool threads, so the connection is
         # opened with check_same_thread=False and every statement runs
@@ -296,13 +337,17 @@ class ResultStore:
         # WAL + busy_timeout handle concurrent *processes* on the same
         # store; the lock handles concurrent threads on this handle.
         self._lock = threading.RLock()
+        index = self.root / "index.db"
+        fresh = not index.exists()
         self._db = sqlite3.connect(
-            self.root / "index.db", timeout=BUSY_TIMEOUT_S, check_same_thread=False
+            index, timeout=BUSY_TIMEOUT_S, check_same_thread=False
         )
         self._db.executescript(_SCHEMA)
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute(f"PRAGMA busy_timeout={round(BUSY_TIMEOUT_S * 1000)}")
         self._db.commit()
+        if fresh:
+            self._reindex()
         #: Lookup counters since open: ``hits`` counts get_entry() calls
         #: served a report, ``misses`` the rest.  Surfaced by stats()
         #: and the serving tier's /v1/store/stats endpoint.
@@ -337,8 +382,60 @@ class ResultStore:
                     f"{BUSY_TIMEOUT_S:g}s"
                 ) from exc
 
+    def _payload_file(self, key: str) -> str:
+        """Where ``key``'s frame lives.  A string, not a ``Path``, for the
+        read path: pathlib interns every name it parses, and a ``Path``
+        per cached read churned the interpreter's interned-string table
+        until it grew by 1.9 MB (after about 240 resume passes of 84
+        cells)."""
+        return os.path.join(self._payload_root, key[:2], key + _FRAME_SUFFIX)
+
     def _payload_path(self, key: str) -> Path:
-        return self.payload_dir / key[:2] / f"{key}{_FRAME_SUFFIX}"
+        return Path(self._payload_file(key))
+
+    def _index(self, db, key: str, entry: StoreEntry) -> None:
+        """Write ``entry``'s row under ``key`` (``db`` is the handle
+        :meth:`_writing` yields)."""
+        cfg, report = entry.cell.config, entry.report
+        db.execute(
+            "INSERT OR REPLACE INTO results VALUES "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                key,
+                cfg.matrix,
+                entry.cell.scheme,
+                cfg.nranks,
+                cfg.n_faults,
+                cfg.seed,
+                cfg.scale,
+                str(cfg.cr_interval),
+                cfg.tol,
+                int(report.converged),
+                report.iterations,
+                report.time_s,
+                report.energy_j,
+                entry.elapsed_s,
+                entry.created_at,
+                str(self._payload_path(key).relative_to(self.root)),
+            ),
+        )
+
+    def _reindex(self) -> None:
+        """Give each sound frame on disk its row back (module docstring):
+        run when this store opened an index it had to create."""
+        with self._writing() as db:
+            for path in self.payload_dir.glob(f"*/*{_FRAME_SUFFIX}"):
+                key = path.stem
+                try:
+                    payload = _unframe(path.read_bytes())
+                    if payload is None or payload.get("key") != key:
+                        continue
+                    entry = entry_from_payload(
+                        payload, created_at=path.stat().st_mtime
+                    )
+                except (OSError, ValueError, KeyError, TypeError):
+                    continue  # gone since the listing, or not this code's
+                self._index(db, key, entry)
 
     def __contains__(self, cell: CampaignCell) -> bool:
         return self.get_entry(cell) is not None
@@ -395,13 +492,13 @@ class ResultStore:
         records another key (a file copied or renamed onto this path)
         is damaged too.
         """
-        path = self._payload_path(key)
+        path = self._payload_file(key)
         blob = _read_bytes(path)
         if blob is None:
-            blob = _read_bytes(path.with_suffix(_JSON_SUFFIX))
+            blob = _read_bytes(path[: -len(_FRAME_SUFFIX)] + _JSON_SUFFIX)
         if blob is None:
             return None
-        framed = blob.startswith(_FRAME_MAGIC)
+        framed = blob[:_DIGEST_AT] in (_FRAME_MAGIC, _F7_MAGIC)
         try:
             payload = _unframe(blob) if framed else json.loads(blob)
         except ValueError:
@@ -422,38 +519,20 @@ class ResultStore:
         path = self._payload_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = payload_dict(cell, report)
-        del payload["report"]["residual_history"]  # the frame's float64 column
+        record = payload["report"]
+        del record["residual_history"]  # the frame's float64 column
+        telemetry = record.pop("telemetry")  # the frame's telemetry section
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
-            tmp.write_bytes(_frame(payload, report.residual_history))
+            tmp.write_bytes(_frame(payload, telemetry, report.residual_history))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)  # e.g. ENOSPC mid-write
             raise
-        cfg = cell.config
         with self._writing() as db:
             replaced = self._index_row(key) is not None
-            db.execute(
-                "INSERT OR REPLACE INTO results VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    key,
-                    cfg.matrix,
-                    cell.scheme,
-                    cfg.nranks,
-                    cfg.n_faults,
-                    cfg.seed,
-                    cfg.scale,
-                    str(cfg.cr_interval),
-                    cfg.tol,
-                    int(report.converged),
-                    report.iterations,
-                    report.time_s,
-                    report.energy_j,
-                    elapsed_s,
-                    time.time(),
-                    str(path.relative_to(self.root)),
-                ),
+            self._index(
+                db, key, StoreEntry(key, cell, report, elapsed_s, time.time())
             )
             if replaced:
                 self.overwrites += 1

@@ -512,9 +512,10 @@ def _store(args) -> ResultStore | None:
 
 
 def _open_existing_store(args) -> ResultStore:
-    """The store ``--store`` names, which must already hold results."""
+    """The store ``--store`` names, which must already hold results: an
+    index, or payloads to rebuild a deleted one from."""
     root = _store_root(args)
-    if not (root / "index.db").exists():
+    if not ((root / "index.db").exists() or (root / "payloads").is_dir()):
         raise SystemExit(f"no result store at {root}")
     return ResultStore(root)
 

@@ -6,11 +6,14 @@ store's payload (and so in every line of a ``repro trace --export``
 file, which holds store payloads); :func:`telemetry_from_dict` inverts
 it exactly: floats survive (shortest-repr decimals parse back to
 identical doubles) and ordering is preserved, so a decoded bundle
-re-encodes byte for byte.
+re-encodes byte for byte.  A bundle the store handed back unbuilt
+(:meth:`~repro.obs.telemetry.Telemetry.from_json`) encodes as its
+stored text parsed, with no event, span or metric object built.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 
 from repro.harness.tracing import (
@@ -65,6 +68,9 @@ def event_from_row(row: dict) -> TraceEvent:
 # ----------------------------------------------------------------------
 def telemetry_to_dict(tel: Telemetry) -> dict:
     """Encode a telemetry bundle as one JSON-shaped dict."""
+    text = tel.stored_json
+    if text is not None:
+        return json.loads(text)
     return {
         "timebase": tel.timebase,
         "events": [event_to_row(e) for e in tel.events.events],

@@ -40,7 +40,6 @@ import sys
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from logging.handlers import RotatingFileHandler
 from pathlib import Path
 
 #: Severity order, least to most severe.
@@ -277,6 +276,8 @@ def configure_logging(
         old.close()
     logger.addHandler(json_handler(_StderrHandler()))
     if file is not None:
+        from logging.handlers import RotatingFileHandler
+
         Path(file).parent.mkdir(parents=True, exist_ok=True)
         rotating = RotatingFileHandler(
             file, maxBytes=MAX_BYTES, backupCount=BACKUPS, encoding="utf-8"

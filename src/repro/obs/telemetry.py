@@ -9,12 +9,17 @@ or wall-clock seconds (harness/campaign).
 
 The solver attaches its telemetry to ``SolveReport.details["telemetry"]``;
 the campaign serializer round-trips the whole bundle through the result
-store.
+store.  A bundle read back from a store frame starts out as the JSON
+text of its section (:meth:`Telemetry.from_json`) and builds its events,
+spans and metrics together on the first read of any field, so a reader
+that never looks at them — a cached resume, a reply, an export — builds
+none of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import dataclass, field, fields, replace
 
 from repro.harness.tracing import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -35,7 +40,45 @@ class Telemetry:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: "sim" — timestamps are simulated cluster seconds (deterministic,
     #: bit-identical across serial/parallel runs); "wall" — real time.
-    timebase: str = "wall"
+    #: A factory rather than a plain default, so that the class has no
+    #: ``timebase`` attribute to answer for a bundle not yet built.
+    timebase: str = field(default_factory=lambda: "wall")
+
+    @classmethod
+    def from_json(cls, text: bytes) -> "Telemetry":
+        """A bundle held as ``text``, the JSON of
+        :func:`~repro.obs.export.telemetry_to_dict`, until a field is
+        read.  A pickle or copy of it carries the text."""
+        tel = cls.__new__(cls)
+        tel.__dict__["_json"] = text
+        return tel
+
+    @property
+    def stored_json(self) -> bytes | None:
+        """The JSON text a bundle from :meth:`from_json` still is;
+        ``None`` once it is built, and for a bundle built in memory."""
+        return self.__dict__.get("_json")
+
+    def __getattr__(self, name: str):
+        # Only reached for an attribute the instance lacks: on a bundle
+        # from from_json, each of its fields until it is built.  Another
+        # thread may be building it too, or have just finished: fields
+        # already set win, so every thread hands out the same objects.
+        state = self.__dict__
+        if name in _FIELDS:
+            text = state.get("_json")
+            if text is not None:
+                from repro.obs import export
+
+                built = export.telemetry_from_dict(json.loads(text))
+                for f in _FIELDS:
+                    state.setdefault(f, getattr(built, f))
+                state.pop("_json", None)
+            if name in state:
+                return state[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     @classmethod
     def for_solver(cls, clock) -> "Telemetry":
@@ -51,6 +94,9 @@ class Telemetry:
             "recovery.latency_s", buckets=RECOVERY_LATENCY_BUCKETS,
             scheme=scheme,
         )
+
+
+_FIELDS = tuple(f.name for f in fields(Telemetry))
 
 
 def annotate_root_span(report, name: str, value: str) -> None:

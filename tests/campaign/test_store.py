@@ -8,6 +8,7 @@ import pickle
 import shutil
 import sqlite3
 import struct
+import sys
 import threading
 import time
 from dataclasses import asdict, replace
@@ -32,6 +33,9 @@ from repro.campaign.store import (
     cell_key,
 )
 from repro.harness.experiment import Experiment, ExperimentConfig
+from repro.obs import export as export_module
+from repro.obs.export import telemetry_from_dict, telemetry_to_dict
+from repro.obs.telemetry import annotate_root_span
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +46,51 @@ def solved():
     )
     cell = CampaignCell(exp.config, "LI")
     return cell, exp.run("LI")
+
+
+@pytest.fixture(scope="module")
+def traced_solved():
+    """The same solve, traced: its frame carries a telemetry section."""
+    exp = Experiment(
+        ExperimentConfig(
+            matrix="wathen100", nranks=8, n_faults=2, scale=0.25, trace=True
+        )
+    )
+    cell = CampaignCell(exp.config, "LI")
+    return cell, exp.run("LI")
+
+
+def frame_bytes(magic: bytes, *sections: bytes) -> bytes:
+    """A frame spelled out: magic, the SHA-256 of the rest, then each
+    section behind its uint64 LE length, then the float64 column (the
+    last section, which has no length)."""
+    *sized, column = sections
+    body = b"".join(struct.pack("<Q", len(b)) + b for b in sized) + column
+    return magic + hashlib.sha256(body).digest() + body
+
+
+def expected_frame(key, cell, report, layout: str = "F8") -> bytes:
+    """The frame ``put`` writes for ``report`` in the current layout,
+    or (``layout="F7"``) the one format 7 wrote first: no telemetry
+    section, the telemetry inside the header."""
+    record = report_to_dict(report)
+    del record["residual_history"]
+    telemetry = record.pop("telemetry")
+    if layout == "F7":
+        record["telemetry"] = telemetry
+    header = json.dumps(
+        {
+            "key": key,
+            "cell": {"config": asdict(cell.config), "scheme": cell.scheme},
+            "report": record,
+        },
+        sort_keys=True,
+    ).encode()
+    column = np.asarray(report.residual_history, dtype="<f8").tobytes()
+    if layout == "F7":
+        return frame_bytes(b"REPRO\x00F7", header, column)
+    section = b"" if telemetry is None else json.dumps(telemetry).encode()
+    return frame_bytes(b"REPRO\x00F8", header, section, column)
 
 
 def assert_reports_equal(a, b):
@@ -268,31 +317,27 @@ class TestIdentityInvariants:
         assert moved.label == from_scratch(moved) != label
         assert moved.label.endswith("/RD")
 
-    def test_stored_payload_is_one_frame(self, store, solved):
+    def test_stored_payload_is_one_frame(self, store, solved, traced_solved):
         """The file ``put`` writes, spelled out field by field: magic,
         SHA-256 of the rest, header length, the JSON record without its
-        residual history (``asdict`` config record), then the history's
-        float64 bytes."""
-        cell, report = solved
-        key = store.put(cell, report)
-        record = report_to_dict(report)
-        del record["residual_history"]
-        header = json.dumps(
-            {
-                "key": key,
-                "cell": {"config": asdict(cell.config), "scheme": cell.scheme},
-                "report": record,
-            },
-            sort_keys=True,
-        ).encode()
-        column = np.asarray(report.residual_history, dtype="<f8").tobytes()
-        assert len(column) == 8 * len(report.residual_history) > 0
-        body = struct.pack("<Q", len(header)) + header + column
-        expected = b"REPRO\x00F7" + hashlib.sha256(body).digest() + body
-        path = store._payload_path(key)
-        assert path.name == f"{key}.frame"
-        assert path.read_bytes() == expected
-        assert store.payload_files() == [path]
+        residual history and telemetry (``asdict`` config record), the
+        telemetry section's length, the section (empty when untraced;
+        unsorted, in ``telemetry_to_dict``'s order when traced), then the
+        history's float64 bytes."""
+        paths = []
+        for cell, report in (solved, traced_solved):
+            key = store.put(cell, report)
+            assert 8 * len(report.residual_history) > 0
+            path = store._payload_path(key)
+            assert path.name == f"{key}.frame"
+            assert path.read_bytes() == expected_frame(key, cell, report)
+            paths.append(path)
+        untraced, traced = (p.read_bytes() for p in paths)
+        header_len = struct.unpack_from("<Q", untraced, 40)[0]
+        assert struct.unpack_from("<Q", untraced, 48 + header_len)[0] == 0
+        section_at = 56 + struct.unpack_from("<Q", traced, 40)[0]
+        assert traced[section_at : section_at + 13] == b'{"timebase": '
+        assert store.payload_files() == sorted(paths)
 
     def test_entry_by_key_is_one_probe_and_one_read(self, store, solved):
         cell, report = solved
@@ -711,9 +756,20 @@ def _flip(path, offset: int) -> None:
     path.write_bytes(bytes(blob))
 
 
-def _column_at(path) -> int:
+def _section_at(path) -> int:
+    """The offset of the telemetry section's first byte."""
     header_len = struct.unpack_from("<Q", path.read_bytes(), _LENGTH_AT)[0]
-    return _HEADER_AT + header_len
+    return _HEADER_AT + header_len + 8
+
+
+def _column_at(path) -> int:
+    at = _section_at(path)
+    return at + struct.unpack_from("<Q", path.read_bytes(), at - 8)[0]
+
+
+def _mid_section(path) -> int:
+    """The offset of the telemetry section's middle byte."""
+    return (_section_at(path) + _column_at(path)) // 2
 
 
 def _mid_column(path) -> int:
@@ -728,6 +784,8 @@ def _pre7_json_renamed(path) -> None:
     payload = store_module._unframe(path.read_bytes())
     report = payload["report"]
     report["residual_history"] = report["residual_history"].tolist()
+    if "telemetry" in report:
+        report["telemetry"] = telemetry_to_dict(report["telemetry"])
     legacy = path.with_suffix(".json")
     legacy.write_text(json.dumps(payload, sort_keys=True))
     legacy.replace(path)
@@ -735,7 +793,12 @@ def _pre7_json_renamed(path) -> None:
 
 #: Each way a stored frame can be damaged on disk.
 DAMAGE = {
-    "header_byte_flipped": lambda p: _flip(p, (_HEADER_AT + _column_at(p)) // 2),
+    "header_byte_flipped": lambda p: _flip(p, (_HEADER_AT + _section_at(p)) // 2),
+    "telemetry_byte_flipped": lambda p: _flip(p, _mid_section(p)),
+    "first_telemetry_byte_flipped": lambda p: _flip(p, _section_at(p)),
+    "truncated_mid_telemetry": lambda p: p.write_bytes(
+        p.read_bytes()[: _mid_section(p)]
+    ),
     "column_byte_flipped": lambda p: _flip(p, _mid_column(p) + 3),
     "digest_byte_flipped": lambda p: _flip(p, _DIGEST_AT + 5),
     # cut on a float boundary, so only the digest can tell
@@ -754,7 +817,8 @@ DAMAGE = {
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """A finished one-scheme campaign (FF + LI), its store closed."""
+    """A finished traced one-scheme campaign (FF + LI), its store
+    closed: every frame has a header, a telemetry section and a column."""
     from repro.campaign import run_campaign
     from repro.campaign.spec import CampaignSpec
 
@@ -765,6 +829,7 @@ def pristine(tmp_path_factory):
         nranks=(8,),
         fault_loads=(2,),
         scale=0.25,
+        trace=True,
     )
     root = tmp_path_factory.mktemp("pristine")
     with ResultStore(root) as store:
@@ -852,3 +917,173 @@ class TestColumnRoundTrip:
         assert history.dtype == np.float64
         assert history.flags.writeable and history.flags.owndata
         np.testing.assert_array_equal(history.view(np.uint64), bits)
+
+
+class TestTelemetrySection:
+    """A traced report read from a frame holds its telemetry as the
+    frame's section, built on the first read of a field."""
+
+    @pytest.fixture()
+    def read(self, store, traced_solved):
+        cell, report = traced_solved
+        store.put(cell, report)
+        return store.get(cell)
+
+    def test_encoding_an_unbuilt_bundle_builds_nothing(
+        self, read, traced_solved, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(
+            export_module, "telemetry_from_dict", lambda d: built.append(d)
+        )
+        tel = read.details["telemetry"]
+        assert tel.stored_json is not None
+        computed = telemetry_to_dict(traced_solved[1].details["telemetry"])
+        assert json.dumps(telemetry_to_dict(tel)) == json.dumps(computed)
+        assert json.dumps(report_to_dict(read)["telemetry"]) == json.dumps(computed)
+        assert built == [] and tel.stored_json is not None
+
+    def test_its_timebase_is_the_stored_one(self, read):
+        tel = read.details["telemetry"]
+        assert tel.timebase == "sim"  # not a class default read in its place
+        assert tel.stored_json is None
+
+    def test_it_equals_the_eagerly_built_bundle(self, read, traced_solved):
+        eager = telemetry_from_dict(
+            telemetry_to_dict(traced_solved[1].details["telemetry"])
+        )
+        assert read.details["telemetry"] == eager
+        assert eager == read.details["telemetry"]
+        assert read.details["telemetry"].spans.spans == eager.spans.spans
+
+    def test_a_pickle_carries_it_unbuilt(self, read):
+        tel = read.details["telemetry"]
+        again = pickle.loads(pickle.dumps(read, pickle.HIGHEST_PROTOCOL))
+        copied = again.details["telemetry"]
+        assert copied.stored_json == tel.stored_json is not None
+        assert copied == tel
+        assert copied.stored_json is None and tel.stored_json is None
+        assert report_to_dict(again) == report_to_dict(read)
+
+    def test_annotating_it_stamps_the_root_span_through_a_store_trip(
+        self, store, read, traced_solved
+    ):
+        cell, _ = traced_solved
+        annotate_root_span(read, "request_ids", "rid-1")
+        assert read.details["telemetry"].stored_json is None
+
+        def root_attrs(report):
+            spans = report.details["telemetry"].spans.spans
+            (root,) = [s for s in spans if s.name == "solve" and s.depth == 0]
+            return dict(root.attrs)
+
+        assert root_attrs(read)["request_ids"] == "rid-1"
+        store.put(cell, read)
+        assert root_attrs(store.get(cell))["request_ids"] == "rid-1"
+
+    def test_threads_reading_at_once_share_one_build(
+        self, store, traced_solved
+    ):
+        """Threads that build one bundle at once all get the objects it
+        keeps: a lost update would hand one of them a copy, whose
+        mutations (a root-span stamp) the bundle would never see."""
+        cell, report = traced_solved
+        store.put(cell, report)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                tel = store.get(cell).details["telemetry"]
+                barrier = threading.Barrier(6)
+                seen = []
+
+                def read(name):
+                    barrier.wait(timeout=10)
+                    seen.append((name, getattr(tel, name)))
+
+                threads = [
+                    threading.Thread(target=read, args=(name,))
+                    for name in ("events", "spans", "metrics") * 2
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert len(seen) == 6
+                assert all(obj is getattr(tel, name) for name, obj in seen)
+                assert tel.stored_json is None
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_a_format_7_frame_decodes_to_the_identical_report(
+        self, store, solved, traced_solved, traced
+    ):
+        cell, report = traced_solved if traced else solved
+        key = store.put(cell, report)
+        current = store.get(cell)
+        path = store._payload_path(key)
+        path.write_bytes(expected_frame(key, cell, report, layout="F7"))
+        old = store.get(cell)
+        assert old is not None and store.hits == 2
+        assert_reports_equal(old, report)
+        assert report_to_dict(old) == report_to_dict(current)
+        if traced:
+            # built from the header at once, to the section's bundle
+            assert old.details["telemetry"].stored_json is None
+            assert old.details["telemetry"] == current.details["telemetry"]
+
+
+class TestIndexRebuild:
+    """A store that opens a new ``index.db`` over frames on disk gives
+    each sound frame its row back; nothing else is indexed."""
+
+    def test_a_new_index_over_frames_gets_their_rows_back(
+        self, tmp_path, solved, traced_solved
+    ):
+        root = tmp_path / "cache"
+        damaged = CampaignCell(replace(solved[0].config, seed=11), "LI")
+        misnamed = CampaignCell(replace(solved[0].config, seed=12), "LI")
+        with ResultStore(root) as store:
+            for cell, report in (solved, traced_solved):
+                store.put(cell, report, elapsed_s=1.5)
+            rows = store._db.execute(
+                "SELECT * FROM results ORDER BY key"
+            ).fetchall()
+            _flip(store._payload_path(store.put(damaged, solved[1])), 60)
+            misnamed_frame = store._payload_path(store.put(misnamed, solved[1]))
+            elsewhere = store._payload_path("ab" * 32)
+            elsewhere.parent.mkdir(exist_ok=True)
+            misnamed_frame.rename(elsewhere)
+        (root / "index.db").unlink()
+        with ResultStore(root) as store:
+            rebuilt = store._db.execute(
+                "SELECT * FROM results ORDER BY key"
+            ).fetchall()
+            # the same rows, but no compute time and the file's mtime
+            assert [r[:13] + r[15:] for r in rebuilt] == [
+                r[:13] + r[15:] for r in rows
+            ]
+            for (cell, report), row in zip(
+                sorted((solved, traced_solved), key=lambda c: cell_key(c[0])),
+                rebuilt,
+            ):
+                entry = store.get_entry(cell)
+                assert (entry.elapsed_s, entry.created_at) == (
+                    0.0,
+                    store._payload_path(cell_key(cell)).stat().st_mtime,
+                ) == row[13:15]
+                assert_reports_equal(entry.report, report)
+            assert store.get_entry(damaged) is None
+            assert store.get_entry(misnamed) is None
+            assert len(store) == 2
+
+    def test_an_existing_index_is_not_rebuilt(self, tmp_path, solved):
+        cell, report = solved
+        with ResultStore(tmp_path / "cache") as store:
+            store.put(cell, report)
+            store._db.execute("DELETE FROM results")
+            store._db.commit()
+        with ResultStore(tmp_path / "cache") as store:
+            assert len(store) == 0 and store.get_entry(cell) is None

@@ -663,6 +663,27 @@ class TestCorruptIndex:
         assert message.startswith(f"unreadable result store index {index} (sqlite: ")
         assert message.endswith("delete it to rebuild the index")
 
+    def test_deleting_it_rebuilds_the_index(self, capsys, traced_store, tmp_path):
+        root = tmp_path / "cache"
+        shutil.copytree(traced_store, root)
+        index = root / "index.db"
+        blob = bytearray(index.read_bytes())
+        blob[100] ^= 0xFF
+        index.write_bytes(bytes(blob))
+        argv = [
+            "campaign", "--matrices", "wathen100", "--schemes", "RD", "F0",
+            "--ranks", "8", "--faults", "2", "--scale", "0.25",
+            "--trace", "--store", str(root),
+        ]
+        with pytest.raises(SystemExit):
+            main(argv)
+        index.unlink()
+        capsys.readouterr()
+        assert main(["report", "--store", str(root)]) == 0
+        assert "per-scheme rollup:" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "3 cells: 0 ran, 3 cached, 0 failed" in capsys.readouterr().out
+
 
 class TestDoctorCli:
     def test_doctor_passes_on_a_clean_store(self, capsys, traced_store):

@@ -2,10 +2,12 @@
 
 A process that only reads stored results — the benchmark's start-up
 probe, a resume over a fully cached store, ``repro report`` and
-``repro trace`` — must not import ``scipy.sparse`` or the solver stack.
-Each check runs in a fresh interpreter, since this test process has
-imported everything long ago.  ``repro doctor`` is not covered: its
-``model_divergence`` detector runs the analytic model.
+``repro trace`` — must not import ``scipy.sparse`` or the solver stack,
+and a resume no process-pool machinery either.  Each check runs in a
+fresh interpreter, since this test process has imported everything long
+ago.  ``repro doctor`` is not covered: its ``model_divergence`` detector
+runs the analytic model.  Nor does reading build what it does not read:
+a stored traced report builds its telemetry only when a field of it is.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ COMPUTE_SIDE = (
     "repro.matrices.generators",
 )
 
+#: Modules only a campaign that builds a worker pool may load.
+POOL_SIDE = ("multiprocessing", "concurrent.futures.process")
+
 #: A small traced grid under both engines: the stored fixture.
 SPEC = {
     "matrices": ["wathen100"],
@@ -67,7 +72,8 @@ from repro.harness.experiment import Experiment, ExperimentConfig
 spec, root = CampaignSpec(**json.loads(sys.argv[1])), sys.argv[2]
 cells = spec.cells()
 with ResultStore(root) as store:
-    result = run_campaign(spec, store=store)
+    result = run_campaign(spec, store=store, max_workers=2)
+pooled = [m for m in {POOL_SIDE!r} if m in sys.modules]
 from repro.cli import main
 
 codes = []
@@ -76,7 +82,7 @@ for command in ("report", "trace"):
         codes.append(main([command, "--store", root]))
 loaded = [m for m in {COMPUTE_SIDE!r} if m in sys.modules]
 print(json.dumps({{"cached": result.n_cached, "cells": len(cells),
-                  "codes": codes, "loaded": loaded}}))
+                  "codes": codes, "loaded": loaded, "pooled": pooled}}))
 
 from repro.campaign.serialize import report_json
 
@@ -131,6 +137,35 @@ class TestReadSide:
         assert summary["cached"] == summary["cells"] == 8
         assert summary["codes"] == [0, 0]
         assert summary["loaded"] == []
+
+    def test_a_cached_resume_loads_no_pool_module(self, read_then_solve):
+        summary, _ = read_then_solve
+        assert summary["cached"] == summary["cells"]
+        assert summary["pooled"] == []
+
+    def test_stored_telemetry_builds_only_when_a_field_is_read(
+        self, full_store, monkeypatch
+    ):
+        from repro.campaign.serialize import report_to_dict
+        from repro.obs import export
+
+        built = []
+        real = export.telemetry_from_dict
+        monkeypatch.setattr(
+            export, "telemetry_from_dict", lambda d: built.append(d) or real(d)
+        )
+        with ResultStore(full_store) as store:
+            result = run_campaign(CampaignSpec(**SPEC), store=store)
+            assert result.n_cached == len(result.results) == 8
+            for r in result.results:
+                report_to_dict(r.report)
+            assert built == []
+            for field in ("events", "spans", "metrics"):
+                for n, r in enumerate(result.results, 1):
+                    entry = store.get_entry(r.cell)
+                    getattr(entry.report.details["telemetry"], field)
+                    assert len(built) == n
+                built.clear()
 
     def test_a_solve_after_reading_matches_a_fresh_process(self, read_then_solve):
         _, after_reading = read_then_solve
