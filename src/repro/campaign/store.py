@@ -107,6 +107,8 @@ _LENGTH_SIZE = _HEADER_AT - _LENGTH_AT
 
 #: Payload file suffixes: frames, then pre-7 JSON payloads.
 _FRAME_SUFFIX, _JSON_SUFFIX = ".frame", ".json"
+#: The payload directory under a store's root.
+_PAYLOADS = "payloads"
 
 #: The residual history column's on-disk dtype.
 _COLUMN_DTYPE = np.dtype("<f8")
@@ -244,6 +246,11 @@ def _read_bytes(path: str) -> bytes | None:
         return None
 
 
+def _write_bytes(path: str, data: bytes) -> None:
+    with open(path, "wb") as f:
+        f.write(data)
+
+
 class StoreLockedError(sqlite3.OperationalError):
     """Another connection held the index's write lock for longer than
     :data:`BUSY_TIMEOUT_S`.  Nothing of the write was committed."""
@@ -327,7 +334,7 @@ class ResultStore:
 
     def __init__(self, root: str | Path = DEFAULT_ROOT) -> None:
         self.root = Path(root)
-        self.payload_dir = self.root / "payloads"
+        self.payload_dir = self.root / _PAYLOADS
         self.payload_dir.mkdir(parents=True, exist_ok=True)
         self._payload_root = str(self.payload_dir)
         # One connection shared across threads: the serving tier reads
@@ -390,9 +397,6 @@ class ResultStore:
         cells)."""
         return os.path.join(self._payload_root, key[:2], key + _FRAME_SUFFIX)
 
-    def _payload_path(self, key: str) -> Path:
-        return Path(self._payload_file(key))
-
     def _index(self, db, key: str, entry: StoreEntry) -> None:
         """Write ``entry``'s row under ``key`` (``db`` is the handle
         :meth:`_writing` yields)."""
@@ -416,7 +420,7 @@ class ResultStore:
                 report.energy_j,
                 entry.elapsed_s,
                 entry.created_at,
-                str(self._payload_path(key).relative_to(self.root)),
+                os.path.join(_PAYLOADS, key[:2], key + _FRAME_SUFFIX),
             ),
         )
 
@@ -516,18 +520,25 @@ class ResultStore:
     ) -> str:
         """Persist one result; returns its key.  Last writer wins."""
         key = cell_key(cell)
-        path = self._payload_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        # string paths, as on the read path (_payload_file); the shard
+        # directory is made on every put, since nothing keeps it there
+        # after open (another process may have pruned the store)
+        shard = os.path.join(self._payload_root, key[:2])
+        os.makedirs(shard, exist_ok=True)
+        path = os.path.join(shard, key + _FRAME_SUFFIX)
         payload = payload_dict(cell, report)
         record = payload["report"]
         del record["residual_history"]  # the frame's float64 column
         telemetry = record.pop("telemetry")  # the frame's telemetry section
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+        tmp = os.path.join(
+            shard, f"{key}.tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         try:
-            tmp.write_bytes(_frame(payload, telemetry, report.residual_history))
+            _write_bytes(tmp, _frame(payload, telemetry, report.residual_history))
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)  # e.g. ENOSPC mid-write
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)  # e.g. ENOSPC mid-write
             raise
         with self._writing() as db:
             replaced = self._index_row(key) is not None

@@ -30,10 +30,12 @@ never changes **what** is computed.  Two backends ship:
   identical order as the global kernel restricted to those rows.
 * Slice axpys: elementwise updates on ``x[sl]`` produce the same bits
   as the global update — element ``i`` never sees element ``j``.
-* Reductions: both backends call the same global ``np.dot`` /
-  ``np.linalg.norm``.  A rank-partial partial-sum tree would accumulate
-  in a different order — that is the one place the documented tolerance
-  policy (§5j) would downgrade a field from *bitwise* to *ulp-bounded*.
+* Reductions: both backends make the same global BLAS ``dot`` call —
+  ``np.dot``, ``ndarray.dot`` and ``np.linalg.norm`` (``sqrt`` of
+  ``x.dot(x)``) all reach it.  A rank-partial partial-sum tree would
+  accumulate in a different order — that is the one place the
+  documented tolerance policy (§5j) would downgrade a field from
+  *bitwise* to *ulp-bounded*.
 
 Backends preserve the ``step_span`` contract exactly — same residual
 history, same early exit on convergence, same stop-before-breakdown —
@@ -55,14 +57,17 @@ DEFAULT_BACKEND = "batched"
 PRECONDITIONERS = ("jacobi",)
 
 
-def csr_matvec(a):
-    """``apply(v, out=None)``: the product ``a @ v``, bit for bit.
+def csr_kernel(a):
+    """``(kernel, operands)``: after ``out.fill(0.0)``, the call
+    ``kernel(*operands, v, out)`` writes the product ``a @ v`` into
+    ``out``, bit for bit.
 
     For a float64 CSR matrix, ``a @ v`` is exactly ``zeros(m)`` plus
-    scipy's ``csr_matvec`` kernel (scipy's ``_matmul_vector``), so
-    ``apply`` calls the kernel directly and skips the spmatrix dispatch.
-    With ``out`` it writes into that buffer instead of a fresh one.  Any
-    other matrix falls back to ``a @ v``.
+    scipy's ``csr_matvec`` kernel (scipy's ``_matmul_vector``), which
+    adds each row's sum onto ``out``; ``kernel`` is that kernel and
+    ``operands`` its ``(m, n, indptr, indices, data)``, so a hot loop
+    calls it with no Python frame between.  Any other matrix gets a
+    ``kernel`` that assigns ``a @ v`` and no operands.
     """
     try:  # scipy's raw CSR mat-vec kernel; bypasses the spmatrix dispatch
         from scipy.sparse._sparsetools import csr_matvec as kernel
@@ -70,22 +75,27 @@ def csr_matvec(a):
         kernel = None
     if kernel is None or a.format != "csr" or a.dtype != np.float64:
 
-        def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            if out is None:
-                return a @ v
+        def assign(v: np.ndarray, out: np.ndarray) -> None:
             out[:] = a @ v
-            return out
 
-        return apply
+        return assign, ()
     m, n = a.shape
-    indptr, indices, data = a.indptr, a.indices, a.data
+    return kernel, (m, n, a.indptr, a.indices, a.data)
+
+
+def csr_matvec(a):
+    """``apply(v, out=None)``: the product ``a @ v``, bit for bit
+    (:func:`csr_kernel`).  With ``out`` it writes into that buffer
+    instead of a fresh one."""
+    kernel, operands = csr_kernel(a)
+    m = a.shape[0]
 
     def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.zeros(m)
         else:
             out.fill(0.0)
-        kernel(m, n, indptr, indices, data, v, out)
+        kernel(*operands, v, out)
         return out
 
     return apply
@@ -149,12 +159,10 @@ class BatchedBackend(SolverBackend):
         a = cg.dmat.a
         x, r, p, rz = st.x, st.r, st.p, st.rz
         n = a.shape[0]
-        spmv = csr_matvec(a)
+        kernel, operands = csr_kernel(a)
         hist = np.empty(max_steps, dtype=np.float64)
         isfinite = math.isfinite
         sqrt = math.sqrt
-        norm = np.linalg.norm
-        dot = np.dot
         multiply = np.multiply
         add = np.add
         subtract = np.subtract
@@ -166,33 +174,44 @@ class BatchedBackend(SolverBackend):
         # order, so no bits change — only the per-iteration allocations
         # disappear.  ``p`` is (re)assigned to a fresh array on entry so
         # the in-place update never mutates a caller-visible vector
-        # mid-span.
+        # mid-span.  The loop pays no numpy dispatch it can avoid
+        # (DESIGN.md §5j): ``alpha`` and ``beta`` reach the ufuncs through
+        # the 0-d float64 ``scalar``, the dots are ``ndarray.dot`` (the
+        # BLAS call ``np.dot`` makes), the Jacobi residual norm is
+        # ``sqrt(r.dot(r))`` (what ``np.linalg.norm`` computes), and the
+        # SpMV is scipy's kernel called inline.
         q = np.empty(n)
         tmp = np.empty(n)
+        z = r if minv is None else np.empty(n)
+        scalar = np.empty(())
         p = p.copy()
+        p_dot, r_dot = p.dot, r.dot
+        fill = q.fill
         taken = 0
         breakdown = False
         for _ in range(max_steps):
-            spmv(p, q)
-            pq = float(dot(p, q))
+            fill(0.0)
+            kernel(*operands, p, q)
+            pq = float(p_dot(q))
             if pq <= 0 or not isfinite(pq):
                 breakdown = True
                 break
-            alpha = rz / pq
-            multiply(p, alpha, out=tmp)
+            scalar[()] = rz / pq
+            multiply(p, scalar, out=tmp)
             add(x, tmp, out=x)
-            multiply(q, alpha, out=tmp)
+            multiply(q, scalar, out=tmp)
             subtract(r, tmp, out=r)
-            z = r * minv if minv is not None else r
-            rz_new = float(dot(r, z))
-            beta = rz_new / rz if rz > 0 else 0.0
-            multiply(p, beta, out=tmp)
+            if minv is not None:
+                multiply(r, minv, out=z)
+            rz_new = float(r_dot(z))
+            scalar[()] = rz_new / rz if rz > 0 else 0.0
+            multiply(p, scalar, out=tmp)
             add(z, tmp, out=p)
             rz = rz_new
             if minv is None:
                 rel = sqrt(max(rz, 0.0)) / bnorm
             else:
-                rel = float(norm(r)) / bnorm
+                rel = sqrt(r_dot(r)) / bnorm
             hist[taken] = rel
             taken += 1
             if rel <= tol:

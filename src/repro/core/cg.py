@@ -17,13 +17,20 @@ reconstruction of other variables", Section 5.2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from repro.cluster.comm import SimComm
-from repro.core.backends import DEFAULT_BACKEND, PRECONDITIONERS, make_backend
+from repro.core.backends import (
+    DEFAULT_BACKEND,
+    PRECONDITIONERS,
+    csr_kernel,
+    make_backend,
+)
+from repro.core.errors import ConvergenceError
 from repro.matrices.distributed import BYTES_PER_ENTRY, DistributedMatrix
 
 #: CG performs two global reductions per iteration (p.q and r.r).
@@ -328,3 +335,70 @@ class DistributedCG:
             if breakdown:
                 self.step()  # one-iteration restart-and-retry breakdown handling
         return self.state.iteration
+
+
+def fault_free_iterations(
+    dmat: DistributedMatrix,
+    b: np.ndarray,
+    *,
+    tol: float,
+    max_iters: int,
+    preconditioner: str | None = None,
+) -> int:
+    """The iteration count of ``DistributedCG(dmat, b, tol=tol,
+    max_iters=max_iters, preconditioner=preconditioner)
+    .solve_fault_free()``, stepping only what decides it.
+
+    CG's ``r``, ``p`` and ``rz`` recurrence never reads ``x``, so this
+    loop steps those three with the batched backend's exact operations
+    and leaves ``x``, the residual history and the span's scratch column
+    out: the same residual after every iteration, hence the same count.
+    A breakdown needs ``x`` (the solver restarts from the true
+    residual), so one falls back to the full solve.  Raises
+    :class:`~repro.core.errors.ConvergenceError`, with the solve's final
+    relative residual, when the count reaches ``max_iters`` unconverged.
+    """
+    cg = DistributedCG(
+        dmat, b, tol=tol, max_iters=max_iters, preconditioner=preconditioner
+    )
+    st = cg.state
+    minv, bnorm = cg._minv, cg._bnorm
+    r, p, rz = st.r, st.p, st.rz  # fresh arrays: stepped in place
+    kernel, operands = csr_kernel(dmat.a)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    isfinite, sqrt = math.isfinite, math.sqrt
+    n = dmat.n
+    q, tmp, scalar = np.empty(n), np.empty(n), np.empty(())
+    z = r if minv is None else np.empty(n)
+    p_dot, r_dot = p.dot, r.dot
+    rel = cg.relative_residual
+    taken = 0
+    while not rel <= tol and taken < max_iters:
+        q.fill(0.0)
+        kernel(*operands, p, q)
+        pq = float(p_dot(q))
+        if pq <= 0 or not isfinite(pq):
+            cg = DistributedCG(
+                dmat, b, tol=tol, max_iters=max_iters, preconditioner=preconditioner
+            )
+            taken = cg.solve_fault_free()
+            rel = cg.relative_residual
+            break
+        scalar[()] = rz / pq
+        multiply(q, scalar, out=tmp)
+        subtract(r, tmp, out=r)
+        if minv is not None:
+            multiply(r, minv, out=z)
+        rz_new = float(r_dot(z))
+        scalar[()] = rz_new / rz if rz > 0 else 0.0
+        multiply(p, scalar, out=tmp)
+        add(z, tmp, out=p)
+        rz = rz_new
+        if minv is None:
+            rel = sqrt(max(rz, 0.0)) / bnorm
+        else:
+            rel = sqrt(r_dot(r)) / bnorm
+        taken += 1
+    if not rel <= tol:
+        raise ConvergenceError(tol=tol, final_residual=rel, iterations=taken)
+    return taken

@@ -17,6 +17,7 @@ parallel QR (LSI) of prior work [2].  This module hosts:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,29 +73,41 @@ def local_cg(
         minv = 1.0 / jacobi_diag
     else:
         minv = None
+    # The updates run in place through ``out=`` buffers, and the scalar
+    # maths on Python floats: ``multiply(p, alpha, out=tmp)`` then an
+    # in-place add is exactly ``x += alpha * p``, ``ndarray.dot`` is the
+    # BLAS call ``@`` makes, and ``math.sqrt`` rounds as ``np.sqrt`` does,
+    # so every bit matches the allocating form.
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    sqrt, isfinite = math.sqrt, math.isfinite
     x = np.zeros(n)
     r = rhs.copy()
     z = r * minv if minv is not None else r
     p = z.copy()
-    rz = float(r @ z)
-    rr = float(r @ r)
+    tmp = np.empty(n)
+    rz = float(r.dot(z))
+    rr = float(r.dot(r))
     it = 0
-    while np.sqrt(rr) / rhs_norm > tol and it < max_iters:
+    while sqrt(rr) / rhs_norm > tol and it < max_iters:
         q = matvec(p)
-        pq = float(p @ q)
-        if pq <= 0 or not np.isfinite(pq):
+        pq = float(p.dot(q))
+        if pq <= 0 or not isfinite(pq):
             break  # operator numerically not SPD; return best effort
         alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        z = r * minv if minv is not None else r
-        rz_new = float(r @ z)
+        multiply(p, alpha, out=tmp)
+        add(x, tmp, out=x)
+        multiply(q, alpha, out=tmp)
+        subtract(r, tmp, out=r)
+        if minv is not None:
+            multiply(r, minv, out=z)
+        rz_new = float(r.dot(z))
         beta = rz_new / rz if rz > 0 else 0.0
-        p = z + beta * p
+        multiply(p, beta, out=tmp)
+        add(z, tmp, out=p)
         rz = rz_new
-        rr = float(r @ r)
+        rr = float(r.dot(r))
         it += 1
-    rel = float(np.sqrt(max(rr, 0.0)) / rhs_norm)
+    rel = sqrt(max(rr, 0.0)) / rhs_norm
     flops = it * (flops_per_apply + dense_flops_per_row * n)
     return x, LocalSolveStats(it, rel, flops)
 

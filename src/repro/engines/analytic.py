@@ -15,7 +15,11 @@ convergence horizon ``H`` (a property of the matrix, not of the cost
 model).  It comes from the primed baseline when a campaign provides one,
 and otherwise from one memoized CG probe
 (:func:`repro.matrices.cache.fault_free_horizon`) shared across every
-rank count of the same matrix.  Everything after that probe is
+rank count of the same matrix.  The probe steps only the ``r``, ``p``,
+``rz`` recurrence that decides when CG converges — no ``x``, no
+residual history — and counts the fault-free solve's iterations
+exactly (:func:`repro.core.cg.fault_free_iterations`).  On a cold cell
+it is most of the work.  Everything after that probe is
 arithmetic, which is what makes ``--engine analytic`` sweeps of 10^5-10^6
 processes feasible: a primed scheme cell costs microseconds, not solver
 minutes.

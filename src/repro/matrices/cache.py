@@ -318,17 +318,20 @@ def fault_free_horizon(
     """Memoized fault-free CG iteration count (in-process only).
 
     This is the one numeric solve the analytic engine cannot avoid: the
-    convergence horizon ``H`` that anchors every closed-form model.  CG
-    iterates on *global* vectors, so the count is independent of how the
-    matrix is partitioned — the key deliberately excludes ``nranks``,
-    letting one probe serve a whole weak-scaling column.  ``seed`` tags
-    the right-hand side (campaigns derive ``b`` from the config seed);
-    failed probes raise and are never cached.  There is no disk layer:
-    every new seed would cost a file, and the result store already
-    persists each cell the horizon went into.
+    convergence horizon ``H`` that anchors every closed-form model.  It
+    is :func:`repro.core.cg.fault_free_iterations`, which steps only the
+    ``r``, ``p``, ``rz`` recurrence that decides the count — the count
+    of a full ``DistributedCG.solve_fault_free()``, without its ``x``.
+    CG iterates on *global* vectors, so the count is independent of how
+    the matrix is partitioned — the key deliberately excludes
+    ``nranks``, letting one probe serve a whole weak-scaling column.
+    ``seed`` tags the right-hand side (campaigns derive ``b`` from the
+    config seed); failed probes raise
+    :class:`~repro.core.errors.ConvergenceError` and are never cached.
+    There is no disk layer: every new seed would cost a file, and the
+    result store already persists each cell the horizon went into.
     """
-    from repro.core.cg import DistributedCG
-    from repro.core.errors import ConvergenceError
+    from repro.core.cg import fault_free_iterations
 
     key = (
         "horizon",
@@ -342,16 +345,9 @@ def fault_free_horizon(
         h = _horizons.get(key)
         if h is not _MISS:
             return h
-    probe = DistributedCG(
+    h = fault_free_iterations(
         dmat, b, tol=tol, max_iters=max_iters, preconditioner=preconditioner
     )
-    h = probe.solve_fault_free()
-    if not probe.converged:
-        raise ConvergenceError(
-            tol=tol,
-            final_residual=probe.relative_residual,
-            iterations=h,
-        )
     if _memory_enabled():
         _horizons.put(key, h)
     return h

@@ -93,6 +93,11 @@ def expected_frame(key, cell, report, layout: str = "F8") -> bytes:
     return frame_bytes(b"REPRO\x00F8", header, section, column)
 
 
+def payload_path(store: ResultStore, key: str) -> Path:
+    """Where ``key``'s frame lives in ``store``."""
+    return Path(store._payload_file(key))
+
+
 def assert_reports_equal(a, b):
     assert a.scheme == b.scheme
     assert a.converged == b.converged
@@ -328,7 +333,7 @@ class TestIdentityInvariants:
         for cell, report in (solved, traced_solved):
             key = store.put(cell, report)
             assert 8 * len(report.residual_history) > 0
-            path = store._payload_path(key)
+            path = payload_path(store, key)
             assert path.name == f"{key}.frame"
             assert path.read_bytes() == expected_frame(key, cell, report)
             paths.append(path)
@@ -391,7 +396,7 @@ class TestStore:
     def test_missing_payload_heals_to_a_miss(self, store, solved):
         cell, report = solved
         key = store.put(cell, report)
-        store._payload_path(key).unlink()
+        payload_path(store, key).unlink()
         assert store.get(cell) is None
         assert len(store) == 0  # stale row was dropped
 
@@ -411,7 +416,7 @@ class TestStore:
         store.put(cell, report)
         assert store.get(cell) is not None  # one hit
         stats = store.stats()
-        payload = store._payload_path(cell_key(cell))
+        payload = payload_path(store, cell_key(cell))
         assert stats["payload_bytes"] == payload.stat().st_size > 0
         assert stats["hits"] == 1
         assert stats["misses"] == 1
@@ -423,19 +428,30 @@ class TestStore:
         assert len(store) == 0
         assert store.get(cell) is None
 
+    def test_a_put_after_the_payload_directories_went_makes_them_again(
+        self, store, solved
+    ):
+        cell, report = solved
+        store.put(cell, report)
+        shutil.rmtree(store.payload_dir)
+        assert store.get(cell) is None
+        store.put(cell, report)
+        assert_reports_equal(store.get(cell), report)
+        assert store.payload_files() == [payload_path(store, cell_key(cell))]
+
     def test_a_failed_write_leaves_no_temp_file_and_no_row(
         self, store, solved, monkeypatch
     ):
         """Disk full mid-put: the half-written temp frame is removed,
         the error surfaces, and the next put of the cell is served."""
         cell, report = solved
-        write_bytes = Path.write_bytes
+        write_bytes = store_module._write_bytes
 
         def half_then_enospc(path, data):
             write_bytes(path, data[: len(data) // 2])
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(Path, "write_bytes", half_then_enospc)
+        monkeypatch.setattr(store_module, "_write_bytes", half_then_enospc)
         with pytest.raises(OSError) as exc:
             store.put(cell, report)
         assert exc.value.errno == errno.ENOSPC
@@ -445,7 +461,7 @@ class TestStore:
         assert store.get(cell) is None
         store.put(cell, report)
         assert_reports_equal(store.get(cell), report)
-        assert store.payload_files() == [store._payload_path(cell_key(cell))]
+        assert store.payload_files() == [payload_path(store, cell_key(cell))]
 
     def test_overwrites_are_counted(self, store, solved):
         cell, report = solved
@@ -516,7 +532,7 @@ class TestManifestPersistence:
     def test_manifest_writes_never_touch_payloads(self, store, solved):
         cell, report = solved
         store.put(cell, report)
-        payload = store._payload_path(cell_key(cell))
+        payload = payload_path(store, cell_key(cell))
         before = payload.read_bytes()
         store.put_manifest(make_manifest("a" * 16))
         assert payload.read_bytes() == before
@@ -640,7 +656,7 @@ def _write_v2_entry(store, cell, report):
     key = V2_KEY
     config = asdict(cell.config)
     del config["engine"], config["fault_scope"]
-    path = store._payload_path(key).with_suffix(".json")
+    path = payload_path(store, key).with_suffix(".json")
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "key": key,
@@ -709,8 +725,8 @@ class TestMigration:
     ):
         cell, report = solved
         _write_v2_entry(store, cell, report)
-        frame = store._payload_path(store.put(cell, report))
-        legacy = store._payload_path(V2_KEY).with_suffix(".json")
+        frame = payload_path(store, store.put(cell, report))
+        legacy = payload_path(store, V2_KEY).with_suffix(".json")
         frame.with_suffix(".tmp.1.2").write_bytes(b"half-written")
         assert store.payload_files() == sorted([frame, legacy])
         assert store.payload_bytes() == (
@@ -836,7 +852,7 @@ def pristine(tmp_path_factory):
         result = run_campaign(spec, store=store)
         assert result.n_ran == 2
         (cell,) = [c for c in spec.cells() if c.scheme == "LI"]
-        frame = store._payload_path(cell_key(cell)).read_bytes()
+        frame = payload_path(store, cell_key(cell)).read_bytes()
     return spec, root, cell, result[cell].report, frame
 
 
@@ -854,7 +870,7 @@ class TestDamagedPayloads:
         shutil.copytree(root, tmp_path / "cache")
         with ResultStore(tmp_path / "cache") as store:
             key = cell_key(cell)
-            path = store._payload_path(key)
+            path = payload_path(store, key)
             DAMAGE[damage](path)
             assert path.read_bytes() != frame
             assert store.get_entry(cell) is None
@@ -868,7 +884,7 @@ class TestDamagedPayloads:
 
     def test_a_flipped_bit_anywhere_in_a_frame_is_refused(self, store, solved):
         cell, report = solved
-        frame = store._payload_path(store.put(cell, report)).read_bytes()
+        frame = payload_path(store, store.put(cell, report)).read_bytes()
         assert store_module._unframe(frame) is not None
         for offset in range(len(frame)):
             damaged = bytearray(frame)
@@ -879,7 +895,7 @@ class TestDamagedPayloads:
         self, store, solved
     ):
         cell, report = solved
-        path = store._payload_path(store.put(cell, report))
+        path = payload_path(store, store.put(cell, report))
         _pre7_json_renamed(path)
         (entry,) = list(store.entries())  # listed ...
         assert_reports_equal(entry.report, report)
@@ -1023,7 +1039,7 @@ class TestTelemetrySection:
         cell, report = traced_solved if traced else solved
         key = store.put(cell, report)
         current = store.get(cell)
-        path = store._payload_path(key)
+        path = payload_path(store, key)
         path.write_bytes(expected_frame(key, cell, report, layout="F7"))
         old = store.get(cell)
         assert old is not None and store.hits == 2
@@ -1051,9 +1067,9 @@ class TestIndexRebuild:
             rows = store._db.execute(
                 "SELECT * FROM results ORDER BY key"
             ).fetchall()
-            _flip(store._payload_path(store.put(damaged, solved[1])), 60)
-            misnamed_frame = store._payload_path(store.put(misnamed, solved[1]))
-            elsewhere = store._payload_path("ab" * 32)
+            _flip(payload_path(store, store.put(damaged, solved[1])), 60)
+            misnamed_frame = payload_path(store, store.put(misnamed, solved[1]))
+            elsewhere = payload_path(store, "ab" * 32)
             elsewhere.parent.mkdir(exist_ok=True)
             misnamed_frame.rename(elsewhere)
         (root / "index.db").unlink()
@@ -1072,7 +1088,7 @@ class TestIndexRebuild:
                 entry = store.get_entry(cell)
                 assert (entry.elapsed_s, entry.created_at) == (
                     0.0,
-                    store._payload_path(cell_key(cell)).stat().st_mtime,
+                    payload_path(store, cell_key(cell)).stat().st_mtime,
                 ) == row[13:15]
                 assert_reports_equal(entry.report, report)
             assert store.get_entry(damaged) is None
