@@ -38,6 +38,14 @@ from repro.obs.telemetry import Telemetry
 from repro.power.energy import Charge, EnergyAccount, PhaseTag
 from repro.power.rapl import RaplDomain, RaplMeter
 
+#: Enum members by their encoded form, built once: decoding looks them
+#: up here, not through ``Enum.__call__``, which had been 8.5 % of a
+#: cached resume.  The members are the same objects either way.
+_PHASE_TAGS = {m.value: m for m in PhaseTag}
+_RAPL_DOMAINS = {m.value: m for m in RaplDomain}
+_FAULT_CLASSES = {m.name: m for m in FaultClass}
+_FAULT_SCOPES = {m.value: m for m in FaultScope}
+
 
 def _sanitize(value, dropped: list[str], path: str):
     """Best-effort conversion of ``details`` entries to JSON values."""
@@ -144,9 +152,9 @@ def report_from_dict(data: dict) -> SolveReport:
     be a bundle already (the store's unbuilt one), kept as it is."""
     account = EnergyAccount()
     for tag, time_s, energy_j in data["account"]:
-        account.charges[PhaseTag(tag)] = Charge(time_s=time_s, energy_j=energy_j)
+        account.charges[_PHASE_TAGS[tag]] = Charge(time_s=time_s, energy_j=energy_j)
     rapl = RaplMeter(
-        domain=RaplDomain(data["rapl"]["domain"]),
+        domain=_RAPL_DOMAINS[data["rapl"]["domain"]],
         log=PhaseLog(
             [
                 Phase(tag, t_start, t_end, power_w)
@@ -158,8 +166,8 @@ def report_from_dict(data: dict) -> SolveReport:
         FaultEvent(
             iteration=ev["iteration"],
             victim_rank=ev["victim_rank"],
-            fault_class=FaultClass[ev["fault_class"]],
-            scope=FaultScope(ev["scope"]),
+            fault_class=_FAULT_CLASSES[ev["fault_class"]],
+            scope=_FAULT_SCOPES[ev["scope"]],
             # Older payloads have no "victims" key: the event
             # normalizes the empty tuple to (victim_rank,).
             victims=tuple(ev.get("victims", ())),

@@ -1,12 +1,12 @@
-"""Persistent, content-addressed result store.
+"""Persistent, content-addressed result store: one SQLite file.
 
 Layout (default root ``.repro-cache/``)::
 
     .repro-cache/
-        index.db            # SQLite: one row per cell, queryable metadata
-        payloads/ab/abcd… .frame  # full SolveReport, one binary frame
+        index.db            # SQLite: one row per cell, its frame inside
 
-A payload file is one frame::
+A row of ``results`` holds a cell's queryable metadata and, in its
+``payload`` column, the cell's report as one binary frame::
 
     magic "REPRO\0F8" (8 bytes) | SHA-256 of everything after it (32 bytes)
     | JSON header length (uint64 LE)
@@ -18,26 +18,20 @@ A payload file is one frame::
     | residual_history as raw little-endian float64
 
 The digest covers every byte after it and is checked before anything is
-parsed, so a truncated or bit-flipped file is a miss (its row is dropped
-and the cell recomputed), never a wrong cached answer; so is a sound
-frame whose header records another cell's key.  The history is stored
-as the exact bytes of its doubles; the header and the section are
-:func:`~repro.campaign.serialize.report_to_dict`'s JSON, so the HTTP and
-diff shapes do not change.  The section is handed back unparsed: a
+parsed, so a truncated or bit-flipped frame is a miss (its row is
+dropped and the cell recomputed), never a wrong cached answer; so is a
+sound frame whose header records another cell's key.  The history is
+stored as the exact bytes of its doubles; the header and the section
+are :func:`~repro.campaign.serialize.report_to_dict`'s JSON, so the HTTP
+and diff shapes do not change.  The section is handed back unparsed: a
 read report's telemetry builds itself on first use
 (:meth:`~repro.obs.telemetry.Telemetry.from_json`), and until then
 re-encodes to the same dict, unsorted, as the report it was computed as.
 Frames that format 7 wrote first (magic ``REPRO\0F7``) have no section
-and keep the telemetry in the header; they decode, built at once.
-Payloads written before format 7 are ``.json`` files holding the whole
-record as JSON: they stay listable (:meth:`ResultStore.entries`,
-:meth:`ResultStore.entry_by_key`) and are never served for a cell.
-
-A store that opens a new ``index.db`` over payload frames already on
-disk (the old index deleted, say, because it was damaged) rebuilds it
-from them: each frame whose digest checks out and whose header records
-the key its file is named for gets its row back, with no compute time
-and the file's modification time as its creation time.
+and keep the telemetry in the header; they decode, built at once.  A
+payload written before format 7 is the whole record as JSON: it stays
+listable (:meth:`ResultStore.entries`, :meth:`ResultStore.entry_by_key`)
+and is never served for a cell.
 
 Every cell is keyed by a SHA-256 **content hash** over the complete
 :class:`~repro.harness.experiment.ExperimentConfig`, the scheme name,
@@ -47,13 +41,25 @@ CR cadence, or a library upgrade that could perturb the numerics —
 yields a different key, so a cache hit is only ever served for a cell
 that would reproduce bit-identically.
 
-Writes are atomic (payload to a temp file + ``os.replace``, then the
-index row), so a killed campaign never leaves a row pointing at a
-half-written payload; a payload missing its row (or vice versa) is
-treated as a miss and repaired on the next ``put``.  SQLite runs in WAL
-mode with a busy timeout so several processes may share one store; a
-write that waits on another connection's lock for longer than
-:data:`BUSY_TIMEOUT_S` raises :class:`StoreLockedError`.
+A put is one ``INSERT`` and one commit, so the fsync SQLite makes per
+commit (its default ``synchronous`` setting) makes the row and its frame
+durable together, and a writer killed mid-put leaves the whole row or
+none.  A lookup is one ``SELECT`` returning the row and its frame.
+SQLite runs in WAL mode with a busy timeout so several processes may
+share one store; a write that waits on another connection's lock for
+longer than :data:`BUSY_TIMEOUT_S` raises :class:`StoreLockedError`.
+Since the frames live in ``index.db``, a damaged ``index.db`` has
+nothing to be rebuilt from: it is an error, and deleting the file
+drops its cells, which are then recomputed.
+
+A store written before frames moved into the index keeps them as files,
+``payloads/<key[:2]>/<key>.frame`` (or ``.json`` before format 7), named
+by rows whose ``payload`` is the file's path.  It is imported when it is
+opened: each file whose digest checks out (a frame) or that parses (a
+pre-7 payload), and whose record holds the key the file is named for,
+becomes its row's payload, keeping the row's compute and creation times
+(0 and the file's modification time where the row was gone); rows left
+without a payload are dropped, and the directory is removed.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
+import shutil
 import sqlite3
 import threading
 import time
@@ -93,9 +99,15 @@ DEFAULT_ROOT = Path(".repro-cache")
 #: ``index.db`` before it raises :class:`StoreLockedError`, seconds.
 BUSY_TIMEOUT_S = 30.0
 
+#: SQLite's page cache per connection, KiB.  Its 2 MiB default held
+#: every page a cached resume read, about 1 MB more peak RSS on the
+#: 84-cell benchmark store; past 64 KiB, reads come from the operating
+#: system's file cache at no measured cost in cells per second.
+_CACHE_KIB = 64
+
 #: First bytes of every frame written now, and of a frame without a
-#: telemetry section (written before it had one).  A payload file that
-#: starts otherwise is a pre-7 JSON payload.
+#: telemetry section (written before it had one).  A payload that starts
+#: otherwise is a pre-7 JSON payload.
 _FRAME_MAGIC, _F7_MAGIC = b"REPRO\x00F8", b"REPRO\x00F7"
 
 #: Where a frame's fields start: the SHA-256 of everything from the
@@ -105,10 +117,11 @@ _DIGEST_AT, _LENGTH_AT, _HEADER_AT = 8, 40, 48
 #: Bytes of a section length field (uint64 LE).
 _LENGTH_SIZE = _HEADER_AT - _LENGTH_AT
 
-#: Payload file suffixes: frames, then pre-7 JSON payloads.
-_FRAME_SUFFIX, _JSON_SUFFIX = ".frame", ".json"
-#: The payload directory under a store's root.
+#: An old-layout store's payload directory under its root, and the
+#: suffixes of its files: pre-7 JSON payloads, then frames (imported
+#: in that order, so a frame wins over a JSON file of the same key).
 _PAYLOADS = "payloads"
+_PAYLOAD_SUFFIXES = (".json", ".frame")
 
 #: The residual history column's on-disk dtype.
 _COLUMN_DTYPE = np.dtype("<f8")
@@ -130,7 +143,7 @@ CREATE TABLE IF NOT EXISTS results (
     energy_j     REAL NOT NULL,
     elapsed_s    REAL NOT NULL,
     created_at   REAL NOT NULL,
-    payload      TEXT NOT NULL
+    payload      BLOB NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_results_cell ON results (matrix, scheme, nranks);
 CREATE TABLE IF NOT EXISTS manifests (
@@ -185,7 +198,7 @@ def cell_key(cell: CampaignCell) -> str:
 
 
 def _frame(payload: dict, telemetry: dict | None, history) -> bytes:
-    """A payload file's bytes: ``payload`` as the JSON header, then
+    """A frame's bytes: ``payload`` as the JSON header, then
     ``telemetry`` as the section, then ``history`` as raw float64
     (module docstring)."""
     header = json.dumps(payload, sort_keys=True).encode()
@@ -238,17 +251,24 @@ def _unframe(blob: bytes) -> dict | None:
     return payload
 
 
-def _read_bytes(path: str) -> bytes | None:
+def _decode(key: str, blob: bytes) -> tuple[dict, bool] | None:
+    """The one place a stored payload is decoded: ``(payload, framed)``,
+    or ``None`` when it is damaged.
+
+    A payload that starts with the frame magic is a frame, decoded only
+    once its digest checks out.  Any other payload is a pre-7 JSON
+    record: listable, and never served for a cell.  The digest vouches
+    for a frame's content, not for whose it is, so a payload that
+    records another key (copied onto this row) is damaged too.
+    """
+    framed = blob[:_DIGEST_AT] in (_FRAME_MAGIC, _F7_MAGIC)
     try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError:
+        payload = _unframe(blob) if framed else json.loads(blob)
+    except ValueError:
         return None
-
-
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as f:
-        f.write(data)
+    if not isinstance(payload, dict) or payload.get("key") != key:
+        return None
+    return payload, framed
 
 
 class StoreLockedError(sqlite3.OperationalError):
@@ -330,13 +350,11 @@ def load_payload_lines(path: str | Path) -> list[StoreEntry]:
 
 
 class ResultStore:
-    """SQLite-indexed store of solved cells, one frame file per cell."""
+    """SQLite store of solved cells, one row per cell, its frame inside."""
 
     def __init__(self, root: str | Path = DEFAULT_ROOT) -> None:
         self.root = Path(root)
-        self.payload_dir = self.root / _PAYLOADS
-        self.payload_dir.mkdir(parents=True, exist_ok=True)
-        self._payload_root = str(self.payload_dir)
+        self.root.mkdir(parents=True, exist_ok=True)
         # One connection shared across threads: the serving tier reads
         # and writes from worker-pool threads, so the connection is
         # opened with check_same_thread=False and every statement runs
@@ -344,17 +362,17 @@ class ResultStore:
         # WAL + busy_timeout handle concurrent *processes* on the same
         # store; the lock handles concurrent threads on this handle.
         self._lock = threading.RLock()
-        index = self.root / "index.db"
-        fresh = not index.exists()
         self._db = sqlite3.connect(
-            index, timeout=BUSY_TIMEOUT_S, check_same_thread=False
+            self.root / "index.db", timeout=BUSY_TIMEOUT_S, check_same_thread=False
         )
         self._db.executescript(_SCHEMA)
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute(f"PRAGMA busy_timeout={round(BUSY_TIMEOUT_S * 1000)}")
+        self._db.execute(f"PRAGMA cache_size=-{_CACHE_KIB}")
         self._db.commit()
-        if fresh:
-            self._reindex()
+        payloads = self.root / _PAYLOADS
+        if payloads.is_dir():
+            self._import(payloads)
         #: Lookup counters since open: ``hits`` counts get_entry() calls
         #: served a report, ``misses`` the rest.  Surfaced by stats()
         #: and the serving tier's /v1/store/stats endpoint.
@@ -372,34 +390,29 @@ class ResultStore:
 
     @contextlib.contextmanager
     def _writing(self):
-        """Run one write on the index under ``_lock`` and commit it.  A
-        write lock held elsewhere past :data:`BUSY_TIMEOUT_S` rolls the
-        write back and raises :class:`StoreLockedError`."""
+        """Run one write on the index under ``_lock`` and commit it, or
+        roll all of it back if it raises.  A write lock held elsewhere
+        past :data:`BUSY_TIMEOUT_S` raises :class:`StoreLockedError`."""
         with self._lock:
             try:
                 yield self._db
                 self._db.commit()
             except sqlite3.OperationalError as exc:
+                self._db.rollback()
                 if "locked" not in str(exc):
                     raise
-                self._db.rollback()
                 raise StoreLockedError(
                     f"result store index {self.root / 'index.db'} is locked: "
                     f"another connection held its write lock for over "
                     f"{BUSY_TIMEOUT_S:g}s"
                 ) from exc
+            except BaseException:
+                self._db.rollback()
+                raise
 
-    def _payload_file(self, key: str) -> str:
-        """Where ``key``'s frame lives.  A string, not a ``Path``, for the
-        read path: pathlib interns every name it parses, and a ``Path``
-        per cached read churned the interpreter's interned-string table
-        until it grew by 1.9 MB (after about 240 resume passes of 84
-        cells)."""
-        return os.path.join(self._payload_root, key[:2], key + _FRAME_SUFFIX)
-
-    def _index(self, db, key: str, entry: StoreEntry) -> None:
-        """Write ``entry``'s row under ``key`` (``db`` is the handle
-        :meth:`_writing` yields)."""
+    def _index(self, db, key: str, entry: StoreEntry, blob: bytes) -> None:
+        """Write ``entry``'s row under ``key``, ``blob`` its payload
+        (``db`` is the handle :meth:`_writing` yields)."""
         cfg, report = entry.cell.config, entry.report
         db.execute(
             "INSERT OR REPLACE INTO results VALUES "
@@ -420,26 +433,42 @@ class ResultStore:
                 report.energy_j,
                 entry.elapsed_s,
                 entry.created_at,
-                os.path.join(_PAYLOADS, key[:2], key + _FRAME_SUFFIX),
+                blob,
             ),
         )
 
-    def _reindex(self) -> None:
-        """Give each sound frame on disk its row back (module docstring):
-        run when this store opened an index it had to create."""
+    def _import(self, payloads: Path) -> None:
+        """Move an old-layout store's payload files into their rows, then
+        remove them (module docstring): run on open while ``payloads``
+        exists, so a store killed mid-import finishes it next time."""
         with self._writing() as db:
-            for path in self.payload_dir.glob(f"*/*{_FRAME_SUFFIX}"):
-                key = path.stem
-                try:
-                    payload = _unframe(path.read_bytes())
-                    if payload is None or payload.get("key") != key:
-                        continue
-                    entry = entry_from_payload(
-                        payload, created_at=path.stat().st_mtime
-                    )
-                except (OSError, ValueError, KeyError, TypeError):
-                    continue  # gone since the listing, or not this code's
-                self._index(db, key, entry)
+            times = {
+                key: (elapsed_s, created_at)
+                for key, elapsed_s, created_at in db.execute(
+                    "SELECT key, elapsed_s, created_at FROM results "
+                    "WHERE typeof(payload) = 'text'"
+                )
+            }
+            db.execute("DELETE FROM results WHERE typeof(payload) = 'text'")
+            imported = {key for (key,) in db.execute("SELECT key FROM results")}
+            for suffix in _PAYLOAD_SUFFIXES:
+                for path in payloads.glob(f"*/*{suffix}"):
+                    key = path.name[: -len(suffix)]
+                    if key in imported:
+                        continue  # by an import cut short before the removal
+                    try:
+                        blob = path.read_bytes()
+                        read = _decode(key, blob)
+                        if read is None:
+                            continue
+                        elapsed_s, created_at = times.get(
+                            key, (0.0, path.stat().st_mtime)
+                        )
+                        entry = entry_from_payload(read[0], elapsed_s, created_at)
+                    except (OSError, ValueError, KeyError, TypeError):
+                        continue  # gone since the listing, or not this code's
+                    self._index(db, key, entry, blob)
+        shutil.rmtree(payloads, ignore_errors=True)
 
     def __contains__(self, cell: CampaignCell) -> bool:
         return self.get_entry(cell) is not None
@@ -452,12 +481,11 @@ class ResultStore:
         served for a cell, and only a frame whose digest checks out is.
         """
         key = cell_key(cell)
-        row = self._index_row(key)
-        read = None if row is None else self._read_payload(key)
+        row = self._row(key)
+        read = None if row is None else _decode(key, row[2])
         if read is None or not read[1]:
             if row is not None:
-                # stale index row (payload pruned, damaged or not a
-                # frame): self-heal
+                # damaged or not a frame: self-heal
                 with self._writing() as db:
                     db.execute("DELETE FROM results WHERE key = ?", (key,))
             with self._lock:
@@ -465,51 +493,26 @@ class ResultStore:
             return None
         with self._lock:
             self.hits += 1
-        return entry_from_payload(read[0], *row, cell=cell)
+        return entry_from_payload(read[0], row[0], row[1], cell=cell)
 
     def entry_by_key(self, key: str) -> StoreEntry | None:
-        """The entry stored under exactly ``key``: one index probe, then
-        one payload read.  Not a cell lookup — no hit/miss counting,
-        and a stale row is left for
-        :meth:`get_entry` to heal."""
-        row = self._index_row(key)
-        read = None if row is None else self._read_payload(key)
+        """The entry stored under exactly ``key``: one ``SELECT``.  Not a
+        cell lookup — no hit/miss counting, and a damaged row is left
+        for :meth:`get_entry` to heal."""
+        row = self._row(key)
+        read = None if row is None else _decode(key, row[2])
         if read is None:
             return None
-        return entry_from_payload(read[0], *row)
+        return entry_from_payload(read[0], row[0], row[1])
 
-    def _index_row(self, key: str) -> tuple[float, float] | None:
+    def _row(self, key: str) -> tuple[float, float, bytes] | None:
+        """The one read of a stored cell: ``(elapsed_s, created_at,
+        payload)``, or ``None`` when ``key`` has no row."""
         with self._lock:
             return self._db.execute(
-                "SELECT elapsed_s, created_at FROM results WHERE key = ?", (key,)
+                "SELECT elapsed_s, created_at, payload FROM results WHERE key = ?",
+                (key,),
             ).fetchone()
-
-    def _read_payload(self, key: str) -> tuple[dict, bool] | None:
-        """The one place a payload file is read: ``(payload, framed)``,
-        or ``None`` when the file is missing or damaged.
-
-        A file that starts with the frame magic is a frame, decoded only
-        once its digest checks out.  Any other file is a pre-7 JSON
-        payload (stores before format 7 named it ``<key>.json``):
-        listable, and never served for a cell.  The digest vouches for
-        a frame's content, not for whose it is, so a payload that
-        records another key (a file copied or renamed onto this path)
-        is damaged too.
-        """
-        path = self._payload_file(key)
-        blob = _read_bytes(path)
-        if blob is None:
-            blob = _read_bytes(path[: -len(_FRAME_SUFFIX)] + _JSON_SUFFIX)
-        if blob is None:
-            return None
-        framed = blob[:_DIGEST_AT] in (_FRAME_MAGIC, _F7_MAGIC)
-        try:
-            payload = _unframe(blob) if framed else json.loads(blob)
-        except ValueError:
-            return None
-        if not isinstance(payload, dict) or payload.get("key") != key:
-            return None
-        return payload, framed
 
     def get(self, cell: CampaignCell) -> SolveReport | None:
         entry = self.get_entry(cell)
@@ -520,31 +523,17 @@ class ResultStore:
     ) -> str:
         """Persist one result; returns its key.  Last writer wins."""
         key = cell_key(cell)
-        # string paths, as on the read path (_payload_file); the shard
-        # directory is made on every put, since nothing keeps it there
-        # after open (another process may have pruned the store)
-        shard = os.path.join(self._payload_root, key[:2])
-        os.makedirs(shard, exist_ok=True)
-        path = os.path.join(shard, key + _FRAME_SUFFIX)
         payload = payload_dict(cell, report)
         record = payload["report"]
         del record["residual_history"]  # the frame's float64 column
         telemetry = record.pop("telemetry")  # the frame's telemetry section
-        tmp = os.path.join(
-            shard, f"{key}.tmp.{os.getpid()}.{threading.get_ident()}"
-        )
-        try:
-            _write_bytes(tmp, _frame(payload, telemetry, report.residual_history))
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)  # e.g. ENOSPC mid-write
-            raise
+        blob = _frame(payload, telemetry, report.residual_history)
+        entry = StoreEntry(key, cell, report, elapsed_s, time.time())
         with self._writing() as db:
-            replaced = self._index_row(key) is not None
-            self._index(
-                db, key, StoreEntry(key, cell, report, elapsed_s, time.time())
-            )
+            replaced = db.execute(
+                "SELECT 1 FROM results WHERE key = ?", (key,)
+            ).fetchone()
+            self._index(db, key, entry, blob)
             if replaced:
                 self.overwrites += 1
         return key
@@ -613,41 +602,27 @@ class ResultStore:
         it — this is what ``repro trace``, ``report`` and ``doctor`` read.
         """
         with self._lock:
-            rows = self._db.execute(
-                "SELECT key, elapsed_s, created_at FROM results "
-                "ORDER BY created_at, key"
+            keys = self._db.execute(
+                "SELECT key FROM results ORDER BY created_at, key"
             ).fetchall()
-        for key, elapsed_s, created_at in rows:
-            read = self._read_payload(key)
-            if read is None:
-                continue  # stale row; get_entry() would self-heal it
-            yield entry_from_payload(read[0], elapsed_s, created_at)
+        for (key,) in keys:
+            entry = self.entry_by_key(key)
+            if entry is not None:  # else damaged; get_entry() would heal it
+                yield entry
 
     def __len__(self) -> int:
         with self._lock:
             return self._db.execute("SELECT COUNT(*) FROM results").fetchone()[0]
 
-    def payload_files(self) -> list[Path]:
-        """Every payload file on disk — frames and pre-7 JSON payloads,
-        never a temp file — sorted by path."""
-        return sorted(
-            path
-            for suffix in (_FRAME_SUFFIX, _JSON_SUFFIX)
-            for path in self.payload_dir.glob(f"*/*{suffix}")
-        )
-
     def payload_bytes(self) -> int:
-        """Total on-disk size of every payload file, in bytes."""
-        total = 0
-        for f in self.payload_files():
-            try:
-                total += f.stat().st_size
-            except OSError:
-                continue  # pruned between listing and stat
-        return total
+        """Total length of every stored payload, in bytes."""
+        with self._lock:
+            return self._db.execute(
+                "SELECT COALESCE(SUM(length(payload)), 0) FROM results"
+            ).fetchone()[0]
 
     def stats(self) -> dict:
-        """Store-wide counters: index totals, on-disk payload bytes and
+        """Store-wide counters: index totals, stored payload bytes and
         the hit/miss counters since open (the serving tier's
         ``/v1/store/stats`` payload)."""
         with self._lock:
@@ -666,12 +641,10 @@ class ResultStore:
         }
 
     def clear(self) -> None:
-        """Drop every entry (index, payloads and manifests)."""
+        """Drop every entry and manifest."""
         with self._writing() as db:
             db.execute("DELETE FROM results")
             db.execute("DELETE FROM manifests")
-        for f in self.payload_files():
-            f.unlink(missing_ok=True)
 
     def close(self) -> None:
         with self._lock:

@@ -513,7 +513,8 @@ def _store(args) -> ResultStore | None:
 
 def _open_existing_store(args) -> ResultStore:
     """The store ``--store`` names, which must already hold results: an
-    index, or payloads to rebuild a deleted one from."""
+    index, or an old-layout ``payloads/`` directory, which opening the
+    store imports into a new one."""
     root = _store_root(args)
     if not ((root / "index.db").exists() or (root / "payloads").is_dir()):
         raise SystemExit(f"no result store at {root}")
@@ -692,6 +693,8 @@ def cmd_campaign(args) -> int:
             watch.stop()
         if progress_file is not None:
             progress_file.close()
+        if store is not None:
+            store.close()  # its WAL checkpointed into index.db
     if watch is not None:
         print()
         print(watch.final_frame())
@@ -1161,7 +1164,8 @@ def main(argv: list[str] | None = None) -> int:
             raise  # locked, busy or unwritable: deleting would not help
         raise SystemExit(
             f"unreadable result store index {_store_root(args) / 'index.db'} "
-            f"(sqlite: {exc}); delete it to rebuild the index"
+            f"(sqlite: {exc}); deleting it drops its cells, which are then "
+            "recomputed"
         ) from None
 
 

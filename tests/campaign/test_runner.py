@@ -128,10 +128,8 @@ class TestResumeIsLinearInCells:
 
         monkeypatch.setattr(ResultStore, "payload_bytes", walked)
         reads, hashes = [], []
-        read, hashed = store._read_payload, store_module._hash_material
-        monkeypatch.setattr(
-            store, "_read_payload", lambda key: reads.append(key) or read(key)
-        )
+        read, hashed = store._row, store_module._hash_material
+        monkeypatch.setattr(store, "_row", lambda key: reads.append(key) or read(key))
         monkeypatch.setattr(
             store_module,
             "_hash_material",

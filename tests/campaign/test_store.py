@@ -1,13 +1,16 @@
-"""Result store: hashing, round-trips, hits and misses, self-healing."""
+"""Result store: hashing, round-trips, hits and misses, self-healing,
+atomic puts and the import of an old-layout store."""
 
 import dataclasses
-import errno
 import hashlib
 import json
+import os
 import pickle
 import shutil
+import signal
 import sqlite3
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -93,9 +96,23 @@ def expected_frame(key, cell, report, layout: str = "F8") -> bytes:
     return frame_bytes(b"REPRO\x00F8", header, section, column)
 
 
-def payload_path(store: ResultStore, key: str) -> Path:
-    """Where ``key``'s frame lives in ``store``."""
-    return Path(store._payload_file(key))
+def stored_payload(store: ResultStore, key: str) -> bytes:
+    """The payload ``key``'s row holds in ``store``."""
+    (blob,) = store._db.execute(
+        "SELECT payload FROM results WHERE key = ?", (key,)
+    ).fetchone()
+    return blob
+
+
+def set_payload(store: ResultStore, key: str, blob: bytes) -> None:
+    """Overwrite ``key``'s stored payload in place, as damage to the
+    file would."""
+    store._db.execute("UPDATE results SET payload = ? WHERE key = ?", (blob, key))
+    store._db.commit()
+
+
+#: The files a store may hold: its index and SQLite's WAL companions.
+INDEX_FILES = {"index.db", "index.db-wal", "index.db-shm"}
 
 
 def assert_reports_equal(a, b):
@@ -323,45 +340,76 @@ class TestIdentityInvariants:
         assert moved.label.endswith("/RD")
 
     def test_stored_payload_is_one_frame(self, store, solved, traced_solved):
-        """The file ``put`` writes, spelled out field by field: magic,
+        """The payload ``put`` stores, spelled out field by field: magic,
         SHA-256 of the rest, header length, the JSON record without its
         residual history and telemetry (``asdict`` config record), the
         telemetry section's length, the section (empty when untraced;
         unsorted, in ``telemetry_to_dict``'s order when traced), then the
-        history's float64 bytes."""
-        paths = []
+        history's float64 bytes.  It is a BLOB in the cell's row, and
+        the store writes no file beside its index."""
+        frames = []
         for cell, report in (solved, traced_solved):
             key = store.put(cell, report)
             assert 8 * len(report.residual_history) > 0
-            path = payload_path(store, key)
-            assert path.name == f"{key}.frame"
-            assert path.read_bytes() == expected_frame(key, cell, report)
-            paths.append(path)
-        untraced, traced = (p.read_bytes() for p in paths)
+            frames.append(stored_payload(store, key))
+            assert frames[-1] == expected_frame(key, cell, report)
+        untraced, traced = frames
         header_len = struct.unpack_from("<Q", untraced, 40)[0]
         assert struct.unpack_from("<Q", untraced, 48 + header_len)[0] == 0
         section_at = 56 + struct.unpack_from("<Q", traced, 40)[0]
         assert traced[section_at : section_at + 13] == b'{"timebase": '
-        assert store.payload_files() == sorted(paths)
+        assert store._db.execute(
+            "SELECT DISTINCT typeof(payload) FROM results"
+        ).fetchall() == [("blob",)]
+        assert {p.name for p in store.root.iterdir()} <= INDEX_FILES
 
-    def test_entry_by_key_is_one_probe_and_one_read(self, store, solved):
+    def test_entry_by_key_is_one_probe_and_one_read(
+        self, store, solved, monkeypatch
+    ):
+        """One ``SELECT`` returns the row and its payload, and only a
+        row that exists has a payload decoded."""
         cell, report = solved
         cells = [
             CampaignCell(replace(cell.config, seed=seed), cell.scheme)
             for seed in range(5)
         ]
         keys = [store.put(c, report, elapsed_s=float(i)) for i, c in enumerate(cells)]
-        reads = []
-        real = store._read_payload
-        store._read_payload = lambda key: reads.append(key) or real(key)
+        probes, reads = [], []
+        row, decode = store._row, store_module._decode
+        monkeypatch.setattr(store, "_row", lambda key: probes.append(key) or row(key))
+        monkeypatch.setattr(
+            store_module,
+            "_decode",
+            lambda key, blob: reads.append(key) or decode(key, blob),
+        )
         entry = store.entry_by_key(keys[3])
-        assert reads == [keys[3]]
+        assert probes == reads == [keys[3]]
         assert (entry.key, entry.cell, entry.elapsed_s) == (keys[3], cells[3], 3.0)
         assert_reports_equal(entry.report, report)
         assert store.entry_by_key("f" * 64) is None
         assert store.entry_by_key("../../etc/passwd") is None
-        assert reads == [keys[3]]  # an unknown key never reaches the disk
+        assert probes == [keys[3], "f" * 64, "../../etc/passwd"]
+        assert reads == [keys[3]]  # an unknown key is a probe, never a read
         assert (store.hits, store.misses) == (0, 0)
+
+
+class _FullAtCommit:
+    """A store's connection whose commit raises ``error`` (by default
+    as a full disk does), after the statements before it ran."""
+
+    def __init__(self, db, error=None):
+        self._real, self.inserted = db, False
+        self._error = error or sqlite3.OperationalError("database or disk is full")
+
+    def execute(self, sql, *args):
+        self.inserted |= sql.startswith("INSERT")
+        return self._real.execute(sql, *args)
+
+    def commit(self):
+        raise self._error
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
 
 
 class TestStore:
@@ -396,7 +444,7 @@ class TestStore:
     def test_missing_payload_heals_to_a_miss(self, store, solved):
         cell, report = solved
         key = store.put(cell, report)
-        payload_path(store, key).unlink()
+        set_payload(store, key, b"")
         assert store.get(cell) is None
         assert len(store) == 0  # stale row was dropped
 
@@ -416,8 +464,8 @@ class TestStore:
         store.put(cell, report)
         assert store.get(cell) is not None  # one hit
         stats = store.stats()
-        payload = payload_path(store, cell_key(cell))
-        assert stats["payload_bytes"] == payload.stat().st_size > 0
+        payload = stored_payload(store, cell_key(cell))
+        assert stats["payload_bytes"] == store.payload_bytes() == len(payload) > 0
         assert stats["hits"] == 1
         assert stats["misses"] == 1
 
@@ -428,40 +476,27 @@ class TestStore:
         assert len(store) == 0
         assert store.get(cell) is None
 
-    def test_a_put_after_the_payload_directories_went_makes_them_again(
-        self, store, solved
-    ):
-        cell, report = solved
-        store.put(cell, report)
-        shutil.rmtree(store.payload_dir)
-        assert store.get(cell) is None
-        store.put(cell, report)
-        assert_reports_equal(store.get(cell), report)
-        assert store.payload_files() == [payload_path(store, cell_key(cell))]
-
     def test_a_failed_write_leaves_no_temp_file_and_no_row(
         self, store, solved, monkeypatch
     ):
-        """Disk full mid-put: the half-written temp frame is removed,
-        the error surfaces, and the next put of the cell is served."""
+        """Disk full at the commit, the row and its frame already
+        written into the transaction: all of it is rolled back, the
+        error surfaces, nothing is left beside the index, and the next
+        put of the cell is served."""
         cell, report = solved
-        write_bytes = store_module._write_bytes
-
-        def half_then_enospc(path, data):
-            write_bytes(path, data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(store_module, "_write_bytes", half_then_enospc)
-        with pytest.raises(OSError) as exc:
+        monkeypatch.setattr(store, "_db", _FullAtCommit(store._db))
+        with pytest.raises(sqlite3.OperationalError, match="disk is full"):
             store.put(cell, report)
-        assert exc.value.errno == errno.ENOSPC
+        assert store._db.inserted  # the row was written, then rolled back
         monkeypatch.undo()
-        assert [p for p in store.payload_dir.rglob("*") if p.is_file()] == []
-        assert store._index_row(cell_key(cell)) is None
+        assert {p.name for p in store.root.iterdir()} <= INDEX_FILES
+        assert store._row(cell_key(cell)) is None
+        with sqlite3.connect(store.root / "index.db") as other:
+            assert other.execute("SELECT COUNT(*) FROM results").fetchone() == (0,)
         assert store.get(cell) is None
+        assert store.overwrites == 0
         store.put(cell, report)
         assert_reports_equal(store.get(cell), report)
-        assert store.payload_files() == [payload_path(store, cell_key(cell))]
 
     def test_overwrites_are_counted(self, store, solved):
         cell, report = solved
@@ -531,11 +566,10 @@ class TestManifestPersistence:
 
     def test_manifest_writes_never_touch_payloads(self, store, solved):
         cell, report = solved
-        store.put(cell, report)
-        payload = payload_path(store, cell_key(cell))
-        before = payload.read_bytes()
+        key = store.put(cell, report)
+        before = stored_payload(store, key)
         store.put_manifest(make_manifest("a" * 16))
-        assert payload.read_bytes() == before
+        assert stored_payload(store, key) == before
         assert store.stats()["overwrites"] == 0
 
 
@@ -647,36 +681,41 @@ class TestLockedStore:
         assert store.get_manifest("b" * 16) is not None
 
 
-def _write_v2_entry(store, cell, report):
-    """Hand-build the entry a format-2 store would hold for this cell:
-    keyed by another hash, a ``<key>.json`` payload whose config lacks
-    the post-v2 fields."""
-    import time
-
-    key = V2_KEY
+def _v2_payload(cell, report, key: str = V2_KEY) -> bytes:
+    """The ``<key>.json`` payload a format-2 store wrote for this cell:
+    the whole record as JSON, its config without the post-v2 fields."""
     config = asdict(cell.config)
     del config["engine"], config["fault_scope"]
-    path = payload_path(store, key).with_suffix(".json")
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "key": key,
         "cell": {"config": config, "scheme": cell.scheme},
         "report": report_to_dict(report),
     }
-    path.write_text(json.dumps(payload, sort_keys=True))
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def _insert_row(db, key, cell, report, payload, elapsed_s=1.0, created_at=None):
+    """Write ``cell``'s row under ``key`` straight into an index, with
+    ``payload`` (bytes, or an old-layout store's path string) in it."""
     cfg = cell.config
-    store._db.execute(
+    db.execute(
         "INSERT OR REPLACE INTO results VALUES "
         "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
         (
             key, cfg.matrix, cell.scheme, cfg.nranks, cfg.n_faults, cfg.seed,
             cfg.scale, str(cfg.cr_interval), cfg.tol, int(report.converged),
-            report.iterations, report.time_s, report.energy_j, 1.0,
-            time.time(), str(path.relative_to(store.root)),
+            report.iterations, report.time_s, report.energy_j, elapsed_s,
+            time.time() if created_at is None else created_at, payload,
         ),
     )
-    store._db.commit()
-    return key
+    db.commit()
+
+
+def _write_v2_entry(store, cell, report):
+    """Hand-build the entry a format-2 store holds for this cell once
+    imported: keyed by another hash, its payload :func:`_v2_payload`."""
+    _insert_row(store._db, V2_KEY, cell, report, _v2_payload(cell, report))
+    return V2_KEY
 
 
 class TestMigration:
@@ -689,10 +728,8 @@ class TestMigration:
         cell, report = solved
         _write_v2_entry(store, cell, report)
         probes = []
-        index_row = store._index_row
-        monkeypatch.setattr(
-            store, "_index_row", lambda key: probes.append(key) or index_row(key)
-        )
+        row = store._row
+        monkeypatch.setattr(store, "_row", lambda key: probes.append(key) or row(key))
         assert store.get_entry(cell) is None
         assert store.get(cell) is None
         assert cell not in store
@@ -725,15 +762,13 @@ class TestMigration:
     ):
         cell, report = solved
         _write_v2_entry(store, cell, report)
-        frame = payload_path(store, store.put(cell, report))
-        legacy = payload_path(store, V2_KEY).with_suffix(".json")
-        frame.with_suffix(".tmp.1.2").write_bytes(b"half-written")
-        assert store.payload_files() == sorted([frame, legacy])
+        key = store.put(cell, report)
+        assert sorted(e.key for e in store.entries()) == sorted([key, V2_KEY])
         assert store.payload_bytes() == (
-            frame.stat().st_size + legacy.stat().st_size
+            len(stored_payload(store, key)) + len(_v2_payload(cell, report))
         )
         store.clear()
-        assert store.payload_files() == []
+        assert list(store.entries()) == [] and store.payload_bytes() == 0
 
     def test_analytic_cells_never_hit_legacy_rows(self, store, solved):
         cell, report = solved
@@ -766,75 +801,67 @@ class TestMixedEngines:
 _DIGEST_AT, _LENGTH_AT, _HEADER_AT = 8, 40, 48
 
 
-def _flip(path, offset: int) -> None:
-    blob = bytearray(path.read_bytes())
-    blob[offset] ^= 0x01
-    path.write_bytes(bytes(blob))
+def _flip(blob: bytes, offset: int) -> bytes:
+    damaged = bytearray(blob)
+    damaged[offset] ^= 0x01
+    return bytes(damaged)
 
 
-def _section_at(path) -> int:
+def _section_at(blob: bytes) -> int:
     """The offset of the telemetry section's first byte."""
-    header_len = struct.unpack_from("<Q", path.read_bytes(), _LENGTH_AT)[0]
+    header_len = struct.unpack_from("<Q", blob, _LENGTH_AT)[0]
     return _HEADER_AT + header_len + 8
 
 
-def _column_at(path) -> int:
-    at = _section_at(path)
-    return at + struct.unpack_from("<Q", path.read_bytes(), at - 8)[0]
+def _column_at(blob: bytes) -> int:
+    at = _section_at(blob)
+    return at + struct.unpack_from("<Q", blob, at - 8)[0]
 
 
-def _mid_section(path) -> int:
+def _mid_section(blob: bytes) -> int:
     """The offset of the telemetry section's middle byte."""
-    return (_section_at(path) + _column_at(path)) // 2
+    return (_section_at(blob) + _column_at(blob)) // 2
 
 
-def _mid_column(path) -> int:
+def _mid_column(blob: bytes) -> int:
     """The offset of the column's middle float."""
-    n_floats = (path.stat().st_size - _column_at(path)) // 8
-    return _column_at(path) + 8 * (n_floats // 2)
+    n_floats = (len(blob) - _column_at(blob)) // 8
+    return _column_at(blob) + 8 * (n_floats // 2)
 
 
-def _pre7_json_renamed(path) -> None:
-    """The JSON a format-6 store wrote for the same record, renamed onto
-    the frame path."""
-    payload = store_module._unframe(path.read_bytes())
+def _pre7_json(blob: bytes) -> bytes:
+    """The JSON payload a format-6 store wrote for the frame's record."""
+    payload = store_module._unframe(blob)
     report = payload["report"]
     report["residual_history"] = report["residual_history"].tolist()
     if "telemetry" in report:
         report["telemetry"] = telemetry_to_dict(report["telemetry"])
-    legacy = path.with_suffix(".json")
-    legacy.write_text(json.dumps(payload, sort_keys=True))
-    legacy.replace(path)
+    return json.dumps(payload, sort_keys=True).encode()
 
 
-#: Each way a stored frame can be damaged on disk.
+#: Each way a stored frame can be damaged: ``(frame, another cell's
+#: frame) -> the damaged payload``.
 DAMAGE = {
-    "header_byte_flipped": lambda p: _flip(p, (_HEADER_AT + _section_at(p)) // 2),
-    "telemetry_byte_flipped": lambda p: _flip(p, _mid_section(p)),
-    "first_telemetry_byte_flipped": lambda p: _flip(p, _section_at(p)),
-    "truncated_mid_telemetry": lambda p: p.write_bytes(
-        p.read_bytes()[: _mid_section(p)]
-    ),
-    "column_byte_flipped": lambda p: _flip(p, _mid_column(p) + 3),
-    "digest_byte_flipped": lambda p: _flip(p, _DIGEST_AT + 5),
+    "header_byte_flipped": lambda b, _: _flip(b, (_HEADER_AT + _section_at(b)) // 2),
+    "telemetry_byte_flipped": lambda b, _: _flip(b, _mid_section(b)),
+    "first_telemetry_byte_flipped": lambda b, _: _flip(b, _section_at(b)),
+    "truncated_mid_telemetry": lambda b, _: b[: _mid_section(b)],
+    "column_byte_flipped": lambda b, _: _flip(b, _mid_column(b) + 3),
+    "digest_byte_flipped": lambda b, _: _flip(b, _DIGEST_AT + 5),
     # cut on a float boundary, so only the digest can tell
-    "truncated_mid_column": lambda p: p.write_bytes(
-        p.read_bytes()[: _mid_column(p)]
-    ),
-    "zero_length": lambda p: p.write_bytes(b""),
+    "truncated_mid_column": lambda b, _: b[: _mid_column(b)],
+    "zero_length": lambda b, _: b"",
     # a sound frame, but the FF cell's: its digest checks out
-    "other_cells_frame_copied_over": lambda p: p.write_bytes(
-        next(q for q in sorted(p.parents[1].rglob("*.frame")) if q != p)
-        .read_bytes()
-    ),
-    "pre7_json_renamed_to_frame_path": _pre7_json_renamed,
+    "other_cells_frame_copied_over": lambda _, other: other,
+    "pre7_json_renamed_to_frame_path": lambda b, _: _pre7_json(b),
 }
 
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
     """A finished traced one-scheme campaign (FF + LI), its store
-    closed: every frame has a header, a telemetry section and a column."""
+    closed: every frame has a header, a telemetry section and a column.
+    Also the LI cell, its report, its frame and the FF cell's frame."""
     from repro.campaign import run_campaign
     from repro.campaign.spec import CampaignSpec
 
@@ -852,8 +879,10 @@ def pristine(tmp_path_factory):
         result = run_campaign(spec, store=store)
         assert result.n_ran == 2
         (cell,) = [c for c in spec.cells() if c.scheme == "LI"]
-        frame = payload_path(store, cell_key(cell)).read_bytes()
-    return spec, root, cell, result[cell].report, frame
+        (ff,) = [c for c in spec.cells() if c.scheme == "FF"]
+        frame = stored_payload(store, cell_key(cell))
+        other = stored_payload(store, cell_key(ff))
+    return spec, root, cell, result[cell].report, frame, other
 
 
 class TestDamagedPayloads:
@@ -866,25 +895,26 @@ class TestDamagedPayloads:
     ):
         from repro.campaign import run_campaign
 
-        spec, root, cell, original, frame = pristine
+        spec, root, cell, original, frame, other = pristine
         shutil.copytree(root, tmp_path / "cache")
         with ResultStore(tmp_path / "cache") as store:
             key = cell_key(cell)
-            path = payload_path(store, key)
-            DAMAGE[damage](path)
-            assert path.read_bytes() != frame
+            damaged = DAMAGE[damage](frame, other)
+            assert damaged != frame
+            set_payload(store, key, damaged)
+            assert stored_payload(store, key) == damaged
             assert store.get_entry(cell) is None
             assert (store.hits, store.misses) == (0, 1)
-            assert store._index_row(key) is None  # the row is gone
+            assert store._row(key) is None  # the row is gone
             result = run_campaign(spec, store=store)
             assert (result.n_ran, result.n_cached, result.n_failed) == (1, 1, 0)
             assert result[cell].status == "ran"
             assert report_to_dict(result[cell].report) == report_to_dict(original)
-            assert path.read_bytes() == frame
+            assert stored_payload(store, key) == frame
 
     def test_a_flipped_bit_anywhere_in_a_frame_is_refused(self, store, solved):
         cell, report = solved
-        frame = payload_path(store, store.put(cell, report)).read_bytes()
+        frame = stored_payload(store, store.put(cell, report))
         assert store_module._unframe(frame) is not None
         for offset in range(len(frame)):
             damaged = bytearray(frame)
@@ -895,8 +925,8 @@ class TestDamagedPayloads:
         self, store, solved
     ):
         cell, report = solved
-        path = payload_path(store, store.put(cell, report))
-        _pre7_json_renamed(path)
+        key = store.put(cell, report)
+        set_payload(store, key, _pre7_json(stored_payload(store, key)))
         (entry,) = list(store.entries())  # listed ...
         assert_reports_equal(entry.report, report)
         assert store.get_entry(cell) is None  # ... never served
@@ -1039,8 +1069,7 @@ class TestTelemetrySection:
         cell, report = traced_solved if traced else solved
         key = store.put(cell, report)
         current = store.get(cell)
-        path = payload_path(store, key)
-        path.write_bytes(expected_frame(key, cell, report, layout="F7"))
+        set_payload(store, key, expected_frame(key, cell, report, layout="F7"))
         old = store.get(cell)
         assert old is not None and store.hits == 2
         assert_reports_equal(old, report)
@@ -1051,33 +1080,57 @@ class TestTelemetrySection:
             assert old.details["telemetry"] == current.details["telemetry"]
 
 
+
+
+#: The ``results`` table as a store wrote it before frames moved into
+#: it: ``payload`` held the path of the cell's file under the root.
+_OLD_SCHEMA = store_module._SCHEMA.replace("payload      BLOB", "payload      TEXT")
+assert _OLD_SCHEMA != store_module._SCHEMA
+
+
+def _old_file(root: Path, key: str, data: bytes, suffix: str = ".frame") -> str:
+    """Write an old-layout store's payload file for ``key``; returns the
+    path its row names."""
+    path = root / "payloads" / key[:2] / (key + suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return str(path.relative_to(root))
+
+
+def _seeded(cell: CampaignCell, seed: int) -> CampaignCell:
+    return CampaignCell(replace(cell.config, seed=seed), cell.scheme)
+
+
 class TestIndexRebuild:
-    """A store that opens a new ``index.db`` over frames on disk gives
-    each sound frame its row back; nothing else is indexed."""
+    """An old-layout store whose ``index.db`` was deleted gives each
+    sound frame file its row back; nothing else is indexed."""
 
     def test_a_new_index_over_frames_gets_their_rows_back(
         self, tmp_path, solved, traced_solved
     ):
         root = tmp_path / "cache"
-        damaged = CampaignCell(replace(solved[0].config, seed=11), "LI")
-        misnamed = CampaignCell(replace(solved[0].config, seed=12), "LI")
-        with ResultStore(root) as store:
+        damaged, misnamed = _seeded(solved[0], 11), _seeded(solved[0], 12)
+        with ResultStore(tmp_path / "reference") as reference:
             for cell, report in (solved, traced_solved):
-                store.put(cell, report, elapsed_s=1.5)
-            rows = store._db.execute(
+                reference.put(cell, report, elapsed_s=1.5)
+            rows = reference._db.execute(
                 "SELECT * FROM results ORDER BY key"
             ).fetchall()
-            _flip(payload_path(store, store.put(damaged, solved[1])), 60)
-            misnamed_frame = payload_path(store, store.put(misnamed, solved[1]))
-            elsewhere = payload_path(store, "ab" * 32)
-            elsewhere.parent.mkdir(exist_ok=True)
-            misnamed_frame.rename(elsewhere)
-        (root / "index.db").unlink()
+        mtimes = {}
+        for cell, report in (solved, traced_solved):
+            key = cell_key(cell)
+            path = _old_file(root, key, expected_frame(key, cell, report))
+            mtimes[key] = (root / path).stat().st_mtime
+        key = cell_key(damaged)
+        _old_file(root, key, _flip(expected_frame(key, damaged, solved[1]), 60))
+        key = cell_key(misnamed)
+        _old_file(root, "ab" * 32, expected_frame(key, misnamed, solved[1]))
         with ResultStore(root) as store:
             rebuilt = store._db.execute(
                 "SELECT * FROM results ORDER BY key"
             ).fetchall()
-            # the same rows, but no compute time and the file's mtime
+            # the same rows, frames byte for byte, but no compute time
+            # and the file's mtime
             assert [r[:13] + r[15:] for r in rebuilt] == [
                 r[:13] + r[15:] for r in rows
             ]
@@ -1088,12 +1141,13 @@ class TestIndexRebuild:
                 entry = store.get_entry(cell)
                 assert (entry.elapsed_s, entry.created_at) == (
                     0.0,
-                    payload_path(store, cell_key(cell)).stat().st_mtime,
+                    mtimes[cell_key(cell)],
                 ) == row[13:15]
                 assert_reports_equal(entry.report, report)
             assert store.get_entry(damaged) is None
             assert store.get_entry(misnamed) is None
             assert len(store) == 2
+        assert not (root / "payloads").exists()
 
     def test_an_existing_index_is_not_rebuilt(self, tmp_path, solved):
         cell, report = solved
@@ -1103,3 +1157,205 @@ class TestIndexRebuild:
             store._db.commit()
         with ResultStore(tmp_path / "cache") as store:
             assert len(store) == 0 and store.get_entry(cell) is None
+
+
+@pytest.fixture()
+def old_layout(tmp_path, solved, traced_solved):
+    """An old-layout store: an index whose rows name payload files, and
+    the files — two sound frames, a damaged and a misnamed one, a pre-7
+    JSON payload under an old key and one under its cell's own key, a
+    row whose file is gone, a frame no row names and the temp file of a
+    killed put."""
+    root = tmp_path / "old"
+    root.mkdir()
+    cell, report = solved
+    db = sqlite3.connect(root / "index.db")
+    db.executescript(_OLD_SCHEMA)
+    old = SimpleNamespace(root=root, sound={}, dropped=[], pre7={})
+    for i, (c, r) in enumerate((solved, traced_solved)):
+        key = cell_key(c)
+        frame = expected_frame(key, c, r)
+        path = _old_file(root, key, frame)
+        _insert_row(db, key, c, r, path, elapsed_s=1.5 + i, created_at=1000.0 + i)
+        old.sound[key] = (c, r, frame, 1.5 + i, 1000.0 + i)
+    damaged, misnamed, gone = (_seeded(cell, s) for s in (11, 12, 13))
+    key = cell_key(damaged)
+    path = _old_file(root, key, _flip(expected_frame(key, damaged, report), 60))
+    _insert_row(db, key, damaged, report, path)
+    other = _seeded(cell, 14)  # holds no row and no file of its own
+    key = cell_key(misnamed)
+    path = _old_file(root, key, expected_frame(cell_key(other), other, report))
+    _insert_row(db, key, misnamed, report, path)
+    _insert_row(db, cell_key(gone), gone, report, f"payloads/xx/{cell_key(gone)}")
+    old.dropped = [cell_key(c) for c in (damaged, misnamed, other, gone)]
+    path = _old_file(root, V2_KEY, _v2_payload(cell, report), ".json")
+    _insert_row(db, V2_KEY, cell, report, path)
+    old.json_cell = _seeded(cell, 15)
+    key = cell_key(old.json_cell)
+    path = _old_file(
+        root, key, _pre7_json(expected_frame(key, old.json_cell, report)), ".json"
+    )
+    _insert_row(db, key, old.json_cell, report, path)
+    old.pre7 = {V2_KEY: report, key: report}
+    old.rowless = _seeded(cell, 16)
+    key = cell_key(old.rowless)
+    old.rowless_frame = expected_frame(key, old.rowless, report)
+    old.rowless_mtime = (root / _old_file(root, key, old.rowless_frame)).stat().st_mtime
+    _old_file(root, key, b"half-written", ".tmp.1.2")
+    db.close()
+    return old
+
+
+class TestOldLayoutImport:
+    """A store whose frames are files beside its index is imported once,
+    when it is opened: sound frames and pre-7 payloads become their
+    rows' payloads, everything else is dropped, and the files go."""
+
+    def test_sound_frames_come_in_byte_for_byte_and_are_hits(
+        self, old_layout, solved
+    ):
+        with ResultStore(old_layout.root) as store:
+            for key, (cell, report, frame, elapsed_s, created_at) in (
+                old_layout.sound.items()
+            ):
+                assert stored_payload(store, key) == frame
+                entry = store.get_entry(cell)
+                assert (entry.elapsed_s, entry.created_at) == (elapsed_s, created_at)
+                assert_reports_equal(entry.report, report)
+            # a frame no row named gets one, as a rebuilt index would
+            key = cell_key(old_layout.rowless)
+            assert stored_payload(store, key) == old_layout.rowless_frame
+            entry = store.get_entry(old_layout.rowless)
+            assert (entry.elapsed_s, entry.created_at) == (
+                0.0,
+                old_layout.rowless_mtime,
+            )
+            assert_reports_equal(entry.report, solved[1])
+            assert (store.hits, store.misses) == (3, 0)
+
+    def test_damaged_misnamed_and_missing_frames_are_dropped(self, old_layout):
+        with ResultStore(old_layout.root) as store:
+            for key in old_layout.dropped:
+                assert store._row(key) is None
+            assert len(store) == len(old_layout.sound) + 1 + len(old_layout.pre7)
+
+    def test_a_pre7_payload_is_listable_and_never_served(self, old_layout):
+        with ResultStore(old_layout.root) as store:
+            for key, report in old_layout.pre7.items():
+                assert_reports_equal(store.entry_by_key(key).report, report)
+            assert set(old_layout.pre7) <= {e.key for e in store.entries()}
+            assert store.get_entry(old_layout.json_cell) is None
+
+    def test_the_payload_directory_is_gone(self, old_layout):
+        with ResultStore(old_layout.root) as store:
+            assert {p.name for p in old_layout.root.iterdir()} <= INDEX_FILES
+            assert store._db.execute(
+                "SELECT DISTINCT typeof(payload) FROM results"
+            ).fetchall() == [("blob",)]
+        # and a later open finds nothing to import
+        with ResultStore(old_layout.root) as store:
+            assert len(store) == len(old_layout.sound) + 1 + len(old_layout.pre7)
+
+    def test_an_import_cut_short_finishes_on_the_next_open(
+        self, old_layout, monkeypatch
+    ):
+        """Killed after the rows committed, before the files were
+        removed: the next open removes them and keeps the rows as they
+        are, compute and creation times included."""
+        monkeypatch.setattr(
+            store_module, "shutil", SimpleNamespace(rmtree=lambda *a, **k: None)
+        )
+        with ResultStore(old_layout.root) as store:
+            rows = store._db.execute("SELECT * FROM results ORDER BY key").fetchall()
+        assert (old_layout.root / "payloads").is_dir()
+        monkeypatch.undo()
+        with ResultStore(old_layout.root) as store:
+            again = store._db.execute("SELECT * FROM results ORDER BY key").fetchall()
+        assert again == rows
+        assert not (old_layout.root / "payloads").exists()
+
+
+#: Puts cells seeded from argv[3] on into the store at argv[1], printing
+#: each seed once its put returned; (cell, report) pickled at argv[2].
+_WRITER = """
+import pickle, sys
+from dataclasses import replace
+from repro.campaign.spec import CampaignCell
+from repro.campaign.store import ResultStore
+
+with open(sys.argv[2], "rb") as f:
+    cell, report = pickle.load(f)
+store = ResultStore(sys.argv[1])
+for seed in range(int(sys.argv[3]), 10**9):
+    store.put(CampaignCell(replace(cell.config, seed=seed), cell.scheme), report)
+    print(seed, flush=True)
+"""
+
+
+class TestAtomicPut:
+    """A put commits its row and its frame together, or neither."""
+
+    def test_a_put_interrupted_before_its_commit_leaves_no_row(
+        self, store, solved, monkeypatch
+    ):
+        """Not only a failed SQLite call: anything that escapes the
+        write rolls it back, so no later commit can pick the row up."""
+        cell, report = solved
+        monkeypatch.setattr(
+            store, "_db", _FullAtCommit(store._db, error=KeyboardInterrupt())
+        )
+        with pytest.raises(KeyboardInterrupt):
+            store.put(cell, report)
+        assert store._db.inserted
+        monkeypatch.undo()
+        assert store._row(cell_key(cell)) is None
+        store.put_manifest(make_manifest("a" * 16))  # the next commit
+        with sqlite3.connect(store.root / "index.db") as other:
+            assert other.execute("SELECT COUNT(*) FROM results").fetchone() == (0,)
+
+    def test_a_writer_killed_mid_put_leaves_whole_rows(
+        self, tmp_path, traced_solved
+    ):
+        cell, report = traced_solved
+        fixture = tmp_path / "cell.pickle"
+        fixture.write_bytes(pickle.dumps((cell, report)))
+        root = tmp_path / "cache"
+        env = {**os.environ, "PYTHONPATH": str(Path(store_module.__file__).parents[2])}
+        delays = np.random.default_rng(45).uniform(0.0, 0.004, size=3)
+        total = 0
+        for round_, delay in enumerate(delays):
+            first = 1000 * round_
+            child = subprocess.Popen(
+                [sys.executable, "-c", _WRITER, str(root), str(fixture), str(first)],
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            try:
+                for _ in range(5):
+                    assert child.stdout.readline(), "the writer died"
+                time.sleep(delay)
+            finally:
+                child.send_signal(signal.SIGKILL)
+                out, _ = child.communicate()
+            returned = 5 + len(out.split())
+            with ResultStore(root) as store:
+                assert store._db.execute("PRAGMA integrity_check").fetchone() == (
+                    "ok",
+                )
+                # every put that returned is there, and at most the one
+                # the kill cut short besides
+                seeds = range(first, first + returned + 1)
+                held = [s for s in seeds if store._row(cell_key(_seeded(cell, s)))]
+                assert held[:returned] == list(seeds[:returned])
+                assert len(held) in (returned, returned + 1)
+                # and every row is whole: served, bit for bit
+                for seed in held:
+                    entry = store.get_entry(_seeded(cell, seed))
+                    assert_reports_equal(entry.report, report)
+                    assert telemetry_to_dict(
+                        entry.report.details["telemetry"]
+                    ) == telemetry_to_dict(report.details["telemetry"])
+                assert store.misses == 0
+                total += len(held)
+                assert len(store) == total

@@ -96,12 +96,12 @@ class TestRollup:
 
 
 def payload_bytes(root) -> dict[str, bytes]:
-    """Every stored payload keyed by filename, byte-exact — listed the
-    way the store lists them, and never an empty comparison."""
+    """Every stored payload keyed by its cell's key, byte-exact, and
+    never an empty comparison."""
     with ResultStore(root) as store:
-        files = store.payload_files()
-    assert files, f"no payload files under {root}"
-    return {p.name: p.read_bytes() for p in files}
+        payloads = dict(store._db.execute("SELECT key, payload FROM results"))
+    assert payloads, f"no payloads under {root}"
+    return payloads
 
 
 class TestSerialParallelBitIdentity:
@@ -119,8 +119,8 @@ class TestSerialParallelBitIdentity:
         self, traced_spec, tmp_path
     ):
         """The fleet channel is side-band only: a serial run and a
-        2-worker run (heartbeats, forwarded events and all) must write
-        byte-identical payload files under identical content keys."""
+        2-worker run (heartbeats, forwarded events and all) must store
+        byte-identical payloads under identical content keys."""
         events: list[dict] = []
         run_campaign(traced_spec, store=ResultStore(tmp_path / "serial"))
         run_campaign(

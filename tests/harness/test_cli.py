@@ -661,9 +661,13 @@ class TestCorruptIndex:
         message = exc.value.code  # a str: printed to stderr, exit status 1
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith(f"unreadable result store index {index} (sqlite: ")
-        assert message.endswith("delete it to rebuild the index")
+        assert message.endswith(
+            "deleting it drops its cells, which are then recomputed"
+        )
 
-    def test_deleting_it_rebuilds_the_index(self, capsys, traced_store, tmp_path):
+    def test_deleting_it_recomputes_its_cells(self, capsys, traced_store, tmp_path):
+        """The frames lived in the damaged index: with it gone there is
+        no store to read, and the campaign runs every cell again."""
         root = tmp_path / "cache"
         shutil.copytree(traced_store, root)
         index = root / "index.db"
@@ -679,6 +683,10 @@ class TestCorruptIndex:
             main(argv)
         index.unlink()
         capsys.readouterr()
+        with pytest.raises(SystemExit, match="no result store at"):
+            main(["report", "--store", str(root)])
+        assert main(argv) == 0
+        assert "3 cells: 3 ran, 0 cached, 0 failed" in capsys.readouterr().out
         assert main(["report", "--store", str(root)]) == 0
         assert "per-scheme rollup:" in capsys.readouterr().out
         assert main(argv) == 0

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.campaign import store as store_module
 from repro.campaign.serialize import report_to_dict
 from repro.campaign.store import ResultStore, cell_key
 from repro.harness.experiment import Experiment, ExperimentConfig
@@ -324,8 +325,9 @@ class TestReports:
         assert diff["text"]
 
     def test_a_report_request_reads_only_its_own_payload(self, served, monkeypatch):
-        """By-key lookups go index row -> one payload file, however many
-        cells the store holds (they used to decode every payload)."""
+        """A by-key lookup is one index row, its payload inside, and one
+        decode, however many cells the store holds (they used to decode
+        every payload)."""
         from dataclasses import replace
 
         from repro.campaign.serialize import report_from_dict
@@ -340,24 +342,29 @@ class TestReports:
             )
         assert len(served.store) >= 22
 
-        reads = []
-        real = served.store._read_payload
+        probes, reads = [], []
+        real, decode = served.store._row, store_module._decode
         monkeypatch.setattr(
-            served.store, "_read_payload", lambda key: reads.append(key) or real(key)
+            served.store, "_row", lambda key: probes.append(key) or real(key)
+        )
+        monkeypatch.setattr(
+            store_module,
+            "_decode",
+            lambda key, blob: reads.append(key) or decode(key, blob),
         )
         full = served.client.report(a["key"])
-        assert reads == [a["key"]]
+        assert probes == reads == [a["key"]]
         assert full["key"] == a["key"] and full["report"] == a["report"]
         assert full["label"] == cell.label
         assert set(full) == {"key", "label", "elapsed_s", "created_at", "report"}
 
-        del reads[:]
+        del probes[:], reads[:]
         diff = served.client.diff(a["key"], b["key"])
-        assert reads == [a["key"], b["key"]]
+        assert probes == reads == [a["key"], b["key"]]
         assert diff["a"] == {"key": a["key"], "label": cell.label}
         assert diff["identical"] is False
 
-        del reads[:]
+        del probes[:], reads[:]
         for call in (
             lambda: served.client.report("f" * 64),
             lambda: served.client.diff(a["key"], "f" * 64),
@@ -366,6 +373,7 @@ class TestReports:
                 call()
             assert exc.value.status == 404
             assert "no stored cell with key " + repr("f" * 64) in str(exc.value)
+        assert probes == ["f" * 64, a["key"], "f" * 64]
         assert reads == [a["key"]]  # an unknown key costs no payload read
 
     def test_unknown_report_key_is_404(self, served):
