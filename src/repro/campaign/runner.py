@@ -141,15 +141,20 @@ def execute_cell(
     the group's one :class:`Experiment`, built by its first cell; the
     report is bit-identical either way.  ``timeout_s`` arms a
     SIGALRM timer (POSIX) that aborts the cell with
-    :class:`CellTimeout` without killing the worker.  Failures
-    re-raise with the attempt's elapsed seconds attached
+    :class:`CellTimeout` without killing the worker.  Python runs the
+    handler between bytecodes; when those are a garbage finalizer's (a
+    ``__del__``, a generator's close), the interpreter swallows its
+    raise, so the cell runs on and then ends in :class:`CellTimeout`.
+    Failures re-raise with the attempt's elapsed seconds attached
     (:class:`CellTimeout` / :class:`CellExecutionError`) so wasted
     compute is attributable even across the pool's pickle boundary.
     """
     use_alarm = timeout_s is not None and hasattr(signal, "SIGALRM")
+    expired = []  # signals the alarm handler took
     if use_alarm:
 
         def _on_alarm(signum, frame):
+            expired.append(signum)
             raise CellTimeout(f"{cell.label} exceeded {timeout_s:g}s")
 
         previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -165,6 +170,8 @@ def execute_cell(
         if baseline is not None and not cell.is_baseline:
             experiment.prime_baseline(baseline)
         report = experiment.run(cell.scheme)
+        if expired:  # the handler ran inside a finalizer, which swallowed its raise
+            raise CellTimeout(f"{cell.label} exceeded {timeout_s:g}s")
     except CellTimeout as exc:
         raise CellTimeout(str(exc), time.perf_counter() - t0) from None
     except Exception as exc:

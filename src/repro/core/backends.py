@@ -17,8 +17,11 @@ never changes **what** is computed.  Two backends ship:
     The default.  All ranks' partitions are contiguous segments of the
     same global arrays (block-row partitioning stacks them by
     construction), so the whole fleet executes each iteration as one
-    vectorized ``csr_matvec`` + axpy sequence — ~8 numpy calls per
-    iteration regardless of rank count.
+    global SpMV + axpy sequence — ~8 numpy calls per iteration
+    regardless of rank count.  The SpMV is scipy's ``dia_matvec`` on a
+    matrix whose occupied diagonals are all full and ``csr_matvec``
+    otherwise (:func:`spmv_kernel`): the same products summed in the
+    same order either way.
 
 **Why the two are bit-identical** (the differential harness in
 ``tests/core/test_backend_equivalence.py`` pins this):
@@ -81,6 +84,54 @@ def csr_kernel(a):
         return assign, ()
     m, n = a.shape
     return kernel, (m, n, a.indptr, a.indices, a.data)
+
+
+def spmv_kernel(a):
+    """``(kernel, operands)`` with :func:`csr_kernel`'s call shape and
+    contract, picked from ``a``'s structure: scipy's ``dia_matvec`` when
+    it computes exactly CSR's products, :func:`csr_kernel` otherwise.
+
+    DIA is exact when ``a`` is a square float64 CSR matrix in canonical
+    form (sorted, no duplicates) whose every diagonal holding an entry
+    is full: the occupied offsets ``k`` satisfy ``sum(n - |k|) == nnz``.
+    Then ``dia_matvec``, with the offsets ascending, adds each row's
+    products ``a_ij * v_j``, and only those, onto ``out[i]`` in
+    ascending ``j``: the same IEEE operations in the same order as
+    ``csr_matvec``'s running sum over the sorted row (DESIGN.md §5j).
+    A padded slot would add ``0 * v_j``, which is NaN where ``v_j`` is
+    NaN or infinite, so a matrix with one stays on CSR.
+
+    One thing IEEE leaves to the compiled add: when a row's running sum
+    and its next product are two different NaNs (``inf - inf`` meeting
+    a NaN input), the two kernels keep different ones.  The row is NaN
+    either way, and the span loop reads a ``q`` holding a NaN only
+    through ``p·q``, which is then NaN: a breakdown under both kernels.
+    """
+    try:  # scipy's raw DIA mat-vec kernel
+        from scipy.sparse._sparsetools import dia_matvec
+    except ImportError:  # pragma: no cover - older scipy
+        return csr_kernel(a)
+    m, n = a.shape
+    if (
+        a.format != "csr"
+        or a.dtype != np.float64
+        or m != n
+        or a.nnz == 0
+        or not a.has_canonical_format
+    ):
+        return csr_kernel(a)
+    indptr, indices = a.indptr, a.indices
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    shifted = indices - rows + (n - 1)  # each entry's offset, plus n - 1
+    occupied = np.flatnonzero(np.bincount(shifted, minlength=2 * n - 1))
+    offsets = occupied - (n - 1)
+    if int((n - np.abs(offsets)).sum()) != a.nnz:
+        return csr_kernel(a)
+    # One scatter from the CSR arrays, no COO temporaries: DIA keeps
+    # entry (i, j) of diagonal d at diags[d, j].
+    diags = np.zeros((offsets.size, n))
+    diags[np.searchsorted(occupied, shifted), indices] = a.data
+    return dia_matvec, (n, n, offsets.size, n, offsets.astype(indices.dtype), diags)
 
 
 def csr_matvec(a):
@@ -156,10 +207,9 @@ class BatchedBackend(SolverBackend):
         minv = cg._minv
         bnorm = cg._bnorm
         tol = cg.tol
-        a = cg.dmat.a
         x, r, p, rz = st.x, st.r, st.p, st.rz
-        n = a.shape[0]
-        kernel, operands = csr_kernel(a)
+        n = cg.dmat.n
+        kernel, operands = cg.dmat.spmv
         hist = np.empty(max_steps, dtype=np.float64)
         isfinite = math.isfinite
         sqrt = math.sqrt
@@ -179,7 +229,7 @@ class BatchedBackend(SolverBackend):
         # the 0-d float64 ``scalar``, the dots are ``ndarray.dot`` (the
         # BLAS call ``np.dot`` makes), the Jacobi residual norm is
         # ``sqrt(r.dot(r))`` (what ``np.linalg.norm`` computes), and the
-        # SpMV is scipy's kernel called inline.
+        # SpMV is the matrix's kernel (DIA or CSR) called inline.
         q = np.empty(n)
         tmp = np.empty(n)
         z = r if minv is None else np.empty(n)

@@ -27,7 +27,6 @@ from repro.cluster.comm import SimComm
 from repro.core.backends import (
     DEFAULT_BACKEND,
     PRECONDITIONERS,
-    csr_kernel,
     make_backend,
 )
 from repro.core.errors import ConvergenceError
@@ -364,7 +363,7 @@ def fault_free_iterations(
     st = cg.state
     minv, bnorm = cg._minv, cg._bnorm
     r, p, rz = st.r, st.p, st.rz  # fresh arrays: stepped in place
-    kernel, operands = csr_kernel(dmat.a)
+    kernel, operands = dmat.spmv
     multiply, add, subtract = np.multiply, np.add, np.subtract
     isfinite, sqrt = math.isfinite, math.sqrt
     n = dmat.n

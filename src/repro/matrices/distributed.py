@@ -85,6 +85,18 @@ class DistributedMatrix:
         """Global SpMV (the numerics; costs are charged separately)."""
         return self.a @ x
 
+    @cached_property
+    def spmv(self):
+        """``(kernel, operands)`` of the CG span loop's SpMV: after
+        ``q.fill(0.0)``, ``kernel(*operands, p, q)`` writes ``a @ p``
+        into ``q``.  The kernel is picked once from the matrix's
+        structure (``core.backends.spmv_kernel``: DIA when every
+        occupied diagonal is full, CSR otherwise) and built on first
+        use, not in :meth:`warm`."""
+        from repro.core.backends import spmv_kernel  # on use: core imports this module
+
+        return spmv_kernel(self.a)
+
     # ------------------------------------------------------------------
     def blocks(self, rank: int) -> RankBlocks:
         """Per-rank blocks, computed once and cached."""

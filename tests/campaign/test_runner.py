@@ -5,6 +5,8 @@ import json
 import os
 import pickle
 import signal
+import sys
+import time
 import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
@@ -72,10 +74,47 @@ class TestExecuteCell:
         after, _ = signal.getitimer(signal.ITIMER_REAL)
         assert 0 < after <= remaining
 
-    def test_timeout_aborts_the_cell(self):
+    def test_timeout_aborts_the_cell(self, monkeypatch):
+        """The 1 ms alarm aborts the cell mid-solve however fast the
+        solve is: each CG span first sleeps past it."""
+        real = DistributedCG.step_span
+
+        def slow(cg, max_steps):
+            time.sleep(0.05)
+            return real(cg, max_steps)
+
+        monkeypatch.setattr(DistributedCG, "step_span", slow)
         cfg = ExperimentConfig(matrix="wathen100", nranks=8, n_faults=2)
         with pytest.raises(CellTimeout):
             execute_cell(CampaignCell(cfg, "FF"), timeout_s=1e-3)
+
+    def test_an_alarm_a_finalizer_swallowed_still_times_the_cell_out(
+        self, monkeypatch
+    ):
+        """The alarm's handler runs between bytecodes, and when those
+        are a garbage finalizer's, the interpreter swallows its raise:
+        an earlier test's leftover cycles, collected inside the 1 ms
+        window, let a timed-out cell finish as if it had not.  The cell
+        still ends in ``CellTimeout``."""
+        swallowed = []
+        monkeypatch.setattr(sys, "unraisablehook", swallowed.append)
+
+        class Garbage:
+            def __del__(self):
+                signal.raise_signal(signal.SIGALRM)  # the timer, firing here
+
+        real = DistributedCG.step_span
+
+        def collecting(cg, max_steps):
+            if not swallowed:
+                Garbage()  # dropped at once: its finalizer takes the alarm
+            return real(cg, max_steps)
+
+        monkeypatch.setattr(DistributedCG, "step_span", collecting)
+        cfg = ExperimentConfig(matrix="wathen100", nranks=8, n_faults=2, scale=0.25)
+        with pytest.raises(CellTimeout):
+            execute_cell(CampaignCell(cfg, "FF"), timeout_s=60.0)
+        assert [type(u.exc_value) for u in swallowed] == [CellTimeout]
 
 
 class TestSerialCampaign:
