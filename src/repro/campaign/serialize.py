@@ -168,8 +168,8 @@ def report_from_dict(data: dict) -> SolveReport:
             victim_rank=ev["victim_rank"],
             fault_class=_FAULT_CLASSES[ev["fault_class"]],
             scope=_FAULT_SCOPES[ev["scope"]],
-            # Older payloads have no "victims" key: the event
-            # normalizes the empty tuple to (victim_rank,).
+            # A single-victim event is encoded without "victims": the
+            # event normalizes the empty tuple to (victim_rank,).
             victims=tuple(ev.get("victims", ())),
         )
         for ev in data["faults"]

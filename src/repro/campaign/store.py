@@ -27,11 +27,10 @@ and diff shapes do not change.  The section is handed back unparsed: a
 read report's telemetry builds itself on first use
 (:meth:`~repro.obs.telemetry.Telemetry.from_json`), and until then
 re-encodes to the same dict, unsorted, as the report it was computed as.
-Frames that format 7 wrote first (magic ``REPRO\0F7``) have no section
-and keep the telemetry in the header; they decode, built at once.  A
-payload written before format 7 is the whole record as JSON: it stays
-listable (:meth:`ResultStore.entries`, :meth:`ResultStore.entry_by_key`)
-and is never served for a cell.
+A payload that is not such a frame is damaged like any other, so a
+store written before frames moved into ``index.db`` (its rows naming
+files under ``payloads/``) reads as empty; deleting its directory
+reclaims the files' space.
 
 Every cell is keyed by a SHA-256 **content hash** over the complete
 :class:`~repro.harness.experiment.ExperimentConfig`, the scheme name,
@@ -51,15 +50,6 @@ longer than :data:`BUSY_TIMEOUT_S` raises :class:`StoreLockedError`.
 Since the frames live in ``index.db``, a damaged ``index.db`` has
 nothing to be rebuilt from: it is an error, and deleting the file
 drops its cells, which are then recomputed.
-
-A store written before frames moved into the index keeps them as files,
-``payloads/<key[:2]>/<key>.frame`` (or ``.json`` before format 7), named
-by rows whose ``payload`` is the file's path.  It is imported when it is
-opened: each file whose digest checks out (a frame) or that parses (a
-pre-7 payload), and whose record holds the key the file is named for,
-becomes its row's payload, keeping the row's compute and creation times
-(0 and the file's modification time where the row was gone); rows left
-without a payload are dropped, and the directory is removed.
 """
 
 from __future__ import annotations
@@ -67,7 +57,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import shutil
 import sqlite3
 import threading
 import time
@@ -105,10 +94,8 @@ BUSY_TIMEOUT_S = 30.0
 #: system's file cache at no measured cost in cells per second.
 _CACHE_KIB = 64
 
-#: First bytes of every frame written now, and of a frame without a
-#: telemetry section (written before it had one).  A payload that starts
-#: otherwise is a pre-7 JSON payload.
-_FRAME_MAGIC, _F7_MAGIC = b"REPRO\x00F8", b"REPRO\x00F7"
+#: First bytes of every frame.
+_FRAME_MAGIC = b"REPRO\x00F8"
 
 #: Where a frame's fields start: the SHA-256 of everything from the
 #: header length on, the header length (uint64 LE), the JSON header.
@@ -116,12 +103,6 @@ _DIGEST_AT, _LENGTH_AT, _HEADER_AT = 8, 40, 48
 
 #: Bytes of a section length field (uint64 LE).
 _LENGTH_SIZE = _HEADER_AT - _LENGTH_AT
-
-#: An old-layout store's payload directory under its root, and the
-#: suffixes of its files: pre-7 JSON payloads, then frames (imported
-#: in that order, so a frame wins over a JSON file of the same key).
-_PAYLOADS = "payloads"
-_PAYLOAD_SUFFIXES = (".json", ".frame")
 
 #: The residual history column's on-disk dtype.
 _COLUMN_DTYPE = np.dtype("<f8")
@@ -222,10 +203,9 @@ def _unframe(blob: bytes) -> dict | None:
     ``report.residual_history`` as an array of its own and its telemetry
     section under ``report.telemetry`` as an unbuilt bundle; ``None``
     unless the digest matches and the header parses."""
-    magic = blob[:_DIGEST_AT]
     if (
         len(blob) < _HEADER_AT
-        or magic not in (_FRAME_MAGIC, _F7_MAGIC)
+        or blob[:_DIGEST_AT] != _FRAME_MAGIC
         or hashlib.sha256(memoryview(blob)[_LENGTH_AT:]).digest()
         != blob[_DIGEST_AT:_LENGTH_AT]
     ):
@@ -234,13 +214,10 @@ def _unframe(blob: bytes) -> dict | None:
     try:
         payload = json.loads(blob[_HEADER_AT:column_at])
         report = payload["report"]
-        if magic == _FRAME_MAGIC:
-            section_at = column_at + _LENGTH_SIZE
-            column_at = section_at + int.from_bytes(
-                blob[column_at:section_at], "little"
-            )
-            if column_at > section_at:
-                report["telemetry"] = Telemetry.from_json(blob[section_at:column_at])
+        section_at = column_at + _LENGTH_SIZE
+        column_at = section_at + int.from_bytes(blob[column_at:section_at], "little")
+        if column_at > section_at:
+            report["telemetry"] = Telemetry.from_json(blob[section_at:column_at])
         # frombuffer rejects a column that is past the end or not whole
         # floats; astype copies, so the array owns its memory
         report["residual_history"] = np.frombuffer(
@@ -251,24 +228,17 @@ def _unframe(blob: bytes) -> dict | None:
     return payload
 
 
-def _decode(key: str, blob: bytes) -> tuple[dict, bool] | None:
-    """The one place a stored payload is decoded: ``(payload, framed)``,
-    or ``None`` when it is damaged.
-
-    A payload that starts with the frame magic is a frame, decoded only
-    once its digest checks out.  Any other payload is a pre-7 JSON
-    record: listable, and never served for a cell.  The digest vouches
-    for a frame's content, not for whose it is, so a payload that
-    records another key (copied onto this row) is damaged too.
-    """
-    framed = blob[:_DIGEST_AT] in (_FRAME_MAGIC, _F7_MAGIC)
-    try:
-        payload = _unframe(blob) if framed else json.loads(blob)
-    except ValueError:
+def _decode(key: str, blob: bytes) -> dict | None:
+    """The one place a stored payload is decoded: the payload of a frame
+    whose digest checks out and whose header records ``key``, or
+    ``None`` when it is damaged.  The digest vouches for a frame's
+    content, not for whose it is, so a sound frame that records another
+    key (copied onto this row) is damaged too; so is any payload that is
+    not a frame, an old store's leftovers included."""
+    payload = _unframe(blob)
+    if payload is None or payload.get("key") != key:
         return None
-    if not isinstance(payload, dict) or payload.get("key") != key:
-        return None
-    return payload, framed
+    return payload
 
 
 class StoreLockedError(sqlite3.OperationalError):
@@ -370,9 +340,6 @@ class ResultStore:
         self._db.execute(f"PRAGMA busy_timeout={round(BUSY_TIMEOUT_S * 1000)}")
         self._db.execute(f"PRAGMA cache_size=-{_CACHE_KIB}")
         self._db.commit()
-        payloads = self.root / _PAYLOADS
-        if payloads.is_dir():
-            self._import(payloads)
         #: Lookup counters since open: ``hits`` counts get_entry() calls
         #: served a report, ``misses`` the rest.  Surfaced by stats()
         #: and the serving tier's /v1/store/stats endpoint.
@@ -437,55 +404,21 @@ class ResultStore:
             ),
         )
 
-    def _import(self, payloads: Path) -> None:
-        """Move an old-layout store's payload files into their rows, then
-        remove them (module docstring): run on open while ``payloads``
-        exists, so a store killed mid-import finishes it next time."""
-        with self._writing() as db:
-            times = {
-                key: (elapsed_s, created_at)
-                for key, elapsed_s, created_at in db.execute(
-                    "SELECT key, elapsed_s, created_at FROM results "
-                    "WHERE typeof(payload) = 'text'"
-                )
-            }
-            db.execute("DELETE FROM results WHERE typeof(payload) = 'text'")
-            imported = {key for (key,) in db.execute("SELECT key FROM results")}
-            for suffix in _PAYLOAD_SUFFIXES:
-                for path in payloads.glob(f"*/*{suffix}"):
-                    key = path.name[: -len(suffix)]
-                    if key in imported:
-                        continue  # by an import cut short before the removal
-                    try:
-                        blob = path.read_bytes()
-                        read = _decode(key, blob)
-                        if read is None:
-                            continue
-                        elapsed_s, created_at = times.get(
-                            key, (0.0, path.stat().st_mtime)
-                        )
-                        entry = entry_from_payload(read[0], elapsed_s, created_at)
-                    except (OSError, ValueError, KeyError, TypeError):
-                        continue  # gone since the listing, or not this code's
-                    self._index(db, key, entry, blob)
-        shutil.rmtree(payloads, ignore_errors=True)
-
     def __contains__(self, cell: CampaignCell) -> bool:
         return self.get_entry(cell) is not None
 
     def get_entry(self, cell: CampaignCell) -> StoreEntry | None:
         """Full entry for a cell, or ``None`` on a miss.
 
-        A cell has one key: rows written under older store formats stay
-        listable (:meth:`entries`, :meth:`entry_by_key`) but are never
-        served for a cell, and only a frame whose digest checks out is.
+        A cell has one key, and only a frame whose digest checks out is
+        served under it; any other row there is damaged and dropped.
         """
         key = cell_key(cell)
         row = self._row(key)
-        read = None if row is None else _decode(key, row[2])
-        if read is None or not read[1]:
+        payload = None if row is None else _decode(key, row[2])
+        if payload is None:
             if row is not None:
-                # damaged or not a frame: self-heal
+                # damaged: self-heal
                 with self._writing() as db:
                     db.execute("DELETE FROM results WHERE key = ?", (key,))
             with self._lock:
@@ -493,17 +426,17 @@ class ResultStore:
             return None
         with self._lock:
             self.hits += 1
-        return entry_from_payload(read[0], row[0], row[1], cell=cell)
+        return entry_from_payload(payload, row[0], row[1], cell=cell)
 
     def entry_by_key(self, key: str) -> StoreEntry | None:
         """The entry stored under exactly ``key``: one ``SELECT``.  Not a
         cell lookup — no hit/miss counting, and a damaged row is left
         for :meth:`get_entry` to heal."""
         row = self._row(key)
-        read = None if row is None else _decode(key, row[2])
-        if read is None:
+        payload = None if row is None else _decode(key, row[2])
+        if payload is None:
             return None
-        return entry_from_payload(read[0], row[0], row[1])
+        return entry_from_payload(payload, row[0], row[1])
 
     def _row(self, key: str) -> tuple[float, float, bytes] | None:
         """The one read of a stored cell: ``(elapsed_s, created_at,

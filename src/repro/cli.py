@@ -512,11 +512,9 @@ def _store(args) -> ResultStore | None:
 
 
 def _open_existing_store(args) -> ResultStore:
-    """The store ``--store`` names, which must already hold results: an
-    index, or an old-layout ``payloads/`` directory, which opening the
-    store imports into a new one."""
+    """The store ``--store`` names, which must already have an index."""
     root = _store_root(args)
-    if not ((root / "index.db").exists() or (root / "payloads").is_dir()):
+    if not (root / "index.db").exists():
         raise SystemExit(f"no result store at {root}")
     return ResultStore(root)
 

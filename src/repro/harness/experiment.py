@@ -243,8 +243,7 @@ class Experiment:
         solve.  The report must come from the same
         :class:`ExperimentConfig` *and* the same engine; runs are
         deterministic, so an equal config implies an identical baseline.
-        Reports predating engine provenance are treated as simulator
-        output.
+        A report without an engine stamp is refused like a mismatched one.
         """
         if report.scheme != "FF":
             raise ValueError(f"baseline must be an FF report, got {report.scheme!r}")
@@ -255,7 +254,7 @@ class Experiment:
                 final_residual=report.final_relative_residual,
                 iterations=report.iterations,
             )
-        provenance = report.details.get("engine", "sim")
+        provenance = report.details.get("engine")
         if provenance != self.engine.name:
             raise ValueError(
                 f"baseline was produced by the {provenance!r} engine; this "

@@ -5,13 +5,6 @@ before its parent), with the open-stack depth stamped on each span.
 That makes the tree exact to rebuild: walking the flat list, a span at
 depth ``d`` adopts every already-completed-but-unadopted span at depth
 ``d + 1``.
-
-Legacy traces (exported before depth stamping) carry ``depth == 0`` on
-every span; for those a containment fallback infers nesting from
-intervals — the innermost later-completing span containing a child is
-its parent.  Containment is ambiguous when zero-duration spans share a
-timestamp (common in sim time), which is exactly why depth stamping
-exists; the fallback only has to serve old traces.
 """
 
 from __future__ import annotations
@@ -46,18 +39,6 @@ class SpanNode:
 
 def build_span_tree(spans: Iterable[Span]) -> list[SpanNode]:
     """Roots of the span forest, children in start-time order."""
-    spans = list(spans)
-    if any(s.depth > 0 for s in spans):
-        roots = _build_from_depths(spans)
-    else:
-        roots = _build_from_containment(spans)
-    for node, _ in walk(roots):
-        node.children.sort(key=lambda n: (n.span.t_start, n.span.t_end))
-    roots.sort(key=lambda n: (n.span.t_start, n.span.t_end))
-    return roots
-
-
-def _build_from_depths(spans: list[Span]) -> list[SpanNode]:
     # pending[d]: completed depth-d nodes not yet adopted by a parent.
     pending: dict[int, list[SpanNode]] = {}
     for s in spans:
@@ -67,26 +48,9 @@ def _build_from_depths(spans: list[Span]) -> list[SpanNode]:
     # Orphans (recorder torn down with spans still open) become roots.
     for d in sorted(pending):
         roots.extend(pending[d])
-    return roots
-
-
-def _build_from_containment(spans: list[Span]) -> list[SpanNode]:
-    nodes = [SpanNode(s) for s in spans]
-    roots: list[SpanNode] = []
-    for i, node in enumerate(nodes):
-        s = node.span
-        parent = None
-        # Children complete before parents, so only a later-completing
-        # span can be an ancestor; the tightest such interval wins.
-        for j in range(i + 1, len(nodes)):
-            cand = nodes[j].span
-            if cand.t_start <= s.t_start and s.t_end <= cand.t_end:
-                if parent is None or cand.duration_s < parent.span.duration_s:
-                    parent = nodes[j]
-        if parent is not None:
-            parent.children.append(node)
-        else:
-            roots.append(node)
+    for node, _ in walk(roots):
+        node.children.sort(key=lambda n: (n.span.t_start, n.span.t_end))
+    roots.sort(key=lambda n: (n.span.t_start, n.span.t_end))
     return roots
 
 

@@ -1,5 +1,5 @@
-"""Result store: hashing, round-trips, hits and misses, self-healing,
-atomic puts and the import of an old-layout store."""
+"""Result store: hashing, round-trips, hits and misses, self-healing
+and atomic puts."""
 
 import dataclasses
 import hashlib
@@ -31,6 +31,7 @@ from repro.campaign.fleet import cell_correlation_id
 from repro.campaign.store import (
     STORE_FORMAT,
     ResultStore,
+    StoreEntry,
     StoreLockedError,
     _hash_material,
     cell_key,
@@ -630,10 +631,10 @@ class TestConcurrency:
                 assert mine in a and mine in b
 
 
-#: Stands in for the key a format-2 store gave the cell: nothing can
-#: compute that any more, and nothing needs to — a row under any key
-#: but ``cell_key(cell)`` is listable and never served.
-V2_KEY = "f2" * 32
+#: Stands in for a key no cell has now, such as an older store format
+#: gave it: a row under any key but ``cell_key(cell)`` is listable and
+#: never served for the cell.
+FOREIGN_KEY = "f2" * 32
 
 
 class TestLockedStore:
@@ -681,52 +682,25 @@ class TestLockedStore:
         assert store.get_manifest("b" * 16) is not None
 
 
-def _v2_payload(cell, report, key: str = V2_KEY) -> bytes:
-    """The ``<key>.json`` payload a format-2 store wrote for this cell:
-    the whole record as JSON, its config without the post-v2 fields."""
-    config = asdict(cell.config)
-    del config["engine"], config["fault_scope"]
-    payload = {
-        "key": key,
-        "cell": {"config": config, "scheme": cell.scheme},
-        "report": report_to_dict(report),
-    }
-    return json.dumps(payload, sort_keys=True).encode()
-
-
-def _insert_row(db, key, cell, report, payload, elapsed_s=1.0, created_at=None):
-    """Write ``cell``'s row under ``key`` straight into an index, with
-    ``payload`` (bytes, or an old-layout store's path string) in it."""
-    cfg = cell.config
-    db.execute(
-        "INSERT OR REPLACE INTO results VALUES "
-        "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        (
-            key, cfg.matrix, cell.scheme, cfg.nranks, cfg.n_faults, cfg.seed,
-            cfg.scale, str(cfg.cr_interval), cfg.tol, int(report.converged),
-            report.iterations, report.time_s, report.energy_j, elapsed_s,
-            time.time() if created_at is None else created_at, payload,
-        ),
-    )
-    db.commit()
-
-
-def _write_v2_entry(store, cell, report):
-    """Hand-build the entry a format-2 store holds for this cell once
-    imported: keyed by another hash, its payload :func:`_v2_payload`."""
-    _insert_row(store._db, V2_KEY, cell, report, _v2_payload(cell, report))
-    return V2_KEY
+def _write_foreign_entry(store, cell, report) -> bytes:
+    """Store a sound frame of this cell under :data:`FOREIGN_KEY`, the
+    key its header records; returns the frame."""
+    frame = expected_frame(FOREIGN_KEY, cell, report)
+    entry = StoreEntry(FOREIGN_KEY, cell, report, 1.0, time.time())
+    with store._writing() as db:
+        store._index(db, FOREIGN_KEY, entry, frame)
+    return frame
 
 
 class TestMigration:
-    """A cell has one key: rows from older store formats are listable,
-    never served."""
+    """A cell has one key: a row under another key (an older format's,
+    say) is listable, never served for the cell."""
 
     def test_rows_under_other_keys_are_never_a_cell_hit(
         self, store, solved, monkeypatch
     ):
         cell, report = solved
-        _write_v2_entry(store, cell, report)
+        _write_foreign_entry(store, cell, report)
         probes = []
         row = store._row
         monkeypatch.setattr(store, "_row", lambda key: probes.append(key) or row(key))
@@ -736,22 +710,14 @@ class TestMigration:
         # a miss costs exactly one index probe, under the cell's one key
         assert probes == [cell_key(cell)] * 3
         assert store.misses == 3 and store.hits == 0
-        # ...while the old row stays reachable under the key it has
-        assert_reports_equal(store.entry_by_key(V2_KEY).report, report)
-
-    def test_v2_payload_config_gains_defaults_in_entries(self, store, solved):
-        cell, report = solved
-        _write_v2_entry(store, cell, report)
-        (entry,) = list(store.entries())
-        assert entry.cell.config.engine == "sim"
-        assert entry.cell.config.fault_scope == "process"
-        assert entry.cell.config == cell.config
+        # ...while the other row stays reachable under the key it has
+        assert_reports_equal(store.entry_by_key(FOREIGN_KEY).report, report)
 
     def test_v3_write_wins_over_legacy_fallback(self, store, solved):
-        """Once a cell is recomputed and stored under its own key, the
-        fresh entry is served (the old row remains, unreferenced)."""
+        """Once a cell is computed and stored under its own key, the
+        fresh entry is served (the other row remains, unreferenced)."""
         cell, report = solved
-        _write_v2_entry(store, cell, report)
+        _write_foreign_entry(store, cell, report)
         store.put(cell, report, elapsed_s=9.0)
         entry = store.get_entry(cell)
         assert entry.key == cell_key(cell)
@@ -761,18 +727,18 @@ class TestMigration:
         self, store, solved
     ):
         cell, report = solved
-        _write_v2_entry(store, cell, report)
+        foreign = _write_foreign_entry(store, cell, report)
         key = store.put(cell, report)
-        assert sorted(e.key for e in store.entries()) == sorted([key, V2_KEY])
-        assert store.payload_bytes() == (
-            len(stored_payload(store, key)) + len(_v2_payload(cell, report))
+        assert sorted(e.key for e in store.entries()) == sorted([key, FOREIGN_KEY])
+        assert store.payload_bytes() == len(stored_payload(store, key)) + len(
+            foreign
         )
         store.clear()
         assert list(store.entries()) == [] and store.payload_bytes() == 0
 
     def test_analytic_cells_never_hit_legacy_rows(self, store, solved):
         cell, report = solved
-        _write_v2_entry(store, cell, report)
+        _write_foreign_entry(store, cell, report)
         analytic = CampaignCell(
             replace(cell.config, engine="analytic"), cell.scheme
         )
@@ -839,6 +805,20 @@ def _pre7_json(blob: bytes) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
+def _f7_frame(blob: bytes) -> bytes:
+    """The frame format 7 first wrote for the frame's record: no
+    telemetry section, the telemetry inside the header."""
+    entry = store_module.entry_from_payload(store_module._unframe(blob))
+    return expected_frame(entry.key, entry.cell, entry.report, layout="F7")
+
+
+def _old_layout_path(blob: bytes) -> str:
+    """What an old-layout store's row held in place of the frame: the
+    path of the frame's file under the store's root, as TEXT."""
+    key = store_module._unframe(blob)["key"]
+    return f"payloads/{key[:2]}/{key}.frame"
+
+
 #: Each way a stored frame can be damaged: ``(frame, another cell's
 #: frame) -> the damaged payload``.
 DAMAGE = {
@@ -854,6 +834,8 @@ DAMAGE = {
     # a sound frame, but the FF cell's: its digest checks out
     "other_cells_frame_copied_over": lambda _, other: other,
     "pre7_json_renamed_to_frame_path": lambda b, _: _pre7_json(b),
+    "f7_frame_of_the_same_cell": lambda b, _: _f7_frame(b),
+    "old_layout_path_text": lambda b, _: _old_layout_path(b),
 }
 
 
@@ -921,16 +903,14 @@ class TestDamagedPayloads:
             damaged[offset] ^= 0x80
             assert store_module._unframe(bytes(damaged)) is None, offset
 
-    def test_a_pre7_payload_under_the_frame_path_stays_listable(
-        self, store, solved
-    ):
+    def test_a_pre7_payload_is_neither_listed_nor_served(self, store, solved):
         cell, report = solved
         key = store.put(cell, report)
         set_payload(store, key, _pre7_json(stored_payload(store, key)))
-        (entry,) = list(store.entries())  # listed ...
-        assert_reports_equal(entry.report, report)
-        assert store.get_entry(cell) is None  # ... never served
-        assert list(store.entries()) == []  # and the lookup dropped its row
+        assert list(store.entries()) == []  # not listed ...
+        assert store._row(key) is not None  # ... though its row is kept
+        assert store.get_entry(cell) is None  # not served ...
+        assert store._row(key) is None  # ... and the lookup dropped its row
 
 
 #: Histories no solve produces, whose bits must survive the frame anyway.
@@ -1062,217 +1042,9 @@ class TestTelemetrySection:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    def test_a_format_7_frame_decodes_to_the_identical_report(
-        self, store, solved, traced_solved, traced
-    ):
-        cell, report = traced_solved if traced else solved
-        key = store.put(cell, report)
-        current = store.get(cell)
-        set_payload(store, key, expected_frame(key, cell, report, layout="F7"))
-        old = store.get(cell)
-        assert old is not None and store.hits == 2
-        assert_reports_equal(old, report)
-        assert report_to_dict(old) == report_to_dict(current)
-        if traced:
-            # built from the header at once, to the section's bundle
-            assert old.details["telemetry"].stored_json is None
-            assert old.details["telemetry"] == current.details["telemetry"]
-
-
-
-
-#: The ``results`` table as a store wrote it before frames moved into
-#: it: ``payload`` held the path of the cell's file under the root.
-_OLD_SCHEMA = store_module._SCHEMA.replace("payload      BLOB", "payload      TEXT")
-assert _OLD_SCHEMA != store_module._SCHEMA
-
-
-def _old_file(root: Path, key: str, data: bytes, suffix: str = ".frame") -> str:
-    """Write an old-layout store's payload file for ``key``; returns the
-    path its row names."""
-    path = root / "payloads" / key[:2] / (key + suffix)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return str(path.relative_to(root))
-
 
 def _seeded(cell: CampaignCell, seed: int) -> CampaignCell:
     return CampaignCell(replace(cell.config, seed=seed), cell.scheme)
-
-
-class TestIndexRebuild:
-    """An old-layout store whose ``index.db`` was deleted gives each
-    sound frame file its row back; nothing else is indexed."""
-
-    def test_a_new_index_over_frames_gets_their_rows_back(
-        self, tmp_path, solved, traced_solved
-    ):
-        root = tmp_path / "cache"
-        damaged, misnamed = _seeded(solved[0], 11), _seeded(solved[0], 12)
-        with ResultStore(tmp_path / "reference") as reference:
-            for cell, report in (solved, traced_solved):
-                reference.put(cell, report, elapsed_s=1.5)
-            rows = reference._db.execute(
-                "SELECT * FROM results ORDER BY key"
-            ).fetchall()
-        mtimes = {}
-        for cell, report in (solved, traced_solved):
-            key = cell_key(cell)
-            path = _old_file(root, key, expected_frame(key, cell, report))
-            mtimes[key] = (root / path).stat().st_mtime
-        key = cell_key(damaged)
-        _old_file(root, key, _flip(expected_frame(key, damaged, solved[1]), 60))
-        key = cell_key(misnamed)
-        _old_file(root, "ab" * 32, expected_frame(key, misnamed, solved[1]))
-        with ResultStore(root) as store:
-            rebuilt = store._db.execute(
-                "SELECT * FROM results ORDER BY key"
-            ).fetchall()
-            # the same rows, frames byte for byte, but no compute time
-            # and the file's mtime
-            assert [r[:13] + r[15:] for r in rebuilt] == [
-                r[:13] + r[15:] for r in rows
-            ]
-            for (cell, report), row in zip(
-                sorted((solved, traced_solved), key=lambda c: cell_key(c[0])),
-                rebuilt,
-            ):
-                entry = store.get_entry(cell)
-                assert (entry.elapsed_s, entry.created_at) == (
-                    0.0,
-                    mtimes[cell_key(cell)],
-                ) == row[13:15]
-                assert_reports_equal(entry.report, report)
-            assert store.get_entry(damaged) is None
-            assert store.get_entry(misnamed) is None
-            assert len(store) == 2
-        assert not (root / "payloads").exists()
-
-    def test_an_existing_index_is_not_rebuilt(self, tmp_path, solved):
-        cell, report = solved
-        with ResultStore(tmp_path / "cache") as store:
-            store.put(cell, report)
-            store._db.execute("DELETE FROM results")
-            store._db.commit()
-        with ResultStore(tmp_path / "cache") as store:
-            assert len(store) == 0 and store.get_entry(cell) is None
-
-
-@pytest.fixture()
-def old_layout(tmp_path, solved, traced_solved):
-    """An old-layout store: an index whose rows name payload files, and
-    the files — two sound frames, a damaged and a misnamed one, a pre-7
-    JSON payload under an old key and one under its cell's own key, a
-    row whose file is gone, a frame no row names and the temp file of a
-    killed put."""
-    root = tmp_path / "old"
-    root.mkdir()
-    cell, report = solved
-    db = sqlite3.connect(root / "index.db")
-    db.executescript(_OLD_SCHEMA)
-    old = SimpleNamespace(root=root, sound={}, dropped=[], pre7={})
-    for i, (c, r) in enumerate((solved, traced_solved)):
-        key = cell_key(c)
-        frame = expected_frame(key, c, r)
-        path = _old_file(root, key, frame)
-        _insert_row(db, key, c, r, path, elapsed_s=1.5 + i, created_at=1000.0 + i)
-        old.sound[key] = (c, r, frame, 1.5 + i, 1000.0 + i)
-    damaged, misnamed, gone = (_seeded(cell, s) for s in (11, 12, 13))
-    key = cell_key(damaged)
-    path = _old_file(root, key, _flip(expected_frame(key, damaged, report), 60))
-    _insert_row(db, key, damaged, report, path)
-    other = _seeded(cell, 14)  # holds no row and no file of its own
-    key = cell_key(misnamed)
-    path = _old_file(root, key, expected_frame(cell_key(other), other, report))
-    _insert_row(db, key, misnamed, report, path)
-    _insert_row(db, cell_key(gone), gone, report, f"payloads/xx/{cell_key(gone)}")
-    old.dropped = [cell_key(c) for c in (damaged, misnamed, other, gone)]
-    path = _old_file(root, V2_KEY, _v2_payload(cell, report), ".json")
-    _insert_row(db, V2_KEY, cell, report, path)
-    old.json_cell = _seeded(cell, 15)
-    key = cell_key(old.json_cell)
-    path = _old_file(
-        root, key, _pre7_json(expected_frame(key, old.json_cell, report)), ".json"
-    )
-    _insert_row(db, key, old.json_cell, report, path)
-    old.pre7 = {V2_KEY: report, key: report}
-    old.rowless = _seeded(cell, 16)
-    key = cell_key(old.rowless)
-    old.rowless_frame = expected_frame(key, old.rowless, report)
-    old.rowless_mtime = (root / _old_file(root, key, old.rowless_frame)).stat().st_mtime
-    _old_file(root, key, b"half-written", ".tmp.1.2")
-    db.close()
-    return old
-
-
-class TestOldLayoutImport:
-    """A store whose frames are files beside its index is imported once,
-    when it is opened: sound frames and pre-7 payloads become their
-    rows' payloads, everything else is dropped, and the files go."""
-
-    def test_sound_frames_come_in_byte_for_byte_and_are_hits(
-        self, old_layout, solved
-    ):
-        with ResultStore(old_layout.root) as store:
-            for key, (cell, report, frame, elapsed_s, created_at) in (
-                old_layout.sound.items()
-            ):
-                assert stored_payload(store, key) == frame
-                entry = store.get_entry(cell)
-                assert (entry.elapsed_s, entry.created_at) == (elapsed_s, created_at)
-                assert_reports_equal(entry.report, report)
-            # a frame no row named gets one, as a rebuilt index would
-            key = cell_key(old_layout.rowless)
-            assert stored_payload(store, key) == old_layout.rowless_frame
-            entry = store.get_entry(old_layout.rowless)
-            assert (entry.elapsed_s, entry.created_at) == (
-                0.0,
-                old_layout.rowless_mtime,
-            )
-            assert_reports_equal(entry.report, solved[1])
-            assert (store.hits, store.misses) == (3, 0)
-
-    def test_damaged_misnamed_and_missing_frames_are_dropped(self, old_layout):
-        with ResultStore(old_layout.root) as store:
-            for key in old_layout.dropped:
-                assert store._row(key) is None
-            assert len(store) == len(old_layout.sound) + 1 + len(old_layout.pre7)
-
-    def test_a_pre7_payload_is_listable_and_never_served(self, old_layout):
-        with ResultStore(old_layout.root) as store:
-            for key, report in old_layout.pre7.items():
-                assert_reports_equal(store.entry_by_key(key).report, report)
-            assert set(old_layout.pre7) <= {e.key for e in store.entries()}
-            assert store.get_entry(old_layout.json_cell) is None
-
-    def test_the_payload_directory_is_gone(self, old_layout):
-        with ResultStore(old_layout.root) as store:
-            assert {p.name for p in old_layout.root.iterdir()} <= INDEX_FILES
-            assert store._db.execute(
-                "SELECT DISTINCT typeof(payload) FROM results"
-            ).fetchall() == [("blob",)]
-        # and a later open finds nothing to import
-        with ResultStore(old_layout.root) as store:
-            assert len(store) == len(old_layout.sound) + 1 + len(old_layout.pre7)
-
-    def test_an_import_cut_short_finishes_on_the_next_open(
-        self, old_layout, monkeypatch
-    ):
-        """Killed after the rows committed, before the files were
-        removed: the next open removes them and keeps the rows as they
-        are, compute and creation times included."""
-        monkeypatch.setattr(
-            store_module, "shutil", SimpleNamespace(rmtree=lambda *a, **k: None)
-        )
-        with ResultStore(old_layout.root) as store:
-            rows = store._db.execute("SELECT * FROM results ORDER BY key").fetchall()
-        assert (old_layout.root / "payloads").is_dir()
-        monkeypatch.undo()
-        with ResultStore(old_layout.root) as store:
-            again = store._db.execute("SELECT * FROM results ORDER BY key").fetchall()
-        assert again == rows
-        assert not (old_layout.root / "payloads").exists()
 
 
 #: Puts cells seeded from argv[3] on into the store at argv[1], printing

@@ -206,32 +206,3 @@ class TestAnalysisEdgeCases:
             assert attr.residual_energy_rel <= 1e-9
             assert attr.resilience_energy_j == 0.0
         assert run_detectors(records) == []
-
-    def test_format2_store_payloads_analyze_under_format3(self, store):
-        from tests.campaign.test_store import _write_v2_entry
-
-        from repro.campaign.spec import CampaignCell
-        from repro.harness.experiment import Experiment, ExperimentConfig
-        from repro.obs.analysis import (
-            attribute_record,
-            records_from_cells,
-            run_detectors,
-        )
-
-        config = ExperimentConfig(
-            matrix="wathen100", nranks=8, n_faults=2, scale=0.25
-        )
-        report = Experiment(config).run("LI")
-        _write_v2_entry(store, CampaignCell(config, "LI"), report)
-
-        records = records_from_cells(store.entries())
-        assert len(records) == 1
-        record = records[0]
-        # legacy payload config regains the post-v2 defaults, so the
-        # schedule-drift detector can re-derive the schedule
-        assert record.config.engine == "sim"
-        assert record.config.fault_scope == "process"
-        attr = attribute_record(record)
-        assert attr.source == "account"  # format-2 cells carry no trace
-        assert attr.residual_energy_rel == 0.0
-        assert run_detectors(records) == []

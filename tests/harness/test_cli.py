@@ -553,6 +553,14 @@ class TestReportCli:
         with pytest.raises(SystemExit, match="no result store"):
             main(["report", "--store", str(tmp_path / "nope")])
 
+    def test_an_old_layout_directory_without_an_index_is_no_store(self, tmp_path):
+        frame = tmp_path / "old" / "payloads" / "ab" / ("ab" * 32 + ".frame")
+        frame.parent.mkdir(parents=True)
+        frame.write_bytes(b"REPRO\x00F8")
+        with pytest.raises(SystemExit, match="no result store"):
+            main(["report", "--store", str(tmp_path / "old")])
+        assert not (tmp_path / "old" / "index.db").exists()
+
     def test_report_diff_two_cells(self, capsys, traced_store):
         assert main(
             [

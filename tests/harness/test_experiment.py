@@ -141,13 +141,14 @@ class TestBaselineCache:
         with pytest.raises(ValueError, match="produced by the 'sim' engine"):
             ana.prime_baseline(ff)
 
-    def test_prime_treats_unstamped_reports_as_sim(self, exp):
-        """v2-era FF payloads predate engine provenance."""
+    def test_prime_refuses_unstamped_reports(self, exp):
+        """Every report is stamped with its engine; one without the
+        stamp is refused like a mismatched one, not taken as sim."""
         ff = exp.fault_free
-        ff.details.pop("engine")
+        details = {k: v for k, v in ff.details.items() if k != "engine"}
         fresh = Experiment(exp.config, a=exp.a)
-        fresh.prime_baseline(ff)
-        assert fresh.fault_free is ff
+        with pytest.raises(ValueError, match="produced by the None engine"):
+            fresh.prime_baseline(replace(ff, details=details))
 
     def test_prime_rejects_non_ff_reports(self, exp):
         with pytest.raises(ValueError, match="FF report"):

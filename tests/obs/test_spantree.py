@@ -1,4 +1,4 @@
-"""Span-tree reconstruction: depth-exact nesting, fallback, summaries."""
+"""Span-tree reconstruction: depth-exact nesting, flat traces, summaries."""
 
 from repro.obs.analysis import build_span_tree, critical_path, tree_summary, walk
 from repro.obs.spans import Span, SpanRecorder
@@ -64,31 +64,22 @@ class TestDepthReconstruction:
         assert starts == sorted(starts)
 
 
-class TestContainmentFallback:
-    def _legacy(self, spans):
-        """Strip depths the way a pre-depth-stamping export would."""
-        return [
-            Span(name=s.name, t_start=s.t_start, t_end=s.t_end, attrs=s.attrs)
-            for s in spans
-        ]
-
-    def test_distinct_intervals_nest_correctly(self):
-        roots = build_span_tree(self._legacy(_recorded_forest()))
-        assert [r.name for r in roots] == ["solve"]
-        assert [c.name for c in roots[0].children] == ["recovery", "checkpoint"]
-
-    def test_tightest_container_wins(self):
-        spans = self._legacy(
-            [
-                Span(name="inner", t_start=2.0, t_end=3.0, depth=2),
-                Span(name="mid", t_start=1.0, t_end=4.0, depth=1),
-                Span(name="outer", t_start=0.0, t_end=5.0, depth=0),
-            ]
-        )
-        roots = build_span_tree(spans)
-        assert roots[0].name == "outer"
-        assert roots[0].children[0].name == "mid"
-        assert roots[0].children[0].children[0].name == "inner"
+class TestFlatTraces:
+    def test_zero_duration_depth0_siblings_stay_two_roots(self):
+        # A flat trace (every span at depth 0) is nested by depths alone:
+        # a recovery closing at the instant a restart opens and closes
+        # is not inside it, though its interval is.
+        clock = FakeClock()
+        rec = SpanRecorder(clock=clock, timebase="sim")
+        clock.t = 2.0
+        with rec.span("recovery"):
+            pass
+        with rec.span("restart"):
+            pass
+        assert [s.depth for s in rec.spans] == [0, 0]
+        roots = build_span_tree(rec.spans)
+        assert [r.name for r in roots] == ["recovery", "restart"]
+        assert all(not r.children for r in roots)
 
 
 class TestAggregates:
