@@ -23,7 +23,6 @@ from repro._exports import lazy_exports
 
 _EXPORTS = {
     "fleet": (
-        "DEFAULT_HEARTBEAT_S",
         "FleetMonitor",
         "ProgressEventError",
         "cell_correlation_id",
@@ -80,7 +79,6 @@ __all__ = [
     "CellExecutionError",
     "CellResult",
     "CellTimeout",
-    "DEFAULT_HEARTBEAT_S",
     "FleetMonitor",
     "ManifestCell",
     "ManifestError",

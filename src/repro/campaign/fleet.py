@@ -3,31 +3,34 @@
 The campaign runner's worker pool is instrumented the way the serving
 tier is (DESIGN.md §5i), but across process boundaries: every pool
 worker is initialized with the parent's log configuration and the
-write end of one non-blocking pipe, over which it forwards
+write end of one non-blocking pipe, over which it forwards two kinds of
+message:
 
 * **structured log records** — worker-side :mod:`repro.obs.logging`
   lines, stamped with ``<run_id>.<cell_id>`` request correlation ids
   and re-emitted through the parent's own handlers (stderr, rotating
   file), the stdlib ``QueueHandler``/``QueueListener`` pattern over the
   pipe;
-* **cell lifecycle events** — queued / started / finished / failed /
-  cached, with attempt counts, the schema'd JSONL stream behind
-  ``repro campaign --json-progress``;
-* **heartbeats** — pid, RSS, current cell and its elapsed age, from a
-  daemon thread per worker, so a hung or killed worker is visible as a
-  widening heartbeat gap.
+* **cell lifecycle events** — started / finished / failed, with attempt
+  counts; a finished or failed event also carries the worker's peak RSS.
+  With the parent's own queued and cached events they are the schema'd
+  JSONL stream behind ``repro campaign --json-progress``.
 
-Each message is one pickled frame of at most ``PIPE_BUF`` bytes, written
-with one ``write``: the kernel makes such a write atomic, so concurrent
-writers need no lock, and a worker killed mid-write leaves neither a
-torn frame nor a held lock behind.  A frame that would not fit, or that
-meets a full pipe, is dropped whole and counted: the worker's next
-heartbeat or lifecycle event that gets through carries its running
+A cell's events are the fleet's only signal: a worker sends nothing
+between them.  A serial run sends the same events through the same
+:class:`WorkerChannel`, handed straight to the monitor.
+
+Each pooled message is one pickled frame of at most ``PIPE_BUF`` bytes,
+written with one ``write``: the kernel makes such a write atomic, so
+concurrent writers need no lock, and a worker killed mid-write leaves
+neither a torn frame nor a held lock behind.  A frame that would not
+fit, or that meets a full pipe, is dropped whole and counted: the
+worker's next lifecycle event that gets through carries its running
 count into the manifest's ``dropped_frames`` counter.
 
-The parent-side :class:`FleetMonitor` folds all three into one
-thread-safe state (per-cell queue-wait vs compute split, per-worker
-liveness) that the ``--watch`` dashboard renders live and the
+The parent-side :class:`FleetMonitor` folds both into one thread-safe
+state (per-cell queue-wait vs compute split, each worker's current cell
+and peak RSS) that the ``--watch`` dashboard renders live and the
 :class:`~repro.campaign.manifest.RunManifest` snapshots at campaign
 end.
 
@@ -50,9 +53,6 @@ from select import PIPE_BUF
 
 from repro.campaign.store import cell_key
 from repro.obs.logging import LOGGER_NAME, handle_line, json_handler, new_request_id
-
-#: Default heartbeat cadence, seconds; 0 disables the heartbeat thread.
-DEFAULT_HEARTBEAT_S = 1.0
 
 #: The cell lifecycle event kinds, in the order a cell meets them.
 CELL_EVENTS = ("queued", "started", "finished", "failed", "cached")
@@ -168,42 +168,32 @@ def _rss_bytes() -> int:
 
 
 class WorkerChannel:
-    """Worker-side handle on the telemetry pipe's write end.
+    """A worker's handle on the fleet channel: it builds each lifecycle
+    event once and sends it through one of two transports.
 
-    Every ``put`` is best-effort: the channel is side-band, so a full
-    pipe, a closed reader or an oversized message must never fail a
-    cell.  It is also the queue the worker's stdlib ``QueueHandler``
-    puts log records to (:meth:`put_nowait`).
+    In a pool worker (``conn``, the telemetry pipe's write end) each
+    message is one pickled frame, and every send is best-effort: the
+    channel is side-band, so a full pipe, a closed reader or an oversized
+    frame drops the frame, counted, and never fails a cell.  The channel
+    is then also the queue the worker's stdlib ``QueueHandler`` puts log
+    records to (:meth:`put_nowait`).  In a serial run (``monitor``) each
+    message goes straight to :meth:`FleetMonitor.handle`, unpickled.
     """
 
     def __init__(
-        self,
-        conn,
-        run_id: str,
-        *,
-        heartbeat_interval_s: float = DEFAULT_HEARTBEAT_S,
+        self, run_id: str, *, conn=None, monitor: "FleetMonitor | None" = None
     ) -> None:
-        self.conn = conn
         self.run_id = run_id
         self.pid = os.getpid()
-        self._lock = threading.Lock()
-        self._cell: tuple[str, str, float] | None = None
+        self.conn = conn
         #: Frames dropped so far, oversized or meeting a full pipe or a
-        #: closed reader; every heartbeat and lifecycle event sent
-        #: carries it.
+        #: closed reader; every lifecycle event sent carries it.  A pool
+        #: worker runs its cells and logs on one thread, so no lock.
         self.dropped_frames = 0
-        self._stop = threading.Event()
-        if heartbeat_interval_s > 0:
-            thread = threading.Thread(
-                target=self._beat,
-                args=(heartbeat_interval_s,),
-                name="repro-heartbeat",
-                daemon=True,
-            )
-            thread.start()
+        self._send = self._write if monitor is None else monitor.handle
 
-    def _put(self, kind: str, payload) -> None:
-        frame = pickle.dumps((kind, payload), pickle.HIGHEST_PROTOCOL)
+    def _write(self, message) -> None:
+        frame = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         # a write past PIPE_BUF could interleave: drop it whole.  4 is
         # send_bytes' length header
         if len(frame) + 4 <= PIPE_BUF:
@@ -212,15 +202,14 @@ class WorkerChannel:
                 return
             except OSError:
                 pass  # full pipe or closed reader: never fail a cell
-        with self._lock:
-            self.dropped_frames += 1
+        self.dropped_frames += 1
 
-    def _put_doc(self, kind: str, doc: dict) -> None:
+    def _event(self, doc: dict) -> None:
         doc["dropped_frames"] = self.dropped_frames
-        self._put(kind, doc)
+        self._send(("event", doc))
 
     def emit_log(self, line: str) -> None:
-        self._put("log", line)
+        self._send(("log", line))
 
     def put_nowait(self, record: logging.LogRecord) -> None:
         """Forward a record ``QueueHandler`` prepared: its ``msg`` is
@@ -228,78 +217,7 @@ class WorkerChannel:
         self.emit_log(record.msg)
 
     def cell_started(self, label: str, cell_id: str, attempt: int) -> None:
-        now = time.time()
-        with self._lock:
-            self._cell = (label, cell_id, now)
-        self._put_doc(
-            "event",
-            cell_event(
-                self.run_id, "started", label, cell_id, self.pid, attempt, ts=now
-            ),
-        )
-
-    def cell_finished(
-        self,
-        label: str,
-        cell_id: str,
-        attempt: int,
-        elapsed_s: float,
-        error: str | None = None,
-    ) -> None:
-        with self._lock:
-            self._cell = None
-        self._put_doc(
-            "event",
-            cell_event(
-                self.run_id,
-                "failed" if error is not None else "finished",
-                label,
-                cell_id,
-                self.pid,
-                attempt,
-                elapsed_s=elapsed_s,
-                error=error,
-            ),
-        )
-
-    def _beat(self, interval_s: float) -> None:
-        while not self._stop.wait(interval_s):
-            with self._lock:
-                cell = self._cell
-            now = time.time()
-            self._put_doc(
-                "hb",
-                {
-                    "ts": now,
-                    "run_id": self.run_id,
-                    "worker": self.pid,
-                    "rss_bytes": _rss_bytes(),
-                    "cell": cell[0] if cell else None,
-                    "cell_id": cell[1] if cell else None,
-                    "cell_elapsed_s": (now - cell[2]) if cell else None,
-                },
-            )
-
-    def close(self) -> None:
-        self._stop.set()
-
-
-class LocalChannel:
-    """In-process stand-in for :class:`WorkerChannel` in serial runs.
-
-    Serial campaigns (``max_workers=1``) have no pool and no pipe, so
-    lifecycle events feed the monitor directly; there are no heartbeats
-    (the "worker" is the parent itself) and log records already reach
-    the parent's handlers.
-    """
-
-    def __init__(self, monitor: "FleetMonitor") -> None:
-        self.monitor = monitor
-        self.run_id = monitor.run_id
-        self.pid = os.getpid()
-
-    def cell_started(self, label: str, cell_id: str, attempt: int) -> None:
-        self.monitor.on_event(
+        self._event(
             cell_event(self.run_id, "started", label, cell_id, self.pid, attempt)
         )
 
@@ -311,18 +229,18 @@ class LocalChannel:
         elapsed_s: float,
         error: str | None = None,
     ) -> None:
-        self.monitor.on_event(
-            cell_event(
-                self.run_id,
-                "failed" if error is not None else "finished",
-                label,
-                cell_id,
-                self.pid,
-                attempt,
-                elapsed_s=elapsed_s,
-                error=error,
-            )
+        doc = cell_event(
+            self.run_id,
+            "failed" if error is not None else "finished",
+            label,
+            cell_id,
+            self.pid,
+            attempt,
+            elapsed_s=elapsed_s,
+            error=error,
         )
+        doc["rss_bytes"] = _rss_bytes()
+        self._event(doc)
 
 
 #: The worker process's channel, installed by :func:`init_worker`.
@@ -334,22 +252,17 @@ def worker_channel() -> WorkerChannel | None:
     return _CHANNEL
 
 
-def init_worker(
-    conn, run_id: str, log_level: int, heartbeat_interval_s: float
-) -> None:
+def init_worker(conn, run_id: str, log_level: int) -> None:
     """Pool initializer: wire this worker into the telemetry channel.
 
     ``conn`` is the write end of the run's telemetry pipe, already
     non-blocking.  Re-applies the parent's log threshold and replaces
     the handlers a forked worker inherits with one ``QueueHandler`` on
     the channel: worker records surface through the parent's handlers
-    instead of racing it for its stderr and file.  Starts the heartbeat
-    thread.
+    instead of racing it for its stderr and file.
     """
     global _CHANNEL
-    _CHANNEL = WorkerChannel(
-        conn, run_id, heartbeat_interval_s=heartbeat_interval_s
-    )
+    _CHANNEL = WorkerChannel(run_id, conn=conn)
     from logging.handlers import QueueHandler  # loaded by pool workers only
 
     logger = logging.getLogger(LOGGER_NAME)
@@ -386,16 +299,11 @@ def _new_worker(pid: int) -> dict:
     return {
         "worker": pid,
         "cell": None,
-        "cell_id": None,
         "cell_started_ts": None,
-        "last_hb_ts": None,
-        "heartbeats": 0,
-        "rss_bytes": 0,
         "max_rss_bytes": 0,
         "done": 0,
         "failed_attempts": 0,
         "busy_s": 0.0,
-        "max_gap_s": 0.0,
         "last_cell": None,
         "dropped_frames": 0,
     }
@@ -405,9 +313,10 @@ class FleetMonitor:
     """Thread-safe parent-side fold of the fleet telemetry stream.
 
     Fed from three directions — the pipe drainer thread (worker
-    events, heartbeats, forwarded logs), the runner's main thread
-    (queued cells, authoritative cell outcomes) and the ``--watch``
-    repaint thread (snapshots) — so every method takes the one lock.
+    events, forwarded logs), the runner's main thread (queued cells,
+    authoritative cell outcomes, and a serial run's worker events) and
+    the ``--watch`` repaint thread (snapshots) — so every method takes
+    the one lock.
 
     ``event_sink`` (when given) receives each cell lifecycle event
     document exactly once, in emission order; it backs
@@ -424,13 +333,11 @@ class FleetMonitor:
         run_id: str | None = None,
         *,
         workers: int = 1,
-        heartbeat_interval_s: float = DEFAULT_HEARTBEAT_S,
         event_sink=None,
         clock=time.time,
     ) -> None:
         self.run_id = run_id or new_request_id()
         self.workers = max(1, workers)
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.event_sink = event_sink
         self.clock = clock
         self.name = ""
@@ -439,9 +346,13 @@ class FleetMonitor:
         self.finished_at: float | None = None
         self.wall_s = 0.0
         self.log_lines = 0
+        #: Cells settled so far (:meth:`cell_done`).
+        self.done = 0
         self._cells: dict[str, dict] = {}
         self._workers: dict[int, dict] = {}
-        self._ran_elapsed: list[float] = []
+        # ran cells' compute seconds, summed and counted: the ETA's evidence
+        self._ran_s = 0.0
+        self._ran_n = 0
         self._lock = threading.Lock()
 
     # -- ingestion -----------------------------------------------------
@@ -461,8 +372,6 @@ class FleetMonitor:
             self.on_log(payload)
         elif kind == "event":
             self.on_event(payload)
-        elif kind == "hb":
-            self.on_heartbeat(payload)
 
     def on_log(self, line: str) -> None:
         """Re-emit one forwarded worker log line through the parent's
@@ -498,11 +407,14 @@ class FleetMonitor:
     def on_event(self, doc: dict) -> None:
         """One worker-side lifecycle event (started / finished / failed)."""
         label, pid, kind = doc["cell"], doc["worker"], doc["event"]
-        dropped = doc.pop("dropped_frames", 0)  # not part of the event schema
+        # neither is part of the event schema
+        dropped = doc.pop("dropped_frames", 0)
+        rss = doc.pop("rss_bytes", 0)
         with self._lock:
             st = self._cells.setdefault(label, _new_cell(label, doc["cell_id"]))
             w = self._workers.setdefault(pid, _new_worker(pid))
             w["dropped_frames"] = max(w["dropped_frames"], dropped)
+            w["max_rss_bytes"] = max(w["max_rss_bytes"], rss)
             if kind == "started":
                 if not st["final"]:
                     st["status"] = "running"
@@ -514,21 +426,18 @@ class FleetMonitor:
                         st["queue_wait_s"] += max(0.0, doc["ts"] - st["queued_ts"])
                     st["attempts"] = max(st["attempts"], doc["attempt"])
                 w["cell"] = label
-                w["cell_id"] = doc["cell_id"]
                 w["cell_started_ts"] = doc["ts"]
                 w["last_cell"] = label
                 self._emit_event(doc)
             elif kind in ("finished", "failed"):
                 elapsed = float(doc.get("elapsed_s") or 0.0)
                 w["cell"] = None
-                w["cell_id"] = None
                 w["cell_started_ts"] = None
                 w["busy_s"] += elapsed
                 if kind == "finished":
                     w["done"] += 1
                     if not st["counted"]:
-                        st["counted"] = True
-                        self._ran_elapsed.append(elapsed)
+                        self._count_ran(st, elapsed)
                     if not st["final"]:
                         st["status"] = "ran"
                         st["worker"] = pid
@@ -547,21 +456,11 @@ class FleetMonitor:
                 # worker's event and the future's completion race, and
                 # the sink must see exactly one terminal line per cell
 
-    def on_heartbeat(self, doc: dict) -> None:
-        """One worker heartbeat: liveness, RSS, current cell age."""
-        with self._lock:
-            w = self._workers.setdefault(doc["worker"], _new_worker(doc["worker"]))
-            last = w["last_hb_ts"]
-            if last is not None and w["cell"] is not None:
-                w["max_gap_s"] = max(w["max_gap_s"], doc["ts"] - last)
-            w["last_hb_ts"] = doc["ts"]
-            w["heartbeats"] += 1
-            rss = int(doc.get("rss_bytes") or 0)
-            w["rss_bytes"] = rss
-            w["max_rss_bytes"] = max(w["max_rss_bytes"], rss)
-            w["dropped_frames"] = max(
-                w["dropped_frames"], int(doc.get("dropped_frames") or 0)
-            )
+    def _count_ran(self, st: dict, elapsed: float) -> None:
+        # caller holds the lock
+        st["counted"] = True
+        self._ran_s += elapsed
+        self._ran_n += 1
 
     def cell_done(self, result) -> None:
         """Parent-side authoritative outcome for one cell.
@@ -580,6 +479,7 @@ class FleetMonitor:
             if st["final"]:
                 return
             st["final"] = True
+            self.done += 1
             st["status"] = result.status
             st["attempts"] = max(st["attempts"], result.attempts)
             if result.error:
@@ -592,8 +492,7 @@ class FleetMonitor:
                 st["compute_s"] = result.elapsed_s
                 st["wasted_s"] = max(st["wasted_s"], getattr(result, "wasted_s", 0.0))
                 if not st["counted"]:
-                    st["counted"] = True
-                    self._ran_elapsed.append(result.elapsed_s)
+                    self._count_ran(st, result.elapsed_s)
             else:  # failed: elapsed_s is the total wasted compute
                 st["wasted_s"] = max(st["wasted_s"], result.elapsed_s)
             self._emit_event(
@@ -613,20 +512,30 @@ class FleetMonitor:
             )
 
     def finalize(self, wall_s: float | None = None) -> None:
-        """Close the run: stamp the end time and the final heartbeat
-        gap of any worker that still holds an unfinished cell."""
+        """Close the run: stamp the end time."""
         with self._lock:
             self.finished_at = self.clock()
             self.wall_s = (
                 wall_s if wall_s is not None else self.finished_at - self.started_at
             )
-            for w in self._workers.values():
-                if w["cell"] is not None and w["last_hb_ts"] is not None:
-                    w["max_gap_s"] = max(
-                        w["max_gap_s"], self.finished_at - w["last_hb_ts"]
-                    )
 
     # -- derived views -------------------------------------------------
+    def eta_s(self) -> float | None:
+        """Remaining wall-clock estimate: the unsettled cells times the
+        mean ran-cell cost, over the workers (``None`` before any cell
+        has run).  O(1): the counts are kept as cells settle."""
+        with self._lock:
+            return self._eta()
+
+    def _eta(self) -> float | None:
+        # caller holds the lock
+        remaining = max(0, self.total - self.done)
+        if remaining == 0 and self.total > 0:
+            return 0.0
+        if not self._ran_n:
+            return None
+        return remaining * (self._ran_s / self._ran_n) / self.workers
+
     def _counters(self) -> dict:
         # caller holds the lock
         by_status = {"ran": 0, "cached": 0, "failed": 0}
@@ -662,20 +571,12 @@ class FleetMonitor:
         now = self.clock()
         with self._lock:
             counters = self._counters()
-            done = sum(st["final"] for st in self._cells.values())
+            done, eta = self.done, self._eta()
             wall = (
                 self.wall_s
                 if self.finished_at is not None
                 else now - self.started_at
             )
-            remaining = max(0, self.total - done)
-            if remaining == 0 and self.total > 0:
-                eta = 0.0
-            elif self._ran_elapsed:
-                avg = sum(self._ran_elapsed) / len(self._ran_elapsed)
-                eta = remaining * avg / self.workers
-            else:
-                eta = None
             worker_rows = []
             for pid in sorted(self._workers):
                 w = self._workers[pid]
@@ -689,15 +590,9 @@ class FleetMonitor:
                             if w["cell_started_ts"] is not None
                             else None
                         ),
-                        "hb_age_s": (
-                            now - w["last_hb_ts"]
-                            if w["last_hb_ts"] is not None
-                            else None
-                        ),
-                        "heartbeats": w["heartbeats"],
                         "done": w["done"],
                         "failed_attempts": w["failed_attempts"],
-                        "rss_bytes": w["rss_bytes"],
+                        "rss_bytes": w["max_rss_bytes"],
                     }
                 )
             last_error = None
@@ -752,9 +647,7 @@ class FleetMonitor:
                     label=st["label"],
                     cell_id=st["cell_id"],
                     scheme=st["scheme"],
-                    status=st["status"] if st["final"] else (
-                        "running" if st["status"] == "running" else "queued"
-                    ),
+                    status=st["status"],
                     attempts=max(1, st["attempts"]),
                     worker=st["worker"],
                     queued_ts=st["queued_ts"],
@@ -773,8 +666,6 @@ class FleetMonitor:
                     cells_done=w["done"],
                     failed_attempts=w["failed_attempts"],
                     busy_s=w["busy_s"],
-                    heartbeats=w["heartbeats"],
-                    max_heartbeat_gap_s=w["max_gap_s"],
                     max_rss_bytes=w["max_rss_bytes"],
                     last_cell=w["last_cell"],
                 )
@@ -785,7 +676,6 @@ class FleetMonitor:
                 run_id=self.run_id,
                 name=self.name,
                 workers=self.workers,
-                heartbeat_interval_s=self.heartbeat_interval_s,
                 started_at=self.started_at,
                 finished_at=finished,
                 wall_s=wall,

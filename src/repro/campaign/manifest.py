@@ -3,7 +3,7 @@
 A :class:`RunManifest` is the fleet-level record of one campaign
 execution: per-cell timings (queue-wait vs compute, wasted attempts),
 attempt counts, the worker that solved each cell, and per-worker
-aggregates (cells done, busy seconds, heartbeat health, peak RSS).  It
+aggregates (cells done, busy seconds, peak RSS).  It
 is assembled by the :class:`~repro.campaign.fleet.FleetMonitor` at
 campaign end, written into the :class:`~repro.campaign.store.
 ResultStore` keyed by the campaign run id, and read back by ``repro
@@ -23,12 +23,11 @@ from repro.harness.reporting import format_table
 from repro.obs.term import fmt_bytes, hms
 
 #: Bump when the manifest document schema changes shape.
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
-#: Terminal cell statuses a finished manifest may carry.  ``running``
-#: marks a cell that never finished (worker hang or crash at shutdown)
-#: — exactly the evidence the fleet detectors look for.
-CELL_STATUSES = ("ran", "cached", "failed", "running", "queued")
+#: The cell statuses a manifest may carry.  A runner builds its manifest
+#: only once every cell has settled, so each is terminal.
+CELL_STATUSES = ("ran", "cached", "failed")
 
 
 class ManifestError(ValueError):
@@ -69,10 +68,7 @@ class ManifestWorker:
     cells_done: int = 0
     failed_attempts: int = 0
     busy_s: float = 0.0
-    heartbeats: int = 0
-    #: Longest observed silence between heartbeats while the worker had
-    #: a cell in flight (plus the final gap if it never finished one).
-    max_heartbeat_gap_s: float = 0.0
+    #: Peak RSS, as the worker's finished and failed events reported it.
     max_rss_bytes: int = 0
     last_cell: str | None = None
 
@@ -84,15 +80,14 @@ class RunManifest:
     run_id: str
     name: str
     workers: int
-    heartbeat_interval_s: float
     started_at: float
     finished_at: float
     wall_s: float
     #: Run totals (cells by status, retries, the seconds split, log
     #: lines).  ``dropped_frames`` counts the telemetry frames workers
     #: dropped, oversized or meeting a full pipe.  It is a lower bound:
-    #: a worker reports its count only on a later heartbeat or event
-    #: that gets through.
+    #: a worker reports its count only on a later lifecycle event that
+    #: gets through.
     counters: dict = field(default_factory=dict)
     cells: tuple[ManifestCell, ...] = ()
     worker_rows: tuple[ManifestWorker, ...] = ()
@@ -144,13 +139,12 @@ def manifest_from_doc(doc: dict) -> RunManifest:
         raise ManifestError("manifest document is not an object")
     if doc.get("schema") != MANIFEST_SCHEMA:
         raise ManifestError(
-            f"unsupported manifest schema {doc.get('schema')!r} "
-            f"(expected {MANIFEST_SCHEMA})"
+            f"run {doc.get('run_id')}: unsupported manifest schema "
+            f"{doc.get('schema')!r} (expected {MANIFEST_SCHEMA})"
         )
     required = {
-        "run_id", "name", "workers", "heartbeat_interval_s",
-        "started_at", "finished_at", "wall_s", "counters",
-        "cells", "worker_rows",
+        "run_id", "name", "workers", "started_at", "finished_at",
+        "wall_s", "counters", "cells", "worker_rows",
     }
     missing = required - set(doc)
     if missing:
@@ -167,7 +161,6 @@ def manifest_from_doc(doc: dict) -> RunManifest:
         run_id=doc["run_id"],
         name=doc["name"],
         workers=doc["workers"],
-        heartbeat_interval_s=doc["heartbeat_interval_s"],
         started_at=doc["started_at"],
         finished_at=doc["finished_at"],
         wall_s=doc["wall_s"],
@@ -206,8 +199,6 @@ def format_manifest(manifest: RunManifest) -> str:
                 w.cells_done,
                 w.failed_attempts,
                 f"{w.busy_s:.2f}",
-                w.heartbeats,
-                f"{w.max_heartbeat_gap_s:.2f}",
                 fmt_bytes(w.max_rss_bytes),
                 w.last_cell or "-",
             ]
@@ -215,10 +206,7 @@ def format_manifest(manifest: RunManifest) -> str:
         ]
         blocks.append(
             format_table(
-                [
-                    "pid", "cells", "fails", "busy_s", "beats",
-                    "max_gap_s", "rss", "last_cell",
-                ],
+                ["pid", "cells", "fails", "busy_s", "rss", "last_cell"],
                 rows,
                 title="workers",
             )

@@ -1,9 +1,10 @@
 """Campaign progress reporting and summaries.
 
-:class:`ProgressReporter` prints one line per finished cell with a
-running count and an ETA extrapolated from the measured per-cell cost
-and the worker count.  :func:`format_summary` renders the structured
-wrap-up the CLI prints: a per-cell status table (cache status included)
+:class:`ProgressReporter` prints one line per finished cell with the
+running count and the ETA its campaign's
+:class:`~repro.campaign.fleet.FleetMonitor` keeps.
+:func:`format_summary` renders the structured wrap-up the CLI prints:
+a per-cell status table (cache status included)
 plus aggregate counters — cells run / cached / failed, wall time, and
 the aggregate speedup (compute seconds represented per wall second,
 counting the banked cost of cached cells).
@@ -21,41 +22,21 @@ from repro.obs.term import hms as _hms
 
 
 class ProgressReporter:
-    """Streams one status line per finished cell."""
+    """Streams one status line per finished cell: the count and ETA are
+    the runner's monitor's, read after it has settled the cell."""
 
-    def __init__(
-        self,
-        total: int,
-        *,
-        workers: int = 1,
-        stream=None,
-        enabled: bool = True,
-    ) -> None:
-        self.total = total
-        self.workers = max(1, workers)
+    def __init__(self, monitor, *, stream=None, enabled: bool = True) -> None:
+        self.monitor = monitor
         self.stream = stream if stream is not None else sys.stderr
         self.enabled = enabled
-        self.finished = 0
-        self._ran_elapsed: list[float] = []
-
-    def eta_s(self) -> float | None:
-        """Remaining wall-clock estimate from measured cell costs."""
-        if not self._ran_elapsed:
-            return None
-        remaining = self.total - self.finished
-        avg = sum(self._ran_elapsed) / len(self._ran_elapsed)
-        return remaining * avg / self.workers
 
     def cell_done(self, result: CellResult) -> None:
-        self.finished += 1
-        if result.status == "ran":
-            self._ran_elapsed.append(result.elapsed_s)
         if not self.enabled:
             return
-        eta = self.eta_s()
-        width = len(str(self.total))
+        done, total = self.monitor.done, self.monitor.total
+        width = len(str(total))
         line = (
-            f"[{self.finished:>{width}}/{self.total}] "
+            f"[{done:>{width}}/{total}] "
             f"{result.status:<6} {result.cell.label}"
         )
         if result.status == "ran":
@@ -66,7 +47,8 @@ class ProgressReporter:
             if result.elapsed_s:
                 line += f" ({result.elapsed_s:.2f}s wasted)"
             line += f" — {result.error}"
-        if eta is not None and self.finished < self.total:
+        eta = self.monitor.eta_s()
+        if eta is not None and done < total:
             line += f"  eta {_hms(eta)}"
         print(line, file=self.stream, flush=True)
 

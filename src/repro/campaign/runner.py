@@ -30,13 +30,14 @@ group's finished cells with it.
 
 Observability rides side-band (:mod:`repro.campaign.fleet`): every pool
 is built with an initializer that hands its workers the write end of
-the run's telemetry pipe — forwarded structured logs, per-cell
-lifecycle events and heartbeats, one atomic frame each — which a
+the run's telemetry pipe — forwarded structured logs and per-cell
+lifecycle events, one atomic frame each — which a
 :class:`~repro.campaign.fleet.FleetMonitor` folds into the live
 ``--watch`` view and the persisted
-:class:`~repro.campaign.manifest.RunManifest`.  None of it touches the
-reports, so serial and parallel campaigns stay bit-identical with the
-channel active.
+:class:`~repro.campaign.manifest.RunManifest`; a serial run hands the
+same events to the monitor directly.  None of it touches the reports,
+so serial and parallel campaigns stay bit-identical with the channel
+active.
 """
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.campaign.fleet import (
-    DEFAULT_HEARTBEAT_S,
     ChannelDrainer,
     FleetMonitor,
-    LocalChannel,
+    WorkerChannel,
     cell_correlation_id,
     init_worker,
     worker_channel,
@@ -515,7 +515,6 @@ class CampaignRunner:
         worker=execute_cell,
         run_id: str | None = None,
         monitor: FleetMonitor | None = None,
-        heartbeat_interval_s: float = DEFAULT_HEARTBEAT_S,
         event_sink=None,
     ) -> None:
         if max_workers < 1:
@@ -539,12 +538,7 @@ class CampaignRunner:
         self.monitor = (
             monitor
             if monitor is not None
-            else FleetMonitor(
-                run_id,
-                workers=max_workers,
-                heartbeat_interval_s=heartbeat_interval_s,
-                event_sink=event_sink,
-            )
+            else FleetMonitor(run_id, workers=max_workers, event_sink=event_sink)
         )
         #: The telemetry pipe's write end while a pooled run is live.
         self._channel = None
@@ -563,7 +557,8 @@ class CampaignRunner:
         if self.max_workers > 1 and groups:
             self._run_pooled(groups)
         else:
-            inline = partial(run_cell_in_worker, channel=LocalChannel(self.monitor))
+            channel = WorkerChannel(self.monitor.run_id, monitor=self.monitor)
+            inline = partial(run_cell_in_worker, channel=channel)
             for group in groups:
                 self._run_inline(group, inline)
         wall = time.perf_counter() - t0
@@ -673,7 +668,6 @@ class CampaignRunner:
                 self._channel,
                 self.monitor.run_id,
                 logging.getLogger(LOGGER_NAME).getEffectiveLevel(),
-                self.monitor.heartbeat_interval_s,
             ),
         )
 

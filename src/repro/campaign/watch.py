@@ -55,8 +55,7 @@ def render_fleet(snapshot: dict) -> str:
     rows = snapshot["worker_rows"]
     if rows:
         lines.append(
-            "  worker      state  cells  fails  "
-            "hb-age  rss      current cell (age)"
+            "  worker      state  cells  fails  rss      current cell (age)"
         )
         for w in rows:
             cell = w["cell"] or "-"
@@ -65,8 +64,7 @@ def render_fleet(snapshot: dict) -> str:
             lines.append(
                 f"  {w['worker']:<10}  {w['state']:<5}  "
                 f"{w['done']:5d}  {w['failed_attempts']:5d}  "
-                f"{fmt_age(w['hb_age_s']):>6}  {fmt_bytes(w['rss_bytes']):<7}  "
-                f"{cell}"
+                f"{fmt_bytes(w['rss_bytes']):<7}  {cell}"
             )
     else:
         lines.append("  worker    (serial run: cells execute in-process)")

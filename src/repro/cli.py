@@ -315,11 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "('-' for stderr)",
     )
     camp.add_argument(
-        "--heartbeat-interval", type=float, default=1.0, metavar="SECONDS",
-        help="worker heartbeat cadence on the fleet telemetry channel "
-        "(default 1.0; 0 disables heartbeats)",
-    )
-    camp.add_argument(
         "--list-presets", action="store_true",
         help="print the preset grids and exit",
     )
@@ -641,8 +636,6 @@ def cmd_campaign(args) -> int:
         return 0
     if args.once and not args.watch:
         raise SystemExit("--once requires --watch")
-    if args.heartbeat_interval < 0:
-        raise SystemExit("--heartbeat-interval must be >= 0")
     spec = _campaign_spec(args)
 
     # machine-readable progress: one schema'd JSONL cell event per line
@@ -658,17 +651,11 @@ def cmd_campaign(args) -> int:
         def event_sink(doc, _stream=progress_stream):
             print(cell_event_to_line(doc), file=_stream, flush=True)
 
-    monitor = FleetMonitor(
-        workers=args.workers,
-        heartbeat_interval_s=args.heartbeat_interval,
-        event_sink=event_sink,
-    )
+    monitor = FleetMonitor(event_sink=event_sink)
     # a live --watch repaint owns stderr; per-cell progress lines would
     # tear it, so they stay on only for --once (and plain) runs
     progress = ProgressReporter(
-        len(spec),
-        workers=args.workers,
-        enabled=not args.quiet and not (args.watch and not args.once),
+        monitor, enabled=not args.quiet and not (args.watch and not args.once)
     )
     store = _store(args)
     with _usage_errors(args):
@@ -738,13 +725,9 @@ def cmd_validate(args) -> int:
     threshold = (
         args.threshold if args.threshold is not None else DEFAULT_DRIFT_THRESHOLD
     )
-    progress = ProgressReporter(
-        len(spec), workers=args.workers, enabled=not args.quiet
-    )
     with _usage_errors(args):
-        runner = CampaignRunner(
-            spec, store=_store(args), max_workers=args.workers, progress=progress
-        )
+        runner = CampaignRunner(spec, store=_store(args), max_workers=args.workers)
+    runner.progress = ProgressReporter(runner.monitor, enabled=not args.quiet)
     print(spec.describe())
     result = runner.run()
     print()
@@ -895,14 +878,19 @@ def cmd_report(args) -> int:
 
     manifest = None
     if args.campaign:
+        from repro.campaign.manifest import ManifestError
+
         if args.jsonl:
             raise SystemExit("--campaign reads a result store, not --jsonl")
         with _open_existing_store(args) as mstore:
-            manifest = (
-                mstore.latest_manifest()
-                if args.campaign == "latest"
-                else mstore.get_manifest(args.campaign)
-            )
+            try:
+                manifest = (
+                    mstore.latest_manifest()
+                    if args.campaign == "latest"
+                    else mstore.get_manifest(args.campaign)
+                )
+            except ManifestError as exc:
+                raise SystemExit(f"report: {exc}") from None
         if manifest is None:
             raise SystemExit(
                 "no campaign manifest stored yet"
@@ -974,17 +962,26 @@ def cmd_doctor(args) -> int:
             print(f"{name:<22} [{scope}] {describe(check)}")
         return 0
     records = _load_records(args)
-    # fleet evidence: the campaign run manifest (latest, or --run-id)
+    # fleet evidence: the campaign run manifest (latest, or --run-id); one
+    # in another schema costs only the fleet detectors
     manifest = None
     if not args.jsonl:
+        from repro.campaign.manifest import ManifestError
+
         with _open_existing_store(args) as mstore:
-            manifest = (
-                mstore.get_manifest(args.run_id)
-                if args.run_id
-                else mstore.latest_manifest()
-            )
-        if args.run_id and manifest is None:
-            raise SystemExit(f"no campaign manifest for run id {args.run_id!r}")
+            try:
+                manifest = (
+                    mstore.get_manifest(args.run_id)
+                    if args.run_id
+                    else mstore.latest_manifest()
+                )
+            except ManifestError as exc:
+                print(f"doctor: fleet detectors skipped: {exc}", file=sys.stderr)
+            else:
+                if args.run_id and manifest is None:
+                    raise SystemExit(
+                        f"no campaign manifest for run id {args.run_id!r}"
+                    )
     # an explicit cell filter that matches nothing is still an error —
     # the implicitly-loaded manifest must not mask a typo'd --matrix
     filtered = bool(args.matrix or args.scheme)

@@ -17,8 +17,8 @@ the whole record list and can cross-reference cells (the
 model-divergence detector pairs sim/analytic cells this way);
 ``fleet`` detectors see a campaign :class:`~repro.campaign.manifest.RunManifest`
 (duck-typed — this module never imports the campaign package) and judge
-the *execution* rather than the numerics: stragglers, heartbeat gaps,
-retry storms, cache stampedes.
+the *execution* rather than the numerics: retry storms and cache
+stampedes.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ RESIDUAL_STALL_WINDOW = 1000
 #: tolerance (absolute floor 1e-9 s).
 SPAN_TIME_REL_TOL = 1e-9
 SOLVE_SPAN_REL_TOL = 1e-6
-
-#: A still-running cell (or a worker's mean cell cost) this many times
-#: the campaign's median ran-cell compute is a straggler…
-STRAGGLER_FACTOR = 4.0
-#: …but only past these absolute floors, so fast healthy grids (where
-#: the median is milliseconds) never alert on scheduling jitter.
-STRAGGLER_MIN_AGE_S = 30.0
-STRAGGLER_MIN_GAP_S = 1.0
-#: Workers need this many finished cells before their mean is evidence.
-STRAGGLER_MIN_CELLS = 4
-
-#: A worker silent for FACTOR heartbeat intervals (absolute floor
-#: HEARTBEAT_GAP_MIN_S) while holding a cell has hung or died.
-HEARTBEAT_GAP_FACTOR = 3.0
-HEARTBEAT_GAP_MIN_S = 5.0
 
 #: Retries are a storm when there are at least RETRY_STORM_MIN of them
 #: *and* they amount to this fraction of the campaign's computed cells.
@@ -361,84 +346,6 @@ def model_divergence(records: list[RunRecord]) -> Iterator[Finding]:
             )
 
 
-def _median(values: list[float]) -> float:
-    values = sorted(values)
-    n = len(values)
-    if n == 0:
-        return 0.0
-    mid = n // 2
-    return values[mid] if n % 2 else (values[mid - 1] + values[mid]) / 2.0
-
-
-def worker_straggler(manifest) -> Iterator[Finding]:
-    """no cell may be left running at campaign end far past the median
-    cell cost, and no worker's mean cell cost may sit far above its
-    peers'"""
-    ran = [c.compute_s for c in manifest.cells if c.status == "ran"]
-    median = _median(ran)
-    # clause 1: a cell still "running" when the campaign closed — its
-    # worker hung (or died without the pool noticing) mid-cell
-    threshold = max(STRAGGLER_FACTOR * median, STRAGGLER_MIN_AGE_S)
-    for c in manifest.cells:
-        if c.status != "running" or c.started_ts is None:
-            continue
-        age = manifest.finished_at - c.started_ts
-        if age > threshold:
-            yield Finding(
-                "worker_straggler",
-                "error",
-                c.label,
-                f"cell still running on worker {c.worker} after {age:.1f}s "
-                f"(median ran cell: {median:.2f}s)",
-                value=age,
-                threshold=threshold,
-            )
-    # clause 2: one worker consistently slower than its pool-mates
-    means = {
-        w.worker: w.busy_s / w.cells_done
-        for w in manifest.worker_rows
-        if w.cells_done >= STRAGGLER_MIN_CELLS
-    }
-    if len(means) < 2:
-        return
-    pool_median = _median(list(means.values()))
-    for pid, mean in sorted(means.items()):
-        if (
-            mean > STRAGGLER_FACTOR * pool_median
-            and mean - pool_median > STRAGGLER_MIN_GAP_S
-        ):
-            yield Finding(
-                "worker_straggler",
-                "warning",
-                f"fleet/worker-{pid}",
-                f"worker averages {mean:.2f}s per cell against a pool "
-                f"median of {pool_median:.2f}s",
-                value=mean,
-                threshold=STRAGGLER_FACTOR * pool_median,
-            )
-
-
-def heartbeat_gap(manifest) -> Iterator[Finding]:
-    """no worker may go silent for several heartbeat intervals while
-    holding a cell"""
-    interval = manifest.heartbeat_interval_s
-    if interval <= 0:
-        return  # heartbeats disabled (serial runs): nothing to judge
-    threshold = max(HEARTBEAT_GAP_FACTOR * interval, HEARTBEAT_GAP_MIN_S)
-    for w in manifest.worker_rows:
-        if w.max_heartbeat_gap_s > threshold:
-            yield Finding(
-                "heartbeat_gap",
-                "error",
-                f"fleet/worker-{w.worker}",
-                f"worker went {w.max_heartbeat_gap_s:.1f}s without a "
-                f"heartbeat while busy (interval {interval:g}s, "
-                f"last cell {w.last_cell or '?'})",
-                value=w.max_heartbeat_gap_s,
-                threshold=threshold,
-            )
-
-
 def retry_storm(manifest) -> Iterator[Finding]:
     """retry attempts must stay a small fraction of the campaign's
     computed cells"""
@@ -482,11 +389,9 @@ def cache_stampede(manifest) -> Iterator[Finding]:
 DETECTORS = {
     "cache_stampede": ("fleet", cache_stampede),
     "energy_balance": ("run", energy_balance),
-    "heartbeat_gap": ("fleet", heartbeat_gap),
     "model_divergence": ("campaign", model_divergence),
     "residual_convergence": ("run", residual_convergence),
     "retry_storm": ("fleet", retry_storm),
     "schedule_drift": ("run", schedule_drift),
     "span_integrity": ("run", span_integrity),
-    "worker_straggler": ("fleet", worker_straggler),
 }

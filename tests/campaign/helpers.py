@@ -61,8 +61,7 @@ def crashing_worker(cell, baseline=None, timeout_s=None):
 
 
 def killing_worker(cell, baseline=None, timeout_s=None):
-    """The FF cell SIGKILLs its own worker mid-cell on the first attempt,
-    once the worker's heartbeats have been flowing for a while."""
+    """The FF cell SIGKILLs its own worker 50 ms into its first attempt."""
     if cell.is_baseline and _first_time_for(cell):
         time.sleep(0.05)
         os.kill(os.getpid(), signal.SIGKILL)
@@ -90,11 +89,15 @@ def wasteful_worker(cell, baseline=None, timeout_s=None):
     return execute_cell(cell, baseline, timeout_s)
 
 
-def lingering_worker(cell, baseline=None, timeout_s=None):
-    """Holds every cell 50 ms before running it, so a campaign lasts long
-    enough for fast heartbeats to fill the telemetry pipe however warm
-    the problem caches are."""
-    time.sleep(0.05)
+def chatty_worker(cell, baseline=None, timeout_s=None):
+    """Logs 64 warning-level lines of about 1 KiB before each cell, so a
+    pool's workers forward far more log frames than the telemetry pipe
+    holds."""
+    from repro.obs.logging import get_logger
+
+    log = get_logger("tests.chatty")
+    for i in range(64):
+        log.warning("chatter", cell=cell.label, line=i, pad="x" * 1000)
     return execute_cell(cell, baseline, timeout_s)
 
 

@@ -5,7 +5,7 @@ two contracts that make it safe: the ``--json-progress`` wire format
 round-trips exactly (schema-checked both ways), and the deterministic
 cell correlation ids never perturb stored payloads.  The
 :class:`FleetMonitor` state machine is driven directly with a fake
-clock — queued/started/finished races, retries, heartbeat gaps — and
+clock — queued/started/finished races, retries, peak RSS, the ETA — and
 its manifest snapshot is checked against what it was fed.  The pipe
 itself is held to its own contract: frames arrive whole around a killed
 writer, and a full pipe or an oversized frame costs dropped telemetry,
@@ -29,7 +29,6 @@ from repro.campaign.fleet import (
     CELL_EVENTS,
     ChannelDrainer,
     FleetMonitor,
-    LocalChannel,
     ProgressEventError,
     WorkerChannel,
     cell_correlation_id,
@@ -46,7 +45,7 @@ from repro.campaign.runner import (
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import cell_key
 from repro.obs.logging import configure_logging, record_from_line
-from tests.campaign.helpers import FLAKY_DIR_ENV, killing_worker, lingering_worker
+from tests.campaign.helpers import FLAKY_DIR_ENV, chatty_worker, killing_worker
 from tests.logcapture import captured_logs
 
 EVENT_DOC = {
@@ -180,7 +179,6 @@ def _monitor(events=None, *, workers=2, clock=None, total=4):
     mon = FleetMonitor(
         "feedbeeffeedbeef",
         workers=workers,
-        heartbeat_interval_s=1.0,
         event_sink=None if events is None else events.append,
         clock=clk,
     )
@@ -319,50 +317,49 @@ class TestFleetMonitor:
         )
         assert mon.snapshot()["eta_s"] == 0.0
 
-    def test_heartbeat_gap_counts_only_while_busy(self, tiny_spec):
-        mon, clk = _monitor()
+    def test_eta_counts_settled_cells_not_worker_events(self, tiny_spec):
+        """A worker's finished event is evidence of cost, but the cell
+        counts as settled only once the parent has its outcome."""
+        mon, clk = _monitor(total=2, workers=1)
         cell = tiny_spec.cells()[0]
         cid = cell_correlation_id(cell)
-
-        def beat():
-            mon.on_heartbeat(
-                {"ts": clk.t, "run_id": mon.run_id, "worker": 77,
-                 "rss_bytes": 1 << 20, "cell": None, "cell_id": None,
-                 "cell_elapsed_s": None}
+        mon.on_event(
+            cell_event(
+                mon.run_id, "finished", cell.label, cid, 77, 1,
+                ts=clk.t, elapsed_s=2.0,
             )
+        )
+        assert mon.done == 0
+        assert mon.eta_s() == pytest.approx(4.0)  # 2 unsettled x 2.0s
+        mon.cell_done(CellResult(cell=cell, status="ran", elapsed_s=2.0))
+        assert mon.done == 1
+        assert mon.eta_s() == pytest.approx(2.0)
+        assert mon.snapshot()["eta_s"] == mon.eta_s()
 
-        beat()
-        clk.t += 20.0  # idle silence: not a gap
-        beat()
-        assert mon.snapshot()["worker_rows"][0]["heartbeats"] == 2
-        mon.on_event(
-            cell_event(mon.run_id, "started", cell.label, cid, 77, 1, ts=clk.t)
-        )
-        clk.t += 7.0  # busy silence: the gap the detector wants
-        beat()
-        mon.finalize()
-        manifest = mon.manifest()
-        (w,) = manifest.worker_rows
-        assert w.max_heartbeat_gap_s == pytest.approx(7.0)
-        assert w.max_rss_bytes == 1 << 20
-
-    def test_finalize_adds_the_terminal_gap_of_a_hung_worker(self, tiny_spec):
-        mon, clk = _monitor()
-        cell = tiny_spec.cells()[0]
-        cid = cell_correlation_id(cell)
-        mon.on_heartbeat(
-            {"ts": clk.t, "run_id": mon.run_id, "worker": 99, "rss_bytes": 0,
-             "cell": None, "cell_id": None, "cell_elapsed_s": None}
-        )
-        mon.on_event(
-            cell_event(mon.run_id, "started", cell.label, cid, 99, 1, ts=clk.t)
-        )
-        clk.t += 42.0  # worker dies silently mid-cell
-        mon.finalize()
-        manifest = mon.manifest()
-        assert manifest.worker_rows[0].max_heartbeat_gap_s == pytest.approx(42.0)
-        # the cell it held is recorded as still running
-        assert manifest.cell(cell.label).status == "running"
+    def test_finish_events_carry_the_workers_peak_rss(self, tiny_spec):
+        """Peak RSS rides the finished and failed events; the monitor
+        keeps each worker's highest, and the key never reaches the
+        event stream."""
+        events: list[dict] = []
+        mon, _ = _monitor(events)
+        cells = tiny_spec.cells()[:2]
+        for cell, kind, rss in (
+            (cells[0], "failed", 3 << 20),
+            (cells[1], "finished", 2 << 20),
+        ):
+            cid = cell_correlation_id(cell)
+            mon.handle(
+                ("event", cell_event(mon.run_id, "started", cell.label, cid, 77, 1))
+            )
+            finished = cell_event(
+                mon.run_id, kind, cell.label, cid, 77, 1, elapsed_s=0.5,
+                error="RuntimeError: boom" if kind == "failed" else None,
+            )
+            mon.handle(("event", {**finished, "rss_bytes": rss}))
+        assert mon.snapshot()["worker_rows"][0]["rss_bytes"] == 3 << 20
+        (w,) = mon.manifest().worker_rows
+        assert w.max_rss_bytes == 3 << 20
+        assert all("rss_bytes" not in e for e in events)
 
     def test_manifest_snapshots_the_counters(self, tiny_spec):
         mon, clk = _monitor(total=2)
@@ -390,32 +387,20 @@ class TestFleetMonitor:
         highest report per worker; the key never reaches the event
         stream, whose schema has no room for it."""
         events: list[dict] = []
-        mon, clk = _monitor(events)
+        mon, _ = _monitor(events)
         cell = tiny_spec.cells()[0]
         cid = cell_correlation_id(cell)
         started = cell_event(mon.run_id, "started", cell.label, cid, 7, 1)
         mon.handle(("event", {**started, "dropped_frames": 3}))
         for worker, dropped in ((7, 5), (7, 4), (8, 2)):
-            mon.handle(
-                ("hb", {"ts": clk.t, "run_id": mon.run_id, "worker": worker,
-                        "rss_bytes": 0, "cell": None, "cell_id": None,
-                        "cell_elapsed_s": None, "dropped_frames": dropped})
+            finished = cell_event(
+                mon.run_id, "finished", cell.label, cid, worker, 1, elapsed_s=0.1
             )
+            mon.handle(("event", {**finished, "dropped_frames": dropped}))
         assert mon.manifest().counters["dropped_frames"] == 5 + 2
         assert events == [started]
         assert cell_event_from_line(cell_event_to_line(events[0])) == started
 
-class TestLocalChannel:
-    def test_serial_events_feed_the_monitor_directly(self, tiny_spec):
-        events: list[dict] = []
-        mon, _ = _monitor(events, workers=1)
-        channel = LocalChannel(mon)
-        cell = tiny_spec.cells()[0]
-        cid = cell_correlation_id(cell)
-        channel.cell_started(cell.label, cid, 1)
-        channel.cell_finished(cell.label, cid, 1, 0.5)
-        assert [e["event"] for e in events] == ["started"]
-        assert mon.snapshot()["worker_rows"][0]["done"] == 1
 
 
 def _recv(reader, timeout_s: float = 5.0):
@@ -425,35 +410,42 @@ def _recv(reader, timeout_s: float = 5.0):
 
 
 class TestWorkerChannel:
-    def test_events_and_heartbeats_reach_the_queue(self):
+    def test_events_reach_the_pipe_and_only_finishes_carry_rss(self):
         reader, writer = multiprocessing.Pipe(duplex=False)
-        channel = WorkerChannel(
-            writer, "feedbeeffeedbeef", heartbeat_interval_s=0.01
-        )
+        channel = WorkerChannel("feedbeeffeedbeef", conn=writer)
         try:
             channel.cell_started("cell/FF", "c" * 16, 1)
-            deadline = time.time() + 5.0
-            kinds = set()
-            while time.time() < deadline and "hb" not in kinds:
-                kind, payload = _recv(reader)
-                kinds.add(kind)
-                if kind == "hb":
-                    assert payload["cell"] == "cell/FF"
-                    assert payload["worker"] == channel.pid
             channel.cell_finished("cell/FF", "c" * 16, 1, 0.1)
-            assert "hb" in kinds
+            (k1, started), (k2, finished) = _recv(reader), _recv(reader)
+            assert not reader.poll(0.1)  # nothing between a cell's events
         finally:
-            channel.close()
             reader.close()
             writer.close()
+        assert (k1, started["event"], k2, finished["event"]) == (
+            "event", "started", "event", "finished",
+        )
+        assert started["worker"] == finished["worker"] == channel.pid
+        assert "rss_bytes" not in started
+        assert finished["rss_bytes"] > 0
+
+    def test_serial_events_feed_the_monitor_directly(self, tiny_spec):
+        events: list[dict] = []
+        mon, _ = _monitor(events, workers=1)
+        channel = WorkerChannel(mon.run_id, monitor=mon)
+        cell = tiny_spec.cells()[0]
+        cid = cell_correlation_id(cell)
+        channel.cell_started(cell.label, cid, 1)
+        channel.cell_finished(cell.label, cid, 1, 0.5)
+        assert [e["event"] for e in events] == ["started"]
+        (row,) = mon.snapshot()["worker_rows"]
+        assert row["done"] == 1 and row["rss_bytes"] > 0
 
     def test_puts_are_best_effort(self):
         reader, writer = multiprocessing.Pipe(duplex=False)
         reader.close()  # the parent is gone: every write is EPIPE
-        channel = WorkerChannel(writer, "r" * 16, heartbeat_interval_s=0)
+        channel = WorkerChannel("r" * 16, conn=writer)
         channel.cell_started("cell/FF", "c" * 16, 1)  # must not raise
         channel.cell_finished("cell/FF", "c" * 16, 1, 0.1)
-        channel.close()
         writer.close()
 
 
@@ -469,7 +461,7 @@ def _body(seq: int) -> str:
 def _write_frames(conn, tag: str, n: int) -> None:
     """Two threads of one process put ``n`` near-``PIPE_BUF`` frames
     each through one channel; ``n=0`` writes until the process dies."""
-    channel = WorkerChannel(conn, "r" * 16, heartbeat_interval_s=0)
+    channel = WorkerChannel("r" * 16, conn=conn)
 
     def send(thread: int) -> None:
         seq = 0
@@ -533,7 +525,7 @@ class TestAtomicFrames:
     def test_a_stalled_reader_costs_dropped_frames_not_time(self):
         reader, writer = multiprocessing.Pipe(duplex=False)
         os.set_blocking(writer.fileno(), False)
-        channel = WorkerChannel(writer, "r" * 16, heartbeat_interval_s=0)
+        channel = WorkerChannel("r" * 16, conn=writer)
         t0 = time.perf_counter()
         for i in range(10_000):
             channel.emit_log(f"line {i}")
@@ -555,7 +547,7 @@ class TestAtomicFrames:
 
     def test_an_oversized_frame_is_dropped_whole(self):
         reader, writer = multiprocessing.Pipe(duplex=False)
-        channel = WorkerChannel(writer, "r" * 16, heartbeat_interval_s=0)
+        channel = WorkerChannel("r" * 16, conn=writer)
         try:
             channel.emit_log("x" * 1000)
             # wire bytes besides the line: pickle framing + 4-byte header
@@ -589,9 +581,9 @@ class TestDeadWriter:
     def test_campaign_survives_a_worker_killed_mid_cell(
         self, tmp_path, monkeypatch
     ):
-        """A worker SIGKILLed mid-cell, heartbeats flowing, leaves
-        nothing held that the rest of the fleet needs: every cell runs,
-        and every later worker's telemetry reaches the manifest.
+        """A worker SIGKILLed mid-cell leaves nothing held that the rest
+        of the fleet needs: every cell runs, and every later worker's
+        telemetry reaches the manifest.
 
         The victim is the baseline, which runs in a pool of its own: a
         pool-mate finishing in the instant of the kill would report a
@@ -602,7 +594,6 @@ class TestDeadWriter:
         result = run_campaign(
             TWELVE_CELLS,
             max_workers=2,
-            heartbeat_interval_s=0.01,
             worker=killing_worker,
             event_sink=events.append,
         )
@@ -611,7 +602,6 @@ class TestDeadWriter:
         assert [r.attempts for r in result.results if r.cell.is_baseline] == [2]
         workers = result.manifest.worker_rows
         assert sum(w.cells_done for w in workers) == result.n_ran == 12
-        assert sum(w.heartbeats for w in workers) > 0
         started = {e["cell"] for e in events if e["event"] == "started"}
         assert started == {cell.label for cell in TWELVE_CELLS.cells()}
 
@@ -626,9 +616,7 @@ class TestForwardedWorkerLogs:
         path = tmp_path / "campaign.jsonl"
         configure_logging(level="debug", file=path)
         try:
-            result = run_campaign(
-                tiny_spec, max_workers=2, heartbeat_interval_s=0
-            )
+            result = run_campaign(tiny_spec, max_workers=2)
         finally:
             configure_logging(level="warning")
         assert all(r.ok for r in result.results)
@@ -641,6 +629,16 @@ class TestForwardedWorkerLogs:
             run_id, cell_id = record.request_id.split(".")
             assert run_id == result.run_id
             assert cell_id in cell_ids
+
+
+class TestPeakRss:
+    def test_every_pooled_worker_row_carries_its_peak_rss(self, tiny_spec):
+        result = run_campaign(tiny_spec, max_workers=2)
+        assert all(r.ok for r in result.results)
+        rows = result.manifest.worker_rows
+        assert rows and all(w.max_rss_bytes > 0 for w in rows)
+        assert sum(w.cells_done for w in rows) == len(tiny_spec)
+
 
 class _StalledDrainer(ChannelDrainer):
     """A parent that never reads: it only counts, at stop, the frame
@@ -657,14 +655,11 @@ class _StalledDrainer(ChannelDrainer):
 
 class TestStalledParent:
     def test_a_full_pipe_costs_telemetry_never_a_cell(self, monkeypatch):
+        """Workers forward warning-level log lines into a pipe nobody
+        reads: they fill it, drop the rest, and every cell still runs."""
         monkeypatch.setattr(runner_module, "ChannelDrainer", _StalledDrainer)
         monkeypatch.setattr(_StalledDrainer, "backlog", [])
-        result = run_campaign(
-            TWELVE_CELLS,
-            max_workers=2,
-            heartbeat_interval_s=0.001,
-            worker=lingering_worker,
-        )
+        result = run_campaign(TWELVE_CELLS, max_workers=2, worker=chatty_worker)
         assert all(r.ok for r in result.results)
         # the workers wrote until the pipe was full, then dropped the rest
         assert sum(_StalledDrainer.backlog) > 32 * 1024

@@ -23,7 +23,6 @@ def sample_manifest(**overrides) -> RunManifest:
         run_id="feedbeeffeedbeef",
         name="sample",
         workers=2,
-        heartbeat_interval_s=1.0,
         started_at=1000.0,
         finished_at=1010.0,
         wall_s=10.0,
@@ -60,8 +59,7 @@ def sample_manifest(**overrides) -> RunManifest:
         ),
         worker_rows=(
             ManifestWorker(
-                worker=101, cells_done=1, busy_s=3.0, heartbeats=9,
-                max_heartbeat_gap_s=1.1, max_rss_bytes=1 << 20,
+                worker=101, cells_done=1, busy_s=3.0, max_rss_bytes=1 << 20,
                 last_cell="wathen100/r8/f2/x0.25/FF",
             ),
             ManifestWorker(worker=102, failed_attempts=3, busy_s=1.5),

@@ -3,7 +3,7 @@
 The satellite coverage for the observability tentpole: degenerate
 campaign shapes must render (not crash), the ``--json-progress`` stream
 must round-trip through the schema with exactly one terminal line per
-cell, and the synthetic pathologies — a hung worker, a retry storm —
+cell, and the synthetic pathologies — a retry storm, a cache stampede —
 must surface as findings through ``repro doctor``.
 """
 
@@ -20,7 +20,6 @@ from repro.campaign import (
     render_fleet,
     run_campaign,
 )
-from repro.campaign.manifest import ManifestCell, ManifestWorker
 from repro.cli import main
 from tests.campaign.helpers import FLAKY_DIR_ENV, always_raising_worker
 
@@ -132,52 +131,6 @@ class TestDoctorFleetScenarios:
         out = capsys.readouterr().out
         assert "manifest" in out and "no findings" in out
 
-    def test_synthetic_hang_fires_heartbeat_gap(
-        self, tiny_spec, store, tmp_path, capsys
-    ):
-        from dataclasses import replace
-
-        manifest = self._campaign_manifest(tiny_spec, store)
-        hung = replace(
-            manifest,
-            heartbeat_interval_s=1.0,
-            worker_rows=(
-                ManifestWorker(
-                    worker=4242, cells_done=1, busy_s=1.0, heartbeats=3,
-                    max_heartbeat_gap_s=50.0, last_cell="wathen100/r8/f2/x0.25/RD",
-                ),
-            ),
-        )
-        root = self._persist(tmp_path, hung)
-        assert main(["doctor", "--store", root]) == 1
-        out = capsys.readouterr().out
-        assert "heartbeat_gap" in out
-        assert "worker went 50.0s without a heartbeat" in out
-
-    def test_synthetic_straggler_fires_worker_straggler(
-        self, tiny_spec, store, tmp_path, capsys
-    ):
-        from dataclasses import replace
-
-        manifest = self._campaign_manifest(tiny_spec, store)
-        stuck = replace(
-            manifest,
-            finished_at=manifest.finished_at + 100.0,
-            cells=(
-                *manifest.cells,
-                ManifestCell(
-                    label="Andrews/r8/f2/x0.25/RD", cell_id="f" * 16,
-                    scheme="RD", status="running", worker=4242,
-                    started_ts=manifest.finished_at,
-                ),
-            ),
-        )
-        root = self._persist(tmp_path, stuck)
-        assert main(["doctor", "--store", root]) == 1
-        out = capsys.readouterr().out
-        assert "worker_straggler" in out
-        assert "still running on worker 4242" in out
-
     def test_retry_storm_fires_on_a_flapping_grid(
         self, tiny_spec, store, tmp_path, capsys
     ):
@@ -219,6 +172,50 @@ class TestDoctorFleetScenarios:
         self._campaign_manifest(tiny_spec, store)
         with pytest.raises(SystemExit, match="no campaign manifest"):
             main(["doctor", "--store", str(store.root), "--run-id", "nope"])
+
+
+class TestOtherSchemaManifest:
+    """A store whose manifest an older version wrote (schema 1) costs
+    the fleet detectors and the manifest view, never a traceback."""
+
+    @pytest.fixture()
+    def old_store(self, tiny_spec, store):
+        import json
+
+        from repro.campaign import manifest_to_doc
+
+        manifest = run_campaign(tiny_spec, store=store).manifest
+        doc = {**manifest_to_doc(manifest), "schema": 1}
+        with store._db:
+            store._db.execute(
+                "UPDATE manifests SET doc = ? WHERE run_id = ?",
+                (json.dumps(doc), manifest.run_id),
+            )
+        return str(store.root), manifest.run_id
+
+    @pytest.mark.parametrize("by_run_id", [False, True])
+    def test_doctor_runs_the_cell_detectors_and_names_the_schema(
+        self, old_store, by_run_id, capsys
+    ):
+        root, run_id = old_store
+        argv = ["doctor", "--store", root]
+        if by_run_id:
+            argv += ["--run-id", run_id]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "no findings" in captured.out
+        assert ", manifest" not in captured.out
+        (line,) = captured.err.splitlines()
+        assert run_id in line and "manifest schema 1" in line
+        assert "Traceback" not in captured.err
+
+    def test_report_campaign_names_the_schema_and_exits_1(self, old_store):
+        root, run_id = old_store
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--store", root, "--campaign"])
+        message = str(exc.value.code)
+        assert run_id in message and "manifest schema 1" in message
+        assert "\n" not in message
 
 
 class TestJsonProgressCli:

@@ -22,7 +22,9 @@ from repro.campaign.progress import (
     format_summary,
     summary_counters,
 )
+from repro.campaign.fleet import FleetMonitor
 from repro.campaign.runner import (
+    CampaignRunner,
     CellTimeout,
     execute_cell,
     run_campaign,
@@ -701,14 +703,15 @@ class TestSerialParallelEquality:
 
 class TestProgressAndSummary:
     def test_progress_counts_and_eta(self, tiny_spec, store, capsys):
-        progress = ProgressReporter(len(tiny_spec), workers=1)
-        assert progress.eta_s() is None
-        result = run_campaign(
-            tiny_spec, store=store, max_workers=1, progress=progress
-        )
-        assert progress.finished == len(tiny_spec)
+        runner = CampaignRunner(tiny_spec, store=store, max_workers=1)
+        runner.progress = ProgressReporter(runner.monitor)
+        assert runner.monitor.eta_s() is None
+        result = runner.run()
+        assert runner.monitor.done == len(tiny_spec)
+        assert runner.monitor.eta_s() == 0.0
         err = capsys.readouterr().err
         assert f"[{len(tiny_spec)}/{len(tiny_spec)}]" in err
+        assert "eta " in err
         counters = summary_counters(result)
         assert counters["ran"] == len(tiny_spec)
         assert counters["wall_s"] > 0
@@ -726,8 +729,9 @@ class TestProgressAndSummary:
             assert matrix in text
 
     def test_disabled_progress_prints_nothing(self, tiny_spec, store, capsys):
-        progress = ProgressReporter(len(tiny_spec), workers=1, enabled=False)
-        run_campaign(tiny_spec, store=store, max_workers=1, progress=progress)
+        runner = CampaignRunner(tiny_spec, store=store, max_workers=1)
+        runner.progress = ProgressReporter(runner.monitor, enabled=False)
+        runner.run()
         assert capsys.readouterr().err == ""
 
 
@@ -767,13 +771,15 @@ class TestWastedCompute:
 
         cell = tiny_spec.cells()[0]
         stream = io.StringIO()
-        progress = ProgressReporter(1, workers=1, stream=stream)
-        progress.cell_done(
-            CellResult(
-                cell=cell, status="failed", elapsed_s=0.1, attempts=2,
-                error="RuntimeError: boom",
-            )
+        monitor = FleetMonitor()
+        monitor.begin(total=1, name="one")
+        progress = ProgressReporter(monitor, stream=stream)
+        result = CellResult(
+            cell=cell, status="failed", elapsed_s=0.1, attempts=2,
+            error="RuntimeError: boom",
         )
+        monitor.cell_done(result)
+        progress.cell_done(result)
         line = stream.getvalue()
         assert "(0.10s wasted)" in line
         assert "RuntimeError: boom" in line

@@ -518,7 +518,6 @@ def make_manifest(run_id: str, name: str = "m", finished_at: float = 2000.0):
         run_id=run_id,
         name=name,
         workers=2,
-        heartbeat_interval_s=1.0,
         started_at=1000.0,
         finished_at=finished_at,
         wall_s=finished_at - 1000.0,

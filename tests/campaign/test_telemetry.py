@@ -119,7 +119,7 @@ class TestSerialParallelBitIdentity:
         self, traced_spec, tmp_path
     ):
         """The fleet channel is side-band only: a serial run and a
-        2-worker run (heartbeats, forwarded events and all) must store
+        2-worker run (forwarded events and all) must store
         byte-identical payloads under identical content keys."""
         events: list[dict] = []
         run_campaign(traced_spec, store=ResultStore(tmp_path / "serial"))
@@ -127,7 +127,6 @@ class TestSerialParallelBitIdentity:
             traced_spec,
             store=ResultStore(tmp_path / "parallel"),
             max_workers=2,
-            heartbeat_interval_s=0.05,
             event_sink=events.append,
         )
         assert events, "the channel was not active"

@@ -34,13 +34,12 @@ def snapshot(**overrides) -> dict:
             {
                 "worker": 101, "state": "busy",
                 "cell": "wathen100/r8/f2/x0.25/FF", "cell_age_s": 2.5,
-                "hb_age_s": 0.4, "heartbeats": 11, "done": 2,
-                "failed_attempts": 0, "rss_bytes": 64 << 20,
+                "done": 2, "failed_attempts": 0, "rss_bytes": 64 << 20,
             },
             {
                 "worker": 102, "state": "idle", "cell": None,
-                "cell_age_s": None, "hb_age_s": 1.0, "heartbeats": 12,
-                "done": 1, "failed_attempts": 1, "rss_bytes": 32 << 20,
+                "cell_age_s": None, "done": 1, "failed_attempts": 1,
+                "rss_bytes": 32 << 20,
             },
         ],
         "last_error": None,

@@ -334,6 +334,13 @@ class TestCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_campaign_rejects_the_removed_heartbeat_flag(self, capsys):
+        # workers send nothing between a cell's lifecycle events
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--preset", "smoke", "--heartbeat-interval", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_cr_interval_parsing(self):
         assert _parse_cr_interval("paper") == "paper"
         assert _parse_cr_interval("young") == "young"
@@ -716,6 +723,18 @@ class TestDoctorCli:
         assert "[campaign]" in out  # model_divergence scope
         assert "slo_burn" not in out and "[history]" not in out
 
+    def test_doctor_lists_seven_detectors(self, capsys):
+        """Two fleet detectors remain: a pool hands each config group
+        whole to one worker, so workers have no like-for-like cells to
+        compare, and no worker sends anything between a cell's events."""
+        assert main(["doctor", "--list-detectors"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == [
+            "cache_stampede", "energy_balance", "model_divergence",
+            "residual_convergence", "retry_storm", "schedule_drift",
+            "span_integrity",
+        ]
+
     def test_doctor_rejects_unknown_detector(self, traced_store):
         with pytest.raises(SystemExit, match="unknown detectors"):
             main(["doctor", "--store", traced_store, "--detectors", "nope"])
@@ -868,7 +887,6 @@ OPTION_SURFACE = {
         "--watch": (0, False, None, None),
         "--once": (0, False, None, None),
         "--json-progress": (None, None, None, None),
-        "--heartbeat-interval": (None, 1.0, None, "float"),
         "--list-presets": (0, False, None, None),
     },
     "validate": {

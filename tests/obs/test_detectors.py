@@ -197,7 +197,6 @@ def fleet_manifest(**overrides):
         run_id="feedbeeffeedbeef",
         name="fleet",
         workers=2,
-        heartbeat_interval_s=1.0,
         started_at=1000.0,
         finished_at=1020.0,
         wall_s=20.0,
@@ -214,14 +213,8 @@ def fleet_manifest(**overrides):
             for i in range(4)
         ),
         worker_rows=(
-            ManifestWorker(
-                worker=101, cells_done=4, busy_s=8.0, heartbeats=20,
-                max_heartbeat_gap_s=1.2,
-            ),
-            ManifestWorker(
-                worker=102, cells_done=4, busy_s=8.5, heartbeats=20,
-                max_heartbeat_gap_s=1.1,
-            ),
+            ManifestWorker(worker=101, cells_done=4, busy_s=8.0),
+            ManifestWorker(worker=102, cells_done=4, busy_s=8.5),
         ),
     )
     fields.update(overrides)
@@ -231,7 +224,7 @@ def fleet_manifest(**overrides):
 class TestFleetDetectors:
     """Fleet-scoped detectors judge the campaign manifest, not cells."""
 
-    FLEET = ("worker_straggler", "heartbeat_gap", "retry_storm", "cache_stampede")
+    FLEET = ("retry_storm", "cache_stampede")
 
     def test_fleet_scope_is_registered(self):
         scopes = {name: scope for name, (scope, _) in DETECTORS.items()}
@@ -243,70 +236,6 @@ class TestFleetDetectors:
 
     def test_healthy_manifest_passes(self):
         assert run_detectors([], list(self.FLEET), manifest=fleet_manifest()) == []
-
-    def test_cell_hung_past_campaign_end_is_a_straggler(self):
-        from dataclasses import replace as drep
-
-        manifest = fleet_manifest()
-        hung = drep(
-            manifest,
-            finished_at=1100.0,
-            cells=(
-                *manifest.cells[:3],
-                drep(manifest.cells[3], status="running", finished_ts=None),
-            ),
-        )
-        (finding,) = run_detectors([], ["worker_straggler"], manifest=hung)
-        assert finding.severity == "error"
-        assert "still running" in finding.message
-
-    def test_one_slow_worker_is_a_straggler_warning(self):
-        from dataclasses import replace as drep
-        from repro.campaign.manifest import ManifestWorker
-
-        # three workers so the pool median is set by the healthy pair
-        manifest = fleet_manifest()
-        skewed = drep(
-            manifest,
-            worker_rows=(
-                *manifest.worker_rows,
-                ManifestWorker(
-                    worker=103, cells_done=4, busy_s=200.0, heartbeats=20,
-                    max_heartbeat_gap_s=1.0,
-                ),
-            ),
-        )
-        (finding,) = run_detectors([], ["worker_straggler"], manifest=skewed)
-        assert finding.severity == "warning"
-        assert finding.cell == "fleet/worker-103"
-
-    def test_silent_busy_worker_is_a_heartbeat_gap(self):
-        from dataclasses import replace as drep
-
-        manifest = fleet_manifest()
-        silent = drep(
-            manifest,
-            worker_rows=(
-                drep(manifest.worker_rows[0], max_heartbeat_gap_s=30.0),
-                manifest.worker_rows[1],
-            ),
-        )
-        (finding,) = run_detectors([], ["heartbeat_gap"], manifest=silent)
-        assert finding.severity == "error"
-        assert finding.value == pytest.approx(30.0)
-
-    def test_heartbeats_disabled_never_fires(self):
-        from dataclasses import replace as drep
-
-        manifest = fleet_manifest()
-        serial = drep(
-            manifest,
-            heartbeat_interval_s=0.0,
-            worker_rows=(
-                drep(manifest.worker_rows[0], max_heartbeat_gap_s=999.0),
-            ),
-        )
-        assert run_detectors([], ["heartbeat_gap"], manifest=serial) == []
 
     def test_retry_storm_needs_both_count_and_ratio(self):
         def with_retries(retries, ran):
