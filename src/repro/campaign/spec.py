@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.core.backends import DEFAULT_BACKEND, backend_names
 from repro.core.recovery import scheme_names
 from repro.engines import engine_names
 from repro.harness.experiment import (
@@ -39,7 +38,6 @@ AXES: dict[str, tuple[str, str, str]] = {
     "fault_loads": ("n_faults", "fault load", "f"),
     "seeds": ("seed", "seed", "s"),
     "engines": ("engine", "engine", ""),
-    "backends": ("backend", "backend", ""),
     "victims_per_fault": ("victims_per_fault", "victim-set size", "v"),
 }
 
@@ -78,9 +76,10 @@ class CampaignCell:
         """Human-readable cell id used in progress lines and summaries:
         matrix, rank count and fault load, then a mark for every other
         config field that changes a result and is off its default.
-        ``trace`` has no mark: it never changes the numbers.  Built once
-        per cell object and kept in its ``__dict__``, outside the
-        fields, so eq, hash and repr never see it."""
+        ``trace`` and ``backend`` have no mark: neither changes the
+        numbers.  Built once per cell object and kept in its
+        ``__dict__``, outside the fields, so eq, hash and repr never
+        see it."""
         c, d = self.config, _DEFAULT_CONFIG
         bits = [c.matrix, f"r{c.nranks}", f"f{c.n_faults}"]
         if c.seed != d.seed:
@@ -91,8 +90,6 @@ class CampaignCell:
             bits.append(c.engine)
         if c.fault_scope != d.fault_scope:
             bits.append(c.fault_scope)
-        if c.backend != d.backend:
-            bits.append(c.backend)
         if c.victims_per_fault != d.victims_per_fault:
             bits.append(f"v{c.victims_per_fault}")
         if c.preconditioner != d.preconditioner:
@@ -114,7 +111,7 @@ class CampaignSpec:
 
     ``cells()`` expands to one experiment group per point of the
     :data:`AXES` product (``matrices × nranks × fault_loads × seeds ×
-    engines × backends × victims_per_fault``); each group contributes
+    engines × victims_per_fault``); each group contributes
     one ``FF`` baseline cell followed by one cell per scheme.  Expansion
     order is deterministic (and documented) so serial and parallel
     campaigns agree on cell identity.
@@ -130,10 +127,6 @@ class CampaignSpec:
     #: grid point under both, which is what model-vs-sim drift
     #: (:mod:`repro.engines.validate`) pairs up.
     engines: tuple[str, ...] = ("sim",)
-    #: Execution backends to sweep; ``("loop", "batched")`` runs every
-    #: grid point under both, which is what the differential equivalence
-    #: harness compares cell by cell.
-    backends: tuple[str, ...] = (DEFAULT_BACKEND,)
     #: Victim-set sizes to sweep: ranks lost simultaneously per fault
     #: event.  ``(1,)`` is the paper's single-failure protocol; larger
     #: entries exercise multi-loss recovery (ESR, union interpolation).
@@ -157,7 +150,6 @@ class CampaignSpec:
             raise ValueError("victims_per_fault entries must be >= 1")
         for axis, known in (
             ("engines", engine_names()),
-            ("backends", backend_names()),
             ("matrices", matrix_suite.names()),
             ("schemes", [*scheme_names(), BASELINE_SCHEME]),
         ):

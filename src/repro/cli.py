@@ -46,7 +46,7 @@ from pathlib import Path
 from repro.campaign import spec as campaign_presets
 from repro.campaign.runner import CampaignRunner, run_campaign
 from repro.campaign.store import DEFAULT_ROOT, ResultStore
-from repro.core.backends import PRECONDITIONERS, backend_names
+from repro.core.backends import PRECONDITIONERS
 from repro.core.recovery.factory import scheme_names
 from repro.engines.base import engine_names
 from repro.harness.experiment import FAULT_SCOPES, ExperimentConfig
@@ -126,15 +126,6 @@ _CONFIG_FLAGS: dict[str, tuple[str, str | None, dict]] = {
             "its fault→recovery summary; a campaign persists it in the store",
         },
     ),
-    "backend": (
-        "--backend", None,
-        {
-            "choices": backend_names(),
-            "help": "CG kernel backend: vectorized across ranks (batched, "
-            "the default) or the rank-by-rank reference (loop); "
-            "bit-identical",
-        },
-    ),
 }
 
 #: Where a swept config flag stores its values: the CampaignSpec name.
@@ -155,7 +146,7 @@ _COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], tuple[str, ...], dict]] = {
     ),
     "suite": (
         ("matrix", "scheme", "n_faults", "nranks", "scale", "seed", "engine",
-         "cr_interval", "victims_per_fault", "backend"),
+         "cr_interval", "victims_per_fault"),
         ("matrix", "scheme"),
         {
             **_CONFIG_DEFAULTS,
@@ -450,8 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="entries in the in-memory LRU hot-cache over store lookups",
     )
     _add_store_flags(srv, writes=True)
-    # the backend of solve requests that do not name one
-    _add_config_flags(srv, ["backend"], defaults=_CONFIG_DEFAULTS)
     for command in sub.choices.values():
         command.set_defaults(usage_error=command.error)
     return parser
@@ -992,7 +981,11 @@ def cmd_doctor(args) -> int:
         findings = run_detectors(records, args.detectors, manifest=manifest)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    n_det = len(args.detectors or DETECTORS)
+    # without a manifest the fleet detectors were skipped: count what ran
+    n_det = sum(
+        manifest is not None or DETECTORS[name][0] != "fleet"
+        for name in args.detectors or DETECTORS
+    )
     extra = f", manifest {manifest.run_id}" if manifest is not None else ""
     print(
         f"doctor: {len(records)} cell(s), {n_det} detector(s){extra}"
@@ -1051,7 +1044,7 @@ def cmd_serve(args) -> int:
     with _usage_errors(args):
         core = ServingCore(store, cache_size=args.cache_size, workers=args.workers)
     _load_compute_stack()
-    app = ServeApp(core, default_backend=args.backend)
+    app = ServeApp(core)
     server = ServeServer(app.handle, host=args.host, port=args.port)
 
     async def _main() -> None:

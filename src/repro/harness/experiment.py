@@ -83,9 +83,10 @@ class ExperimentConfig:
     fault_scope: str = "process"
     #: Execution backend for the CG kernels (repro.core.backends):
     #: "batched" (default, vectorized across ranks) or "loop" (the
-    #: rank-by-rank reference).  Bit-identical by contract, but part of
-    #: the cell's cache key so a backend regression can never silently
-    #: serve results produced by the other backend.
+    #: rank-by-rank reference).  Bit-identical by contract; no campaign,
+    #: CLI flag or solve request sets it, only the tests and the
+    #: benchmark ledger do.  It stays in the cell's cache key, so stored
+    #: cells keep their keys.
     backend: str = DEFAULT_BACKEND
     #: Ranks lost *simultaneously* per fault event (the victim set).
     #: 1 reproduces the paper's single-failure protocol; >1 exercises the

@@ -41,7 +41,6 @@ from dataclasses import replace as _dc_replace
 
 from repro.campaign.serialize import report_json
 from repro.campaign.spec import BASELINE_SCHEME, CampaignCell
-from repro.core.backends import DEFAULT_BACKEND
 from repro.core.recovery import scheme_names
 from repro.engines import engine_names
 from repro.harness.experiment import ExperimentConfig
@@ -83,9 +82,12 @@ def _json_types(hint) -> tuple[type, ...]:
 #: each accepts, derived from the dataclass's annotations.  Checked
 #: before construction: ExperimentConfig itself validates values, not
 #: types, and a str nranks would only explode deep inside a solve.
+#: ``backend`` is not one: the backends are bit-identical, and only the
+#: tests choose the rank-by-rank reference.
 _CONFIG_FIELDS: dict[str, tuple[type, ...]] = {
     name: _json_types(hint)
     for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if name != "backend"
 }
 
 
@@ -93,14 +95,11 @@ class RequestError(ValueError):
     """A well-formed HTTP request asking for something invalid (400)."""
 
 
-def parse_solve_request(
-    payload: dict, *, default_backend: str = DEFAULT_BACKEND
-) -> CampaignCell:
+def parse_solve_request(payload: dict) -> CampaignCell:
     """Validate a /v1/solve body into a campaign cell."""
     if not isinstance(payload, dict):
         raise RequestError("body must be a JSON object")
     payload = dict(payload)
-    payload.setdefault("backend", default_backend)
     scheme = payload.pop("scheme", BASELINE_SCHEME)
     if not isinstance(scheme, str):
         raise RequestError(
@@ -168,14 +167,8 @@ def _finite(x: float) -> float | None:
 class ServeApp:
     """Route table over one :class:`ServingCore` (+ optional store)."""
 
-    def __init__(
-        self,
-        core: ServingCore,
-        *,
-        default_backend: str = DEFAULT_BACKEND,
-    ) -> None:
+    def __init__(self, core: ServingCore) -> None:
         self.core = core
-        self.default_backend = default_backend
         self.started_at = time.time()
         #: /v1/solve body bytes -> the cell they parsed to, most recently
         #: used last; bounded like the core's LRU (DESIGN §5h).
@@ -285,9 +278,7 @@ class ServeApp:
         if cell is not None:
             cells.move_to_end(body)
             return cell
-        cell = parse_solve_request(
-            request.json(), default_backend=self.default_backend
-        )
+        cell = parse_solve_request(request.json())
         if len(body) <= MAX_LINE and self.core.cache_size:
             cells[body] = cell
             if len(cells) > self.core.cache_size:

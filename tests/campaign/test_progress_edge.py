@@ -205,6 +205,8 @@ class TestOtherSchemaManifest:
         captured = capsys.readouterr()
         assert "no findings" in captured.out
         assert ", manifest" not in captured.out
+        # the fleet detectors were skipped, so they are not counted
+        assert "5 detector(s)" in captured.out
         (line,) = captured.err.splitlines()
         assert run_id in line and "manifest schema 1" in line
         assert "Traceback" not in captured.err

@@ -148,6 +148,12 @@ class TestEngineAxis:
         with pytest.raises(ValueError, match="at least one engine"):
             CampaignSpec(matrices=("Kuu",), engines=())
 
+    def test_rejects_the_removed_backend_axis(self):
+        # one execution backend per campaign: the loop reference is the
+        # tests' oracle, not a grid axis
+        with pytest.raises(TypeError, match="backends"):
+            CampaignSpec(matrices=("Kuu",), backends=("loop", "batched"))
+
     def test_describe_mentions_engines_when_swept(self, tiny_spec):
         from dataclasses import replace
 
@@ -204,9 +210,9 @@ class TestDescribe:
             ("engines", ("analytic",),
              "1 matrices x 1 rank counts x 1 fault loads x 1 seeds"
              f" x 1 engines [analytic]{_TAIL}3 cells"),
-            ("backends", ("loop", "batched"),
+            ("engines", ("sim", "analytic"),
              "1 matrices x 1 rank counts x 1 fault loads x 1 seeds"
-             f" x 2 backends [loop, batched]{_TAIL}6 cells"),
+             f" x 2 engines [sim, analytic]{_TAIL}6 cells"),
             ("victims_per_fault", (1, 2),
              "1 matrices x 1 rank counts x 1 fault loads x 1 seeds"
              f" x 2 victim-set sizes [1, 2]{_TAIL}6 cells"),
@@ -286,27 +292,25 @@ def _nested_loop_cells(spec):
             for n_faults in spec.fault_loads:
                 for seed in spec.seeds:
                     for engine in spec.engines:
-                        for backend in spec.backends:
-                            for victims in spec.victims_per_fault:
-                                config = ExperimentConfig(
-                                    matrix=matrix,
-                                    nranks=nranks,
-                                    n_faults=n_faults,
-                                    seed=seed,
-                                    scale=spec.scale,
-                                    tol=spec.tol,
-                                    cr_interval=spec.cr_interval,
-                                    trace=spec.trace,
-                                    engine=engine,
-                                    backend=backend,
-                                    victims_per_fault=victims,
-                                )
-                                out.append(CampaignCell(config, BASELINE_SCHEME))
-                                out += [
-                                    CampaignCell(config, scheme)
-                                    for scheme in spec.schemes
-                                    if scheme != BASELINE_SCHEME
-                                ]
+                        for victims in spec.victims_per_fault:
+                            config = ExperimentConfig(
+                                matrix=matrix,
+                                nranks=nranks,
+                                n_faults=n_faults,
+                                seed=seed,
+                                scale=spec.scale,
+                                tol=spec.tol,
+                                cr_interval=spec.cr_interval,
+                                trace=spec.trace,
+                                engine=engine,
+                                victims_per_fault=victims,
+                            )
+                            out.append(CampaignCell(config, BASELINE_SCHEME))
+                            out += [
+                                CampaignCell(config, scheme)
+                                for scheme in spec.schemes
+                                if scheme != BASELINE_SCHEME
+                            ]
     return out
 
 
@@ -318,7 +322,6 @@ TWO_ON_EVERY_AXIS = CampaignSpec(
     fault_loads=(1, 2),
     seeds=(0, 3),
     engines=("sim", "analytic"),
-    backends=("batched", "loop"),
     victims_per_fault=(1, 2),
     scale=0.5,
     tol=1e-7,
@@ -339,18 +342,17 @@ class TestExpansionIsTheNestedLoop:
         assert len(spec) == len(expected)
 
     def test_two_on_every_axis_is_the_full_product(self):
-        assert len(TWO_ON_EVERY_AXIS) == 2**7 * 3
+        assert len(TWO_ON_EVERY_AXIS) == 2**6 * 3
 
 
 #: A non-default value for every ExperimentConfig field a label must
-#: mark (everything but the three it always names, and ``trace``, which
-#: never changes the numbers).
+#: mark (everything but the three it always names, and ``trace`` and
+#: ``backend``, which never change the numbers).
 NON_DEFAULT = {
     "seed": (7, "s7"),
     "scale": (0.25, "x0.25"),
     "engine": ("analytic", "analytic"),
     "fault_scope": ("node", "node"),
-    "backend": ("loop", "loop"),
     "victims_per_fault": (2, "v2"),
     "preconditioner": ("jacobi", "jacobi"),
     "tol": (1e-6, "tol1e-06"),
@@ -364,7 +366,7 @@ class TestLabelNamesEveryResultChangingField:
     def test_table_covers_every_config_field(self):
         from dataclasses import fields
 
-        named = {"matrix", "nranks", "n_faults", "trace", *NON_DEFAULT}
+        named = {"matrix", "nranks", "n_faults", "trace", "backend", *NON_DEFAULT}
         assert {f.name for f in fields(ExperimentConfig)} == named
 
     @pytest.mark.parametrize("field", list(NON_DEFAULT))
@@ -384,12 +386,19 @@ class TestLabelNamesEveryResultChangingField:
         traced = replace(base, trace=True)
         assert CampaignCell(traced, "LI").label == CampaignCell(base, "LI").label
 
+    def test_backend_leaves_the_label_alone(self):
+        from dataclasses import replace
+
+        base = ExperimentConfig(matrix="Kuu", nranks=8, n_faults=2)
+        loop = replace(base, backend="loop")
+        assert CampaignCell(loop, "LI").label == CampaignCell(base, "LI").label
+
     def test_marks_keep_their_order(self):
         cfg = ExperimentConfig(
             matrix="Kuu", nranks=8, n_faults=2, seed=1, scale=0.5,
-            engine="analytic", fault_scope="node", backend="loop",
+            engine="analytic", fault_scope="node",
             victims_per_fault=2, preconditioner="jacobi", cr_interval=50,
         )
         assert CampaignCell(cfg, "RD").label == (
-            "Kuu/r8/f2/s1/x0.5/analytic/node/loop/v2/jacobi/cr50/RD"
+            "Kuu/r8/f2/s1/x0.5/analytic/node/v2/jacobi/cr50/RD"
         )

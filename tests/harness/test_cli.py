@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _build_parser, _parse_cr_interval, main
-from repro.core.backends import backend_names
 from repro.core.recovery import scheme_names
 from repro.engines import engine_names
 from repro.matrices import suite
@@ -52,31 +51,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fault-free:" in out
         assert "normalized:" in out
-
-    def test_run_backend_loop_prints_the_same_numbers(self, capsys):
-        args = [
-            "run", "--matrix", "wathen100", "--scheme", "F0",
-            "--faults", "2", "--ranks", "8", "--scale", "0.25",
-        ]
-        assert main(args + ["--backend", "loop"]) == 0
-        loop_out = capsys.readouterr().out
-        assert main(args + ["--backend", "batched"]) == 0
-        batched_out = capsys.readouterr().out
-        # the backends are bit-identical, so every printed figure agrees
-        assert loop_out == batched_out
-
-    def test_campaign_backend_axis_doubles_the_grid(self, capsys, tmp_path):
-        assert main(
-            [
-                "campaign", "--matrices", "wathen100", "--schemes", "RD",
-                "--ranks", "8", "--faults", "2", "--scale", "0.25",
-                "--store", str(tmp_path / "cache"), "--quiet",
-                "--backend", "loop", "batched",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "2 backends [loop, batched]" in out
-        assert "4 cells" in out  # (FF + RD) x 2 backends
 
     def test_run_preconditioned(self, capsys):
         code = main(
@@ -333,6 +307,27 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, invalid",
+        [
+            pytest.param(command, invalid, id=command)
+            for command, invalid in (
+                ("run", ["--faults", "-1"]),
+                ("suite", ["--faults", "-1"]),
+                ("campaign", ["--workers", "0"]),
+                ("serve", ["--workers", "0"]),
+            )
+        ],
+    )
+    def test_rejects_the_removed_backend_flag(self, command, invalid, capsys):
+        # the loop backend is the tests' oracle, not an option.  Were the
+        # flag still accepted, the invalid value would end the command on
+        # its own validation instead of running cells or a server.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--backend", "loop", *invalid])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend loop" in capsys.readouterr().err
 
     def test_campaign_rejects_the_removed_heartbeat_flag(self, capsys):
         # workers send nothing between a cell's lifecycle events
@@ -758,7 +753,11 @@ class TestDoctorCli:
         ) == 0
         capsys.readouterr()
         assert main(["doctor", "--jsonl", str(export)]) == 0
-        assert "no findings" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "no findings" in out
+        # an export carries no manifest: only the 5 cell and campaign
+        # detectors ran, not the fleet ones
+        assert "5 detector(s)" in out
 
     def test_doctor_flags_a_corrupted_trace(self, capsys, tmp_path, traced_store):
         """The acceptance case: span gap + energy imbalance -> exit 1."""
@@ -822,7 +821,6 @@ class TestServeCli:
 MATRICES = tuple(suite.names())
 SCHEMES = tuple(scheme_names())
 ENGINES = tuple(engine_names())
-BACKENDS = tuple(backend_names())
 
 OPTION_SURFACE = {
     "": {
@@ -843,7 +841,6 @@ OPTION_SURFACE = {
         "--precond": (None, None, ("jacobi",), None),
         "--cr-interval": (None, "paper", None, None),
         "--trace": (0, False, None, None),
-        "--backend": (None, "batched", BACKENDS, None),
     },
     "suite": {
         "--matrices": ("+", None, MATRICES, None),
@@ -855,7 +852,6 @@ OPTION_SURFACE = {
         "--engine": (None, "sim", ENGINES, None),
         "--cr-interval": (None, "paper", None, None),
         "--victims-per-fault": (None, 1, None, "int"),
-        "--backend": (None, "batched", BACKENDS, None),
     },
     "campaign": {
         "--preset": (
@@ -870,7 +866,6 @@ OPTION_SURFACE = {
         "--faults": ("+", None, None, "int"),
         "--seeds": ("+", None, None, "int"),
         "--engine": ("+", None, ENGINES, None),
-        "--backend": ("+", None, BACKENDS, None),
         "--victims-per-fault": ("+", None, None, "int"),
         "--scale": (None, None, None, "float"),
         "--tol": (None, None, None, "float"),
@@ -942,7 +937,6 @@ OPTION_SURFACE = {
         "--cache-size": (None, 256, None, "int"),
         "--store": (None, None, None, None),
         "--no-store": (0, False, None, None),
-        "--backend": (None, "batched", BACKENDS, None),
     },
 }
 

@@ -31,7 +31,7 @@ from repro.serve import (
     ServingCore,
     http,
 )
-from repro.serve.app import parse_solve_request
+from repro.serve.app import _CONFIG_FIELDS as SOLVE_FIELDS, parse_solve_request
 from repro.serve.http import MAX_BODY, MAX_HEADERS, MAX_LINE
 from tests.serve.conftest import make_cell
 
@@ -129,7 +129,7 @@ class TestHealthAndRouting:
         assert b"unknown fields" in answer
 
 
-#: For every ExperimentConfig field, a JSON value of a type it must
+#: For every field a solve body may set, a JSON value of a type it must
 #: refuse; a new field fails TestConfigFieldTypes until it has a row.
 WRONG_JSON_TYPE = {
     "matrix": 7,
@@ -144,7 +144,6 @@ WRONG_JSON_TYPE = {
     "trace": 1,
     "engine": 1,
     "fault_scope": None,
-    "backend": False,
     "victims_per_fault": "1",
     "preconditioner": 1,
 }
@@ -152,12 +151,17 @@ WRONG_JSON_TYPE = {
 CONFIG_FIELDS = [
     pytest.param(field, id=field.name)
     for field in dataclasses.fields(ExperimentConfig)
+    if field.name in SOLVE_FIELDS
 ]
 
 
 class TestConfigFieldTypes:
-    """/v1/solve accepts exactly ExperimentConfig's fields, each with
-    the JSON types its annotation names."""
+    """/v1/solve accepts ExperimentConfig's fields but ``backend``, each
+    with the JSON types its annotation names."""
+
+    def test_every_field_but_backend_is_accepted(self):
+        every = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert set(SOLVE_FIELDS) == every - {"backend"}
 
     @pytest.mark.parametrize("field", CONFIG_FIELDS)
     def test_default_is_accepted(self, field):
@@ -194,21 +198,21 @@ class TestSolve:
         answer = served.client.solve(**fields, scheme="RD", seed=12)
         assert answer["report"]["details"]["engine"] == "analytic"
 
-    def test_backend_is_part_of_the_key(self, served):
-        batched = served.client.solve(**SOLVE, scheme="RD", seed=14)
-        loop = served.client.solve(
-            **SOLVE, scheme="RD", seed=14, backend="loop"
-        )
-        assert loop["key"] != batched["key"]
-        assert loop["key"] == cell_key(
-            make_cell("RD", seed=14, backend="loop")
-        )
+    def test_a_named_backend_is_an_unknown_field(self, served):
+        # a solve runs the one production backend; the loop reference is
+        # the tests' oracle, and no body may pick it, or name the default
+        for backend in ("loop", "batched"):
+            with pytest.raises(ServeError) as exc:
+                served.client.solve(**SOLVE, scheme="RD", backend=backend)
+            assert exc.value.status == 400
+            assert exc.value.message.startswith("unknown fields: backend;")
+            assert "backend" not in exc.value.message.split("accepted:")[1]
 
     def test_unknown_backend_is_400(self, served):
         with pytest.raises(ServeError) as exc:
             served.client.solve(**SOLVE, scheme="RD", backend="gpu")
         assert exc.value.status == 400
-        assert "unknown backend" in exc.value.message
+        assert exc.value.message.startswith("unknown fields: backend;")
 
     def test_preconditioner_is_part_of_the_key_and_the_answer(self, served):
         plain = served.client.solve(**SOLVE, scheme="FF", seed=19)
