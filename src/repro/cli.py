@@ -981,14 +981,16 @@ def cmd_doctor(args) -> int:
         findings = run_detectors(records, args.detectors, manifest=manifest)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    # without a manifest the fleet detectors were skipped: count what ran
-    n_det = sum(
-        manifest is not None or DETECTORS[name][0] != "fleet"
+    # without a manifest the fleet detectors were skipped: name what ran
+    ran = [
+        name
         for name in args.detectors or DETECTORS
-    )
+        if manifest is not None or DETECTORS[name][0] != "fleet"
+    ]
     extra = f", manifest {manifest.run_id}" if manifest is not None else ""
     print(
-        f"doctor: {len(records)} cell(s), {n_det} detector(s){extra}"
+        f"doctor: {len(records)} cell(s), {len(ran)} detector(s)"
+        f" ({', '.join(ran)}){extra}"
     )
     print(format_findings(findings))
     return 1 if findings else 0

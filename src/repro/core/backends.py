@@ -17,11 +17,11 @@ never changes **what** is computed.  Two backends ship:
     The default.  All ranks' partitions are contiguous segments of the
     same global arrays (block-row partitioning stacks them by
     construction), so the whole fleet executes each iteration as one
-    global SpMV + axpy sequence — ~8 numpy calls per iteration
-    regardless of rank count.  The SpMV is scipy's ``dia_matvec`` on a
-    matrix whose occupied diagonals are all full and ``csr_matvec``
-    otherwise (:func:`spmv_kernel`): the same products summed in the
-    same order either way.
+    global SpMV + axpy sequence — nine numpy calls per iteration (ten
+    with Jacobi) regardless of rank count.  The SpMV is scipy's
+    ``dia_matvec`` on a matrix whose occupied diagonals carry little
+    padding and ``csr_matvec`` otherwise (:func:`spmv_kernel`): the same
+    products summed in the same order either way.
 
 **Why the two are bit-identical** (the differential harness in
 ``tests/core/test_backend_equivalence.py`` pins this):
@@ -59,6 +59,10 @@ DEFAULT_BACKEND = "batched"
 #: Preconditioners the CG kernels accept besides ``None`` (plain CG).
 PRECONDITIONERS = ("jacobi",)
 
+#: A matrix runs DIA when its occupied diagonals hold at most
+#: ``nnz // DIA_MAX_PADDING`` slots beyond its entries (:func:`spmv_kernel`).
+DIA_MAX_PADDING = 8
+
 
 def csr_kernel(a):
     """``(kernel, operands)``: after ``out.fill(0.0)``, the call
@@ -89,23 +93,30 @@ def csr_kernel(a):
 def spmv_kernel(a):
     """``(kernel, operands)`` with :func:`csr_kernel`'s call shape and
     contract, picked from ``a``'s structure: scipy's ``dia_matvec`` when
-    it computes exactly CSR's products, :func:`csr_kernel` otherwise.
+    it computes CSR's product on every finite input, :func:`csr_kernel`
+    otherwise.
 
-    DIA is exact when ``a`` is a square float64 CSR matrix in canonical
-    form (sorted, no duplicates) whose every diagonal holding an entry
-    is full: the occupied offsets ``k`` satisfy ``sum(n - |k|) == nnz``.
-    Then ``dia_matvec``, with the offsets ascending, adds each row's
-    products ``a_ij * v_j``, and only those, onto ``out[i]`` in
-    ascending ``j``: the same IEEE operations in the same order as
-    ``csr_matvec``'s running sum over the sorted row (DESIGN.md §5j).
-    A padded slot would add ``0 * v_j``, which is NaN where ``v_j`` is
-    NaN or infinite, so a matrix with one stays on CSR.
+    ``a`` runs DIA when it is a square float64 CSR matrix in canonical
+    form (sorted, no duplicates) whose occupied diagonals carry little
+    padding: the occupied offsets ``k`` give ``sum(n - |k|)`` slots, at
+    most ``nnz // DIA_MAX_PADDING`` of them holding no entry.  Then
+    ``dia_matvec``, with the offsets ascending, adds each row's products
+    ``a_ij * v_j`` onto ``out[i]`` in ascending ``j``, the same IEEE
+    operations in the same order as ``csr_matvec``'s running sum over
+    the sorted row, plus ``0 * v_j`` at each padded slot (DESIGN.md
+    §5j).  On a finite ``v_j`` that product is a zero, and adding a zero
+    leaves the running sum's bits alone: the sum starts at ``+0.0`` and
+    under round-to-nearest is ``-0.0`` only when both operands are, so
+    it is never ``-0.0``.  Where ``v_j`` is NaN or infinite the padded
+    product is NaN and the row may differ from CSR's; but then the term
+    ``v_j * q_j`` of ``v·q`` is not finite whatever ``q_j`` is, and the
+    span loop and the horizon probe read their ``q = A p`` first through
+    ``p·q``: a breakdown under both kernels, before ``q`` is used.
 
     One thing IEEE leaves to the compiled add: when a row's running sum
     and its next product are two different NaNs (``inf - inf`` meeting
     a NaN input), the two kernels keep different ones.  The row is NaN
-    either way, and the span loop reads a ``q`` holding a NaN only
-    through ``p·q``, which is then NaN: a breakdown under both kernels.
+    either way, so the same breakdown follows.
     """
     try:  # scipy's raw DIA mat-vec kernel
         from scipy.sparse._sparsetools import dia_matvec
@@ -125,7 +136,7 @@ def spmv_kernel(a):
     shifted = indices - rows + (n - 1)  # each entry's offset, plus n - 1
     occupied = np.flatnonzero(np.bincount(shifted, minlength=2 * n - 1))
     offsets = occupied - (n - 1)
-    if int((n - np.abs(offsets)).sum()) != a.nnz:
+    if int((n - np.abs(offsets)).sum()) - a.nnz > a.nnz // DIA_MAX_PADDING:
         return csr_kernel(a)
     # One scatter from the CSR arrays, no COO temporaries: DIA keeps
     # entry (i, j) of diagonal d at diags[d, j].
@@ -219,22 +230,26 @@ class BatchedBackend(SolverBackend):
         # Scratch buffers reused across iterations.  Every elementwise
         # update below matches the out-of-place expression in
         # :meth:`DistributedCG.step` value for value:
-        # ``multiply(p, alpha, out=tmp)`` computes exactly ``alpha * p``,
-        # and the subsequent in-place add/subtract applies it in the same
-        # order, so no bits change — only the per-iteration allocations
-        # disappear.  ``p`` is (re)assigned to a fresh array on entry so
-        # the in-place update never mutates a caller-visible vector
+        # ``multiply(pq, alpha, out=step)`` computes exactly ``alpha * p``
+        # and ``alpha * q`` (the rows of ``pq``), and the subsequent
+        # in-place add/subtract applies them in the same order, so no
+        # bits change — only the per-iteration allocations disappear.
+        # ``p`` is a fresh array (row 0 of ``pq``, a copy of the caller's)
+        # so the in-place update never mutates a caller-visible vector
         # mid-span.  The loop pays no numpy dispatch it can avoid
-        # (DESIGN.md §5j): ``alpha`` and ``beta`` reach the ufuncs through
-        # the 0-d float64 ``scalar``, the dots are ``ndarray.dot`` (the
-        # BLAS call ``np.dot`` makes), the Jacobi residual norm is
+        # (DESIGN.md §5j): ``p`` and ``q`` are scaled in one ``multiply``,
+        # ``alpha`` and ``beta`` reach the ufuncs through the 0-d float64
+        # ``scalar``, the dots are ``ndarray.dot`` (the BLAS call
+        # ``np.dot`` makes), the Jacobi residual norm is
         # ``sqrt(r.dot(r))`` (what ``np.linalg.norm`` computes), and the
         # SpMV is the matrix's kernel (DIA or CSR) called inline.
-        q = np.empty(n)
-        tmp = np.empty(n)
+        pq = np.empty((2, n))
+        pq[0] = p
+        p, q = pq
+        step = np.empty((2, n))
+        p_step, q_step = step
         z = r if minv is None else np.empty(n)
         scalar = np.empty(())
-        p = p.copy()
         p_dot, r_dot = p.dot, r.dot
         fill = q.fill
         taken = 0
@@ -242,21 +257,20 @@ class BatchedBackend(SolverBackend):
         for _ in range(max_steps):
             fill(0.0)
             kernel(*operands, p, q)
-            pq = float(p_dot(q))
-            if pq <= 0 or not isfinite(pq):
+            dot = float(p_dot(q))
+            if dot <= 0 or not isfinite(dot):
                 breakdown = True
                 break
-            scalar[()] = rz / pq
-            multiply(p, scalar, out=tmp)
-            add(x, tmp, out=x)
-            multiply(q, scalar, out=tmp)
-            subtract(r, tmp, out=r)
+            scalar[()] = rz / dot
+            multiply(pq, scalar, out=step)
+            add(x, p_step, out=x)
+            subtract(r, q_step, out=r)
             if minv is not None:
                 multiply(r, minv, out=z)
             rz_new = float(r_dot(z))
             scalar[()] = rz_new / rz if rz > 0 else 0.0
-            multiply(p, scalar, out=tmp)
-            add(z, tmp, out=p)
+            multiply(p, scalar, out=p_step)
+            add(z, p_step, out=p)
             rz = rz_new
             if minv is None:
                 rel = sqrt(max(rz, 0.0)) / bnorm

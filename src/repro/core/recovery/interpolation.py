@@ -370,16 +370,18 @@ class LeastSquaresInterpolation(_InterpolationBase):
             detail = {"lsqr_iters": stats.iterations}
         else:
             # Local normal equations (Eq. 21): operator v -> A_U (A_U^T v)
-            # built solely from the group's own (recovered static) rows.
-            rows_t = rows.T.tocsr()
-            rows_mv, rows_t_mv = csr_matvec(rows), csr_matvec(rows_t)
+            # built solely from the group's own (recovered static) rows,
+            # restricted to the columns they occupy: the same products in
+            # the same order, without the transpose's all-zero rows.
+            own = rows[:, np.unique(rows.indices)]
+            own_mv, own_t_mv = csr_matvec(own), csr_matvec(own.T.tocsr())
             rhs = rows @ beta
             # Jacobi diagonal of A_U A_U^T = squared row norms: tames the
             # squared, badly-scaled conditioning of the normal equations.
             row_norms_sq = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
             row_norms_sq = np.maximum(row_norms_sq, 1e-300)
             x_i, stats = local_cg(
-                lambda v: rows_mv(rows_t_mv(v)),
+                lambda v: own_mv(own_t_mv(v)),
                 rhs,
                 tol=self.construct_tol,
                 max_iters=MAX_LOCAL_ITER_FACTOR * max(n_loc, 1),

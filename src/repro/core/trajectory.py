@@ -14,10 +14,12 @@ residual slice, and steps only the rest.  Like ``step_span``, a walk
 stops after the first iteration whose residual is within tolerance; the
 residual column says where that is, so a walk is capped at convergence.
 
-The cadence states stay under :data:`CADENCE_BUDGET_BYTES`.  They sit on
-multiples of a spacing; when the budget is exceeded every other one is
-dropped and the spacing doubles, so a long trajectory or a large matrix
-keeps between half and all of the budget, spread evenly over the walk.
+The cadence states stay under :data:`CADENCE_BUDGET_BYTES`: at most
+``cap``, the states the budget holds.  A walk at iteration ``s`` records
+one every ``max(FIRST_SPACING, s // cap)`` iterations, and while the
+cadence holds more than ``cap`` the state whose neighbours are closest
+together is dropped, so a long trajectory keeps the whole budget, its
+states spread nearly evenly over the walk.
 
 A solve is *on trajectory* while its CG state is bitwise the recorded
 state at that iteration.  :meth:`TrajectoryMemo.start` proves it for the
@@ -44,7 +46,7 @@ from repro.core.cg import CGState, DistributedCG
 
 #: Bytes of cadence states one memo keeps (walk ends are not counted).
 CADENCE_BUDGET_BYTES = 1 << 20
-#: Iterations between cadence states until the budget first thins them.
+#: The fewest iterations between two cadence states.
 FIRST_SPACING = 8
 
 
@@ -112,8 +114,10 @@ class TrajectoryMemo:
         #: every iteration up to ``_reach``.
         self._history = np.empty(0)
         self._reach = 0
-        #: Iterations between cadence states; only ever doubles.
-        self.spacing = FIRST_SPACING
+        #: The most iterations that ever lay between two neighbouring
+        #: recorded states: a walk re-steps fewer than this to reach any
+        #: iteration the memo has recorded.
+        self.max_gap = 0
         #: Iterations installed from the memo instead of walked.
         self.hits = 0
         #: Iterations walked on the trajectory (and recorded).
@@ -160,9 +164,10 @@ class TrajectoryMemo:
             self.hits += at - it
             if at == target:
                 return point, at - it, False
+        cap = CADENCE_BUDGET_BYTES // self._points[0].nbytes
         while cg.iteration < end:
             s = cg.iteration
-            cut = (s // self.spacing + 1) * self.spacing
+            cut = s + max(FIRST_SPACING, s // cap) if cap else end
             taken, breakdown = cg.step_span(min(end, cut) - s)
             self.walked += taken
             if breakdown:
@@ -171,7 +176,7 @@ class TrajectoryMemo:
             if cg.residual_history[-1] <= cg.tol:  # where step_span stops
                 break
             if cut < end:
-                self._add_cadence(cg.state)
+                self._add_cadence(cg.state, cap)
         point = self._points.get(cg.iteration)
         if point is None:
             point = Point.snapshot(cg.state)
@@ -185,7 +190,10 @@ class TrajectoryMemo:
         # The dict first: an interrupted insert leaves a state no lookup
         # finds, never a listed iteration without its state.
         self._points[point.iteration] = point
-        insort(self._its, point.iteration)
+        its = self._its
+        insort(its, point.iteration)
+        if its[-1] == point.iteration and len(its) > 1:  # a new last gap
+            self.max_gap = max(self.max_gap, its[-1] - its[-2])
 
     def _extend_history(self, cg: DistributedCG, upto: int) -> None:
         """Record the residuals of iterations ``_reach + 1 .. upto``,
@@ -201,16 +209,20 @@ class TrajectoryMemo:
         self._history[self._reach : upto] = hist[len(hist) - new :]
         self._reach = upto
 
-    def _add_cadence(self, state: CGState) -> None:
+    def _add_cadence(self, state: CGState, cap: int) -> None:
         if state.iteration in self._points:
             return
-        point = Point.snapshot(state)
-        self._put(point)
-        self._cadence.add(point.iteration)
-        while self._cadence and len(self._cadence) * point.nbytes > CADENCE_BUDGET_BYTES:
-            self.spacing *= 2
-            drop = {k for k in self._cadence if k % self.spacing}
-            self._its = [k for k in self._its if k not in drop]
-            self._cadence -= drop
-            for k in drop:
-                del self._points[k]
+        self._put(Point.snapshot(state))
+        self._cadence.add(state.iteration)
+        its = self._its
+        while len(self._cadence) > cap:
+            # the cadence state whose neighbours are closest together; the
+            # last recorded state has no right neighbour yet and stays
+            span, i = min(
+                (its[i + 1] - its[i - 1], i)
+                for i in range(1, len(its) - 1)
+                if its[i] in self._cadence
+            )
+            self._cadence.discard(its[i])
+            del self._points[its.pop(i)]
+            self.max_gap = max(self.max_gap, span)

@@ -11,19 +11,33 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
+
+#: From this many adds on, :func:`repeat_add` runs them in C.
+ACCUMULATE_FROM = 100
+
 
 def repeat_add(base: float, inc: float, n: int) -> float:
     """``base`` after ``n`` repetitions of ``base += inc``.
 
     Floating-point addition is not associative, so ``base + n * inc`` is
     *not* the same value; the span-batched fast solve path uses this to
-    replay per-iteration accumulation float-faithfully.  The loop is
-    bookkeeping-only (no arrays), so even O(n) trivial adds are orders of
-    magnitude cheaper than the per-iteration charging they replace.
+    replay per-iteration accumulation float-faithfully.  Short spans run
+    the adds in a Python loop; from :data:`ACCUMULATE_FROM` on,
+    ``np.add.accumulate`` over ``[base, inc, ..., inc]`` runs the same
+    sequential sum in C (each partial sum is the previous one plus the
+    next term), which is faster past that point.  The result has the
+    loop's type, ``type(base + inc)``; a sum that overflows to infinity
+    there also raises numpy's overflow ``RuntimeWarning``.
     """
-    for _ in range(n):
-        base += inc
-    return base
+    if n < ACCUMULATE_FROM:
+        for _ in range(n):
+            base += inc
+        return base
+    terms = np.full(n + 1, inc, dtype=np.float64)
+    terms[0] = base
+    return type(base + inc)(np.add.accumulate(terms)[-1])
 
 
 class PhaseTag(enum.Enum):

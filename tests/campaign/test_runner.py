@@ -504,7 +504,8 @@ class TestSharedExperiments:
             for r in result.results:
                 assert b"TrajectoryMemo" not in pickle.dumps(r.report)
             # each config walks its trajectory once (the baseline), plus
-            # at most one cadence step per fault to reach a fault's state
+            # less than the memo's largest gap per fault to reach a
+            # fault's state
             ff = {
                 r.cell.config: r.report.iterations
                 for r in result.results
@@ -517,7 +518,7 @@ class TestSharedExperiments:
                 assert (
                     ff[config]
                     <= memo.walked
-                    <= ff[config] + config.n_faults * memo.spacing
+                    <= ff[config] + config.n_faults * memo.max_gap
                 )
         # one Experiment per config, and only the config in flight holds one
         assert per_run[0][0] == len(tiny_spec.experiment_configs())

@@ -122,9 +122,9 @@ def test_shared_experiment_matches_fresh_ones(
 
 @pytest.mark.parametrize("trace", [False, True])
 def test_second_exact_scheme_installs_its_whole_solve(trace):
-    """The baseline walks the trajectory once.  RD re-walks at most one
-    cadence step per fault to reach each fault's state; TMR repairs and
-    spans identically, so it then walks nothing."""
+    """The baseline walks the trajectory once.  RD re-walks less than
+    the memo's largest gap per fault to reach each fault's state; TMR
+    repairs and spans identically, so it then walks nothing."""
     config = _config(matrix="banded", n_faults=4, trace=trace)
     a = build("banded")
     shared = Experiment(config, a=a)
@@ -134,7 +134,7 @@ def test_second_exact_scheme_installs_its_whole_solve(trace):
     installed, walked = shared.trajectory_counts
     rewalked = walked - ff.iterations
     assert installed + rewalked == ff.iterations
-    assert 0 <= rewalked <= config.n_faults * shared.trajectory().spacing
+    assert 0 <= rewalked <= config.n_faults * shared.trajectory().max_gap
     reports["TMR"] = shared.run("TMR")
     assert shared.trajectory_counts == (installed + ff.iterations, walked)
     for scheme, report in reports.items():
@@ -170,8 +170,9 @@ def test_memo_installed_reports_are_the_oracles():
 
 
 def test_every_scheme_reuses_the_prefix_before_its_first_fault():
-    """The first of them re-walks less than one cadence step to reach the
-    first fault's state; the other two install the whole prefix."""
+    """The first of them re-walks less than the memo's largest gap to
+    reach the first fault's state; the other two install the whole
+    prefix."""
     config = _config(matrix="irregular", n_faults=3)
     shared = _check_sharing(config, "irregular", ["F0", "LI", "LSI"])
     installed, walked = shared.trajectory_counts
@@ -179,7 +180,7 @@ def test_every_scheme_reuses_the_prefix_before_its_first_fault():
     first_fault = shared.run("F0").faults[0].iteration
     assert first_fault > 0
     assert installed + rewalked == 3 * first_fault
-    assert rewalked < shared.trajectory().spacing
+    assert rewalked < shared.trajectory().max_gap
 
 
 # ----------------------------------------------------------------------
@@ -328,15 +329,35 @@ def test_the_cadence_stays_inside_its_budget_on_a_large_matrix():
     assert cg.converged and point.iteration == taken
     assert 3 * 8 * a.shape[0] > trajectory.CADENCE_BUDGET_BYTES // 4
     assert 0 < memo.cadence_bytes <= trajectory.CADENCE_BUDGET_BYTES
-    assert memo.spacing > trajectory.FIRST_SPACING
+    assert memo.max_gap > trajectory.FIRST_SPACING
     # the thinned cadence still spans the walk: reaching any iteration,
-    # here the one before convergence, re-walks less than one spacing
+    # here the one before convergence, re-walks less than its largest gap
     again = DistributedCG(dmat, b, backend=BACKEND)
     memo.start(again)
     walked = memo.walked
     memo.walk(again, taken - 1)
-    assert memo.walked - walked < memo.spacing
+    assert memo.walked - walked < memo.max_gap
     assert memo.cadence_bytes <= trajectory.CADENCE_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("matrix", ["banded", "stencil"])
+@pytest.mark.parametrize("budget_points", [1, 2, 3, 5, 6])
+def test_the_cadence_keeps_its_whole_budget(matrix, budget_points):
+    """A walk longer than the budget's states at the first spacing ends
+    with the cadence holding all the states the budget allows, or all
+    but the one the walk's end took over, spread nearly evenly."""
+    fresh = _stepper(matrix, BACKEND)
+    point_bytes = 3 * 8 * build(matrix).shape[0]
+    budget = budget_points * point_bytes + point_bytes // 2  # a part left over
+    with mock.patch.object(trajectory, "CADENCE_BUDGET_BYTES", budget):
+        memo = TrajectoryMemo()
+        cg = fresh()
+        memo.start(cg)
+        _, taken, _ = memo.walk(cg, cg.max_iters)
+        assert cg.converged
+    assert taken > budget_points * trajectory.FIRST_SPACING
+    assert (budget_points - 1) * point_bytes <= memo.cadence_bytes <= budget
+    assert memo.max_gap <= 2 * taken / (budget_points + 1)
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -374,8 +395,8 @@ def test_the_horizon_probe_walks_through_the_memo():
     first = rd(memo)
     horizon = first.baseline_iters
     assert horizon == first.iterations
-    # the probe walked it all; RD re-walked at most a cadence per fault
-    assert horizon <= memo.walked <= horizon + 3 * memo.spacing
+    # the probe walked it all; RD re-walked less than a gap per fault
+    assert horizon <= memo.walked <= horizon + 3 * memo.max_gap
     assert memo.hits + memo.walked == 2 * horizon
     walked = memo.walked
     second = rd(memo)  # probe and solve both install everything

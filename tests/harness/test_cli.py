@@ -741,7 +741,19 @@ class TestDoctorCli:
                 "--detectors", "span_integrity", "energy_balance",
             ]
         ) == 0
-        assert "2 detector(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2 detector(s) (span_integrity, energy_balance), manifest" in out
+
+    def test_doctor_names_a_fleet_detector_it_ran(self, capsys, traced_store):
+        # the store's campaign left a manifest, so the fleet one runs
+        assert main(
+            [
+                "doctor", "--store", traced_store,
+                "--detectors", "retry_storm", "span_integrity",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "2 detector(s) (retry_storm, span_integrity), manifest" in out
 
     def test_doctor_no_matching_cells_fails(self, capsys, traced_store):
         assert main(["doctor", "--store", traced_store, "--matrix", "nope"]) == 1
@@ -757,7 +769,10 @@ class TestDoctorCli:
         assert "no findings" in out
         # an export carries no manifest: only the 5 cell and campaign
         # detectors ran, not the fleet ones
-        assert "5 detector(s)" in out
+        assert (
+            "5 detector(s) (energy_balance, model_divergence,"
+            " residual_convergence, schedule_drift, span_integrity)\n"
+        ) in out
 
     def test_doctor_flags_a_corrupted_trace(self, capsys, tmp_path, traced_store):
         """The acceptance case: span gap + energy imbalance -> exit 1."""

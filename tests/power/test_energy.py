@@ -1,8 +1,11 @@
 """Unit tests for phase-tagged energy accounting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.power.energy import EnergyAccount, PhaseTag
+from repro.power.energy import ACCUMULATE_FROM, EnergyAccount, PhaseTag, repeat_add
 
 
 class TestPhaseTag:
@@ -90,3 +93,39 @@ class TestEnergyAccount:
             acc.charge(PhaseTag.SOLVE, time_s=1.0, power_w=-1.0)
         with pytest.raises(ValueError):
             acc.charge_energy(PhaseTag.SOLVE, -1.0)
+
+
+def _looped(base, inc, n):
+    for _ in range(n):
+        base += inc
+    return base
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals and zeros
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0]),
+)
+
+
+class TestRepeatAdd:
+    """``repeat_add`` is ``n`` repetitions of ``base += inc`` bit for bit,
+    on either side of the span length where it switches to C."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=_floats,
+        inc=_floats,
+        n=st.one_of(
+            st.integers(0, 2 * ACCUMULATE_FROM),
+            st.integers(ACCUMULATE_FROM - 2, ACCUMULATE_FROM + 2),
+            st.integers(0, 1500),
+        ),
+        scalar_type=st.sampled_from([float, np.float64]),
+    )
+    def test_is_the_loop_bit_for_bit(self, base, inc, n, scalar_type):
+        inc = scalar_type(inc)  # callers pass numpy scalars too
+        got, want = repeat_add(base, inc, n), _looped(base, inc, n)
+        assert type(got) is type(want)
+        assert float(got).hex() == float(want).hex()
