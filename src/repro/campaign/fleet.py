@@ -28,11 +28,11 @@ fit, or that meets a full pipe, is dropped whole and counted: the
 worker's next lifecycle event that gets through carries its running
 count into the manifest's ``dropped_frames`` counter.
 
-The parent-side :class:`FleetMonitor` folds both into one thread-safe
-state (per-cell queue-wait vs compute split, each worker's current cell
-and peak RSS) that the ``--watch`` dashboard renders live and the
-:class:`~repro.campaign.manifest.RunManifest` snapshots at campaign
-end.
+The parent-side :class:`FleetMonitor` folds both straight into the
+:class:`~repro.campaign.manifest.RunManifest`'s own rows, one per cell
+(queue wait, compute, wasted seconds) and one per worker (cells done,
+busy seconds, peak RSS): the ``--watch`` dashboard renders a live
+manifest, and the runner persists the one it takes at campaign end.
 
 **The channel is side-band only.**  Cell correlation ids are
 *deterministic* — a prefix of the cell's content hash — so stamping
@@ -49,8 +49,10 @@ import os
 import pickle
 import threading
 import time
+from copy import copy
 from select import PIPE_BUF
 
+from repro.campaign.manifest import ManifestCell, ManifestWorker, RunManifest
 from repro.campaign.store import cell_key
 from repro.obs.logging import LOGGER_NAME, handle_line, json_handler, new_request_id
 
@@ -59,12 +61,6 @@ CELL_EVENTS = ("queued", "started", "finished", "failed", "cached")
 
 _EVENT_REQUIRED = ("ts", "run_id", "event", "cell", "cell_id", "worker", "attempt")
 _EVENT_OPTIONAL = ("elapsed_s", "error")
-
-#: Cell statuses that mean the parent has spoken: no further state
-#: transitions are accepted for the cell (late worker events only
-#: update worker aggregates).
-_TERMINAL = ("ran", "cached", "failed")
-
 
 class ProgressEventError(ValueError):
     """A line that does not parse as a cell lifecycle event."""
@@ -275,48 +271,35 @@ def init_worker(conn, run_id: str, log_level: int) -> None:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-def _new_cell(label: str, cell_id: str) -> dict:
-    return {
-        "label": label,
-        "cell_id": cell_id,
-        "scheme": label.rsplit("/", 1)[-1],
-        "status": "queued",
-        "queued_ts": None,
-        "started_ts": None,
-        "finished_ts": None,
-        "attempts": 0,
-        "worker": None,
-        "queue_wait_s": 0.0,
-        "compute_s": 0.0,
-        "wasted_s": 0.0,
-        "error": None,
-        "counted": False,
-        "final": False,
-    }
+class _Live:
+    """A worker's state that no manifest field holds: the cell it runs
+    now and since when, the config group it is in and when it started
+    that group, and its latest count of dropped frames."""
 
+    __slots__ = ("cell", "since", "group", "group_since", "dropped_frames")
 
-def _new_worker(pid: int) -> dict:
-    return {
-        "worker": pid,
-        "cell": None,
-        "cell_started_ts": None,
-        "max_rss_bytes": 0,
-        "done": 0,
-        "failed_attempts": 0,
-        "busy_s": 0.0,
-        "last_cell": None,
-        "dropped_frames": 0,
-    }
+    def __init__(self) -> None:
+        self.cell: str | None = None
+        self.since: float | None = None
+        self.group: str | None = None
+        self.group_since = 0.0
+        self.dropped_frames = 0
 
 
 class FleetMonitor:
     """Thread-safe parent-side fold of the fleet telemetry stream.
 
+    Its state is the manifest's own rows: one :class:`ManifestCell` per
+    cell and one :class:`ManifestWorker` per worker, updated in place as
+    events arrive, and copied by :meth:`manifest`.  Whether a cell has
+    settled, whether its ran seconds have fed the ETA, and each worker's
+    :class:`_Live` state are kept beside them and never persisted.
+
     Fed from three directions — the pipe drainer thread (worker
     events, forwarded logs), the runner's main thread (queued cells,
     authoritative cell outcomes, and a serial run's worker events) and
-    the ``--watch`` repaint thread (snapshots) — so every method takes
-    the one lock.
+    the ``--watch`` repaint thread (live manifests) — so every method
+    takes the one lock.
 
     ``event_sink`` (when given) receives each cell lifecycle event
     document exactly once, in emission order; it backs
@@ -346,14 +329,21 @@ class FleetMonitor:
         self.finished_at: float | None = None
         self.wall_s = 0.0
         self.log_lines = 0
-        #: Cells settled so far (:meth:`cell_done`).
-        self.done = 0
-        self._cells: dict[str, dict] = {}
-        self._workers: dict[int, dict] = {}
-        # ran cells' compute seconds, summed and counted: the ETA's evidence
+        self._cells: dict[str, ManifestCell] = {}
+        self._workers: dict[int, ManifestWorker] = {}
+        self._live: dict[int, _Live] = {}
+        # labels of the cells settled (cell_done), and of those whose ran
+        # seconds fed the ETA
+        self._settled: set[str] = set()
+        self._counted: set[str] = set()
+        # ran cells' compute seconds, summed: the ETA's evidence
         self._ran_s = 0.0
-        self._ran_n = 0
         self._lock = threading.Lock()
+
+    @property
+    def done(self) -> int:
+        """Cells settled so far (:meth:`cell_done`)."""
+        return len(self._settled)
 
     # -- ingestion -----------------------------------------------------
     def begin(self, *, total: int, name: str, workers: int | None = None) -> None:
@@ -385,82 +375,96 @@ class FleetMonitor:
         if self.event_sink is not None:
             self.event_sink(doc)
 
+    def _row(self, label: str, cell_id: str) -> ManifestCell:
+        # caller holds the lock
+        row = self._cells.get(label)
+        if row is None:
+            row = self._cells[label] = ManifestCell(
+                label, cell_id, label.rsplit("/", 1)[-1], "queued"
+            )
+        return row
+
     def cell_queued(self, cell, attempt: int) -> None:
         """Parent-side: the cell was submitted (or is about to run)."""
         now = self.clock()
         label = cell.label
         with self._lock:
-            st = self._cells.setdefault(
-                label, _new_cell(label, cell_correlation_id(cell))
-            )
-            if not st["final"]:
-                st["status"] = "queued"
-                st["queued_ts"] = now
-                st["attempts"] = max(st["attempts"], attempt)
+            row = self._row(label, cell_correlation_id(cell))
+            if label not in self._settled:
+                row.status = "queued"
+                row.queued_ts = now
+                row.attempts = max(row.attempts, attempt)
             self._emit_event(
                 cell_event(
-                    self.run_id, "queued", label, st["cell_id"],
+                    self.run_id, "queued", label, row.cell_id,
                     os.getpid(), attempt, ts=now,
                 )
             )
 
     def on_event(self, doc: dict) -> None:
         """One worker-side lifecycle event (started / finished / failed)."""
-        label, pid, kind = doc["cell"], doc["worker"], doc["event"]
+        label, pid, kind, ts = doc["cell"], doc["worker"], doc["event"], doc["ts"]
         # neither is part of the event schema
         dropped = doc.pop("dropped_frames", 0)
         rss = doc.pop("rss_bytes", 0)
         with self._lock:
-            st = self._cells.setdefault(label, _new_cell(label, doc["cell_id"]))
-            w = self._workers.setdefault(pid, _new_worker(pid))
-            w["dropped_frames"] = max(w["dropped_frames"], dropped)
-            w["max_rss_bytes"] = max(w["max_rss_bytes"], rss)
+            row = self._row(label, doc["cell_id"])
+            w = self._workers.get(pid)
+            if w is None:
+                w = self._workers[pid] = ManifestWorker(pid)
+                self._live[pid] = _Live()
+            live = self._live[pid]
+            live.dropped_frames = max(live.dropped_frames, dropped)
+            w.max_rss_bytes = max(w.max_rss_bytes, rss)
+            settled = label in self._settled
             if kind == "started":
-                if not st["final"]:
-                    st["status"] = "running"
-                    st["started_ts"] = doc["ts"]
-                    st["worker"] = pid
+                group = label.rsplit("/", 1)[0]
+                if live.group != group or live.group_since <= (row.queued_ts or 0.0):
+                    # the worker starts a group: its cells were queued
+                    # before it, and their queue wait ends now
+                    live.group, live.group_since = group, ts
+                if not settled:
+                    row.status = "running"
+                    row.started_ts = ts
+                    row.worker = pid
                     # an attempt its worker retried in place was never
                     # queued: it waited for nothing
-                    if st["queued_ts"] is not None and doc["attempt"] <= st["attempts"]:
-                        st["queue_wait_s"] += max(0.0, doc["ts"] - st["queued_ts"])
-                    st["attempts"] = max(st["attempts"], doc["attempt"])
-                w["cell"] = label
-                w["cell_started_ts"] = doc["ts"]
-                w["last_cell"] = label
+                    if row.queued_ts is not None and doc["attempt"] <= row.attempts:
+                        row.queue_wait_s += max(0.0, live.group_since - row.queued_ts)
+                    row.attempts = max(row.attempts, doc["attempt"])
+                live.cell, live.since = label, ts
+                w.last_cell = label
                 self._emit_event(doc)
             elif kind in ("finished", "failed"):
                 elapsed = float(doc.get("elapsed_s") or 0.0)
-                w["cell"] = None
-                w["cell_started_ts"] = None
-                w["busy_s"] += elapsed
+                live.cell = live.since = None
+                w.busy_s += elapsed
                 if kind == "finished":
-                    w["done"] += 1
-                    if not st["counted"]:
-                        self._count_ran(st, elapsed)
-                    if not st["final"]:
-                        st["status"] = "ran"
-                        st["worker"] = pid
-                        st["compute_s"] = elapsed
-                        st["finished_ts"] = doc["ts"]
+                    w.cells_done += 1
+                    self._count_ran(label, elapsed)
+                    if not settled:
+                        row.status = "ran"
+                        row.worker = pid
+                        row.compute_s = elapsed
+                        row.finished_ts = ts
                 else:
-                    w["failed_attempts"] += 1
-                    if not st["final"]:
-                        st["status"] = "failed"
-                        st["worker"] = pid
-                        st["wasted_s"] += elapsed
-                        st["finished_ts"] = doc["ts"]
-                        st["error"] = doc.get("error")
+                    w.failed_attempts += 1
+                    if not settled:
+                        row.status = "failed"
+                        row.worker = pid
+                        row.wasted_s += elapsed
+                        row.finished_ts = ts
+                        row.error = doc.get("error")
                 # terminal json-progress lines come from cell_done (the
                 # parent's authoritative outcome), not from here: the
                 # worker's event and the future's completion race, and
                 # the sink must see exactly one terminal line per cell
 
-    def _count_ran(self, st: dict, elapsed: float) -> None:
-        # caller holds the lock
-        st["counted"] = True
-        self._ran_s += elapsed
-        self._ran_n += 1
+    def _count_ran(self, label: str, elapsed: float) -> None:
+        # caller holds the lock: a cell's ran seconds feed the ETA once
+        if label not in self._counted:
+            self._counted.add(label)
+            self._ran_s += elapsed
 
     def cell_done(self, result) -> None:
         """Parent-side authoritative outcome for one cell.
@@ -473,28 +477,24 @@ class FleetMonitor:
         cell = result.cell
         label = cell.label
         with self._lock:
-            st = self._cells.setdefault(
-                label, _new_cell(label, cell_correlation_id(cell))
-            )
-            if st["final"]:
+            if label in self._settled:
                 return
-            st["final"] = True
-            self.done += 1
-            st["status"] = result.status
-            st["attempts"] = max(st["attempts"], result.attempts)
+            self._settled.add(label)
+            row = self._row(label, cell_correlation_id(cell))
+            row.status = result.status
+            row.attempts = max(row.attempts, result.attempts)
             if result.error:
-                st["error"] = result.error
-            if st["finished_ts"] is None:
-                st["finished_ts"] = now
+                row.error = result.error
+            if row.finished_ts is None:
+                row.finished_ts = now
             if result.status == "cached":
-                st["compute_s"] = result.elapsed_s  # banked original cost
+                row.compute_s = result.elapsed_s  # banked original cost
             elif result.status == "ran":
-                st["compute_s"] = result.elapsed_s
-                st["wasted_s"] = max(st["wasted_s"], getattr(result, "wasted_s", 0.0))
-                if not st["counted"]:
-                    self._count_ran(st, result.elapsed_s)
+                row.compute_s = result.elapsed_s
+                row.wasted_s = max(row.wasted_s, getattr(result, "wasted_s", 0.0))
+                self._count_ran(label, result.elapsed_s)
             else:  # failed: elapsed_s is the total wasted compute
-                st["wasted_s"] = max(st["wasted_s"], result.elapsed_s)
+                row.wasted_s = max(row.wasted_s, result.elapsed_s)
             self._emit_event(
                 cell_event(
                     self.run_id,
@@ -502,9 +502,9 @@ class FleetMonitor:
                         result.status, "failed"
                     ),
                     label,
-                    st["cell_id"],
-                    st["worker"] if st["worker"] is not None else os.getpid(),
-                    max(1, st["attempts"]),
+                    row.cell_id,
+                    row.worker if row.worker is not None else os.getpid(),
+                    row.attempts,
                     ts=now,
                     elapsed_s=result.elapsed_s,
                     error=result.error,
@@ -525,153 +525,61 @@ class FleetMonitor:
         mean ran-cell cost, over the workers (``None`` before any cell
         has run).  O(1): the counts are kept as cells settle."""
         with self._lock:
-            return self._eta()
+            remaining = max(0, self.total - len(self._settled))
+            if remaining == 0 and self.total > 0:
+                return 0.0
+            if not self._counted:
+                return None
+            return remaining * (self._ran_s / len(self._counted)) / self.workers
 
-    def _eta(self) -> float | None:
-        # caller holds the lock
-        remaining = max(0, self.total - self.done)
-        if remaining == 0 and self.total > 0:
-            return 0.0
-        if not self._ran_n:
-            return None
-        return remaining * (self._ran_s / self._ran_n) / self.workers
-
-    def _counters(self) -> dict:
-        # caller holds the lock
-        by_status = {"ran": 0, "cached": 0, "failed": 0}
-        retries = queue_wait = compute = wasted = banked = 0.0
-        for st in self._cells.values():
-            if st["status"] in by_status and st["final"]:
-                by_status[st["status"]] += 1
-            retries += max(0, st["attempts"] - 1)
-            queue_wait += st["queue_wait_s"]
-            wasted += st["wasted_s"]
-            if st["status"] == "cached":
-                banked += st["compute_s"]
-            else:
-                compute += st["compute_s"]
-        return {
-            "cells": self.total,
-            "ran": by_status["ran"],
-            "cached": by_status["cached"],
-            "failed": by_status["failed"],
-            "retries": int(retries),
-            "queue_wait_s": queue_wait,
-            "compute_s": compute,
-            "wasted_s": wasted,
-            "banked_s": banked,
-            "log_lines": self.log_lines,
-            "dropped_frames": sum(
-                w["dropped_frames"] for w in self._workers.values()
-            ),
-        }
-
-    def snapshot(self) -> dict:
-        """One consistent view of the fleet for rendering."""
-        now = self.clock()
+    def busy(self) -> dict[int, tuple[str, float]]:
+        """Each busy worker's current cell and the time it started it."""
         with self._lock:
-            counters = self._counters()
-            done, eta = self.done, self._eta()
-            wall = (
-                self.wall_s
-                if self.finished_at is not None
-                else now - self.started_at
-            )
-            worker_rows = []
-            for pid in sorted(self._workers):
-                w = self._workers[pid]
-                worker_rows.append(
-                    {
-                        "worker": pid,
-                        "state": "busy" if w["cell"] is not None else "idle",
-                        "cell": w["cell"],
-                        "cell_age_s": (
-                            now - w["cell_started_ts"]
-                            if w["cell_started_ts"] is not None
-                            else None
-                        ),
-                        "done": w["done"],
-                        "failed_attempts": w["failed_attempts"],
-                        "rss_bytes": w["max_rss_bytes"],
-                    }
-                )
-            last_error = None
-            for st in self._cells.values():
-                if st["error"] is not None:
-                    last_error = {
-                        "cell": st["label"],
-                        "error": st["error"],
-                        "attempts": st["attempts"],
-                    }
-        return {
-            "run_id": self.run_id,
-            "name": self.name,
-            "workers": self.workers,
-            "total": self.total,
-            "done": done,
-            "ran": counters["ran"],
-            "cached": counters["cached"],
-            "failed": counters["failed"],
-            "retries": counters["retries"],
-            "wall_s": wall,
-            "cells_per_sec": done / wall if wall > 0 else 0.0,
-            "eta_s": eta,
-            "queue_wait_s": counters["queue_wait_s"],
-            "compute_s": counters["compute_s"],
-            "wasted_s": counters["wasted_s"],
-            "banked_s": counters["banked_s"],
-            "log_lines": counters["log_lines"],
-            "worker_rows": worker_rows,
-            "last_error": last_error,
-        }
+            return {
+                pid: (live.cell, live.since)
+                for pid, live in self._live.items()
+                if live.cell is not None
+            }
 
-    def manifest(self, *, store_overwrites: int = 0):
-        """Snapshot the fleet state as a persistable
-        :class:`~repro.campaign.manifest.RunManifest`."""
-        from repro.campaign.manifest import (
-            ManifestCell,
-            ManifestWorker,
-            RunManifest,
-        )
-
+    def manifest(self, *, store_overwrites: int = 0) -> RunManifest:
+        """The fleet state as a :class:`RunManifest`: a copy of the rows
+        and the run totals computed from them.  Before :meth:`finalize`
+        the manifest is live: ``finished_at`` is the moment it was taken
+        and cells may still be queued or running."""
         with self._lock:
             if self.finished_at is None:
                 finished = self.clock()
                 wall = finished - self.started_at
             else:
                 finished, wall = self.finished_at, self.wall_s
-            counters = self._counters()
-            counters["store_overwrites"] = store_overwrites
-            cells = tuple(
-                ManifestCell(
-                    label=st["label"],
-                    cell_id=st["cell_id"],
-                    scheme=st["scheme"],
-                    status=st["status"],
-                    attempts=max(1, st["attempts"]),
-                    worker=st["worker"],
-                    queued_ts=st["queued_ts"],
-                    started_ts=st["started_ts"],
-                    finished_ts=st["finished_ts"],
-                    queue_wait_s=st["queue_wait_s"],
-                    compute_s=st["compute_s"],
-                    wasted_s=st["wasted_s"],
-                    error=st["error"],
-                )
-                for st in self._cells.values()
-            )
-            workers = tuple(
-                ManifestWorker(
-                    worker=pid,
-                    cells_done=w["done"],
-                    failed_attempts=w["failed_attempts"],
-                    busy_s=w["busy_s"],
-                    max_rss_bytes=w["max_rss_bytes"],
-                    last_cell=w["last_cell"],
-                )
-                for pid in sorted(self._workers)
-                for w in (self._workers[pid],)
-            )
+            cells = tuple(copy(row) for row in self._cells.values())
+            workers = tuple(copy(self._workers[pid]) for pid in sorted(self._workers))
+            by_status = {"ran": 0, "cached": 0, "failed": 0}
+            retries = queue_wait = compute = wasted = banked = 0.0
+            for row in cells:
+                if row.status in by_status and row.label in self._settled:
+                    by_status[row.status] += 1
+                retries += row.attempts - 1
+                queue_wait += row.queue_wait_s
+                wasted += row.wasted_s
+                if row.status == "cached":
+                    banked += row.compute_s
+                else:
+                    compute += row.compute_s
+            counters = {
+                "cells": self.total,
+                **by_status,
+                "retries": int(retries),
+                "queue_wait_s": queue_wait,
+                "compute_s": compute,
+                "wasted_s": wasted,
+                "banked_s": banked,
+                "log_lines": self.log_lines,
+                "dropped_frames": sum(
+                    live.dropped_frames for live in self._live.values()
+                ),
+                "store_overwrites": store_overwrites,
+            }
             return RunManifest(
                 run_id=self.run_id,
                 name=self.name,
@@ -683,6 +591,7 @@ class FleetMonitor:
                 cells=cells,
                 worker_rows=workers,
             )
+
 
 
 class ChannelDrainer(threading.Thread):

@@ -3,12 +3,13 @@
 A :class:`RunManifest` is the fleet-level record of one campaign
 execution: per-cell timings (queue-wait vs compute, wasted attempts),
 attempt counts, the worker that solved each cell, and per-worker
-aggregates (cells done, busy seconds, peak RSS).  It
-is assembled by the :class:`~repro.campaign.fleet.FleetMonitor` at
-campaign end, written into the :class:`~repro.campaign.store.
-ResultStore` keyed by the campaign run id, and read back by ``repro
-report --campaign`` and the fleet-scoped detectors behind ``repro
-doctor``.
+aggregates (cells done, busy seconds, peak RSS).  Its rows are the
+:class:`~repro.campaign.fleet.FleetMonitor`'s own state, which folds
+every cell event into them as it arrives; the manifest the monitor
+takes at campaign end is written into the
+:class:`~repro.campaign.store.ResultStore` keyed by the campaign run
+id, and read back by ``repro report --campaign`` and the fleet-scoped
+detectors behind ``repro doctor``.
 
 The manifest is **side-band evidence only**: it describes how the
 campaign executed, never what the cells computed, so persisting it can
@@ -34,9 +35,10 @@ class ManifestError(ValueError):
     """A document that does not parse as a run manifest."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class ManifestCell:
-    """One cell's execution record within a campaign run."""
+    """One cell's execution record within a campaign run (mutable: the
+    fleet monitor updates its rows in place while the run is live)."""
 
     label: str
     cell_id: str
@@ -47,10 +49,11 @@ class ManifestCell:
     queued_ts: float | None = None
     started_ts: float | None = None
     finished_ts: float | None = None
-    #: Seconds spent waiting between submission and a worker picking
-    #: the cell up, summed over attempts.  A pool is handed whole config
-    #: groups, so a pooled cell's wait includes the compute of the
-    #: group-mates that ran before it in the same worker.
+    #: Seconds from submission to a worker starting the cell's config
+    #: group, summed over queued attempts.  A pool runs each group whole
+    #: on one worker, so a pooled cell's time behind its group-mates is
+    #: not queue wait; for a cell queued once it is ``started_ts -
+    #: queued_ts - queue_wait_s``.
     queue_wait_s: float = 0.0
     #: Compute seconds of the successful attempt (banked cost for
     #: cached cells).
@@ -60,7 +63,7 @@ class ManifestCell:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ManifestWorker:
     """One worker process's aggregate record within a campaign run."""
 

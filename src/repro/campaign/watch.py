@@ -1,13 +1,14 @@
 """``repro campaign --watch``: a live terminal dashboard over the fleet.
 
-Renders :meth:`~repro.campaign.fleet.FleetMonitor.snapshot` as a
-plain-text frame with no escape codes inside it, repainted in place
-with one clear-and-home sequence in live mode.  ``--once`` prints the
+Renders a live :meth:`~repro.campaign.fleet.FleetMonitor.manifest`,
+the monitor's ETA and its busy workers as a plain-text frame with no
+escape codes inside it, repainted in place with one clear-and-home
+sequence in live mode.  ``--once`` prints the
 final frame un-escaped to stdout — the CI-greppable snapshot artifact.
 
 The repaint loop (:func:`repro.obs.term.repaint`) runs in a daemon
 thread beside the campaign's main thread (which is busy driving the
-worker pool), reading the monitor's thread-safe snapshots; it owns no
+worker pool), reading the monitor's thread-safe manifests; it owns no
 state of its own, so a campaign without ``--watch`` pays nothing.
 """
 
@@ -23,57 +24,64 @@ from repro.obs.term import fmt_age, fmt_bytes, hms, repaint
 DEFAULT_REFRESH_S = 1.0
 
 
-def render_fleet(snapshot: dict) -> str:
-    """One dashboard frame as plain text (no escape codes)."""
-    lines: list[str] = []
-    total = snapshot["total"]
-    done = snapshot["done"]
+def render_fleet(manifest, eta_s: float | None, busy: dict) -> str:
+    """One dashboard frame as plain text (no escape codes): a live
+    :class:`~repro.campaign.manifest.RunManifest`, the monitor's ETA and
+    its busy map (``{pid: (cell, started_ts)}``).  A cell's age runs to
+    the manifest's ``finished_at``, the moment a live manifest is taken."""
+    c = manifest.counters
+    total = c["cells"]
+    done = c["ran"] + c["cached"] + c["failed"]
     pct = 100.0 * done / total if total else 0.0
-    eta = snapshot["eta_s"]
+    wall = manifest.wall_s
+    rate = done / wall if wall > 0 else 0.0
+    lines: list[str] = []
     lines.append(
-        f"repro campaign — {snapshot['name'] or '?'} "
-        f"[run {snapshot['run_id']}], {snapshot['workers']} worker(s)"
+        f"repro campaign — {manifest.name or '?'} "
+        f"[run {manifest.run_id}], {manifest.workers} worker(s)"
     )
     lines.append("")
     lines.append(
         f"  cells     {done}/{total} ({pct:.0f}%)   "
-        f"{snapshot['ran']} ran  {snapshot['cached']} cached  "
-        f"{snapshot['failed']} failed  {snapshot['retries']} retries"
+        f"{c['ran']} ran  {c['cached']} cached  "
+        f"{c['failed']} failed  {c['retries']} retries"
     )
     lines.append(
-        f"  rate      {snapshot['cells_per_sec']:6.2f} cells/s   "
-        f"wall {hms(snapshot['wall_s'])}   "
-        f"eta {'--' if eta is None else hms(eta)}"
+        f"  rate      {rate:6.2f} cells/s   "
+        f"wall {hms(wall)}   "
+        f"eta {'--' if eta_s is None else hms(eta_s)}"
     )
     lines.append(
-        f"  time      queue-wait {snapshot['queue_wait_s']:.2f}s   "
-        f"compute {snapshot['compute_s']:.2f}s   "
-        f"wasted {snapshot['wasted_s']:.2f}s   "
-        f"banked {snapshot['banked_s']:.2f}s"
+        f"  time      queue-wait {c['queue_wait_s']:.2f}s   "
+        f"compute {c['compute_s']:.2f}s   "
+        f"wasted {c['wasted_s']:.2f}s   "
+        f"banked {c['banked_s']:.2f}s"
     )
     lines.append("")
-    rows = snapshot["worker_rows"]
-    if rows:
+    if manifest.worker_rows:
         lines.append(
             "  worker      state  cells  fails  rss      current cell (age)"
         )
-        for w in rows:
-            cell = w["cell"] or "-"
-            if w["cell"] is not None:
-                cell = f"{cell} ({fmt_age(w['cell_age_s'])})"
+        for w in manifest.worker_rows:
+            state, cell = "idle", "-"
+            if w.worker in busy:
+                label, since = busy[w.worker]
+                state = "busy"
+                cell = f"{label} ({fmt_age(manifest.finished_at - since)})"
             lines.append(
-                f"  {w['worker']:<10}  {w['state']:<5}  "
-                f"{w['done']:5d}  {w['failed_attempts']:5d}  "
-                f"{fmt_bytes(w['rss_bytes']):<7}  {cell}"
+                f"  {w.worker:<10}  {state:<5}  "
+                f"{w.cells_done:5d}  {w.failed_attempts:5d}  "
+                f"{fmt_bytes(w.max_rss_bytes):<7}  {cell}"
             )
     else:
         lines.append("  worker    (serial run: cells execute in-process)")
-    err = snapshot["last_error"]
-    if err is not None:
+    failed = [row for row in manifest.cells if row.error is not None]
+    if failed:
+        err = failed[-1]
         lines.append("")
         lines.append(
-            f"  last error  {err['cell']} (attempt {err['attempts']}): "
-            f"{err['error'][:120]}"
+            f"  last error  {err.label} (attempt {err.attempts}): "
+            f"{err.error[:120]}"
         )
     return "\n".join(lines)
 
@@ -118,5 +126,8 @@ class CampaignWatch:
             self._thread = None
 
     def final_frame(self) -> str:
-        """The current snapshot as a plain frame (also the ``--once`` output)."""
-        return render_fleet(self.monitor.snapshot())
+        """The monitor's current state as a plain frame (also the
+        ``--once`` output)."""
+        monitor = self.monitor
+        busy = monitor.busy()
+        return render_fleet(monitor.manifest(), monitor.eta_s(), busy)

@@ -503,6 +503,17 @@ def _open_existing_store(args) -> ResultStore:
     return ResultStore(root)
 
 
+def _stored_manifest(args, run_id: str | None):
+    """The run manifest ``run_id`` names in the ``--store`` store, or
+    its latest with ``run_id=None``; ``None`` when there is none.
+    Raises :class:`~repro.campaign.manifest.ManifestError` for a
+    manifest in another schema."""
+    with _open_existing_store(args) as store:
+        if run_id is None:
+            return store.latest_manifest()
+        return store.get_manifest(run_id)
+
+
 def _print_trace_summary(report) -> None:
     """The ``--trace`` wrap-up: fault→recovery latencies plus top spans."""
     tel = report.details.get("telemetry")
@@ -871,15 +882,11 @@ def cmd_report(args) -> int:
 
         if args.jsonl:
             raise SystemExit("--campaign reads a result store, not --jsonl")
-        with _open_existing_store(args) as mstore:
-            try:
-                manifest = (
-                    mstore.latest_manifest()
-                    if args.campaign == "latest"
-                    else mstore.get_manifest(args.campaign)
-                )
-            except ManifestError as exc:
-                raise SystemExit(f"report: {exc}") from None
+        run_id = None if args.campaign == "latest" else args.campaign
+        try:
+            manifest = _stored_manifest(args, run_id)
+        except ManifestError as exc:
+            raise SystemExit(f"report: {exc}") from None
         if manifest is None:
             raise SystemExit(
                 "no campaign manifest stored yet"
@@ -957,20 +964,13 @@ def cmd_doctor(args) -> int:
     if not args.jsonl:
         from repro.campaign.manifest import ManifestError
 
-        with _open_existing_store(args) as mstore:
-            try:
-                manifest = (
-                    mstore.get_manifest(args.run_id)
-                    if args.run_id
-                    else mstore.latest_manifest()
-                )
-            except ManifestError as exc:
-                print(f"doctor: fleet detectors skipped: {exc}", file=sys.stderr)
-            else:
-                if args.run_id and manifest is None:
-                    raise SystemExit(
-                        f"no campaign manifest for run id {args.run_id!r}"
-                    )
+        try:
+            manifest = _stored_manifest(args, args.run_id or None)
+        except ManifestError as exc:
+            print(f"doctor: fleet detectors skipped: {exc}", file=sys.stderr)
+        else:
+            if args.run_id and manifest is None:
+                raise SystemExit(f"no campaign manifest for run id {args.run_id!r}")
     # an explicit cell filter that matches nothing is still an error —
     # the implicitly-loaded manifest must not mask a typo'd --matrix
     filtered = bool(args.matrix or args.scheme)

@@ -7,13 +7,13 @@ report.  The stream is what post-hoc analysis needs (e.g. "how long
 after each fault did the residual re-cross its pre-fault level?") and
 what the aggregate phase accounts deliberately compress away.
 
-Events are plain frozen dataclasses; :meth:`EventLog.to_rows` flattens
-them for tabular tooling.
+Events are plain frozen dataclasses; :func:`repro.obs.export.event_to_row`
+flattens one for tabular tooling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,6 @@ class EventLog:
     @property
     def restarts(self) -> list[SolverRestarted]:
         return self.of_kind("restart")  # type: ignore[return-value]
-
-    def to_rows(self) -> list[dict]:
-        """Flatten into dicts (one per event) for tabular tooling."""
-        out = []
-        for e in self.events:
-            row = {"kind": e.kind}
-            for f in fields(e):
-                row[f.name] = getattr(e, f.name)
-            out.append(row)
-        return out
 
     def recovery_latency_s(self) -> list[float]:
         """Simulated seconds from each fault to its (first) recovery."""

@@ -10,11 +10,10 @@ problem once.
 
 Two layers:
 
-* **In-process LRU** — always on (kill switch: ``REPRO_PROBLEM_CACHE=0``).
-  Safe to share because every cached object is immutable by contract:
-  matrices are never written after construction, ``DistributedMatrix``
-  only grows lazily-computed read-only views, and ``IterationCosts`` is
-  a frozen dataclass.
+* **In-process LRU** — always on.  Safe to share because every cached
+  object is immutable by contract: matrices are never written after
+  construction, ``DistributedMatrix`` only grows lazily-computed
+  read-only views, and ``IterationCosts`` is a frozen dataclass.
 * **On-disk store** under ``.repro-cache/problems/`` — suite matrices
   and measured costs persist across processes (campaign workers, CI
   steps).  ``REPRO_CACHE=0`` disables it, ``REPRO_CACHE_DIR`` relocates
@@ -133,10 +132,6 @@ _costs = _LRU(256)
 _horizons = _LRU(256)
 
 
-def _memory_enabled() -> bool:
-    return os.environ.get("REPRO_PROBLEM_CACHE", "1") != "0"
-
-
 def _disk_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "1") != "0"
 
@@ -183,10 +178,9 @@ def cached_suite_build(name: str, scale: float, spec) -> sp.csr_matrix:
     parameter invalidates stale entries instead of serving them.
     """
     key = ("suite", name, float(scale), repr(spec))
-    if _memory_enabled():
-        m = _matrices.get(key)
-        if m is not _MISS:
-            return m
+    m = _matrices.get(key)
+    if m is not _MISS:
+        return m
     m = None
     path = problems_dir() / f"{name}-{_digest(key)}.npz" if _disk_enabled() else None
     if path is not None:
@@ -213,8 +207,7 @@ def cached_suite_build(name: str, scale: float, spec) -> sp.csr_matrix:
                 shape=np.asarray(m.shape),
             )
     matrix_fingerprint(m)
-    if _memory_enabled():
-        _matrices.put(key, m)
+    _matrices.put(key, m)
     return m
 
 
@@ -227,8 +220,6 @@ def distributed_matrix(a, nranks: int) -> DistributedMatrix:
     In-process only: the halo analysis is pure derived structure, cheap
     to rebuild once per process but expensive once per cell.
     """
-    if not _memory_enabled():
-        return _distribute(a, nranks)
     key = ("dmat", matrix_fingerprint(a), int(nranks))
     dmat = _dmats.get(key)
     if dmat is _MISS:
@@ -267,10 +258,9 @@ def iteration_costs(dmat: DistributedMatrix, comm, *, preconditioned: bool):
         repr(comm.network),
         bool(preconditioned),
     )
-    if _memory_enabled():
-        costs = _costs.get(key)
-        if costs is not _MISS:
-            return costs
+    costs = _costs.get(key)
+    if costs is not _MISS:
+        return costs
     costs = None
     path = problems_dir() / f"costs-{_digest(key)}.npz" if _disk_enabled() else None
     if path is not None:
@@ -298,8 +288,7 @@ def iteration_costs(dmat: DistributedMatrix, comm, *, preconditioned: bool):
                 allreduce_s=np.float64(costs.allreduce_s),
                 bytes_per_iter=np.float64(costs.bytes_per_iter),
             )
-    if _memory_enabled():
-        _costs.put(key, costs)
+    _costs.put(key, costs)
     return costs
 
 
@@ -341,15 +330,13 @@ def fault_free_horizon(
         int(max_iters),
         str(preconditioner),
     )
-    if _memory_enabled():
-        h = _horizons.get(key)
-        if h is not _MISS:
-            return h
+    h = _horizons.get(key)
+    if h is not _MISS:
+        return h
     h = fault_free_iterations(
         dmat, b, tol=tol, max_iters=max_iters, preconditioner=preconditioner
     )
-    if _memory_enabled():
-        _horizons.put(key, h)
+    _horizons.put(key, h)
     return h
 
 

@@ -213,12 +213,12 @@ class TestFleetMonitor:
             )
         )
         mon.cell_done(CellResult(cell=cell, status="ran", elapsed_s=2.0))
-        snap = mon.snapshot()
-        assert snap["done"] == 1 and snap["ran"] == 1
-        assert snap["queue_wait_s"] == pytest.approx(0.5)
-        assert snap["compute_s"] == pytest.approx(2.0)
-        (row,) = snap["worker_rows"]
-        assert row["worker"] == 77 and row["done"] == 1 and row["state"] == "idle"
+        manifest = mon.manifest()
+        assert mon.done == 1 and manifest.counters["ran"] == 1
+        assert manifest.counters["queue_wait_s"] == pytest.approx(0.5)
+        assert manifest.counters["compute_s"] == pytest.approx(2.0)
+        (row,) = manifest.worker_rows
+        assert row.worker == 77 and row.cells_done == 1 and mon.busy() == {}
         # exactly one terminal event, from the parent's outcome
         assert [e["event"] for e in events] == ["queued", "started", "finished"]
 
@@ -238,19 +238,19 @@ class TestFleetMonitor:
         terminal = [e for e in events if e["event"] == "finished"]
         assert len(terminal) == 1
         # the late worker event still credits the worker's aggregates
-        assert mon.snapshot()["worker_rows"][0]["done"] == 1
+        assert mon.manifest().worker_rows[0].cells_done == 1
         # ...but the cell's ran seconds are not double-counted
-        assert mon.snapshot()["compute_s"] == pytest.approx(1.0)
+        assert mon.manifest().counters["compute_s"] == pytest.approx(1.0)
 
     def test_cached_cell_banks_its_original_cost(self, tiny_spec):
         events: list[dict] = []
         mon, _ = _monitor(events)
         cell = tiny_spec.cells()[0]
         mon.cell_done(CellResult(cell=cell, status="cached", elapsed_s=3.5))
-        snap = mon.snapshot()
-        assert snap["cached"] == 1
-        assert snap["banked_s"] == pytest.approx(3.5)
-        assert snap["compute_s"] == 0.0
+        counters = mon.manifest().counters
+        assert counters["cached"] == 1
+        assert counters["banked_s"] == pytest.approx(3.5)
+        assert counters["compute_s"] == 0.0
         assert events[-1]["event"] == "cached"
 
     def test_failed_attempts_accumulate_wasted_seconds(self, tiny_spec):
@@ -277,12 +277,12 @@ class TestFleetMonitor:
                 error="RuntimeError: boom",
             )
         )
-        snap = mon.snapshot()
-        assert snap["failed"] == 1
-        assert snap["retries"] == 1
-        assert snap["wasted_s"] == pytest.approx(1.0)
-        assert snap["last_error"]["cell"] == cell.label
-        assert snap["worker_rows"][0]["failed_attempts"] == 2
+        manifest = mon.manifest()
+        assert manifest.counters["failed"] == 1
+        assert manifest.counters["retries"] == 1
+        assert manifest.counters["wasted_s"] == pytest.approx(1.0)
+        assert [c.label for c in manifest.cells if c.error][-1] == cell.label
+        assert manifest.worker_rows[0].failed_attempts == 2
         assert [e["event"] for e in events].count("failed") == 1
 
     def test_an_attempt_retried_in_place_adds_no_queue_wait(self, tiny_spec):
@@ -299,23 +299,23 @@ class TestFleetMonitor:
                     mon.run_id, "started", cell.label, cid, 77, attempt, ts=clk.t
                 )
             )
-        assert mon.snapshot()["queue_wait_s"] == pytest.approx(1.0)
+        assert mon.manifest().counters["queue_wait_s"] == pytest.approx(1.0)
         assert mon.manifest().cells[0].attempts == 2
 
     def test_eta_extrapolates_from_ran_cells(self, tiny_spec):
         mon, _ = _monitor(total=4, workers=2)
-        assert mon.snapshot()["eta_s"] is None  # no evidence yet
+        assert mon.eta_s() is None  # no evidence yet
         cell = tiny_spec.cells()[0]
         mon.cell_done(CellResult(cell=cell, status="ran", elapsed_s=1.0))
         # 3 remaining x 1.0s avg / 2 workers
-        assert mon.snapshot()["eta_s"] == pytest.approx(1.5)
+        assert mon.eta_s() == pytest.approx(1.5)
 
     def test_eta_is_zero_when_complete(self, tiny_spec):
         mon, _ = _monitor(total=1)
         mon.cell_done(
             CellResult(cell=tiny_spec.cells()[0], status="ran", elapsed_s=1.0)
         )
-        assert mon.snapshot()["eta_s"] == 0.0
+        assert mon.eta_s() == 0.0
 
     def test_eta_counts_settled_cells_not_worker_events(self, tiny_spec):
         """A worker's finished event is evidence of cost, but the cell
@@ -334,7 +334,6 @@ class TestFleetMonitor:
         mon.cell_done(CellResult(cell=cell, status="ran", elapsed_s=2.0))
         assert mon.done == 1
         assert mon.eta_s() == pytest.approx(2.0)
-        assert mon.snapshot()["eta_s"] == mon.eta_s()
 
     def test_finish_events_carry_the_workers_peak_rss(self, tiny_spec):
         """Peak RSS rides the finished and failed events; the monitor
@@ -356,7 +355,6 @@ class TestFleetMonitor:
                 error="RuntimeError: boom" if kind == "failed" else None,
             )
             mon.handle(("event", {**finished, "rss_bytes": rss}))
-        assert mon.snapshot()["worker_rows"][0]["rss_bytes"] == 3 << 20
         (w,) = mon.manifest().worker_rows
         assert w.max_rss_bytes == 3 << 20
         assert all("rss_bytes" not in e for e in events)
@@ -403,6 +401,96 @@ class TestFleetMonitor:
 
 
 
+class TestQueueWait:
+    """A pooled cell's queue wait runs from its submission to a worker
+    starting its config group: time behind a group-mate is not queue
+    wait, and the row keeps ``queued_ts``/``started_ts`` to show it."""
+
+    @staticmethod
+    def _run_group(mon, clk, cells, pid, compute_s=2.0):
+        # the worker runs the group's cells back to back
+        for cell in cells:
+            cid = cell_correlation_id(cell)
+            mon.on_event(
+                cell_event(mon.run_id, "started", cell.label, cid, pid, 1, ts=clk.t)
+            )
+            clk.t += compute_s
+            mon.on_event(
+                cell_event(
+                    mon.run_id, "finished", cell.label, cid, pid, 1,
+                    ts=clk.t, elapsed_s=compute_s,
+                )
+            )
+            mon.cell_done(CellResult(cell=cell, status="ran", elapsed_s=compute_s))
+
+    def test_group_mates_wait_only_for_their_group_to_start(self, tiny_spec):
+        mon, clk = _monitor(total=6)
+        cells = tiny_spec.cells()  # two groups: FF, RD, F0 each
+        for cell in cells:
+            mon.cell_queued(cell, 1)
+        clk.t += 1.0  # two workers pick a group each after a second
+        self._run_group(mon, clk, cells[:3], 77)
+        clk.t -= 6.0  # the second worker ran alongside
+        self._run_group(mon, clk, cells[3:], 78)
+        manifest = mon.manifest()
+        assert [c.queue_wait_s for c in manifest.cells] == [1.0] * 6
+        assert manifest.counters["queue_wait_s"] == pytest.approx(6.0)
+        # the time behind the group's FF is still on the row
+        behind = [c.started_ts - c.queued_ts - c.queue_wait_s for c in manifest.cells]
+        assert behind == [0.0, 2.0, 4.0] * 2
+
+    def test_a_group_behind_another_on_one_worker_waits_for_it(self, tiny_spec):
+        mon, clk = _monitor(total=6, workers=1)
+        cells = tiny_spec.cells()
+        for cell in cells:
+            mon.cell_queued(cell, 1)
+        clk.t += 1.0
+        self._run_group(mon, clk, cells[:3], 77)
+        self._run_group(mon, clk, cells[3:], 77)
+        waits = [c.queue_wait_s for c in mon.manifest().cells]
+        assert waits == [1.0] * 3 + [7.0] * 3
+
+    def test_a_serial_cell_waits_from_its_own_queueing(self, tiny_spec):
+        mon, clk = _monitor(total=2, workers=1)
+        for cell in tiny_spec.cells()[:2]:
+            mon.cell_queued(cell, 1)
+            clk.t += 0.25
+            self._run_group(mon, clk, [cell], os.getpid())
+        waits = [c.queue_wait_s for c in mon.manifest().cells]
+        assert waits == [0.25, 0.25]
+
+    def test_two_groups_on_two_workers_wait_less_than_the_wall(
+        self, store, tmp_path, monkeypatch
+    ):
+        """With as many workers as groups, total queue wait is dispatch
+        overhead only: each cell's wait ends where its group's FF's does,
+        and the total reads below the campaign's wall time."""
+        from repro.matrices import cache as problem_cache
+
+        # cold problem caches, as in a fresh `repro campaign`: a warm
+        # forked worker would compute the grid in less than its dispatch
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "problems"))
+        problem_cache.clear_memory_caches()
+        spec = CampaignSpec(
+            name="two-groups",
+            matrices=("wathen100", "Andrews"),
+            schemes=("RD", "F0", "LI", "CR-D", "LSI"),
+            nranks=(8,),
+            fault_loads=(2,),
+            scale=0.25,
+        )
+        result = run_campaign(spec, store=store, max_workers=2)
+        assert result.n_ran == 12
+        manifest = result.manifest
+        assert manifest.counters["queue_wait_s"] < manifest.wall_s
+        for c in manifest.cells:
+            ff = manifest.cell(c.label.rsplit("/", 1)[0] + "/FF")
+            # a group-mate's wait ends where its group's FF's wait ends
+            assert c.queued_ts + c.queue_wait_s == pytest.approx(
+                ff.queued_ts + ff.queue_wait_s, abs=1e-6
+            )
+
+
 def _recv(reader, timeout_s: float = 5.0):
     """The next message on a telemetry pipe's read end."""
     assert reader.poll(timeout_s), "no frame within the timeout"
@@ -437,8 +525,8 @@ class TestWorkerChannel:
         channel.cell_started(cell.label, cid, 1)
         channel.cell_finished(cell.label, cid, 1, 0.5)
         assert [e["event"] for e in events] == ["started"]
-        (row,) = mon.snapshot()["worker_rows"]
-        assert row["done"] == 1 and row["rss_bytes"] > 0
+        (row,) = mon.manifest().worker_rows
+        assert row.cells_done == 1 and row.max_rss_bytes > 0
 
     def test_puts_are_best_effort(self):
         reader, writer = multiprocessing.Pipe(duplex=False)
@@ -688,7 +776,7 @@ class TestChannelDrainer:
         drainer.stop()
         writer.close()
         assert not drainer.is_alive()
-        assert mon.snapshot()["worker_rows"][0]["done"] == 1
+        assert mon.manifest().worker_rows[0].cells_done == 1
 
     def test_forwarded_log_lines_are_counted(self):
         """Forwarded lines are counted and re-emitted byte for byte
@@ -707,5 +795,5 @@ class TestChannelDrainer:
             drainer.start()
             drainer.stop()
             writer.close()
-        assert mon.snapshot()["log_lines"] == 2
+        assert mon.manifest().counters["log_lines"] == 2
         assert logs.lines == [line]

@@ -47,9 +47,8 @@ class TestEmptyCampaign:
     def test_snapshot_and_frame_degrade_cleanly(self):
         mon = FleetMonitor(workers=2)
         mon.begin(total=0, name="empty")
-        snap = mon.snapshot()
-        assert snap["done"] == 0 and snap["eta_s"] is None
-        frame = render_fleet(snap)
+        assert mon.done == 0 and mon.eta_s() is None
+        frame = render_fleet(mon.manifest(), mon.eta_s(), mon.busy())
         assert "0/0 (0%)" in frame and "eta --" in frame
 
     def test_manifest_is_empty_but_well_formed(self):

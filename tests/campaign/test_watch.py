@@ -6,84 +6,73 @@ import io
 import time
 
 from repro.campaign.fleet import FleetMonitor
+from repro.campaign.manifest import ManifestCell, ManifestWorker, RunManifest
 from repro.campaign.runner import CellResult
 from repro.campaign.watch import CampaignWatch, render_fleet
 from repro.obs.term import CLEAR
 
 
-def snapshot(**overrides) -> dict:
-    snap = {
+#: A worker busy on one cell for 2.5 s when the manifest was taken.
+BUSY = {101: ("wathen100/r8/f2/x0.25/FF", 1009.5)}
+
+
+def manifest(**overrides) -> RunManifest:
+    fields = {
         "run_id": "feedbeeffeedbeef",
         "name": "watch-test",
         "workers": 2,
-        "total": 6,
-        "done": 3,
-        "ran": 2,
-        "cached": 1,
-        "failed": 0,
-        "retries": 1,
+        "started_at": 1000.0,
+        "finished_at": 1012.0,
         "wall_s": 12.0,
-        "cells_per_sec": 0.25,
-        "eta_s": 36.0,
-        "queue_wait_s": 0.5,
-        "compute_s": 8.0,
-        "wasted_s": 0.1,
-        "banked_s": 4.0,
-        "log_lines": 3,
-        "worker_rows": [
-            {
-                "worker": 101, "state": "busy",
-                "cell": "wathen100/r8/f2/x0.25/FF", "cell_age_s": 2.5,
-                "done": 2, "failed_attempts": 0, "rss_bytes": 64 << 20,
-            },
-            {
-                "worker": 102, "state": "idle", "cell": None,
-                "cell_age_s": None, "done": 1, "failed_attempts": 1,
-                "rss_bytes": 32 << 20,
-            },
-        ],
-        "last_error": None,
+        "counters": {
+            "cells": 6, "ran": 2, "cached": 1, "failed": 0, "retries": 1,
+            "queue_wait_s": 0.5, "compute_s": 8.0, "wasted_s": 0.1,
+            "banked_s": 4.0, "log_lines": 3,
+        },
+        "worker_rows": (
+            ManifestWorker(101, cells_done=2, max_rss_bytes=64 << 20),
+            ManifestWorker(
+                102, cells_done=1, failed_attempts=1, max_rss_bytes=32 << 20
+            ),
+        ),
     }
-    snap.update(overrides)
-    return snap
+    fields.update(overrides)
+    return RunManifest(**fields)
 
 
 class TestRenderFleet:
     def test_frame_is_escape_free(self):
-        frame = render_fleet(snapshot())
+        frame = render_fleet(manifest(), 36.0, BUSY)
         assert "\x1b" not in frame
 
     def test_frame_carries_the_headline_numbers(self):
-        frame = render_fleet(snapshot())
+        frame = render_fleet(manifest(), 36.0, BUSY)
         assert "watch-test [run feedbeeffeedbeef], 2 worker(s)" in frame
         assert "3/6 (50%)" in frame
         assert "2 ran  1 cached  0 failed  1 retries" in frame
+        assert "0.25 cells/s" in frame
         assert "eta 0:36" in frame
         assert "compute 8.00s" in frame and "banked 4.00s" in frame
 
     def test_worker_rows_show_current_cell_and_age(self):
-        frame = render_fleet(snapshot())
+        frame = render_fleet(manifest(), 36.0, BUSY)
         assert "wathen100/r8/f2/x0.25/FF (2.5s)" in frame
         assert "busy" in frame and "idle" in frame
         assert "64.0M" in frame
 
     def test_unknown_eta_renders_as_dashes(self):
-        assert "eta --" in render_fleet(snapshot(eta_s=None))
+        assert "eta --" in render_fleet(manifest(), None, BUSY)
 
     def test_serial_run_renders_a_placeholder_row(self):
-        frame = render_fleet(snapshot(worker_rows=[]))
+        frame = render_fleet(manifest(worker_rows=()), 36.0, {})
         assert "serial run: cells execute in-process" in frame
 
     def test_last_error_line(self):
-        frame = render_fleet(
-            snapshot(
-                last_error={
-                    "cell": "Andrews/r8/f2/x0.25/RD",
-                    "error": "RuntimeError: boom",
-                    "attempts": 3,
-                }
-            )
+        failed = ManifestCell(
+            "Andrews/r8/f2/x0.25/RD", "c" * 16, "RD", "failed", attempts=3,
+            error="RuntimeError: boom",
         )
+        frame = render_fleet(manifest(cells=(failed,)), 36.0, BUSY)
         assert "last error" in frame
         assert "Andrews/r8/f2/x0.25/RD (attempt 3): RuntimeError: boom" in frame
 

@@ -175,8 +175,9 @@ class TestIdentityTripwire:
         )
 
     @staticmethod
-    def _traced_li_payload() -> str:
-        problem_cache.clear_memory_caches()
+    def _traced_li_payload(*, cold: bool = True) -> str:
+        if cold:
+            problem_cache.clear_memory_caches()
         config = ExperimentConfig(
             matrix="wathen100", nranks=8, n_faults=2, scale=0.25, trace=True
         )
@@ -186,7 +187,6 @@ class TestIdentityTripwire:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("REPRO_PROBLEM_CACHE", "0"),
             ("REPRO_CACHE", "0"),
             ("REPRO_CACHE_DIR", None),  # relocated to a fresh directory
         ],
@@ -197,6 +197,14 @@ class TestIdentityTripwire:
         default = self._traced_li_payload()
         monkeypatch.setenv(name, value or str(tmp_path / "elsewhere"))
         assert self._traced_li_payload() == default
+
+    def test_a_warm_in_process_cache_gives_the_cold_payload(self):
+        cold = self._traced_li_payload()
+        hits = problem_cache.cache_stats()["matrices"]["hits"]
+        warm = self._traced_li_payload(cold=False)
+        # the second run was served from the in-process layers
+        assert problem_cache.cache_stats()["matrices"]["hits"] > hits
+        assert warm == cold
 
 
 class TestFaultScope:

@@ -14,6 +14,7 @@ from repro.harness.tracing import (
     SolverRestarted,
 )
 from repro.matrices.generators import banded_spd
+from repro.obs.export import event_to_row
 from tests.conftest import quick_config
 
 
@@ -38,7 +39,7 @@ class TestEventLog:
     def test_to_rows(self):
         log = EventLog()
         log.record(CheckpointWritten(iteration=10, sim_time_s=0.5, duration_s=0.01))
-        rows = log.to_rows()
+        rows = [event_to_row(e) for e in log.events]
         assert rows[0]["kind"] == "checkpoint"
         assert rows[0]["iteration"] == 10
         assert rows[0]["duration_s"] == 0.01

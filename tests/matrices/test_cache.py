@@ -20,7 +20,6 @@ def isolated_cache(tmp_path, monkeypatch):
     """Each test gets empty in-process caches and a private disk root."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_PROBLEM_CACHE", raising=False)
     cache.clear_memory_caches()
     yield
     cache.clear_memory_caches()
@@ -142,13 +141,6 @@ class TestSuiteBuildCache:
         suite.build("Kuu", scale=0.2)
         assert not cache.problems_dir().exists()
 
-    def test_memory_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROBLEM_CACHE", "0")
-        a = suite.build("Kuu", scale=0.2)
-        b = suite.build("Kuu", scale=0.2)
-        assert a is not b  # served from disk, not shared memory
-        assert cache.cache_stats()["matrices"]["entries"] == 0
-
 
 class TestDistributedCache:
     def test_same_matrix_same_view(self):
@@ -171,11 +163,6 @@ class TestDistributedCache:
         d = cache.distributed_matrix(a, 4)
         assert len(d._blocks) == 4
         assert "halo_pair_bytes" in d.__dict__  # cached_property computed
-
-    def test_memory_disabled_builds_fresh(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROBLEM_CACHE", "0")
-        a = suite.build("Kuu", scale=0.2, cache=False)
-        assert cache.distributed_matrix(a, 4) is not cache.distributed_matrix(a, 4)
 
 
 class TestIterationCostsCache:
