@@ -38,18 +38,5 @@ _EXPORTS = {
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ConvergenceError",
-    "DistributedCG",
-    "ResilientSolver",
-    "SolverConfig",
-    "SolveReport",
-    "make_scheme",
-    "scheme_names",
-    "Objective",
-    "SchemeAdvisor",
-    "Situation",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("__version__")

@@ -69,47 +69,4 @@ _EXPORTS = {
     "watch": ("CampaignWatch", "render_fleet"),
 }
 
-__all__ = [
-    "BASELINE_SCHEME",
-    "CampaignCell",
-    "CampaignResult",
-    "CampaignRunner",
-    "CampaignSpec",
-    "CampaignWatch",
-    "CellExecutionError",
-    "CellResult",
-    "CellTimeout",
-    "FleetMonitor",
-    "ManifestCell",
-    "ManifestError",
-    "ManifestWorker",
-    "ProgressEventError",
-    "ProgressReporter",
-    "ResultStore",
-    "RunManifest",
-    "StoreEntry",
-    "StoreLockedError",
-    "cell_correlation_id",
-    "cell_event",
-    "cell_event_from_line",
-    "cell_event_to_line",
-    "cell_key",
-    "execute_cell",
-    "format_attribution_summary",
-    "format_manifest",
-    "format_normalized_tables",
-    "format_summary",
-    "format_telemetry_summary",
-    "manifest_from_doc",
-    "manifest_to_doc",
-    "preset",
-    "preset_names",
-    "render_fleet",
-    "report_from_dict",
-    "report_to_dict",
-    "run_campaign",
-    "run_cell_in_worker",
-    "summary_counters",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

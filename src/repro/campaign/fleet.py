@@ -483,7 +483,9 @@ class FleetMonitor:
             row = self._row(label, cell_correlation_id(cell))
             row.status = result.status
             row.attempts = max(row.attempts, result.attempts)
-            if result.error:
+            if result.status != "failed":
+                row.error = None  # an earlier attempt's error is history
+            elif result.error:
                 row.error = result.error
             if row.finished_ts is None:
                 row.finished_ts = now

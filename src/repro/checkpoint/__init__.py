@@ -16,17 +16,4 @@ _EXPORTS = {
     "multilevel": ("MultiLevelManager", "MultiLevelRestore"),
 }
 
-__all__ = [
-    "CheckpointStore",
-    "DiskStore",
-    "MemoryStore",
-    "Snapshot",
-    "young_interval",
-    "daly_interval",
-    "interval_in_iterations",
-    "CheckpointManager",
-    "MultiLevelManager",
-    "MultiLevelRestore",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

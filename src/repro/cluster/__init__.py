@@ -22,18 +22,4 @@ _EXPORTS = {
     "comm": ("SimComm",),
 }
 
-__all__ = [
-    "CoreSpec",
-    "FrequencyLadder",
-    "MachineSpec",
-    "NodeSpec",
-    "NetworkModel",
-    "CollectiveCosts",
-    "ClockArray",
-    "Phase",
-    "PhaseLog",
-    "ProcessBinding",
-    "SimComm",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

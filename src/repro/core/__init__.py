@@ -17,18 +17,4 @@ _EXPORTS = {
     "solver": ("ResilientSolver", "SolverConfig"),
 }
 
-__all__ = [
-    "CGState",
-    "ConvergenceError",
-    "DistributedCG",
-    "IterationCosts",
-    "SolveReport",
-    "ResilientSolver",
-    "SolverConfig",
-    "Objective",
-    "SchemeAdvisor",
-    "SchemeEstimate",
-    "Situation",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -19,17 +19,4 @@ _EXPORTS = {
     "validation": ("ModelValidation", "validate_scheme"),
 }
 
-__all__ = [
-    "GeneralModel",
-    "WorkloadParams",
-    "CheckpointModel",
-    "ForwardRecoveryModel",
-    "RedundancyModel",
-    "ProjectionConfig",
-    "ProjectionPoint",
-    "project",
-    "ModelValidation",
-    "validate_scheme",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -29,18 +29,4 @@ _EXPORTS = {
     "factory": ("make_scheme", "scheme_names"),
 }
 
-__all__ = [
-    "RecoveryScheme",
-    "RecoveryServices",
-    "Redundancy",
-    "CheckpointRestart",
-    "MultiLevelCheckpointRestart",
-    "ZeroFill",
-    "InitialGuessFill",
-    "LinearInterpolation",
-    "LeastSquaresInterpolation",
-    "make_scheme",
-    "scheme_names",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

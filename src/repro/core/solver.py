@@ -166,7 +166,6 @@ class ResilientSolver:
                 clock=lambda: self.comm.now
             )
             self.trace = self.obs.events
-            self.account.on_charge = self._on_charge
         else:
             self.obs = None
             self.trace = None
@@ -272,23 +271,22 @@ class ResilientSolver:
     # ==================================================================
     # internals
     # ==================================================================
-    def _on_charge(self, tag: PhaseTag, time_s: float, energy_j: float) -> None:
-        """Energy-account tap: per-phase metrics and transition events."""
-        m = self.obs.metrics
-        m.counter("phase.time_s", phase=tag.value).inc(time_s)
-        m.counter("phase.energy_j", phase=tag.value).inc(energy_j)
-        if time_s <= 0 or tag is self._last_phase_tag:
+    def _enter_phase(self, tag: PhaseTag, iteration: int, sim_time_s: float) -> None:
+        """Note a traced charge of positive time under ``tag``.
+
+        One event per *entry* into a resilience phase, not per charge:
+        contiguous EXTRA iterations collapse to a single transition.
+        REDUNDANT is overlapped (zero-time) and never reaches here.
+        """
+        if tag is self._last_phase_tag:
             return
-        # One event per *entry* into a resilience phase, not per charge:
-        # contiguous EXTRA iterations collapse to a single transition.
-        # REDUNDANT is overlapped (zero-time) and never reached here.
         if tag.is_resilience:
             from repro.harness.tracing import PhaseEntered
 
             self.trace.record(
                 PhaseEntered(
-                    iteration=self.cg.iteration,
-                    sim_time_s=self.comm.now,
+                    iteration=iteration,
+                    sim_time_s=sim_time_s,
                     phase=tag.value,
                     from_phase=(
                         self._last_phase_tag.value if self._last_phase_tag else ""
@@ -309,7 +307,10 @@ class ResilientSolver:
         )
 
     def _emit(self, tag: PhaseTag, duration_s: float, power_w: float) -> None:
-        """Charge the account, advance simulated time, extend the RAPL log."""
+        """Charge the account, advance simulated time, extend the RAPL log.
+
+        The only place non-span time is charged, so (traced) the one
+        place such a charge notes its phase entry."""
         if duration_s < 0:
             raise ValueError("duration must be non-negative")
         is_checkpoint = tag is PhaseTag.CHECKPOINT
@@ -330,6 +331,8 @@ class ResilientSolver:
         )
         with ctx:
             energy = self.account.charge(tag, time_s=duration_s, power_w=power_w)
+            if self.obs is not None and duration_s > 0:
+                self._enter_phase(tag, self.cg.iteration, self.comm.now)
             mult = self.scheme.energy_multiplier if self.scheme else 1.0
             if mult > 1.0:
                 # The DMR replica draws the same power concurrently.
@@ -366,9 +369,9 @@ class ResilientSolver:
 
         Float-faithfully replays ``n`` one-iteration bookings (DESIGN.md
         §5e): account charges, clocks, traffic, the RAPL log and — when
-        traced — phase metrics and transition events all end up
-        bit-identical to charging the iterations one by one, which the
-        per-iteration reference loop in ``tests/differential.py`` does.
+        traced — phase transition events all end up bit-identical to
+        charging the iterations one by one, which the per-iteration
+        reference loop in ``tests/differential.py`` does.
         Replay is exact because every per-iteration quantity is constant
         by construction (:class:`IterationCosts`) and per-iteration
         accumulation of a constant is a scalar recurrence
@@ -422,70 +425,17 @@ class ResilientSolver:
         traffic.messages += n * max(0, len(self._dmat.halo_pair_bytes))
         traffic.collectives += 2 * n
         if self.obs is not None:
-            self._replay_span_observability(n, is_extra, t0)
-
-    def _replay_span_observability(
-        self, n: int, is_extra: bool, t_span_start: float
-    ) -> None:
-        """Replay what ``n`` per-iteration ``on_charge`` taps (plus the
-        per-iteration ``solver.iterations`` increment) would have done.
-        ``charge_span`` bypasses the tap, so the span loop owns this."""
-        c = self.costs
-        mult = self.scheme.energy_multiplier if self.scheme else 1.0
-        m = self.obs.metrics
-        counter = m.counter
-        pairs: list[tuple[PhaseTag, float, float]] = []
-        if is_extra:
-            e_extra = c.wall_s * self._iter_power.average_power_w
-            pairs.append((PhaseTag.EXTRA, c.wall_s, e_extra))
-            energy = e_extra
-        else:
-            e_solve = c.compute_max_s * self._iter_power.compute_power_w
-            pairs.append((PhaseTag.SOLVE, c.compute_max_s, e_solve))
-            energy = e_solve
-            if c.comm_s > 0:
-                e_comm = c.comm_s * self.power_compute_w()
-                pairs.append((PhaseTag.OVERHEAD, c.comm_s, e_comm))
-                energy += e_comm
-        if mult > 1.0:
-            pairs.append((PhaseTag.REDUNDANT, 0.0, (mult - 1.0) * energy))
-        ov = self.scheme.overlap_energy_per_iteration_j if self.scheme else 0.0
-        if ov > 0.0:
-            pairs.append((PhaseTag.REDUNDANT, 0.0, ov))
-        for tag, time_s, energy_j in pairs:
-            ct = counter("phase.time_s", phase=tag.value)
-            ct.value = repeat_add(ct.value, time_s, n)
-            ce = counter("phase.energy_j", phase=tag.value)
-            ce.value = repeat_add(ce.value, energy_j, n)
-        # n repeated ``+= 1.0`` equals ``+= n`` exactly for counts far
-        # below 2**53, so the iteration counter needs no replay loop.
-        counter("solver.iterations").inc(float(n))
-        # Transition events: within a span only the *first* charge can
-        # change phase (iterations repeat SOLVE/OVERHEAD or EXTRA), and
-        # only EXTRA is a resilience phase that records a PhaseEntered.
-        if is_extra:
-            if c.wall_s > 0 and self._last_phase_tag is not PhaseTag.EXTRA:
-                from repro.harness.tracing import PhaseEntered
-
-                self.trace.record(
-                    PhaseEntered(
-                        iteration=self.cg.iteration - n + 1,
-                        sim_time_s=t_span_start,
-                        phase=PhaseTag.EXTRA.value,
-                        from_phase=(
-                            self._last_phase_tag.value
-                            if self._last_phase_tag
-                            else ""
-                        ),
-                    )
-                )
-            if c.wall_s > 0:
-                self._last_phase_tag = PhaseTag.EXTRA
-        else:
-            if c.compute_max_s > 0:
-                self._last_phase_tag = PhaseTag.SOLVE
-            if c.comm_s > 0:
-                self._last_phase_tag = PhaseTag.OVERHEAD
+            # Within a span only the *first* charge can change phase
+            # (iterations repeat SOLVE/OVERHEAD or EXTRA).
+            first = self.cg.iteration - n + 1
+            if is_extra:
+                if wall > 0:
+                    self._enter_phase(PhaseTag.EXTRA, first, t0)
+            else:
+                if c.compute_max_s > 0:
+                    self._enter_phase(PhaseTag.SOLVE, first, t0)
+                if c.comm_s > 0:
+                    self._enter_phase(PhaseTag.OVERHEAD, first, t0)
 
     def _handle_fault(self, event: FaultEvent) -> None:
         """Damage and recover every rank in the event's blast radius.
@@ -649,8 +599,14 @@ class ResilientSolver:
             self._run(pending, handled, baseline, trajectory)
 
         self._flush_phase()
-        details: dict = self._finish_details(baseline)
-        return self._build_report(handled, baseline, details)
+        report = self._build_report(
+            handled, baseline, self._finish_details(baseline)
+        )
+        if self.obs is not None:
+            from repro.obs.telemetry import write_solve_metrics
+
+            write_solve_metrics(self.obs.metrics, report)
+        return report
 
     def _run(
         self,
@@ -748,11 +704,6 @@ class ResilientSolver:
             "operating_frequency_ghz": self.f_op_ghz,
         }
         if self.obs is not None:
-            m = self.obs.metrics
-            m.gauge("solver.sim_time_s").set(self.comm.now)
-            m.gauge("solver.energy_j").set(self.account.total_energy_j)
-            m.gauge("solver.relative_residual").set(cg.relative_residual)
-            m.gauge("solver.converged").set(1.0 if cg.converged else 0.0)
             details["telemetry"] = self.obs
         if self.scheme is not None:
             details["scheme_details"] = _scheme_details(self.scheme)

@@ -20,15 +20,4 @@ _EXPORTS = {
     "analytic": ("AnalyticEngine", "AnalyticParams"),
 }
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "AnalyticEngine",
-    "AnalyticParams",
-    "ExecutionEngine",
-    "SimEngine",
-    "UnsupportedSchemeError",
-    "engine_names",
-    "make_engine",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -737,7 +737,8 @@ class AnalyticEngine(ExecutionEngine):
 
         Events carry modeled sim timestamps (faults at their scheduled
         iteration on the fault-free clock, recoveries one modeled
-        construction later); phase metrics mirror the account exactly, so
+        construction later); the derived metrics are written from the
+        report as the simulator's are (:func:`write_solve_metrics`), so
         rollups and exports work identically on analytic cells.  Unlike
         the simulator there are no per-checkpoint events — the stream
         stays bounded by the fault count at any scale.
@@ -747,7 +748,7 @@ class AnalyticEngine(ExecutionEngine):
             PhaseEntered,
             RecoveryApplied,
         )
-        from repro.obs.telemetry import Telemetry
+        from repro.obs.telemetry import Telemetry, write_solve_metrics
 
         clock = {"now": 0.0}
         tel = Telemetry.for_solver(clock=lambda: clock["now"])
@@ -805,14 +806,7 @@ class AnalyticEngine(ExecutionEngine):
             tel.recovery_latency_histogram(report.scheme).observe(
                 terms.construct_per_fault_s
             )
-        for tag, charge in report.account.charges.items():
-            m.counter("phase.time_s", phase=tag.value).inc(charge.time_s)
-            m.counter("phase.energy_j", phase=tag.value).inc(charge.energy_j)
-        m.counter("solver.iterations").inc(float(report.iterations))
         if terms.restarts:
             m.counter("solver.restarts").inc(float(terms.restarts))
-        m.gauge("solver.sim_time_s").set(report.time_s)
-        m.gauge("solver.energy_j").set(report.energy_j)
-        m.gauge("solver.relative_residual").set(report.final_relative_residual)
-        m.gauge("solver.converged").set(1.0)
+        write_solve_metrics(m, report)
         report.details["telemetry"] = tel

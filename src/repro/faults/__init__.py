@@ -21,20 +21,4 @@ _EXPORTS = {
     "mtbf": ("MtbfEstimator", "SystemClass", "PETASCALE", "EXASCALE"),
 }
 
-__all__ = [
-    "FaultClass",
-    "FaultEvent",
-    "FaultKind",
-    "FaultScope",
-    "FaultSchedule",
-    "EvenlySpacedSchedule",
-    "FixedIterationSchedule",
-    "PoissonSchedule",
-    "FaultInjector",
-    "MtbfEstimator",
-    "SystemClass",
-    "PETASCALE",
-    "EXASCALE",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

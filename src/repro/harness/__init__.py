@@ -23,17 +23,4 @@ _EXPORTS = {
     ),
 }
 
-__all__ = [
-    "Experiment",
-    "ExperimentConfig",
-    "normalize_reports",
-    "format_table",
-    "format_series",
-    "EventLog",
-    "FaultInjected",
-    "RecoveryApplied",
-    "CheckpointWritten",
-    "SolverRestarted",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -20,17 +20,4 @@ _EXPORTS = {
     "suite": ("MatrixSpec", "SUITE", "build", "names"),
 }
 
-__all__ = [
-    "BlockRowPartition",
-    "stencil_5pt",
-    "banded_spd",
-    "irregular_spd",
-    "tridiagonal_spd",
-    "DistributedMatrix",
-    "MatrixSpec",
-    "SUITE",
-    "build",
-    "names",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -53,29 +53,4 @@ _EXPORTS = {
     "telemetry": ("RECOVERY_LATENCY_BUCKETS", "Telemetry"),
 }
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "LogRecord",
-    "MetricsRegistry",
-    "RECOVERY_LATENCY_BUCKETS",
-    "REQUEST_ID_HEADER",
-    "Span",
-    "SpanRecorder",
-    "Telemetry",
-    "bound_request_id",
-    "configure_logging",
-    "current_request_id",
-    "get_logger",
-    "record_from_line",
-    "record_to_line",
-    "event_from_row",
-    "event_to_row",
-    "residual_power_csv",
-    "telemetry_from_dict",
-    "telemetry_to_dict",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -51,35 +51,4 @@ _EXPORTS = {
     ),
 }
 
-__all__ = [
-    "DETECTORS",
-    "Finding",
-    "MetricDelta",
-    "PhaseAttribution",
-    "PhaseRow",
-    "RunDiff",
-    "RunRecord",
-    "SpanDelta",
-    "SpanNode",
-    "attribute_record",
-    "build_span_tree",
-    "critical_path",
-    "diff_runs",
-    "format_attribution",
-    "format_attribution_rollup",
-    "format_critical_path",
-    "format_findings",
-    "format_run_diff",
-    "format_span_tree",
-    "html_report",
-    "phase_counters",
-    "prometheus_text",
-    "records_from_cells",
-    "run_detectors",
-    "scheme_rollup",
-    "select_records",
-    "tree_summary",
-    "walk",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

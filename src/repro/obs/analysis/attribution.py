@@ -7,10 +7,11 @@ and energy went* — and whether the per-phase story actually adds up to
 the totals the EnergyAccount charged.
 
 Attribution therefore always carries an explicit **residual**: the
-account's totals minus the per-phase sums.  On a healthy traced
-run the residual is ulp-level (the tap mirrors every charge); a residual
-above ~1e-9 relative means the books don't balance and the
-``energy_balance`` detector will say so.  The residual is *reported*,
+account's totals minus the per-phase sums.  A solve writes its
+``phase.*`` counters from its account when it closes, so on a traced
+report this program wrote the residual is only summation order
+(ulp-level); a larger one means an export whose books don't balance,
+and the ``energy_balance`` detector will say so.  The residual is *reported*,
 never folded into a phase.
 """
 
@@ -130,11 +131,14 @@ def _rows(pairs: dict[str, tuple[float, float]], total_t: float, total_e: float)
 def attribute_record(record: RunRecord) -> PhaseAttribution:
     """Waterfall for one run, reconciled against its account's totals.
 
-    Traced runs attribute from the ``phase.*`` metric counters (the
-    independently accumulated mirror of the account), so the residual
-    *measures* tap drift.  Untraced reports fall back to the account's
-    own charges (residual identically zero by construction — stated,
-    not hidden, via ``source="account"``).
+    Traced runs attribute from the ``phase.*`` metric counters.  A
+    solve writes them from its account when it closes, so a report this
+    program writes reconciles exactly (up to the summation order of the
+    totals); the residual measures an export that does not (a payload
+    edited or written elsewhere, read back).
+    Untraced reports fall back to the account's own charges (residual
+    identically zero by construction — stated, not hidden, via
+    ``source="account"``).
     """
     tel = record.telemetry
     account = record.report.account

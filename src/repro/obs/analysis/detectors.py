@@ -30,8 +30,9 @@ from repro.obs.analysis.attribution import attribute_record
 from repro.obs.analysis.records import RunRecord
 from repro.obs.analysis.spantree import build_span_tree, walk
 
-#: Books must balance to this relative tolerance (the tap mirrors every
-#: charge bit-for-bit; only summation order may differ, which is ulps).
+#: Books must balance to this relative tolerance (a solve writes its
+#: phase counters from its account bit for bit; only summation order
+#: may differ, which is ulps).
 ENERGY_BALANCE_REL_TOL = 1e-6
 
 #: A residual growing by this factor in one iteration, with no fault or

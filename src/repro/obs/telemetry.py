@@ -99,6 +99,26 @@ class Telemetry:
 _FIELDS = tuple(f.name for f in fields(Telemetry))
 
 
+def write_solve_metrics(metrics: MetricsRegistry, report) -> None:
+    """Write a finished solve's derived metrics from its report.
+
+    Both engines call this once, when a traced solve closes: the
+    ``phase.time_s``/``phase.energy_j`` counters are the report's
+    account charges (the paper's ``E_res``/``E_solve`` split), beside
+    ``solver.iterations`` and the ``solver.*`` gauges of the report's
+    scalars.  A report this program writes therefore reconciles with
+    its own telemetry exactly.
+    """
+    for tag, charge in report.account.charges.items():
+        metrics.counter("phase.time_s", phase=tag.value).inc(charge.time_s)
+        metrics.counter("phase.energy_j", phase=tag.value).inc(charge.energy_j)
+    metrics.counter("solver.iterations").inc(float(report.iterations))
+    metrics.gauge("solver.sim_time_s").set(report.time_s)
+    metrics.gauge("solver.energy_j").set(report.energy_j)
+    metrics.gauge("solver.relative_residual").set(report.final_relative_residual)
+    metrics.gauge("solver.converged").set(1.0 if report.converged else 0.0)
+
+
 def annotate_root_span(report, name: str, value: str) -> None:
     """Stamp ``name=value`` onto a traced report's root ``solve`` span.
 

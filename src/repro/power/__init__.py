@@ -25,15 +25,4 @@ _EXPORTS = {
     "energy": ("EnergyAccount", "PhaseTag"),
 }
 
-__all__ = [
-    "CoreState",
-    "PowerModel",
-    "DvfsController",
-    "Governor",
-    "RaplDomain",
-    "RaplMeter",
-    "EnergyAccount",
-    "PhaseTag",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

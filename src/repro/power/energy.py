@@ -89,17 +89,9 @@ class EnergyAccount:
     Overlapped phases (DMR's replica) charge energy with zero wall-clock
     time so total time remains the critical-path time while total energy
     includes everything that drew power.
-
-    ``on_charge`` is an optional observability tap: when set, every
-    charge also invokes ``on_charge(tag, time_s, energy_j)`` (with
-    ``time_s=0`` for overlapped charges).  The solver uses it to feed
-    phase metrics and phase-transition events without the account
-    knowing about the telemetry layer.  It is excluded from equality
-    and never pickled with the account.
     """
 
     charges: dict[PhaseTag, Charge] = field(default_factory=dict)
-    on_charge: object = field(default=None, repr=False, compare=False)
 
     def charge(self, tag: PhaseTag, *, time_s: float, power_w: float) -> float:
         """Charge ``time_s`` seconds at ``power_w`` watts; returns joules."""
@@ -111,8 +103,6 @@ class EnergyAccount:
         c = self.charges.setdefault(tag, Charge())
         c.time_s += time_s
         c.energy_j += energy
-        if self.on_charge is not None:
-            self.on_charge(tag, time_s, energy)
         return energy
 
     def charge_span(
@@ -123,11 +113,6 @@ class EnergyAccount:
         Bit-identical to calling :meth:`charge` ``n`` times (the
         accumulator is replayed add-by-add, see :func:`repeat_add`), but
         without per-charge call overhead.  Returns the per-charge energy.
-
-        Unlike :meth:`charge`, this does **not** invoke the ``on_charge``
-        tap: span-batching callers replay their observability at span
-        granularity themselves (the solver's span loop stamps phase
-        metrics and transition events explicitly).
         """
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -145,8 +130,7 @@ class EnergyAccount:
 
     def charge_energy_span(self, tag: PhaseTag, energy_j: float, n: int) -> None:
         """``n`` identical overlapped charges; bit-identical to calling
-        :meth:`charge_energy` ``n`` times.  Skips the ``on_charge`` tap,
-        like :meth:`charge_span`."""
+        :meth:`charge_energy` ``n`` times."""
         if n < 0:
             raise ValueError("n must be non-negative")
         if energy_j < 0:
@@ -161,18 +145,6 @@ class EnergyAccount:
         if energy_j < 0:
             raise ValueError("energy must be non-negative")
         self.charges.setdefault(tag, Charge()).energy_j += energy_j
-        if self.on_charge is not None:
-            self.on_charge(tag, 0.0, energy_j)
-
-    # The tap may close over a live solver; it must not travel with the
-    # account when reports cross process boundaries as pickles.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["on_charge"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def time(self, tag: PhaseTag) -> float:
@@ -218,12 +190,3 @@ class EnergyAccount:
         """E_res / E_solve, as plotted in Figure 7(b)."""
         solve = self.solve_energy_j
         return self.resilience_energy_j / solve if solve > 0 else 0.0
-
-    def merged_with(self, other: "EnergyAccount") -> "EnergyAccount":
-        out = EnergyAccount()
-        for src in (self, other):
-            for tag, c in src.charges.items():
-                dst = out.charges.setdefault(tag, Charge())
-                dst.time_s += c.time_s
-                dst.energy_j += c.energy_j
-        return out

@@ -35,18 +35,4 @@ _EXPORTS = {
     "loadgen": ("LoadReport", "run_load"),
 }
 
-__all__ = [
-    "BackgroundServer",
-    "HttpRequest",
-    "HttpResponse",
-    "LoadReport",
-    "ServeApp",
-    "ServeClient",
-    "ServeError",
-    "ServeServer",
-    "ServingCore",
-    "SolveOutcome",
-    "run_load",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -36,6 +36,7 @@ from repro.campaign.fleet import (
     cell_event_from_line,
     cell_event_to_line,
 )
+from repro.campaign.manifest import MANIFEST_SCHEMA
 from repro.campaign.runner import (
     CellExecutionError,
     CellResult,
@@ -44,6 +45,7 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import cell_key
+from repro.campaign.watch import render_fleet
 from repro.obs.logging import configure_logging, record_from_line
 from tests.campaign.helpers import FLAKY_DIR_ENV, chatty_worker, killing_worker
 from tests.logcapture import captured_logs
@@ -284,6 +286,42 @@ class TestFleetMonitor:
         assert [c.label for c in manifest.cells if c.error][-1] == cell.label
         assert manifest.worker_rows[0].failed_attempts == 2
         assert [e["event"] for e in events].count("failed") == 1
+
+    @pytest.mark.parametrize("status", ["ran", "cached"])
+    def test_a_cell_that_settles_after_a_failure_keeps_no_error(
+        self, tiny_spec, status
+    ):
+        mon, clk = _monitor(total=1)
+        cell = tiny_spec.cells()[0]
+        cid = cell_correlation_id(cell)
+        mon.cell_queued(cell, 1)
+        for attempt, kind in ((1, "failed"), (2, "finished")):
+            mon.on_event(
+                cell_event(
+                    mon.run_id, "started", cell.label, cid, 77, attempt, ts=clk.t
+                )
+            )
+            clk.t += 0.5
+            mon.on_event(
+                cell_event(
+                    mon.run_id, kind, cell.label, cid, 77, attempt, ts=clk.t,
+                    elapsed_s=0.5,
+                    error="RuntimeError: boom" if kind == "failed" else None,
+                )
+            )
+        mon.cell_done(
+            CellResult(
+                cell=cell, status=status, elapsed_s=0.5, attempts=2,
+                wasted_s=0.5,
+            )
+        )
+        manifest = mon.manifest()
+        (row,) = manifest.cells
+        assert row.status == status and row.attempts == 2
+        assert row.error is None
+        assert manifest.schema == MANIFEST_SCHEMA == 2
+        frame = render_fleet(manifest, mon.eta_s(), mon.busy())
+        assert "last error" not in frame
 
     def test_an_attempt_retried_in_place_adds_no_queue_wait(self, tiny_spec):
         """A pooled group's worker retries a failed cell at once: only

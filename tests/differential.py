@@ -3,8 +3,9 @@
 The reference every execution is checked against lives here:
 :class:`PerIterationSolver`, the per-iteration solve loop kept as a
 test oracle.  Each iteration is one ``cg.step()``, one account charge
-through the ``on_charge`` tap, one scheme-hook call and one event
-check — no spans, no trajectory memo.  The solver itself only ever
+per phase (each charge of positive time noting its phase entry, as the
+solver's ``_emit`` does), one scheme-hook call and one event check —
+no spans, no trajectory memo.  The solver itself only ever
 runs span-batched; :func:`check_case` runs each differential case
 three ways against one oracle solve: span × ``batched`` (production),
 span × ``loop``, and per-iteration × ``loop`` (the oracle).
@@ -78,10 +79,13 @@ class PerIterationSolver(ResilientSolver):
     """The per-iteration reference loop: the oracle every span-batched
     execution must match bit for bit.
 
-    One ``cg.step()``, one booking (whose account charges go through
-    the ``on_charge`` tap), one hook call and one event check per
-    iteration.  A trajectory memo is ignored: the oracle walks every
-    iteration itself.
+    One ``cg.step()``, one booking (each account charge of positive
+    time notes its phase entry through ``_enter_phase``, the method
+    ``_emit`` uses, so the span loop's first-charge transitions are
+    checked against a per-charge reference), one hook call and one
+    event check per iteration.  The derived metrics are written when
+    the solve closes, as for every solve.  A trajectory memo is
+    ignored: the oracle walks every iteration itself.
     """
 
     def _run(self, pending, handled, baseline, trajectory) -> None:
@@ -91,8 +95,6 @@ class PerIterationSolver(ResilientSolver):
             self._charge_iteration(
                 is_extra=baseline is not None and cg.iteration > baseline
             )
-            if self.obs is not None:
-                self.obs.metrics.counter("solver.iterations").inc()
             if self.scheme is not None:
                 self.scheme.on_iteration_end(self, cg.state)
             self._process_due_events(pending, handled)
@@ -104,16 +106,12 @@ class PerIterationSolver(ResilientSolver):
         ip = self._iter_power
         mult = self.scheme.energy_multiplier if self.scheme else 1.0
         if is_extra:
-            energy = self.account.charge(
-                PhaseTag.EXTRA, time_s=c.wall_s, power_w=ip.average_power_w
-            )
+            energy = self._charge(PhaseTag.EXTRA, c.wall_s, ip.average_power_w)
         else:
-            energy = self.account.charge(
-                PhaseTag.SOLVE, time_s=c.compute_max_s, power_w=ip.compute_power_w
-            )
+            energy = self._charge(PhaseTag.SOLVE, c.compute_max_s, ip.compute_power_w)
             if c.comm_s > 0:
-                energy += self.account.charge(
-                    PhaseTag.OVERHEAD, time_s=c.comm_s, power_w=self.power_compute_w()
+                energy += self._charge(
+                    PhaseTag.OVERHEAD, c.comm_s, self.power_compute_w()
                 )
         if mult > 1.0:
             self.account.charge_energy(PhaseTag.REDUNDANT, (mult - 1.0) * energy)
@@ -128,6 +126,14 @@ class PerIterationSolver(ResilientSolver):
         self.comm.traffic.bytes_p2p += c.bytes_per_iter
         self.comm.traffic.messages += max(0, len(self._dmat.halo_pair_bytes))
         self.comm.traffic.collectives += 2
+
+    def _charge(self, tag: PhaseTag, time_s: float, power_w: float) -> float:
+        """One account charge; a traced one of positive time notes its
+        phase entry before the clock advances."""
+        energy = self.account.charge(tag, time_s=time_s, power_w=power_w)
+        if self.obs is not None and time_s > 0:
+            self._enter_phase(tag, self.cg.iteration, self.comm.now)
+        return energy
 
 
 def run_solver(matrix_name: str, scheme_name: str | None, *,

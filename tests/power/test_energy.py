@@ -74,17 +74,6 @@ class TestEnergyAccount:
     def test_resilience_ratio_no_solve(self):
         assert EnergyAccount().resilience_ratio() == 0.0
 
-    def test_merged_with(self):
-        a, b = EnergyAccount(), EnergyAccount()
-        a.charge(PhaseTag.SOLVE, time_s=1.0, power_w=10.0)
-        b.charge(PhaseTag.SOLVE, time_s=1.0, power_w=10.0)
-        b.charge(PhaseTag.EXTRA, time_s=1.0, power_w=5.0)
-        m = a.merged_with(b)
-        assert m.time(PhaseTag.SOLVE) == pytest.approx(2.0)
-        assert m.energy(PhaseTag.EXTRA) == pytest.approx(5.0)
-        # originals untouched
-        assert a.time(PhaseTag.SOLVE) == pytest.approx(1.0)
-
     def test_rejects_negative(self):
         acc = EnergyAccount()
         with pytest.raises(ValueError):
